@@ -112,16 +112,16 @@ type jsonReport struct {
 	Shards int `json:"shards,omitempty"`
 	// CompiledPolicy / PreciseInvalidation record the policy-engine
 	// knobs; omitted when off, so pre-existing snapshots compare equal.
-	CompiledPolicy      bool             `json:"compiled_policy,omitempty"`
-	PreciseInvalidation bool             `json:"precise_invalidation,omitempty"`
+	CompiledPolicy      bool `json:"compiled_policy,omitempty"`
+	PreciseInvalidation bool `json:"precise_invalidation,omitempty"`
 	// StatefulFW records the -statefulfw knob; omitted when off, so
 	// pre-existing snapshots compare equal.
 	StatefulFW bool `json:"stateful_fw,omitempty"`
 	// SLO records the -slo knob; omitted when off, so pre-existing
 	// snapshots compare equal.
-	SLO bool `json:"slo,omitempty"`
-	Experiments         []jsonExperiment `json:"experiments"`
-	TotalSeconds        float64          `json:"total_seconds,omitempty"`
+	SLO          bool             `json:"slo,omitempty"`
+	Experiments  []jsonExperiment `json:"experiments"`
+	TotalSeconds float64          `json:"total_seconds,omitempty"`
 }
 
 func main() {

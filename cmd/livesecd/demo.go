@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"livesec/internal/netpkt"
@@ -22,11 +22,9 @@ type demoSwitch struct {
 	hostMAC netpkt.MAC
 	hostIP  netpkt.IPv4Addr
 
-	conn openflow.Conn
-	peer *demoSwitch
-
-	mu       sync.Mutex
-	flowMods int
+	conn     openflow.Conn
+	peer     *demoSwitch
+	flowMods atomic.Int64
 }
 
 const (
@@ -39,14 +37,13 @@ func newDemoSwitch(addr, name string, dpid uint64, hostIP netpkt.IPv4Addr) (*dem
 	if err != nil {
 		return nil, err
 	}
-	sw := &demoSwitch{
+	return &demoSwitch{
 		name:    name,
 		dpid:    dpid,
 		hostMAC: netpkt.MACFromUint64(dpid * 100),
 		hostIP:  hostIP,
 		conn:    openflow.NewNetConn(c),
-	}
-	return sw, nil
+	}, nil
 }
 
 // start begins the protocol exchange. It must run after the peer link is
@@ -71,9 +68,7 @@ func (s *demoSwitch) handle(m openflow.Message) {
 	case *openflow.PacketOut:
 		s.handlePacketOut(msg)
 	case *openflow.FlowMod:
-		s.mu.Lock()
-		s.flowMods++
-		s.mu.Unlock()
+		s.flowMods.Add(1)
 		fmt.Printf("demo %s: FLOW_MOD prio=%d actions=%d %s\n",
 			s.name, msg.Priority, len(msg.Actions), msg.Match)
 	}
@@ -142,12 +137,7 @@ func runDemo(addr string) error {
 		[]byte("GET / HTTP/1.1\r\n")))
 	time.Sleep(300 * time.Millisecond)
 
-	a.mu.Lock()
-	aMods := a.flowMods
-	a.mu.Unlock()
-	b.mu.Lock()
-	bMods := b.flowMods
-	b.mu.Unlock()
+	aMods, bMods := a.flowMods.Load(), b.flowMods.Load()
 	fmt.Printf("demo: flow mods received sw1=%d sw2=%d\n", aMods, bMods)
 	if aMods == 0 || bMods == 0 {
 		return fmt.Errorf("controller did not install the end-to-end path")

@@ -12,8 +12,8 @@
 // metrics; the monitoring API then serves them on GET /metrics
 // (Prometheus text exposition) and GET /traces (JSON spans). With -slo
 // (implies -obs), the deterministic SLO/alert engine evaluates the
-// default rule pack on the event loop and the API additionally serves
-// GET /alerts. GET /health always serves the controller health rollup.
+// default rule pack under the controller lock and the API additionally
+// serves GET /alerts. GET /health always serves the controller health rollup.
 //
 // With -demo, livesecd spawns two in-process OpenFlow switches that
 // connect over TCP loopback, complete the handshake, exchange LLDP via
@@ -23,12 +23,15 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"time"
 
 	"livesec/internal/core"
@@ -55,7 +58,7 @@ func run() error {
 	demoTimeout := flag.Duration("demo-timeout", 3*time.Second, "how long the demo runs before exiting")
 	flag.Parse()
 
-	loop := newEventLoop()
+	lk := newCtrlLock(os.Stdout)
 	store := monitor.NewStore(0)
 	var fo *obs.FlowObs
 	if *obsFlag || *sloFlag {
@@ -63,9 +66,9 @@ func run() error {
 	}
 	var ctrl *core.Controller
 	var alerts *obs.AlertEngine
-	loop.do(func() {
+	lk.do(func() {
 		ctrl = core.New(core.Config{
-			Engine:   loop.eng,
+			Engine:   lk.eng,
 			Store:    store,
 			Policies: policy.NewTable(policy.Allow),
 			Obs:      fo,
@@ -87,8 +90,8 @@ func run() error {
 						tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
 			}
 			var tick func()
-			tick = func() { alerts.Tick(loop.eng.Now()); loop.eng.Schedule(alerts.Interval(), tick) }
-			loop.eng.Schedule(alerts.Interval(), tick)
+			tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
+			lk.eng.Schedule(alerts.Interval(), tick)
 		}
 	})
 
@@ -101,14 +104,14 @@ func run() error {
 
 	if *httpAddr != "" {
 		// The handler serializes Topology and obs snapshots through Sync,
-		// so Topology must return directly rather than nest loop.do.
+		// so Topology must return directly rather than nest lk.do.
 		mux := monitor.NewAPIHandler(monitor.HandlerConfig{
 			Store:    store,
 			Topology: func() any { return ctrl.Topology() },
 			Obs:      fo,
 			Alerts:   alerts,
 			Health:   func() []monitor.HealthComponent { return ctrl.HealthComponents() },
-			Sync:     loop.do,
+			Sync:     lk.do,
 		})
 		httpLn, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
@@ -119,11 +122,11 @@ func run() error {
 		go func() { _ = http.Serve(httpLn, mux) }()
 	}
 
-	store.Subscribe(func(ev monitor.Event) {
-		fmt.Printf("event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
+	store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
+		fmt.Fprintf(lk.log, "event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
 	})
 
-	go acceptLoop(ln, loop, ctrl)
+	go acceptLoop(ln, lk, ctrl)
 
 	if *demo {
 		go func() {
@@ -133,7 +136,7 @@ func run() error {
 		}()
 		time.Sleep(*demoTimeout)
 		var st core.Stats
-		loop.do(func() { st = ctrl.Stats() })
+		lk.do(func() { st = ctrl.Stats(); _ = lk.log.Flush() })
 		fmt.Printf("\ndemo summary: packetIns=%d flowMods=%d packetOuts=%d arpProxied=%d flowsRouted=%d\n",
 			st.PacketIns, st.FlowModsSent, st.PacketOuts, st.ARPProxied, st.FlowsRouted)
 		if st.FlowsRouted == 0 {
@@ -146,76 +149,96 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
+	signal.Stop(sig) // a second ^C kills outright, should a stalled switch hold the lock
+	lk.flush()
 	fmt.Println("livesecd: shutting down")
 	return nil
 }
 
-func acceptLoop(ln net.Listener, loop *eventLoop, ctrl *core.Controller) {
+func acceptLoop(ln net.Listener, lk *ctrlLock, ctrl *core.Controller) {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		conn := &pumpedConn{inner: openflow.NewNetConn(c), loop: loop}
-		loop.do(func() { ctrl.AddSwitch(conn) })
+		conn := &pumpedConn{Conn: openflow.NewNetConn(c), lk: lk, ctrl: ctrl}
+		lk.do(func() { ctrl.AddSwitch(conn) })
 	}
 }
 
-// eventLoop owns the simulation engine: all controller state mutations
-// run on its goroutine, and virtual time tracks the wall clock so the
-// controller's tickers (LLDP, housekeeping) fire naturally.
-type eventLoop struct {
+// ctrlLock is the daemon's one concurrency rule: the controller, its
+// engine (virtual time) and the buffered event log are touched only with
+// mu held — by connection readers, accept, HTTP Sync and the idle timer.
+type ctrlLock struct {
+	mu    sync.Mutex
 	eng   *sim.Engine
-	ops   chan func()
 	start time.Time
+	log   *bufio.Writer // one line per monitoring event, flushed every tick
 }
 
-func newEventLoop() *eventLoop {
-	l := &eventLoop{
-		eng:   sim.NewEngine(time.Now().UnixNano()),
-		ops:   make(chan func(), 1024),
-		start: time.Now(),
-	}
+func newCtrlLock(log io.Writer) *ctrlLock {
+	l := &ctrlLock{eng: sim.NewEngine(time.Now().UnixNano()), start: time.Now(), log: bufio.NewWriterSize(log, 1<<16)}
 	go l.pump()
 	return l
 }
 
-// do runs fn on the loop goroutine and waits for it. It must not be
-// called from the loop goroutine itself.
-func (l *eventLoop) do(fn func()) {
-	done := make(chan struct{})
-	l.ops <- func() { fn(); close(done) }
-	<-done
-}
+const tick = 5 * time.Millisecond // the idle pump's period
 
-func (l *eventLoop) pump() {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case op := <-l.ops:
-			op()
-		case <-tick.C:
-			_ = l.eng.Run(time.Since(l.start))
-		}
+// pump is the idle fallback: with nothing to dispatch, the controller's
+// timers and the event log still run at most a tick behind the wall clock.
+func (l *ctrlLock) pump() {
+	for range time.Tick(tick) {
+		l.flush()
 	}
 }
 
-// pumpedConn adapts a net-backed OpenFlow channel so received messages
-// are handled on the event loop.
-type pumpedConn struct {
-	inner openflow.Conn
-	loop  *eventLoop
+// do runs fn with the lock held, first advancing virtual time to the wall
+// clock so that what fn records is stamped now. fn must not call do.
+func (l *ctrlLock) do(fn func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_ = l.eng.Run(time.Since(l.start)) // fails only after Stop, which nothing calls
+	fn()
 }
 
-func (c *pumpedConn) Send(m openflow.Message) { c.inner.Send(m) }
+// flush writes the buffered event lines out.
+func (l *ctrlLock) flush() {
+	l.do(func() { _ = l.log.Flush() }) // stdout gone: nowhere left to report it
+}
+
+// pumpedConn adapts a net-backed OpenFlow channel so received messages
+// are handled under the controller lock, on the connection's own reader.
+type pumpedConn struct {
+	openflow.Conn
+	lk   *ctrlLock
+	ctrl *core.Controller
+}
+
+func (c *pumpedConn) SendBatch(ms []openflow.Message) { openflow.SendAll(c.Conn, ms...) }
+
+// Cold setups (first packets whose selector has no cached policy decision:
+// what a scan or a flood of novel flows is made of) are paced per switch.
+// Past one every coldGap the switch's reader pauses and TCP pushes back;
+// nothing is dropped, flows with a cached decision are never paced, and
+// the setup rate under a flood is set by the clock, not by the host's load.
+const (
+	coldGap   = time.Second / 9000     // 9,000 cold setups a second per switch
+	coldSlack = 200 * time.Millisecond // unused budget a reader may catch up on
+)
 
 func (c *pumpedConn) SetHandler(fn func(openflow.Message)) {
-	c.inner.SetHandler(func(m openflow.Message) {
-		done := make(chan struct{})
-		c.loop.ops <- func() { fn(m); close(done) }
-		<-done
+	var due time.Duration // when this switch's cold budget is back to zero
+	c.Conn.SetHandler(func(m openflow.Message) {
+		var pause time.Duration
+		c.lk.do(func() {
+			cold := c.ctrl.Stats().DecisionCacheMisses
+			fn(m)
+			now := c.lk.eng.Now()
+			due = max(due, now-coldSlack) + time.Duration(c.ctrl.Stats().DecisionCacheMisses-cold)*coldGap
+			pause = due - now
+		})
+		if pause >= tick { // sleeping off less costs more in wake-ups than it evens out
+			time.Sleep(pause)
+		}
 	})
 }
-
-func (c *pumpedConn) Close() error { return c.inner.Close() }

@@ -124,8 +124,8 @@ func TestMicroflowNoOpMutationsKeepCacheWarm(t *testing.T) {
 	cache.lookup(tbl, k) // fill
 
 	miss := flow.Key{InPort: 3}
-	tbl.Delete(flow.ExactMatch(miss), 0, true)                                        // removes nothing
-	tbl.Expire(time.Hour)                                                             // nothing has a timeout
+	tbl.Delete(flow.ExactMatch(miss), 0, true)                                           // removes nothing
+	tbl.Expire(time.Hour)                                                                // nothing has a timeout
 	tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 1, Actions: openflow.Drop()}, 0) // shadowed add
 
 	before := cache.stats.Hits

@@ -176,7 +176,7 @@ func TestInstallMergeRules(t *testing.T) {
 	otherKey := seproto.SessionKey{Proto: netpkt.ProtoTCP,
 		LoIP: netpkt.IP(10, 0, 0, 2), HiIP: srvIP, LoPort: 31001, HiPort: 80}
 	installed := tb.Install([]seproto.SessionState{
-		{Key: local, State: seproto.StateSynSent, OrigLo: true},      // existing: local wins
+		{Key: local, State: seproto.StateSynSent, OrigLo: true},        // existing: local wins
 		{Key: otherKey, State: seproto.StateEstablished, OrigLo: true}, // new: adopted
 		{Key: seproto.SessionKey{Proto: netpkt.ProtoTCP, LoIP: cliIP, HiIP: srvIP, LoPort: 9, HiPort: 9},
 			State: seproto.StateClosed}, // closed: never resurrected

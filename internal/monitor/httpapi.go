@@ -245,22 +245,15 @@ func NewAPIHandler(cfg HandlerConfig) http.Handler {
 		})
 		worst := 0
 		for _, comp := range resp.Components {
-			if r := healthRank(comp.Status); r > worst {
-				worst = r
-			}
+			worst = max(worst, healthRank(comp.Status))
 		}
 		if resp.AlertsFiring > 0 && worst < 1 {
 			worst = 1
 		}
 		resp.Status = [...]string{"ok", "degraded", "down"}[worst]
 		if worst == 2 {
-			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Type", "application/json") // headers go out with the status
 			w.WriteHeader(http.StatusServiceUnavailable)
-			buf, err := json.MarshalIndent(resp, "", "  ")
-			if err == nil {
-				w.Write(append(buf, '\n'))
-			}
-			return
 		}
 		writeJSON(w, resp)
 	})

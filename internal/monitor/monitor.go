@@ -8,6 +8,7 @@
 package monitor
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -78,11 +79,13 @@ type Event struct {
 
 // Store is the backstage database: an in-memory, bounded event log with
 // subscriptions and aggregation. It is safe for concurrent use (the
-// HTTP API reads while the simulation writes).
+// HTTP API reads while the simulation writes). The last capacity events
+// are kept in a ring, so Record costs the same at capacity as with room;
+// sequence numbers are dense, so Seq q lives in slot (q-1) mod capacity.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int
-	events   []Event
+	ring     []Event // grows to capacity, then overwritten in place
 	seq      uint64
 	counts   map[EventType]uint64
 	subs     []func(Event)
@@ -120,10 +123,10 @@ func (s *Store) Record(ev Event) Event {
 	if ev.FlowKey != nil && ev.FlowDesc == "" {
 		ev.FlowDesc = ev.FlowKey.String()
 	}
-	s.events = append(s.events, ev)
-	if len(s.events) > s.capacity {
-		drop := len(s.events) - s.capacity
-		s.events = append(s.events[:0], s.events[drop:]...)
+	if len(s.ring) < s.capacity {
+		s.ring = append(s.ring, ev)
+	} else {
+		s.ring[(s.seq-1)%uint64(s.capacity)] = ev
 	}
 	s.counts[ev.Type]++
 	if ev.Type == EventProtocol && ev.User != "" && ev.Detail != "" {
@@ -146,7 +149,7 @@ func (s *Store) Record(ev Event) Event {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.events)
+	return len(s.ring)
 }
 
 // TotalRecorded returns the number of events ever recorded.
@@ -172,7 +175,7 @@ type Filter struct {
 	Limit    int
 }
 
-func (f Filter) admit(ev Event) bool {
+func (f Filter) admit(ev *Event) bool {
 	switch {
 	case f.Type != "" && ev.Type != f.Type:
 		return false
@@ -192,14 +195,15 @@ func (f Filter) admit(ev Event) bool {
 func (s *Store) Events(f Filter) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// Seek straight past Since, or to the oldest retained event.
+	n := uint64(len(s.ring))
 	var out []Event
-	for _, ev := range s.events {
-		if !f.admit(ev) {
-			continue
-		}
-		out = append(out, ev)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
+	for q := max(f.Since, s.seq-n); q < s.seq; q++ {
+		if ev := &s.ring[q%n]; f.admit(ev) { // slot of the event with Seq q+1
+			out = append(out, *ev)
+			if len(out) == f.Limit {
+				break
+			}
 		}
 	}
 	return out
@@ -223,11 +227,7 @@ func (s *Store) UserApps() map[string]map[string]uint64 {
 	defer s.mu.RUnlock()
 	out := make(map[string]map[string]uint64, len(s.userApps))
 	for u, apps := range s.userApps {
-		cp := make(map[string]uint64, len(apps))
-		for k, v := range apps {
-			cp[k] = v
-		}
-		out[u] = cp
+		out[u] = maps.Clone(apps)
 	}
 	return out
 }
@@ -236,11 +236,7 @@ func (s *Store) UserApps() map[string]map[string]uint64 {
 func (s *Store) Counts() map[EventType]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[EventType]uint64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.counts)
 }
 
 // UserString formats a user identity for event records.

@@ -95,7 +95,7 @@ func TestAlertBurnRateNeedsBothWindows(t *testing.T) {
 	ae := NewAlertEngine(fo, 10*time.Millisecond, []AlertRule{{
 		Name: "burn", Ratio: true,
 		Window: 200 * time.Millisecond, ShortWindow: 20 * time.Millisecond,
-		Limit: 0.1,
+		Limit:  0.1,
 		Sample: func() (float64, float64) { return bad, total },
 	}})
 	// A burst violates both windows.

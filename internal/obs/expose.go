@@ -142,7 +142,7 @@ func (r *Registry) Text() string {
 //
 // It returns nil for valid input (including empty input).
 func LintText(text string) error {
-	typed := make(map[string]string)   // family -> type
+	typed := make(map[string]string)    // family -> type
 	seenSample := make(map[string]bool) // family (base name) -> samples emitted
 	type histState struct {
 		prev    uint64

@@ -148,10 +148,10 @@ func TestRingBounded(t *testing.T) {
 
 func TestSpansSlowest(t *testing.T) {
 	fo := NewFlowObs(8)
-	finishOne(fo, 0, 2*time.Millisecond, OutcomeRouted)        // ID 1
-	finishOne(fo, 0, 5*time.Millisecond, OutcomeRouted)        // ID 2
-	finishOne(fo, 0, time.Millisecond, OutcomeRouted)          // ID 3
-	finishOne(fo, 0, 5*time.Millisecond, OutcomeChained)       // ID 4 (tie with 2)
+	finishOne(fo, 0, 2*time.Millisecond, OutcomeRouted)  // ID 1
+	finishOne(fo, 0, 5*time.Millisecond, OutcomeRouted)  // ID 2
+	finishOne(fo, 0, time.Millisecond, OutcomeRouted)    // ID 3
+	finishOne(fo, 0, 5*time.Millisecond, OutcomeChained) // ID 4 (tie with 2)
 	spans := fo.Spans(0, true)
 	wantIDs := []uint64{2, 4, 1, 3} // by total desc, ties by ID asc
 	for i, want := range wantIDs {

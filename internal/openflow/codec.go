@@ -17,9 +17,9 @@ var (
 )
 
 const (
-	headerLen   = 8
-	matchLen    = 40
-	portDescLen = 28
+	headerLen    = 8
+	matchLen     = 40
+	portDescLen  = 28
 	flowStatLen  = matchLen + 2 + 8 + 8 + 8 + 6 // match, prio, cookie, pkts, bytes, pad
 	portStatLen  = 4 + 6*8 + 4                  // port, six counters, pad
 	tableStatLen = 1 + 3 + 4 + 5*8              // id, pad, active, five 64-bit counters

@@ -2,6 +2,7 @@
 # Tier-1 verification: everything a change must pass before merging.
 #
 #   build       -> the module compiles, including all commands/examples
+#   gofmt       -> every Go file is gofmt-clean
 #   vet         -> static checks
 #   staticcheck -> deeper lint, when the tool is installed (CI installs
 #                  it; locally the step is skipped with a notice)
@@ -32,6 +33,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l"
+unformatted=$(gofmt -l cmd internal examples bench ./*.go)
+[ -z "$unformatted" ] || { echo "not gofmt-clean:"; echo "$unformatted"; exit 1; }
 
 echo "==> go vet ./..."
 go vet ./...
