@@ -21,8 +21,8 @@ bench:
 # (e.g. the container/heap engine) out of the gate.
 bench-hot:
 	$(GO) test -run=NONE \
-		-bench='^(BenchmarkEngineSchedule|BenchmarkEngineRunTimerWheel|BenchmarkMicroflowLookup|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyLookupLinear|BenchmarkPolicyCompile|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordCold)$$' \
-		-benchmem -count=8 ./internal/sim ./internal/dataplane ./internal/policy ./internal/firewall ./internal/monitor
+		-bench='^(BenchmarkEngineSchedule|BenchmarkEngineRunTimerWheel|BenchmarkMicroflowLookup|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordCold)$$' \
+		-benchmem -count=8 ./internal/sim ./internal/dataplane ./internal/policy ./internal/core ./internal/firewall ./internal/monitor
 
 # Old-vs-new hot-loop comparison: retained reference implementations
 # against the current fast paths, via benchstat when installed.

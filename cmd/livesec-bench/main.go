@@ -6,7 +6,6 @@
 //
 //	livesec-bench [-scale full|ci] [-experiment all|E1|…|E11|ESCALE] [-json file]
 //	              [-parallel N] [-simworkers N] [-shards N] [-stable] [-obs]
-//	              [-compiledpolicy] [-preciseinval]
 //
 // With -json, the headline metrics are additionally written to the given
 // file as a machine-readable report (used to snapshot before/after
@@ -42,15 +41,10 @@
 // own shard counts (with shard lanes, which do change timing) and is
 // unaffected by the flag.
 //
-// With -compiledpolicy, every experiment's policy lookups run through
-// the tuple-space compiled classifier (internal/policy); with
-// -preciseinval, decision-cache invalidation on policy change is scoped
-// to the mutated rules' match cones (core). Both are decision-neutral,
-// so results are byte-identical to the defaults (enforced by
-// scripts/verify.sh); the banner and the -json report record the
-// settings so snapshots are self-describing. The E11 experiment
-// (policy engine at scale, not part of "all" because its sweep rows are
-// wall-clock timings) measures both mechanisms explicitly.
+// The E11 experiment (policy engine at scale, not part of "all" because
+// its sweep rows are wall-clock timings) measures the compiled policy
+// classifier and delta-scoped decision-cache invalidation every run
+// uses.
 //
 // With -statefulfw, every experiment's controller arms connection-state
 // migration for stateful firewall elements (core/fwstate.go). The
@@ -110,10 +104,6 @@ type jsonReport struct {
 	// Shards is the controller shard count; omitted when 1 (unsharded),
 	// so pre-existing snapshots compare equal.
 	Shards int `json:"shards,omitempty"`
-	// CompiledPolicy / PreciseInvalidation record the policy-engine
-	// knobs; omitted when off, so pre-existing snapshots compare equal.
-	CompiledPolicy      bool `json:"compiled_policy,omitempty"`
-	PreciseInvalidation bool `json:"precise_invalidation,omitempty"`
 	// StatefulFW records the -statefulfw knob; omitted when off, so
 	// pre-existing snapshots compare equal.
 	StatefulFW bool `json:"stateful_fw,omitempty"`
@@ -141,8 +131,6 @@ func run(args []string) error {
 	obsFlag := fs.Bool("obs", false, "record flow-setup traces; adds per-stage latency histograms to output")
 	simWorkersFlag := fs.Int("simworkers", 1, "parallel-simulation workers per experiment (1 = serial engine; results identical)")
 	shardsFlag := fs.Int("shards", 1, "controller shards per experiment (1 = unsharded; results identical)")
-	compiledFlag := fs.Bool("compiledpolicy", false, "route policy lookups through the compiled classifier (results identical)")
-	preciseFlag := fs.Bool("preciseinval", false, "scope decision-cache invalidation to rule-delta cones (results identical)")
 	statefulFWFlag := fs.Bool("statefulfw", false, "arm firewall connection-state migration (results identical; E12 pins it)")
 	sloFlag := fs.Bool("slo", false, "run the deterministic SLO/alert engine (results identical; E13 pins it)")
 	if err := fs.Parse(args); err != nil {
@@ -151,8 +139,6 @@ func run(args []string) error {
 	experiments.SetObs(*obsFlag)
 	experiments.SetSimWorkers(*simWorkersFlag)
 	experiments.SetShards(*shardsFlag)
-	experiments.SetCompiledPolicy(*compiledFlag)
-	experiments.SetPreciseInvalidation(*preciseFlag)
 	experiments.SetStatefulFW(*statefulFWFlag)
 	experiments.SetSLO(*sloFlag)
 	simWorkers := experiments.SimWorkers()
@@ -204,12 +190,6 @@ func run(args []string) error {
 	}
 
 	banner := fmt.Sprintf("scale=%s, simworkers=%d, shards=%d", *scaleFlag, simWorkers, shards)
-	if *compiledFlag {
-		banner += ", compiledpolicy"
-	}
-	if *preciseFlag {
-		banner += ", preciseinval"
-	}
 	if *statefulFWFlag {
 		banner += ", statefulfw"
 	}
@@ -225,8 +205,6 @@ func run(args []string) error {
 	if shards > 1 {
 		report.Shards = shards
 	}
-	report.CompiledPolicy = *compiledFlag
-	report.PreciseInvalidation = *preciseFlag
 	report.StatefulFW = *statefulFWFlag
 	report.SLO = *sloFlag
 	if !*stableFlag {

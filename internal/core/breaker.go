@@ -31,7 +31,6 @@ package core
 // deterministic.
 
 import (
-	"sort"
 	"time"
 
 	"livesec/internal/monitor"
@@ -177,13 +176,12 @@ type BreakerInfo struct {
 // BreakerStates returns every element's breaker, sorted by SE id. Nil
 // when breakers are disabled.
 func (c *Controller) BreakerStates() []BreakerInfo {
-	if !c.cfg.Breakers || len(c.elements) == 0 {
+	if !c.cfg.Breakers || len(c.elemOrder) == 0 {
 		return nil
 	}
-	out := make([]BreakerInfo, 0, len(c.elements))
-	for id, se := range c.elements {
-		out = append(out, BreakerInfo{SE: id, State: se.brState.String(), Trips: se.brTrips})
+	out := make([]BreakerInfo, 0, len(c.elemOrder))
+	for _, se := range c.elemOrder {
+		out = append(out, BreakerInfo{SE: se.id, State: se.brState.String(), Trips: se.brTrips})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SE < out[j].SE })
 	return out
 }

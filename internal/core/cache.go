@@ -12,7 +12,8 @@ package core
 //
 //   - A *decision* cache mapping the match-relevant selectors of the
 //     flow key to the policy decision, validated against the policy
-//     table's version counter, so repeat flows skip the O(rules) scan.
+//     table's version counter and mutation log, so repeat flows skip the
+//     classifier probe.
 //   - A *plan* cache mapping (selectors, chosen service elements) to the
 //     fully-derived install plan: one step per flow entry, holding the
 //     concrete MAC/port overrides and a shared action list, plus the
@@ -29,9 +30,10 @@ package core
 // Invalidation triggers (each covered by a test in cache_test.go):
 //
 //  1. Policy change — policy.Table.Version() is compared on every
-//     decision read; a mutation makes all cached decisions stale at
-//     once. Plans are decision-independent given the picked elements,
-//     so they stay.
+//     decision read; a version-stale decision is checked against the
+//     match cones of the mutations since (decisionPrecise) and dropped
+//     only if one covers its flow. Plans are decision-independent given
+//     the picked elements, so they stay.
 //  2. Host mobility — a host seen at a new attachment point (or expired
 //     by TTL) invalidates every plan involving it as source or
 //     destination (invalidateHost).
@@ -161,16 +163,6 @@ func newDecisionCache() *decisionCache {
 	}
 }
 
-// decision returns the cached policy decision for sel if it is still
-// valid under the given policy version.
-func (dc *decisionCache) decision(sel selectorKey, version uint64) (policy.Decision, bool) {
-	cd, ok := dc.decisions[sel]
-	if !ok || cd.version != version {
-		return policy.Decision{}, false
-	}
-	return cd.dec, true
-}
-
 // matchKey reconstructs the flow key a cached decision was computed for,
 // as far as policy matching is concerned. The selector holds every field
 // policy.Match examines (that is the selector's defining property), so
@@ -189,8 +181,8 @@ func (sel selectorKey) matchKey() flow.Key {
 	}
 }
 
-// decisionPrecise is the delta-scoped variant of decision (trigger 1,
-// Config.PreciseInvalidation): a version-stale entry is not discarded
+// decisionPrecise returns the cached policy decision for sel if it is
+// still valid (trigger 1). A version-stale entry is not discarded
 // outright — the table's mutation log says exactly which match cones
 // changed since the entry was cached, and a decision whose key none of
 // those cones match cannot have changed, so it is revalidated in place.

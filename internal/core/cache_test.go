@@ -20,19 +20,24 @@ func testSelector(src, dst uint64) selectorKey {
 }
 
 func TestDecisionCacheVersionCheck(t *testing.T) {
+	tbl := policy.NewTable(policy.Allow)
 	dc := newDecisionCache()
+	var ev, ret uint64
 	sel := testSelector(1, 2)
-	dc.putDecision(sel, 7, policy.Decision{Action: policy.Allow, Rule: "r"})
-	if dec, ok := dc.decision(sel, 7); !ok || dec.Rule != "r" {
+	dc.putDecision(sel, tbl.Version(), policy.Decision{Action: policy.Allow, Rule: "r"})
+	if dec, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); !ok || dec.Rule != "r" {
 		t.Fatalf("same-version read failed: %+v %v", dec, ok)
 	}
-	// A policy mutation bumps the table version; the stale entry must not
-	// be served (trigger 1).
-	if _, ok := dc.decision(sel, 8); ok {
-		t.Fatal("stale decision served after version bump")
-	}
-	if _, ok := dc.decision(testSelector(3, 4), 7); ok {
+	if _, ok := dc.decisionPrecise(testSelector(3, 4), tbl, &ev, &ret); ok {
 		t.Fatal("decision served for unknown selector")
+	}
+	// A policy mutation that can decide the flow bumps the table version;
+	// the stale entry must not be served (trigger 1).
+	if err := tbl.Add(&policy.Rule{Name: "all", Action: policy.Deny}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); ok {
+		t.Fatal("stale decision served after version bump")
 	}
 }
 

@@ -157,22 +157,6 @@ type Config struct {
 	// `-stable` runs reproduce bit-for-bit.
 	Obs *obs.FlowObs
 
-	// CompiledPolicy switches policy lookups to the tuple-space compiled
-	// classifier (policy/compiled.go): shape partitions and prefix tries
-	// make a decision-cache miss O(partitions · trie depth) instead of
-	// O(rules). Decisions are identical to the linear scan
-	// (property-tested), so enabling it changes timing only. Off by
-	// default so existing runs reproduce bit-for-bit.
-	CompiledPolicy bool
-	// PreciseInvalidation scopes decision-cache invalidation on policy
-	// change to the mutated rules' match cones: a version-stale cached
-	// decision is revalidated against the table's mutation log
-	// (policy.Table.DeltasSince) and retained when no logged cone matches
-	// its flow key, instead of the wholesale version-mismatch eviction.
-	// Stats.PolicyCacheEvicted/Retained account the split. Off by
-	// default.
-	PreciseInvalidation bool
-
 	// SessionTTL expires session records that outlive it (sessions.go):
 	// FLOW_REMOVED notifications can be lost under storms or chaos
 	// faults, and an unexpirable record map is unbounded state. Zero
@@ -320,12 +304,11 @@ type Stats struct {
 	PlanCacheHits       uint64
 	PlanCacheMisses     uint64
 
-	// Delta-scoped decision-cache invalidation counters, live only under
-	// Config.PreciseInvalidation (see decisionPrecise in cache.go):
-	// of the cached decisions read while version-stale, how many were
-	// evicted because a mutated rule's cone matched their key versus
-	// revalidated and kept. Retained entries are exactly the invalidation
-	// work wholesale versioning wastes.
+	// Delta-scoped decision-cache invalidation counters (see
+	// decisionPrecise in cache.go): of the cached decisions read while
+	// version-stale, how many were evicted because a mutated rule's cone
+	// matched their key (or the mutation log no longer reached back to
+	// them) versus revalidated and kept.
 	PolicyCacheEvicted  uint64
 	PolicyCacheRetained uint64
 
@@ -389,6 +372,13 @@ type Controller struct {
 	byIP     map[netpkt.IPv4Addr]netpkt.MAC
 	elements map[uint64]*seState
 	byMAC    map[netpkt.MAC]*seState
+	// elemOrder holds the registered elements in ascending ID order, kept
+	// in step with the elements map by addElement/removeElement
+	// (sedaemon.go). Everything that walks the element set — the per-setup
+	// pick, housekeeping, snapshots — ranges it instead of collecting and
+	// sorting map keys. pickCands is pickElement's reused candidate buffer.
+	elemOrder []*seState
+	pickCands []loadbalance.Candidate
 
 	balancers map[balancerKey]*loadbalance.Balancer
 	nextXID   uint32
@@ -480,9 +470,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.Policies == nil {
 		cfg.Policies = policy.NewTable(policy.Allow)
-	}
-	if cfg.CompiledPolicy {
-		cfg.Policies.SetCompiled(true)
 	}
 	if cfg.DefaultAlgorithm == 0 {
 		cfg.DefaultAlgorithm = loadbalance.LeastLoad
@@ -606,8 +593,8 @@ func New(cfg Config) *Controller {
 }
 
 // Intents returns the controller's intent compiler. Edits apply to the
-// live policy table immediately; with PreciseInvalidation enabled the
-// decision cache evicts only inside the edit's match cones.
+// live policy table immediately; the decision cache evicts only inside
+// the edit's match cones.
 func (c *Controller) Intents() *intent.Compiler { return c.intents }
 
 // sortedSwitches returns registered switches in ascending dpid order so
@@ -848,27 +835,25 @@ func (c *Controller) housekeep() {
 				User: h.MAC.String(), IP: h.IP.String(), Switch: h.DPID})
 		}
 	}
-	ids := make([]uint64, 0, len(c.elements))
-	for id := range c.elements {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		se := c.elements[id]
-		if now-se.lastSeen > defaultSETimeout {
-			delete(c.elements, id)
-			delete(c.byMAC, se.mac)
-			delete(c.hosts, se.mac)
-			// Invalidation trigger 3 (cache.go): plans steering through the
-			// failed element are dead.
-			c.cache.invalidateSE(id)
-			c.cache.invalidateHost(se.mac)
-			c.record(monitor.Event{Type: monitor.EventSEOffline, SE: id,
-				Detail: se.service.String(), Switch: se.dpid})
-			// Sessions steered through the dead element are torn down so
-			// their next packet re-routes through surviving elements.
-			c.drainElement(id)
+	for i := 0; i < len(c.elemOrder); {
+		se := c.elemOrder[i]
+		if now-se.lastSeen <= defaultSETimeout {
+			i++
+			continue
 		}
+		// Removal shifts the next element into slot i.
+		c.removeElement(se.id)
+		delete(c.byMAC, se.mac)
+		delete(c.hosts, se.mac)
+		// Invalidation trigger 3 (cache.go): plans steering through the
+		// failed element are dead.
+		c.cache.invalidateSE(se.id)
+		c.cache.invalidateHost(se.mac)
+		c.record(monitor.Event{Type: monitor.EventSEOffline, SE: se.id,
+			Detail: se.service.String(), Switch: se.dpid})
+		// Sessions steered through the dead element are torn down so
+		// their next packet re-routes through surviving elements.
+		c.drainElement(se.id)
 	}
 	c.expireSessions(now)
 	c.overloadHousekeep(now)
@@ -897,7 +882,7 @@ func (c *Controller) RemoveSwitch(dpid uint64) bool {
 		}
 		if h.SEID != 0 {
 			if se, ok := c.elements[h.SEID]; ok && se.dpid == dpid {
-				delete(c.elements, h.SEID)
+				c.removeElement(h.SEID)
 				delete(c.byMAC, mac)
 				c.record(monitor.Event{Type: monitor.EventSEOffline, SE: h.SEID, Switch: dpid})
 				c.drainElement(h.SEID)
@@ -942,10 +927,11 @@ type ElementInfo struct {
 	Load     seproto.Load
 }
 
-// Elements returns registered service elements (copy).
+// Elements returns registered service elements in ascending ID order
+// (copy).
 func (c *Controller) Elements() []ElementInfo {
-	out := make([]ElementInfo, 0, len(c.elements))
-	for _, se := range c.elements {
+	out := make([]ElementInfo, 0, len(c.elemOrder))
+	for _, se := range c.elemOrder {
 		out = append(out, ElementInfo{
 			ID: se.id, MAC: se.mac, Service: se.service,
 			DPID: se.dpid, Port: se.port, Capacity: se.capacity, Load: se.load,

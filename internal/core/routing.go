@@ -167,8 +167,8 @@ type hop struct {
 // resulting path (§III.C.3 end-to-end routing, §IV.A interactive policy
 // enforcement). Repeat flows hit the decision cache: the policy lookup
 // is served from the selector-keyed cache (validated against the policy
-// table version), and the install itself replays a cached plan when one
-// exists (see cache.go).
+// table's version and mutation log), and the install itself replays a
+// cached plan when one exists (see cache.go).
 func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netpkt.Packet) {
 	key := flow.KeyOf(pi.InPort, pkt)
 	if c.obs != nil {
@@ -181,21 +181,14 @@ func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netp
 		return
 	}
 	sel := selectorOf(st.dpid, key)
-	version := c.policies.Version()
-	var dec policy.Decision
-	var hit bool
-	if c.cfg.PreciseInvalidation {
-		dec, hit = c.cache.decisionPrecise(sel, c.policies,
-			&c.stats.PolicyCacheEvicted, &c.stats.PolicyCacheRetained)
-	} else {
-		dec, hit = c.cache.decision(sel, version)
-	}
+	dec, hit := c.cache.decisionPrecise(sel, c.policies,
+		&c.stats.PolicyCacheEvicted, &c.stats.PolicyCacheRetained)
 	if hit {
 		c.stats.DecisionCacheHits++
 	} else {
 		c.stats.DecisionCacheMisses++
 		dec = c.policies.Lookup(key)
-		c.cache.putDecision(sel, version, dec)
+		c.cache.putDecision(sel, c.policies.Version(), dec)
 	}
 	c.curSpan.MarkDecision(hit)
 	switch dec.Action {
@@ -437,10 +430,13 @@ func uitoaList(ids []uint64) string {
 	return out
 }
 
-// pickElement chooses a certified element of the given service type.
+// pickElement chooses a certified element of the given service type. It
+// runs once per service of every chained setup, so it walks the ordered
+// element index into a reused buffer: the candidates reach the balancer
+// already in ID order and nothing on the way allocates or sorts.
 func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceType, key flow.Key) (hop, uint64, bool) {
-	var cands []loadbalance.Candidate
-	for _, se := range c.elements {
+	cands := c.pickCands[:0]
+	for _, se := range c.elemOrder {
 		if se.service != svc {
 			continue
 		}
@@ -467,6 +463,7 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 			Capacity: se.capacity,
 		})
 	}
+	c.pickCands = cands
 	id, ok := bal.Pick(cands, key)
 	if !ok {
 		return hop{}, 0, false

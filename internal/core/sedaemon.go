@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"livesec/internal/flow"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
@@ -57,7 +60,7 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 	se, known := c.elements[m.SEID]
 	if !known {
 		se = &seState{id: m.SEID, prevPackets: m.Load.Packets}
-		c.elements[m.SEID] = se
+		c.addElement(se)
 	} else {
 		// Fold the report into the circuit breaker before pendingAssign
 		// and load are overwritten below: the wedge check needs the work
@@ -94,6 +97,30 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 		// fail-open; tear those sessions down so their next packet is
 		// re-steered through it.
 		c.resteerFailOpen()
+	}
+}
+
+// elemIndex locates id in elemOrder: its position when registered,
+// otherwise where it would be inserted. The index is keyed by ID alone
+// because that is the one seState field a re-registration cannot change
+// (service, attachment and MAC all can).
+func (c *Controller) elemIndex(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.elemOrder, id,
+		func(se *seState, id uint64) int { return cmp.Compare(se.id, id) })
+}
+
+// addElement registers a new element in the map and the ordered index.
+func (c *Controller) addElement(se *seState) {
+	c.elements[se.id] = se
+	i, _ := c.elemIndex(se.id)
+	c.elemOrder = slices.Insert(c.elemOrder, i, se)
+}
+
+// removeElement drops an element from the map and the ordered index.
+func (c *Controller) removeElement(id uint64) {
+	delete(c.elements, id)
+	if i, ok := c.elemIndex(id); ok {
+		c.elemOrder = slices.Delete(c.elemOrder, i, i+1)
 	}
 }
 

@@ -83,14 +83,13 @@ func (c *Controller) Topology() TopologySnapshot {
 		})
 	}
 	sort.Slice(snap.Hosts, func(i, j int) bool { return snap.Hosts[i].MAC < snap.Hosts[j].MAC })
-	for id, se := range c.elements {
+	for _, se := range c.elemOrder {
 		snap.Elements = append(snap.Elements, ElementJSON{
-			ID: id, Service: se.service.String(), DPID: se.dpid,
+			ID: se.id, Service: se.service.String(), DPID: se.dpid,
 			Capacity: se.capacity, PPS: se.load.PPS, QueueLen: se.load.QueueLen,
 			Packets: se.load.Packets,
 		})
 	}
-	sort.Slice(snap.Elements, func(i, j int) bool { return snap.Elements[i].ID < snap.Elements[j].ID })
 	if c.ov != nil || c.cfg.Breakers {
 		ctrl, pis := c.IngressDepths()
 		snap.Overload = &OverloadInfo{

@@ -24,36 +24,33 @@ import (
 // measures the three mechanisms that keep that regime interactive:
 //
 //   - Compiled classifier (internal/policy): tuple-space partitions +
-//     per-partition prefix tries. The sweep installs and compiles
-//     rule sets across three orders of magnitude and reports lookup
-//     p50/p99 against the linear scan's mean.
+//     per-partition prefix tries. The sweep installs rule sets across
+//     three orders of magnitude and reports lookup p50/p99, warm and
+//     cold.
 //   - Incremental intent compiler (internal/intent): a single intent
 //     edit against a fully-loaded table recompiles only its own rule
 //     block; the paper's interactive budget is ~10 ms.
 //   - Delta-scoped cache invalidation (core): a policy edit evicts only
-//     the cached decisions inside the edit's match cones. The A/B
-//     drives identical flow workloads through wholesale and precise
-//     invalidation and reports evicted/retained counts from the
-//     controller's own counters.
+//     the cached decisions inside the edit's match cones. The run warms
+//     a cache, edits intents, re-drives the same flows and reports
+//     evicted/retained counts from the controller's own counters.
 //
 // Rule-scale and edit rows are wall-clock, so E11 — like ESCALE — is
 // not part of "all": bench it explicitly with `livesec-bench
-// -experiment E11`. The invalidation A/B rows are deterministic counts.
+// -experiment E11`. The invalidation rows are deterministic counts.
 func E11PolicyEngine(scale Scale) Result {
 	p := e11Params{
-		sizes:      []int{1_000, 100_000, 1_000_000},
-		samples:    100_000,
-		linSamples: 200,
-		intents:    100_000,
-		edits:      500,
+		sizes:   []int{1_000, 100_000, 1_000_000},
+		samples: 100_000,
+		intents: 100_000,
+		edits:   500,
 	}
 	if scale == ScaleCI {
 		p = e11Params{
-			sizes:      []int{1_000, 10_000},
-			samples:    20_000,
-			linSamples: 200,
-			intents:    2_000,
-			edits:      200,
+			sizes:   []int{1_000, 10_000},
+			samples: 20_000,
+			intents: 2_000,
+			edits:   200,
 		}
 	}
 
@@ -69,16 +66,12 @@ func E11PolicyEngine(scale Scale) Result {
 		res.Rows = append(res.Rows,
 			Row{Name: fmt.Sprintf("install %d rules", n), Value: m.installMS, Unit: "ms",
 				Paper: "n/a (engine perf)"},
-			Row{Name: fmt.Sprintf("compile %d rules", n), Value: m.compileMS, Unit: "ms",
-				Paper: "n/a (engine perf)"},
 			Row{Name: fmt.Sprintf("compiled lookup p50 @%d", n), Value: m.p50us, Unit: "us",
 				Paper: "n/a (engine perf)"},
 			Row{Name: fmt.Sprintf("compiled lookup p99 @%d", n), Value: m.p99us, Unit: "us",
 				Paper: "<= 2 us at 1M rules (steady-state working set)"},
 			Row{Name: fmt.Sprintf("compiled lookup p99 cold @%d", n), Value: m.coldP99us, Unit: "us",
 				Paper: "n/a (uniform-random keys, every probe cold)"},
-			Row{Name: fmt.Sprintf("speedup vs linear @%d", n), Value: m.speedup, Unit: "x",
-				Paper: ">= 100x at 1M rules"},
 		)
 	}
 
@@ -91,49 +84,39 @@ func E11PolicyEngine(scale Scale) Result {
 			Paper: "<= 10 ms — interactive policy update (§IV.A)"},
 	)
 
-	// Part 3: invalidation A/B (deterministic counts).
-	ab := e11Precision()
-	if ab == nil {
-		res.Notes = append(res.Notes, "invalidation A/B deployment failed to build")
+	// Part 3: delta-scoped invalidation (deterministic counts).
+	inv := e11Precision()
+	if inv == nil {
+		res.Notes = append(res.Notes, "invalidation deployment failed to build")
 		return res
 	}
 	res.Rows = append(res.Rows,
-		Row{Name: "warm decisions", Value: ab.warm, Unit: "count",
+		Row{Name: "warm decisions", Value: inv.warm, Unit: "count",
 			Paper: "cached policy decisions before the edits"},
-		Row{Name: "unrelated churn: evicted (precise)", Value: ab.unrelEvicted, Unit: "count",
+		Row{Name: "unrelated churn: evicted", Value: inv.unrelEvicted, Unit: "count",
 			Paper: "0 — no cone touches the cached flows"},
-		Row{Name: "unrelated churn: re-resolved (wholesale)", Value: ab.unrelWholesale, Unit: "count",
-			Paper: "100% — every warm decision"},
-		Row{Name: "targeted edit: evicted (precise)", Value: ab.targEvicted, Unit: "count",
+		Row{Name: "targeted edit: evicted", Value: inv.targEvicted, Unit: "count",
 			Paper: "only the quarantined user's flows"},
-		Row{Name: "targeted edit: retained (precise)", Value: ab.targRetained, Unit: "count",
+		Row{Name: "targeted edit: retained", Value: inv.targRetained, Unit: "count",
 			Paper: "every other user's flows"},
-		Row{Name: "targeted edit: evicted fraction", Value: ab.targFraction, Unit: "%",
+		Row{Name: "targeted edit: evicted fraction", Value: inv.targFraction, Unit: "%",
 			Paper: "< 5% of the warm cache"},
-		Row{Name: "targeted edit: re-resolved (wholesale)", Value: ab.targWholesale, Unit: "count",
-			Paper: "100% — every warm decision"},
-		Row{Name: "compiled vs linear: identical run", Value: ab.identical, Unit: "bool",
-			Paper: "1 — decision-for-decision equivalent"},
 	)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("user-keyed microsegmentation rules (10 per user); %d lookup samples per size cycling a %d-key working set over %d active users, linear mean over %d samples; GC forced before timed sections",
-			p.samples, e11PoolKeys, e11ActiveUsers, p.linSamples),
-		fmt.Sprintf("A/B: %d users x %d flows each, 5 unrelated intent edits then 1 targeted quarantine; counters are livesec_policy_cache_invalidation_total",
+		fmt.Sprintf("user-keyed microsegmentation rules (10 per user); %d lookup samples per size cycling a %d-key working set over %d active users; GC forced before timed sections",
+			p.samples, e11PoolKeys, e11ActiveUsers),
+		fmt.Sprintf("invalidation: %d users x %d flows each, 5 unrelated intent edits then 1 targeted quarantine; counters are livesec_policy_cache_invalidation_total",
 			e11Users, e11Flows),
 	)
-	if ab.identical != 1 {
-		res.Notes = append(res.Notes, "EQUIVALENCE BROKE — compiled run diverged from linear run")
-	}
 	return res
 }
 
 // e11Params sizes the experiment.
 type e11Params struct {
-	sizes      []int
-	samples    int
-	linSamples int
-	intents    int
-	edits      int
+	sizes   []int
+	samples int
+	intents int
+	edits   int
 }
 
 // e11Sink keeps the timed lookup loops from being optimized away.
@@ -195,14 +178,13 @@ func e11Keys(nUsers, activeUsers int, seed int64, samples int) []flow.Key {
 // e11SweepMetrics is one rule-count sweep point.
 type e11SweepMetrics struct {
 	installMS float64
-	compileMS float64
 	p50us     float64
 	p99us     float64
 	coldP99us float64
-	speedup   float64
 }
 
-// e11Sweep measures install, compile, and lookup at one rule count.
+// e11Sweep measures install (classifier build included) and lookup at
+// one rule count.
 func e11Sweep(n int, p e11Params) e11SweepMetrics {
 	rules := e11Rules(n)
 	tbl := policy.NewTable(policy.Allow)
@@ -212,10 +194,6 @@ func e11Sweep(n int, p e11Params) e11SweepMetrics {
 		panic(err) // e11Rules emits only valid, unique rules
 	}
 	installMS := time.Since(start).Seconds() * 1e3
-
-	start = time.Now()
-	tbl.SetCompiled(true)
-	compileMS := time.Since(start).Seconds() * 1e3
 
 	// Steady-state regime: production flow arrivals repeat a working set
 	// of users and destinations, so the partitions a lookup touches stay
@@ -237,11 +215,6 @@ func e11Sweep(n int, p e11Params) e11SweepMetrics {
 	sort.Float64s(lat)
 	p50 := lat[len(lat)/2]
 	p99 := lat[len(lat)*99/100]
-	var compiledSum float64
-	for _, v := range lat {
-		compiledSum += v
-	}
-	compiledMean := compiledSum / float64(len(lat))
 
 	// Cold regime: uniform-random keys across the whole user population,
 	// every probe a fresh DRAM walk — the worst case for the classifier.
@@ -255,23 +228,11 @@ func e11Sweep(n int, p e11Params) e11SweepMetrics {
 	sort.Float64s(coldLat)
 	coldP99 := coldLat[len(coldLat)*99/100]
 
-	// Linear baseline: mean over a small sample (the scan is O(rules),
-	// so a full sample would dominate the experiment's runtime).
-	tbl.SetCompiled(false)
-	linKeys := pool[:p.linSamples]
-	start = time.Now()
-	for _, k := range linKeys {
-		e11Sink = tbl.Lookup(k)
-	}
-	linearMean := time.Since(start).Seconds() * 1e6 / float64(len(linKeys))
-
 	return e11SweepMetrics{
 		installMS: installMS,
-		compileMS: compileMS,
 		p50us:     p50,
 		p99us:     p99,
 		coldP99us: coldP99,
-		speedup:   linearMean / compiledMean,
 	}
 }
 
@@ -308,11 +269,10 @@ func e11Intent(i int) intent.Intent {
 	}
 }
 
-// e11Intents loads the intent compiler to p.intents intents against a
-// compiled table, then measures p.edits single-intent edits.
+// e11Intents loads the intent compiler to p.intents intents, then
+// measures p.edits single-intent edits.
 func e11Intents(p e11Params) e11IntentMetrics {
 	tbl := policy.NewTable(policy.Deny)
-	tbl.SetCompiled(true)
 	c := intent.New(tbl)
 
 	start := time.Now()
@@ -342,47 +302,29 @@ func e11Intents(p e11Params) e11IntentMetrics {
 	}
 }
 
-// A/B deployment sizing: e11Users hosts each warm e11Flows decisions,
-// so a targeted single-user edit touches 1/e11Users of the cache
-// (~4.2% — inside the <5% budget the issue sets).
+// Invalidation deployment sizing: e11Users hosts each warm e11Flows
+// decisions, so a targeted single-user edit touches 1/e11Users of the
+// cache (~4.2% — inside the <5% budget the issue sets).
 const (
 	e11Users = 24
 	e11Flows = 6
 )
 
-// e11ABMetrics is the invalidation A/B measurement.
-type e11ABMetrics struct {
-	warm           float64
-	unrelEvicted   float64
-	unrelWholesale float64
-	targEvicted    float64
-	targRetained   float64
-	targFraction   float64
-	targWholesale  float64
-	identical      float64
+// e11InvMetrics is the invalidation measurement.
+type e11InvMetrics struct {
+	warm         float64
+	unrelEvicted float64
+	targEvicted  float64
+	targRetained float64
+	targFraction float64
 }
 
-// e11ABRun is one A/B arm: stats snapshots after warm-up, after the
-// unrelated churn, and after the targeted edit.
-type e11ABRun struct {
-	s1, s2, s3 struct {
-		hits, misses, evicted, retained uint64
-	}
-	flowsRouted, flowsBlocked uint64
-	delivered                 int
-}
-
-// e11Drive runs one invalidation arm: warm e11Users x e11Flows UDP
-// decisions, churn five intents no deployed flow matches, re-drive the
-// same flows, quarantine user 0, re-drive again. Every arm executes the
-// identical event sequence — only the cache knobs differ.
-func e11Drive(compiled, precise bool) *e11ABRun {
-	n := testbed.New(testbed.Options{
-		Seed:                17,
-		CompiledPolicy:      compiled,
-		PreciseInvalidation: precise,
-		FlowIdle:            time.Minute,
-	})
+// e11Precision warms e11Users x e11Flows UDP decisions, churns five
+// intents no deployed flow matches, re-drives the same flows,
+// quarantines user 0 and re-drives again, reading the controller's
+// evicted/retained counters after each phase.
+func e11Precision() *e11InvMetrics {
+	n := testbed.New(testbed.Options{Seed: 17, FlowIdle: time.Minute})
 	defer n.Shutdown()
 	sw := n.AddOvS("s1")
 	srvSw := n.AddOvS("s2")
@@ -394,12 +336,9 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	if err := n.Discover(); err != nil {
 		return nil
 	}
-	delivered := 0
 	for f := 0; f < e11Flows; f++ {
-		srv.HandleUDP(uint16(7001+f), func(*netpkt.Packet) { delivered++ })
+		srv.HandleUDP(uint16(7001+f), func(*netpkt.Packet) {})
 	}
-
-	run := &e11ABRun{}
 	drive := func(srcBase uint16) bool {
 		for i, u := range users {
 			for f := 0; f < e11Flows; f++ {
@@ -408,16 +347,11 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 		}
 		return n.Run(150*time.Millisecond) == nil
 	}
-	snap := func(s *struct{ hits, misses, evicted, retained uint64 }) {
-		st := n.Controller.Stats()
-		s.hits, s.misses = st.DecisionCacheHits, st.DecisionCacheMisses
-		s.evicted, s.retained = st.PolicyCacheEvicted, st.PolicyCacheRetained
-	}
 
 	if !drive(20000) {
 		return nil
 	}
-	snap(&run.s1)
+	s1 := n.Controller.Stats()
 
 	// Unrelated churn: intents over users that do not exist in the
 	// deployment — their cones overlap no cached decision.
@@ -434,7 +368,7 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	if !drive(21000) {
 		return nil
 	}
-	snap(&run.s2)
+	s2 := n.Controller.Stats()
 
 	// Targeted edit: quarantine user 0 — the cone covers exactly that
 	// user's cached flows.
@@ -449,42 +383,14 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	if !drive(22000) {
 		return nil
 	}
-	snap(&run.s3)
+	s3 := n.Controller.Stats()
 
-	st := n.Controller.Stats()
-	run.flowsRouted, run.flowsBlocked = st.FlowsRouted, st.FlowsBlocked
-	run.delivered = delivered
-	return run
-}
-
-// e11Precision runs the three invalidation arms and folds them into
-// rows: linear/wholesale (the baseline and identity reference),
-// compiled/wholesale (the A of the cache A/B), compiled/precise (the B).
-func e11Precision() *e11ABMetrics {
-	linear := e11Drive(false, false)
-	wholesale := e11Drive(true, false)
-	precise := e11Drive(true, true)
-	if linear == nil || wholesale == nil || precise == nil {
-		return nil
+	m := &e11InvMetrics{
+		warm:         float64(e11Users * e11Flows),
+		unrelEvicted: float64(s2.PolicyCacheEvicted - s1.PolicyCacheEvicted),
+		targEvicted:  float64(s3.PolicyCacheEvicted - s2.PolicyCacheEvicted),
+		targRetained: float64(s3.PolicyCacheRetained - s2.PolicyCacheRetained),
 	}
-	warm := float64(e11Users * e11Flows)
-	m := &e11ABMetrics{
-		warm:           warm,
-		unrelEvicted:   float64(precise.s2.evicted - precise.s1.evicted),
-		unrelWholesale: float64(wholesale.s2.misses - wholesale.s1.misses),
-		targEvicted:    float64(precise.s3.evicted - precise.s2.evicted),
-		targRetained:   float64(precise.s3.retained - precise.s2.retained),
-		targWholesale:  float64(wholesale.s3.misses - wholesale.s2.misses),
-	}
-	m.targFraction = m.targEvicted / warm * 100
-	// Identity: the compiled run must be indistinguishable from the
-	// linear run — same cache traffic, same flow outcomes, same
-	// delivered packets.
-	if linear.s3 == wholesale.s3 && linear.s1 == wholesale.s1 && linear.s2 == wholesale.s2 &&
-		linear.flowsRouted == wholesale.flowsRouted &&
-		linear.flowsBlocked == wholesale.flowsBlocked &&
-		linear.delivered == wholesale.delivered {
-		m.identical = 1
-	}
+	m.targFraction = m.targEvicted / m.warm * 100
 	return m
 }

@@ -1,28 +1,22 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestE11PolicyEngine pins the experiment's deterministic claims at CI
-// scale. Wall-clock rows (compile times, lookup percentiles) are only
+// scale. Wall-clock rows (install times, lookup percentiles) are only
 // sanity-checked for presence and positivity — their values belong to
 // the machine, not the test.
 func TestE11PolicyEngine(t *testing.T) {
 	res := E11PolicyEngine(ScaleCI)
 	for _, note := range res.Notes {
-		if note == "invalidation A/B deployment failed to build" {
-			t.Fatal(note)
-		}
-		if note == "EQUIVALENCE BROKE — compiled run diverged from linear run" {
+		if note == "invalidation deployment failed to build" {
 			t.Fatal(note)
 		}
 	}
 	for _, name := range []string{
-		"compile 1000 rules",
+		"install 1000 rules",
 		"compiled lookup p99 @1000",
-		"speedup vs linear @1000",
+		"compiled lookup p99 cold @1000",
 		"intent single-edit p99",
 	} {
 		if v, ok := res.Find(name); !ok || v <= 0 {
@@ -34,52 +28,18 @@ func TestE11PolicyEngine(t *testing.T) {
 	if warm != e11Users*e11Flows {
 		t.Fatalf("warm decisions = %v, want %d", warm, e11Users*e11Flows)
 	}
-	// Unrelated churn: precise invalidation must evict nothing while
-	// wholesale re-resolves the entire warm cache.
-	if v, _ := res.Find("unrelated churn: evicted (precise)"); v != 0 {
+	// Unrelated churn: no cone touches a cached flow, so nothing goes.
+	if v, _ := res.Find("unrelated churn: evicted"); v != 0 {
 		t.Fatalf("unrelated churn evicted %v decisions, want 0", v)
 	}
-	if v, _ := res.Find("unrelated churn: re-resolved (wholesale)"); v != warm {
-		t.Fatalf("wholesale re-resolved %v after unrelated churn, want %v", v, warm)
-	}
 	// Targeted edit: exactly the quarantined user's decisions go.
-	if v, _ := res.Find("targeted edit: evicted (precise)"); v != e11Flows {
+	if v, _ := res.Find("targeted edit: evicted"); v != e11Flows {
 		t.Fatalf("targeted edit evicted %v, want %d", v, e11Flows)
 	}
-	if v, _ := res.Find("targeted edit: retained (precise)"); v != warm-e11Flows {
+	if v, _ := res.Find("targeted edit: retained"); v != warm-e11Flows {
 		t.Fatalf("targeted edit retained %v, want %v", v, warm-e11Flows)
 	}
 	if v, _ := res.Find("targeted edit: evicted fraction"); v >= 5 {
 		t.Fatalf("evicted fraction %v%%, want < 5%%", v)
-	}
-	if v, _ := res.Find("targeted edit: re-resolved (wholesale)"); v != warm {
-		t.Fatalf("wholesale re-resolved %v after targeted edit, want %v", v, warm)
-	}
-	if v, _ := res.Find("compiled vs linear: identical run"); v != 1 {
-		t.Fatalf("compiled run diverged from linear run (identical=%v)", v)
-	}
-}
-
-// TestExperimentsIdenticalAcrossPolicyKnobs is the global-knob
-// neutrality gate for -compiledpolicy and -preciseinval at test
-// granularity (scripts/verify.sh asserts the same over the full bench
-// JSON): both knobs change how lookups are answered and how the cache
-// is invalidated, never what any flow experiences.
-func TestExperimentsIdenticalAcrossPolicyKnobs(t *testing.T) {
-	defer func() {
-		SetCompiledPolicy(false)
-		SetPreciseInvalidation(false)
-	}()
-	run := func(compiled, precise bool) []Result {
-		SetCompiledPolicy(compiled)
-		SetPreciseInvalidation(precise)
-		return []Result{E1AccessThroughput(), E6EventPipeline(), E9PacketInStorm(ScaleCI)}
-	}
-	want := run(false, false)
-	for _, knobs := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-		if got := run(knobs[0], knobs[1]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("compiledpolicy=%v preciseinval=%v diverged from the default run",
-				knobs[0], knobs[1])
-		}
 	}
 }

@@ -36,12 +36,6 @@ func newNet(opts testbed.Options) *testbed.Net {
 	if opts.Shards == 0 {
 		opts.Shards = Shards()
 	}
-	if !opts.CompiledPolicy {
-		opts.CompiledPolicy = CompiledPolicy()
-	}
-	if !opts.PreciseInvalidation {
-		opts.PreciseInvalidation = PreciseInvalidation()
-	}
 	if !opts.StatefulFW {
 		opts.StatefulFW = StatefulFW()
 	}

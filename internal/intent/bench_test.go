@@ -39,7 +39,6 @@ func BenchmarkIntentSingleEdit(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("intents=%d", n), func(b *testing.B) {
 			tbl := policy.NewTable(policy.Deny)
-			tbl.SetCompiled(true)
 			c := New(tbl)
 			for _, it := range microsegIntents(n) {
 				if _, _, err := c.Upsert(it); err != nil {
@@ -65,7 +64,6 @@ func BenchmarkIntentBulkInstall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl := policy.NewTable(policy.Deny)
-		tbl.SetCompiled(true)
 		c := New(tbl)
 		for _, it := range intents {
 			if _, _, err := c.Upsert(it); err != nil {

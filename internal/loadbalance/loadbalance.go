@@ -7,9 +7,10 @@
 package loadbalance
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"livesec/internal/flow"
 	"livesec/internal/netpkt"
@@ -92,14 +93,20 @@ func New(algo Algorithm, grain Grain, seed int64) *Balancer {
 
 // Pick chooses a service element for the flow identified by key. It
 // returns false when no candidates exist. Candidates may arrive in any
-// order; ties break on the lowest ID so results are stable.
+// order; ties break on the lowest ID so results are stable. Input
+// already in ascending ID order — what the controller's element index
+// supplies on every flow setup — is used as is, without allocating; any
+// other order is copied and sorted first. cands is never modified or
+// retained.
 func (b *Balancer) Pick(cands []Candidate, key flow.Key) (uint64, bool) {
 	if len(cands) == 0 {
 		return 0, false
 	}
-	sorted := make([]Candidate, len(cands))
-	copy(sorted, cands)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	sorted := cands
+	if !slices.IsSortedFunc(sorted, byID) {
+		sorted = slices.Clone(cands)
+		slices.SortFunc(sorted, byID)
+	}
 
 	if b.Grain == UserGrain {
 		user := key.EthSrc
@@ -116,6 +123,9 @@ func (b *Balancer) Pick(cands []Candidate, key flow.Key) (uint64, bool) {
 	b.Assigned[id]++
 	return id, true
 }
+
+// byID is the candidate order every dispatch algorithm indexes into.
+func byID(a, b Candidate) int { return cmp.Compare(a.ID, b.ID) }
 
 func containsID(cands []Candidate, id uint64) bool {
 	for _, c := range cands {

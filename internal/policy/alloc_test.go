@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"livesec/internal/netpkt"
+	"livesec/internal/seproto"
 )
 
 // The lookup and iteration paths run on every decision-cache miss and
@@ -46,7 +47,6 @@ func TestCompiledLookupZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
 	}
 	tbl := allocTable(1000)
-	tbl.SetCompiled(true)
 	hit := key(1, netpkt.IP(10, 0, 7, 9), 81)
 	miss := key(1, netpkt.IP(192, 168, 1, 1), 443)
 	var d Decision
@@ -59,15 +59,39 @@ func TestCompiledLookupZeroAllocs(t *testing.T) {
 	_ = d
 }
 
-func TestLinearLookupZeroAllocs(t *testing.T) {
+// TestLookupZeroAllocsAt20kRules is the production-path tripwire at
+// sim_churn's table size (20,000 per-user rules plus one chain rule):
+// Lookup allocates nothing, and it never materializes the evaluation-
+// order snapshot — a linear scan sneaking back in would.
+func TestLookupZeroAllocsAt20kRules(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
 	}
-	tbl := allocTable(200)
-	k := key(1, netpkt.IP(10, 0, 0, 1), 80)
-	var d Decision
-	if allocs := testing.AllocsPerRun(200, func() { d = tbl.LookupLinear(k) }); allocs != 0 {
-		t.Fatalf("linear Lookup allocs/run = %v, want 0", allocs)
+	tbl := NewTable(Allow)
+	for i := 0; i < 20_000; i++ {
+		_ = tbl.Add(&Rule{
+			Name:     fmt.Sprintf("seg-%05d", i),
+			Priority: 10,
+			Match: Match{User: netpkt.MACFromUint64(0xB000000000 | uint64(i)),
+				DstIP: CIDR(172, 16, byte(i>>8), byte(i), 32), DstPort: 443},
+			Action: Deny,
+		})
 	}
-	_ = d
+	_ = tbl.Add(&Rule{Name: "web-chain", Priority: 5, Match: Match{DstPort: 80},
+		Action: Chain, Services: []seproto.ServiceType{seproto.ServiceL7, seproto.ServiceIDS}})
+	hit := key(1, netpkt.IP(10, 0, 0, 1), 80)
+	miss := key(1, netpkt.IP(10, 0, 0, 1), 5001)
+	var d Decision
+	if allocs := testing.AllocsPerRun(200, func() {
+		d = tbl.Lookup(hit)
+		d = tbl.Lookup(miss)
+	}); allocs != 0 {
+		t.Fatalf("Lookup allocs/run = %v on %d rules, want 0", allocs, tbl.Len())
+	}
+	if d.Rule != "" || tbl.Lookup(hit).Rule != "web-chain" {
+		t.Fatalf("wrong decisions: miss=%+v hit=%+v", d, tbl.Lookup(hit))
+	}
+	if tbl.sortedOK || tbl.sorted != nil {
+		t.Fatal("Lookup built the sorted rule snapshot: the O(rules) scan is back on the lookup path")
+	}
 }

@@ -61,21 +61,19 @@ func genKeys(n int) []flow.Key {
 	return keys
 }
 
-func benchTable(b *testing.B, n int, compiled bool) (*Table, []flow.Key) {
+func benchTable(b *testing.B, n int) (*Table, []flow.Key) {
 	b.Helper()
 	tbl := NewTable(Allow)
 	if err := tbl.AddAll(genRules(n)); err != nil {
 		b.Fatal(err)
 	}
-	tbl.SetCompiled(compiled)
 	return tbl, genKeys(1024)
 }
 
-// BenchmarkPolicyLookupCompiled is in the bench-hot set: the compiled
-// classifier probe at 100k rules, the controller's decision-cache-miss
-// cost with the CompiledPolicy knob on.
+// BenchmarkPolicyLookupCompiled is in the bench-hot set: the classifier
+// probe at 100k rules, the controller's decision-cache-miss cost.
 func BenchmarkPolicyLookupCompiled(b *testing.B) {
-	tbl, keys := benchTable(b, 100_000, true)
+	tbl, keys := benchTable(b, 100_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,11 +81,10 @@ func BenchmarkPolicyLookupCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyLookupLinear is the reference scan at the same scale
-// benchstat compares the compiled probe against. 1k rules keeps a
-// bench-hot iteration sane; E11 sweeps the full 10^3..10^6 range.
+// BenchmarkPolicyLookupLinear times the test oracle (oracle_test.go) for
+// reference; 1k rules keeps an iteration sane. Not in the bench-hot set.
 func BenchmarkPolicyLookupLinear(b *testing.B) {
-	tbl, keys := benchTable(b, 1_000, false)
+	tbl, keys := benchTable(b, 1_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,23 +92,8 @@ func BenchmarkPolicyLookupLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyCompile is in the bench-hot set: building the
-// tuple-space classifier from a 100k-rule table (SetCompiled off→on).
-func BenchmarkPolicyCompile(b *testing.B) {
-	tbl := NewTable(Allow)
-	if err := tbl.AddAll(genRules(100_000)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.SetCompiled(false)
-		tbl.SetCompiled(true)
-	}
-}
-
-// BenchmarkPolicyAddAll measures bulk table build, the install half of
-// the E11 compile+install story.
+// BenchmarkPolicyAddAll is in the bench-hot set: bulk build of a
+// 100k-rule table, classifier included.
 func BenchmarkPolicyAddAll(b *testing.B) {
 	rules := genRules(100_000)
 	b.ReportAllocs()
@@ -125,10 +107,9 @@ func BenchmarkPolicyAddAll(b *testing.B) {
 }
 
 // BenchmarkPolicySingleEdit measures one Add+Remove against a large
-// sorted table with the classifier enabled — the per-rule cost a
-// single-intent edit pays.
+// table — the per-rule cost a single-intent edit pays.
 func BenchmarkPolicySingleEdit(b *testing.B) {
-	tbl, _ := benchTable(b, 100_000, true)
+	tbl, _ := benchTable(b, 100_000)
 	r := &Rule{Name: "edit", Priority: 7, Match: Match{DstPort: 4242}, Action: Deny}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,9 +31,9 @@ package policy
 // one trie path instead of recompiling (the intent layer's ≤ 10 ms
 // single-intent edit budget rides on this).
 //
-// Equivalence with the linear scan is property-tested and fuzzed against
-// randomized rule sets (compiled_prop_test.go); the classifier is only
-// reachable behind Table.SetCompiled, default off.
+// Equivalence with the linear first-match scan (oracle_test.go) is
+// property-tested and fuzzed against randomized rule sets
+// (compiled_prop_test.go).
 
 import (
 	"math/bits"
@@ -201,10 +201,20 @@ func (n *trieNode) find(addr uint32, plen int) *trieNode {
 // ruleBetter orders two rules by first-match precedence.
 func ruleBetter(a, b *Rule) bool { return ruleBefore(a, b) }
 
+// group is one exact-value bucket of a partition: the source trie of
+// the rules sharing those exact-field values. nRules tracks occupancy so
+// the group — map entry and tries — is dropped when its last rule leaves;
+// otherwise a table that churns through distinct users grows without
+// bound.
+type group struct {
+	root   trieNode
+	nRules int
+}
+
 // partition is one shape's slice of the tuple space.
 type partition struct {
 	shape  shape
-	groups map[exactKey]*trieNode
+	groups map[exactKey]*group
 	// maxPrio is an upper bound on the priority of any rule in the
 	// partition (never lowered on remove — a stale bound only costs an
 	// extra probe, never a wrong result). nRules tracks occupancy so
@@ -213,8 +223,8 @@ type partition struct {
 	nRules  int
 }
 
-// Compiled is the classifier. Build with newCompiled + insert, or via
-// Table.SetCompiled.
+// Compiled is the classifier; Table owns one and keeps it in step with
+// its rules.
 type Compiled struct {
 	byShape [numShapes]*partition
 	// scan lists populated partitions in descending maxPrio order (shape
@@ -243,16 +253,17 @@ func (c *Compiled) insert(r *Rule) {
 	s := shapeOf(r.Match)
 	p := c.byShape[s]
 	if p == nil {
-		p = &partition{shape: s, groups: make(map[exactKey]*trieNode), maxPrio: r.Priority}
+		p = &partition{shape: s, groups: make(map[exactKey]*group), maxPrio: r.Priority}
 		c.byShape[s] = p
 	}
 	ek := s.exactKeyOfRule(r.Match)
-	root := p.groups[ek]
-	if root == nil {
-		root = &trieNode{}
-		p.groups[ek] = root
+	g := p.groups[ek]
+	if g == nil {
+		g = &group{}
+		p.groups[ek] = g
 	}
-	src := root.descend(r.Match.SrcIP.Addr.Uint32(), r.Match.SrcIP.Bits)
+	g.nRules++
+	src := g.root.descend(r.Match.SrcIP.Addr.Uint32(), r.Match.SrcIP.Bits)
 	if src.sub == nil {
 		src.sub = &trieNode{}
 	}
@@ -281,19 +292,22 @@ func (c *Compiled) insert(r *Rule) {
 }
 
 // remove un-indexes one rule (incremental; called by Table.Remove).
-// Structural trie nodes are left in place — they are shared with other
-// prefixes and cost only memory; emptied partitions leave the scan list.
+// Inside a group that keeps other rules, emptied trie nodes are left in
+// place — they are shared with other prefixes and bounded by the group's
+// own history; an emptied group is deleted whole, and emptied partitions
+// leave the scan list.
 func (c *Compiled) remove(r *Rule) {
 	s := shapeOf(r.Match)
 	p := c.byShape[s]
 	if p == nil {
 		return
 	}
-	root := p.groups[s.exactKeyOfRule(r.Match)]
-	if root == nil {
+	ek := s.exactKeyOfRule(r.Match)
+	g := p.groups[ek]
+	if g == nil {
 		return
 	}
-	src := root.find(r.Match.SrcIP.Addr.Uint32(), r.Match.SrcIP.Bits)
+	src := g.root.find(r.Match.SrcIP.Addr.Uint32(), r.Match.SrcIP.Bits)
 	if src == nil || src.sub == nil {
 		return
 	}
@@ -304,6 +318,9 @@ func (c *Compiled) remove(r *Rule) {
 	for i, rr := range cell.rules {
 		if rr.Name == r.Name {
 			cell.rules = append(cell.rules[:i], cell.rules[i+1:]...)
+			if g.nRules--; g.nRules == 0 {
+				delete(p.groups, ek)
+			}
 			p.nRules--
 			c.nRules--
 			if p.nRules == 0 {
@@ -329,10 +346,11 @@ func (c *Compiled) match(k flow.Key) *Rule {
 		if best != nil && p.maxPrio < best.Priority {
 			break // nothing below can outrank the winner
 		}
-		n := p.groups[p.shape.exactKeyOf(k)]
-		if n == nil {
+		g := p.groups[p.shape.exactKeyOf(k)]
+		if g == nil {
 			continue
 		}
+		n := &g.root
 		// Walk the source path root→leaf; every node on it whose prefix
 		// covers the key may anchor rules via its destination trie.
 		for n != nil {

@@ -74,13 +74,10 @@ func randKey(rng *rand.Rand) flow.Key {
 	}
 }
 
-// checkEquivalent compares the compiled classifier against the linear
-// reference scan for a batch of random keys.
+// checkEquivalent compares the classifier against the linear reference
+// scan for a batch of random keys.
 func checkEquivalent(t *testing.T, tbl *Table, rng *rand.Rand, keys int, tag string) {
 	t.Helper()
-	if !tbl.CompiledEnabled() {
-		t.Fatalf("%s: compiled path not enabled", tag)
-	}
 	for i := 0; i < keys; i++ {
 		k := randKey(rng)
 		got, want := tbl.Lookup(k), tbl.LookupLinear(k)
@@ -90,9 +87,9 @@ func checkEquivalent(t *testing.T, tbl *Table, rng *rand.Rand, keys int, tag str
 	}
 }
 
-// TestCompiledEquivalenceProperty is the core tentpole property: on
-// randomized rule sets, the compiled tuple-space classifier and the
-// linear first-match scan return identical decisions — through build,
+// TestCompiledEquivalenceProperty is the property Table.Lookup rests on:
+// on randomized rule sets, the tuple-space classifier and the linear
+// first-match scan return identical decisions — through build,
 // incremental adds, replacements, and removes.
 func TestCompiledEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
@@ -104,8 +101,6 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Build from existing rules.
-		tbl.SetCompiled(true)
 		checkEquivalent(t, tbl, rng, 200, fmt.Sprintf("trial %d build", trial))
 
 		// Incremental churn: adds, same-name replacements, removes.
@@ -121,16 +116,27 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 		}
 		checkEquivalent(t, tbl, rng, 200, fmt.Sprintf("trial %d churn", trial))
 
-		// Rebuild-from-scratch equals incrementally-maintained.
-		tbl.SetCompiled(false)
-		tbl.SetCompiled(true)
-		checkEquivalent(t, tbl, rng, 100, fmt.Sprintf("trial %d rebuild", trial))
+		// A table bulk-built from the survivors equals the incrementally
+		// maintained one.
+		fresh := NewTable(Allow)
+		if err := fresh.AddAll(tbl.Rules()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			k := randKey(rng)
+			if got, want := fresh.Lookup(k), tbl.Lookup(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d rebuild: key %+v\nfresh:       %+v\nincremental: %+v", trial, k, got, want)
+			}
+		}
 	}
 }
 
 // FuzzCompiledLookup drives the same equivalence property from fuzzed
 // seeds; wired into the nightly fuzz smoke alongside the openflow codec
-// targets.
+// targets. After the build the seed drives an edit stream — adds,
+// same-name replacements, single removes, and whole-user purges that
+// take the last rule out of exact-value groups — and the run ends by
+// emptying the table, which must leave no group behind.
 func FuzzCompiledLookup(f *testing.F) {
 	f.Add(int64(1), uint8(10))
 	f.Add(int64(42), uint8(60))
@@ -138,18 +144,83 @@ func FuzzCompiledLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := NewTable(Deny)
-		for i := 0; i < int(n%80)+1; i++ {
+		rules := int(n%80) + 1
+		for i := 0; i < rules; i++ {
 			_ = tbl.Add(randRule(rng, fmt.Sprintf("r%03d", i)))
 		}
-		tbl.SetCompiled(true)
-		for i := 0; i < 64; i++ {
-			k := randKey(rng)
-			got, want := tbl.Lookup(k), tbl.LookupLinear(k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("key %+v: compiled %+v != linear %+v", k, got, want)
+		check := func() {
+			for i := 0; i < 64; i++ {
+				k := randKey(rng)
+				got, want := tbl.Lookup(k), tbl.LookupLinear(k)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("key %+v: compiled %+v != linear %+v", k, got, want)
+				}
 			}
 		}
+		check()
+		for op := 0; op < int(n); op++ {
+			switch rng.Intn(4) {
+			case 0:
+				_ = tbl.Add(randRule(rng, fmt.Sprintf("c%03d", op)))
+			case 1:
+				_ = tbl.Add(randRule(rng, fmt.Sprintf("r%03d", rng.Intn(rules))))
+			case 2:
+				tbl.Remove(fmt.Sprintf("r%03d", rng.Intn(rules)))
+			case 3:
+				user := netpkt.MACFromUint64(uint64(1 + rng.Intn(5)))
+				for _, r := range tbl.Rules() {
+					if r.Match.User == user {
+						tbl.Remove(r.Name)
+					}
+				}
+			}
+			if op%8 == 7 {
+				check()
+			}
+		}
+		check()
+		for _, r := range tbl.Rules() {
+			tbl.Remove(r.Name)
+		}
+		if g := tbl.compiled.groupCount(); tbl.Len() != 0 || tbl.compiled.Len() != 0 || g != 0 {
+			t.Fatalf("emptied table keeps state: len=%d indexed=%d groups=%d", tbl.Len(), tbl.compiled.Len(), g)
+		}
+		check()
 	})
+}
+
+// TestCompiledGroupsBounded churns 10^5 distinct users through a table
+// (a short window of live per-user rules, as sessions come and go). Each
+// user is its own exact-value group, so the classifier must drop a group
+// when its last rule leaves: the count tracks the live window and ends
+// at the baseline instead of growing with history.
+func TestCompiledGroupsBounded(t *testing.T) {
+	tbl := NewTable(Allow)
+	_ = tbl.Add(&Rule{Name: "web", Priority: 1, Match: Match{DstPort: 80}, Action: Deny})
+	baseline := tbl.compiled.groupCount()
+	const users, window = 100_000, 64
+	name := func(i int) string { return fmt.Sprintf("u%06d", i) }
+	for i := 0; i < users; i++ {
+		if err := tbl.Add(&Rule{Name: name(i), Priority: 5, Action: Deny,
+			Match: Match{User: netpkt.MACFromUint64(uint64(i + 1)), DstIP: CIDR(172, 16, 0, 1, 32)}}); err != nil {
+			t.Fatal(err)
+		}
+		if i >= window {
+			tbl.Remove(name(i - window))
+		}
+		if g := tbl.compiled.groupCount(); g > baseline+window+1 {
+			t.Fatalf("after %d users: %d groups for %d live rules", i+1, g, tbl.Len())
+		}
+	}
+	for i := users - window; i < users; i++ {
+		tbl.Remove(name(i))
+	}
+	if g := tbl.compiled.groupCount(); g != baseline || tbl.Len() != 1 {
+		t.Fatalf("after churn: %d groups (baseline %d), %d rules", g, baseline, tbl.Len())
+	}
+	if d := tbl.Lookup(key(7, netpkt.IP(172, 16, 0, 1), 80)); d.Rule != "web" {
+		t.Fatalf("surviving rule lost: %+v", d)
+	}
 }
 
 // TestCompiledRemoveEmptiesPartition exercises the partition scan-list
@@ -157,7 +228,6 @@ func FuzzCompiledLookup(f *testing.F) {
 // from the scan, and re-adding must restore it.
 func TestCompiledRemoveEmptiesPartition(t *testing.T) {
 	tbl := NewTable(Allow)
-	tbl.SetCompiled(true)
 	_ = tbl.Add(&Rule{Name: "p80", Priority: 9, Match: Match{DstPort: 80}, Action: Deny})
 	k := key(1, netpkt.IP(1, 1, 1, 1), 80)
 	if d := tbl.Lookup(k); d.Rule != "p80" {
@@ -178,7 +248,6 @@ func TestCompiledRemoveEmptiesPartition(t *testing.T) {
 // an extra probe but lookups must stay correct.
 func TestCompiledStaleMaxPrio(t *testing.T) {
 	tbl := NewTable(Allow)
-	tbl.SetCompiled(true)
 	_ = tbl.Add(&Rule{Name: "hi", Priority: 100, Match: Match{DstPort: 80}, Action: Deny})
 	_ = tbl.Add(&Rule{Name: "lo", Priority: 1, Match: Match{DstPort: 80}, Action: Allow})
 	_ = tbl.Add(&Rule{Name: "mid", Priority: 50, Match: Match{Proto: netpkt.ProtoTCP}, Action: Chain,
@@ -187,24 +256,5 @@ func TestCompiledStaleMaxPrio(t *testing.T) {
 	k := key(1, netpkt.IP(1, 1, 1, 1), 80)
 	if d := tbl.Lookup(k); d.Rule != "mid" {
 		t.Fatalf("decision = %+v, want mid", d)
-	}
-}
-
-// TestSetCompiledIdempotent covers the no-op transitions.
-func TestSetCompiledIdempotent(t *testing.T) {
-	tbl := NewTable(Allow)
-	tbl.SetCompiled(false)
-	if tbl.CompiledEnabled() {
-		t.Fatal("off->off enabled the classifier")
-	}
-	tbl.SetCompiled(true)
-	c := tbl.compiled
-	tbl.SetCompiled(true)
-	if tbl.compiled != c {
-		t.Fatal("on->on rebuilt the classifier")
-	}
-	tbl.SetCompiled(false)
-	if tbl.CompiledEnabled() {
-		t.Fatal("on->off left the classifier enabled")
 	}
 }

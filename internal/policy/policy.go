@@ -237,8 +237,8 @@ type Table struct {
 	// deltas is the bounded mutation log backing DeltasSince: one entry
 	// per version bump, carrying the match cone the mutation touched.
 	deltas []Delta
-	// compiled is the tuple-space classifier (compiled.go); nil keeps the
-	// linear first-match scan. Add/Remove maintain it incrementally.
+	// compiled is the tuple-space classifier (compiled.go) every Lookup
+	// probes; Add/AddAll/Remove maintain it incrementally.
 	compiled *Compiled
 }
 
@@ -293,7 +293,7 @@ func (t *Table) DeltasSince(v uint64) (ds []Delta, ok bool) {
 
 // NewTable creates a table with the given default action.
 func NewTable(defaultAction Action) *Table {
-	return &Table{byName: make(map[string]int), Default: defaultAction}
+	return &Table{byName: make(map[string]int), Default: defaultAction, compiled: newCompiled()}
 }
 
 // ruleBefore is the table's evaluation order: priority descending, name
@@ -318,9 +318,7 @@ func (t *Table) Add(r *Rule) error {
 	t.byName[r.Name] = len(t.rules)
 	t.rules = append(t.rules, r)
 	t.sortedOK = false
-	if t.compiled != nil {
-		t.compiled.insert(r)
-	}
+	t.compiled.insert(r)
 	t.version++
 	t.logDelta(r.Match)
 	return nil
@@ -348,9 +346,7 @@ func (t *Table) AddAll(rules []*Rule) error {
 	for _, r := range rules {
 		t.byName[r.Name] = len(t.rules)
 		t.rules = append(t.rules, r)
-		if t.compiled != nil {
-			t.compiled.insert(r)
-		}
+		t.compiled.insert(r)
 		t.version++
 		t.logDelta(r.Match)
 	}
@@ -375,9 +371,7 @@ func (t *Table) Remove(name string) bool {
 	t.rules[last] = nil
 	t.rules = t.rules[:last]
 	t.sortedOK = false
-	if t.compiled != nil {
-		t.compiled.remove(r)
-	}
+	t.compiled.remove(r)
 	t.version++
 	t.logDelta(r.Match)
 	return true
@@ -451,53 +445,14 @@ func decisionOf(r *Rule) Decision {
 }
 
 // Lookup evaluates the table for a flow key: the highest-priority
-// matching rule wins; otherwise the table default applies. With the
-// compiled classifier enabled (SetCompiled) the evaluation is a
-// tuple-space probe instead of the linear first-match scan; the two
-// paths return identical decisions (property-tested in
-// compiled_prop_test.go).
+// matching rule wins; otherwise the table default applies. The
+// evaluation is a tuple-space classifier probe (compiled.go) — cost
+// independent of the rule count, allocation-free. The linear first-match
+// scan it replaces lives on in oracle_test.go as the reference the
+// property test and fuzz target compare against.
 func (t *Table) Lookup(k flow.Key) Decision {
-	if t.compiled != nil {
-		if r := t.compiled.match(k); r != nil {
-			return decisionOf(r)
-		}
-		return Decision{Action: t.Default}
-	}
-	return t.LookupLinear(k)
-}
-
-// LookupLinear is the reference first-match scan: O(rules) per call. It
-// stays exported as the oracle the compiled classifier is tested and
-// benchmarked against.
-func (t *Table) LookupLinear(k flow.Key) Decision {
-	t.ensureSorted()
-	for _, r := range t.sorted {
-		if r.Match.Matches(k) {
-			return decisionOf(r)
-		}
+	if r := t.compiled.match(k); r != nil {
+		return decisionOf(r)
 	}
 	return Decision{Action: t.Default}
 }
-
-// SetCompiled switches the lookup implementation: on builds the
-// tuple-space classifier (compiled.go) from the current rules and keeps
-// it maintained incrementally by Add/Remove; off drops it and returns to
-// the linear scan. Default off — the controller's CompiledPolicy knob
-// (core.Config) flips it.
-func (t *Table) SetCompiled(on bool) {
-	if on == (t.compiled != nil) {
-		return
-	}
-	if !on {
-		t.compiled = nil
-		return
-	}
-	c := newCompiled()
-	for _, r := range t.rules {
-		c.insert(r)
-	}
-	t.compiled = c
-}
-
-// CompiledEnabled reports whether lookups use the compiled classifier.
-func (t *Table) CompiledEnabled() bool { return t.compiled != nil }

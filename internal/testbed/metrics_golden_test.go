@@ -23,7 +23,7 @@ func typeLines(text string) []string {
 }
 
 // The full metrics inventory with every knob enabled: shards, stateful
-// firewall migration, compiled policy, SLO alerts, all on one
+// firewall migration, SLO alerts, all on one
 // deployment. The golden list is the contract DESIGN.md documents —
 // adding a family without updating the inventory (or this test) is a
 // breaking observability change. The exposition must also pass the
@@ -32,7 +32,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n := obsNet(t, Options{
 		Obs: fo, Monitor: true, Shards: 2, StatefulFW: true,
-		CompiledPolicy: true, PreciseInvalidation: true,
 		SLO: true, SLOInterval: 10 * time.Millisecond,
 	})
 	if n.Alerts == nil {

@@ -113,14 +113,6 @@ type Options struct {
 	// ShardFailoverDelay is the hot-standby takeover delay after
 	// KillShard (0 = the core default, 200ms).
 	ShardFailoverDelay time.Duration
-	// CompiledPolicy switches policy lookups to the tuple-space compiled
-	// classifier (core.Config.CompiledPolicy). Decision-for-decision
-	// identical to the linear scan; off by default.
-	CompiledPolicy bool
-	// PreciseInvalidation scopes decision-cache invalidation on policy
-	// change to the mutated rules' match cones
-	// (core.Config.PreciseInvalidation). Off by default.
-	PreciseInvalidation bool
 	// StatefulFW enables connection-state migration for stateful
 	// firewall elements (core/fwstate.go). Off by default.
 	StatefulFW bool
@@ -260,9 +252,6 @@ func New(opts Options) *Net {
 		ShardLanes:         opts.ShardLanes,
 		ShardCoordLatency:  opts.ShardCoordLatency,
 		ShardFailoverDelay: opts.ShardFailoverDelay,
-
-		CompiledPolicy:      opts.CompiledPolicy,
-		PreciseInvalidation: opts.PreciseInvalidation,
 
 		StatefulFW:       opts.StatefulFW,
 		FWHandoffTimeout: opts.FWHandoffTimeout,

@@ -15,10 +15,8 @@
 #                  parallel -stable run, between the serial engine and
 #                  the conservative parallel engine (-simworkers 4),
 #                  between an unsharded and a sharded controller
-#                  (-shards 4), between the linear policy engine and
-#                  the compiled classifier with precise invalidation
-#                  (-compiledpolicy -preciseinval), between firewall
-#                  state migration disarmed and armed (-statefulfw),
+#                  (-shards 4), between firewall state migration
+#                  disarmed and armed (-statefulfw),
 #                  across two E12 runs (stateful firewall under
 #                  re-steers), with the SLO/alert engine disarmed and
 #                  armed (-slo), across two E13 runs (alert timeline +
@@ -72,13 +70,6 @@ go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -shards 4 -json "$tmpdi
 # shards is the only field allowed to differ (self-describing report).
 grep -v '"shards"' "$tmpdir/shards.json" >"$tmpdir/shards-stripped.json"
 cmp "$tmpdir/serial.json" "$tmpdir/shards-stripped.json"
-
-echo "==> experiment determinism (linear policy vs -compiledpolicy -preciseinval, byte-identical)"
-go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -compiledpolicy -preciseinval -json "$tmpdir/policy.json" >/dev/null
-# compiled_policy / precise_invalidation are the only fields allowed to
-# differ (self-describing report).
-grep -v -e '"compiled_policy"' -e '"precise_invalidation"' "$tmpdir/policy.json" >"$tmpdir/policy-stripped.json"
-cmp "$tmpdir/serial.json" "$tmpdir/policy-stripped.json"
 
 echo "==> experiment determinism (default vs -statefulfw, byte-identical)"
 go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -statefulfw -json "$tmpdir/fw.json" >/dev/null
