@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-hot bench-compare calibrate verify
+.PHONY: build test vet bench bench-hot verify
 
 build:
 	$(GO) build ./...
@@ -17,22 +17,12 @@ bench:
 
 # Hot-loop benchmarks only — the PR perf gate's regression set
 # (scripts/bench_gate.sh). -count=8 gives benchstat enough samples for a
-# significance verdict; the $$ anchors keep reference implementations
-# (e.g. the container/heap engine) out of the gate.
+# significance verdict; the $$ anchors keep a benchmark that merely
+# shares a prefix with a listed one out of the gate.
 bench-hot:
 	$(GO) test -run=NONE \
 		-bench='^(BenchmarkEngineSchedule|BenchmarkEngineRunTimerWheel|BenchmarkMicroflowLookup|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordCold)$$' \
 		-benchmem -count=8 ./internal/sim ./internal/dataplane ./internal/policy ./internal/core ./internal/firewall ./internal/monitor
-
-# Old-vs-new hot-loop comparison: retained reference implementations
-# against the current fast paths, via benchstat when installed.
-bench-compare:
-	sh scripts/bench_compare.sh
-
-# Engine calibration: simulated events/sec per core (ESCALE run),
-# written to CALIBRATION.json next to the BENCH_*.json snapshots.
-calibrate:
-	sh scripts/calibrate.sh
 
 # Tier-1 gate: build + vet + race tests + benchmark smoke run.
 verify:

@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	livesec-bench [-scale full|ci] [-experiment all|E1|…|E11|ESCALE] [-json file]
-//	              [-parallel N] [-simworkers N] [-shards N] [-stable] [-obs]
+//	livesec-bench [-scale full|ci] [-experiment all|<id>] [-json file]
+//	              [-parallel N] [-shards N] [-stable] [-obs]
 //
-// With -json, the headline metrics are additionally written to the given
-// file as a machine-readable report (used to snapshot before/after
-// numbers for performance work, e.g. BENCH_PR1.json).
+// -h lists the experiment ids. With -json, the headline metrics are
+// additionally written to the given file as a machine-readable report.
 //
 // Experiments run on a pool of up to -parallel workers (default
 // GOMAXPROCS; 1 forces serial execution). Each experiment owns its
@@ -23,14 +22,6 @@
 // trace spans; the printed table and the -json report gain a per-stage
 // latency histogram block ("flow_setup"). Off by default so -stable
 // output is unchanged.
-//
-// With -simworkers N (N > 1), every experiment's simulation runs on the
-// conservative parallel engine with N workers. Results are byte-identical
-// to the default serial engine — the setting trades wall-clock time only —
-// and both the banner and the -json report record the effective count so
-// snapshots are self-describing. The ESCALE experiment (engine scaling,
-// not part of "all" because its rows are wall-clock rates) measures the
-// engine itself across worker counts.
 //
 // With -shards N (N > 1), every experiment's controller runs as N
 // consistent-hash shards (core/shard.go). The default shard layer only
@@ -57,7 +48,7 @@
 //
 // With -slo, every experiment's deployment runs the deterministic
 // SLO/alert engine (internal/obs/alerts.go) over the default rule pack,
-// ticking on the controller engine. Evaluation is a read-only registry
+// ticking on the simulation engine. Evaluation is a read-only registry
 // scan, so results are byte-identical to the default (enforced by
 // scripts/verify.sh); the banner and the -json report record the
 // setting. The E13 experiment (alert timeline and detection latency)
@@ -70,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -98,9 +90,6 @@ type jsonExperiment struct {
 type jsonReport struct {
 	Scale       string `json:"scale"`
 	GeneratedAt string `json:"generated_at,omitempty"`
-	// SimWorkers is the parallel-simulation worker count; omitted when 1
-	// (the serial engine), so pre-existing snapshots compare equal.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Shards is the controller shard count; omitted when 1 (unsharded),
 	// so pre-existing snapshots compare equal.
 	Shards int `json:"shards,omitempty"`
@@ -114,6 +103,49 @@ type jsonReport struct {
 	TotalSeconds float64          `json:"total_seconds,omitempty"`
 }
 
+// runners maps every experiment id to its entry point. The -experiment
+// help text and the unknown-experiment error list its keys.
+var runners = map[string]func(experiments.Scale) experiments.Result{
+	"E1":  unscaled(experiments.E1AccessThroughput),
+	"E2":  experiments.E2ServiceElementScaling,
+	"E3":  experiments.E3AggregateCapacity,
+	"E4":  experiments.E4LoadDeviation,
+	"E5":  unscaled(experiments.E5LatencyOverhead),
+	"E6":  unscaled(experiments.E6EventPipeline),
+	"E7":  experiments.E7BaselineComparison,
+	"E8":  experiments.E8ChaosRecovery,
+	"E9":  experiments.E9PacketInStorm,
+	"E10": experiments.E10ShardScaling,
+	// E11 benches the policy engine (wall-clock latencies) and is
+	// therefore not part of "all": its rows vary across machines and
+	// would break -stable snapshots.
+	"E11": experiments.E11PolicyEngine,
+	"E12": experiments.E12StatefulFirewall,
+	// E13 pins -slo and a private registry; it is not part of "all"
+	// because the standard suite's byte-identity gates compare runs
+	// without any alert machinery.
+	"E13": experiments.E13AlertTimeline,
+	"A1":  unscaled(experiments.AblationGrain),
+	"A2":  unscaled(experiments.AblationFlowSetup),
+	"A3":  unscaled(experiments.AblationDirectoryProxy),
+	"A4":  unscaled(experiments.AblationReverseSteering),
+}
+
+// unscaled adapts an experiment that has one size to the runners table.
+func unscaled(f func() experiments.Result) func(experiments.Scale) experiments.Result {
+	return func(experiments.Scale) experiments.Result { return f() }
+}
+
+// runnerIDs returns the sorted keys of runners.
+func runnerIDs() string {
+	ids := make([]string, 0, len(runners))
+	for id := range runners {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return strings.Join(ids, ", ")
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "livesec-bench:", err)
@@ -124,12 +156,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("livesec-bench", flag.ContinueOnError)
 	scaleFlag := fs.String("scale", "full", "deployment scale: full (paper sizes) or ci (fast)")
-	expFlag := fs.String("experiment", "all", "experiment to run: all, E1…E10, or ablations A1…A4")
+	expFlag := fs.String("experiment", "all", "experiment to run: all, or one of "+runnerIDs())
 	jsonFlag := fs.String("json", "", "also write headline metrics to this file as JSON")
 	parallelFlag := fs.Int("parallel", runtime.GOMAXPROCS(0), "run experiments on up to N workers (1 = serial)")
 	stableFlag := fs.Bool("stable", false, "omit wall-clock timings for byte-identical output across runs")
 	obsFlag := fs.Bool("obs", false, "record flow-setup traces; adds per-stage latency histograms to output")
-	simWorkersFlag := fs.Int("simworkers", 1, "parallel-simulation workers per experiment (1 = serial engine; results identical)")
 	shardsFlag := fs.Int("shards", 1, "controller shards per experiment (1 = unsharded; results identical)")
 	statefulFWFlag := fs.Bool("statefulfw", false, "arm firewall connection-state migration (results identical; E12 pins it)")
 	sloFlag := fs.Bool("slo", false, "run the deterministic SLO/alert engine (results identical; E13 pins it)")
@@ -137,11 +168,9 @@ func run(args []string) error {
 		return err
 	}
 	experiments.SetObs(*obsFlag)
-	experiments.SetSimWorkers(*simWorkersFlag)
 	experiments.SetShards(*shardsFlag)
 	experiments.SetStatefulFW(*statefulFWFlag)
 	experiments.SetSLO(*sloFlag)
-	simWorkers := experiments.SimWorkers()
 	shards := experiments.Shards()
 	var scale experiments.Scale
 	switch strings.ToLower(*scaleFlag) {
@@ -153,43 +182,17 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
 
-	runners := map[string]func() experiments.Result{
-		"E1":  experiments.E1AccessThroughput,
-		"A1":  experiments.AblationGrain,
-		"A2":  experiments.AblationFlowSetup,
-		"A3":  experiments.AblationDirectoryProxy,
-		"A4":  experiments.AblationReverseSteering,
-		"E2":  func() experiments.Result { return experiments.E2ServiceElementScaling(scale) },
-		"E3":  func() experiments.Result { return experiments.E3AggregateCapacity(scale) },
-		"E4":  func() experiments.Result { return experiments.E4LoadDeviation(scale) },
-		"E5":  experiments.E5LatencyOverhead,
-		"E6":  experiments.E6EventPipeline,
-		"E7":  func() experiments.Result { return experiments.E7BaselineComparison(scale) },
-		"E8":  func() experiments.Result { return experiments.E8ChaosRecovery(scale) },
-		"E9":  func() experiments.Result { return experiments.E9PacketInStorm(scale) },
-		"E10": func() experiments.Result { return experiments.E10ShardScaling(scale) },
-		"E12": func() experiments.Result { return experiments.E12StatefulFirewall(scale) },
-		// E13 pins -slo and a private registry; it is not part of "all"
-		// because the standard suite's byte-identity gates compare runs
-		// without any alert machinery.
-		"E13": func() experiments.Result { return experiments.E13AlertTimeline(scale) },
-		// ESCALE and E11 bench engines (wall-clock rates/latencies) and are
-		// therefore not part of "all": their rows vary across machines and
-		// would break -stable snapshots.
-		"ESCALE": func() experiments.Result { return experiments.EngineScaling(scale) },
-		"E11":    func() experiments.Result { return experiments.E11PolicyEngine(scale) },
-	}
 	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12", "A1", "A2", "A3", "A4"}
 
 	want := strings.ToUpper(*expFlag)
 	if want != "ALL" {
 		if _, ok := runners[want]; !ok {
-			return fmt.Errorf("unknown experiment %q (want E1…E13, A1…A4, ESCALE, or all)", *expFlag)
+			return fmt.Errorf("unknown experiment %q (want all, or one of %s)", *expFlag, runnerIDs())
 		}
 		order = []string{want}
 	}
 
-	banner := fmt.Sprintf("scale=%s, simworkers=%d, shards=%d", *scaleFlag, simWorkers, shards)
+	banner := fmt.Sprintf("scale=%s, shards=%d", *scaleFlag, shards)
 	if *statefulFWFlag {
 		banner += ", statefulfw"
 	}
@@ -199,9 +202,6 @@ func run(args []string) error {
 	fmt.Printf("LiveSec evaluation reproduction (%s)\n", banner)
 	fmt.Println(strings.Repeat("=", 64))
 	report := jsonReport{Scale: strings.ToLower(*scaleFlag)}
-	if simWorkers > 1 {
-		report.SimWorkers = simWorkers
-	}
 	if shards > 1 {
 		report.Shards = shards
 	}
@@ -219,7 +219,7 @@ func run(args []string) error {
 		i, run := i, runners[id]
 		jobs[i] = experiments.Job{ID: id, Run: func() experiments.Result {
 			t0 := time.Now()
-			res := run()
+			res := run(scale)
 			elapsed[i] = time.Since(t0).Seconds()
 			return res
 		}}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 )
 
@@ -79,50 +80,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSimWorkersOutputByteIdentical proves the -simworkers flag cannot
-// change results either: a run on the conservative parallel engine must
-// produce a -stable JSON report identical to the serial engine's, except
-// for the self-describing sim_workers field. Short mode covers a
-// two-experiment subset including the chaos experiment (two partitions,
-// cross-partition fault lanes).
-func TestSimWorkersOutputByteIdentical(t *testing.T) {
-	exps := []string{"E1", "E8"}
-	if !testing.Short() {
-		exps = []string{"all"}
-	}
-	for _, exp := range exps {
-		dir := t.TempDir()
-		serial := filepath.Join(dir, "serial.json")
-		parallel := filepath.Join(dir, "parallel.json")
-		base := []string{"-scale", "ci", "-experiment", exp, "-stable", "-parallel", "1"}
-		if err := run(append(base, "-json", serial)); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append(base, "-simworkers", "4", "-json", parallel)); err != nil {
-			t.Fatal(err)
-		}
-		var sr, pr jsonReport
-		for path, dst := range map[string]*jsonReport{serial: &sr, parallel: &pr} {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(data, dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sr.SimWorkers != 0 || pr.SimWorkers != 4 {
-			t.Fatalf("%s: sim_workers serial=%d parallel=%d, want 0 and 4", exp, sr.SimWorkers, pr.SimWorkers)
-		}
-		pr.SimWorkers = 0
-		s, _ := json.Marshal(sr)
-		p, _ := json.Marshal(pr)
-		if !bytes.Equal(s, p) {
-			t.Fatalf("%s: serial and simworkers=4 -stable reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s", exp, s, p)
-		}
-	}
-}
-
 // TestShardsOutputByteIdentical proves the -shards flag cannot change
 // results: the default shard layer only attributes work (core/shard.go),
 // so a sharded run's -stable JSON report must be identical to an
@@ -172,7 +129,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-scale", "bogus"}); err == nil {
 		t.Fatal("bad scale accepted")
 	}
-	if err := run([]string{"-experiment", "E99"}); err == nil {
+	err := run([]string{"-experiment", "E99"})
+	if err == nil {
 		t.Fatal("bad experiment accepted")
+	}
+	// The error lists what would have been accepted, built from the
+	// runners table so it cannot go stale.
+	for id := range runners {
+		if !regexp.MustCompile(`\b` + id + `\b`).MatchString(err.Error()) {
+			t.Errorf("unknown-experiment error %q does not name %s", err, id)
+		}
 	}
 }

@@ -283,34 +283,15 @@ type Applied struct {
 	Event
 }
 
-// appliedRec is a logged fault plus its plan-order sequence number, the
-// tie-break that keeps the merged log deterministic when two partitions
-// execute faults at the same virtual time.
-type appliedRec struct {
-	Applied
-	seq uint64
-}
-
 // Injector executes fault plans against registered targets.
-//
-// Under a partitioned simulation the injector spans two partitions:
-// secure-channel faults (SwitchDisconnect/Reconnect, CtrlDrop/CtrlDup)
-// mutate chaos.Channel state that lives with the controller, while link,
-// service-element and flood faults drive data-plane objects. SetChannelSched
-// points the channel-fault lane at the controller partition; each lane
-// then appends only to its own applied log, and Applied() merges the two
-// in canonical (time, plan sequence) order.
 type Injector struct {
-	eng       sim.Sched
-	chanSched sim.Sched // channel-fault lane; nil means eng
-	channels  map[uint64]*Channel
-	links     map[int]LinkController
-	elements  map[uint64]ElementController
-	flooders  map[int]Flooder
+	eng      *sim.Engine
+	channels map[uint64]*Channel
+	links    map[int]LinkController
+	elements map[uint64]ElementController
+	flooders map[int]Flooder
 
-	applied     []appliedRec // main-lane faults, execution order
-	appliedCtrl []appliedRec // channel-lane faults when chanSched is set
-	seq         uint64
+	applied []Applied // execution order
 }
 
 // NewInjector creates an injector bound to the simulation engine.
@@ -322,26 +303,6 @@ func NewInjector(eng *sim.Engine) *Injector {
 		elements: make(map[uint64]ElementController),
 		flooders: make(map[int]Flooder),
 	}
-}
-
-// SetChannelSched routes secure-channel faults through s — the partition
-// that owns the chaos.Channel wrappers (the controller partition) in a
-// parallel run. Call it before Schedule; a nil or same scheduler keeps
-// the single-lane behavior.
-func (in *Injector) SetChannelSched(s sim.Sched) {
-	if s == in.eng {
-		s = nil
-	}
-	in.chanSched = s
-}
-
-// isChannelKind reports whether the fault targets a secure channel.
-func isChannelKind(k Kind) bool {
-	switch k {
-	case SwitchDisconnect, SwitchReconnect, CtrlDrop, CtrlDup:
-		return true
-	}
-	return false
 }
 
 // RegisterLink registers a link target under an id of the caller's
@@ -362,32 +323,15 @@ func (in *Injector) RegisterFlooder(id int, f Flooder) { in.flooders[id] = f }
 // Channel returns the fault channel registered for dpid (nil if none).
 func (in *Injector) Channel(dpid uint64) *Channel { return in.channels[dpid] }
 
-// Applied returns the faults executed so far. With a single lane this is
-// plain execution order; with a controller lane the two logs are merged
-// in (execution time, plan sequence) order, which is identical for the
-// serial and every parallel run. Call it only at quiescence (between or
-// after Run calls).
+// Applied returns a copy of the faults executed so far, in execution
+// order.
 func (in *Injector) Applied() []Applied {
-	recs := make([]appliedRec, 0, len(in.applied)+len(in.appliedCtrl))
-	recs = append(recs, in.applied...)
-	recs = append(recs, in.appliedCtrl...)
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].At != recs[j].At {
-			return recs[i].At < recs[j].At
-		}
-		return recs[i].seq < recs[j].seq
-	})
-	out := make([]Applied, len(recs))
-	for i, r := range recs {
-		out[i] = r.Applied
-	}
-	return out
+	return append([]Applied(nil), in.applied...)
 }
 
-// Schedule queues every event of the plan on the simulation clock —
-// channel faults on the channel lane, everything else on the main lane.
-// An empty (or nil) plan schedules nothing. Events sharing a timestamp
-// fire in plan order within their lane.
+// Schedule queues every event of the plan on the simulation clock. An
+// empty (or nil) plan schedules nothing. Events sharing a timestamp fire
+// in plan order.
 func (in *Injector) Schedule(p *Plan) {
 	if p.Empty() {
 		return
@@ -396,30 +340,15 @@ func (in *Injector) Schedule(p *Plan) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	for _, ev := range events {
 		ev := ev
-		seq := in.seq
-		in.seq++
-		if in.chanSched != nil && isChannelKind(ev.Kind) {
-			in.chanSched.At(ev.At, func() { in.applyOn(in.chanSched, &in.appliedCtrl, seq, ev) })
-			continue
-		}
-		in.eng.At(ev.At, func() { in.applyOn(in.eng, &in.applied, seq, ev) })
+		in.eng.At(ev.At, func() { in.Apply(ev) })
 	}
 }
 
-// Apply executes one fault immediately on the main lane. Unregistered
-// targets are ignored (the fault is still logged), so plans can be
-// written against topologies that only partially exist.
+// Apply executes one fault immediately. Unregistered targets are ignored
+// (the fault is still logged), so plans can be written against
+// topologies that only partially exist.
 func (in *Injector) Apply(ev Event) {
-	seq := in.seq
-	in.seq++
-	in.applyOn(in.eng, &in.applied, seq, ev)
-}
-
-// applyOn executes one fault, stamping it with the firing lane's clock
-// and logging it to that lane only, so no two partitions ever touch the
-// same log slice.
-func (in *Injector) applyOn(s sim.Sched, lane *[]appliedRec, seq uint64, ev Event) {
-	*lane = append(*lane, appliedRec{Applied: Applied{At: s.Now(), Event: ev}, seq: seq})
+	in.applied = append(in.applied, Applied{At: in.eng.Now(), Event: ev})
 	switch ev.Kind {
 	case SwitchDisconnect, SwitchReconnect, CtrlDrop, CtrlDup:
 		ch := in.channels[ev.DPID]

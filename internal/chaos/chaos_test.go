@@ -159,7 +159,46 @@ func TestInjectorSchedule(t *testing.T) {
 	if len(el.log) != 2 || el.log[0] != "crash" || el.log[1] != "restore" {
 		t.Fatalf("element calls: %v", el.log)
 	}
+
+	// A channel fault and a link fault sharing a timestamp fire, and are
+	// logged, in plan order — whichever comes first in the plan.
+	const at = 10 * time.Millisecond
+	for _, chanFirst := range []bool{true, false} {
+		eng := sim.NewEngine(1)
+		in := NewInjector(eng)
+		ch := in.WrapConn(7, &fakeConn{})
+		l := &orderLink{ch: ch}
+		in.RegisterLink(1, l)
+		p, want := NewPlan().LinkDown(at, 1).SwitchDisconnect(at, 7), []Kind{LinkDown, SwitchDisconnect}
+		if chanFirst {
+			p, want = NewPlan().SwitchDisconnect(at, 7).LinkDown(at, 1), []Kind{SwitchDisconnect, LinkDown}
+		}
+		in.Schedule(p)
+		if err := eng.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		if !ch.Down() || !l.fired {
+			t.Fatalf("chanFirst=%v: channel down=%v link fired=%v, want both", chanFirst, ch.Down(), l.fired)
+		}
+		if l.chanWasDown != chanFirst {
+			t.Fatalf("chanFirst=%v: link fault saw channel down=%v", chanFirst, l.chanWasDown)
+		}
+		got := in.Applied()
+		if len(got) != 2 || got[0].Kind != want[0] || got[1].Kind != want[1] || got[0].At != at || got[1].At != at {
+			t.Fatalf("chanFirst=%v: applied %+v, want %v at %v", chanFirst, got, want, at)
+		}
+	}
 }
+
+// orderLink records whether ch was already down when the link fault fired.
+type orderLink struct {
+	ch          *Channel
+	fired       bool
+	chanWasDown bool
+}
+
+func (o *orderLink) SetUp(bool)           { o.fired, o.chanWasDown = true, o.ch.Down() }
+func (o *orderLink) SetRateScale(float64) {}
 
 func TestEmptyPlanSchedulesNothing(t *testing.T) {
 	eng := sim.NewEngine(1)

@@ -14,7 +14,7 @@ package core
 //     exactly one live shard — never zero, never two.
 //   - Determinism: the ring is pure arithmetic on splitmix64 hashes; the
 //     same shard count always produces the same assignment, on every
-//     run and at any -simworkers setting.
+//     run.
 //
 // Note the distinction between the two failure modes the shard layer
 // models: a *failover* (KillShard) keeps the dead shard's ring slots —

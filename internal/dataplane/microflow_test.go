@@ -140,22 +140,12 @@ func TestMicroflowNoOpMutationsKeepCacheWarm(t *testing.T) {
 	}
 }
 
-// newRigMicro is newRig with the microflow cache knob exposed.
-func newRigMicro(t *testing.T, disable bool) *rig {
-	t.Helper()
-	r := newRig(t)
-	if disable {
-		// Rebuild the switch's cache state the way Config would have.
-		r.sw.micro = nil
-	}
-	return r
-}
-
 // TestSwitchForwardingIdenticalWithAndWithoutCache runs the same
 // scripted traffic — miss, flow-mod install, steady-state forwarding,
-// delete, re-miss — through a cached and an uncached switch and
-// requires identical delivered packets and identical controller
-// traffic.
+// delete, re-miss — through a cached switch and one whose cache is
+// emptied before every packet (so each lookup falls through to the
+// table) and requires identical delivered packets and identical
+// controller traffic.
 func TestSwitchForwardingIdenticalWithAndWithoutCache(t *testing.T) {
 	type trace struct {
 		delivered []*netpkt.Packet
@@ -163,7 +153,15 @@ func TestSwitchForwardingIdenticalWithAndWithoutCache(t *testing.T) {
 		misses    uint64
 	}
 	script := func(disable bool) trace {
-		r := newRigMicro(t, disable)
+		r := newRig(t)
+		send := func() {
+			if disable {
+				r.sw.micro = newMicroflowCache()
+			}
+			pkt := testPacket()
+			r.eng.Schedule(0, func() { r.h1.ep.Send(pkt) })
+			r.run(t, r.eng.Now()+time.Millisecond)
+		}
 		fm := &openflow.FlowMod{
 			Match:   flow.Match{Wildcards: flow.WildAll &^ (flow.WildInPort | flow.WildEthType), Key: flow.Key{InPort: 1, EthType: netpkt.EtherTypeIPv4}},
 			Command: openflow.FlowAdd,
@@ -172,16 +170,12 @@ func TestSwitchForwardingIdenticalWithAndWithoutCache(t *testing.T) {
 		r.ctrl.Send(fm)
 		r.run(t, time.Millisecond)
 		for i := 0; i < 20; i++ {
-			pkt := testPacket()
-			r.eng.Schedule(0, func() { r.h1.ep.Send(pkt) })
-			r.run(t, r.eng.Now()+time.Millisecond)
+			send()
 		}
 		// Delete mid-stream, then send again: both switches must miss.
 		r.ctrl.Send(&openflow.FlowMod{Match: fm.Match, Command: openflow.FlowDeleteStrict})
 		r.run(t, r.eng.Now()+time.Millisecond)
-		pkt := testPacket()
-		r.eng.Schedule(0, func() { r.h1.ep.Send(pkt) })
-		r.run(t, r.eng.Now()+time.Millisecond)
+		send()
 		return trace{delivered: r.h2.got, ctrl: r.ctrlGot, misses: r.sw.TableMisses}
 	}
 

@@ -44,11 +44,6 @@ type Config struct {
 	// MaxEntries bounds the flow table (0 = unlimited). Hardware tables
 	// are finite; a full table rejects FLOW_MOD adds with an error.
 	MaxEntries int
-	// DisableMicroflow turns off the exact-match microflow cache in
-	// front of the flow table. Forwarding behavior is identical either
-	// way (the property tests assert it); the knob exists for A/B
-	// benchmarks and as an escape hatch.
-	DisableMicroflow bool
 }
 
 // PortStats counts per-port traffic.
@@ -72,7 +67,7 @@ type Switch struct {
 	cfg   Config
 	proc  time.Duration
 	table *FlowTable
-	micro *microflowCache // nil when Config.DisableMicroflow
+	micro *microflowCache
 	ports map[uint32]*swPort
 	ctrl  openflow.Conn
 	mac   netpkt.MAC
@@ -122,12 +117,10 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		cfg:     cfg,
 		proc:    proc,
 		table:   NewFlowTable(),
+		micro:   newMicroflowCache(),
 		ports:   make(map[uint32]*swPort),
 		buffers: make(map[uint32]bufferedPacket),
 		mac:     netpkt.MACFromUint64(cfg.DPID | 1<<40),
-	}
-	if !cfg.DisableMicroflow {
-		s.micro = newMicroflowCache()
 	}
 	return s
 }
@@ -145,13 +138,8 @@ func (s *Switch) Kind() Kind { return s.cfg.Kind }
 func (s *Switch) Table() *FlowTable { return s.table }
 
 // MicroflowStats returns the microflow cache's hit/miss/invalidation
-// counters (zero when the cache is disabled).
-func (s *Switch) MicroflowStats() MicroflowStats {
-	if s.micro == nil {
-		return MicroflowStats{}
-	}
-	return s.micro.stats
-}
+// counters.
+func (s *Switch) MicroflowStats() MicroflowStats { return s.micro.stats }
 
 // AttachPort registers local port no as the switch end of l. The link must
 // have been built with this switch as one of its nodes. Ports attached
@@ -238,12 +226,7 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 func (s *Switch) pipeline(inPort uint32, pkt *netpkt.Packet) {
 	key := flow.KeyOf(inPort, pkt)
 	s.Lookups++
-	var e *Entry
-	if s.micro != nil {
-		e = s.micro.lookup(s.table, key)
-	} else {
-		e = s.table.Lookup(key)
-	}
+	e := s.micro.lookup(s.table, key)
 	if e == nil {
 		s.TableMisses++
 		if s.OnMiss != nil {

@@ -51,8 +51,8 @@ type Entry struct {
 //
 // The priority-sorted wildcard slice of the original implementation is
 // retained as `wildcards`: Delete, Expire, and Entries iterate it, and
-// lookupLinear uses it as the behavioral reference the property tests
-// check the index against.
+// the linear reference scan in table_index_test.go checks the index
+// against it.
 type FlowTable struct {
 	exact     map[flow.Key]*Entry
 	wildcards []*Entry // sorted by Priority descending, stable (seq ascending)
@@ -219,8 +219,8 @@ func (t *FlowTable) sortBuckets() {
 }
 
 // Lookup returns the highest-priority entry matching k, or nil on a miss.
-// Priority semantics match OpenFlow and the linear reference scan
-// (lookupLinear): the winner is the matching entry with the highest
+// Priority semantics match OpenFlow and the tests' linear reference
+// scan: the winner is the matching entry with the highest
 // priority; among equal-priority wildcard matches the earliest-installed
 // wins, and an exact-match entry beats wildcard entries of the same
 // priority.
@@ -249,22 +249,6 @@ func (t *FlowTable) Lookup(k flow.Key) *Entry {
 	}
 	if bw != nil {
 		return bw
-	}
-	return best
-}
-
-// lookupLinear is the pre-index reference implementation: a linear scan
-// of the priority-sorted wildcard list. Kept (and exercised by the
-// property tests) as the specification Lookup must agree with.
-func (t *FlowTable) lookupLinear(k flow.Key) *Entry {
-	best := t.exact[k]
-	for _, e := range t.wildcards {
-		if best != nil && e.Priority <= best.Priority {
-			break // sorted: nothing below can beat the exact hit
-		}
-		if e.Match.Matches(k) {
-			return e
-		}
 	}
 	return best
 }

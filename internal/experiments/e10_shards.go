@@ -278,12 +278,8 @@ func e10Failover(p e10Params) *e10FailMetrics {
 	}
 	defer n.Shutdown()
 
-	// The kill is a control-plane intervention: schedule it on the
-	// controller's engine so it executes on the controller's logical
-	// process under a partitioned (-simworkers) run.
 	victim := n.Controller.ShardOf(dpids[0])
-	killAt := n.CtrlEng().Now() + p.killAt
-	n.CtrlEng().At(killAt, func() { n.Controller.KillShard(victim) })
+	n.Eng.Schedule(p.killAt, func() { n.Controller.KillShard(victim) })
 
 	sentAt, deliveredAt, err := e10Workload(n, p, clients, srv)
 	if err != nil {

@@ -65,11 +65,3 @@ func TestExperimentsIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 }
-
-// TestE10ByteIdenticalAcrossSimWorkers: the shard experiment itself —
-// lanes on the controller partition, the kill scheduled on the
-// controller engine — must stay on the conservative parallel engine's
-// byte-identity contract.
-func TestE10ByteIdenticalAcrossSimWorkers(t *testing.T) {
-	runAtWorkers(t, "E10", func() Result { return E10ShardScaling(ScaleCI) }, 2, 4)
-}

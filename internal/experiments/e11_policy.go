@@ -35,9 +35,9 @@ import (
 //     a cache, edits intents, re-drives the same flows and reports
 //     evicted/retained counts from the controller's own counters.
 //
-// Rule-scale and edit rows are wall-clock, so E11 — like ESCALE — is
-// not part of "all": bench it explicitly with `livesec-bench
-// -experiment E11`. The invalidation rows are deterministic counts.
+// Rule-scale and edit rows are wall-clock, so E11 is not part of "all":
+// bench it explicitly with `livesec-bench -experiment E11`. The
+// invalidation rows are deterministic counts.
 func E11PolicyEngine(scale Scale) Result {
 	p := e11Params{
 		sizes:   []int{1_000, 100_000, 1_000_000},

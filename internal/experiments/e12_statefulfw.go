@@ -298,9 +298,7 @@ func e12Run(p e12Params, arm e12Arm) *e12Metrics {
 	// hot standby replays its shadow table. Established sessions ride
 	// their installed dataplane entries through the takeover.
 	victim := n.Controller.ShardOf(s1.DPID())
-	n.CtrlEng().At(n.CtrlEng().Now()+50*time.Millisecond, func() {
-		n.Controller.KillShard(victim)
-	})
+	n.Eng.Schedule(50*time.Millisecond, func() { n.Controller.KillShard(victim) })
 	if !run(800 * time.Millisecond) {
 		return nil
 	}

@@ -1,8 +1,8 @@
 package experiments
 
 // shards is the controller shard count injected into every experiment
-// deployment that does not pick its own. Like -simworkers, the global
-// knob is behavior-neutral by construction: the default shard layer
+// deployment that does not pick its own. The global knob is
+// behavior-neutral by construction: the default shard layer
 // only attributes work to shards (core/shard.go), so -stable snapshots
 // are byte-identical at any setting — which scripts/verify.sh and CI
 // enforce. Experiments that study sharding itself (E10) set

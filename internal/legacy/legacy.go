@@ -179,19 +179,6 @@ func (f *Fabric) Attach(sw int, node link.Node, nodePort uint32, p link.Params) 
 	return l
 }
 
-// AttachParts is Attach for an external node living on a different
-// simulation partition than the fabric: fabricPart owns the fabric's
-// engine, nodePart owns node, and the link's propagation delay becomes
-// the partition cut (it must therefore be positive; see
-// link.ConnectParts). With equal partitions it degenerates to Attach.
-func (f *Fabric) AttachParts(fabricPart, nodePart *sim.Partition, sw int, node link.Node, nodePort uint32, p link.Params) *link.Link {
-	pn := f.allocPort(sw)
-	l := link.ConnectParts(fabricPart, nodePart, f.Switches[sw], pn, node, nodePort, p)
-	f.Switches[sw].AttachPort(pn, l)
-	f.links = append(f.links, l)
-	return l
-}
-
 // ComputeSpanningTree blocks redundant inter-switch links so flooding is
 // loop-free, emulating STP converging on the legacy network. The tree is
 // rooted at switch 0 and built breadth-first, so results are

@@ -58,11 +58,6 @@ type endpoint struct {
 	eng    *sim.Engine
 	params Params
 
-	// part is set only on partition-cut links (ConnectParts across two
-	// partitions); packets then cross via a timestamped partition post
-	// instead of a local event.
-	part *sim.Partition
-
 	peer     *endpoint
 	node     Node   // node attached at this end
 	port     uint32 // port number on node
@@ -95,33 +90,6 @@ func Connect(eng *sim.Engine, nodeA Node, portA uint32, nodeB Node, portB uint32
 	}
 	l.a.peer = &l.b
 	l.b.peer = &l.a
-	return l
-}
-
-// ConnectParts is Connect for a link whose two ends live on different
-// simulation partitions: nodeA (and this link's A-side transmit state)
-// belong to pa, nodeB to pb. The link's propagation delay becomes a
-// registered partition cut, so it must be positive — conservative
-// synchronization needs the delay as lookahead — and ConnectParts panics
-// otherwise. With pa == pb it degenerates to a plain Connect on that
-// partition's engine, which keeps topology construction code identical
-// across serial and parallel runs.
-//
-// Administrative mutations (SetUp, SetRateScale) touch both ends and are
-// only safe while the parallel engine is quiescent — at construction or
-// between Run calls — never from an in-window event.
-func ConnectParts(pa, pb *sim.Partition, nodeA Node, portA uint32, nodeB Node, portB uint32, p Params) *Link {
-	if pa == pb {
-		return Connect(pa.Engine(), nodeA, portA, nodeB, portB, p)
-	}
-	if p.Delay <= 0 {
-		panic("link: a partition-cut link needs a positive propagation delay (lookahead)")
-	}
-	pa.Parallel().RegisterCut(p.Delay)
-	l := Connect(pa.Engine(), nodeA, portA, nodeB, portB, p)
-	l.a.part = pa
-	l.b.part = pb
-	l.b.eng = pb.Engine()
 	return l
 }
 
@@ -204,19 +172,6 @@ func (e Endpoint) Send(pkt *netpkt.Packet) {
 	ep.stats.TxBytes += uint64(size)
 	arrive := ep.busyUntl + ep.params.Delay
 	peer := ep.peer
-	if ep.part != nil {
-		// Partition-cut link: the transmit queue frees on the sender's
-		// partition; delivery crosses as a timestamped post, with the
-		// receiver's administrative state read on its own partition at
-		// arrival time — the same instant the serial path reads it.
-		ep.eng.At(arrive, func() { ep.queued -= size })
-		ep.part.Post(peer.part, arrive, func() {
-			if peer.up {
-				peer.node.Receive(peer.port, pkt)
-			}
-		})
-		return
-	}
 	ep.eng.At(arrive, func() {
 		ep.queued -= size
 		if peer.up {

@@ -168,6 +168,50 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
+// TestInFlightPacketAcrossLinkStateChange pins what the delivery event
+// decides at arrival time: the link's state then, not at send time,
+// says whether the packet is delivered, and either way the sender's
+// queued bytes are released.
+func TestInFlightPacketAcrossLinkStateChange(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		upAt      time.Duration // the link goes down at 5ms and comes back here
+		delivered int
+	}{
+		{"down at arrival", 19 * time.Millisecond, 0},
+		{"flapped, up again at arrival", 10 * time.Millisecond, 1},
+	} {
+		eng := sim.NewEngine(1)
+		a, b := &sink{eng: eng}, &sink{eng: eng}
+		l := Connect(eng, a, 0, b, 0, Params{BitsPerSec: 1_000_000, Delay: 10 * time.Millisecond, QueueBytes: 2000})
+		// 1000 bytes at 1 Mbps + 10ms propagation: arrives at 18ms.
+		eng.Schedule(0, func() { l.From(a).Send(bulk(1000)) })
+		eng.Schedule(5*time.Millisecond, func() { l.SetUp(false) })
+		eng.At(tc.upAt, func() { l.SetUp(true) })
+		if err := eng.Run(19 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.got) != tc.delivered {
+			t.Fatalf("%s: delivered %d, want %d", tc.name, len(b.got), tc.delivered)
+		}
+		// A burst that exactly fills the queue is accepted whole only if
+		// the first packet's bytes were released.
+		eng.Schedule(0, func() {
+			l.From(a).Send(bulk(1000))
+			l.From(a).Send(bulk(1000))
+		})
+		if err := eng.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if st := l.StatsFrom(a); st.Drops != 0 || st.TxPackets != 3 {
+			t.Fatalf("%s: stats = %+v, want 3 sent and no tail drop", tc.name, st)
+		}
+		if len(b.got) != tc.delivered+2 {
+			t.Fatalf("%s: delivered %d after the burst, want %d", tc.name, len(b.got), tc.delivered+2)
+		}
+	}
+}
+
 func TestQueueDelayVisible(t *testing.T) {
 	eng := sim.NewEngine(1)
 	a, b := &sink{eng: eng}, &sink{eng: eng}

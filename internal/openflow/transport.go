@@ -63,11 +63,6 @@ type simConn struct {
 	peer    *simConn
 	handler func(Message)
 	closed  bool
-
-	// part is set when the two endpoints live on different simulation
-	// partitions (SimPipeParts); deliveries then cross as timestamped
-	// partition posts, with the control latency as the lookahead.
-	part *sim.Partition
 }
 
 // SimPipe creates a connected pair of simulated secure-channel endpoints
@@ -79,39 +74,6 @@ func SimPipe(eng *sim.Engine, latency time.Duration) (Conn, Conn) {
 	return a, b
 }
 
-// SimPipeParts is SimPipe for a secure channel whose two endpoints live
-// on different simulation partitions: the first returned Conn belongs to
-// pa (the switch side, typically the data-plane partition), the second to
-// pb (the controller partition). The one-way latency becomes a registered
-// partition cut and must therefore be positive. With pa == pb it
-// degenerates to a plain SimPipe on that partition's engine.
-func SimPipeParts(pa, pb *sim.Partition, latency time.Duration) (Conn, Conn) {
-	if pa == pb {
-		return SimPipe(pa.Engine(), latency)
-	}
-	if latency <= 0 {
-		panic("openflow: a partition-cut secure channel needs positive latency (lookahead)")
-	}
-	pa.Parallel().RegisterCut(latency)
-	a := &simConn{eng: pa.Engine(), part: pa, latency: latency}
-	b := &simConn{eng: pb.Engine(), part: pb, latency: latency}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// deliver runs fn at the peer after the channel latency — a local event
-// on a same-partition pipe, a cross-partition post otherwise. The
-// encode-buffer handoff across partitions is safe: the barrier that
-// publishes the post also orders the sender's writes before the
-// receiver's reads, and bufPool itself is concurrency-safe.
-func (c *simConn) deliver(fn func()) {
-	if c.part != nil {
-		c.part.Post(c.peer.part, c.eng.Now()+c.latency, fn)
-		return
-	}
-	c.eng.Schedule(c.latency, fn)
-}
-
 func (c *simConn) Send(m Message) {
 	if c.closed {
 		return
@@ -119,7 +81,7 @@ func (c *simConn) Send(m Message) {
 	bp := bufPool.Get().(*[]byte)
 	data := MarshalAppend((*bp)[:0], m)
 	peer := c.peer
-	c.deliver(func() {
+	c.eng.Schedule(c.latency, func() {
 		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
 		if peer.closed || peer.handler == nil {
 			return
@@ -150,7 +112,7 @@ func (c *simConn) SendBatch(ms []Message) {
 		data = MarshalAppend(data, m)
 	}
 	peer := c.peer
-	c.deliver(func() {
+	c.eng.Schedule(c.latency, func() {
 		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
 		if peer.closed || peer.handler == nil {
 			return

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 )
@@ -23,28 +22,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := e.pop()
 				e.push(ev)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineScheduleContainerHeap is the pre-PR3 implementation —
-// container/heap over *event pointers — kept as the before-side of the
-// BENCH_PR3 comparison (the reference lives in heap_prop_test.go).
-func BenchmarkEngineScheduleContainerHeap(b *testing.B) {
-	for _, depth := range []int{16, 256, 4096} {
-		b.Run(itoa(depth), func(b *testing.B) {
-			q := refQueue{}
-			for i := 0; i < depth; i++ {
-				heap.Push(&q, &refEvent{at: time.Duration(i%97) * time.Microsecond, seq: uint64(i)})
-			}
-			seq := uint64(depth)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := heap.Pop(&q).(*refEvent)
-				seq++
-				heap.Push(&q, &refEvent{at: ev.at, seq: seq})
 			}
 		})
 	}

@@ -101,8 +101,7 @@ func (e *Engine) At(at time.Duration, fn func()) {
 // Stop makes the current Run or RunAll call return ErrStopped after the
 // in-flight event completes.
 //
-// Semantics, identical across all Run variants (Run, RunAll, and a
-// ParallelEngine window):
+// Semantics, identical across all Run variants (Run, RunAll):
 //
 //   - The event whose callback called Stop always finishes; an event that
 //     was already popped runs to completion even when it shares its

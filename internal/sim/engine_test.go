@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -100,6 +101,83 @@ func TestStop(t *testing.T) {
 	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1", ran)
+	}
+}
+
+// TestStopSameTimestampAtHorizon pins the documented Stop contract: the
+// in-flight event completes, later events at the same timestamp (even at
+// the horizon boundary) stay queued, Now() is not advanced to the
+// horizon, and ErrStopped is returned.
+func TestStopSameTimestampAtHorizon(t *testing.T) {
+	e := NewEngine(1)
+	const at = 5 * time.Millisecond
+	var ran []string
+	e.At(at, func() { ran = append(ran, "first"); e.Stop() })
+	e.At(at, func() { ran = append(ran, "second") })
+	if err := e.Run(at); err != ErrStopped {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	if got := strings.Join(ran, ","); got != "first" {
+		t.Fatalf("ran = %q, want only the stopping event", got)
+	}
+	if e.Now() != at {
+		t.Fatalf("Now = %v, want the stopping event's time %v", e.Now(), at)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the same-timestamp event still queued", e.Pending())
+	}
+	// The queued event runs on the next Run call.
+	if err := e.Run(at); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(ran, ","); got != "first,second" {
+		t.Fatalf("after resume ran = %q", got)
+	}
+}
+
+// TestStopOnLastEvent covers the historic inconsistency: a Stop issued
+// by the final queued event used to fall out of the drained loop and
+// return nil instead of ErrStopped — from Run and RunAll both.
+func TestStopOnLastEvent(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(time.Millisecond, func() { e.Stop() })
+	if err := e.Run(time.Second); err != ErrStopped {
+		t.Fatalf("Run err = %v, want ErrStopped", err)
+	}
+	if e.Now() != time.Millisecond {
+		t.Fatalf("Now = %v, want 1ms (not advanced to horizon)", e.Now())
+	}
+
+	e2 := NewEngine(1)
+	e2.Schedule(time.Millisecond, func() { e2.Stop() })
+	if err := e2.RunAll(100); err != ErrStopped {
+		t.Fatalf("RunAll err = %v, want ErrStopped", err)
+	}
+}
+
+// TestStopBeyondHorizonNextEvent: Stop fires while the next event lies
+// beyond the horizon; the old loop broke out and returned nil.
+func TestStopBeyondHorizonNextEvent(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(time.Millisecond, func() { e.Stop() })
+	e.Schedule(time.Hour, func() {})
+	if err := e.Run(time.Second); err != ErrStopped {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+}
+
+// TestIdleStopIsNoOp: Stop while the engine is idle must not poison the
+// next Run call.
+func TestIdleStopIsNoOp(t *testing.T) {
+	e := NewEngine(1)
+	e.Stop()
+	ran := false
+	e.Schedule(time.Millisecond, func() { ran = true })
+	if err := e.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("event did not run after idle Stop")
 	}
 }
 

@@ -91,13 +91,6 @@ type Options struct {
 	// every switch added later (core.Config.Obs + dataplane RegisterObs).
 	// Nil keeps all hooks off.
 	Obs *obs.FlowObs
-	// SimWorkers > 1 partitions the simulation for conservative parallel
-	// execution (PDES): the data plane and the controller become separate
-	// logical processes cut at the secure channel, plus one process per
-	// island (NewIsland). Results are byte-identical to a serial run; the
-	// worker count only sets how many windows execute concurrently.
-	// 0 or 1 keeps the single serial engine.
-	SimWorkers int
 	// Shards > 1 splits the controller into that many logical shards
 	// with consistent-hash switch ownership (core/shard.go). On its own
 	// the shard layer only attributes work — message streams and results
@@ -132,10 +125,7 @@ type Options struct {
 
 // Net is an assembled deployment.
 type Net struct {
-	// Eng is the engine owning the main data-plane partition. In a serial
-	// deployment it is the only engine; in a partitioned one (SimWorkers >
-	// 1) island components live on their own engines — use EngFor when
-	// scheduling against a specific switch.
+	// Eng is the deployment's one simulation engine.
 	Eng        *sim.Engine
 	Fabric     *legacy.Fabric
 	Controller *core.Controller
@@ -143,9 +133,6 @@ type Net struct {
 	// Alerts is the SLO alert engine, non-nil when Options.SLO is set
 	// together with Options.Obs.
 	Alerts *obs.AlertEngine
-
-	// Par drives a partitioned run; nil for a serial deployment.
-	Par *sim.ParallelEngine
 
 	Switches []*dataplane.Switch
 	Hosts    []*host.Host
@@ -166,14 +153,6 @@ type Net struct {
 	uplinkIDs   map[uint64]int    // dpid → chaos link id of the uplink
 	nextLinkID  int
 	nextFlooder int
-
-	// Partitioning state (nil/empty for serial deployments): the main
-	// data-plane partition, the controller partition, one partition per
-	// island, and the switch → owning-partition map for island switches.
-	dataPart *sim.Partition
-	ctrlPart *sim.Partition
-	islands  []*sim.Partition
-	swParts  map[uint64]*sim.Partition
 }
 
 // New creates an empty deployment.
@@ -190,29 +169,7 @@ func New(opts Options) *Net {
 	if opts.FabricSwitches == 0 {
 		opts.FabricSwitches = 1
 	}
-	var (
-		par      *sim.ParallelEngine
-		dataPart *sim.Partition
-		ctrlPart *sim.Partition
-	)
-	var eng *sim.Engine
-	ctrlEng := (*sim.Engine)(nil)
-	if opts.SimWorkers > 1 {
-		// Partitioned deployment: the data plane and the controller become
-		// separate logical processes; the secure-channel latency is the cut
-		// between them (registered per switch in addSwitch). Both engines
-		// get the deployment seed — the only RNG the simulation draws from
-		// at run time is the data partition's, so the draw sequence matches
-		// the serial engine's exactly.
-		par = sim.NewParallel(opts.SimWorkers)
-		dataPart = par.NewPartition(opts.Seed)
-		ctrlPart = par.NewPartition(opts.Seed)
-		eng = dataPart.Engine()
-		ctrlEng = ctrlPart.Engine()
-	} else {
-		eng = sim.NewEngine(opts.Seed)
-		ctrlEng = eng
-	}
+	eng := sim.NewEngine(opts.Seed)
 	var store *monitor.Store
 	if opts.Monitor {
 		store = monitor.NewStore(0)
@@ -225,7 +182,7 @@ func New(opts Options) *Net {
 		fabric = legacy.NewStar(eng, opts.FabricSwitches, link.Params{BitsPerSec: link.Rate10G})
 	}
 	ctrl := core.New(core.Config{
-		Engine:           ctrlEng,
+		Engine:           eng,
 		Store:            store,
 		Policies:         opts.Policies,
 		RequireCerts:     opts.RequireCerts,
@@ -261,7 +218,6 @@ func New(opts Options) *Net {
 		Fabric:      fabric,
 		Controller:  ctrl,
 		Store:       store,
-		Par:         par,
 		opts:        opts,
 		nextPort:    make(map[uint64]uint32),
 		swFabric:    make(map[uint64]int),
@@ -269,34 +225,9 @@ func New(opts Options) *Net {
 		accessLinks: make(map[link.Node]*link.Link),
 		linkIDs:     make(map[link.Node]int),
 		uplinkIDs:   make(map[uint64]int),
-		dataPart:    dataPart,
-		ctrlPart:    ctrlPart,
-		swParts:     make(map[uint64]*sim.Partition),
 	}
 	if opts.Chaos {
 		n.Chaos = chaos.NewInjector(eng)
-		if ctrlPart != nil {
-			// Secure-channel faults mutate controller-side Channel state, so
-			// they must fire on the controller partition.
-			n.Chaos.SetChannelSched(ctrlPart)
-		}
-	}
-	if par != nil && opts.Obs != nil {
-		// Parallel-engine observability: barrier-round count plus the
-		// per-partition heap high-watermark. Registered only when both the
-		// registry and the parallel engine exist, so a disabled or serial
-		// exposition stays byte-identical.
-		r := opts.Obs.Registry
-		r.CounterFunc("livesec_sim_barrier_rounds_total",
-			"Conservative-sync barrier rounds executed by the parallel engine.",
-			func() float64 { return float64(par.Rounds()) })
-		for _, p := range par.Partitions() {
-			p := p
-			r.GaugeFunc("livesec_sim_partition_heap_max_depth",
-				"Per-partition high-watermark of the simulation event queue.",
-				func() float64 { return float64(p.Engine().MaxDepth()) },
-				obs.L("partition", fmt.Sprint(p.ID())))
-		}
 	}
 	if opts.Shards > 1 && opts.Obs != nil {
 		// Per-shard activity gauges, registered only for sharded
@@ -339,69 +270,17 @@ func New(opts Options) *Net {
 						tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
 			}
 		}
-		// The evaluation tick self-reschedules on the controller engine for
-		// the lifetime of the run. Evaluation only reads the registry, so
-		// the simulated network is untouched; the extra engine events are
-		// invisible to every standard experiment row (only ESCALE reports
-		// raw event counts).
+		// The evaluation tick self-reschedules for the lifetime of the run.
+		// Evaluation only reads the registry, so the simulated network is
+		// untouched; no experiment row reports raw engine event counts.
 		var tick func()
 		tick = func() {
-			ae.Tick(ctrlEng.Now())
-			ctrlEng.Schedule(ae.Interval(), tick)
+			ae.Tick(eng.Now())
+			eng.Schedule(ae.Interval(), tick)
 		}
-		ctrlEng.Schedule(ae.Interval(), tick)
+		eng.Schedule(ae.Interval(), tick)
 	}
 	return n
-}
-
-// registerPartitionObs adds the heap-watermark gauge for a partition
-// created after New (an island).
-func (n *Net) registerPartitionObs(p *sim.Partition) {
-	if n.opts.Obs == nil {
-		return
-	}
-	p2 := p
-	n.opts.Obs.Registry.GaugeFunc("livesec_sim_partition_heap_max_depth",
-		"Per-partition high-watermark of the simulation event queue.",
-		func() float64 { return float64(p2.Engine().MaxDepth()) },
-		obs.L("partition", fmt.Sprint(p2.ID())))
-}
-
-// NewIsland allocates a topology island: a group of switches, hosts and
-// service elements that, under a partitioned deployment, runs as its own
-// logical process connected to the main fabric only through positive-
-// delay uplinks (AddSwitchIsland). It returns the island id. In a serial
-// deployment islands are purely notional — the same topology is built on
-// the single engine, so serial and parallel runs stay byte-identical.
-func (n *Net) NewIsland() int {
-	id := len(n.islands)
-	if n.Par != nil {
-		p := n.Par.NewPartition(n.opts.Seed)
-		n.islands = append(n.islands, p)
-		n.registerPartitionObs(p)
-	} else {
-		n.islands = append(n.islands, nil)
-	}
-	return id
-}
-
-// partFor returns the partition owning sw (nil when serial or on the
-// main data partition).
-func (n *Net) partFor(sw *dataplane.Switch) *sim.Partition {
-	if p, ok := n.swParts[sw.DPID()]; ok {
-		return p
-	}
-	return n.dataPart
-}
-
-// EngFor returns the engine that owns sw and everything attached to it —
-// the island's engine for island switches, Net.Eng otherwise. Schedule
-// workload events for a switch's hosts on this engine.
-func (n *Net) EngFor(sw *dataplane.Switch) *sim.Engine {
-	if p, ok := n.swParts[sw.DPID()]; ok && p != nil {
-		return p.Engine()
-	}
-	return n.Eng
 }
 
 // AddSwitch creates an AS switch (OvS or OF Wi-Fi), uplinks it into
@@ -421,24 +300,6 @@ func (n *Net) AddSwitchUplink(kind dataplane.Kind, name string, fabricIdx int, u
 // latency — distant wiring closets see the controller later than nearby
 // ones, which is what makes barrier synchronization matter.
 func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, fabricIdx int, uplinkBps int64, ctrlLatency time.Duration) *dataplane.Switch {
-	return n.addSwitch(kind, name, fabricIdx, uplinkBps, ctrlLatency, 0, -1)
-}
-
-// AddSwitchIsland adds an AS switch to island isl (from NewIsland),
-// uplinked into fabric switch fabricIdx over a link with the given
-// propagation delay. Under a partitioned deployment the switch, its
-// hosts and its service elements run on the island's own logical
-// process, with the uplink delay as the partition cut (it must be
-// positive). A serial deployment builds the identical topology — same
-// uplink delay — on the single engine, so results match byte for byte.
-func (n *Net) AddSwitchIsland(kind dataplane.Kind, name string, fabricIdx, isl int, uplinkDelay time.Duration) *dataplane.Switch {
-	return n.addSwitch(kind, name, fabricIdx, n.opts.UplinkRate, n.opts.CtrlLatency, uplinkDelay, isl)
-}
-
-// addSwitch is the shared switch builder. island < 0 places the switch
-// on the main data-plane partition with a delay-free uplink; otherwise
-// the switch joins that island, uplinked across uplinkDelay.
-func (n *Net) addSwitch(kind dataplane.Kind, name string, fabricIdx int, uplinkBps int64, ctrlLatency, uplinkDelay time.Duration, island int) *dataplane.Switch {
 	n.nextDPID++
 	dpid := n.nextDPID
 	if name == "" {
@@ -448,40 +309,15 @@ func (n *Net) addSwitch(kind dataplane.Kind, name string, fabricIdx int, uplinkB
 		}
 		name = fmt.Sprintf("%s%d", prefix, dpid)
 	}
-	part := n.dataPart // nil when serial
-	if island >= 0 {
-		part = n.islands[island]
-		if part != nil {
-			n.swParts[dpid] = part
-		}
-	}
-	swEng := n.Eng
-	if part != nil {
-		swEng = part.Engine()
-	}
-	sw := dataplane.New(swEng, dataplane.Config{DPID: dpid, Name: name, Kind: kind})
+	sw := dataplane.New(n.Eng, dataplane.Config{DPID: dpid, Name: name, Kind: kind})
 	if n.opts.Obs != nil {
 		sw.RegisterObs(n.opts.Obs.Registry)
 	}
-	upParams := link.Params{BitsPerSec: uplinkBps, Delay: uplinkDelay}
-	var up *link.Link
-	if part != nil && part != n.dataPart {
-		up = n.Fabric.AttachParts(n.dataPart, part, fabricIdx, sw, uplinkPort, upParams)
-	} else {
-		up = n.Fabric.Attach(fabricIdx, sw, uplinkPort, upParams)
-	}
+	up := n.Fabric.Attach(fabricIdx, sw, uplinkPort, link.Params{BitsPerSec: uplinkBps})
 	sw.AttachPort(uplinkPort, up)
-	var ctrlSide, swSide openflow.Conn
-	if n.Par != nil {
-		swSide, ctrlSide = openflow.SimPipeParts(part, n.ctrlPart, ctrlLatency)
-	} else {
-		ctrlSide, swSide = openflow.SimPipe(n.Eng, ctrlLatency)
-	}
+	ctrlSide, swSide := openflow.SimPipe(n.Eng, ctrlLatency)
 	sw.ConnectController(swSide)
 	if n.Chaos != nil {
-		// The uplink keeps its chaos id in every mode so plan link ids stay
-		// stable; under a partitioned run, link faults may only target
-		// main-partition links (an island uplink spans two partitions).
 		n.uplinkIDs[dpid] = n.registerLink(up)
 		n.Controller.AddSwitch(n.Chaos.WrapConn(dpid, ctrlSide))
 	} else {
@@ -556,10 +392,9 @@ func (n *Net) allocPort(sw *dataplane.Switch) uint32 {
 // parameters (100 Mbps wired and 43 Mbps wireless in the paper).
 func (n *Net) AddHost(sw *dataplane.Switch, name string, ip netpkt.IPv4Addr, p link.Params) *host.Host {
 	n.nextHost++
-	eng := n.EngFor(sw)
-	h := host.New(eng, name, netpkt.MACFromUint64(n.nextHost), ip)
+	h := host.New(n.Eng, name, netpkt.MACFromUint64(n.nextHost), ip)
 	port := n.allocPort(sw)
-	l := link.Connect(eng, sw, port, h, 0, p)
+	l := link.Connect(n.Eng, sw, port, h, 0, p)
 	sw.AttachPort(port, l)
 	h.Attach(l)
 	n.trackAccessLink(h, l)
@@ -576,10 +411,7 @@ func (n *Net) MoveHost(h *host.Host, to *dataplane.Switch, p link.Params) {
 		old.SetUp(false)
 	}
 	port := n.allocPort(to)
-	// Mobility stays within one partition: a host built on the main
-	// partition may only move between main-partition switches (island
-	// hosts between that island's switches).
-	l := link.Connect(n.EngFor(to), to, port, h, 0, p)
+	l := link.Connect(n.Eng, to, port, h, 0, p)
 	to.AttachPort(port, l)
 	h.Attach(l)
 	n.trackAccessLink(h, l)
@@ -616,8 +448,7 @@ func (n *Net) addElementWithMAC(sw *dataplane.Switch, insp service.Inspector, ni
 		nicRate = link.Rate1G
 	}
 	ip := netpkt.IP(10, 9, byte(id>>8), byte(id))
-	eng := n.EngFor(sw)
-	el := service.New(eng, service.Config{
+	el := service.New(n.Eng, service.Config{
 		ID:        id,
 		Name:      fmt.Sprintf("se%d", id),
 		MAC:       mac,
@@ -626,7 +457,7 @@ func (n *Net) addElementWithMAC(sw *dataplane.Switch, insp service.Inspector, ni
 		Cert:      n.Controller.Certify(id, mac),
 	})
 	port := n.allocPort(sw)
-	l := link.Connect(eng, sw, port, el, 0, link.Params{BitsPerSec: nicRate})
+	l := link.Connect(n.Eng, sw, port, el, 0, link.Params{BitsPerSec: nicRate})
 	sw.AttachPort(port, l)
 	el.Attach(l)
 	n.trackAccessLink(el, l)
@@ -648,19 +479,14 @@ func (n *Net) MoveElement(el *service.Element, to *dataplane.Switch, nicRate int
 		old.SetUp(false)
 	}
 	port := n.allocPort(to)
-	// Like MoveHost, migration stays within the element's partition.
-	l := link.Connect(n.EngFor(to), to, port, el, 0, link.Params{BitsPerSec: nicRate})
+	l := link.Connect(n.Eng, to, port, el, 0, link.Params{BitsPerSec: nicRate})
 	to.AttachPort(port, l)
 	el.Attach(l)
 	n.trackAccessLink(el, l)
 }
 
-// Run advances virtual time by d — on the parallel engine when the
-// deployment is partitioned, on the single serial engine otherwise.
+// Run advances virtual time by d.
 func (n *Net) Run(d time.Duration) error {
-	if n.Par != nil {
-		return n.Par.Run(n.Par.Now() + d)
-	}
 	return n.Eng.Run(n.Eng.Now() + d)
 }
 
@@ -691,36 +517,11 @@ func (n *Net) Discover() error {
 	return n.Run(5 * time.Millisecond)
 }
 
-// Processed returns the total number of simulated events executed so
-// far, summed across partitions when the deployment is partitioned.
-func (n *Net) Processed() uint64 {
-	if n.Par != nil {
-		return n.Par.Processed()
-	}
-	return n.Eng.Processed
-}
-
-// SimWorkers returns the effective parallel worker count (1 = serial).
-func (n *Net) SimWorkers() int {
-	if n.Par == nil {
-		return 1
-	}
-	return n.Par.Workers()
-}
+// Processed returns the number of simulated events executed so far.
+func (n *Net) Processed() uint64 { return n.Eng.Processed }
 
 // Shards returns the controller's effective shard count (1 = unsharded).
 func (n *Net) Shards() int { return n.Controller.Shards() }
-
-// CtrlEng returns the engine the controller runs on — the controller
-// partition's engine under a partitioned deployment, Net.Eng otherwise.
-// Schedule control-plane interventions (e.g. Controller.KillShard) on
-// this engine so they execute on the controller's logical process.
-func (n *Net) CtrlEng() *sim.Engine {
-	if n.ctrlPart != nil {
-		return n.ctrlPart.Engine()
-	}
-	return n.Eng
-}
 
 // Shutdown stops background tickers on every component.
 func (n *Net) Shutdown() {

@@ -12,11 +12,9 @@
 #                  the numbers
 #   determinism -> the full experiment suite (E1…E10 + ablations) at ci
 #                  scale is byte-identical between a serial and a
-#                  parallel -stable run, between the serial engine and
-#                  the conservative parallel engine (-simworkers 4),
-#                  between an unsharded and a sharded controller
-#                  (-shards 4), between firewall state migration
-#                  disarmed and armed (-statefulfw),
+#                  parallel -stable run, between an unsharded and a
+#                  sharded controller (-shards 4), between firewall
+#                  state migration disarmed and armed (-statefulfw),
 #                  across two E12 runs (stateful firewall under
 #                  re-steers), with the SLO/alert engine disarmed and
 #                  armed (-slo), across two E13 runs (alert timeline +
@@ -58,12 +56,6 @@ trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -json "$tmpdir/serial.json" >/dev/null
 go run ./cmd/livesec-bench -scale ci -stable -json "$tmpdir/parallel.json" >/dev/null
 cmp "$tmpdir/serial.json" "$tmpdir/parallel.json"
-
-echo "==> experiment determinism (serial engine vs -simworkers 4, byte-identical)"
-go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -simworkers 4 -json "$tmpdir/pdes.json" >/dev/null
-# sim_workers is the only field allowed to differ (self-describing report).
-grep -v '"sim_workers"' "$tmpdir/pdes.json" >"$tmpdir/pdes-stripped.json"
-cmp "$tmpdir/serial.json" "$tmpdir/pdes-stripped.json"
 
 echo "==> experiment determinism (unsharded vs -shards 4, byte-identical)"
 go run ./cmd/livesec-bench -scale ci -stable -parallel 1 -shards 4 -json "$tmpdir/shards.json" >/dev/null
