@@ -92,14 +92,14 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 	b.Run("microflow", func(b *testing.B) {
 		eng, sw, pkt := benchSwitch()
 		// Prime once so the microflow cache is warm.
-		sw.pipeline(1, pkt)
+		sw.pipeline(bufferedPacket{pkt, 1})
 		if err := eng.RunAll(1 << 20); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sw.pipeline(1, pkt)
+			sw.pipeline(bufferedPacket{pkt, 1})
 			if err := eng.RunAll(1 << 20); err != nil {
 				b.Fatal(err)
 			}

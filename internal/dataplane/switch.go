@@ -72,6 +72,11 @@ type Switch struct {
 	ctrl  openflow.Conn
 	mac   netpkt.MAC
 
+	// forwarding holds the frames inside the software forwarding delay:
+	// each leaves at now + proc, and now only moves forward, so they leave
+	// in arrival order — what sim.Pipe requires.
+	forwarding *sim.Pipe[bufferedPacket]
+
 	// portOrder caches sortedPorts(); AttachPort invalidates it, so a
 	// flooded packet costs one cached-slice walk instead of a fresh
 	// allocation and sort per packet.
@@ -122,6 +127,7 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		buffers: make(map[uint32]bufferedPacket),
 		mac:     netpkt.MACFromUint64(cfg.DPID | 1<<40),
 	}
+	s.forwarding = sim.NewPipe(eng, s.pipeline)
 	return s
 }
 
@@ -220,10 +226,11 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 	p.stats.RxPackets++
 	p.stats.RxBytes += uint64(pkt.WireLen())
 	// Model the software forwarding delay, then run the pipeline.
-	s.eng.Schedule(s.proc, func() { s.pipeline(portNo, pkt) })
+	s.forwarding.At(s.eng.Now()+s.proc, bufferedPacket{pkt, portNo})
 }
 
-func (s *Switch) pipeline(inPort uint32, pkt *netpkt.Packet) {
+func (s *Switch) pipeline(in bufferedPacket) {
+	inPort, pkt := in.inPort, in.pkt
 	key := flow.KeyOf(inPort, pkt)
 	s.Lookups++
 	e := s.micro.lookup(s.table, key)
@@ -241,11 +248,13 @@ func (s *Switch) pipeline(inPort uint32, pkt *netpkt.Packet) {
 	s.apply(inPort, pkt, e.Actions)
 }
 
-// apply executes an action list on a packet. Header-rewriting actions
-// clone the packet so shared references stay intact, but consecutive
-// rewrites share one clone: a fresh copy is only taken when the current
-// packet is still shared — the caller's original, or a clone that has
-// already been emitted through an output action.
+// apply executes an action list on a packet. The only rewrites are of
+// Ethernet addresses, so a rewriting action works on a copy of the frame
+// (netpkt.Packet.CopyFrame: headers and payload stay shared, nobody
+// writes them after a send) and other references stay intact.
+// Consecutive rewrites share one copy: a fresh one is only taken when
+// the current packet is still shared — the caller's original, or a copy
+// that has already been emitted through an output action.
 func (s *Switch) apply(inPort uint32, pkt *netpkt.Packet, actions []openflow.Action) {
 	if len(actions) == 0 {
 		return // drop
@@ -256,13 +265,13 @@ func (s *Switch) apply(inPort uint32, pkt *netpkt.Packet, actions []openflow.Act
 		switch act := a.(type) {
 		case openflow.ActionSetDLDst:
 			if !owned {
-				cur = cur.Clone()
+				cur = cur.CopyFrame()
 				owned = true
 			}
 			cur.EthDst = act.MAC
 		case openflow.ActionSetDLSrc:
 			if !owned {
-				cur = cur.Clone()
+				cur = cur.CopyFrame()
 				owned = true
 			}
 			cur.EthSrc = act.MAC

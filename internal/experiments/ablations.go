@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"livesec/internal/ids"
 	"livesec/internal/loadbalance"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -40,12 +41,12 @@ func AblationGrain() Result {
 		for i := 0; i < users; i++ {
 			n.AddWiredUser(userSw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
 		}
+		rules, err := ids.Compile(e2Rules)
+		if err != nil {
+			return -1, 0
+		}
 		for i := 0; i < elements; i++ {
-			insp, err := service.NewIDS(e2Rules)
-			if err != nil {
-				return -1, 0
-			}
-			n.AddElement(seSw, insp, 0)
+			n.AddElement(seSw, service.NewIDSOver(rules), 0)
 		}
 		if err := n.Discover(); err != nil {
 			return -1, 0

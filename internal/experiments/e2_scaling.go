@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"livesec/internal/dataplane"
+	"livesec/internal/ids"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -84,12 +85,12 @@ func e2Run(k int) float64 {
 		h := n.AddServer(clientSw, fmt.Sprintf("c%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
 		clients[i] = &clientState{h: h}
 	}
+	rules, err := ids.Compile(e2Rules)
+	if err != nil {
+		return -1
+	}
 	for i := 0; i < k; i++ {
-		insp, err := service.NewIDS(e2Rules)
-		if err != nil {
-			return -1
-		}
-		n.AddElement(seHost, insp, 0)
+		n.AddElement(seHost, service.NewIDSOver(rules), 0)
 	}
 	if err := n.Discover(); err != nil {
 		return -1

@@ -6,6 +6,7 @@ import (
 
 	"livesec/internal/dataplane"
 	"livesec/internal/host"
+	"livesec/internal/ids"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -91,9 +92,18 @@ func e3Run(svc seproto.ServiceType, seHosts, vmsPerHost, sources, flowsPerSource
 			sinkIP: sinkIP,
 		}
 	}
+	// An IDS pool compiles its rules once and shares them.
+	newInspector := func() service.Inspector { return service.NewL7() }
+	if svc != seproto.ServiceL7 {
+		rules, err := ids.Compile(e2Rules)
+		if err != nil {
+			return -1
+		}
+		newInspector = func() service.Inspector { return service.NewIDSOver(rules) }
+	}
 	for _, sw := range seSwitches {
 		for v := 0; v < vmsPerHost; v++ {
-			n.AddElement(sw, e3Inspector(svc), 0)
+			n.AddElement(sw, newInspector(), 0)
 		}
 	}
 	if err := n.Discover(); err != nil {
@@ -135,15 +145,4 @@ func e3Run(svc seproto.ServiceType, seHosts, vmsPerHost, sources, flowsPerSource
 		total += p.sink.Stats().AppBytes
 	}
 	return float64(total-start) * 8 / window.Seconds() / 1e9
-}
-
-func e3Inspector(svc seproto.ServiceType) service.Inspector {
-	if svc == seproto.ServiceL7 {
-		return service.NewL7()
-	}
-	insp, err := service.NewIDS(e2Rules)
-	if err != nil {
-		panic(err)
-	}
-	return insp
 }

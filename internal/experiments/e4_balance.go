@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"livesec/internal/ids"
 	"livesec/internal/loadbalance"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -78,12 +79,12 @@ func e4Run(algo loadbalance.Algorithm, elements, users, flowsPerUser int) float6
 		n.AddWiredUser(userSw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
 		srcs = append(srcs, len(n.Hosts)-1)
 	}
+	rules, err := ids.Compile(e2Rules)
+	if err != nil {
+		return -1
+	}
 	for i := 0; i < elements; i++ {
-		insp, err := service.NewIDS(e2Rules)
-		if err != nil {
-			return -1
-		}
-		n.AddElement(seSw, insp, 0)
+		n.AddElement(seSw, service.NewIDSOver(rules), 0)
 	}
 	if err := n.Discover(); err != nil {
 		return -1

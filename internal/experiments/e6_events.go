@@ -52,12 +52,12 @@ func e6Scenario() (Result, []monitor.Event) {
 	ovs3 := n.AddOvS("ovs3")
 	ap := n.AddWiFi("ap1")
 	server := n.AddServer(ovs1, "internet", netpkt.IP(166, 111, 4, 1))
+	rules, err := ids.Compile(ids.CommunityRules)
+	if err != nil {
+		return Result{ID: "E6", Notes: []string{err.Error()}}, nil
+	}
 	for i := 0; i < 2; i++ {
-		insp, err := service.NewIDS(ids.CommunityRules)
-		if err != nil {
-			return Result{ID: "E6", Notes: []string{err.Error()}}, nil
-		}
-		n.AddElement(ovs2, insp, 0)
+		n.AddElement(ovs2, service.NewIDSOver(rules), 0)
 	}
 	for i := 0; i < 2; i++ {
 		n.AddElement(ovs3, service.NewL7(), 0)

@@ -104,14 +104,14 @@ func e7LiveSecThroughput(k int) float64 {
 		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
 	})
 	n := newNet(testbed.Options{Seed: 29, Policies: pt, SteerForwardOnly: true})
+	rules, err := ids.Compile(e2Rules)
+	if err != nil {
+		return -1
+	}
 	for i := 0; i < k; i++ {
 		sw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), 0, link.Rate1G)
 		for v := 0; v < 4; v++ {
-			insp, err := service.NewIDS(e2Rules)
-			if err != nil {
-				return -1
-			}
-			n.AddElement(sw, insp, 0)
+			n.AddElement(sw, service.NewIDSOver(rules), 0)
 		}
 	}
 	srcCount := k + 2

@@ -199,13 +199,13 @@ func e8Net(withChaos bool, nProbes int) (*testbed.Net, *host.Host, *host.Host, [
 	s3 := n.AddOvS("ovs3")
 	user := n.AddWiredUser(s1, "user", netpkt.IP(10, 8, 0, 1))
 	server := n.AddServer(s2, "server", serverV)
+	rules, err := ids.Compile(ids.CommunityRules)
+	if err != nil {
+		return nil, nil, nil, nil
+	}
 	var seIDs []uint64
 	for i := 0; i < 2; i++ {
-		insp, err := service.NewIDS(ids.CommunityRules)
-		if err != nil {
-			return nil, nil, nil, nil
-		}
-		el := n.AddElement(s3, insp, 0)
+		el := n.AddElement(s3, service.NewIDSOver(rules), 0)
 		seIDs = append(seIDs, el.ID())
 	}
 	if err := n.Discover(); err != nil {

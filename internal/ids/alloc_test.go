@@ -8,8 +8,8 @@ import (
 
 // The clean path — benign traffic, no pattern hits — is the IDS
 // element's per-packet hot path and must not allocate: scratch state is
-// pooled and generation-stamped, and the nocase lower-casing buffer is
-// reused.
+// the engine's own and generation-stamped, and the nocase lower-casing
+// buffer is reused.
 func TestInspectCleanPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")

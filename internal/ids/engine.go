@@ -1,10 +1,6 @@
 package ids
 
-import (
-	"sync"
-
-	"livesec/internal/netpkt"
-)
+import "livesec/internal/netpkt"
 
 // Alert is one rule hit on one packet.
 type Alert struct {
@@ -13,9 +9,12 @@ type Alert struct {
 	Severity uint8
 }
 
-// Engine is a compiled rule set. Build once, then Inspect every packet;
-// Inspect is read-only and safe for concurrent use.
-type Engine struct {
+// Ruleset is a rule set compiled for matching: the rules, the two
+// multi-pattern automata and the tables that map a pattern hit back to
+// its rule. It is built eagerly and never written afterwards, so one
+// Ruleset serves any number of Engines, from any number of goroutines —
+// a deployment compiles its rule text once, not once per element.
+type Ruleset struct {
 	rules []*Rule
 	// caseSensitive/caseFolded are the two multi-pattern automatons;
 	// nocase patterns are matched against the lower-cased payload.
@@ -28,19 +27,25 @@ type Engine struct {
 	// constraints (offset/depth).
 	csContent, cfContent []*Content
 	needed               []int // number of distinct content patterns per rule
+}
+
+// Engine inspects packets against a Ruleset for one owner: it holds the
+// counters and the working state of Inspect, so it is not safe for
+// concurrent use. Engines over one Ruleset share nothing mutable.
+type Engine struct {
+	*Ruleset
 
 	// Inspected counts packets run through the engine.
 	Inspected uint64
 	// Alerts counts alerts produced.
 	Alerts uint64
 
-	// scratchPool recycles per-Inspect working state so the hot clean
-	// path (no pattern hits) allocates nothing; pooling (rather than one
-	// scratch on the Engine) keeps concurrent Inspect calls safe.
-	scratchPool sync.Pool
+	// scratch is reused by every Inspect so the hot clean path (no
+	// pattern hits) allocates nothing.
+	scratch inspectScratch
 }
 
-// inspectScratch is the reusable per-call working state of Inspect:
+// inspectScratch is the reusable working state of Inspect:
 // generation-stamped hit tracking (no clearing between packets) and the
 // lower-cased payload buffer for nocase matching.
 type inspectScratch struct {
@@ -52,30 +57,16 @@ type inspectScratch struct {
 	cand    []int    // candidate rule indices, in first-hit order
 }
 
-func (e *Engine) getScratch() *inspectScratch {
-	s, _ := e.scratchPool.Get().(*inspectScratch)
-	if s == nil {
-		s = &inspectScratch{
-			ruleGen: make([]uint32, len(e.rules)),
-			count:   make([]int32, len(e.rules)),
-			patGen:  make([]uint32, len(e.csOwner)+len(e.cfOwner)),
-		}
-	}
+// next readies the scratch for one more packet.
+func (s *inspectScratch) next() {
 	s.gen++
 	if s.gen == 0 {
 		// Wrapped: stamps from 2^32 packets ago could collide; reset.
-		clearUint32(s.ruleGen)
-		clearUint32(s.patGen)
+		clear(s.ruleGen)
+		clear(s.patGen)
 		s.gen = 1
 	}
 	s.cand = s.cand[:0]
-	return s
-}
-
-func clearUint32(v []uint32) {
-	for i := range v {
-		v[i] = 0
-	}
 }
 
 // lowered lower-cases b into the scratch buffer (grown once, reused).
@@ -93,57 +84,79 @@ func (s *inspectScratch) lowered(b []byte) []byte {
 	return out
 }
 
-// NewEngine compiles a rule set.
-func NewEngine(rules []*Rule) *Engine {
-	e := &Engine{
+// NewRuleset compiles rules, building both automata.
+func NewRuleset(rules []*Rule) *Ruleset {
+	rs := &Ruleset{
 		rules:         rules,
 		caseSensitive: NewMatcher(),
 		caseFolded:    NewMatcher(),
 		needed:        make([]int, len(rules)),
 	}
 	for ri, r := range rules {
-		e.needed[ri] = len(r.Contents)
+		rs.needed[ri] = len(r.Contents)
 		for ci := range r.Contents {
 			c := &r.Contents[ci]
 			if c.NoCase {
-				e.caseFolded.Add(c.Pattern)
-				e.cfOwner = append(e.cfOwner, ri)
-				e.cfContent = append(e.cfContent, c)
+				rs.caseFolded.Add(c.Pattern)
+				rs.cfOwner = append(rs.cfOwner, ri)
+				rs.cfContent = append(rs.cfContent, c)
 			} else {
-				e.caseSensitive.Add(c.Pattern)
-				e.csOwner = append(e.csOwner, ri)
-				e.csContent = append(e.csContent, c)
+				rs.caseSensitive.Add(c.Pattern)
+				rs.csOwner = append(rs.csOwner, ri)
+				rs.csContent = append(rs.csContent, c)
 			}
 		}
 	}
-	e.caseSensitive.Build()
-	e.caseFolded.Build()
-	return e
+	rs.caseSensitive.Build()
+	rs.caseFolded.Build()
+	return rs
 }
+
+// Compile parses rule text and compiles it.
+func Compile(ruleText string) (*Ruleset, error) {
+	rules, err := ParseRules(ruleText)
+	if err != nil {
+		return nil, err
+	}
+	return NewRuleset(rules), nil
+}
+
+// NewEngine returns an engine of its own over the shared rule set.
+func (rs *Ruleset) NewEngine() *Engine {
+	return &Engine{Ruleset: rs, scratch: inspectScratch{
+		ruleGen: make([]uint32, len(rs.rules)),
+		count:   make([]int32, len(rs.rules)),
+		patGen:  make([]uint32, len(rs.csOwner)+len(rs.cfOwner)),
+	}}
+}
+
+// NewEngine compiles a rule set for a single engine.
+func NewEngine(rules []*Rule) *Engine { return NewRuleset(rules).NewEngine() }
 
 // MustEngine compiles rule text, panicking on parse errors. Intended for
 // static built-in rule sets.
 func MustEngine(ruleText string) *Engine {
-	rules, err := ParseRules(ruleText)
+	rs, err := Compile(ruleText)
 	if err != nil {
 		panic(err)
 	}
-	return NewEngine(rules)
+	return rs.NewEngine()
 }
 
 // NumRules returns the number of compiled rules.
-func (e *Engine) NumRules() int { return len(e.rules) }
+func (rs *Ruleset) NumRules() int { return len(rs.rules) }
 
 // Inspect runs the packet through the rule set and returns any alerts,
 // in rule-definition order. The clean path (no pattern hits) performs no
-// heap allocation: the working state is pooled and generation-stamped.
+// heap allocation: the working state is the engine's own and
+// generation-stamped.
 func (e *Engine) Inspect(pkt *netpkt.Packet) []Alert {
 	e.Inspected++
 	if pkt.IP == nil || len(pkt.Payload) == 0 {
 		return nil
 	}
-	s := e.getScratch()
-	defer e.scratchPool.Put(s)
+	s := &e.scratch
+	s.next()
 	// Phase 1: multi-pattern scan counts distinct matched patterns per
 	// candidate rule (repeat occurrences dedupe via the pattern stamp).
 	record := func(ri, id int) {

@@ -9,7 +9,7 @@ package legacy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"livesec/internal/link"
@@ -29,6 +29,12 @@ type learned struct {
 	at   time.Duration
 }
 
+// switching is one frame inside the switch's processing delay.
+type switching struct {
+	pkt    *netpkt.Packet
+	inPort uint32
+}
+
 // Switch is a classic transparent learning bridge.
 type Switch struct {
 	eng   *sim.Engine
@@ -42,6 +48,14 @@ type Switch struct {
 	// groups holds ECMP port bundles (ecmp.go).
 	groups map[uint32]*ecmpGroup
 
+	// frames holds the frames inside the processing delay: each leaves at
+	// now + procDelay, and now only moves forward, so they leave in
+	// arrival order — what sim.Pipe requires.
+	frames *sim.Pipe[switching]
+	// portOrder caches the ascending port list flooding walks;
+	// AttachPort invalidates it.
+	portOrder []uint32
+
 	// FloodedFrames counts frames sent by flooding (unknown unicast or
 	// broadcast); the directory-proxy ablation reads it.
 	FloodedFrames uint64
@@ -51,7 +65,7 @@ type Switch struct {
 
 // NewSwitch creates a learning switch.
 func NewSwitch(eng *sim.Engine, id int, name string) *Switch {
-	return &Switch{
+	s := &Switch{
 		eng:     eng,
 		id:      id,
 		name:    name,
@@ -59,6 +73,8 @@ func NewSwitch(eng *sim.Engine, id int, name string) *Switch {
 		blocked: make(map[uint32]bool),
 		macs:    make(map[netpkt.MAC]learned),
 	}
+	s.frames = sim.NewPipe(eng, s.forward)
+	return s
 }
 
 // Name returns the switch name.
@@ -67,6 +83,20 @@ func (s *Switch) Name() string { return s.name }
 // AttachPort registers local port no as this switch's end of l.
 func (s *Switch) AttachPort(no uint32, l *link.Link) {
 	s.ports[no] = l.From(s)
+	s.portOrder = nil // port set changed; rebuild the flood order lazily
+}
+
+// sortedPorts lists port numbers ascending (deterministic flooding). The
+// slice is cached across frames; callers must not modify or retain it.
+func (s *Switch) sortedPorts() []uint32 {
+	if s.portOrder == nil && len(s.ports) > 0 {
+		s.portOrder = make([]uint32, 0, len(s.ports))
+		for no := range s.ports {
+			s.portOrder = append(s.portOrder, no)
+		}
+		slices.Sort(s.portOrder)
+	}
+	return s.portOrder
 }
 
 // Block puts a port in spanning-tree discard state.
@@ -86,10 +116,11 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 		// the same next hop.
 		s.macs[pkt.EthSrc] = learned{port: s.groupLeader(portNo), at: now}
 	}
-	s.eng.Schedule(procDelay, func() { s.forward(portNo, pkt) })
+	s.frames.At(now+procDelay, switching{pkt, portNo})
 }
 
-func (s *Switch) forward(inPort uint32, pkt *netpkt.Packet) {
+func (s *Switch) forward(f switching) {
+	inPort, pkt := f.inPort, f.pkt
 	if !pkt.EthDst.IsBroadcast() {
 		if l, ok := s.macs[pkt.EthDst]; ok && s.eng.Now()-l.at < macAge && !s.blocked[l.port] {
 			if l.port != inPort && !s.sameGroup(l.port, inPort) {
@@ -104,12 +135,7 @@ func (s *Switch) forward(inPort uint32, pkt *netpkt.Packet) {
 	// ingress, in port order so simulations are deterministic; ECMP
 	// bundles contribute only their leader so loops and duplicates
 	// cannot form.
-	ports := make([]uint32, 0, len(s.ports))
-	for no := range s.ports {
-		ports = append(ports, no)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	for _, no := range ports {
+	for _, no := range s.sortedPorts() {
 		if no == inPort || s.blocked[no] || s.sameGroup(no, inPort) {
 			continue
 		}

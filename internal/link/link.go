@@ -53,10 +53,21 @@ type Stats struct {
 	Drops     uint64
 }
 
+// inFlight is one packet on the wire and the queue bytes it holds until
+// it arrives.
+type inFlight struct {
+	pkt  *netpkt.Packet
+	size int
+}
+
 // endpoint is one transmit direction of a link.
 type endpoint struct {
 	eng    *sim.Engine
 	params Params
+	// wire holds the packets in flight. Arrival is busyUntl plus the fixed
+	// propagation delay, and busyUntl only moves forward, so arrivals are
+	// in send order — what sim.Pipe requires.
+	wire *sim.Pipe[inFlight]
 
 	peer     *endpoint
 	node     Node   // node attached at this end
@@ -88,8 +99,8 @@ func Connect(eng *sim.Engine, nodeA Node, portA uint32, nodeB Node, portB uint32
 		b:        endpoint{eng: eng, params: p, node: nodeB, port: portB, up: true},
 		baseBits: p.BitsPerSec,
 	}
-	l.a.peer = &l.b
-	l.b.peer = &l.a
+	l.a.peer, l.a.wire = &l.b, sim.NewPipe(eng, l.a.arrive)
+	l.b.peer, l.b.wire = &l.a, sim.NewPipe(eng, l.b.arrive)
 	return l
 }
 
@@ -170,14 +181,16 @@ func (e Endpoint) Send(pkt *netpkt.Packet) {
 	ep.queued += size
 	ep.stats.TxPackets++
 	ep.stats.TxBytes += uint64(size)
-	arrive := ep.busyUntl + ep.params.Delay
-	peer := ep.peer
-	ep.eng.At(arrive, func() {
-		ep.queued -= size
-		if peer.up {
-			peer.node.Receive(peer.port, pkt)
-		}
-	})
+	ep.wire.At(ep.busyUntl+ep.params.Delay, inFlight{pkt, size})
+}
+
+// arrive runs when a packet reaches the far end: it releases the
+// sender's queue bytes and delivers if the link is up at that moment.
+func (ep *endpoint) arrive(f inFlight) {
+	ep.queued -= f.size
+	if peer := ep.peer; peer.up {
+		peer.node.Receive(peer.port, f.pkt)
+	}
 }
 
 // QueueDelay returns how long a packet enqueued now would wait before its

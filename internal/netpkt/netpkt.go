@@ -230,9 +230,21 @@ func (p *Packet) WireLen() int {
 	return n
 }
 
-// Clone returns a deep copy of the packet. Switching elements that modify
-// headers (e.g. dl_dst rewrite) operate on their own copy so other queued
-// references remain intact.
+// CopyFrame returns a copy of the packet's Ethernet frame fields (EthDst,
+// EthSrc, VLAN, EthType, BulkLen) that shares the protocol headers and
+// the payload with p. It is what a forwarding element takes before a
+// dl_dst/dl_src rewrite, under the convention the data path keeps: once a
+// packet has been sent, nobody writes through its header pointers or into
+// its payload, and only the holder of a fresh frame copy writes its
+// Ethernet fields — so other queued references to p stay intact at the
+// cost of one small allocation. Use Clone to change anything else.
+func (p *Packet) CopyFrame() *Packet {
+	q := *p
+	return &q
+}
+
+// Clone returns a deep copy of the packet: headers and payload of the
+// copy can be modified without affecting p.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.ARP != nil {

@@ -105,6 +105,13 @@ type Stats struct {
 	Events  uint64
 }
 
+// queuedPacket is one packet in the element's ingress queue and the
+// queue bytes it holds until it has been served.
+type queuedPacket struct {
+	pkt  *netpkt.Packet
+	size int
+}
+
 // Element is one VM-based service element.
 type Element struct {
 	eng *sim.Engine
@@ -115,6 +122,10 @@ type Element struct {
 
 	busyUntil time.Duration
 	queued    int
+	// ingress holds the packets waiting for or in service. Each finishes at
+	// busyUntil, which only moves forward, so they finish in arrival order
+	// — what sim.Pipe requires.
+	ingress *sim.Pipe[queuedPacket]
 
 	stats      Stats
 	windowPkts uint64 // packets since the last heartbeat
@@ -145,6 +156,7 @@ func New(eng *sim.Engine, cfg Config) *Element {
 		cfg.QueueBytes = defaultQueueBytes
 	}
 	e := &Element{eng: eng, cfg: cfg}
+	e.ingress = sim.NewPipe(eng, e.process)
 	if cfg.Inspector != nil {
 		e.syncer, _ = cfg.Inspector.(StateSyncer)
 		e.installer, _ = cfg.Inspector.(StateInstaller)
@@ -273,13 +285,12 @@ func (e *Element) Receive(_ uint32, pkt *netpkt.Packet) {
 	}
 	e.busyUntil = start + cost
 	e.queued += size
-	e.eng.At(e.busyUntil, func() {
-		e.queued -= size
-		e.process(pkt)
-	})
+	e.ingress.At(e.busyUntil, queuedPacket{pkt, size})
 }
 
-func (e *Element) process(pkt *netpkt.Packet) {
+func (e *Element) process(q queuedPacket) {
+	pkt := q.pkt
+	e.queued -= q.size
 	if e.crashed || e.wedged {
 		// The packet was queued before the fault hit; it dies with the VM.
 		e.stats.Drops++

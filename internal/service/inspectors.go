@@ -30,11 +30,18 @@ type IDSInspector struct {
 
 // NewIDS builds an intrusion-detection inspector from rule text.
 func NewIDS(ruleText string) (*IDSInspector, error) {
-	rules, err := ids.ParseRules(ruleText)
+	rs, err := ids.Compile(ruleText)
 	if err != nil {
 		return nil, err
 	}
-	return &IDSInspector{Engine: ids.NewEngine(rules)}, nil
+	return NewIDSOver(rs), nil
+}
+
+// NewIDSOver builds an intrusion-detection inspector over an already
+// compiled rule set. A pool of elements running the same rules compiles
+// them once and gives every element its own inspector over the result.
+func NewIDSOver(rs *ids.Ruleset) *IDSInspector {
+	return &IDSInspector{Engine: rs.NewEngine()}
 }
 
 // ServiceType implements Inspector.

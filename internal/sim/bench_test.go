@@ -5,23 +5,26 @@ import (
 	"time"
 )
 
-// BenchmarkEngineSchedule measures one steady-state Schedule+pop cycle
-// through the public API against a queue of background events — the
-// cost every simulated packet hop pays twice (transmission and
-// propagation timers).
-func BenchmarkEngineSchedule(b *testing.B) {
+// BenchmarkEngineScheduleRun measures one Schedule + Run cycle through
+// the public API with a backlog of idle timers an hour out — the pattern
+// of livesecd (one Run per OpenFlow message) and of the wall-clock
+// benchmark's sim.ns_per_event. Every cycle peeks past the backlog, so a
+// queue whose peek scans instead of reading a kept minimum shows here.
+func BenchmarkEngineScheduleRun(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(itoa(depth), func(b *testing.B) {
 			e := NewEngine(1)
 			fn := func() {}
 			for i := 0; i < depth; i++ {
-				e.Schedule(time.Duration(i%97)*time.Microsecond, fn)
+				e.Schedule(time.Hour, fn)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev := e.pop()
-				e.push(ev)
+				e.Schedule(time.Microsecond, fn)
+				if err := e.Run(e.Now() + time.Microsecond); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

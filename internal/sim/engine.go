@@ -8,6 +8,7 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -25,40 +26,64 @@ const MinTickerPeriod = time.Millisecond
 
 // event is a scheduled callback. The callback runs at the event's virtual
 // time; it may schedule further events. Events are stored by value inside
-// the engine's heap slice, so scheduling one does not allocate.
+// the engine's bucket slices, so scheduling one does not allocate.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at time.Duration
+	fn func()
 }
 
-// before reports whether a fires before b: (time, sequence) order, so
-// same-timestamp events fire in the order they were scheduled.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+// numBuckets is one bucket per possible position of the highest bit in
+// which an event's time differs from the queue's reference time, plus
+// bucket 0 for "no difference". Virtual time is a non-negative int64, so
+// the difference has at most 63 significant bits.
+const numBuckets = 64
 
 // Engine is a discrete-event scheduler with a virtual clock.
 // It is not safe for concurrent use; all components of one simulation must
 // interact with it from event callbacks (or before Run is called).
 //
-// The pending-event queue is an index-free 4-ary min-heap laid out in a
-// single value slice. Compared to the previous container/heap of *event
-// pointers this removes one allocation per Schedule, the interface-call
-// indirection on every sift step, and (being 4-ary) halves the tree depth
-// so sift-down touches fewer cache lines. Popped slots are zeroed and the
-// slice's tail capacity is retained as the free list, so steady-state
-// Schedule/pop cycles allocate nothing.
+// The pending-event queue is a monotone radix queue (Ahuja, Mehlhorn,
+// Orlin, Tarjan). Virtual time never runs backwards — At clamps to now —
+// so the queue only has to order events that lie at or after the time it
+// last delivered, and a general-purpose heap's compares are wasted work.
+// An event at time t lives in bucket bits.Len64(t XOR last), where last
+// is the time bucket 0 currently holds: bucket 0 is every event at
+// exactly last, and every event of bucket i fires before every event of
+// bucket j > i. Bucket 0 is consumed front to back; when it drains, the
+// lowest occupied bucket is redistributed around its own minimum, which
+// moves each of its events to a strictly lower bucket, so an event is
+// moved at most once per bit of its delay (≈3 times in practice).
+//
+// Pushes append and redistribution walks a bucket front to back, and
+// same-time events always share a bucket, so ties fire in scheduling
+// order: the total order is (time, scheduling sequence) without storing
+// a sequence number.
+//
+// Finding the earliest event never modifies the queue: each occupied
+// bucket remembers its minimum (one compare per push) and a bit mask
+// names the lowest occupied bucket, so Run's horizon check is O(1) and
+// leaves last untouched when the earliest event lies beyond the horizon
+// — a later Schedule between the horizon and that event is still
+// accepted and fires in order. Popped and moved slots are zeroed and
+// every bucket keeps its capacity, so steady-state Schedule/pop cycles
+// allocate nothing.
 type Engine struct {
 	now     time.Duration
-	seq     uint64
-	heap    []event
 	rng     *rand.Rand
 	stopped bool
-	// maxDepth is the heap-occupancy high-watermark, an observability
+
+	// last is the radix reference time: every queued event is at or after
+	// it, and bucket 0 holds exactly the events at it. last ≤ now.
+	last    time.Duration
+	buckets [numBuckets][]event
+	// head indexes the next event to pop from bucket 0.
+	head int
+	// mins[i] is the earliest time in bucket i, valid while bit i of
+	// occupied is set (bucket i holds an unpopped event).
+	mins     [numBuckets]time.Duration
+	occupied uint64
+	pending  int
+	// maxDepth is the queue-occupancy high-watermark, an observability
 	// signal for backlog growth (exported via MaxDepth).
 	maxDepth int
 
@@ -94,8 +119,11 @@ func (e *Engine) At(at time.Duration, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	e.push(event{at: at, seq: e.seq, fn: fn})
+	e.push(event{at: at, fn: fn})
+	e.pending++
+	if e.pending > e.maxDepth {
+		e.maxDepth = e.pending
+	}
 }
 
 // Stop makes the current Run or RunAll call return ErrStopped after the
@@ -121,7 +149,7 @@ func (e *Engine) At(at time.Duration, fn func()) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // MaxDepth reports the largest number of events ever queued at once.
 func (e *Engine) MaxDepth() int { return e.maxDepth }
@@ -132,8 +160,8 @@ func (e *Engine) MaxDepth() int { return e.maxDepth }
 // returns ErrStopped only when stopped explicitly.
 func (e *Engine) Run(horizon time.Duration) error {
 	e.stopped = false
-	for len(e.heap) > 0 {
-		if e.heap[0].at > horizon {
+	for e.pending > 0 {
+		if e.nextAt() > horizon {
 			break
 		}
 		next := e.pop()
@@ -159,7 +187,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 func (e *Engine) RunAll(maxEvents uint64) error {
 	e.stopped = false
 	var n uint64
-	for len(e.heap) > 0 {
+	for e.pending > 0 {
 		if n >= maxEvents {
 			return errors.New("sim: event budget exhausted")
 		}
@@ -201,71 +229,74 @@ func (e *Engine) Ticker(period time.Duration, fn func()) (cancel func()) {
 	return func() { stopped = true }
 }
 
-// 4-ary heap primitives. Children of node i live at 4i+1 … 4i+4, the
-// parent at (i-1)/4. Sift loops hold the moving event in a register and
-// shift displaced nodes instead of swapping, so each level costs one
-// copy.
+// Radix-queue primitives. Callers keep pending and maxDepth; these keep
+// buckets, head, mins, occupied and last consistent with each other.
 
-// push appends ev and restores the heap invariant by sifting it up.
+// push files ev under the current reference time. ev.at ≥ e.last holds
+// because At clamps to now and last never passes now.
 func (e *Engine) push(ev event) {
-	e.heap = append(e.heap, ev)
-	if len(e.heap) > e.maxDepth {
-		e.maxDepth = len(e.heap)
+	i := bits.Len64(uint64(ev.at ^ e.last))
+	if e.occupied&(1<<i) == 0 {
+		e.occupied |= 1 << i
+		e.mins[i] = ev.at
+	} else if ev.at < e.mins[i] {
+		e.mins[i] = ev.at
 	}
-	i := len(e.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev.before(e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		i = p
-	}
-	e.heap[i] = ev
+	e.buckets[i] = append(e.buckets[i], ev)
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the callback closure it held becomes collectable; the slot
-// itself stays in the slice's capacity as free-list space for the next
-// push.
+// nextAt returns the time of the earliest queued event without touching
+// the queue. The queue must not be empty.
+func (e *Engine) nextAt() time.Duration {
+	return e.mins[bits.TrailingZeros64(e.occupied)]
+}
+
+// slideAfter is how many popped slots bucket 0 tolerates at its front
+// before it considers sliding its live events down over them.
+const slideAfter = 64
+
+// pop removes and returns the earliest event, first pulling the lowest
+// occupied bucket down into bucket 0 when that has drained. The vacated
+// slot is zeroed so the callback closure it held becomes collectable.
+// The queue must not be empty.
 func (e *Engine) pop() event {
-	h := e.heap
-	min := h[0]
-	last := len(h) - 1
-	ev := h[last]
-	h[last] = event{}
-	e.heap = h[:last]
-	if last > 0 {
-		e.siftDown(ev)
+	if i := bits.TrailingZeros64(e.occupied); i != 0 {
+		e.redistribute(i)
 	}
-	return min
+	b := e.buckets[0]
+	ev := b[e.head]
+	b[e.head] = event{}
+	e.head++
+	switch {
+	case e.head == len(b):
+		e.buckets[0], e.head = b[:0], 0
+		e.occupied &^= 1
+	case e.head >= slideAfter && 2*e.head >= len(b):
+		// Events that keep scheduling at the current instant never let
+		// bucket 0 drain. Once half of it is popped slots, slide the live
+		// tail down (amortised O(1)), so its storage follows the live
+		// events and not every event the instant has seen.
+		n := copy(b, b[e.head:])
+		clear(b[n:])
+		e.buckets[0], e.head = b[:n], 0
+	}
+	e.pending--
+	return ev
 }
 
-// siftDown places ev, logically at the root, into its final position.
-func (e *Engine) siftDown(ev event) {
-	h := e.heap
-	n := len(h)
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(ev) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+// redistribute empties bucket i, the lowest occupied one, around its
+// minimum: that minimum becomes the reference time and every event of
+// the bucket, in order, lands in a strictly lower bucket (the minimum
+// itself and its ties in bucket 0). Events in higher buckets differ from
+// the old and the new reference time in the same highest bit, so they
+// stay where they are.
+func (e *Engine) redistribute(i int) {
+	src := e.buckets[i]
+	e.buckets[i] = src[:0]
+	e.occupied &^= 1 << i
+	e.last = e.mins[i]
+	for _, ev := range src {
+		e.push(ev)
 	}
-	h[i] = ev
+	clear(src)
 }

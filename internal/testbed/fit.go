@@ -94,16 +94,17 @@ func BuildFIT(fo FITOptions, opts Options) (*FIT, error) {
 	// Gateway: the Internet server hangs off the first OvS.
 	f.Gateway = n.AddServer(f.OvSes[0], "gateway", GatewayIP)
 
-	// Service elements: IDS hosts first, then L7 hosts.
+	// Service elements: IDS hosts first, then L7 hosts. Every IDS element
+	// inspects over the one compiled rule set.
+	rules, err := ids.Compile(ids.CommunityRules)
+	if err != nil {
+		return nil, err
+	}
 	hostIdx := 0
 	for ; hostIdx < fo.IDSHosts; hostIdx++ {
 		sw := f.OvSes[hostIdx%len(f.OvSes)]
 		for v := 0; v < fo.VMsPerHost; v++ {
-			insp, err := service.NewIDS(ids.CommunityRules)
-			if err != nil {
-				return nil, err
-			}
-			f.IDSElements = append(f.IDSElements, n.AddElement(sw, insp, 0))
+			f.IDSElements = append(f.IDSElements, n.AddElement(sw, service.NewIDSOver(rules), 0))
 		}
 	}
 	for ; hostIdx < fo.IDSHosts+fo.L7Hosts; hostIdx++ {

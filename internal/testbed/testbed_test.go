@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,5 +118,25 @@ func TestBuildFITRejectsBadSplit(t *testing.T) {
 	fo.IDSHosts = fo.OvS + 1
 	if _, err := BuildFIT(fo, Options{}); err == nil {
 		t.Fatal("invalid host split accepted")
+	}
+}
+
+// The full deployment's 160 IDS elements inspect over one compiled rule
+// set: building it allocates about 1 MB. Compiling the community rules
+// per element cost about 0.4 MB each — 66 MB — most of it the automata
+// every element then kept resident.
+func TestBuildFITCompilesRulesOnce(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := BuildFIT(FullFIT(), Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(f.IDSElements) != 160 {
+		t.Fatalf("%d IDS elements, want 160", len(f.IDSElements))
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 8 {
+		t.Fatalf("BuildFIT(FullFIT()) allocated %.1f MB; more than one compiled rule set?", mb)
 	}
 }
