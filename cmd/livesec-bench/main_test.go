@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"livesec/internal/experiments"
 )
 
 func TestRunSingleExperimentCI(t *testing.T) {
@@ -44,83 +46,49 @@ func TestRunWritesJSONReport(t *testing.T) {
 
 // TestParallelOutputByteIdentical proves the -parallel flag cannot
 // change results: serial and maximally parallel runs with -stable must
-// write byte-identical JSON reports. Short mode covers a three-
-// experiment subset; the full E1–E8 sweep runs in nightly CI.
+// write byte-identical JSON reports, with observability off and on.
+// Short mode covers a three-experiment subset; otherwise each row runs
+// the whole standard suite ("all").
 func TestParallelOutputByteIdentical(t *testing.T) {
 	exps := []string{"E1", "E5", "E6"}
 	if !testing.Short() {
 		exps = []string{"all"}
 	}
-	for _, exp := range exps {
-		dir := t.TempDir()
-		serial := filepath.Join(dir, "serial.json")
-		parallel := filepath.Join(dir, "parallel.json")
-		base := []string{"-scale", "ci", "-experiment", exp, "-stable"}
-		if err := run(append(base, "-parallel", "1", "-json", serial)); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append(base, "-parallel", "8", "-json", parallel)); err != nil {
-			t.Fatal(err)
-		}
-		s, err := os.ReadFile(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := os.ReadFile(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(s, p) {
-			t.Fatalf("%s: serial and parallel -stable reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s", exp, s, p)
-		}
-		// The stable report must not leak wall-clock fields.
-		if bytes.Contains(s, []byte("generated_at")) || bytes.Contains(s, []byte("seconds")) {
-			t.Fatalf("%s: -stable report contains wall-clock fields:\n%s", exp, s)
-		}
-	}
-}
-
-// TestShardsOutputByteIdentical proves the -shards flag cannot change
-// results: the default shard layer only attributes work (core/shard.go),
-// so a sharded run's -stable JSON report must be identical to an
-// unsharded one, except for the self-describing shards field. Short mode
-// covers a subset including E10 (which picks its own shard counts and
-// must ignore the flag); scripts/verify.sh runs the same comparison over
-// the full suite.
-func TestShardsOutputByteIdentical(t *testing.T) {
-	exps := []string{"E1", "E9", "E10"}
-	if !testing.Short() {
-		exps = []string{"all"}
-	}
-	for _, exp := range exps {
-		dir := t.TempDir()
-		unsharded := filepath.Join(dir, "unsharded.json")
-		sharded := filepath.Join(dir, "sharded.json")
-		base := []string{"-scale", "ci", "-experiment", exp, "-stable", "-parallel", "1"}
-		if err := run(append(base, "-json", unsharded)); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append(base, "-shards", "4", "-json", sharded)); err != nil {
-			t.Fatal(err)
-		}
-		var ur, sr jsonReport
-		for path, dst := range map[string]*jsonReport{unsharded: &ur, sharded: &sr} {
-			data, err := os.ReadFile(path)
+	for _, extra := range [][]string{nil, {"-obs"}} {
+		sawSetup := false
+		for _, exp := range exps {
+			dir := t.TempDir()
+			serial := filepath.Join(dir, "serial.json")
+			parallel := filepath.Join(dir, "parallel.json")
+			base := append([]string{"-scale", "ci", "-experiment", exp, "-stable"}, extra...)
+			if err := run(append(base, "-parallel", "1", "-json", serial)); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(base, "-parallel", "8", "-json", parallel)); err != nil {
+				t.Fatal(err)
+			}
+			s, err := os.ReadFile(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal(data, dst); err != nil {
+			p, err := os.ReadFile(parallel)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if !bytes.Equal(s, p) {
+				t.Fatalf("%s %v: serial and parallel -stable reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s", exp, extra, s, p)
+			}
+			// The stable report must not leak wall-clock fields.
+			// (Quoted keys: -obs histograms carry a virtual-time "sum_seconds".)
+			if bytes.Contains(s, []byte("generated_at")) || bytes.Contains(s, []byte(`"seconds"`)) ||
+				bytes.Contains(s, []byte(`"total_seconds"`)) {
+				t.Fatalf("%s %v: -stable report contains wall-clock fields:\n%s", exp, extra, s)
+			}
+			sawSetup = sawSetup || bytes.Contains(s, []byte("flow_setup"))
 		}
-		if ur.Shards != 0 || sr.Shards != 4 {
-			t.Fatalf("%s: shards unsharded=%d sharded=%d, want 0 and 4", exp, ur.Shards, sr.Shards)
-		}
-		sr.Shards = 0
-		u, _ := json.Marshal(ur)
-		s, _ := json.Marshal(sr)
-		if !bytes.Equal(u, s) {
-			t.Fatalf("%s: unsharded and shards=4 -stable reports differ:\n--- unsharded ---\n%s\n--- sharded ---\n%s", exp, u, s)
+		// The -obs row compared instrumented reports, the other none.
+		if sawSetup != (extra != nil) {
+			t.Fatalf("%v: flow_setup block present = %v", extra, sawSetup)
 		}
 	}
 }
@@ -134,10 +102,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Fatal("bad experiment accepted")
 	}
 	// The error lists what would have been accepted, built from the
-	// runners table so it cannot go stale.
-	for id := range runners {
-		if !regexp.MustCompile(`\b` + id + `\b`).MatchString(err.Error()) {
-			t.Errorf("unknown-experiment error %q does not name %s", err, id)
+	// Suite table so it cannot go stale.
+	for _, e := range experiments.Suite {
+		if !regexp.MustCompile(`\b` + e.ID + `\b`).MatchString(err.Error()) {
+			t.Errorf("unknown-experiment error %q does not name %s", err, e.ID)
 		}
 	}
 }

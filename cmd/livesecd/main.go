@@ -76,19 +76,7 @@ func run() error {
 		ctrl.Start()
 		if *sloFlag {
 			alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
-			alerts.OnTransition = func(tr obs.AlertTransition) {
-				typ := monitor.EventAlertFiring
-				if tr.State == "resolved" {
-					typ = monitor.EventAlertResolved
-				}
-				sev := uint8(1)
-				if tr.Severity == "critical" {
-					sev = 2
-				}
-				store.Record(monitor.Event{At: tr.At, Type: typ, Severity: sev,
-					Detail: fmt.Sprintf("%s value=%.6g limit=%.6g trace=%d",
-						tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
-			}
+			alerts.OnTransition = store.RecordAlert
 			var tick func()
 			tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
 			lk.eng.Schedule(alerts.Interval(), tick)

@@ -151,6 +151,9 @@ type Net struct {
 	nextMAC uint64
 }
 
+// serverIP is the Internet-side server's address.
+var serverIP = netpkt.IP(166, 111, 1, 1)
+
 // Options configures the baseline network.
 type Options struct {
 	Seed int64
@@ -161,8 +164,6 @@ type Options struct {
 	MiddleboxBps int64
 	// Rules loads the middlebox IDS (empty = forward blindly).
 	Rules string
-	// ServerIP is the Internet-side address (default 166.111.1.1).
-	ServerIP netpkt.IPv4Addr
 	// WANDelay is the extra one-way delay to the server.
 	WANDelay time.Duration
 }
@@ -177,9 +178,6 @@ func New(opts Options) (*Net, error) {
 	}
 	if opts.MiddleboxBps == 0 {
 		opts.MiddleboxBps = link.Rate1G
-	}
-	if opts.ServerIP.IsZero() {
-		opts.ServerIP = netpkt.IP(166, 111, 1, 1)
 	}
 	eng := sim.NewEngine(opts.Seed)
 	fabric := legacy.NewStar(eng, opts.EdgeSwitches, link.Params{BitsPerSec: link.Rate10G})
@@ -197,7 +195,7 @@ func New(opts Options) (*Net, error) {
 	inside := fabric.Attach(0, mb, 0, link.Params{BitsPerSec: link.Rate10G})
 	mb.AttachPort(0, inside)
 	// Outside port connects to the server over the WAN link.
-	server := host.New(eng, "internet", netpkt.MACFromUint64(0xBB0001), opts.ServerIP)
+	server := host.New(eng, "internet", netpkt.MACFromUint64(0xBB0001), serverIP)
 	wan := link.Connect(eng, mb, 1, server, 0, link.Params{BitsPerSec: link.Rate10G, Delay: opts.WANDelay})
 	mb.AttachPort(1, wan)
 	server.Attach(wan)

@@ -313,9 +313,6 @@ func (in *Injector) RegisterLink(id int, l LinkController) { in.links[id] = l }
 // RegisterElement registers a service-element target under its SE id.
 func (in *Injector) RegisterElement(id uint64, el ElementController) { in.elements[id] = el }
 
-// RegisterChannel records an already-wrapped channel under its dpid.
-func (in *Injector) RegisterChannel(dpid uint64, ch *Channel) { in.channels[dpid] = ch }
-
 // RegisterFlooder registers a storm-capable host under an id of the
 // caller's choosing.
 func (in *Injector) RegisterFlooder(id int, f Flooder) { in.flooders[id] = f }

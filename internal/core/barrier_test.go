@@ -18,8 +18,8 @@ func burstNet(t *testing.T, barriers bool) (delivered int, ignored uint64) {
 	// The ingress switch hears the controller quickly; the server's
 	// wiring closet is farther away, so its flow-mods land later — the
 	// classic window for a released packet to overtake its entries.
-	s1 := n.AddSwitchFull(dataplane.KindOvS, "clients", 0, link.Rate1G, 100*time.Microsecond)
-	s2 := n.AddSwitchFull(dataplane.KindOvS, "server", 0, link.Rate1G, 800*time.Microsecond)
+	s1 := n.AddSwitchFull(dataplane.KindOvS, "clients", link.Rate1G, 100*time.Microsecond)
+	s2 := n.AddSwitchFull(dataplane.KindOvS, "server", link.Rate1G, 800*time.Microsecond)
 	srv := n.AddServer(s2, "srv", serverIP)
 	const clients = 24
 	type cl struct{ h *hostHandle }

@@ -11,7 +11,7 @@ package core
 // Each element carries a closed → open → half-open state machine driven
 // by its own load reports (every service.HeartbeatInterval):
 //
-//	         BreakerTripAfter consecutive bad reports
+//	         breakerTripAfter consecutive bad reports
 //	closed ────────────────────────────────────────────► open
 //	   ▲                                                  │
 //	   │ probe's report healthy              open timeout │
@@ -21,13 +21,13 @@ package core
 //	                       with doubled timeout)
 //
 // A report is bad when the reported queue depth exceeds
-// BreakerMaxQueue, or when flows were assigned since the last report but
+// breakerMaxQueue, or when flows were assigned since the last report but
 // the element's processed-packet counter did not advance (the wedge
 // signature). Tripping drains the element's live sessions — their next
 // packet re-steers through surviving elements or hits the policy's fail
 // mode — and excludes it from pickElement until the open timeout, which
-// backs off exponentially (BreakerOpenBase, doubled per consecutive
-// trip, capped at BreakerOpenCap) on the sim clock, so everything stays
+// backs off exponentially (breakerOpenBase, doubled per consecutive
+// trip, capped at breakerOpenCap) on the sim clock, so everything stays
 // deterministic.
 
 import (
@@ -37,15 +37,19 @@ import (
 	"livesec/internal/seproto"
 )
 
-// Circuit-breaker defaults (Config fields override).
+// Circuit-breaker thresholds.
 const (
-	defaultBreakerTripAfter = 2
-	// defaultBreakerMaxQueue is half the element's default ingress queue
-	// cap (service.Config.QueueBytes, 512 KiB): queues past this point
+	// breakerTripAfter is the consecutive-bad-report trip threshold.
+	breakerTripAfter = 2
+	// breakerMaxQueue is the reported queue depth (bytes) above which a
+	// load report counts as bad: half the element's default ingress
+	// queue cap (service.Config.QueueBytes, 512 KiB), past which queues
 	// mean multi-heartbeat backlogs.
-	defaultBreakerMaxQueue = 256 << 10
-	defaultBreakerOpenBase = 2 * time.Second
-	defaultBreakerOpenCap  = 30 * time.Second
+	breakerMaxQueue = 256 << 10
+	// breakerOpenBase and breakerOpenCap bound the exponential open
+	// timeout: base, 2·base, … per consecutive trip, capped.
+	breakerOpenBase = 2 * time.Second
+	breakerOpenCap  = 30 * time.Second
 )
 
 // breakerState is the per-element circuit state.
@@ -77,7 +81,7 @@ func (c *Controller) breakerObserve(se *seState, load seproto.Load) {
 	if !c.cfg.Breakers {
 		return
 	}
-	bad := load.QueueLen > c.cfg.BreakerMaxQueue ||
+	bad := load.QueueLen > breakerMaxQueue ||
 		(se.pendingAssign > 0 && load.Packets <= se.prevPackets)
 	se.prevPackets = load.Packets
 	switch se.brState {
@@ -87,7 +91,7 @@ func (c *Controller) breakerObserve(se *seState, load seproto.Load) {
 			return
 		}
 		se.brFails++
-		if se.brFails >= c.cfg.BreakerTripAfter {
+		if se.brFails >= breakerTripAfter {
 			c.tripBreaker(se, "unhealthy load reports")
 		}
 	case breakerHalfOpen:
@@ -123,7 +127,7 @@ func (c *Controller) tripBreaker(se *seState, why string) {
 	se.brProbing = false
 	se.brTrips++
 	se.brOpenUntil = c.eng.Now() +
-		backoffDelay(se.brTrips, c.cfg.BreakerOpenBase, c.cfg.BreakerOpenCap)
+		backoffDelay(se.brTrips, breakerOpenBase, breakerOpenCap)
 	c.stats.BreakerTrips++
 	c.cache.invalidateSE(se.id)
 	c.record(monitor.Event{Type: monitor.EventBreakerOpen, SE: se.id, Detail: why})

@@ -35,11 +35,11 @@ const (
 	prioForward uint16 = 200 // end-to-end forwarding entries
 )
 
-// Defaults.
+// Defaults and fixed periods.
 const (
 	defaultFlowIdle    = 30 * time.Second
 	defaultHostTTL     = 300 * time.Second
-	defaultLLDPPeriod  = 5 * time.Second
+	lldpPeriod         = 5 * time.Second // topology-discovery refresh
 	defaultSETimeout   = 3 * service.HeartbeatInterval
 	housekeepingPeriod = time.Second
 )
@@ -57,11 +57,6 @@ type Config struct {
 	// RequireCerts drops traffic from elements presenting bad
 	// certificates (§III.D.1).
 	RequireCerts bool
-	// DefaultAlgorithm is the dispatch algorithm when a policy rule does
-	// not choose one. Zero means LeastLoad (the deployed default).
-	DefaultAlgorithm loadbalance.Algorithm
-	// DefaultGrain is the balancing granularity default (FlowGrain).
-	DefaultGrain loadbalance.Grain
 	// SteerReverse also steers the reply direction of chained sessions
 	// through the same elements (bidirectional session handling,
 	// §III.C.3). Defaults to true; set SteerForwardOnly to disable.
@@ -70,8 +65,6 @@ type Config struct {
 	FlowIdle time.Duration
 	// HostTTL expires silent hosts from the routing table.
 	HostTTL time.Duration
-	// LLDPPeriod is the topology-discovery refresh period.
-	LLDPPeriod time.Duration
 	// Seed makes load-balancer tie-breaking reproducible.
 	Seed int64
 	// DHCP enables controller-managed address leasing (directory proxy,
@@ -85,20 +78,9 @@ type Config struct {
 	// liveness probing with bounded exponential backoff, switch-down
 	// detection, per-switch shadow flow tables, and a barrier-confirmed
 	// resync when a disconnected switch returns. Off by default so
-	// existing runs reproduce bit-for-bit.
+	// existing runs reproduce bit-for-bit. Its periods and retry bounds
+	// are constants in resilience.go.
 	Keepalive bool
-	// EchoInterval is the liveness probe period (default 500ms).
-	EchoInterval time.Duration
-	// EchoMaxMiss is how many consecutive unanswered probes mark a
-	// switch down (default 3).
-	EchoMaxMiss int
-	// RetryBase and RetryCap bound the exponential backoff of reconnect
-	// probes and resync retries (defaults: EchoInterval and 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// ResyncMaxAttempts bounds barrier-confirmed resync retries before
-	// the switch is declared down again (default 5).
-	ResyncMaxAttempts int
 
 	// PacketInCost models the controller's serialized per-packet-in
 	// processing cost (overload.go): each packet-in occupies the
@@ -111,44 +93,16 @@ type Config struct {
 	// per-switch and per-source-MAC admission token buckets, a bounded
 	// per-switch packet-in queue, and dataplane suppression entries for
 	// shedding sources. Off by default so existing runs reproduce
-	// bit-for-bit.
+	// bit-for-bit. Its budgets, queue bound and suppression hold are
+	// constants in overload.go.
 	OverloadProtection bool
-	// IngressQueueCap bounds queued packet-ins per switch (default 256).
-	IngressQueueCap int
-	// PacketInRate/PacketInBurst is the per-switch packet-in token
-	// bucket (defaults 2000/s, burst 200).
-	PacketInRate  float64
-	PacketInBurst float64
-	// SourceRate/SourceBurst is the per-source-MAC token bucket
-	// (defaults 50/s, burst 50).
-	SourceRate  float64
-	SourceBurst float64
-	// SuppressHold is the hard timeout of suppression entries (default
-	// 1s; rounded up to whole seconds on the wire).
-	SuppressHold time.Duration
-	// SuppressOpen forwards shed sources fail-open into the fabric
-	// instead of dropping them (availability over inspection; the hold
-	// window is accounted as policy-violation time).
-	SuppressOpen bool
 
 	// Breakers enables per-service-element circuit breakers around SE
 	// dispatch (breaker.go): a slow or wedged element trips open after
-	// BreakerTripAfter consecutive bad load reports, is excluded from
-	// steering while open, and recovers through a half-open probe. Off
-	// by default.
+	// consecutive bad load reports, is excluded from steering while
+	// open, and recovers through a half-open probe. Off by default. Its
+	// thresholds and open timeouts are constants in breaker.go.
 	Breakers bool
-	// BreakerTripAfter is the consecutive-bad-report trip threshold
-	// (default 2).
-	BreakerTripAfter int
-	// BreakerMaxQueue is the reported queue depth (bytes) above which a
-	// load report counts as bad (default 256 KiB — half the element's
-	// ingress queue cap).
-	BreakerMaxQueue uint32
-	// BreakerOpenBase and BreakerOpenCap bound the exponential open
-	// timeout: base, 2·base, … per consecutive trip, capped (defaults
-	// 2s and 30s).
-	BreakerOpenBase time.Duration
-	BreakerOpenCap  time.Duration
 
 	// Obs enables the observability subsystem (internal/obs): sampled
 	// controller/engine metrics and per-flow setup trace spans, exported
@@ -187,18 +141,14 @@ type Config struct {
 	// learned state is charged to lock-step replication. 0 or 1 (the
 	// default) disables the layer. On its own the setting is pure
 	// bookkeeping — message streams are byte-identical at any value,
-	// which the verify gate enforces.
+	// which experiments.TestKnobsNeutral enforces.
 	Shards int
 	// ShardLanes gives each shard its own serialized packet-in lane of
 	// PacketInCost per packet-in — the scale-out model the E10
 	// experiment measures. It changes timing (N lanes drain N× faster
-	// than the single FIFO), so it is a per-experiment knob, never set
-	// by the global -shards flag; it is ignored under
-	// OverloadProtection, whose defended pipeline owns ingress.
+	// than the single FIFO); it is ignored under OverloadProtection,
+	// whose defended pipeline owns ingress.
 	ShardLanes bool
-	// ShardVnodes is the consistent-hash virtual-node count per shard
-	// (default 64).
-	ShardVnodes int
 	// ShardCoordLatency is the one-way delay of cross-shard
 	// coordination messages carrying a peer shard's install batch. Zero
 	// (the default) installs inline; positive values model the
@@ -471,74 +421,14 @@ func New(cfg Config) *Controller {
 	if cfg.Policies == nil {
 		cfg.Policies = policy.NewTable(policy.Allow)
 	}
-	if cfg.DefaultAlgorithm == 0 {
-		cfg.DefaultAlgorithm = loadbalance.LeastLoad
-	}
-	if cfg.DefaultGrain == 0 {
-		cfg.DefaultGrain = loadbalance.FlowGrain
-	}
 	if cfg.FlowIdle == 0 {
 		cfg.FlowIdle = defaultFlowIdle
 	}
 	if cfg.HostTTL == 0 {
 		cfg.HostTTL = defaultHostTTL
 	}
-	if cfg.LLDPPeriod == 0 {
-		cfg.LLDPPeriod = defaultLLDPPeriod
-	}
 	if len(cfg.Secret) == 0 {
 		cfg.Secret = []byte("livesec-default-secret")
-	}
-	if cfg.Keepalive {
-		if cfg.EchoInterval == 0 {
-			cfg.EchoInterval = defaultEchoInterval
-		}
-		if cfg.EchoMaxMiss == 0 {
-			cfg.EchoMaxMiss = defaultEchoMaxMiss
-		}
-		if cfg.RetryBase == 0 {
-			cfg.RetryBase = cfg.EchoInterval
-		}
-		if cfg.RetryCap == 0 {
-			cfg.RetryCap = defaultRetryCap
-		}
-		if cfg.ResyncMaxAttempts == 0 {
-			cfg.ResyncMaxAttempts = defaultResyncMaxAttempts
-		}
-	}
-	if cfg.OverloadProtection {
-		if cfg.IngressQueueCap == 0 {
-			cfg.IngressQueueCap = defaultIngressQueueCap
-		}
-		if cfg.PacketInRate == 0 {
-			cfg.PacketInRate = defaultPacketInRate
-		}
-		if cfg.PacketInBurst == 0 {
-			cfg.PacketInBurst = defaultPacketInBurst
-		}
-		if cfg.SourceRate == 0 {
-			cfg.SourceRate = defaultSourceRate
-		}
-		if cfg.SourceBurst == 0 {
-			cfg.SourceBurst = defaultSourceBurst
-		}
-		if cfg.SuppressHold == 0 {
-			cfg.SuppressHold = defaultSuppressHold
-		}
-	}
-	if cfg.Breakers {
-		if cfg.BreakerTripAfter == 0 {
-			cfg.BreakerTripAfter = defaultBreakerTripAfter
-		}
-		if cfg.BreakerMaxQueue == 0 {
-			cfg.BreakerMaxQueue = defaultBreakerMaxQueue
-		}
-		if cfg.BreakerOpenBase == 0 {
-			cfg.BreakerOpenBase = defaultBreakerOpenBase
-		}
-		if cfg.BreakerOpenCap == 0 {
-			cfg.BreakerOpenCap = defaultBreakerOpenCap
-		}
 	}
 	if cfg.StatefulFW && cfg.FWHandoffTimeout == 0 {
 		cfg.FWHandoffTimeout = defaultFWHandoffTimeout
@@ -671,11 +561,11 @@ func (c *Controller) AddSwitch(conn openflow.Conn) {
 // returns immediately; activity happens on the simulation engine.
 func (c *Controller) Start() {
 	c.stops = append(c.stops,
-		c.eng.Ticker(c.cfg.LLDPPeriod, c.DiscoverNow),
+		c.eng.Ticker(lldpPeriod, c.DiscoverNow),
 		c.eng.Ticker(housekeepingPeriod, c.housekeep),
 	)
 	if c.cfg.Keepalive {
-		c.stops = append(c.stops, c.eng.Ticker(c.cfg.EchoInterval, c.keepaliveSweep))
+		c.stops = append(c.stops, c.eng.Ticker(echoInterval, c.keepaliveSweep))
 	}
 }
 
@@ -857,6 +747,7 @@ func (c *Controller) housekeep() {
 	}
 	c.expireSessions(now)
 	c.overloadHousekeep(now)
+	c.fwMirrorHousekeep(now)
 }
 
 // RemoveSwitch unregisters a departed AS switch (its secure channel
@@ -944,13 +835,14 @@ func (c *Controller) Elements() []ElementInfo {
 func (c *Controller) NumSwitches() int { return len(c.switches) }
 
 // balancer returns (creating on demand) the balancer for a policy's
-// algorithm/grain combination.
+// algorithm/grain combination. A rule that chooses neither gets the
+// deployed default: minimum load, per flow.
 func (c *Controller) balancer(algo loadbalance.Algorithm, grain loadbalance.Grain) *loadbalance.Balancer {
 	if algo == 0 {
-		algo = c.cfg.DefaultAlgorithm
+		algo = loadbalance.LeastLoad
 	}
 	if grain == 0 {
-		grain = c.cfg.DefaultGrain
+		grain = loadbalance.FlowGrain
 	}
 	k := balancerKey{algo, grain}
 	b, ok := c.balancers[k]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"livesec/internal/flow"
@@ -24,25 +25,39 @@ import (
 // The transfer is bounded: if the STATE_ACK misses FWHandoffTimeout the
 // handoff is written off and the session falls back to drop-and-relearn
 // on the new element.
+//
+// The mirror is bounded (fwMirrorHousekeep): a CLOSED sync can be lost
+// and a UDP/ICMP pseudo-session never closes, so an entry that has not
+// synced for fwMirrorTTL is forgotten, and past fwMirrorCap entries the
+// least recently synced go first. A forgotten session that is re-steered
+// later falls back to drop-and-relearn, like any unmirrored one.
 
 // defaultFWHandoffTimeout bounds a state handoff when the config leaves
 // it zero: comfortably above one control-channel round trip, far below
 // session idle timeouts.
 const defaultFWHandoffTimeout = 10 * time.Millisecond
 
+// Mirror bounds: fwMirrorTTL matches defaultHostTTL (a session outlives
+// neither endpoint's directory entry), fwMirrorCap is what housekeeping
+// trims the mirror back to once a second.
+const (
+	fwMirrorTTL = 300 * time.Second
+	fwMirrorCap = 1 << 16
+)
+
 // fwMirrorEntry is the controller's copy of one session's firewall
-// state plus the element currently holding it live.
+// state plus the element currently holding it live. syncedAt is the
+// virtual time of the session's last STATE_SYNC.
 type fwMirrorEntry struct {
-	state  seproto.SessionState
-	holder uint64
+	state    seproto.SessionState
+	holder   uint64
+	syncedAt time.Duration
 }
 
 // fwHandoff tracks one in-flight STATE_INSTALL awaiting its STATE_ACK.
 type fwHandoff struct {
-	id       uint64
-	fromSE   uint64
-	toSE     uint64
-	sessions int
+	fromSE uint64
+	toSE   uint64
 	// span is the fw_install child of the setup that triggered the
 	// handoff (nil with observability off); closed by the ack or the
 	// timeout, whichever lands first.
@@ -77,6 +92,40 @@ func (c *Controller) handleFWStateSync(pkt *netpkt.Packet, m *seproto.StateSync)
 		}
 		ent.state = s
 		ent.holder = m.SEID
+		ent.syncedAt = c.eng.Now()
+	}
+}
+
+// fwMirrorHousekeep bounds the mirror: entries silent for longer than
+// fwMirrorTTL are dropped, then the least recently synced beyond
+// fwMirrorCap, ties broken by SessionKey.Less so the survivors do not
+// depend on map order. Pure map cleanup: no emissions.
+func (c *Controller) fwMirrorHousekeep(now time.Duration) {
+	for k, ent := range c.fwMirror {
+		if now-ent.syncedAt > fwMirrorTTL {
+			delete(c.fwMirror, k)
+		}
+	}
+	over := len(c.fwMirror) - fwMirrorCap
+	if over <= 0 {
+		return
+	}
+	type aged struct {
+		key      seproto.SessionKey
+		syncedAt time.Duration
+	}
+	all := make([]aged, 0, len(c.fwMirror))
+	for k, ent := range c.fwMirror {
+		all = append(all, aged{k, ent.syncedAt})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].syncedAt != all[j].syncedAt {
+			return all[i].syncedAt < all[j].syncedAt
+		}
+		return all[i].key.Less(all[j].key)
+	})
+	for _, a := range all[:over] {
+		delete(c.fwMirror, a.key)
 	}
 }
 
@@ -167,7 +216,7 @@ func (c *Controller) fwSendInstall(sk seproto.SessionKey, ent *fwMirrorEntry, ta
 		Actions:  openflow.Output(target.port),
 		Data:     pkt.Marshal(),
 	})
-	c.fwPending[hid] = &fwHandoff{id: hid, fromSE: ent.holder, toSE: target.id, sessions: 1, span: ch}
+	c.fwPending[hid] = &fwHandoff{fromSE: ent.holder, toSE: target.id, span: ch}
 	ent.holder = target.id
 	c.stats.FWHandoffsSent++
 	c.eng.Schedule(c.cfg.FWHandoffTimeout, func() {

@@ -19,7 +19,7 @@ package core
 //                          │             │ always served first
 //                          ▼             ▼
 //                      admission ──► per-switch bounded queue ──► dispatch
-//                       (token           (IngressQueueCap)
+//                       (token           (ingressQueueCap)
 //                        buckets)
 //
 //     Non-packet-in messages bypass admission entirely and are served
@@ -29,9 +29,7 @@ package core
 //     budget (or overflows the queue) is shed, and the controller
 //     installs a short-lived low-priority "suppression" flow mod on the
 //     offending switch so the storm is absorbed in the dataplane instead
-//     of the control channel (drop by default; Config.SuppressOpen
-//     forwards fail-open into the fabric, accounted as a policy
-//     violation like resilience.go's fail-open windows).
+//     of the control channel.
 //
 // Both knobs default to off, so existing runs reproduce bit-for-bit.
 // Everything is driven by the sim clock and deterministic: bucket refill
@@ -57,14 +55,16 @@ const prioSuppress uint16 = 100
 // accounting also skips them via their wildcards, like dropCookie).
 const suppressCookie uint64 = 0xD1
 
-// Overload-protection defaults (Config fields override).
+// Overload-protection budgets.
 const (
-	defaultIngressQueueCap = 256
-	defaultPacketInRate    = 2000 // packet-ins/s per switch
-	defaultPacketInBurst   = 200
-	defaultSourceRate      = 50 // packet-ins/s per source MAC
-	defaultSourceBurst     = 50
-	defaultSuppressHold    = time.Second
+	ingressQueueCap = 256  // queued packet-ins per switch
+	packetInRate    = 2000 // packet-ins/s per switch
+	packetInBurst   = 200
+	sourceRate      = 50 // packet-ins/s per source MAC
+	sourceBurst     = 50
+	// suppressHold is the hard timeout of suppression entries (whole
+	// seconds on the wire).
+	suppressHold = time.Second
 	// srcBucketIdle is how long an idle per-source bucket survives
 	// before housekeeping reclaims it.
 	srcBucketIdle = 10 * time.Second
@@ -115,7 +115,7 @@ type overloadState struct {
 	ctrlHead int
 	data     []ingressItem
 	dataHead int
-	// perSwitch tracks queued packet-ins per dpid against IngressQueueCap.
+	// perSwitch tracks queued packet-ins per dpid against ingressQueueCap.
 	perSwitch map[uint64]int
 	// Admission buckets.
 	swBuckets  map[uint64]*tokenBucket
@@ -180,10 +180,10 @@ func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool 
 	if haveSrc {
 		b := ov.srcBuckets[src]
 		if b == nil {
-			b = &tokenBucket{tokens: c.cfg.SourceBurst, last: now}
+			b = &tokenBucket{tokens: sourceBurst, last: now}
 			ov.srcBuckets[src] = b
 		}
-		if !b.take(now, c.cfg.SourceRate, c.cfg.SourceBurst) {
+		if !b.take(now, sourceRate, sourceBurst) {
 			c.stats.PacketInsShed++
 			c.stats.ShedSourceBudget++
 			c.obsShed(st, src, haveSrc)
@@ -193,10 +193,10 @@ func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool 
 	}
 	sb := ov.swBuckets[st.dpid]
 	if sb == nil {
-		sb = &tokenBucket{tokens: c.cfg.PacketInBurst, last: now}
+		sb = &tokenBucket{tokens: packetInBurst, last: now}
 		ov.swBuckets[st.dpid] = sb
 	}
-	if !sb.take(now, c.cfg.PacketInRate, c.cfg.PacketInBurst) {
+	if !sb.take(now, packetInRate, packetInBurst) {
 		// The switch as a whole is over budget; no single source to pin
 		// a suppression on.
 		c.stats.PacketInsShed++
@@ -204,7 +204,7 @@ func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool 
 		c.obsShed(st, src, haveSrc)
 		return false
 	}
-	if ov.perSwitch[st.dpid] >= c.cfg.IngressQueueCap {
+	if ov.perSwitch[st.dpid] >= ingressQueueCap {
 		c.stats.PacketInsShed++
 		c.stats.ShedQueueOverflow++
 		c.obsShed(st, src, haveSrc)
@@ -240,24 +240,7 @@ func (c *Controller) suppressSource(st *switchState, src netpkt.MAC) {
 	if until, ok := ov.suppressed[k]; ok && now < until {
 		return
 	}
-	holdSecs := uint16((c.cfg.SuppressHold + time.Second - 1) / time.Second)
-	if holdSecs == 0 {
-		holdSecs = 1
-	}
-	hold := time.Duration(holdSecs) * time.Second
-	ov.suppressed[k] = now + hold
-	actions := openflow.Drop()
-	mode := "drop"
-	if c.cfg.SuppressOpen {
-		if up, ok := lowestUplink(st); ok {
-			// Fail-open into the legacy fabric: availability over
-			// inspection, accounted as a policy-violation window for the
-			// entry's whole lifetime (cf. resilience.go fail-open).
-			actions = openflow.Output(up)
-			mode = "fail-open"
-			c.violationAccum += hold
-		}
-	}
+	ov.suppressed[k] = now + suppressHold
 	c.sendFlowMod(st, &openflow.FlowMod{
 		Match: flow.Match{
 			Wildcards: flow.WildAll &^ flow.WildEthSrc,
@@ -266,24 +249,12 @@ func (c *Controller) suppressSource(st *switchState, src netpkt.MAC) {
 		Cookie:      suppressCookie,
 		Command:     openflow.FlowAdd,
 		Priority:    prioSuppress,
-		HardTimeout: holdSecs,
-		Actions:     actions,
+		HardTimeout: uint16(suppressHold / time.Second),
+		Actions:     openflow.Drop(),
 	})
 	c.stats.SuppressRules++
 	c.record(monitor.Event{Type: monitor.EventSuppress, Switch: st.dpid,
-		User: src.String(), Detail: mode + " " + hold.String()})
-}
-
-// lowestUplink returns the switch's lowest-numbered fabric uplink port.
-func lowestUplink(st *switchState) (uint32, bool) {
-	var best uint32
-	found := false
-	for p := range st.uplinks {
-		if !found || p < best {
-			best, found = p, true
-		}
-	}
-	return best, found
+		User: src.String(), Detail: "drop " + suppressHold.String()})
 }
 
 // ingressServe drains the lanes: control lane strictly first, then

@@ -5,7 +5,7 @@ package core
 // With Config.Keepalive enabled the controller:
 //
 //   - probes every registered switch with Echo requests on a fixed
-//     interval and declares it down after EchoMaxMiss consecutive
+//     interval and declares it down after echoMaxMiss consecutive
 //     unanswered probes;
 //   - keeps probing a down switch with bounded exponential backoff
 //     (backoffDelay), so a flapping channel is neither hammered nor
@@ -16,7 +16,7 @@ package core
 //   - on reconnect runs a resync handshake: refresh features, wipe the
 //     switch's flow table, reinstall the shadow in original emission
 //     order, and confirm with a barrier. The barrier reply is retried
-//     with backoff up to ResyncMaxAttempts times before the switch is
+//     with backoff up to resyncMaxAttempts times before the switch is
 //     declared down again;
 //   - excludes down/resyncing switches from routing decisions so new
 //     flows are never steered into a blackhole the controller knows
@@ -36,12 +36,19 @@ import (
 	"livesec/internal/openflow"
 )
 
-// Keepalive defaults (Config fields override).
+// Keepalive timing.
 const (
-	defaultEchoInterval      = 500 * time.Millisecond
-	defaultEchoMaxMiss       = 3
-	defaultRetryCap          = 5 * time.Second
-	defaultResyncMaxAttempts = 5
+	// echoInterval is the liveness probe period; echoMaxMiss consecutive
+	// unanswered probes mark a switch down.
+	echoInterval = 500 * time.Millisecond
+	echoMaxMiss  = 3
+	// retryBase and retryCap bound the exponential backoff of reconnect
+	// probes and resync retries.
+	retryBase = echoInterval
+	retryCap  = 5 * time.Second
+	// resyncMaxAttempts bounds barrier-confirmed resync retries before
+	// the switch is declared down again.
+	resyncMaxAttempts = 5
 )
 
 // failClosedHoldSecs is the hard timeout of the drop rule installed when
@@ -97,14 +104,14 @@ func (c *Controller) keepaliveSweep() {
 		case st.down:
 			if now >= st.nextProbe {
 				st.probeAttempt++
-				st.nextProbe = now + backoffDelay(st.probeAttempt, c.cfg.RetryBase, c.cfg.RetryCap)
+				st.nextProbe = now + backoffDelay(st.probeAttempt, retryBase, retryCap)
 				c.sendEcho(st)
 			}
 		default:
 			if st.echoPending {
 				st.echoMisses++
 				c.stats.EchoMisses++
-				if st.echoMisses >= c.cfg.EchoMaxMiss {
+				if st.echoMisses >= echoMaxMiss {
 					c.markSwitchDown(st, "echo timeout")
 					continue
 				}
@@ -231,7 +238,7 @@ func (c *Controller) beginResync(st *switchState) {
 // channel was dark, and a wipe is the only way to remove them), the
 // complete shadow table in original emission order, and a barrier whose
 // reply confirms the switch processed it all. A timer retries with
-// backoff until ResyncMaxAttempts, then gives the switch back to the
+// backoff until resyncMaxAttempts, then gives the switch back to the
 // down/probe loop.
 func (c *Controller) sendResync(st *switchState) {
 	st.resyncAttempt++
@@ -257,14 +264,14 @@ func (c *Controller) sendResync(st *switchState) {
 	msgs = append(msgs, &openflow.BarrierRequest{XID: xid})
 	openflow.SendAll(st.conn, msgs...)
 
-	delay := backoffDelay(st.resyncAttempt, c.cfg.RetryBase, c.cfg.RetryCap)
+	delay := backoffDelay(st.resyncAttempt, retryBase, retryCap)
 	c.eng.Schedule(delay, func() {
 		cur, outstanding := c.pendingResyncs[xid]
 		if !outstanding || cur != st || !st.resyncing {
 			return // confirmed, superseded, or the switch went down again
 		}
 		delete(c.pendingResyncs, xid)
-		if st.resyncAttempt >= c.cfg.ResyncMaxAttempts {
+		if st.resyncAttempt >= resyncMaxAttempts {
 			c.stats.ResyncFailures++
 			st.resyncing = false
 			c.markSwitchDown(st, "resync barrier lost")

@@ -25,10 +25,10 @@ package core
 
 import "sort"
 
-// defaultShardVnodes is the virtual-node count per shard. 64 points per
+// shardVnodes is the virtual-node count per shard. 64 points per
 // shard keeps the maximum ownership imbalance under ~20% for small N
 // while the ring stays tiny (N·64 points).
-const defaultShardVnodes = 64
+const shardVnodes = 64
 
 // ringNodeSalt keys the virtual-node hash domain (see NewShardRing).
 const ringNodeSalt = 0x5bd1e995c2b2ae35
@@ -52,36 +52,31 @@ type ringPoint struct {
 // ShardRing maps uint64 keys (switch dpids) to shard ids by consistent
 // hashing.
 type ShardRing struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 	live   []bool
 	nLive  int
 }
 
-// NewShardRing builds a ring of `shards` shards with `vnodes` virtual
-// nodes each (0 uses the default). All shards start live. A given
-// shard's virtual nodes depend only on (shard, vnode), so growing the
-// ring from N to N+1 shards adds points without moving any existing
-// one — the consistency property.
-func NewShardRing(shards, vnodes int) *ShardRing {
+// NewShardRing builds a ring of `shards` shards with shardVnodes
+// virtual nodes each. All shards start live. A given shard's virtual
+// nodes depend only on (shard, vnode), so growing the ring from N to
+// N+1 shards adds points without moving any existing one — the
+// consistency property.
+func NewShardRing(shards int) *ShardRing {
 	if shards < 1 {
 		shards = 1
 	}
-	if vnodes <= 0 {
-		vnodes = defaultShardVnodes
-	}
 	r := &ShardRing{
-		vnodes: vnodes,
-		points: make([]ringPoint, 0, shards*vnodes),
+		points: make([]ringPoint, 0, shards*shardVnodes),
 		live:   make([]bool, shards),
 		nLive:  shards,
 	}
 	for s := 0; s < shards; s++ {
 		r.live[s] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < shardVnodes; v++ {
 			// The salt separates the node-hash domain from the key-hash
 			// domain: without it, shard 0's vnode inputs are the raw values
-			// 0..vnodes-1 and collide exactly with small dpid keys, pinning
+			// 0..shardVnodes-1 and collide exactly with small dpid keys, pinning
 			// every low dpid onto shard 0.
 			r.points = append(r.points, ringPoint{
 				hash:  splitmix64(ringNodeSalt ^ (uint64(s)<<32 | uint64(v))),

@@ -22,8 +22,8 @@ func TestRingOwnershipStableUnderAdd(t *testing.T) {
 	const nKeys = 10000
 	keys := ringKeys(nKeys)
 	for _, n := range []int{2, 4, 8} {
-		before := NewShardRing(n, 0)
-		after := NewShardRing(n+1, 0)
+		before := NewShardRing(n)
+		after := NewShardRing(n + 1)
 		moved := 0
 		for _, k := range keys {
 			a, b := before.Owner(k), after.Owner(k)
@@ -51,7 +51,7 @@ func TestRingOwnershipStableUnderRemove(t *testing.T) {
 	const nKeys = 10000
 	keys := ringKeys(nKeys)
 	for _, n := range []int{2, 4, 8} {
-		r := NewShardRing(n, 0)
+		r := NewShardRing(n)
 		orig := make([]int, nKeys)
 		for i, k := range keys {
 			orig[i] = r.Owner(k)
@@ -94,7 +94,7 @@ func TestRingOwnershipStableUnderRemove(t *testing.T) {
 func TestRingFailoverAlwaysOneLiveOwner(t *testing.T) {
 	const n = 4
 	keys := ringKeys(2000)
-	r := NewShardRing(n, 0)
+	r := NewShardRing(n)
 	// Kill shards one at a time, checking the invariant after each step.
 	for kill := 0; kill < n-1; kill++ {
 		r.SetLive(kill, false)
@@ -117,7 +117,7 @@ func TestRingBalance(t *testing.T) {
 	const nKeys = 10000
 	keys := ringKeys(nKeys)
 	for _, n := range []int{2, 4, 8} {
-		r := NewShardRing(n, 0)
+		r := NewShardRing(n)
 		counts := make([]int, n)
 		for _, k := range keys {
 			counts[r.Owner(k)]++
@@ -135,8 +135,8 @@ func TestRingBalance(t *testing.T) {
 // every key (the shard layer depends on this across runs and worker
 // counts).
 func TestRingDeterministic(t *testing.T) {
-	a := NewShardRing(4, 0)
-	b := NewShardRing(4, 0)
+	a := NewShardRing(4)
+	b := NewShardRing(4)
 	for _, k := range ringKeys(1000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("rings disagree on key %d", k)

@@ -15,8 +15,8 @@ package core
 //     Because the replica equals the authoritative state at every
 //     virtual instant, routing decisions are shard-invariant: the same
 //     flow produces the same plan no matter which shard decides. That
-//     is the invariant that keeps `-stable` output byte-identical at
-//     any -shards count.
+//     is the invariant that keeps results identical at any shard
+//     count.
 //   - Cross-shard flow setup: the ingress switch's shard owns the
 //     decision; flow-mod batches destined to switches owned by peer
 //     shards are cross-shard installs (shardFlush). With
@@ -32,8 +32,7 @@ package core
 //     N shards process N packet-ins concurrently in virtual time where
 //     the single-FIFO model (overload.go) processes one. This is the
 //     scale-out being measured by the E10 experiment; it changes
-//     timing, so it is a per-experiment knob, never set by the global
-//     -shards flag. Lanes model the sharded ingress themselves and are
+//     timing. Lanes model the sharded ingress themselves and are
 //     ignored under OverloadProtection (the defended pipeline owns
 //     ingress).
 //   - Failover: KillShard (shard_failover.go) marks a shard's event
@@ -44,10 +43,10 @@ package core
 //     the shard id — so no flows move; the outage window is accounted
 //     as policy-violation time.
 //
-// Every knob defaults off. With -shards N alone the layer only
+// Every knob defaults off. With Config.Shards alone the layer only
 // attributes work to shards (ownership, cross-shard and replication
-// counters); the message streams are untouched, which the verify gate
-// enforces by comparing `-stable` JSON at -shards 1 vs 4 byte for byte.
+// counters); the message streams are untouched, which
+// experiments.TestKnobsNeutral enforces over the standard suite.
 
 import (
 	"time"
@@ -58,7 +57,7 @@ import (
 
 // defaultShardFailoverDelay is the hot-standby takeover delay: long
 // enough to be an honest outage, short enough that the keepalive
-// (EchoInterval × EchoMaxMiss = 1.5s default) never mistakes a shard
+// (echoInterval × echoMaxMiss = 1.5s) never mistakes a shard
 // failover for dead switches.
 const defaultShardFailoverDelay = 200 * time.Millisecond
 
@@ -131,7 +130,7 @@ func newShardLayer(cfg Config) *shardLayer {
 		n = 1
 	}
 	sh := &shardLayer{
-		ring:          NewShardRing(n, cfg.ShardVnodes),
+		ring:          NewShardRing(n),
 		shards:        make([]*shardState, n),
 		lanes:         cfg.ShardLanes && !cfg.OverloadProtection,
 		coordLatency:  cfg.ShardCoordLatency,

@@ -71,7 +71,7 @@ func neutralFingerprint(n *testbed.Net) string {
 }
 
 // TestShardsAccountingNeutral is the byte-identity property at test
-// granularity: the same deployment and workload at -shards 4 produces
+// granularity: the same deployment and workload at Shards: 4 produces
 // exactly the unsharded controller statistics (shard-only counters
 // aside) and the same deliveries — the default shard layer attributes
 // work without touching the message streams.
@@ -99,7 +99,7 @@ func TestShardsAccountingNeutral(t *testing.T) {
 func TestShardAccounting(t *testing.T) {
 	n, clients, srv := shardNet(t, 6, testbed.Options{Shards: 4, FlowIdle: time.Minute})
 	defer n.Shutdown()
-	if got := n.Shards(); got != 4 {
+	if got := n.Controller.Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}
 	shardWorkload(t, n, clients, srv, 2, 200*time.Millisecond)
@@ -285,7 +285,7 @@ func TestKillShardOffline(t *testing.T) {
 	if n.Controller.KillShard(0) {
 		t.Fatal("KillShard succeeded on an unsharded controller")
 	}
-	if n.Shards() != 1 || n.Controller.ShardOf(1) != 0 || !n.Controller.ShardAlive(0) {
+	if n.Controller.Shards() != 1 || n.Controller.ShardOf(1) != 0 || !n.Controller.ShardAlive(0) {
 		t.Fatal("unsharded accessors broken")
 	}
 	if n.Controller.ShardStats() != nil {

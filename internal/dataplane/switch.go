@@ -38,9 +38,6 @@ type Config struct {
 	DPID uint64
 	Name string
 	Kind Kind
-	// ProcDelay overrides the per-packet forwarding delay; 0 selects the
-	// default for the Kind.
-	ProcDelay time.Duration
 	// MaxEntries bounds the flow table (0 = unlimited). Hardware tables
 	// are finite; a full table rejects FLOW_MOD adds with an error.
 	MaxEntries int
@@ -108,14 +105,9 @@ type bufferedPacket struct {
 // New creates a switch on the engine. Attach ports with AttachPort, then
 // connect the secure channel with ConnectController.
 func New(eng *sim.Engine, cfg Config) *Switch {
-	proc := cfg.ProcDelay
-	if proc == 0 {
-		switch cfg.Kind {
-		case KindWiFi:
-			proc = wifiProcDelay
-		default:
-			proc = ovsProcDelay
-		}
+	proc := ovsProcDelay
+	if cfg.Kind == KindWiFi {
+		proc = wifiProcDelay
 	}
 	s := &Switch{
 		eng:     eng,

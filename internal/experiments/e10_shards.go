@@ -27,9 +27,6 @@ import (
 //     setups until the hot standby takes over (replaying the shadow
 //     flow table), loses zero flows, never trips the keepalive, and
 //     bounds policy-violation time near the configured takeover delay.
-//
-// The sweep sets Options.Shards explicitly, so the global -shards knob
-// (behavior-neutral attribution) does not affect it.
 func E10ShardScaling(scale Scale) Result {
 	p := e10Params{
 		nSwitches: 8,

@@ -35,8 +35,8 @@ import (
 //     bounded timeout, exercising the deterministic drop-and-relearn
 //     fallback accounting.
 //
-// Every arm pins Options.StatefulFW itself, so the global -statefulfw
-// knob (behavior-neutral for E1–E11) cannot change these results.
+// Every arm sets Options.StatefulFW; the arms differ in what the
+// firewall element syncs.
 func E12StatefulFirewall(scale Scale) Result {
 	p := e12Params{sessions: 3, fresh: 3}
 	if scale == ScaleFull {

@@ -64,11 +64,11 @@ func TestE12StatefulFirewall(t *testing.T) {
 }
 
 // TestE12Deterministic backs the -json/-stable wiring: two executions
-// produce identical rows.
+// produce identical results, notes included.
 func TestE12Deterministic(t *testing.T) {
 	r1 := E12StatefulFirewall(ScaleCI)
 	r2 := E12StatefulFirewall(ScaleCI)
-	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
-		t.Fatalf("E12 rows differ across runs:\n%v\n%v", r1.Rows, r2.Rows)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("E12 differs across runs:\n%s\n%s", r1, r2)
 	}
 }

@@ -21,16 +21,14 @@ import (
 //
 //   - the alert timeline — every firing/resolved transition with its
 //     windowed value and exemplar trace — must be byte-identical across
-//     runs (CI runs the experiment twice and compares);
+//     runs (TestE13Deterministic compares two);
 //   - mean time to detect (MTTD) per fault class: the sim-time gap
 //     between injecting a fault and its rule's first firing edge, which
 //     the rule windows and the 10ms evaluation tick bound by
 //     construction.
 //
-// The experiment pins -slo and its own observability (it studies the
-// alert engine), so the global knobs cannot change these results. It is
-// runnable only as -experiment E13: the standard suite's byte-identity
-// gates compare runs without any alert machinery.
+// The experiment sets Options.SLO and its own observability. It runs
+// only as -experiment E13, not as part of "all" (see Suite).
 func E13AlertTimeline(scale Scale) Result {
 	p := e13Params{sessions: 2, fresh: 3, pps: 6000}
 	if scale == ScaleFull {

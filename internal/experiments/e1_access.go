@@ -19,7 +19,7 @@ import (
 func E1AccessThroughput() Result {
 	measure := func(kind dataplane.Kind, fo *obs.FlowObs) float64 {
 		n := newNet(testbed.Options{Seed: 7, Obs: fo})
-		access := n.AddSwitch(kind, "access", 0)
+		access := n.AddSwitch(kind, "access")
 		core := n.AddOvS("egress")
 		var user *host.Host
 		if kind == dataplane.KindWiFi {

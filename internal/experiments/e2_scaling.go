@@ -72,9 +72,9 @@ func e2Run(k int) float64 {
 	n := newNet(testbed.Options{Seed: 11, Policies: pt})
 	// Client and server switches get 10G uplinks so the only shared
 	// bottleneck is the element host's GbE NIC (the sehost uplink).
-	clientSw := n.AddSwitchUplink(dataplane.KindOvS, "clients", 0, link.Rate10G)
-	serverSw := n.AddSwitchUplink(dataplane.KindOvS, "servers", 0, link.Rate10G)
-	seHost := n.AddSwitchUplink(dataplane.KindOvS, "sehost", 0, link.Rate1G)
+	clientSw := n.AddSwitchUplink(dataplane.KindOvS, "clients", link.Rate10G)
+	serverSw := n.AddSwitchUplink(dataplane.KindOvS, "servers", link.Rate10G)
+	seHost := n.AddSwitchUplink(dataplane.KindOvS, "sehost", link.Rate1G)
 
 	serverIP := netpkt.IP(166, 111, 1, 1)
 	server := n.AddServer(serverSw, "web", serverIP)

@@ -75,7 +75,7 @@ func e3Run(svc seproto.ServiceType, seHosts, vmsPerHost, sources, flowsPerSource
 
 	seSwitches := make([]*dataplane.Switch, seHosts)
 	for i := range seSwitches {
-		seSwitches[i] = n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), 0, link.Rate1G)
+		seSwitches[i] = n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), link.Rate1G)
 	}
 	type pairT struct {
 		src, sink *host.Host
@@ -83,8 +83,8 @@ func e3Run(svc seproto.ServiceType, seHosts, vmsPerHost, sources, flowsPerSource
 	}
 	pairs := make([]pairT, sources)
 	for i := range pairs {
-		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), 0, link.Rate10G)
-		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), 0, link.Rate10G)
+		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), link.Rate10G)
+		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), link.Rate10G)
 		sinkIP := netpkt.IP(20, 0, byte(i), 1)
 		pairs[i] = pairT{
 			src:    n.AddServer(srcSw, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1)),

@@ -109,7 +109,7 @@ func e7LiveSecThroughput(k int) float64 {
 		return -1
 	}
 	for i := 0; i < k; i++ {
-		sw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), 0, link.Rate1G)
+		sw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), link.Rate1G)
 		for v := 0; v < 4; v++ {
 			n.AddElement(sw, service.NewIDSOver(rules), 0)
 		}
@@ -119,8 +119,8 @@ func e7LiveSecThroughput(k int) float64 {
 	sinks := make([]*host.Host, srcCount)
 	srcHosts := make([]*host.Host, srcCount)
 	for i := 0; i < srcCount; i++ {
-		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), 0, link.Rate10G)
-		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), 0, link.Rate10G)
+		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), link.Rate10G)
+		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), link.Rate10G)
 		sinkIPs[i] = netpkt.IP(20, 0, byte(i), 1)
 		sinks[i] = n.AddServer(dstSw, fmt.Sprintf("k%d", i), sinkIPs[i])
 		srcHosts[i] = n.AddServer(srcSw, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1))

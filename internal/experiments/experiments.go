@@ -28,7 +28,7 @@ type Row struct {
 
 // Result is one experiment's outcome.
 type Result struct {
-	// ID is the experiment identifier from DESIGN.md (E1…E9).
+	// ID is the experiment identifier from DESIGN.md (E1…E13, A1…A4).
 	ID string
 	// Title describes the experiment.
 	Title string
@@ -76,27 +76,50 @@ func (r Result) Find(name string) (float64, bool) {
 	return 0, false
 }
 
-// All runs every experiment at the given scale and returns the results
-// in paper order. Scale trades fidelity for runtime: ScaleFull uses the
-// paper's deployment sizes, ScaleCI shrinks element and user counts so
-// the suite finishes in seconds.
-func All(scale Scale) []Result {
-	return []Result{
-		E1AccessThroughput(),
-		E2ServiceElementScaling(scale),
-		E3AggregateCapacity(scale),
-		E4LoadDeviation(scale),
-		E5LatencyOverhead(),
-		E6EventPipeline(),
-		E7BaselineComparison(scale),
-		E8ChaosRecovery(scale),
-		E9PacketInStorm(scale),
-		E10ShardScaling(scale),
-		E12StatefulFirewall(scale),
-	}
+// Experiment is one row of the Suite table.
+type Experiment struct {
+	ID  string
+	Run func(Scale) Result
+	// Standard marks the experiments livesec-bench runs for "all", the
+	// suite whose -stable report is compared byte for byte.
+	Standard bool
 }
 
-// Scale selects experiment sizing.
+// Suite lists every experiment, in report order. cmd/livesec-bench and
+// the byte-identity tests both iterate it.
+var Suite = []Experiment{
+	{"E1", unscaled(E1AccessThroughput), true},
+	{"E2", E2ServiceElementScaling, true},
+	{"E3", E3AggregateCapacity, true},
+	{"E4", E4LoadDeviation, true},
+	{"E5", unscaled(E5LatencyOverhead), true},
+	{"E6", unscaled(E6EventPipeline), true},
+	{"E7", E7BaselineComparison, true},
+	{"E8", E8ChaosRecovery, true},
+	{"E9", E9PacketInStorm, true},
+	{"E10", E10ShardScaling, true},
+	// E11 benches the policy engine: its sweep rows are wall-clock
+	// latencies, which vary across machines and would break -stable
+	// reports.
+	{"E11", E11PolicyEngine, false},
+	{"E12", E12StatefulFirewall, true},
+	// E13 studies the alert engine on its own fault replay; reports of
+	// the standard suite predate it and stay comparable without it.
+	{"E13", E13AlertTimeline, false},
+	{"A1", unscaled(AblationGrain), true},
+	{"A2", unscaled(AblationFlowSetup), true},
+	{"A3", unscaled(AblationDirectoryProxy), true},
+	{"A4", unscaled(AblationReverseSteering), true},
+}
+
+// unscaled adapts an experiment that has one size to the Suite table.
+func unscaled(f func() Result) func(Scale) Result {
+	return func(Scale) Result { return f() }
+}
+
+// Scale selects experiment sizing: ScaleFull uses the paper's deployment
+// sizes, ScaleCI shrinks element and user counts so the suite finishes
+// in seconds.
 type Scale int
 
 // Scales.

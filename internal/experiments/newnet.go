@@ -1,31 +1,17 @@
 package experiments
 
-import (
-	"livesec/internal/obs"
-	"livesec/internal/testbed"
-)
+import "livesec/internal/testbed"
 
-// newNet builds an experiment deployment, injecting the configured
-// controller shard count, stateful-firewall and SLO settings. Every
-// experiment constructs its testbed through this helper so -shards,
-// -statefulfw and -slo reach E1–E13 and the ablations uniformly; an
-// experiment that sets an option explicitly (E10's shard sweep) keeps
-// its own value.
+// tweakOptions, when set, edits every deployment's options before it is
+// built. Only TestKnobsNeutral sets it, to arm a results-neutral
+// controller feature in experiments that left it off.
+var tweakOptions func(*testbed.Options)
+
+// newNet builds an experiment deployment. Every experiment of the
+// standard suite constructs its testbed through it.
 func newNet(opts testbed.Options) *testbed.Net {
-	if opts.Shards == 0 {
-		opts.Shards = Shards()
-	}
-	if !opts.StatefulFW {
-		opts.StatefulFW = StatefulFW()
-	}
-	if !opts.SLO {
-		opts.SLO = SLO()
-	}
-	if opts.SLO && opts.Obs == nil {
-		// The alert engine needs a registry to sample; without -obs the
-		// run gets a private FlowObs that is never exported, so reported
-		// output is unchanged.
-		opts.Obs = obs.NewFlowObs(0)
+	if tweakOptions != nil {
+		tweakOptions(&opts)
 	}
 	return testbed.New(opts)
 }

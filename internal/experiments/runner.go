@@ -7,7 +7,7 @@ import (
 
 // Job names one experiment execution for RunOrdered.
 type Job struct {
-	// ID identifies the experiment (E1…E8, A1…A4) for progress display.
+	// ID identifies the experiment (E1…E13, A1…A4) for progress display.
 	ID string
 	// Run executes the experiment and returns its result.
 	Run func() Result

@@ -143,9 +143,6 @@ func MustEngine(ruleText string) *Engine {
 	return rs.NewEngine()
 }
 
-// NumRules returns the number of compiled rules.
-func (rs *Ruleset) NumRules() int { return len(rs.rules) }
-
 // Inspect runs the packet through the rule set and returns any alerts,
 // in rule-definition order. The clean path (no pattern hits) performs no
 // heap allocation: the working state is the engine's own and

@@ -144,12 +144,6 @@ func (l *Link) SetRateScale(f float64) {
 	l.b.params.BitsPerSec = bps
 }
 
-// PortA returns (node, port) of the A side.
-func (l *Link) PortA() (Node, uint32) { return l.a.node, l.a.port }
-
-// PortB returns (node, port) of the B side.
-func (l *Link) PortB() (Node, uint32) { return l.b.node, l.b.port }
-
 // StatsFrom returns transmit stats for the direction whose sender is node.
 func (l *Link) StatsFrom(node Node) Stats { return l.From(node).ep.stats }
 

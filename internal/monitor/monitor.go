@@ -8,12 +8,13 @@
 package monitor
 
 import (
+	"fmt"
 	"maps"
 	"sync"
 	"time"
 
 	"livesec/internal/flow"
-	"livesec/internal/netpkt"
+	"livesec/internal/obs"
 )
 
 // EventType classifies a network event.
@@ -145,6 +146,23 @@ func (s *Store) Record(ev Event) Event {
 	return ev
 }
 
+// RecordAlert records an SLO alert transition (obs/alerts.go) as an
+// alert-firing or alert-resolved event; assign it to
+// obs.AlertEngine.OnTransition.
+func (s *Store) RecordAlert(tr obs.AlertTransition) {
+	typ := EventAlertFiring
+	if tr.State == "resolved" {
+		typ = EventAlertResolved
+	}
+	sev := uint8(1)
+	if tr.Severity == "critical" {
+		sev = 2
+	}
+	s.Record(Event{At: tr.At, Type: typ, Severity: sev,
+		Detail: fmt.Sprintf("%s value=%.6g limit=%.6g trace=%d",
+			tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
+}
+
 // Len returns the number of retained events.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -238,6 +256,3 @@ func (s *Store) Counts() map[EventType]uint64 {
 	defer s.mu.RUnlock()
 	return maps.Clone(s.counts)
 }
-
-// UserString formats a user identity for event records.
-func UserString(mac netpkt.MAC) string { return mac.String() }

@@ -24,10 +24,7 @@
 // owning loop (monitor.HandlerConfig.Sync).
 package obs
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // Label is one name="value" dimension of a metric series.
 type Label struct {
@@ -296,6 +293,3 @@ func (s *series) value() float64 {
 	}
 	return 0
 }
-
-// DurationSeconds converts a virtual duration to seconds for Observe.
-func DurationSeconds(d time.Duration) float64 { return d.Seconds() }

@@ -142,12 +142,6 @@ func (c *simConn) Close() error {
 	return nil
 }
 
-// WriteMessage frames and writes one message to w.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(Encode(m))
-	return err
-}
-
 // ReadMessage reads exactly one framed message from r.
 func ReadMessage(r io.Reader) (Message, error) {
 	var scratch []byte

@@ -82,8 +82,7 @@ func BuildFIT(fo FITOptions, opts Options) (*FIT, error) {
 	n := New(opts)
 	f := &FIT{Net: n}
 
-	// The building has one core plus per-storey secondary switches; two
-	// fabric edges model the two wiring closets.
+	// Every AS switch uplinks into the building's one core switch.
 	for i := 0; i < fo.OvS; i++ {
 		f.OvSes = append(f.OvSes, n.AddOvS(fmt.Sprintf("ovs%d", i+1)))
 	}

@@ -30,6 +30,10 @@ import (
 // fabric.
 const uplinkPort uint32 = 1000
 
+// defaultCtrlLatency is the secure-channel one-way latency of a switch
+// that does not choose its own (AddSwitchFull).
+const defaultCtrlLatency = 200 * time.Microsecond
+
 // Options configures a testbed network.
 type Options struct {
 	// Seed drives all randomness (default 1).
@@ -38,13 +42,6 @@ type Options struct {
 	Policies *policy.Table
 	// RequireCerts enables service-element certification checks.
 	RequireCerts bool
-	// CtrlLatency is the secure-channel one-way latency (default 200µs).
-	CtrlLatency time.Duration
-	// UplinkRate is the AS-switch → legacy line rate (default 1 GbE).
-	UplinkRate int64
-	// FabricSwitches shapes the legacy fabric: 1 builds a single core
-	// switch; n>1 builds a star of n edge switches around a core.
-	FabricSwitches int
 	// Monitor enables the event store.
 	Monitor bool
 	// SteerForwardOnly disables reverse-path steering.
@@ -77,16 +74,6 @@ type Options struct {
 	Breakers bool
 	// SessionTTL bounds session-record lifetime (core/sessions.go).
 	SessionTTL time.Duration
-	// SuppressOpen makes suppression rules forward via the uplink
-	// (fail-open) instead of dropping.
-	SuppressOpen bool
-	// PacketInRate/PacketInBurst override the per-switch packet-in
-	// admission budget; zero keeps the overload-protection defaults.
-	PacketInRate  float64
-	PacketInBurst float64
-	// SourceRate/SourceBurst override the per-source-MAC budget.
-	SourceRate  float64
-	SourceBurst float64
 	// Obs wires the observability subsystem through the controller and
 	// every switch added later (core.Config.Obs + dataplane RegisterObs).
 	// Nil keeps all hooks off.
@@ -97,8 +84,7 @@ type Options struct {
 	// are byte-identical to an unsharded run.
 	Shards int
 	// ShardLanes serializes each shard's packet-ins on its own busy
-	// clock of PacketInCost (scale-out model, changes timing — an
-	// experiment knob, never set by the global -shards flag).
+	// clock of PacketInCost (scale-out model, changes timing).
 	ShardLanes bool
 	// ShardCoordLatency delays cross-shard install batches as
 	// coordination messages (0 = inline flush).
@@ -144,10 +130,8 @@ type Net struct {
 	opts        Options
 	nextDPID    uint64
 	nextPort    map[uint64]uint32
-	swFabric    map[uint64]int // dpid → fabric switch index
 	nextHost    uint64
 	nextSEID    uint64
-	swByDPID    map[uint64]*dataplane.Switch
 	accessLinks map[link.Node]*link.Link
 	linkIDs     map[link.Node]int // node → chaos link id (stable across moves)
 	uplinkIDs   map[uint64]int    // dpid → chaos link id of the uplink
@@ -160,27 +144,13 @@ func New(opts Options) *Net {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.CtrlLatency == 0 {
-		opts.CtrlLatency = 200 * time.Microsecond
-	}
-	if opts.UplinkRate == 0 {
-		opts.UplinkRate = link.Rate1G
-	}
-	if opts.FabricSwitches == 0 {
-		opts.FabricSwitches = 1
-	}
 	eng := sim.NewEngine(opts.Seed)
 	var store *monitor.Store
 	if opts.Monitor {
 		store = monitor.NewStore(0)
 	}
-	var fabric *legacy.Fabric
-	if opts.FabricSwitches == 1 {
-		fabric = legacy.NewFabric(eng)
-		fabric.AddSwitch("core")
-	} else {
-		fabric = legacy.NewStar(eng, opts.FabricSwitches, link.Params{BitsPerSec: link.Rate10G})
-	}
+	fabric := legacy.NewFabric(eng)
+	fabric.AddSwitch("core")
 	ctrl := core.New(core.Config{
 		Engine:           eng,
 		Store:            store,
@@ -198,11 +168,6 @@ func New(opts Options) *Net {
 		OverloadProtection: opts.OverloadProtection,
 		Breakers:           opts.Breakers,
 		SessionTTL:         opts.SessionTTL,
-		SuppressOpen:       opts.SuppressOpen,
-		PacketInRate:       opts.PacketInRate,
-		PacketInBurst:      opts.PacketInBurst,
-		SourceRate:         opts.SourceRate,
-		SourceBurst:        opts.SourceBurst,
 		Obs:                opts.Obs,
 
 		Shards:             opts.Shards,
@@ -220,8 +185,6 @@ func New(opts Options) *Net {
 		Store:       store,
 		opts:        opts,
 		nextPort:    make(map[uint64]uint32),
-		swFabric:    make(map[uint64]int),
-		swByDPID:    make(map[uint64]*dataplane.Switch),
 		accessLinks: make(map[link.Node]*link.Link),
 		linkIDs:     make(map[link.Node]int),
 		uplinkIDs:   make(map[uint64]int),
@@ -256,19 +219,7 @@ func New(opts Options) *Net {
 		ae := obs.NewAlertEngine(opts.Obs, opts.SLOInterval, obs.DefaultRules(opts.Obs))
 		n.Alerts = ae
 		if store != nil {
-			ae.OnTransition = func(tr obs.AlertTransition) {
-				typ := monitor.EventAlertFiring
-				if tr.State == "resolved" {
-					typ = monitor.EventAlertResolved
-				}
-				sev := uint8(1)
-				if tr.Severity == "critical" {
-					sev = 2
-				}
-				store.Record(monitor.Event{At: tr.At, Type: typ, Severity: sev,
-					Detail: fmt.Sprintf("%s value=%.6g limit=%.6g trace=%d",
-						tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
-			}
+			ae.OnTransition = store.RecordAlert
 		}
 		// The evaluation tick self-reschedules for the lifetime of the run.
 		// Evaluation only reads the registry, so the simulated network is
@@ -284,22 +235,22 @@ func New(opts Options) *Net {
 }
 
 // AddSwitch creates an AS switch (OvS or OF Wi-Fi), uplinks it into
-// fabric switch fabricIdx, and connects its secure channel.
-func (n *Net) AddSwitch(kind dataplane.Kind, name string, fabricIdx int) *dataplane.Switch {
-	return n.AddSwitchUplink(kind, name, fabricIdx, n.opts.UplinkRate)
+// the fabric's core switch at 1 GbE, and connects its secure channel.
+func (n *Net) AddSwitch(kind dataplane.Kind, name string) *dataplane.Switch {
+	return n.AddSwitchUplink(kind, name, link.Rate1G)
 }
 
 // AddSwitchUplink is AddSwitch with an explicit uplink line rate; the
 // E2 experiment uses it to model the service-element host's shared GbE
 // NIC while client and server switches get faster uplinks.
-func (n *Net) AddSwitchUplink(kind dataplane.Kind, name string, fabricIdx int, uplinkBps int64) *dataplane.Switch {
-	return n.AddSwitchFull(kind, name, fabricIdx, uplinkBps, n.opts.CtrlLatency)
+func (n *Net) AddSwitchUplink(kind dataplane.Kind, name string, uplinkBps int64) *dataplane.Switch {
+	return n.AddSwitchFull(kind, name, uplinkBps, defaultCtrlLatency)
 }
 
 // AddSwitchFull additionally sets the switch's secure-channel one-way
 // latency — distant wiring closets see the controller later than nearby
 // ones, which is what makes barrier synchronization matter.
-func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, fabricIdx int, uplinkBps int64, ctrlLatency time.Duration) *dataplane.Switch {
+func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, uplinkBps int64, ctrlLatency time.Duration) *dataplane.Switch {
 	n.nextDPID++
 	dpid := n.nextDPID
 	if name == "" {
@@ -313,7 +264,7 @@ func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, fabricIdx int, upl
 	if n.opts.Obs != nil {
 		sw.RegisterObs(n.opts.Obs.Registry)
 	}
-	up := n.Fabric.Attach(fabricIdx, sw, uplinkPort, link.Params{BitsPerSec: uplinkBps})
+	up := n.Fabric.Attach(0, sw, uplinkPort, link.Params{BitsPerSec: uplinkBps})
 	sw.AttachPort(uplinkPort, up)
 	ctrlSide, swSide := openflow.SimPipe(n.Eng, ctrlLatency)
 	sw.ConnectController(swSide)
@@ -324,19 +275,17 @@ func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, fabricIdx int, upl
 		n.Controller.AddSwitch(ctrlSide)
 	}
 	n.Switches = append(n.Switches, sw)
-	n.swByDPID[dpid] = sw
-	n.swFabric[dpid] = fabricIdx
 	return sw
 }
 
-// AddOvS adds a wired Open vSwitch to the first fabric switch.
+// AddOvS adds a wired Open vSwitch.
 func (n *Net) AddOvS(name string) *dataplane.Switch {
-	return n.AddSwitch(dataplane.KindOvS, name, 0)
+	return n.AddSwitch(dataplane.KindOvS, name)
 }
 
-// AddWiFi adds an OF Wi-Fi access point to the first fabric switch.
+// AddWiFi adds an OF Wi-Fi access point.
 func (n *Net) AddWiFi(name string) *dataplane.Switch {
-	return n.AddSwitch(dataplane.KindWiFi, name, 0)
+	return n.AddSwitch(dataplane.KindWiFi, name)
 }
 
 // registerLink assigns a fresh chaos link id and registers l under it.
@@ -376,7 +325,9 @@ func (n *Net) RegisterFlooder(h *host.Host) int {
 }
 
 // AccessLinkID returns the chaos link id of a node's access link
-// (0 when chaos is disabled or the node is unknown).
+// (0 when chaos is disabled or the node is unknown). Nothing calls it
+// or UplinkLinkID yet: they are how generated fault plans (ROADMAP
+// item 1) will name links.
 func (n *Net) AccessLinkID(node link.Node) int { return n.linkIDs[node] }
 
 // UplinkLinkID returns the chaos link id of a switch's fabric uplink.
@@ -519,9 +470,6 @@ func (n *Net) Discover() error {
 
 // Processed returns the number of simulated events executed so far.
 func (n *Net) Processed() uint64 { return n.Eng.Processed }
-
-// Shards returns the controller's effective shard count (1 = unsharded).
-func (n *Net) Shards() int { return n.Controller.Shards() }
 
 // Shutdown stops background tickers on every component.
 func (n *Net) Shutdown() {
