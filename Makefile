@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-hot verify
+.PHONY: build test vet bench bench-hot verify loc
 
 build:
 	$(GO) build ./...
@@ -27,3 +27,10 @@ bench-hot:
 # Tier-1 gate: build + vet + race tests + benchmark smoke run.
 verify:
 	sh scripts/verify.sh
+
+# Non-test Go outside bench/ — the line count ROADMAP aim 2 tracks — in
+# total, and again without blank and comment-only lines.
+loc:
+	@src=$$(find internal cmd examples livesec.go -name '*.go' ! -name '*_test.go'); \
+	echo "non-test Go outside bench/: $$(cat $$src | wc -l) lines," \
+		"$$(cat $$src | grep -cvE '^[[:space:]]*(//.*)?$$') without blank and comment lines"

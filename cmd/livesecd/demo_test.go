@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -14,31 +15,25 @@ import (
 	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
+	"livesec/internal/obs"
 	"livesec/internal/openflow"
-	"livesec/internal/policy"
 )
 
 // Without SendBatch, SendAll silently degrades to one write per message.
 var _ openflow.Batcher = (*pumpedConn)(nil)
 
-// testDaemon is livesecd minus flags and HTTP: a controller behind its
-// lock, accepting switches on an ephemeral loopback port.
+// testDaemon is the daemon run() wires, accepting switches on an
+// ephemeral loopback port.
 type testDaemon struct {
-	lk    *ctrlLock
-	ctrl  *core.Controller
-	store *monitor.Store
-	addr  string
+	*daemon
+	addr string
 }
 
 // startDaemon serves on wrap(listener); a nil wrap serves on the listener
-// itself.
-func startDaemon(t *testing.T, wrap func(net.Listener) net.Listener) *testDaemon {
+// itself. withObs is livesecd's -obs.
+func startDaemon(t *testing.T, withObs bool, wrap func(net.Listener) net.Listener) *testDaemon {
 	t.Helper()
-	d := &testDaemon{lk: newCtrlLock(io.Discard), store: monitor.NewStore(0)}
-	d.lk.do(func() {
-		d.ctrl = core.New(core.Config{Engine: d.lk.eng, Store: d.store, Policies: policy.NewTable(policy.Allow)})
-		d.ctrl.Start()
-	})
+	d := &testDaemon{daemon: newDaemon(io.Discard, withObs, false)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +96,7 @@ func (s *demoSwitch) raiseTCP(to *demoSwitch, srcPort uint16) {
 // TestDemoOverTCP exercises the full control path on real TCP loopback:
 // handshake, LLDP relay, host learning, and end-to-end flow install.
 func TestDemoOverTCP(t *testing.T) {
-	d := startDaemon(t, nil)
+	d := startDaemon(t, false, nil)
 	done := make(chan error, 1)
 	go func() { done <- runDemo(d.addr) }()
 	select {
@@ -197,7 +192,7 @@ func (l *writeLog) setupWrites(t *testing.T) (perConn []int, flowMods int) {
 // flow-mods and the released packet leave in one batch each.
 func TestOneWritePerSwitchPerSetup(t *testing.T) {
 	log := &writeLog{}
-	d := startDaemon(t, func(ln net.Listener) net.Listener { return loggingListener{ln, log} })
+	d := startDaemon(t, false, func(ln net.Listener) net.Listener { return loggingListener{ln, log} })
 	a, b := demoPair(t, d)
 	outsBefore := d.stats().PacketOuts // taken under the lock: earlier dispatches have finished writing
 	before, modsBefore := log.setupWrites(t)
@@ -214,7 +209,7 @@ func TestOneWritePerSwitchPerSetup(t *testing.T) {
 // Events are stamped with the wall clock at dispatch, not with the last
 // idle tick: two packet-ins 1 ms apart get distinct, increasing times.
 func TestEventTimeAdvancesPerDispatch(t *testing.T) {
-	d := startDaemon(t, nil)
+	d := startDaemon(t, false, nil)
 	a, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -237,16 +232,45 @@ func TestEventTimeAdvancesPerDispatch(t *testing.T) {
 	}
 }
 
+// get fetches path from the daemon's monitoring API.
+func (d *testDaemon) get(t *testing.T, path string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.api.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != 200 {
+		t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.String()
+}
+
+// TestLiveMetricsExposition: a daemon run with -obs that has set flows up
+// over real sockets serves a well-formed Prometheus exposition counting
+// them, and the spans it recorded.
+func TestLiveMetricsExposition(t *testing.T) {
+	d := startDaemon(t, true, nil)
+	a, b := demoPair(t, d)
+	const flows = 3
+	for i := 0; i < flows; i++ {
+		a.raiseTCP(b, uint16(42000+i))
+	}
+	waitFor(t, "the flows' setups", func() bool { return d.stats().FlowsRouted == flows })
+	metrics := d.get(t, "/metrics")
+	if err := obs.LintText(metrics); err != nil {
+		t.Fatalf("/metrics does not lint: %v\n%s", err, metrics)
+	}
+	if want := fmt.Sprintf("livesec_flows_total{kind=\"routed\"} %d\n", flows); !strings.Contains(metrics, want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+	}
+	if traces := d.get(t, "/traces?limit=5"); !strings.Contains(traces, `"recorded"`) {
+		t.Fatalf("/traces response malformed: %s", traces)
+	}
+}
+
 // Two connection readers dispatch concurrently while HTTP snapshots go
 // through Sync; the controller lock orders them all (run with -race).
 func TestConcurrentSwitchesAndPolling(t *testing.T) {
-	d := startDaemon(t, nil)
-	api := httptest.NewServer(monitor.NewAPIHandler(monitor.HandlerConfig{
-		Store:    d.store,
-		Topology: func() any { return d.ctrl.Topology() },
-		Health:   func() []monitor.HealthComponent { return d.ctrl.HealthComponents() },
-		Sync:     d.lk.do,
-	}))
+	d := startDaemon(t, false, nil)
+	api := httptest.NewServer(d.api)
 	defer api.Close()
 	a, b := demoPair(t, d)
 
@@ -299,7 +323,7 @@ func TestConcurrentSwitchesAndPolling(t *testing.T) {
 // per coldGap and none is dropped; setups whose decision is cached are not
 // charged at all.
 func TestColdSetupsPaced(t *testing.T) {
-	d := startDaemon(t, nil)
+	d := startDaemon(t, false, nil)
 	a, b := demoPair(t, d)
 	slack := int(coldSlack / coldGap)
 	cold := slack + int(500*time.Millisecond/coldGap) // half a second past the slack

@@ -58,30 +58,7 @@ func run() error {
 	demoTimeout := flag.Duration("demo-timeout", 3*time.Second, "how long the demo runs before exiting")
 	flag.Parse()
 
-	lk := newCtrlLock(os.Stdout)
-	store := monitor.NewStore(0)
-	var fo *obs.FlowObs
-	if *obsFlag || *sloFlag {
-		fo = obs.NewFlowObs(0)
-	}
-	var ctrl *core.Controller
-	var alerts *obs.AlertEngine
-	lk.do(func() {
-		ctrl = core.New(core.Config{
-			Engine:   lk.eng,
-			Store:    store,
-			Policies: policy.NewTable(policy.Allow),
-			Obs:      fo,
-		})
-		ctrl.Start()
-		if *sloFlag {
-			alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
-			alerts.OnTransition = store.RecordAlert
-			var tick func()
-			tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
-			lk.eng.Schedule(alerts.Interval(), tick)
-		}
-	})
+	d := newDaemon(os.Stdout, *obsFlag || *sloFlag, *sloFlag)
 
 	ln, err := net.Listen("tcp", *listenAddr)
 	if err != nil {
@@ -91,30 +68,16 @@ func run() error {
 	fmt.Printf("livesecd: OpenFlow on %s\n", ln.Addr())
 
 	if *httpAddr != "" {
-		// The handler serializes Topology and obs snapshots through Sync,
-		// so Topology must return directly rather than nest lk.do.
-		mux := monitor.NewAPIHandler(monitor.HandlerConfig{
-			Store:    store,
-			Topology: func() any { return ctrl.Topology() },
-			Obs:      fo,
-			Alerts:   alerts,
-			Health:   func() []monitor.HealthComponent { return ctrl.HealthComponents() },
-			Sync:     lk.do,
-		})
 		httpLn, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return err
 		}
 		defer httpLn.Close()
 		fmt.Printf("livesecd: monitoring API on http://%s\n", httpLn.Addr())
-		go func() { _ = http.Serve(httpLn, mux) }()
+		go func() { _ = http.Serve(httpLn, d.api) }()
 	}
 
-	store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
-		fmt.Fprintf(lk.log, "event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
-	})
-
-	go acceptLoop(ln, lk, ctrl)
+	go acceptLoop(ln, d.lk, d.ctrl)
 
 	if *demo {
 		go func() {
@@ -124,7 +87,7 @@ func run() error {
 		}()
 		time.Sleep(*demoTimeout)
 		var st core.Stats
-		lk.do(func() { st = ctrl.Stats(); _ = lk.log.Flush() })
+		d.lk.do(func() { st = d.ctrl.Stats(); _ = d.lk.log.Flush() })
 		fmt.Printf("\ndemo summary: packetIns=%d flowMods=%d packetOuts=%d arpProxied=%d flowsRouted=%d\n",
 			st.PacketIns, st.FlowModsSent, st.PacketOuts, st.ARPProxied, st.FlowsRouted)
 		if st.FlowsRouted == 0 {
@@ -138,9 +101,62 @@ func run() error {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	signal.Stop(sig) // a second ^C kills outright, should a stalled switch hold the lock
-	lk.flush()
+	d.lk.flush()
 	fmt.Println("livesecd: shutting down")
 	return nil
+}
+
+// daemon is livesecd minus flags and listeners: the controller behind its
+// lock, the event store feeding the buffered event log, and the
+// monitoring API handler over both.
+type daemon struct {
+	lk    *ctrlLock
+	ctrl  *core.Controller
+	store *monitor.Store
+	api   http.Handler
+}
+
+// newDaemon wires the daemon. withObs records flow-setup traces and
+// metrics; withSLO (which needs withObs) also runs the alert engine on
+// the controller's clock. Event lines go to log.
+func newDaemon(log io.Writer, withObs, withSLO bool) *daemon {
+	d := &daemon{lk: newCtrlLock(log), store: monitor.NewStore(0)}
+	lk := d.lk
+	var fo *obs.FlowObs
+	if withObs {
+		fo = obs.NewFlowObs(0)
+	}
+	var alerts *obs.AlertEngine
+	lk.do(func() {
+		d.ctrl = core.New(core.Config{
+			Engine:   lk.eng,
+			Store:    d.store,
+			Policies: policy.NewTable(policy.Allow),
+			Obs:      fo,
+		})
+		d.ctrl.Start()
+		if withSLO {
+			alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
+			alerts.OnTransition = d.store.RecordAlert
+			var tick func()
+			tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
+			lk.eng.Schedule(alerts.Interval(), tick)
+		}
+	})
+	// The handler serializes Topology and obs snapshots through Sync,
+	// so Topology must return directly rather than nest lk.do.
+	d.api = monitor.NewAPIHandler(monitor.HandlerConfig{
+		Store:    d.store,
+		Topology: func() any { return d.ctrl.Topology() },
+		Obs:      fo,
+		Alerts:   alerts,
+		Health:   func() []monitor.HealthComponent { return d.ctrl.HealthComponents() },
+		Sync:     lk.do,
+	})
+	d.store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
+		fmt.Fprintf(lk.log, "event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
+	})
+	return d
 }
 
 func acceptLoop(ln net.Listener, lk *ctrlLock, ctrl *core.Controller) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"livesec/internal/obs"
@@ -29,20 +28,15 @@ type pendingRelease struct {
 }
 
 // barrierRelease wires one release: barriers are queued on the emitter
-// (riding each switch's flow-mod batch, in ascending dpid order for
-// determinism); the packet-out fires when the last reply lands.
-func (c *Controller) barrierRelease(em *emitter, st *switchState, po *openflow.PacketOut, dpids map[uint64]bool, span *obs.Span) {
+// (riding each switch's flow-mod batch, in the plan's ascending dpid
+// order); the packet-out fires when the last reply lands.
+func (c *Controller) barrierRelease(em *emitter, st *switchState, po *openflow.PacketOut, dpids []uint64, span *obs.Span) {
 	if c.pendingReleases == nil {
 		c.pendingReleases = make(map[uint32]*pendingRelease)
 	}
 	rel := &pendingRelease{st: st, po: po, waiting: make(map[uint32]bool, len(dpids)),
 		span: span, sentAt: c.eng.Now()}
-	ids := make([]uint64, 0, len(dpids))
-	for dpid := range dpids {
-		ids = append(ids, dpid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, dpid := range ids {
+	for _, dpid := range dpids {
 		target, ok := c.switches[dpid]
 		if !ok {
 			continue

@@ -15,12 +15,13 @@ package core
 //     table's version counter and mutation log, so repeat flows skip the
 //     classifier probe.
 //   - A *plan* cache mapping (selectors, chosen service elements) to the
-//     fully-derived install plan: one step per flow entry, holding the
-//     concrete MAC/port overrides and a shared action list, plus the
-//     ingress release actions and programmed-switch set. Replaying a
-//     plan re-derives each exact match from the live key (ephemeral
-//     source port and TOS are patched in) and emits the flow mods as one
-//     batched transport write per switch.
+//     fully-derived install plan (buildPlan, routing.go): one step per
+//     flow entry, holding the concrete MAC/port overrides and a shared
+//     action list, plus the ingress release actions and the switches
+//     programmed. Every setup executes a plan — fresh or cached — through
+//     replayPlan, which derives each exact match from the live key
+//     (ephemeral source port and TOS are patched in) and emits the flow
+//     mods as one batched transport write per switch.
 //
 // Load balancing stays live: the balancer picks elements for every
 // chained flow, and the plan cache is keyed by the picked element IDs,
@@ -92,8 +93,8 @@ func selectorOf(dpid uint64, k flow.Key) selectorKey {
 }
 
 // maxPlanChain bounds the chain length the plan cache indexes; longer
-// chains are rebuilt on every flow (they still benefit from the decision
-// cache and batched emission).
+// chains are planned afresh on every flow (they still benefit from the
+// decision cache and batched emission).
 const maxPlanChain = 4
 
 // planKey identifies one install plan: the flow selectors plus the
@@ -113,9 +114,9 @@ type cachedDecision struct {
 
 // planStep is one flow entry of a session plan. The entry's exact match
 // is the live flow key (or its reverse) with EthSrc, EthDst, and InPort
-// overridden by the recorded values; everything else — including the
+// overridden by the planned values; everything else — including the
 // ephemeral source port and TOS excluded from the selector — comes from
-// the live key, exactly as the original install derived it.
+// the live key.
 type planStep struct {
 	dpid      uint64
 	rev       bool // derive the match from the session's reverse key
@@ -123,7 +124,6 @@ type planStep struct {
 	ethDst    netpkt.MAC
 	inPort    uint32
 	priority  uint16
-	idle      uint16
 	notifyDel bool
 	actions   []openflow.Action // shared across replays; never mutated
 }
@@ -134,7 +134,7 @@ type planStep struct {
 type sessionPlan struct {
 	steps        []planStep
 	firstActions []openflow.Action // ingress packet-out actions
-	programmed   map[uint64]bool   // switches the plan touches (read-only)
+	switches     []uint64          // switches the plan programs, ascending
 	revPort      uint32            // destination port for Key.Reverse
 	seIDs        []uint64          // picked elements (chains only)
 	via          string            // pre-rendered element list for events
@@ -327,14 +327,12 @@ func (dc *decisionCache) invalidateAll() {
 }
 
 // emitter batches control messages per switch during one flow setup so a
-// multi-entry install costs one transport write per switch, and
-// optionally records the emitted flow mods as plan steps. A single
+// multi-entry install costs one transport write per switch. A single
 // emitter is embedded in the Controller and reused across setups (the
 // controller is single-threaded on the event loop).
 type emitter struct {
 	batches []swBatch
 	n       int
-	plan    *sessionPlan // non-nil: record steps while emitting
 }
 
 type swBatch struct {
@@ -342,10 +340,7 @@ type swBatch struct {
 	msgs []openflow.Message
 }
 
-func (em *emitter) reset(plan *sessionPlan) {
-	em.n = 0
-	em.plan = plan
-}
+func (em *emitter) reset() { em.n = 0 }
 
 func (em *emitter) batchFor(st *switchState) *swBatch {
 	for i := 0; i < em.n; i++ {
@@ -372,36 +367,24 @@ func (em *emitter) flush() {
 		b.st = nil
 	}
 	em.n = 0
-	em.plan = nil
 }
 
-// emitFlowMod queues a flow mod on the emitter (counting it like
-// sendFlowMod) and records it as a plan step when recording is on.
-func (c *Controller) emitFlowMod(em *emitter, st *switchState, rev bool, fm *openflow.FlowMod) {
+// emitFlowMod queues a flow mod on the emitter, counting and shadowing
+// it like sendFlowMod.
+func (c *Controller) emitFlowMod(em *emitter, st *switchState, fm *openflow.FlowMod) {
 	c.trackFlowMod(st, fm)
 	fm.XID = c.xid()
 	b := em.batchFor(st)
 	b.msgs = append(b.msgs, fm)
 	c.stats.FlowModsSent++
-	if em.plan != nil {
-		em.plan.steps = append(em.plan.steps, planStep{
-			dpid:      st.dpid,
-			rev:       rev,
-			ethSrc:    fm.Match.Key.EthSrc,
-			ethDst:    fm.Match.Key.EthDst,
-			inPort:    fm.Match.Key.InPort,
-			priority:  fm.Priority,
-			idle:      fm.IdleTimeout,
-			notifyDel: fm.NotifyDel,
-			actions:   fm.Actions,
-		})
-	}
 }
 
-// replayPlan re-derives every flow entry of a cached plan from the live
-// key and queues the flow mods on the emitter.
+// replayPlan derives every flow entry of a plan — fresh from buildPlan or
+// out of the cache — from the live key and queues the flow mods on the
+// emitter. It is the only place a session's flow mods come to exist.
 func (c *Controller) replayPlan(em *emitter, plan *sessionPlan, key flow.Key) {
 	revKey := key.Reverse(plan.revPort)
+	idle := uint16(c.cfg.FlowIdle.Seconds())
 	for i := range plan.steps {
 		s := &plan.steps[i]
 		target, ok := c.switches[s.dpid]
@@ -415,11 +398,11 @@ func (c *Controller) replayPlan(em *emitter, plan *sessionPlan, key flow.Key) {
 		m.EthSrc = s.ethSrc
 		m.EthDst = s.ethDst
 		m.InPort = s.inPort
-		c.emitFlowMod(em, target, false, &openflow.FlowMod{
+		c.emitFlowMod(em, target, &openflow.FlowMod{
 			Match:       flow.ExactMatch(m),
 			Command:     openflow.FlowAdd,
 			Priority:    s.priority,
-			IdleTimeout: s.idle,
+			IdleTimeout: idle,
 			NotifyDel:   s.notifyDel,
 			Actions:     s.actions,
 		})

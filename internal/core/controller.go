@@ -721,6 +721,7 @@ func (c *Controller) housekeep() {
 			// Invalidation trigger 2 (cache.go): the expired host's plans
 			// would route to a stale attachment point.
 			c.cache.invalidateHost(h.MAC)
+			c.forgetUser(h.MAC)
 			c.record(monitor.Event{Type: monitor.EventUserLeave,
 				User: h.MAC.String(), IP: h.IP.String(), Switch: h.DPID})
 		}
@@ -763,14 +764,16 @@ func (c *Controller) RemoveSwitch(dpid uint64) bool {
 	// Topology change: every cached plan may embed ports toward the
 	// departed switch; clear everything (cache.go).
 	c.cache.invalidateAll()
-	for mac, h := range c.hosts {
+	for _, h := range c.sortedHosts() {
 		if h.DPID != dpid {
 			continue
 		}
+		mac := h.MAC
 		delete(c.hosts, mac)
 		if c.byIP[h.IP] == mac {
 			delete(c.byIP, h.IP)
 		}
+		c.forgetUser(mac)
 		if h.SEID != 0 {
 			if se, ok := c.elements[h.SEID]; ok && se.dpid == dpid {
 				c.removeElement(h.SEID)
@@ -829,6 +832,15 @@ func (c *Controller) Elements() []ElementInfo {
 		})
 	}
 	return out
+}
+
+// forgetUser drops a departed host's user-grain element pins, so the
+// balancers' sticky state is bounded by the routing table — a flood of
+// spoofed sources is forgotten with the hosts it created.
+func (c *Controller) forgetUser(mac netpkt.MAC) {
+	for _, b := range c.balancers {
+		b.Forget(mac)
+	}
 }
 
 // NumSwitches returns the count of registered AS switches.

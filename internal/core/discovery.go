@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"livesec/internal/monitor"
@@ -189,14 +190,16 @@ func (c *Controller) announceHost(st *switchState, h *HostLoc) {
 		return
 	}
 	g := netpkt.NewARPRequest(h.MAC, h.IP, h.IP) // gratuitous: target = self
-	data := g.Marshal()
-	for up := range st.uplinks {
-		c.sendPacketOut(st, &openflow.PacketOut{
-			BufferID: openflow.NoBuffer,
-			InPort:   openflow.PortNone,
-			Actions:  openflow.Output(up),
-			Data:     data,
-		})
-		break // one uplink reaches the whole fabric
+	// One uplink reaches the whole fabric: the lowest port, so a switch
+	// with two announces through the same one on every run.
+	up := uint32(math.MaxUint32)
+	for port := range st.uplinks {
+		up = min(up, port)
 	}
+	c.sendPacketOut(st, &openflow.PacketOut{
+		BufferID: openflow.NoBuffer,
+		InPort:   openflow.PortNone,
+		Actions:  openflow.Output(up),
+		Data:     g.Marshal(),
+	})
 }

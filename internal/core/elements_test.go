@@ -12,6 +12,7 @@ import (
 	"livesec/internal/loadbalance"
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
+	"livesec/internal/policy"
 	"livesec/internal/seproto"
 	"livesec/internal/sim"
 )
@@ -170,5 +171,49 @@ func BenchmarkPickElement(b *testing.B) {
 		if _, _, ok := c.pickElement(bal, seproto.ServiceIDS, key); !ok {
 			b.Fatal("no element picked")
 		}
+	}
+}
+
+// TestUserPinsForgottenWithHosts pushes 5,000 one-flow users through a
+// user-grain chain — a spoofed-source flood looks the same — and checks
+// the balancer's sticky pins leave with the hosts: HostTTL later none is
+// left, and a user who returns is pinned afresh.
+func TestUserPinsForgottenWithHosts(t *testing.T) {
+	const users = 5000
+	rule := chainRule(false, seproto.ServiceIDS)
+	rule.Grain = loadbalance.UserGrain
+	pt := policy.NewTable(policy.Allow)
+	if err := pt.Add(rule); err != nil {
+		t.Fatal(err)
+	}
+	elems := []rigElem{ids1onSw2, {id: 2, svc: seproto.ServiceIDS, dpid: 3, port: 10}}
+	r := newSetupRig(t, Config{Policies: pt, HostTTL: 2 * time.Second}, goldenDPIDs, goldenHosts, elems)
+	r.keep = false
+	user := func(i int) rigHost {
+		return rigHost{dpid: 1, port: 1, mac: netpkt.MACFromUint64(0x100000 + uint64(i)),
+			ip: netpkt.IP(10, 1, byte(i>>8), byte(i))}
+	}
+	for i := 0; i < users; i++ {
+		r.flowIn(user(i), hostC, 40000)
+	}
+	bal := r.c.balancer(rule.Algorithm, rule.Grain)
+	if got := bal.Pinned(); got != users || r.c.stats.FlowsChained != users {
+		t.Fatalf("%d users pinned over %d chained flows, want %d", got, r.c.stats.FlowsChained, users)
+	}
+
+	advance(t, r.c, 3*time.Second)
+	r.c.housekeep()
+	if got := bal.Pinned(); got != 0 {
+		t.Fatalf("%d users still pinned after every host expired", got)
+	}
+
+	// The network comes back; one user returns.
+	r.announce(hostC)
+	for _, e := range elems {
+		r.online(e)
+	}
+	r.flowIn(user(0), hostC, 40001)
+	if got := bal.Pinned(); got != 1 || r.c.stats.FlowsChained != users+1 {
+		t.Fatalf("returning user: %d pinned, %d chained flows; want 1 and %d", got, r.c.stats.FlowsChained, users+1)
 	}
 }

@@ -193,7 +193,7 @@ func (c *Controller) fwSendInstall(sk seproto.SessionKey, ent *fwMirrorEntry, ta
 	c.fwNextHandoff++
 	hid := c.fwNextHandoff
 	// The handoff is causally part of the setup being installed right
-	// now (fwMaybeHandoff runs inside installChain, while the setup span
+	// now (fwMaybeHandoff runs inside installSession, while the setup span
 	// is still open), so it records as an fw_install child and the
 	// STATE_INSTALL carries the TraceID on the wire for the element to
 	// echo back in its STATE_ACK.

@@ -27,12 +27,11 @@ package core
 // existing deterministic runs reproduce bit-for-bit.
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"livesec/internal/flow"
 	"livesec/internal/monitor"
-	"livesec/internal/obs"
 	"livesec/internal/openflow"
 )
 
@@ -297,23 +296,10 @@ func (c *Controller) finishResync(st *switchState) {
 // elements — or hits the policy's fail mode while none are left. Returns
 // the number of sessions drained.
 func (c *Controller) drainElement(id uint64) int {
-	type item struct {
-		key flow.Key
-		seq uint64
-	}
-	var victims []item
-	for key, rec := range c.sessions {
-		for _, seID := range rec.seIDs {
-			if seID == id {
-				victims = append(victims, item{key: key, seq: rec.seq})
-				break
-			}
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		c.teardownSession(v.key)
-		c.forgetSession(v.key)
+	victims := c.sessionsWhere(func(rec sessionRecord) bool { return slices.Contains(rec.seIDs, id) })
+	for _, rec := range victims {
+		c.teardownSession(rec.key)
+		c.forgetSession(rec.key)
 	}
 	if len(victims) > 0 {
 		c.stats.SessionsDrained += uint64(len(victims))
@@ -328,56 +314,10 @@ func (c *Controller) drainElement(id uint64) int {
 // violation window closes as each session is forgotten. Called when an
 // element (re)registers.
 func (c *Controller) resteerFailOpen() int {
-	type item struct {
-		key flow.Key
-		seq uint64
-	}
-	var victims []item
-	for key, rec := range c.sessions {
-		if rec.failOpen {
-			victims = append(victims, item{key: key, seq: rec.seq})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		c.teardownSession(v.key)
-		c.forgetSession(v.key)
+	victims := c.sessionsWhere(func(rec sessionRecord) bool { return rec.failOpen })
+	for _, rec := range victims {
+		c.teardownSession(rec.key)
+		c.forgetSession(rec.key)
 	}
 	return len(victims)
-}
-
-// installFailOpen routes a Chain flow directly while no element of a
-// required service is reachable (policy fail-open window, policy.Rule.
-// FailOpen). The install is deliberately never cached — every subsequent
-// flow re-runs element selection, so steering resumes the moment an
-// element returns — and the session is marked as a live policy violation
-// for accounting and re-steering.
-func (c *Controller) installFailOpen(st *switchState, pi *openflow.PacketIn, key flow.Key, rule string) {
-	dst, ok := c.destination(key)
-	if !ok {
-		return
-	}
-	em := &c.emit
-	em.reset(nil)
-	first, programmed, ok := c.installPath(em, st, key, []hop{dst}, false)
-	if !ok {
-		em.flush()
-		return
-	}
-	if src, haveSrc := c.hosts[key.EthSrc]; haveSrc {
-		if srcSt, up := c.switches[src.DPID]; up && srcSt.usable() {
-			revKey := key.Reverse(dst.port)
-			_, revProg, _ := c.installPath(em, dst.st, revKey, []hop{{st: srcSt, port: src.Port, mac: src.MAC}}, true)
-			for dpid := range revProg {
-				programmed[dpid] = true
-			}
-		}
-	}
-	c.curSpan.SetOutcome(obs.OutcomeFailOpen)
-	c.finishSetup(em, st, pi, first, programmed)
-	c.stats.FlowsRouted++
-	c.stats.FlowsFailedOpen++
-	c.rememberSession(key, st.dpid, rule, nil, true)
-	c.record(monitor.Event{Type: monitor.EventFailOpen, Switch: st.dpid,
-		User: key.EthSrc.String(), FlowKey: &key, Detail: "fail-open " + rule})
 }

@@ -6,22 +6,16 @@ package core
 // datapath id onto a ring of virtual nodes. The properties the shard
 // layer relies on:
 //
-//   - Stability: adding or removing a shard moves only ~1/N of the key
-//     space; every key not adjacent to the changed shard's virtual nodes
-//     keeps its owner (ring_test.go proves both directions).
-//   - Exactly-one owner: Owner walks clockwise to the first *live*
-//     shard, so during a permanent shard removal every key still maps to
-//     exactly one live shard — never zero, never two.
+//   - Stability: adding a shard moves only ~1/N of the key space, and
+//     only onto the new shard (ring_test.go).
+//   - Exactly-one owner: Owner is the shard of the first point at or
+//     after hash(key), wrapping.
 //   - Determinism: the ring is pure arithmetic on splitmix64 hashes; the
 //     same shard count always produces the same assignment, on every
 //     run.
 //
-// Note the distinction between the two failure modes the shard layer
-// models: a *failover* (KillShard) keeps the dead shard's ring slots —
-// its hot standby inherits the shard id and the ownership map never
-// changes — while *removal* (SetLive false) reassigns the slots to the
-// clockwise survivors. The controller only performs failovers; removal
-// semantics are exercised by the ownership property tests.
+// The assignment never changes at run time: a failover (KillShard) keeps
+// the dead shard's ring slots — its hot standby inherits the shard id.
 
 import "sort"
 
@@ -53,26 +47,18 @@ type ringPoint struct {
 // hashing.
 type ShardRing struct {
 	points []ringPoint // sorted by hash
-	live   []bool
-	nLive  int
 }
 
 // NewShardRing builds a ring of `shards` shards with shardVnodes
-// virtual nodes each. All shards start live. A given shard's virtual
-// nodes depend only on (shard, vnode), so growing the ring from N to
-// N+1 shards adds points without moving any existing one — the
-// consistency property.
+// virtual nodes each. A given shard's virtual nodes depend only on
+// (shard, vnode), so growing the ring from N to N+1 shards adds points
+// without moving any existing one — the consistency property.
 func NewShardRing(shards int) *ShardRing {
 	if shards < 1 {
 		shards = 1
 	}
-	r := &ShardRing{
-		points: make([]ringPoint, 0, shards*shardVnodes),
-		live:   make([]bool, shards),
-		nLive:  shards,
-	}
+	r := &ShardRing{points: make([]ringPoint, 0, shards*shardVnodes)}
 	for s := 0; s < shards; s++ {
-		r.live[s] = true
 		for v := 0; v < shardVnodes; v++ {
 			// The salt separates the node-hash domain from the key-hash
 			// domain: without it, shard 0's vnode inputs are the raw values
@@ -94,41 +80,10 @@ func NewShardRing(shards int) *ShardRing {
 	return r
 }
 
-// Shards returns the total shard count (live or not).
-func (r *ShardRing) Shards() int { return len(r.live) }
-
-// Live returns the number of live shards.
-func (r *ShardRing) Live() int { return r.nLive }
-
-// SetLive marks a shard live or removed. Removal reassigns the shard's
-// key ranges to the clockwise survivors; re-adding restores the original
-// assignment exactly (the points never move).
-func (r *ShardRing) SetLive(shard int, live bool) {
-	if shard < 0 || shard >= len(r.live) || r.live[shard] == live {
-		return
-	}
-	r.live[shard] = live
-	if live {
-		r.nLive++
-	} else {
-		r.nLive--
-	}
-}
-
-// Owner returns the shard owning key: the first live shard at or after
-// hash(key) on the ring, wrapping. Returns -1 when no shard is live.
+// Owner returns the shard owning key: the shard of the first point at
+// or after hash(key) on the ring, wrapping.
 func (r *ShardRing) Owner(key uint64) int {
-	if r.nLive == 0 {
-		return -1
-	}
 	h := splitmix64(key)
-	// First point with hash >= h, wrapping to 0.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for n := 0; n < len(r.points); n++ {
-		p := r.points[(i+n)%len(r.points)]
-		if r.live[p.shard] {
-			return p.shard
-		}
-	}
-	return -1
+	return r.points[i%len(r.points)].shard
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"livesec/internal/flow"
@@ -191,24 +192,18 @@ func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netp
 		c.cache.putDecision(sel, c.policies.Version(), dec)
 	}
 	c.curSpan.MarkDecision(hit)
-	switch dec.Action {
-	case policy.Deny:
-		c.installDrop(st, exactDropMatch(key), key, "policy "+dec.Rule)
+	if dec.Action == policy.Deny {
+		c.installDrop(st, flow.ExactMatch(key), key, "policy "+dec.Rule)
 		c.stats.FlowsBlocked++
 		c.obsCurSpanEnd(obs.OutcomeDenied)
 		return
-	case policy.Chain:
-		c.installChain(st, pi, pkt, key, sel, dec)
-	default:
-		c.installDirect(st, pi, pkt, key, sel, dec.Rule)
 	}
+	c.installSession(st, pi, key, sel, dec)
 	// Completed setups detach their span in finishSetup; one still open
 	// here was abandoned mid-install (unknown destination, unusable
 	// switch on the path).
 	c.obsCurSpanEnd(obs.OutcomeIncomplete)
 }
-
-func exactDropMatch(key flow.Key) flow.Match { return flow.ExactMatch(key) }
 
 // installDrop installs a drop rule at a switch and records the event.
 func (c *Controller) installDrop(st *switchState, m flow.Match, key flow.Key, why string) {
@@ -248,175 +243,192 @@ func (c *Controller) destination(key flow.Key) (hop, bool) {
 	return hop{st: st, port: h.Port, mac: h.MAC}, true
 }
 
-// installDirect installs plain two-hop forwarding for both directions of
-// the session and releases the buffered packet. Repeat flows replay the
-// cached plan instead of rebuilding the path.
-func (c *Controller) installDirect(st *switchState, pi *openflow.PacketIn, pkt *netpkt.Packet, key flow.Key, sel selectorKey, rule string) {
-	pk := planKey{sel: sel}
-	if plan := c.cache.plan(pk); plan != nil {
+// installSession installs both directions of an admitted session and
+// releases the buffered packet (§IV.A's four flow entries, generalized to
+// arbitrary chain length): plan, then execute. It resolves the
+// destination and the chain, takes the session's plan from the cache or
+// from buildPlan — which emits nothing — and hands it to replayPlan and
+// finishSetup, the only code that turns a plan into flow mods, XIDs,
+// shadow entries and the packet-out. How the session is realised is one
+// of the three completed span outcomes — routed (plain two-hop
+// forwarding), chained (steered through the picked elements) or
+// fail-open (a Chain flow forwarded uninspected, policy.Rule.FailOpen) —
+// and keys the accounting tail.
+//
+// Four things differ between the three, on purpose or by history, and
+// the message streams pinned by TestSetupStreamGolden depend on each:
+//
+//  1. A routed flow reads the plan cache (and counts the miss) before it
+//     resolves the destination, so an unknown destination costs it a
+//     PlanCacheMiss. A chained flow resolves the destination first — its
+//     plan key needs the picked elements — and then counts nothing.
+//  2. Fail-open is never cached and counts neither hit nor miss: every
+//     later flow re-runs element selection, so steering resumes the
+//     moment an element returns. It counts as FlowsRouted and as
+//     FlowsFailedOpen, and its session is a live policy violation for
+//     accounting and re-steering.
+//  3. Fail-open's reverse leg needs the source switch usable(); routed
+//     and chained installs only need it registered (buildPlan).
+//  4. A forward path that breaks at a missing link still sends the
+//     entries planned up to the break, without releasing the packet or
+//     recording a session; a broken reverse path completes the setup
+//     but leaves the plan uncached.
+func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key flow.Key, sel selectorKey, dec policy.Decision) {
+	outcome := obs.OutcomeRouted
+	var (
+		dst   hop
+		chain []hop
+		seIDs []uint64
+		ok    bool
+	)
+	pk, cacheable := planKey{sel: sel}, true
+	if dec.Action == policy.Chain {
+		if dst, ok = c.destination(key); !ok {
+			return // destination unknown; drop the packet, sender will retry
+		}
+		if chain, seIDs, outcome, ok = c.pickChain(st, key, dec); !ok {
+			return
+		}
+		if outcome == obs.OutcomeFailOpen {
+			cacheable = false
+		} else {
+			// State handoff (fwstate.go): if this session has mirrored
+			// firewall state and the balancer just picked a different element
+			// than the one holding it, transfer the state ahead of the
+			// packet's release. Sits before the plan-cache read so cached and
+			// fresh installs both migrate.
+			if c.fwMirror != nil {
+				c.fwMaybeHandoff(key, seIDs)
+			}
+			// The balancer pick is live for every flow; the plan cache is
+			// keyed by the picked elements, so a hit replays a path that
+			// steers exactly where the balancer just decided.
+			pk, cacheable = planKeyFor(sel, seIDs)
+		}
+	}
+	var plan *sessionPlan
+	if cacheable {
+		plan = c.cache.plan(pk)
+	}
+	forward := true
+	if plan != nil {
 		c.stats.PlanCacheHits++
 		c.curSpan.MarkPlan(true)
-		em := &c.emit
-		em.reset(nil)
-		c.replayPlan(em, plan, key)
-		c.finishSetup(em, st, pi, plan.firstActions, plan.programmed)
-		c.stats.FlowsRouted++
-		c.rememberSession(key, st.dpid, rule, nil, false)
-		c.record(monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
-			User: key.EthSrc.String(), FlowKey: &key, Detail: "allow " + rule})
-		return
+	} else {
+		if outcome != obs.OutcomeFailOpen {
+			c.stats.PlanCacheMisses++
+		}
+		if outcome == obs.OutcomeRouted {
+			if dst, ok = c.destination(key); !ok {
+				return
+			}
+		}
+		var complete bool
+		plan, forward, complete = c.buildPlan(st, key, chain, dst, seIDs, outcome)
+		if complete && cacheable {
+			c.cache.putPlan(pk, plan)
+		}
 	}
-	c.stats.PlanCacheMisses++
-	dst, ok := c.destination(key)
-	if !ok {
-		return // destination unknown; drop the packet, sender will retry
-	}
-	plan := &sessionPlan{revPort: dst.port}
 	em := &c.emit
-	em.reset(plan)
-	first, programmed, ok := c.installPath(em, st, key, []hop{dst}, false)
-	if !ok {
+	em.reset()
+	c.replayPlan(em, plan, key)
+	if !forward {
 		em.flush()
 		return
 	}
-	complete := false
-	// Reverse direction of the session (§III.C.3 session policy).
-	if src, ok := c.hosts[key.EthSrc]; ok {
-		revKey := key.Reverse(dst.port)
-		if srcSt, up := c.switches[src.DPID]; up {
-			_, revProg, revOK := c.installPath(em, dst.st, revKey, []hop{{st: srcSt, port: src.Port, mac: src.MAC}}, true)
-			for dpid := range revProg {
-				programmed[dpid] = true
-			}
-			complete = revOK
-		}
+	c.curSpan.SetOutcome(outcome)
+	c.finishSetup(em, st, pi, plan)
+
+	ev := monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
+		User: key.EthSrc.String(), FlowKey: &key}
+	switch outcome {
+	case obs.OutcomeRouted:
+		c.stats.FlowsRouted++
+		ev.Detail = "allow " + dec.Rule
+	case obs.OutcomeChained:
+		c.stats.FlowsChained++
+		ev.Detail = "chain " + dec.Rule + " via " + plan.via
+	case obs.OutcomeFailOpen:
+		c.stats.FlowsRouted++
+		c.stats.FlowsFailedOpen++
+		ev.Type = monitor.EventFailOpen
+		ev.Detail = "fail-open " + dec.Rule
 	}
-	c.finishSetup(em, st, pi, first, programmed)
-	if complete {
-		plan.firstActions = first
-		plan.programmed = programmed
-		c.cache.putPlan(pk, plan)
-	}
-	c.stats.FlowsRouted++
-	c.rememberSession(key, st.dpid, rule, nil, false)
-	c.record(monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
-		User: key.EthSrc.String(), FlowKey: &key, Detail: "allow " + rule})
+	c.rememberSession(key, st.dpid, dec.Rule, plan.seIDs, outcome == obs.OutcomeFailOpen)
+	c.record(ev)
 }
 
-// installChain resolves the policy's service chain to concrete elements
-// via load balancing and installs the steering path for both directions
-// (§IV.A's four flow entries, generalized to arbitrary chain length).
-func (c *Controller) installChain(st *switchState, pi *openflow.PacketIn, pkt *netpkt.Packet, key flow.Key, sel selectorKey, dec policy.Decision) {
-	dst, ok := c.destination(key)
-	if !ok {
-		return
-	}
+// pickChain resolves the decision's service chain to concrete elements
+// via load balancing: the hops in policy order and their IDs. When no
+// reachable element provides a required service the rule's FailOpen knob
+// decides the window's semantics: forward uninspected (outcome
+// fail-open: recorded as a live policy violation, re-steered as soon as
+// an element returns) or drop at the entrance (ok false). The
+// fail-closed drop carries a hard timeout so the flow retries setup —
+// and recovers — after elements come back.
+func (c *Controller) pickChain(st *switchState, key flow.Key, dec policy.Decision) (chain []hop, seIDs []uint64, outcome obs.Outcome, ok bool) {
 	bal := c.balancer(dec.Algorithm, dec.Grain)
 	skipsBefore := c.stats.BreakerSkips
-	var hops []hop
-	var seIDs []uint64
+	chain = make([]hop, 0, len(dec.Services)+1) // buildPlan appends the destination
+	seIDs = make([]uint64, 0, len(dec.Services))
 	for _, svc := range dec.Services {
-		se, id, ok := c.pickElement(bal, svc, key)
+		se, id, found := c.pickElement(bal, svc, key)
 		c.curSpan.AddBreakerSkips(uint32(c.stats.BreakerSkips - skipsBefore))
 		skipsBefore = c.stats.BreakerSkips
-		if !ok {
-			// No reachable element provides the required service. The
-			// rule's FailOpen knob decides the window's semantics: forward
-			// uninspected (recorded as a live policy violation, re-steered
-			// as soon as an element returns) or drop at the entrance. The
-			// fail-closed drop carries a hard timeout so the flow retries
-			// setup — and recovers — after elements come back.
+		if !found {
 			if dec.FailOpen {
-				c.installFailOpen(st, pi, key, dec.Rule)
-				return
+				return nil, nil, obs.OutcomeFailOpen, true
 			}
-			c.installDropTimed(st, exactDropMatch(key), key,
+			c.installDropTimed(st, flow.ExactMatch(key), key,
 				"no element for "+svc.String(), failClosedHoldSecs)
 			c.stats.FlowsBlocked++
 			c.obsCurSpanEnd(obs.OutcomeDenied)
-			return
+			return nil, nil, obs.OutcomeDenied, false
 		}
-		hops = append(hops, se)
+		chain = append(chain, se)
 		seIDs = append(seIDs, id)
 		c.curSpan.AddElement(id)
 	}
-	// State handoff (fwstate.go): if this session has mirrored firewall
-	// state and the balancer just picked a different element than the one
-	// holding it, transfer the state ahead of the packet's release. Sits
-	// before the plan-cache branch so cached and fresh installs both
-	// migrate.
-	if c.fwMirror != nil {
-		c.fwMaybeHandoff(key, seIDs)
+	return chain, seIDs, obs.OutcomeChained, true
+}
+
+// buildPlan derives a session's flow entries: the forward path from the
+// ingress switch through the chain to dst, then the reverse path — the
+// reply traverses the same elements in reverse order unless
+// Config.SteerForwardOnly (§III.C.3 session policy). It emits nothing.
+// forward is false when the forward path breaks at a missing link (the
+// plan then holds the entries up to the break); complete is true when
+// the reverse path is planned end to end too, and only then may the plan
+// be cached.
+func (c *Controller) buildPlan(st *switchState, key flow.Key, chain []hop, dst hop, seIDs []uint64, outcome obs.Outcome) (plan *sessionPlan, forward, complete bool) {
+	plan = &sessionPlan{revPort: dst.port, seIDs: seIDs, via: uitoaList(seIDs),
+		// Each direction is at most an ingress entry, an arrival and a
+		// departure per element, and the final arrival.
+		steps:    make([]planStep, 0, 4*(len(chain)+1)),
+		switches: make([]uint64, 0, len(chain)+2),
 	}
-	// The balancer pick above is live for every flow; the plan cache is
-	// keyed by the picked elements, so a hit replays a path that steers
-	// exactly where the balancer just decided.
-	pk, cacheable := planKeyFor(sel, seIDs)
-	if cacheable {
-		if plan := c.cache.plan(pk); plan != nil {
-			c.stats.PlanCacheHits++
-			c.curSpan.MarkPlan(true)
-			c.curSpan.SetOutcome(obs.OutcomeChained)
-			em := &c.emit
-			em.reset(nil)
-			c.replayPlan(em, plan, key)
-			c.finishSetup(em, st, pi, plan.firstActions, plan.programmed)
-			c.stats.FlowsChained++
-			c.rememberSession(key, st.dpid, dec.Rule, plan.seIDs, false)
-			c.record(monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
-				User: key.EthSrc.String(), FlowKey: &key,
-				Detail: "chain " + dec.Rule + " via " + plan.via})
-			return
-		}
+	plan.steps, plan.firstActions, forward = c.planPath(plan.steps, st, key, append(chain, dst), false)
+	if !forward {
+		return plan, false, false
 	}
-	c.stats.PlanCacheMisses++
-	hops = append(hops, dst)
-	plan := &sessionPlan{revPort: dst.port, seIDs: seIDs}
-	em := &c.emit
-	em.reset(plan)
-	first, programmed, ok := c.installPath(em, st, key, hops, false)
-	if !ok {
-		em.flush()
-		return
-	}
-	complete := false
-	if src, haveSrc := c.hosts[key.EthSrc]; haveSrc {
-		if srcSt, up := c.switches[src.DPID]; up {
-			revKey := key.Reverse(dst.port)
-			srcHop := hop{st: srcSt, port: src.Port, mac: src.MAC}
-			var revProg map[uint64]bool
-			var revOK bool
-			if c.cfg.SteerForwardOnly {
-				_, revProg, revOK = c.installPath(em, dst.st, revKey, []hop{srcHop}, true)
-			} else {
-				// Reply traverses the same elements in reverse order.
-				revHops := make([]hop, 0, len(hops))
-				for i := len(hops) - 2; i >= 0; i-- {
-					revHops = append(revHops, hops[i])
+	if src, ok := c.hosts[key.EthSrc]; ok {
+		if srcSt, up := c.switches[src.DPID]; up && (outcome != obs.OutcomeFailOpen || srcSt.usable()) {
+			revHops := make([]hop, 0, len(chain)+1)
+			if !c.cfg.SteerForwardOnly {
+				for i := len(chain) - 1; i >= 0; i-- {
+					revHops = append(revHops, chain[i])
 				}
-				revHops = append(revHops, srcHop)
-				_, revProg, revOK = c.installPath(em, dst.st, revKey, revHops, true)
 			}
-			for dpid := range revProg {
-				programmed[dpid] = true
-			}
-			complete = revOK
+			revHops = append(revHops, hop{st: srcSt, port: src.Port, mac: src.MAC})
+			plan.steps, _, complete = c.planPath(plan.steps, dst.st, key.Reverse(dst.port), revHops, true)
 		}
 	}
-	c.curSpan.SetOutcome(obs.OutcomeChained)
-	c.finishSetup(em, st, pi, first, programmed)
-	via := uitoaList(seIDs)
-	if complete && cacheable {
-		plan.firstActions = first
-		plan.programmed = programmed
-		plan.via = via
-		c.cache.putPlan(pk, plan)
+	for i := range plan.steps {
+		if j, found := slices.BinarySearch(plan.switches, plan.steps[i].dpid); !found {
+			plan.switches = slices.Insert(plan.switches, j, plan.steps[i].dpid)
+		}
 	}
-	c.stats.FlowsChained++
-	c.rememberSession(key, st.dpid, dec.Rule, seIDs, false)
-	c.record(monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
-		User: key.EthSrc.String(), FlowKey: &key,
-		Detail: "chain " + dec.Rule + " via " + via})
+	return plan, true, complete
 }
 
 func uitoaList(ids []uint64) string {
@@ -474,11 +486,12 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 	return hop{st: c.switches[se.dpid], port: se.port, mac: se.mac}, id, true
 }
 
-// installPath installs the flow entries moving the flow identified by
-// key (as it appears at the ingress switch) through the hop sequence.
-// It returns the action list the ingress switch must apply to the first
-// packet. All entries are exact matches with the controller's idle
-// timeout.
+// planPath appends to steps the flow entries moving the flow identified
+// by key (as it appears at the ingress switch) through the hop sequence,
+// and returns them with the action list the ingress switch must apply to
+// the first packet. It emits nothing and counts nothing. All entries are
+// exact matches. ok is false when a leg has no logical link; steps then
+// holds the entries up to the break.
 //
 // Steering note: the legacy fabric is a transparent learning network, so
 // every fabric crossing must carry a source MAC that is genuinely
@@ -488,12 +501,7 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 // and the next arrival entry restores the original source before the
 // element or destination sees the frame (§IV.A's entries ii–iv, hardened
 // for a learning fabric).
-func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key, hops []hop, rev bool) ([]openflow.Action, map[uint64]bool, bool) {
-	if len(hops) == 0 {
-		return nil, nil, false
-	}
-	programmed := map[uint64]bool{ingress.dpid: true}
-	idle := uint16(c.cfg.FlowIdle.Seconds())
+func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.Key, hops []hop, rev bool) ([]planStep, []openflow.Action, bool) {
 	origSrc := key.EthSrc
 	finalMAC := key.EthDst // the destination host's real address
 
@@ -516,18 +524,17 @@ func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key
 	}
 	out, ok := towards(ingress, hops[0])
 	if !ok {
-		return nil, nil, false
+		return steps, nil, false
 	}
 	firstActions = append(firstActions, openflow.ActionOutput{Port: out})
-	c.emitFlowMod(em, ingress, rev, &openflow.FlowMod{
-		Match:       flow.ExactMatch(key),
-		Command:     openflow.FlowAdd,
-		Priority:    prioForward,
-		IdleTimeout: idle,
+	steps = append(steps, planStep{
+		dpid: ingress.dpid, rev: rev,
+		ethSrc: key.EthSrc, ethDst: key.EthDst, inPort: key.InPort,
+		priority: prioForward,
 		// Ingress entries report their counters on expiry so the
 		// controller can account per-user traffic (§IV.C).
-		NotifyDel: true,
-		Actions:   firstActions,
+		notifyDel: true,
+		actions:   firstActions,
 	})
 
 	prev := ingress
@@ -540,27 +547,21 @@ func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key
 		if h.st != prev {
 			inPort, ok := h.st.peers[prev.dpid]
 			if !ok {
-				return nil, programmed, false
+				return steps, nil, false
 			}
-			programmed[h.st.dpid] = true
-			arriveKey := key
-			arriveKey.EthSrc = wireSrc
-			arriveKey.EthDst = h.mac
+			arriveDst := h.mac
 			if isFinal {
-				arriveKey.EthDst = finalMAC
+				arriveDst = finalMAC
 			}
-			arriveKey.InPort = inPort
 			var actions []openflow.Action
 			if wireSrc != origSrc {
 				actions = append(actions, openflow.ActionSetDLSrc{MAC: origSrc})
 			}
 			actions = append(actions, openflow.ActionOutput{Port: h.port})
-			c.emitFlowMod(em, h.st, rev, &openflow.FlowMod{
-				Match:       flow.ExactMatch(arriveKey),
-				Command:     openflow.FlowAdd,
-				Priority:    prioSteer,
-				IdleTimeout: idle,
-				Actions:     actions,
+			steps = append(steps, planStep{
+				dpid: h.st.dpid, rev: rev,
+				ethSrc: wireSrc, ethDst: arriveDst, inPort: inPort,
+				priority: prioSteer, actions: actions,
 			})
 		}
 		if isFinal {
@@ -570,14 +571,10 @@ func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key
 		// back with the original source and its own MAC as destination;
 		// rewrite toward the next hop.
 		next := hops[i+1]
-		departKey := key
-		departKey.EthDst = h.mac
-		departKey.InPort = h.port
 		outPort, ok := towards(h.st, next)
 		if !ok {
-			return nil, programmed, false
+			return steps, nil, false
 		}
-		programmed[h.st.dpid] = true
 		nextMAC := next.mac
 		if i+1 == len(hops)-1 {
 			nextMAC = finalMAC
@@ -592,12 +589,10 @@ func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key
 			openflow.ActionSetDLDst{MAC: nextMAC},
 			openflow.ActionOutput{Port: outPort},
 		)
-		c.emitFlowMod(em, h.st, rev, &openflow.FlowMod{
-			Match:       flow.ExactMatch(departKey),
-			Command:     openflow.FlowAdd,
-			Priority:    prioSteer,
-			IdleTimeout: idle,
-			Actions:     actions,
+		steps = append(steps, planStep{
+			dpid: h.st.dpid, rev: rev,
+			ethSrc: origSrc, ethDst: h.mac, inPort: h.port,
+			priority: prioSteer, actions: actions,
 		})
 		prev = h.st
 		if crossing {
@@ -606,26 +601,26 @@ func (c *Controller) installPath(em *emitter, ingress *switchState, key flow.Key
 			wireSrc = origSrc
 		}
 	}
-	return firstActions, programmed, true
+	return steps, firstActions, true
 }
 
 // finishSetup completes a flow setup: it queues the release of the
-// buffered first packet (directly, or via barriers when
-// Config.UseBarriers is set, so the packet cannot overtake its own flow
-// entries) and flushes the emitter — one batched transport write per
-// programmed switch.
-func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.PacketIn, actions []openflow.Action, programmed map[uint64]bool) {
+// buffered first packet (directly, or via barriers on every switch the
+// plan programs when Config.UseBarriers is set, so the packet cannot
+// overtake its own flow entries) and flushes the emitter — one batched
+// transport write per programmed switch.
+func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.PacketIn, plan *sessionPlan) {
 	po := &openflow.PacketOut{
 		BufferID: pi.BufferID,
 		InPort:   pi.InPort,
-		Actions:  actions,
+		Actions:  plan.firstActions,
 	}
 	if pi.BufferID == openflow.NoBuffer {
 		po.Data = pi.Data
 	}
 	sp := c.obsTakeSetupSpan()
 	if c.cfg.UseBarriers {
-		c.barrierRelease(em, st, po, programmed, sp)
+		c.barrierRelease(em, st, po, plan.switches, sp)
 		c.shardFlush(em, st, sp)
 		return
 	}

@@ -60,29 +60,32 @@ func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, seI
 	c.sessions[key] = rec
 }
 
+// sessionsWhere returns the live sessions pred selects, in install
+// order: everything that walks the session map to send messages or
+// record events goes through here, so runs reproduce bit-for-bit (map
+// iteration order is randomized in Go).
+func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecord {
+	var picked []sessionRecord
+	for _, rec := range c.sessions {
+		if pred(rec) {
+			picked = append(picked, rec)
+		}
+	}
+	sort.Slice(picked, func(i, j int) bool { return picked[i].seq < picked[j].seq })
+	return picked
+}
+
 // expireSessions retires records older than Config.SessionTTL (no-op at
 // the zero default). Only the controller's bookkeeping is dropped — the
 // dataplane entries have their own idle timeouts — but fail-open
-// violation windows close through forgetSession as usual. Victims are
-// processed in install order so runs reproduce bit-for-bit.
+// violation windows close through forgetSession as usual.
 func (c *Controller) expireSessions(now time.Duration) {
 	ttl := c.cfg.SessionTTL
 	if ttl <= 0 || len(c.sessions) == 0 {
 		return
 	}
-	type item struct {
-		key flow.Key
-		seq uint64
-	}
-	var victims []item
-	for key, rec := range c.sessions {
-		if now-rec.installedAt > ttl {
-			victims = append(victims, item{key: key, seq: rec.seq})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		c.forgetSession(v.key)
+	for _, rec := range c.sessionsWhere(func(rec sessionRecord) bool { return now-rec.installedAt > ttl }) {
+		c.forgetSession(rec.key)
 		c.stats.SessionsExpired++
 	}
 }
@@ -117,7 +120,8 @@ func (c *Controller) PolicyViolationTime() time.Duration {
 // policy. It returns the number of sessions affected.
 func (c *Controller) ReapplyPolicies() int {
 	affected := 0
-	for key, rec := range c.sessions {
+	for _, rec := range c.sessionsWhere(func(sessionRecord) bool { return true }) {
+		key := rec.key
 		dec := c.policies.Lookup(key)
 		st, ok := c.switches[rec.dpid]
 		if !ok {

@@ -1,11 +1,18 @@
 package core_test
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"livesec/internal/core"
+	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
+	"livesec/internal/seproto"
+	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -109,5 +116,147 @@ func TestReapplyPoliciesNoChangesNoEffect(t *testing.T) {
 	}
 	if got != 2 || n.Switches[0].TableMisses != misses {
 		t.Fatalf("no-op reapply disturbed the session (got=%d)", got)
+	}
+}
+
+// reapplyDenyRun opens 40 sessions across two switches — 20 from each
+// side — then denies them all at once and returns what the controller
+// logged and counted.
+func reapplyDenyRun(t *testing.T) ([]monitor.Event, core.Stats) {
+	t.Helper()
+	n, a, b := twoSwitchNet(t, testbed.Options{})
+	defer n.Shutdown()
+	for i := 0; i < 20; i++ {
+		a.SendUDP(serverIP, uint16(1000+i), 9, []byte("out"), 0)
+		b.SendUDP(ipA, uint16(2000+i), 9, []byte("back"), 0)
+		if err := n.Run(20 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.Controller.Sessions(); got != 40 {
+		t.Fatalf("live sessions = %d, want 40", got)
+	}
+	if err := n.Controller.Policies().Add(&policy.Rule{Name: "lockdown", Priority: 100,
+		Match: policy.Match{DstPort: 9}, Action: policy.Deny}); err != nil {
+		t.Fatal(err)
+	}
+	if affected := n.Controller.ReapplyPolicies(); affected != 40 {
+		t.Fatalf("affected = %d, want 40", affected)
+	}
+	return n.Store.Events(monitor.Filter{}), n.Controller.Stats()
+}
+
+// TestReapplyPoliciesInstallOrder: a policy flip tears live sessions down
+// in the order they were installed, not in Go's map order, so two
+// controllers built alike log and count alike.
+func TestReapplyPoliciesInstallOrder(t *testing.T) {
+	events, stats := reapplyDenyRun(t)
+	var installed, blocked []string
+	for _, ev := range events {
+		switch {
+		case ev.Type == monitor.EventFlowStart:
+			installed = append(installed, ev.FlowDesc)
+		case ev.Type == monitor.EventFlowBlocked && ev.FlowDesc != "":
+			blocked = append(blocked, ev.FlowDesc)
+		}
+	}
+	if len(installed) != 40 || !reflect.DeepEqual(installed, blocked) {
+		t.Fatalf("flow-blocked events are not in install order:\ninstalled %v\nblocked   %v", installed, blocked)
+	}
+	again, stats2 := reapplyDenyRun(t)
+	if !reflect.DeepEqual(events, again) {
+		t.Fatal("two controllers built alike produced different event logs")
+	}
+	if stats != stats2 {
+		t.Fatalf("two controllers built alike counted differently:\n%+v\n%+v", stats, stats2)
+	}
+}
+
+// removeSwitchRun puts 20 users and 2 L7 elements on ovs2, steers ten
+// sessions from ovs1 through the elements, then decommissions ovs2. It
+// returns the leave/offline events a MAC-ordered walk of ovs2's
+// attachments would log, with the event log and the counters.
+func removeSwitchRun(t *testing.T) (want []string, events []monitor.Event, stats core.Stats) {
+	t.Helper()
+	pt := policy.NewTable(policy.Allow)
+	if err := pt.Add(&policy.Rule{Name: "identify", Priority: 10, Match: policy.Match{DstPort: 9},
+		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceL7}}); err != nil {
+		t.Fatal(err)
+	}
+	n := testbed.New(testbed.Options{Monitor: true, Policies: pt})
+	defer n.Shutdown()
+	s1, s2 := n.AddOvS("ovs1"), n.AddOvS("ovs2")
+	a := n.AddWiredUser(s1, "alice", ipA)
+	n.AddElement(s2, service.NewL7(), 0)
+	n.AddElement(s2, service.NewL7(), 0)
+	if err := n.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		u := n.AddWiredUser(s2, fmt.Sprintf("user%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
+		u.SendUDP(ipA, 7, 7, []byte("hello"), 0) // the controller learns the user
+	}
+	// One heartbeat interval so the elements register before they are needed.
+	if err := n.Run(600 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		a.SendUDP(netpkt.IP(10, 0, 1, byte(i+1)), uint16(3000+i), 9, []byte("steered"), 0)
+	}
+	if err := n.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var onOvs2 []core.HostLoc
+	for _, h := range n.Controller.Hosts() {
+		if h.DPID == s2.DPID() {
+			onOvs2 = append(onOvs2, h)
+		}
+	}
+	if len(onOvs2) != 22 || n.Controller.Stats().FlowsChained != 10 {
+		t.Fatalf("setup: %d attachments on ovs2 (want 22), %d chained flows (want 10)",
+			len(onOvs2), n.Controller.Stats().FlowsChained)
+	}
+	sort.Slice(onOvs2, func(i, j int) bool { return onOvs2[i].MAC.String() < onOvs2[j].MAC.String() })
+	for _, h := range onOvs2 {
+		if h.SEID != 0 {
+			want = append(want, fmt.Sprintf("se%d", h.SEID))
+		} else {
+			want = append(want, h.MAC.String())
+		}
+	}
+	before := n.Store.TotalRecorded()
+	n.Controller.RemoveSwitch(s2.DPID())
+	return want, n.Store.Events(monitor.Filter{Since: before}), n.Controller.Stats()
+}
+
+// TestRemoveSwitchMACOrder: decommissioning a switch logs its users and
+// elements leaving — and drains the elements' sessions, which sends
+// flow-mods — in MAC order, the same on every run.
+func TestRemoveSwitchMACOrder(t *testing.T) {
+	want, events, stats := removeSwitchRun(t)
+	var got []string
+	drained := 0
+	for _, ev := range events {
+		switch ev.Type {
+		case monitor.EventUserLeave:
+			got = append(got, ev.User)
+		case monitor.EventSEOffline:
+			got = append(got, fmt.Sprintf("se%d", ev.SE))
+		case monitor.EventSEDrain:
+			drained++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("leave/offline events are not in MAC order:\ngot  %v\nwant %v", got, want)
+	}
+	if drained == 0 || stats.SessionsDrained != 10 {
+		t.Fatalf("%d drain events, %d sessions drained; want the 10 steered sessions drained", drained, stats.SessionsDrained)
+	}
+	_, again, stats2 := removeSwitchRun(t)
+	if !reflect.DeepEqual(events, again) {
+		t.Fatal("two controllers built alike produced different event logs")
+	}
+	if stats != stats2 {
+		t.Fatalf("two controllers built alike counted differently:\n%+v\n%+v", stats, stats2)
 	}
 }

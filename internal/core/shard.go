@@ -69,10 +69,8 @@ type ShardStat struct {
 	Msgs      uint64
 	PacketIns uint64
 	// SetupsOwned counts flow setups this shard decided (its switch was
-	// the ingress); CrossSetups is the subset that programmed at least
-	// one switch owned by a peer shard.
+	// the ingress).
 	SetupsOwned uint64
-	CrossSetups uint64
 	// CrossInstallsOut/In count per-switch install batches sent to /
 	// received from peer shards.
 	CrossInstallsOut uint64
@@ -81,12 +79,6 @@ type ShardStat struct {
 	// SE facts) sent to / received from peers.
 	ReplOut uint64
 	ReplIn  uint64
-	// QueuedMsgs counts messages that arrived while the shard was dead;
-	// Takeovers counts standby takeovers; ShadowReplayed counts flow
-	// entries reinstalled from shadow tables on takeover.
-	QueuedMsgs     uint64
-	Takeovers      uint64
-	ShadowReplayed uint64
 }
 
 // pendingShardMsg is one message parked while its owner shard is dead.
@@ -209,7 +201,6 @@ func (c *Controller) shardIntercept(st *switchState, m openflow.Message) bool {
 		// The shard's event loop is down; its switches' messages wait for
 		// the standby takeover (shard_failover.go), in arrival order.
 		s.pending = append(s.pending, pendingShardMsg{st: st, m: m, at: c.eng.Now()})
-		s.stat.QueuedMsgs++
 		c.stats.ShardQueuedMsgs++
 		return true
 	}
@@ -281,7 +272,6 @@ func (c *Controller) shardFlush(em *emitter, ingress *switchState, sp *obs.Span)
 		c.stats.ShardCrossInstalls++
 	}
 	if cross > 0 {
-		own.stat.CrossSetups++
 		c.stats.ShardCrossSetups++
 	}
 	if sh.coordLatency <= 0 || cross == 0 {
@@ -314,7 +304,6 @@ func (c *Controller) shardFlush(em *emitter, ingress *switchState, sp *obs.Span)
 		b.st = nil
 	}
 	em.n = 0
-	em.plan = nil
 }
 
 // shardReplicate charges the lock-step replication of one learned fact

@@ -59,7 +59,6 @@ func (c *Controller) shardTakeover(s *shardState) {
 	sh := c.sh
 	now := c.eng.Now()
 	s.alive = true
-	s.stat.Takeovers++
 	c.stats.ShardTakeovers++
 
 	// The takeover anchors its own trace: the shadow replay and every
@@ -92,7 +91,6 @@ func (c *Controller) shardTakeover(s *shardState) {
 		openflow.SendAll(st.conn, msgs...)
 		replayed += len(entries)
 	}
-	s.stat.ShadowReplayed += uint64(replayed)
 	c.stats.ShardShadowReplayed += uint64(replayed)
 
 	// The outage window is a policy-enforcement gap for the shard's

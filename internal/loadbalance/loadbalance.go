@@ -169,6 +169,9 @@ func (b *Balancer) pick(sorted []Candidate, key flow.Key) uint64 {
 // its pinned element goes offline).
 func (b *Balancer) Forget(user netpkt.MAC) { delete(b.userPins, user) }
 
+// Pinned returns the number of users holding a sticky assignment.
+func (b *Balancer) Pinned() int { return len(b.userPins) }
+
 // hashKey hashes the flow 5-tuple; both directions of a session land on
 // the same element so stateful engines see full conversations.
 func hashKey(k flow.Key) uint64 {

@@ -236,9 +236,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // Value returns the current value of the named counter, gauge, or
 // sampled-func series, and whether the series exists. Histogram series
-// report false (use FindHistogram). The alert engine samples rule
-// inputs through this without holding handles, so rules can reference
-// metrics that components register conditionally.
+// report false. The alert engine samples rule inputs through this
+// without holding handles, so rules can reference metrics that
+// components register conditionally.
 func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 	if r == nil {
 		return 0, false
@@ -252,23 +252,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 		return 0, false
 	}
 	return s.value(), true
-}
-
-// FindHistogram returns the named histogram series, or nil when it is
-// not registered (or registered as another kind).
-func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	f, ok := r.byName[name]
-	if !ok || f.kind != kindHistogram {
-		return nil
-	}
-	s, ok := f.byKey[labelKey(labels)]
-	if !ok {
-		return nil
-	}
-	return s.h
 }
 
 // sortedFamilies returns families in name order.

@@ -186,9 +186,6 @@ type netConn struct {
 
 	closeOnce sync.Once
 	done      chan struct{}
-	// OnError, if set, observes reader-loop termination errors other than
-	// EOF/closed.
-	OnError func(error)
 }
 
 // NewNetConn wraps a byte stream as an OpenFlow channel. The reader loop
@@ -242,9 +239,6 @@ func (c *netConn) readLoop() {
 	for {
 		m, err := readMessageBuf(br, &scratch)
 		if err != nil {
-			if c.OnError != nil && err != io.EOF {
-				c.OnError(err)
-			}
 			_ = c.Close()
 			return
 		}

@@ -152,22 +152,13 @@ func TestNetConnLargeMessageStream(t *testing.T) {
 func TestNetConnReaderErrorSurfaces(t *testing.T) {
 	a, b := net.Pipe()
 	ca := NewNetConn(a).(*netConn)
-	errCh := make(chan error, 1)
-	ca.OnError = func(err error) { errCh <- err }
 	ca.SetHandler(func(Message) {})
 	// Write garbage with a huge length prefix, then close: the reader
-	// must surface a decode/read error and shut the conn down.
+	// must hit a decode/read error and shut the conn down.
 	go func() {
 		_, _ = b.Write([]byte{Version, byte(TypeHello), 0xff, 0xff, 0, 0, 0, 1})
 		_ = b.Close()
 	}()
-	select {
-	case <-errCh:
-	case <-ca.Done():
-		// Closed without OnError (EOF path) is also acceptable…
-	case <-time.After(5 * time.Second):
-		t.Fatal("reader did not terminate")
-	}
 	select {
 	case <-ca.Done():
 	case <-time.After(5 * time.Second):

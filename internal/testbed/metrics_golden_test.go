@@ -24,9 +24,9 @@ func typeLines(text string) []string {
 
 // The full metrics inventory with every knob enabled: shards, stateful
 // firewall migration, SLO alerts, all on one
-// deployment. The golden list is the contract DESIGN.md documents —
-// adding a family without updating the inventory (or this test) is a
-// breaking observability change. The exposition must also pass the
+// deployment. The golden list is the contract DESIGN.md § Observability
+// points to — adding a family without updating it is a breaking
+// observability change. The exposition must also pass the
 // strict lint (counter _total suffixes, non-empty HELP).
 func TestMetricsInventoryAllKnobs(t *testing.T) {
 	fo := obs.NewFlowObs(0)

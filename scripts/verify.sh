@@ -15,8 +15,6 @@
 #                  observability off and on, two E12 and two E13 runs
 #                  compared whole, and shards / firewall state mirror /
 #                  SLO engine armed vs untouched (TestKnobsNeutral)
-#   metrics     -> a short livesecd -obs run serves /metrics that passes
-#                  the exposition linter (scripts/check_metrics.sh)
 #
 # Usage: scripts/verify.sh   (or: make verify)
 set -eu
@@ -48,8 +46,5 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "==> experiment determinism (ci scale, whole suite)"
 go test -count=1 -run 'ByteIdentical|Deterministic|Neutral' ./cmd/livesec-bench ./internal/experiments
-
-echo "==> /metrics exposition check (livesecd -obs)"
-scripts/check_metrics.sh
 
 echo "verify: OK"
