@@ -29,8 +29,13 @@ verify:
 	sh scripts/verify.sh
 
 # Non-test Go outside bench/ — the line count ROADMAP aim 2 tracks — in
-# total, and again without blank and comment-only lines.
+# total, and again without blank and comment-only lines; then the same
+# two figures for each package directory, cmd, examples and the facade.
 loc:
-	@src=$$(find internal cmd examples livesec.go -name '*.go' ! -name '*_test.go'); \
-	echo "non-test Go outside bench/: $$(cat $$src | wc -l) lines," \
-		"$$(cat $$src | grep -cvE '^[[:space:]]*(//.*)?$$') without blank and comment lines"
+	@count() { src=$$(find "$$@" -name '*.go' ! -name '*_test.go'); \
+		echo "$$(cat /dev/null $$src | wc -l) $$(cat /dev/null $$src | grep -cvE '^[[:space:]]*(//.*)?$$')"; }; \
+	set -- $$(count internal cmd examples livesec.go); \
+	echo "non-test Go outside bench/: $$1 lines, $$2 without blank and comment lines"; \
+	for d in internal/* cmd/* examples livesec.go; do \
+		printf '  %-28s %6d %6d\n' "$$d" $$(count "$$d"); \
+	done

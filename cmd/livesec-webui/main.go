@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/host"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
@@ -56,12 +57,11 @@ func run() error {
 		return err
 	}
 	f, err := testbed.BuildFIT(testbed.ScaledFIT(), testbed.Options{
-		Monitor: true, Policies: pt, HostTTL: 30 * time.Second,
+		Monitor:  true,
+		Policies: pt,
+		Config:   core.Config{HostTTL: 30 * time.Second},
 	})
 	if err != nil {
-		return err
-	}
-	if err := f.Discover(); err != nil {
 		return err
 	}
 	f.Controller.StartStatsPolling(time.Second)

@@ -68,7 +68,6 @@ func ExampleBuildFIT() {
 		fmt.Println(err)
 		return
 	}
-	_ = f.Discover()
 	defer f.Shutdown()
 	_ = f.Run(600 * time.Millisecond)
 	fmt.Println("full mesh:", f.Controller.FullMesh())

@@ -49,9 +49,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := f.Discover(); err != nil {
-		return err
-	}
 	defer f.Shutdown()
 	if err := f.Run(700 * time.Millisecond); err != nil {
 		return err

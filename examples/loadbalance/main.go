@@ -59,7 +59,9 @@ func runOnce(algo livesec.Algorithm) ([]uint64, error) {
 		return nil, err
 	}
 	net := livesec.NewNetwork(livesec.Options{
-		Policies: policies, SteerForwardOnly: true, Seed: 42,
+		Policies: policies,
+		Seed:     42,
+		Config:   livesec.ControllerConfig{SteerForwardOnly: true},
 	})
 	userSw := net.AddOvS("users")
 	seSw := net.AddOvS("sehost")

@@ -58,10 +58,12 @@ func run() error {
 		return err
 	}
 	net := livesec.NewNetwork(livesec.Options{
-		Policies:   policies,
-		Monitor:    true,
-		DHCP:       livesec.DHCPPool{Base: livesec.IP(10, 100, 0, 10), Size: 32},
-		StatefulFW: true,
+		Policies: policies,
+		Monitor:  true,
+		Config: livesec.ControllerConfig{
+			DHCP:       livesec.DHCPPool{Base: livesec.IP(10, 100, 0, 10), Size: 32},
+			StatefulFW: true,
+		},
 	})
 	ap1 := net.AddWiFi("ap1")
 	ap2 := net.AddWiFi("ap2")

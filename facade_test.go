@@ -28,7 +28,8 @@ func TestFacadeInspectorConstructors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	net := livesec.NewNetwork(livesec.Options{Policies: pt, Monitor: true, SteerForwardOnly: true})
+	net := livesec.NewNetwork(livesec.Options{Policies: pt, Monitor: true,
+		Config: livesec.ControllerConfig{SteerForwardOnly: true}})
 	s1 := net.AddOvS("s1")
 	s2 := net.AddOvS("s2")
 	u := net.AddWiredUser(s1, "u", livesec.IP(10, 0, 0, 1))
@@ -99,7 +100,7 @@ func TestFacadeMustIDSPanics(t *testing.T) {
 
 func TestFacadeDHCPAndLinkParams(t *testing.T) {
 	net := livesec.NewNetwork(livesec.Options{
-		DHCP: livesec.DHCPPool{Base: livesec.IP(10, 50, 0, 1), Size: 2},
+		Config: livesec.ControllerConfig{DHCP: livesec.DHCPPool{Base: livesec.IP(10, 50, 0, 1), Size: 2}},
 	})
 	s1 := net.AddOvS("s1")
 	h := net.AddHost(s1, "h", livesec.IP(0, 0, 0, 0), livesec.LinkParams{BitsPerSec: livesec.Rate100M})

@@ -4,12 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/netpkt"
 	"livesec/internal/testbed"
 )
 
 func TestPerUserTrafficAccounting(t *testing.T) {
-	n, a, b := twoSwitchNet(t, testbed.Options{FlowIdle: time.Second})
+	n, a, b := twoSwitchNet(t, testbed.Options{Config: core.Config{FlowIdle: time.Second}})
 	defer n.Shutdown()
 	b.HandleUDP(9, func(*netpkt.Packet) {})
 	const pkts = 10

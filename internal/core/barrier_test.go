@@ -4,8 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"livesec/internal/dataplane"
-	"livesec/internal/link"
+	"livesec/internal/core"
 	"livesec/internal/netpkt"
 	"livesec/internal/testbed"
 )
@@ -14,24 +13,27 @@ import (
 // HTTP object at the same instant through a two-switch path.
 func burstNet(t *testing.T, barriers bool) (delivered int, ignored uint64) {
 	t.Helper()
-	n := testbed.New(testbed.Options{Seed: 61, UseBarriers: barriers})
-	// The ingress switch hears the controller quickly; the server's
-	// wiring closet is farther away, so its flow-mods land later — the
-	// classic window for a released packet to overtake its entries.
-	s1 := n.AddSwitchFull(dataplane.KindOvS, "clients", link.Rate1G, 100*time.Microsecond)
-	s2 := n.AddSwitchFull(dataplane.KindOvS, "server", link.Rate1G, 800*time.Microsecond)
-	srv := n.AddServer(s2, "srv", serverIP)
-	const clients = 24
-	type cl struct{ h *hostHandle }
-	hs := make([]*hostHandle, clients)
-	for i := 0; i < clients; i++ {
-		hs[i] = &hostHandle{h: n.AddWiredUser(s1, "c", netpkt.IP(10, 0, 1, byte(i+1)))}
+	spec := testbed.Spec{
+		Options: testbed.Options{Seed: 61, Config: core.Config{UseBarriers: barriers}},
+		// The ingress switch hears the controller quickly; the server's
+		// wiring closet is farther away, so its flow-mods land later — the
+		// classic window for a released packet to overtake its entries.
+		Switches: []testbed.SwitchSpec{
+			{Name: "clients", CtrlLatency: 100 * time.Microsecond},
+			{Name: "server", CtrlLatency: 800 * time.Microsecond},
+		},
+		Nodes: []testbed.Node{testbed.HostNode("server", "srv", serverIP, testbed.Server)},
 	}
-	_ = cl{}
-	if err := n.Discover(); err != nil {
+	const clients = 24
+	for i := 0; i < clients; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("clients", "c", netpkt.IP(10, 0, 1, byte(i+1)), testbed.Wired))
+	}
+	n, err := testbed.Build(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
+	srv := n.Hosts[0]
 	// Un-paced responder: the instant the request lands, three response
 	// segments fly back — racing the reverse flow-mods still in flight.
 	srv.HandleTCP(80, func(req *netpkt.Packet) {
@@ -40,23 +42,15 @@ func burstNet(t *testing.T, barriers bool) (delivered int, ignored uint64) {
 		}
 	})
 	got := 0
-	for i, c := range hs {
-		i, c := i, c
+	for i, c := range n.Hosts[1:] {
 		sp := uint16(41000 + i)
-		c.h.HandleTCP(sp, func(*netpkt.Packet) { got++ })
-		c.h.SendTCP(serverIP, sp, 80, []byte("GET / HTTP/1.1\r\n\r\n"), 0)
+		c.HandleTCP(sp, func(*netpkt.Packet) { got++ })
+		c.SendTCP(serverIP, sp, 80, []byte("GET / HTTP/1.1\r\n\r\n"), 0)
 	}
 	if err := n.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	return got, n.Controller.Stats().IgnoredUplink
-}
-
-type hostHandle struct{ h hostAPI }
-
-type hostAPI interface {
-	HandleTCP(uint16, func(*netpkt.Packet))
-	SendTCP(netpkt.IPv4Addr, uint16, uint16, []byte, int)
 }
 
 // TestBarriersPreventFirstPacketRace: with barriers, every response
@@ -84,7 +78,7 @@ func TestBarriersPreventFirstPacketRace(t *testing.T) {
 // TestBarriersStillDeliverSingleFlow: the synchronization must not break
 // the ordinary case or deadlock when only one switch is involved.
 func TestBarriersStillDeliverSingleFlow(t *testing.T) {
-	n := testbed.New(testbed.Options{Seed: 62, UseBarriers: true})
+	n := testbed.New(testbed.Options{Seed: 62, Config: core.Config{UseBarriers: true}})
 	s1 := n.AddOvS("ovs1")
 	a := n.AddWiredUser(s1, "a", ipA)
 	b := n.AddWiredUser(s1, "b", ipB)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/dataplane"
 	"livesec/internal/host"
 	"livesec/internal/ids"
@@ -54,7 +55,8 @@ func equalStrings(a, b []string) bool {
 // is permanently blackholed.
 func TestSwitchDisconnectResyncRestoresTable(t *testing.T) {
 	n, a, b := twoSwitchNet(t, testbed.Options{
-		Keepalive: true, Chaos: true, FlowIdle: time.Minute,
+		Chaos:  true,
+		Config: core.Config{Keepalive: true, FlowIdle: time.Minute},
 	})
 	defer n.Shutdown()
 
@@ -127,8 +129,10 @@ func chainNet(t *testing.T, failOpen bool) (*testbed.Net, *host.Host, *host.Host
 		t.Fatal(err)
 	}
 	n := testbed.New(testbed.Options{
-		Keepalive: true, Chaos: true, Monitor: true,
-		Policies: pt, FlowIdle: time.Minute,
+		Chaos:    true,
+		Monitor:  true,
+		Policies: pt,
+		Config:   core.Config{Keepalive: true, FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")
@@ -306,8 +310,10 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := testbed.New(testbed.Options{
-		Keepalive: true, Chaos: true, Monitor: true, Breakers: true,
-		SessionTTL: 3 * time.Second, Policies: pt, FlowIdle: time.Minute,
+		Chaos:    true,
+		Monitor:  true,
+		Policies: pt,
+		Config:   core.Config{Keepalive: true, Breakers: true, SessionTTL: 3 * time.Second, FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")
@@ -447,7 +453,9 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 func runScenario(t *testing.T, withChaos bool) string {
 	t.Helper()
 	n, a, b := twoSwitchNet(t, testbed.Options{
-		Seed: 42, Keepalive: true, Chaos: withChaos,
+		Seed:   42,
+		Chaos:  withChaos,
+		Config: core.Config{Keepalive: true},
 	})
 	defer n.Shutdown()
 	got := 0

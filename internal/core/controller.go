@@ -792,11 +792,12 @@ func (c *Controller) RemoveSwitch(dpid uint64) bool {
 	return true
 }
 
-// Hosts returns the current routing table (copy).
+// Hosts returns a copy of the current routing table in MAC order.
 func (c *Controller) Hosts() []HostLoc {
-	out := make([]HostLoc, 0, len(c.hosts))
-	for _, h := range c.hosts {
-		out = append(out, *h)
+	hosts := c.sortedHosts()
+	out := make([]HostLoc, len(hosts))
+	for i, h := range hosts {
+		out[i] = *h
 	}
 	return out
 }

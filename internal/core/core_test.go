@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/dataplane"
 	"livesec/internal/host"
 	"livesec/internal/ids"
@@ -379,7 +382,7 @@ func TestLoadBalancingSpreadsFlows(t *testing.T) {
 
 func TestUncertifiedElementRejected(t *testing.T) {
 	pt := policy.NewTable(policy.Allow)
-	n := testbed.New(testbed.Options{Monitor: true, RequireCerts: true, Policies: pt})
+	n := testbed.New(testbed.Options{Monitor: true, Policies: pt, Config: core.Config{RequireCerts: true}})
 	s1 := n.AddOvS("ovs1")
 	// Hand-build an element with a wrong certificate.
 	rogue := service.New(n.Eng, service.Config{
@@ -410,7 +413,7 @@ func TestUncertifiedElementRejected(t *testing.T) {
 }
 
 func TestCertifiedElementAcceptedWithRequireCerts(t *testing.T) {
-	n, _, _ := idsNet(t, testbed.Options{RequireCerts: true}, 1)
+	n, _, _ := idsNet(t, testbed.Options{Config: core.Config{RequireCerts: true}}, 1)
 	defer n.Shutdown()
 	if len(n.Controller.Elements()) != 1 {
 		t.Fatal("certified element not registered")
@@ -456,7 +459,7 @@ func TestProtocolIdentificationEvents(t *testing.T) {
 }
 
 func TestHostExpiryEmitsUserLeave(t *testing.T) {
-	n, a, _ := twoSwitchNet(t, testbed.Options{HostTTL: 2 * time.Second})
+	n, a, _ := twoSwitchNet(t, testbed.Options{Config: core.Config{HostTTL: 2 * time.Second}})
 	defer n.Shutdown()
 	a.SendUDP(serverIP, 1, 1, []byte("hi"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
@@ -531,6 +534,49 @@ func TestTopologySnapshot(t *testing.T) {
 	}
 	if len(snap.Hosts) < 3 { // alice, server, element
 		t.Fatalf("hosts = %+v", snap.Hosts)
+	}
+}
+
+// TestHostsAndLinksOrder: Hosts serves MAC order and Links (dpid, peer)
+// order — the order Topology serves — not Go's map order. Two calls on
+// one controller, and two controllers built from one Spec, agree.
+func TestHostsAndLinksOrder(t *testing.T) {
+	spec := testbed.Spec{Options: testbed.Options{Seed: 3}}
+	for s := 0; s < 4; s++ {
+		spec.Switches = append(spec.Switches, testbed.SwitchSpec{Name: fmt.Sprintf("s%d", s)})
+	}
+	for i := 0; i < 40; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode(fmt.Sprintf("s%d", i%4), fmt.Sprintf("h%d", i),
+			netpkt.IP(10, 0, 0, byte(i+1)), testbed.Wired))
+	}
+	build := func() *core.Controller {
+		n, err := testbed.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Shutdown)
+		for _, h := range n.Hosts {
+			h.Send(netpkt.NewARPRequest(h.MAC, h.IP, h.IP))
+		}
+		if err := n.Run(50 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		return n.Controller
+	}
+	a, b := build(), build()
+	if got := len(a.Hosts()); got != 40 {
+		t.Fatalf("%d hosts learnt, want 40", got)
+	}
+	if got := len(a.Links()); got != 12 {
+		t.Fatalf("%d links, want 12 (full mesh of 4, both directions)", got)
+	}
+	for _, c := range []*core.Controller{a, b} {
+		if !reflect.DeepEqual(a.Hosts(), c.Hosts()) {
+			t.Fatalf("Hosts() order differs:\n%v\n%v", a.Hosts(), c.Hosts())
+		}
+		if !reflect.DeepEqual(a.Links(), c.Links()) {
+			t.Fatalf("Links() order differs:\n%v\n%v", a.Links(), c.Links())
+		}
 	}
 }
 

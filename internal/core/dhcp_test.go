@@ -14,7 +14,7 @@ func dhcpNet(t *testing.T, poolSize int) *testbed.Net {
 	t.Helper()
 	n := testbed.New(testbed.Options{
 		Monitor: true,
-		DHCP:    core.DHCPPool{Base: netpkt.IP(10, 100, 0, 10), Size: poolSize},
+		Config:  core.Config{DHCP: core.DHCPPool{Base: netpkt.IP(10, 100, 0, 10), Size: poolSize}},
 	})
 	n.AddOvS("ovs1")
 	n.AddOvS("ovs2")

@@ -112,7 +112,7 @@ type Link struct {
 	Peer uint64 `json:"peer"`
 }
 
-// Links lists the discovered logical links.
+// Links lists the discovered logical links in (dpid, peer) order.
 func (c *Controller) Links() []Link {
 	var out []Link
 	for dpid, st := range c.switches {
@@ -120,6 +120,12 @@ func (c *Controller) Links() []Link {
 			out = append(out, Link{DPID: dpid, Port: port, Peer: peer})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].DPID != out[j].DPID {
+			return out[i].DPID < out[j].DPID
+		}
+		return out[i].Peer < out[j].Peer
+	})
 	return out
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/firewall"
 	"livesec/internal/host"
 	"livesec/internal/monitor"
@@ -187,7 +188,8 @@ func TestFWStateMigratesAcrossCrashFailover(t *testing.T) {
 // written off as handoff_timeout, and the late ack is ignored rather
 // than re-cooking the books.
 func TestFWHandoffTimeoutFallsBack(t *testing.T) {
-	n, a, b, _ := fwNet(t, testbed.Options{Seed: 7, FWHandoffTimeout: 10 * time.Microsecond})
+	n, a, b, _ := fwNet(t, testbed.Options{Seed: 7,
+		Config: core.Config{FWHandoffTimeout: 10 * time.Microsecond}})
 	defer n.Shutdown()
 
 	atServer, atClient := 0, 0

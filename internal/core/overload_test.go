@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/host"
 	"livesec/internal/ids"
 	"livesec/internal/monitor"
@@ -26,10 +27,13 @@ import (
 func stormNet(t *testing.T, protection bool) (*testbed.Net, *host.Host, *host.Host, *host.Host) {
 	t.Helper()
 	n := testbed.New(testbed.Options{
-		Monitor: true, Keepalive: true,
-		PacketInCost:       500 * time.Microsecond,
-		OverloadProtection: protection,
-		FlowIdle:           time.Minute,
+		Monitor: true,
+		Config: core.Config{
+			Keepalive:          true,
+			PacketInCost:       500 * time.Microsecond,
+			OverloadProtection: protection,
+			FlowIdle:           time.Minute,
+		},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")
@@ -146,10 +150,10 @@ func TestShedCountsDeterministic(t *testing.T) {
 // whose FLOW_REMOVED never arrives (storms, chaos drops) are reclaimed
 // on the sim clock, shrinking the map, with the expiries counted.
 func TestSessionTTLExpiresRecords(t *testing.T) {
-	n, a, b := twoSwitchNet(t, testbed.Options{
+	n, a, b := twoSwitchNet(t, testbed.Options{Config: core.Config{
 		FlowIdle:   time.Minute, // flow entries outlive the whole test
 		SessionTTL: 2 * time.Second,
-	})
+	}})
 	defer n.Shutdown()
 	b.HandleUDP(9000, func(*netpkt.Packet) {})
 	for i := 0; i < 5; i++ {
@@ -186,8 +190,10 @@ func breakerNet(t *testing.T) (*testbed.Net, *host.Host, *host.Host) {
 		t.Fatal(err)
 	}
 	n := testbed.New(testbed.Options{
-		Keepalive: true, Chaos: true, Monitor: true, Breakers: true,
-		Policies: pt, FlowIdle: time.Minute,
+		Chaos:    true,
+		Monitor:  true,
+		Policies: pt,
+		Config:   core.Config{Keepalive: true, Breakers: true, FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")

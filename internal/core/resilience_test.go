@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -18,7 +19,7 @@ import (
 // entries expire after the idle timeout, the next packet takes a fresh
 // table miss, and the session re-establishes transparently.
 func TestIdleTimeoutThenResetup(t *testing.T) {
-	n, a, b := twoSwitchNet(t, testbed.Options{FlowIdle: time.Second})
+	n, a, b := twoSwitchNet(t, testbed.Options{Config: core.Config{FlowIdle: time.Second}})
 	defer n.Shutdown()
 	got := 0
 	b.HandleUDP(9, func(*netpkt.Packet) { got++ })
@@ -101,7 +102,7 @@ func TestThreeElementChainOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	n := testbed.New(testbed.Options{Monitor: true, Policies: pt, SteerForwardOnly: true})
+	n := testbed.New(testbed.Options{Monitor: true, Policies: pt, Config: core.Config{SteerForwardOnly: true}})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")
 	s3 := n.AddOvS("ovs3")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/host"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
@@ -77,7 +78,7 @@ func neutralFingerprint(n *testbed.Net) string {
 // work without touching the message streams.
 func TestShardsAccountingNeutral(t *testing.T) {
 	run := func(shards int) (string, int) {
-		n, clients, srv := shardNet(t, 4, testbed.Options{Shards: shards, FlowIdle: time.Minute})
+		n, clients, srv := shardNet(t, 4, testbed.Options{Config: core.Config{Shards: shards, FlowIdle: time.Minute}})
 		defer n.Shutdown()
 		got := shardWorkload(t, n, clients, srv, 3, 200*time.Millisecond)
 		return neutralFingerprint(n), got
@@ -97,7 +98,7 @@ func TestShardsAccountingNeutral(t *testing.T) {
 // setups and installs are counted on both sides, and every learned fact
 // is replicated to all peers.
 func TestShardAccounting(t *testing.T) {
-	n, clients, srv := shardNet(t, 6, testbed.Options{Shards: 4, FlowIdle: time.Minute})
+	n, clients, srv := shardNet(t, 6, testbed.Options{Config: core.Config{Shards: 4, FlowIdle: time.Minute}})
 	defer n.Shutdown()
 	if got := n.Controller.Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
@@ -153,9 +154,9 @@ func TestShardAccounting(t *testing.T) {
 func TestShardLanesOneShardMatchesFIFO(t *testing.T) {
 	run := func(lanes bool) (string, int) {
 		n, clients, srv := shardNet(t, 4, testbed.Options{
-			ShardLanes: lanes, Shards: 1,
-			PacketInCost: 500 * time.Microsecond,
-			FlowIdle:     time.Minute,
+			Config: core.Config{ShardLanes: lanes, Shards: 1,
+				PacketInCost: 500 * time.Microsecond,
+				FlowIdle:     time.Minute},
 		})
 		defer n.Shutdown()
 		got := shardWorkload(t, n, clients, srv, 3, 300*time.Millisecond)
@@ -175,9 +176,9 @@ func TestShardLanesOneShardMatchesFIFO(t *testing.T) {
 func TestShardLanesScaleOut(t *testing.T) {
 	run := func(shards int) int {
 		n, clients, srv := shardNet(t, 8, testbed.Options{
-			ShardLanes: true, Shards: shards,
-			PacketInCost: 2 * time.Millisecond,
-			FlowIdle:     time.Minute,
+			Config: core.Config{ShardLanes: true, Shards: shards,
+				PacketInCost: 2 * time.Millisecond,
+				FlowIdle:     time.Minute},
 		})
 		defer n.Shutdown()
 		return shardWorkload(t, n, clients, srv, 8, 100*time.Millisecond)
@@ -194,8 +195,8 @@ func TestShardLanesScaleOut(t *testing.T) {
 // for the remote segment) and coordination messages are counted.
 func TestShardCoordLatencyDelivers(t *testing.T) {
 	n, clients, srv := shardNet(t, 4, testbed.Options{
-		Shards: 4, ShardCoordLatency: time.Millisecond,
-		UseBarriers: true, FlowIdle: time.Minute,
+		Config: core.Config{Shards: 4, ShardCoordLatency: time.Millisecond,
+			UseBarriers: true, FlowIdle: time.Minute},
 	})
 	defer n.Shutdown()
 	want := 4 * 2
@@ -215,9 +216,10 @@ func TestShardCoordLatencyDelivers(t *testing.T) {
 // the failover for dead switches.
 func TestShardFailover(t *testing.T) {
 	n, clients, srv := shardNet(t, 6, testbed.Options{
-		Shards: 4, Keepalive: true, Monitor: true,
-		ShardFailoverDelay: 100 * time.Millisecond,
-		FlowIdle:           time.Minute,
+		Monitor: true,
+		Config: core.Config{Shards: 4, Keepalive: true,
+			ShardFailoverDelay: 100 * time.Millisecond,
+			FlowIdle:           time.Minute},
 	})
 	defer n.Shutdown()
 

@@ -71,18 +71,11 @@ func (c *Controller) Topology() TopologySnapshot {
 	}
 	sort.Slice(snap.Switches, func(i, j int) bool { return snap.Switches[i].DPID < snap.Switches[j].DPID })
 	snap.Links = c.Links()
-	sort.Slice(snap.Links, func(i, j int) bool {
-		if snap.Links[i].DPID != snap.Links[j].DPID {
-			return snap.Links[i].DPID < snap.Links[j].DPID
-		}
-		return snap.Links[i].Peer < snap.Links[j].Peer
-	})
-	for mac, h := range c.hosts {
+	for _, h := range c.sortedHosts() {
 		snap.Hosts = append(snap.Hosts, HostInfo{
-			MAC: mac.String(), IP: h.IP.String(), DPID: h.DPID, Port: h.Port, SE: h.SEID,
+			MAC: h.MAC.String(), IP: h.IP.String(), DPID: h.DPID, Port: h.Port, SE: h.SEID,
 		})
 	}
-	sort.Slice(snap.Hosts, func(i, j int) bool { return snap.Hosts[i].MAC < snap.Hosts[j].MAC })
 	for _, se := range c.elemOrder {
 		snap.Elements = append(snap.Elements, ElementJSON{
 			ID: se.id, Service: se.service.String(), DPID: se.dpid,

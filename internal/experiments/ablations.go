@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"livesec/internal/ids"
+	"livesec/internal/core"
+	"livesec/internal/host"
 	"livesec/internal/loadbalance"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -24,52 +24,15 @@ import (
 // dispatch decisions, coarser spread), flow-grain spreads every flow.
 func AblationGrain() Result {
 	run := func(grain loadbalance.Grain) (dev float64, decisions uint64) {
-		pt := policy.NewTable(policy.Allow)
-		_ = pt.Add(&policy.Rule{
-			Name: "inspect", Priority: 10,
-			Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-			Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-			Grain: grain,
-		})
-		n := newNet(testbed.Options{Seed: 37, Policies: pt, SteerForwardOnly: true})
-		userSw := n.AddOvS("users")
-		seSw := n.AddOvS("sehost")
-		sinkSw := n.AddOvS("sink")
-		sinkIP := netpkt.IP(166, 111, 1, 1)
-		sink := n.AddServer(sinkSw, "sink", sinkIP)
-		const users, elements, flowsPerUser = 12, 4, 30
-		for i := 0; i < users; i++ {
-			n.AddWiredUser(userSw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
-		}
-		rules, err := ids.Compile(e2Rules)
+		const users, elements = 12, 4
+		n, err := build(poolSpec(37, chainTable(policy.Rule{Name: "inspect", Match: tcp80,
+			Services: []seproto.ServiceType{seproto.ServiceIDS}, Grain: grain}), users, elements))
 		if err != nil {
 			return -1, 0
 		}
-		for i := 0; i < elements; i++ {
-			n.AddElement(seSw, service.NewIDSOver(rules), 0)
-		}
-		if err := n.Discover(); err != nil {
-			return -1, 0
-		}
 		defer n.Shutdown()
-		_ = n.Run(600 * time.Millisecond)
-		sink.HandleTCP(80, func(*netpkt.Packet) {})
-		rng := n.Eng.Rand()
-		for ui := 0; ui < users; ui++ {
-			u := n.Hosts[ui+1] // Hosts[0] is the sink
-			for f := 0; f < flowsPerUser; f++ {
-				sp := uint16(20000 + ui*100 + f)
-				pkts := 1 + rng.Intn(40)
-				start := time.Duration(rng.Intn(3000)) * time.Millisecond
-				n.Eng.Schedule(start, func() {
-					for p := 0; p < pkts; p++ {
-						n.Eng.Schedule(time.Duration(p)*2*time.Millisecond, func() {
-							u.SendTCP(sinkIP, sp, 80, []byte("data"), 600)
-						})
-					}
-				})
-			}
-		}
+		n.Hosts[0].HandleTCP(80, func(*netpkt.Packet) {})
+		poolFlows(n, 30, 3*time.Second, "data")
 		_ = n.Run(5 * time.Second)
 		loads := make([]uint64, 0, elements)
 		busy := uint64(0)
@@ -101,28 +64,12 @@ func AblationGrain() Result {
 // trip plus flow-mod fan-out) vs steady-state packets, and the
 // packet-in/flow-mod budget per chained session.
 func AblationFlowSetup() Result {
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-	})
-	n := newNet(testbed.Options{Seed: 41, Policies: pt})
-	s1 := n.AddOvS("ovs1")
-	s2 := n.AddOvS("ovs2")
-	s3 := n.AddOvS("ovs3")
-	a := n.AddWiredUser(s1, "a", netpkt.IP(10, 0, 0, 1))
-	b := n.AddServer(s2, "b", netpkt.IP(166, 111, 1, 1))
-	insp, err := service.NewIDS(e2Rules)
+	n, err := build(steerSpec(testbed.Options{Seed: 41}))
 	if err != nil {
 		return Result{ID: "A2"}
 	}
-	n.AddElement(s3, insp, 0)
-	if err := n.Discover(); err != nil {
-		return Result{ID: "A2"}
-	}
 	defer n.Shutdown()
-	_ = n.Run(600 * time.Millisecond)
+	a, b := n.Hosts[0], n.Hosts[1]
 
 	var arrivals []time.Duration
 	b.HandleTCP(80, func(*netpkt.Packet) { arrivals = append(arrivals, n.Eng.Now()) })
@@ -173,51 +120,49 @@ func AblationFlowSetup() Result {
 // in the traditional network.
 func AblationDirectoryProxy() Result {
 	// LiveSec: resolve a known host; the proxy answers unicast.
-	n := newNet(testbed.Options{Seed: 43})
-	s1 := n.AddOvS("ovs1")
-	s2 := n.AddOvS("ovs2")
 	const bystanders = 8
-	a := n.AddWiredUser(s1, "a", netpkt.IP(10, 0, 0, 1))
-	b := n.AddWiredUser(s2, "b", netpkt.IP(10, 0, 0, 2))
-	var observers []*observerHost
-	for i := 0; i < bystanders; i++ {
-		h := n.AddWiredUser(s2, fmt.Sprintf("o%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
-		o := &observerHost{}
-		h.OnPacket = o.observe
-		observers = append(observers, o)
+	spec := testbed.Spec{
+		Options:  testbed.Options{Seed: 43},
+		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ovs1", "a", netpkt.IP(10, 0, 0, 1), testbed.Wired),
+			testbed.HostNode("ovs2", "b", netpkt.IP(10, 0, 0, 2), testbed.Wired),
+		},
 	}
-	if err := n.Discover(); err != nil {
+	for i := 0; i < bystanders; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("ovs2", fmt.Sprintf("o%d", i), netpkt.IP(10, 0, 1, byte(i+1)), testbed.Wired))
+	}
+	n, err := build(spec)
+	if err != nil {
 		return Result{ID: "A3"}
 	}
 	defer n.Shutdown()
+	a, b := n.Hosts[0], n.Hosts[1]
+	var bystanderARP arpCounter
+	for _, h := range n.Hosts[2:] {
+		h.OnPacket = bystanderARP.observe
+	}
 	// Make both endpoints known (bootstrap floods excluded from the
 	// measurement).
 	a.SendUDP(netpkt.IP(10, 200, 0, 99), 1, 1, []byte("announce"), 0)
 	b.SendUDP(netpkt.IP(10, 200, 0, 98), 1, 1, []byte("announce"), 0)
 	_ = n.Run(100 * time.Millisecond)
-	for _, o := range observers {
-		o.arpSeen = 0
-	}
+	bystanderARP = 0
 	// 10 resolutions: flush A's cache by using fresh IP aliases? ARP
 	// caches persist, so use 10 distinct requesters instead.
-	var requesters []*requesterT
+	var requesters []*host.Host
 	for i := 0; i < 10; i++ {
-		h := n.AddWiredUser(s1, fmt.Sprintf("r%d", i), netpkt.IP(10, 0, 2, byte(i+1)))
-		requesters = append(requesters, &requesterT{h: h})
+		requesters = append(requesters, n.AddWiredUser(n.Switches[0], fmt.Sprintf("r%d", i), netpkt.IP(10, 0, 2, byte(i+1))))
 	}
 	_ = n.Run(50 * time.Millisecond)
 	for _, r := range requesters {
-		r.h.SendUDP(b.IP, 7, 7, []byte("hi"), 0) // triggers ARP for b
+		r.SendUDP(b.IP, 7, 7, []byte("hi"), 0) // triggers ARP for b
 	}
 	_ = n.Run(100 * time.Millisecond)
-	livesecSeen := 0
-	for _, o := range observers {
-		livesecSeen += o.arpSeen
-	}
+	livesecSeen := int(bystanderARP)
 
 	// Traditional: the same resolution broadcasts to every host.
-	base := newBaselineARPNet(bystanders)
-	traditionalSeen := base.measure()
+	traditionalSeen := rawARPSeen(bystanders)
 
 	return Result{
 		ID:    "A3",
@@ -230,18 +175,13 @@ func AblationDirectoryProxy() Result {
 	}
 }
 
-type observerHost struct{ arpSeen int }
+// arpCounter counts the ARP requests the hosts it observes receive.
+type arpCounter int
 
-func (o *observerHost) observe(p *netpkt.Packet) {
+func (c *arpCounter) observe(p *netpkt.Packet) {
 	if p.ARP != nil && p.ARP.Op == netpkt.ARPRequest {
-		o.arpSeen++
+		*c++
 	}
-}
-
-type requesterT struct{ h hostSender }
-
-type hostSender interface {
-	SendUDP(dst netpkt.IPv4Addr, sp, dp uint16, payload []byte, bulk int)
 }
 
 // AblationReverseSteering compares bidirectional session steering with
@@ -249,28 +189,12 @@ type hostSender interface {
 // and so does the flow-mod budget.
 func AblationReverseSteering() Result {
 	run := func(forwardOnly bool) (elPkts, flowMods uint64) {
-		pt := policy.NewTable(policy.Allow)
-		_ = pt.Add(&policy.Rule{
-			Name: "inspect", Priority: 10,
-			Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-			Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-		})
-		n := newNet(testbed.Options{Seed: 47, Policies: pt, SteerForwardOnly: forwardOnly})
-		s1 := n.AddOvS("ovs1")
-		s2 := n.AddOvS("ovs2")
-		s3 := n.AddOvS("ovs3")
-		a := n.AddWiredUser(s1, "a", netpkt.IP(10, 0, 0, 1))
-		b := n.AddServer(s2, "b", netpkt.IP(166, 111, 1, 1))
-		insp, err := service.NewIDS(e2Rules)
+		n, err := build(steerSpec(testbed.Options{Seed: 47, Config: core.Config{SteerForwardOnly: forwardOnly}}))
 		if err != nil {
 			return 0, 0
 		}
-		n.AddElement(s3, insp, 0)
-		if err := n.Discover(); err != nil {
-			return 0, 0
-		}
 		defer n.Shutdown()
-		_ = n.Run(600 * time.Millisecond)
+		a, b := n.Hosts[0], n.Hosts[1]
 		b.HandleTCP(80, func(p *netpkt.Packet) {
 			b.SendTCP(p.IP.Src, 80, p.TCP.SrcPort, []byte("HTTP/1.1 200 OK"), 1000)
 		})
@@ -296,13 +220,20 @@ func AblationReverseSteering() Result {
 	}
 }
 
-// baselineARPNet is a tiny traditional L2 net where one ARP request
-// floods to every attached host (built in ablations_raw.go).
-type baselineARPNet struct {
-	run      func()
-	counters []*observerHost
-}
-
-func newBaselineARPNet(bystanders int) *baselineARPNet {
-	return buildRawARPNet(bystanders)
+// steerSpec is the A2 and A4 deployment: user a on ovs1, server b on
+// ovs2 and one IDS element on ovs3, with TCP:80 steered through it.
+func steerSpec(opts testbed.Options) testbed.Spec {
+	opts.Policies = chainTable(policy.Rule{Name: "inspect", Match: tcp80,
+		Services: []seproto.ServiceType{seproto.ServiceIDS}})
+	return testbed.Spec{
+		Options:  opts,
+		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}, {Name: "ovs3"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ovs1", "a", netpkt.IP(10, 0, 0, 1), testbed.Wired),
+			testbed.HostNode("ovs2", "b", netpkt.IP(166, 111, 1, 1), testbed.Server),
+			testbed.ElementNode("ovs3", seproto.ServiceIDS),
+		},
+		Rules:  e2Rules,
+		Settle: 600 * time.Millisecond,
+	}
 }

@@ -11,9 +11,11 @@ import (
 	"livesec/internal/sim"
 )
 
-// buildRawARPNet wires hosts straight onto a legacy learning switch —
-// the traditional network where every ARP request is a true broadcast.
-func buildRawARPNet(bystanders int) *baselineARPNet {
+// rawARPSeen wires hosts straight onto a legacy learning switch — the
+// traditional network where every ARP request is a true broadcast — has
+// ten requesters resolve b, and returns the ARP requests the bystanders
+// received.
+func rawARPSeen(bystanders int) int {
 	eng := sim.NewEngine(51)
 	f := legacy.NewFabric(eng)
 	sw := f.AddSwitch("sw")
@@ -22,35 +24,18 @@ func buildRawARPNet(bystanders int) *baselineARPNet {
 		h.Attach(f.Attach(sw, h, 0, link.Params{}))
 		return h
 	}
-	b := attach("b", 2, netpkt.IP(10, 0, 0, 2))
-	_ = b
-	observers := make([]*observerHost, bystanders)
-	for i := range observers {
-		o := &observerHost{}
-		h := attach(fmt.Sprintf("o%d", i), uint64(100+i), netpkt.IP(10, 0, 1, byte(i+1)))
-		h.OnPacket = o.observe
-		observers[i] = o
+	attach("b", 2, netpkt.IP(10, 0, 0, 2))
+	var seen arpCounter
+	for i := 0; i < bystanders; i++ {
+		attach(fmt.Sprintf("o%d", i), uint64(100+i), netpkt.IP(10, 0, 1, byte(i+1))).OnPacket = seen.observe
 	}
 	requesters := make([]*host.Host, 10)
 	for i := range requesters {
 		requesters[i] = attach(fmt.Sprintf("r%d", i), uint64(200+i), netpkt.IP(10, 0, 2, byte(i+1)))
 	}
-	run := func() {
-		for _, r := range requesters {
-			r.SendUDP(netpkt.IP(10, 0, 0, 2), 7, 7, []byte("hi"), 0)
-		}
-		_ = eng.Run(eng.Now() + 100*time.Millisecond)
+	for _, r := range requesters {
+		r.SendUDP(netpkt.IP(10, 0, 0, 2), 7, 7, []byte("hi"), 0)
 	}
-	return &baselineARPNet{run: run, counters: observers}
-}
-
-// measure runs the resolutions and totals ARP requests seen by
-// bystanders.
-func (b *baselineARPNet) measure() int {
-	b.run()
-	total := 0
-	for _, o := range b.counters {
-		total += o.arpSeen
-	}
-	return total
+	_ = eng.Run(eng.Now() + 100*time.Millisecond)
+	return int(seen)
 }

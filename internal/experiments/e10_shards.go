@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"livesec/internal/host"
+	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
@@ -148,38 +147,38 @@ type e10FailMetrics struct {
 // e10Server is the E10 server address.
 var e10Server = netpkt.IP(166, 111, 10, 1)
 
-// e10Build assembles the shard deployment: nSwitches client edge
-// switches (one client host each) and a server switch, warmed up so
-// every attachment point is known before measurement. The returned
-// dpids parallel the clients (used to pick the failover victim).
-func e10Build(p e10Params, opts testbed.Options) (*testbed.Net, []*host.Host, []uint64, *host.Host) {
-	n := newNet(opts)
-	clients := make([]*host.Host, p.nSwitches)
-	dpids := make([]uint64, p.nSwitches)
-	for i := range clients {
-		sw := n.AddOvS(fmt.Sprintf("edge%d", i+1))
-		clients[i] = n.AddWiredUser(sw, fmt.Sprintf("c%d", i), netpkt.IP(10, 10, 1, byte(i+1)))
-		dpids[i] = sw.DPID()
+// e10Spec is the shard deployment: nSwitches client edge switches (one
+// client host each) and a server switch.
+func e10Spec(p e10Params, opts testbed.Options) testbed.Spec {
+	spec := testbed.Spec{Options: opts}
+	for i := 0; i < p.nSwitches; i++ {
+		sw := fmt.Sprintf("edge%d", i+1)
+		spec.Switches = append(spec.Switches, testbed.SwitchSpec{Name: sw})
+		spec.Nodes = append(spec.Nodes, testbed.HostNode(sw, fmt.Sprintf("c%d", i), netpkt.IP(10, 10, 1, byte(i+1)), testbed.Wired))
 	}
-	srv := n.AddServer(n.AddOvS("server-sw"), "server", e10Server)
-	if err := n.Discover(); err != nil {
-		return nil, nil, nil, nil
-	}
+	spec.Switches = append(spec.Switches, testbed.SwitchSpec{Name: "server-sw"})
+	spec.Nodes = append(spec.Nodes, testbed.HostNode("server-sw", "server", e10Server, testbed.Server))
+	return spec
+}
+
+// e10Workload warms every client up so each attachment point is known,
+// then, if kill is set, schedules the kill of the shard owning the
+// first client switch at p.killAt, and drives a fresh flow (rotating
+// source port) per client every perClient until the horizon, returning
+// sent/delivered stamps. Flow delivery needs a full controller round
+// trip, so delivery latency IS setup latency.
+func e10Workload(n *testbed.Net, p e10Params, kill bool) (map[uint32]time.Duration, map[uint32]time.Duration, error) {
+	clients, srv := n.Hosts[:p.nSwitches], n.Hosts[p.nSwitches]
 	for _, c := range clients {
 		c.SendUDP(e10Server, 19000, 9001, []byte("warm"), 0)
 	}
 	if err := n.Run(100 * time.Millisecond); err != nil {
-		n.Shutdown()
-		return nil, nil, nil, nil
+		return nil, nil, err
 	}
-	return n, clients, dpids, srv
-}
-
-// e10Workload drives a fresh flow (rotating source port) per client
-// every perClient until the horizon, returning sent/delivered stamps.
-// Flow delivery needs a full controller round trip, so delivery latency
-// IS setup latency.
-func e10Workload(n *testbed.Net, p e10Params, clients []*host.Host, srv *host.Host) (map[uint32]time.Duration, map[uint32]time.Duration, error) {
+	if kill {
+		victim := n.Controller.ShardOf(n.Switches[0].DPID())
+		n.Eng.Schedule(p.killAt, func() { n.Controller.KillShard(victim) })
+	}
 	sentAt := make(map[uint32]time.Duration)
 	deliveredAt := make(map[uint32]time.Duration)
 	srv.HandleUDP(9000, func(pkt *netpkt.Packet) {
@@ -211,46 +210,24 @@ func e10Workload(n *testbed.Net, p e10Params, clients []*host.Host, srv *host.Ho
 	return sentAt, deliveredAt, nil
 }
 
-// e10Latencies turns the stamps into delivered count and p99 setup
-// latency, censoring never-delivered flows at the horizon.
-func e10Latencies(n *testbed.Net, sentAt, deliveredAt map[uint32]time.Duration) (float64, float64) {
-	var lat []float64
-	delivered := 0
-	end := n.Eng.Now()
-	for key, at := range sentAt {
-		if done, ok := deliveredAt[key]; ok {
-			lat = append(lat, float64(done-at)/float64(time.Millisecond))
-			delivered++
-		} else {
-			lat = append(lat, float64(end-at)/float64(time.Millisecond))
-		}
-	}
-	sort.Float64s(lat)
-	p99 := 0.0
-	if len(lat) > 0 {
-		p99 = lat[len(lat)*99/100]
-	}
-	return float64(delivered), p99
-}
-
 // e10Run executes one sweep point: k shard lanes under the saturating
 // arrival load.
 func e10Run(p e10Params, k int, fo *obs.FlowObs) *e10Metrics {
-	n, clients, _, srv := e10Build(p, testbed.Options{
-		Seed: 11, Shards: k, ShardLanes: true,
+	n, err := build(e10Spec(p, testbed.Options{Seed: 11, Config: core.Config{
+		Shards: k, ShardLanes: true,
 		PacketInCost: p.cost,
 		FlowIdle:     time.Minute,
 		Obs:          fo,
-	})
-	if n == nil {
-		return nil
-	}
-	defer n.Shutdown()
-	sentAt, deliveredAt, err := e10Workload(n, p, clients, srv)
+	}}))
 	if err != nil {
 		return nil
 	}
-	delivered, p99 := e10Latencies(n, sentAt, deliveredAt)
+	defer n.Shutdown()
+	sentAt, deliveredAt, err := e10Workload(n, p, false)
+	if err != nil {
+		return nil
+	}
+	delivered, p99 := setupLatencies(n, sentAt, deliveredAt)
 	return &e10Metrics{
 		delivered:   delivered,
 		p99ms:       p99,
@@ -262,23 +239,18 @@ func e10Run(p e10Params, k int, fo *obs.FlowObs) *e10Metrics {
 // owning the first client switch mid-workload, let the hot standby take
 // over, and account the damage.
 func e10Failover(p e10Params) *e10FailMetrics {
-	n, clients, dpids, srv := e10Build(p, testbed.Options{
-		Seed: 11, Shards: 4, ShardLanes: true,
+	n, err := build(e10Spec(p, testbed.Options{Seed: 11, Monitor: true, Config: core.Config{
+		Shards: 4, ShardLanes: true,
 		PacketInCost:       p.cost,
 		Keepalive:          true,
-		Monitor:            true,
 		ShardFailoverDelay: p.failDelay,
 		FlowIdle:           time.Minute,
-	})
-	if n == nil {
+	}}))
+	if err != nil {
 		return nil
 	}
 	defer n.Shutdown()
-
-	victim := n.Controller.ShardOf(dpids[0])
-	n.Eng.Schedule(p.killAt, func() { n.Controller.KillShard(victim) })
-
-	sentAt, deliveredAt, err := e10Workload(n, p, clients, srv)
+	sentAt, deliveredAt, err := e10Workload(n, p, true)
 	if err != nil {
 		return nil
 	}

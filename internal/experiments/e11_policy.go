@@ -7,8 +7,8 @@ import (
 	"sort"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/flow"
-	"livesec/internal/host"
 	"livesec/internal/intent"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -324,18 +324,20 @@ type e11InvMetrics struct {
 // quarantines user 0 and re-drives again, reading the controller's
 // evicted/retained counters after each phase.
 func e11Precision() *e11InvMetrics {
-	n := testbed.New(testbed.Options{Seed: 17, FlowIdle: time.Minute})
-	defer n.Shutdown()
-	sw := n.AddOvS("s1")
-	srvSw := n.AddOvS("s2")
-	users := make([]*host.Host, e11Users)
-	for i := range users {
-		users[i] = n.AddWiredUser(sw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
+	spec := testbed.Spec{
+		Options:  testbed.Options{Seed: 17, Config: core.Config{FlowIdle: time.Minute}},
+		Switches: []testbed.SwitchSpec{{Name: "s1"}, {Name: "s2"}},
 	}
-	srv := n.AddServer(srvSw, "srv", netpkt.IP(166, 111, 1, 1))
-	if err := n.Discover(); err != nil {
+	for i := 0; i < e11Users; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("s1", fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)), testbed.Wired))
+	}
+	spec.Nodes = append(spec.Nodes, testbed.HostNode("s2", "srv", netpkt.IP(166, 111, 1, 1), testbed.Server))
+	n, err := build(spec)
+	if err != nil {
 		return nil
 	}
+	defer n.Shutdown()
+	users, srv := n.Hosts[:e11Users], n.Hosts[e11Users]
 	for f := 0; f < e11Flows; f++ {
 		srv.HandleUDP(uint16(7001+f), func(*netpkt.Packet) {})
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/firewall"
 	"livesec/internal/host"
 	"livesec/internal/monitor"
@@ -131,59 +132,76 @@ func e12Seg(from, to *host.Host, sp, dp uint16, seq uint32, syn, ack, fin bool) 
 // e12Policies chains both directions of server traffic through the
 // stateful firewall, fail-closed.
 func e12Policies(server netpkt.IPv4Addr) *policy.Table {
-	pt := policy.NewTable(policy.Allow)
 	fw := []seproto.ServiceType{seproto.ServiceFW}
-	if err := pt.Add(&policy.Rule{Name: "fw-fwd", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: fw}); err != nil {
-		return nil
+	return chainTable(policy.Rule{Name: "fw-fwd", Match: tcp80, Services: fw},
+		policy.Rule{Name: "fw-rev", Match: policy.Match{Proto: netpkt.ProtoTCP, SrcIP: policy.HostIP(server)}, Services: fw})
+}
+
+// fwSpec is the E12 and E13 deployment (id 12 or 13): a client and an
+// attacker on e<id>-cli, the server on e<id>-srv, firewall SE 1 on
+// e<id>-fw1, and e<id>-fw2 left empty for SE 2; opts gains the event
+// store, chaos, keepalive, breakers, two shards and the firewall state
+// mirror.
+func fwSpec(id byte, opts testbed.Options, fw firewall.Options) testbed.Spec {
+	server := netpkt.IP(166, 111, id, 1)
+	opts.Seed, opts.Policies = int64(id), e12Policies(server)
+	opts.Monitor, opts.Chaos = true, true
+	opts.Keepalive, opts.Breakers, opts.StatefulFW = true, true, true
+	opts.Shards, opts.FlowIdle = 2, time.Minute
+	sw := func(role string) string { return fmt.Sprintf("e%d-%s", id, role) }
+	return testbed.Spec{
+		Options:  opts,
+		Switches: []testbed.SwitchSpec{{Name: sw("cli")}, {Name: sw("srv")}, {Name: sw("fw1")}, {Name: sw("fw2")}},
+		Nodes: []testbed.Node{
+			testbed.HostNode(sw("cli"), "client", netpkt.IP(10, id, 0, 1), testbed.Wired),
+			testbed.HostNode(sw("cli"), "attacker", netpkt.IP(10, id, 0, 66), testbed.Wired),
+			testbed.HostNode(sw("srv"), "server", server, testbed.Server),
+			{Element: &testbed.ElementSpec{Switch: sw("fw1"), Inspector: firewall.New(fw)}}, // SE 1
+		},
+		Settle: 600 * time.Millisecond,
 	}
-	if err := pt.Add(&policy.Rule{Name: "fw-rev", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, SrcIP: policy.HostIP(server)},
-		Action: policy.Chain, Services: fw}); err != nil {
-		return nil
+}
+
+// fwSessions warms the host directory of a fwSpec deployment so crafted
+// segments route without ARP, then opens sessions TCP sessions from
+// client ports base+i to the server's port 80 through the only firewall,
+// so strict arms see every complete handshake.
+func fwSessions(n *testbed.Net, sessions int, base uint16) bool {
+	client, attacker, server := n.Hosts[0], n.Hosts[1], n.Hosts[2]
+	run := func(d time.Duration) bool { return n.Run(d) == nil }
+	client.SendUDP(server.IP, 9, 9, []byte("w"), 0)
+	attacker.SendUDP(server.IP, 9, 9, []byte("w"), 0)
+	server.SendUDP(client.IP, 9, 9, []byte("w"), 0)
+	if !run(200 * time.Millisecond) {
+		return false
 	}
-	return pt
+	for i := 0; i < sessions; i++ {
+		sp := base + uint16(i)
+		client.Send(e12Seg(client, server, sp, 80, 1, true, false, false))
+		if !run(50 * time.Millisecond) {
+			return false
+		}
+		server.Send(e12Seg(server, client, 80, sp, 1, true, true, false))
+		if !run(50 * time.Millisecond) {
+			return false
+		}
+		client.Send(e12Seg(client, server, sp, 80, 2, false, true, false))
+		if !run(50 * time.Millisecond) {
+			return false
+		}
+	}
+	return true
 }
 
 // e12Run executes the scripted workload for one arm.
 func e12Run(p e12Params, arm e12Arm) *e12Metrics {
-	serverIP := netpkt.IP(166, 111, 12, 1)
-	clientIP := netpkt.IP(10, 12, 0, 1)
-	attackIP := netpkt.IP(10, 12, 0, 66)
-	pt := e12Policies(serverIP)
-	if pt == nil {
-		return nil
-	}
-	n := newNet(testbed.Options{
-		Seed: 12, Policies: pt, Monitor: true, Keepalive: true,
-		Chaos: true, Breakers: true, Shards: 2, FlowIdle: time.Minute,
-		StatefulFW: true, FWHandoffTimeout: arm.timeout,
-	})
-	s1 := n.AddOvS("e12-cli")
-	s2 := n.AddOvS("e12-srv")
-	s3 := n.AddOvS("e12-fw1")
-	s4 := n.AddOvS("e12-fw2")
-	client := n.AddWiredUser(s1, "client", clientIP)
-	attacker := n.AddWiredUser(s1, "attacker", attackIP)
-	server := n.AddServer(s2, "server", serverIP)
-	n.AddElement(s3, firewall.New(arm.fw), 0) // SE 1
-	if err := n.Discover(); err != nil {
-		n.Shutdown()
+	n, err := build(fwSpec(12, testbed.Options{Config: core.Config{FWHandoffTimeout: arm.timeout}}, arm.fw))
+	if err != nil {
 		return nil
 	}
 	defer n.Shutdown()
+	client, attacker, server := n.Hosts[0], n.Hosts[1], n.Hosts[2]
 	run := func(d time.Duration) bool { return n.Run(d) == nil }
-	if !run(600 * time.Millisecond) {
-		return nil
-	}
-	// Warm the host directory so the crafted segments route.
-	client.SendUDP(serverIP, 9, 9, []byte("w"), 0)
-	attacker.SendUDP(serverIP, 9, 9, []byte("w"), 0)
-	server.SendUDP(clientIP, 9, 9, []byte("w"), 0)
-	if !run(200 * time.Millisecond) {
-		return nil
-	}
 
 	srvRx := map[uint16]int{}
 	server.HandleTCP(80, func(pk *netpkt.Packet) { srvRx[pk.TCP.SrcPort]++ })
@@ -194,26 +212,14 @@ func e12Run(p e12Params, arm e12Arm) *e12Metrics {
 		client.HandleTCP(pt, func(pk *netpkt.Packet) { cliRx[pt]++ })
 	}
 
-	// Phase 1: establish every session through the only firewall. Both
-	// directions hit SE 1, so strict arms see the complete handshake.
-	for i := 0; i < p.sessions; i++ {
-		client.Send(e12Seg(client, server, port(i), 80, 1, true, false, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
-		server.Send(e12Seg(server, client, 80, port(i), 1, true, true, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
-		client.Send(e12Seg(client, server, port(i), 80, 2, false, true, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
+	// Phase 1: establish every session through the only firewall.
+	if !fwSessions(n, p.sessions, port(0)) {
+		return nil
 	}
 
 	// Phase 2: second firewall comes online (it registers at its next
 	// heartbeat); the successor for every disruption below.
-	n.AddElement(s4, firewall.New(arm.fw), 0) // SE 2
+	n.AddElement(n.Switches[3], firewall.New(arm.fw), 0) // SE 2
 	if !run(600 * time.Millisecond) {
 		return nil
 	}
@@ -280,7 +286,7 @@ func e12Run(p e12Params, arm e12Arm) *e12Metrics {
 		SEUnwedge(base+1700*time.Millisecond, 2).
 		SERestart(base+1700*time.Millisecond, 1))
 	for i := 0; i < p.fresh; i++ {
-		client.SendTCP(serverIP, uint16(42000+i), 80, []byte("fresh"), 0)
+		client.SendTCP(server.IP, uint16(42000+i), 80, []byte("fresh"), 0)
 		if !run(500 * time.Millisecond) {
 			return nil
 		}
@@ -297,7 +303,7 @@ func e12Run(p e12Params, arm e12Arm) *e12Metrics {
 	// Phase 6: kill the shard owning the client's ingress switch; the
 	// hot standby replays its shadow table. Established sessions ride
 	// their installed dataplane entries through the takeover.
-	victim := n.Controller.ShardOf(s1.DPID())
+	victim := n.Controller.ShardOf(n.Switches[0].DPID())
 	n.Eng.Schedule(50*time.Millisecond, func() { n.Controller.KillShard(victim) })
 	if !run(800 * time.Millisecond) {
 		return nil

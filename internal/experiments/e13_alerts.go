@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/firewall"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
@@ -92,65 +93,25 @@ type e13Metrics struct {
 
 // e13Run executes the scripted fault replay and collects the timeline.
 func e13Run(p e13Params) *e13Metrics {
-	serverIP := netpkt.IP(166, 111, 13, 1)
-	clientIP := netpkt.IP(10, 13, 0, 1)
-	attackIP := netpkt.IP(10, 13, 0, 66)
-	pt := e12Policies(serverIP)
-	if pt == nil {
-		return nil
-	}
 	fo := obs.NewFlowObs(0)
-	n := newNet(testbed.Options{
-		Seed: 13, Policies: pt, Monitor: true, Keepalive: true,
-		Chaos: true, Breakers: true, Shards: 2, FlowIdle: time.Minute,
-		StatefulFW: true, FWHandoffTimeout: 100 * time.Microsecond,
-		PacketInCost: 500 * time.Microsecond, OverloadProtection: true,
-		Obs: fo, SLO: true,
-	})
-	s1 := n.AddOvS("e13-cli")
-	s2 := n.AddOvS("e13-srv")
-	s3 := n.AddOvS("e13-fw1")
-	s4 := n.AddOvS("e13-fw2")
-	client := n.AddWiredUser(s1, "client", clientIP)
-	attacker := n.AddWiredUser(s1, "attacker", attackIP)
-	server := n.AddServer(s2, "server", serverIP)
-	n.AddElement(s3, firewall.New(firewall.Options{}), 0) // SE 1
-	if err := n.Discover(); err != nil {
-		n.Shutdown()
+	n, err := build(fwSpec(13, testbed.Options{SLO: true, Config: core.Config{
+		FWHandoffTimeout: 100 * time.Microsecond,
+		PacketInCost:     500 * time.Microsecond, OverloadProtection: true, Obs: fo,
+	}}, firewall.Options{}))
+	if err != nil {
 		return nil
 	}
 	defer n.Shutdown()
+	client, attacker, server := n.Hosts[0], n.Hosts[1], n.Hosts[2]
 	run := func(d time.Duration) bool { return n.Run(d) == nil }
-	if !run(600 * time.Millisecond) {
-		return nil
-	}
-	// Warm the host directory so crafted segments route without ARP.
-	attacker.SetFloodTarget(serverIP)
-	client.SendUDP(serverIP, 9, 9, []byte("w"), 0)
-	attacker.SendUDP(serverIP, 9, 9, []byte("w"), 0)
-	server.SendUDP(clientIP, 9, 9, []byte("w"), 0)
-	if !run(200 * time.Millisecond) {
-		return nil
-	}
-
 	port := func(i int) uint16 { return uint16(41000 + i) }
 	// Establish the sessions through the only firewall, then bring the
 	// successor online for the crash phase.
-	for i := 0; i < p.sessions; i++ {
-		client.Send(e12Seg(client, server, port(i), 80, 1, true, false, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
-		server.Send(e12Seg(server, client, 80, port(i), 1, true, true, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
-		client.Send(e12Seg(client, server, port(i), 80, 2, false, true, false))
-		if !run(50 * time.Millisecond) {
-			return nil
-		}
+	attacker.SetFloodTarget(server.IP)
+	if !fwSessions(n, p.sessions, port(0)) {
+		return nil
 	}
-	n.AddElement(s4, firewall.New(firewall.Options{}), 0) // SE 2
+	n.AddElement(n.Switches[3], firewall.New(firewall.Options{}), 0) // SE 2
 	if !run(600 * time.Millisecond) {
 		return nil
 	}
@@ -204,7 +165,7 @@ func e13Run(p e13Params) *e13Metrics {
 	faultAt["breaker_open"] = n.Eng.Now()
 	n.Chaos.Schedule(chaos.NewPlan().SEWedge(n.Eng.Now(), 2))
 	for i := 0; i < p.fresh; i++ {
-		client.SendTCP(serverIP, uint16(43000+i), 80, []byte("fresh"), 0)
+		client.SendTCP(server.IP, uint16(43000+i), 80, []byte("fresh"), 0)
 		if !run(500 * time.Millisecond) {
 			return nil
 		}

@@ -3,8 +3,9 @@ package experiments
 import (
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/dataplane"
-	"livesec/internal/host"
+	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
 	"livesec/internal/testbed"
@@ -17,21 +18,20 @@ import (
 // A user offers 200 Mbps of UDP through its access switch to a server
 // on another switch; the delivered rate is pinned by the access link.
 func E1AccessThroughput() Result {
-	measure := func(kind dataplane.Kind, fo *obs.FlowObs) float64 {
-		n := newNet(testbed.Options{Seed: 7, Obs: fo})
-		access := n.AddSwitch(kind, "access")
-		core := n.AddOvS("egress")
-		var user *host.Host
-		if kind == dataplane.KindWiFi {
-			user = n.AddWirelessUser(access, "user", netpkt.IP(10, 0, 0, 1))
-		} else {
-			user = n.AddWiredUser(access, "user", netpkt.IP(10, 0, 0, 1))
-		}
-		server := n.AddServer(core, "server", netpkt.IP(166, 111, 1, 1))
-		if err := n.Discover(); err != nil {
+	measure := func(kind dataplane.Kind, access link.Params, fo *obs.FlowObs) float64 {
+		n, err := build(testbed.Spec{
+			Options:  testbed.Options{Seed: 7, Config: core.Config{Obs: fo}},
+			Switches: []testbed.SwitchSpec{{Kind: kind, Name: "access"}, {Name: "egress"}},
+			Nodes: []testbed.Node{
+				testbed.HostNode("access", "user", netpkt.IP(10, 0, 0, 1), access),
+				testbed.HostNode("egress", "server", netpkt.IP(166, 111, 1, 1), testbed.Server),
+			},
+		})
+		if err != nil {
 			return -1
 		}
 		defer n.Shutdown()
+		user, server := n.Hosts[0], n.Hosts[1]
 		// Resolve and install the flow first so measurement is steady
 		// state.
 		user.SendUDP(server.IP, 5000, 6000, []byte("warm"), 0)
@@ -50,15 +50,15 @@ func E1AccessThroughput() Result {
 
 	// The wired run is the representative one instrumented under -obs.
 	fo := newFlowObs()
-	wired := measure(dataplane.KindOvS, fo)
-	wireless := measure(dataplane.KindWiFi, nil)
+	wiredMbps := measure(dataplane.KindOvS, testbed.Wired, fo)
+	wirelessMbps := measure(dataplane.KindWiFi, testbed.Wireless, nil)
 	return Result{
 		ID:    "E1",
 		Title: "Access throughput (UDP flows)",
 		Claim: "single OvS ≈100 Mbps wired; single Pantou ≈43 Mbps wireless",
 		Rows: []Row{
-			{Name: "OvS wired access", Value: wired, Unit: "Mbps", Paper: "100 Mbps"},
-			{Name: "OF Wi-Fi (Pantou) access", Value: wireless, Unit: "Mbps", Paper: "43 Mbps"},
+			{Name: "OvS wired access", Value: wiredMbps, Unit: "Mbps", Paper: "100 Mbps"},
+			{Name: "OF Wi-Fi (Pantou) access", Value: wirelessMbps, Unit: "Mbps", Paper: "43 Mbps"},
 		},
 		Notes: []string{"offered load 200 Mbps; delivery pinned by the access line rate"},
 		Setup: setupSnapshot(fo),

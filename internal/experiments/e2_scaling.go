@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"livesec/internal/dataplane"
-	"livesec/internal/ids"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
@@ -60,45 +58,39 @@ func E2ServiceElementScaling(scale Scale) Result {
 
 // e2Run measures aggregate HTTP goodput through k co-located elements.
 func e2Run(k int) float64 {
-	pt := policy.NewTable(policy.Allow)
 	// Only the download direction is inspected so the heavy direction
 	// (server→client responses) determines element load, mirroring the
 	// paper's one-way HTTP throughput test.
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect-web", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-	})
-	n := newNet(testbed.Options{Seed: 11, Policies: pt})
+	pt := chainTable(policy.Rule{Name: "inspect-web", Match: tcp80,
+		Services: []seproto.ServiceType{seproto.ServiceIDS}})
 	// Client and server switches get 10G uplinks so the only shared
 	// bottleneck is the element host's GbE NIC (the sehost uplink).
-	clientSw := n.AddSwitchUplink(dataplane.KindOvS, "clients", link.Rate10G)
-	serverSw := n.AddSwitchUplink(dataplane.KindOvS, "servers", link.Rate10G)
-	seHost := n.AddSwitchUplink(dataplane.KindOvS, "sehost", link.Rate1G)
-
 	serverIP := netpkt.IP(166, 111, 1, 1)
-	server := n.AddServer(serverSw, "web", serverIP)
-	// Fat clients so the access side never bottlenecks.
-	nClients := 4
-	clients := make([]*clientState, nClients)
-	for i := range clients {
-		h := n.AddServer(clientSw, fmt.Sprintf("c%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
-		clients[i] = &clientState{h: h}
+	spec := testbed.Spec{
+		Options: testbed.Options{Seed: 11, Policies: pt},
+		Switches: []testbed.SwitchSpec{
+			{Name: "clients", Uplink: link.Rate10G},
+			{Name: "servers", Uplink: link.Rate10G},
+			{Name: "sehost", Uplink: link.Rate1G},
+		},
+		Nodes:  []testbed.Node{testbed.HostNode("servers", "web", serverIP, testbed.Server)},
+		Rules:  e2Rules,
+		Settle: 600 * time.Millisecond,
 	}
-	rules, err := ids.Compile(e2Rules)
+	// Fat clients so the access side never bottlenecks.
+	const nClients = 4
+	for i := 0; i < nClients; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("clients", fmt.Sprintf("c%d", i), netpkt.IP(10, 0, 1, byte(i+1)), testbed.Server))
+	}
+	for i := 0; i < k; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.ElementNode("sehost", seproto.ServiceIDS))
+	}
+	n, err := build(spec)
 	if err != nil {
 		return -1
 	}
-	for i := 0; i < k; i++ {
-		n.AddElement(seHost, service.NewIDSOver(rules), 0)
-	}
-	if err := n.Discover(); err != nil {
-		return -1
-	}
 	defer n.Shutdown()
-	if err := n.Run(600 * time.Millisecond); err != nil {
-		return -1
-	}
+	server := n.Hosts[0]
 
 	// Server responds to each request with a 256 KB object as a train of
 	// MTU segments, paced at ≈1.5 Gbps per response (a sending TCP's
@@ -126,9 +118,9 @@ func e2Run(k int) float64 {
 
 	// Each client opens a new flow every 4 ms (phases staggered):
 	// offered ≈ 4 × 256KB/4ms ≈ 2 Gbps, above any configuration's
-	// capacity.
-	for ci, c := range clients {
-		c := c
+	// capacity. rxBytes totals the responses every client received.
+	var rxBytes uint64
+	for ci, c := range n.Hosts[1:] {
 		base := uint16(20000 + ci*2000)
 		next := base
 		start := time.Duration(ci) * time.Millisecond
@@ -136,10 +128,10 @@ func e2Run(k int) float64 {
 			n.Eng.Ticker(4*time.Millisecond, func() {
 				sp := next
 				next++
-				c.h.HandleTCP(sp, func(resp *netpkt.Packet) {
-					c.rxBytes += uint64(resp.PayloadLen())
+				c.HandleTCP(sp, func(resp *netpkt.Packet) {
+					rxBytes += uint64(resp.PayloadLen())
 				})
-				c.h.SendTCP(serverIP, sp, 80, []byte("GET /obj HTTP/1.1\r\n\r\n"), 0)
+				c.SendTCP(serverIP, sp, 80, []byte("GET /obj HTTP/1.1\r\n\r\n"), 0)
 			})
 		})
 	}
@@ -147,29 +139,12 @@ func e2Run(k int) float64 {
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		return -1
 	}
-	var startBytes uint64
-	for _, c := range clients {
-		startBytes += c.rxBytes
-	}
+	startBytes := rxBytes
 	window := 400 * time.Millisecond
 	if err := n.Run(window); err != nil {
 		return -1
 	}
-	var total uint64
-	for _, c := range clients {
-		total += c.rxBytes
-	}
-	return float64(total-startBytes) * 8 / window.Seconds() / 1e6
-}
-
-type clientState struct {
-	h       hostLike
-	rxBytes uint64
-}
-
-type hostLike interface {
-	HandleTCP(port uint16, fn func(*netpkt.Packet))
-	SendTCP(dst netpkt.IPv4Addr, sp, dp uint16, payload []byte, bulk int)
+	return float64(rxBytes-startBytes) * 8 / window.Seconds() / 1e6
 }
 
 // e2Bypass measures one element with no inspection engine — the paper's

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"livesec/internal/dataplane"
-	"livesec/internal/host"
-	"livesec/internal/ids"
+	"livesec/internal/core"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -65,84 +62,64 @@ func scalePaper(scale Scale, full, ci string) string {
 // e3Run measures delivered goodput through a pool of elements of one
 // service type spread over seHosts switches.
 func e3Run(svc seproto.ServiceType, seHosts, vmsPerHost, sources, flowsPerSource int, perFlowMbps int64, window time.Duration) float64 {
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: []seproto.ServiceType{svc},
-	})
-	n := newNet(testbed.Options{Seed: 13, Policies: pt, SteerForwardOnly: true})
-
-	seSwitches := make([]*dataplane.Switch, seHosts)
-	for i := range seSwitches {
-		seSwitches[i] = n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), link.Rate1G)
+	spec := testbed.Spec{
+		Options: testbed.Options{Seed: 13, Config: core.Config{SteerForwardOnly: true},
+			Policies: chainTable(policy.Rule{Name: "inspect", Match: tcp80, Services: []seproto.ServiceType{svc}})},
+		Rules:  e2Rules,
+		Settle: 600 * time.Millisecond,
 	}
-	type pairT struct {
-		src, sink *host.Host
-		sinkIP    netpkt.IPv4Addr
+	for i := 0; i < seHosts; i++ {
+		spec.Switches = append(spec.Switches, testbed.SwitchSpec{Name: fmt.Sprintf("sehost%d", i), Uplink: link.Rate1G})
 	}
-	pairs := make([]pairT, sources)
-	for i := range pairs {
-		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), link.Rate10G)
-		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), link.Rate10G)
-		sinkIP := netpkt.IP(20, 0, byte(i), 1)
-		pairs[i] = pairT{
-			src:    n.AddServer(srcSw, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1)),
-			sink:   n.AddServer(dstSw, fmt.Sprintf("k%d", i), sinkIP),
-			sinkIP: sinkIP,
-		}
+	// Source i is Hosts[2i], its sink Hosts[2i+1].
+	for i := 0; i < sources; i++ {
+		src, dst := fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i)
+		spec.Switches = append(spec.Switches,
+			testbed.SwitchSpec{Name: src, Uplink: link.Rate10G},
+			testbed.SwitchSpec{Name: dst, Uplink: link.Rate10G})
+		spec.Nodes = append(spec.Nodes,
+			testbed.HostNode(src, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1), testbed.Server),
+			testbed.HostNode(dst, fmt.Sprintf("k%d", i), netpkt.IP(20, 0, byte(i), 1), testbed.Server))
 	}
-	// An IDS pool compiles its rules once and shares them.
-	newInspector := func() service.Inspector { return service.NewL7() }
-	if svc != seproto.ServiceL7 {
-		rules, err := ids.Compile(e2Rules)
-		if err != nil {
-			return -1
-		}
-		newInspector = func() service.Inspector { return service.NewIDSOver(rules) }
-	}
-	for _, sw := range seSwitches {
+	for i := 0; i < seHosts; i++ {
 		for v := 0; v < vmsPerHost; v++ {
-			n.AddElement(sw, newInspector(), 0)
+			spec.Nodes = append(spec.Nodes, testbed.ElementNode(fmt.Sprintf("sehost%d", i), svc))
 		}
 	}
-	if err := n.Discover(); err != nil {
+	n, err := build(spec)
+	if err != nil {
 		return -1
 	}
 	defer n.Shutdown()
-	if err := n.Run(600 * time.Millisecond); err != nil {
-		return -1
-	}
 
 	// Start the flows: each is a paced one-way MTU stream on its own
 	// 5-tuple so the balancer spreads them across the pool.
 	interval := time.Duration(int64(1500*8) * int64(time.Second) / (perFlowMbps * 1_000_000))
-	for pi, p := range pairs {
-		p := p
+	for i := 0; i < sources; i++ {
+		src, sinkIP := n.Hosts[2*i], n.Hosts[2*i+1].IP
 		for f := 0; f < flowsPerSource; f++ {
-			sp := uint16(30000 + pi*1000 + f)
+			sp := uint16(30000 + i*1000 + f)
 			// Stagger flow starts to avoid phase-locked bursts.
-			n.Eng.Schedule(time.Duration(pi*137+f*29)*time.Microsecond, func() {
+			n.Eng.Schedule(time.Duration(i*137+f*29)*time.Microsecond, func() {
 				n.Eng.Ticker(interval, func() {
-					p.src.SendTCP(p.sinkIP, sp, 80, []byte("DATA"), 1446)
+					src.SendTCP(sinkIP, sp, 80, []byte("DATA"), 1446)
 				})
 			})
 		}
+	}
+	delivered := func() (bytes uint64) {
+		for i := 1; i < len(n.Hosts); i += 2 {
+			bytes += n.Hosts[i].Stats().AppBytes
+		}
+		return bytes
 	}
 	// Warm-up for flow setup and queue fill, then measure.
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		return -1
 	}
-	var start uint64
-	for _, p := range pairs {
-		start += p.sink.Stats().AppBytes
-	}
+	start := delivered()
 	if err := n.Run(window); err != nil {
 		return -1
 	}
-	var total uint64
-	for _, p := range pairs {
-		total += p.sink.Stats().AppBytes
-	}
-	return float64(total-start) * 8 / window.Seconds() / 1e9
+	return float64(delivered()-start) * 8 / window.Seconds() / 1e9
 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"livesec/internal/ids"
+	"livesec/internal/core"
 	"livesec/internal/loadbalance"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -60,60 +59,13 @@ func E4LoadDeviation(scale Scale) Result {
 }
 
 func e4Run(algo loadbalance.Algorithm, elements, users, flowsPerUser int) float64 {
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect", Priority: 10,
-		Match:     policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action:    policy.Chain,
-		Services:  []seproto.ServiceType{seproto.ServiceIDS},
-		Algorithm: algo,
-	})
-	n := newNet(testbed.Options{Seed: 17, Policies: pt, SteerForwardOnly: true})
-	userSw := n.AddOvS("users")
-	seSw := n.AddOvS("sehost")
-	sinkSw := n.AddOvS("sink")
-	sinkIP := netpkt.IP(166, 111, 1, 1)
-	n.AddServer(sinkSw, "sink", sinkIP)
-	srcs := make([]int, 0, users)
-	for i := 0; i < users; i++ {
-		n.AddWiredUser(userSw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
-		srcs = append(srcs, len(n.Hosts)-1)
-	}
-	rules, err := ids.Compile(e2Rules)
+	n, err := build(poolSpec(17, chainTable(policy.Rule{Name: "inspect", Match: tcp80,
+		Services: []seproto.ServiceType{seproto.ServiceIDS}, Algorithm: algo}), users, elements))
 	if err != nil {
 		return -1
 	}
-	for i := 0; i < elements; i++ {
-		n.AddElement(seSw, service.NewIDSOver(rules), 0)
-	}
-	if err := n.Discover(); err != nil {
-		return -1
-	}
 	defer n.Shutdown()
-	if err := n.Run(600 * time.Millisecond); err != nil {
-		return -1
-	}
-	// "Normal traffic": a stream of mixed-size flows (1–40 packets of
-	// 600 bytes, 2 ms apart) opened over several seconds, so the closed
-	// loop (assignment → load report → assignment) operates as deployed
-	// and the law of large numbers applies as it did on campus.
-	rng := n.Eng.Rand()
-	for ui, hi := range srcs {
-		u := n.Hosts[hi]
-		for f := 0; f < flowsPerUser; f++ {
-			sp := uint16(20000 + ui*100 + f)
-			pkts := 1 + rng.Intn(40)
-			start := time.Duration(rng.Intn(4000)) * time.Millisecond
-			n.Eng.Schedule(start, func() {
-				for p := 0; p < pkts; p++ {
-					delay := time.Duration(p) * 2 * time.Millisecond
-					n.Eng.Schedule(delay, func() {
-						u.SendTCP(sinkIP, sp, 80, []byte("payload"), 600)
-					})
-				}
-			})
-		}
-	}
+	poolFlows(n, flowsPerUser, 4*time.Second, "payload")
 	if err := n.Run(6 * time.Second); err != nil {
 		return -1
 	}
@@ -122,4 +74,50 @@ func e4Run(algo loadbalance.Algorithm, elements, users, flowsPerUser int) float6
 		loads = append(loads, el.Stats().Packets)
 	}
 	return loadbalance.Deviation(loads)
+}
+
+// poolSink is the address of the E4/A1 sink.
+var poolSink = netpkt.IP(166, 111, 1, 1)
+
+// poolSpec is the E4 and A1 deployment: a sink server on switch "sink"
+// (Hosts[0]), users wired users on "users" and elements IDS elements on
+// "sehost"; only the forward direction is steered.
+func poolSpec(seed int64, pt *policy.Table, users, elements int) testbed.Spec {
+	spec := testbed.Spec{
+		Options:  testbed.Options{Seed: seed, Policies: pt, Config: core.Config{SteerForwardOnly: true}},
+		Switches: []testbed.SwitchSpec{{Name: "users"}, {Name: "sehost"}, {Name: "sink"}},
+		Nodes:    []testbed.Node{testbed.HostNode("sink", "sink", poolSink, testbed.Server)},
+		Rules:    e2Rules,
+		Settle:   600 * time.Millisecond,
+	}
+	for i := 0; i < users; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("users", fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)), testbed.Wired))
+	}
+	for i := 0; i < elements; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.ElementNode("sehost", seproto.ServiceIDS))
+	}
+	return spec
+}
+
+// poolFlows is "normal traffic" on a poolSpec deployment: every user
+// opens flowsPerUser flows to the sink, each 1–40 packets of 600 bytes
+// 2 ms apart, starting within spread, so the closed loop (assignment →
+// load report → assignment) operates as deployed and the law of large
+// numbers applies as it did on campus.
+func poolFlows(n *testbed.Net, flowsPerUser int, spread time.Duration, payload string) {
+	rng := n.Eng.Rand()
+	for ui, u := range n.Hosts[1:] {
+		for f := 0; f < flowsPerUser; f++ {
+			sp := uint16(20000 + ui*100 + f)
+			pkts := 1 + rng.Intn(40)
+			start := time.Duration(rng.Intn(int(spread/time.Millisecond))) * time.Millisecond
+			n.Eng.Schedule(start, func() {
+				for p := 0; p < pkts; p++ {
+					n.Eng.Schedule(time.Duration(p)*2*time.Millisecond, func() {
+						u.SendTCP(poolSink, sp, 80, []byte(payload), 600)
+					})
+				}
+			})
+		}
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"livesec/internal/baseline"
+	"livesec/internal/core"
+	"livesec/internal/dataplane"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
@@ -58,23 +60,24 @@ func e5Baseline() float64 {
 // e5LiveSec measures the same train through the Access-Switching layer:
 // user behind an OF Wi-Fi AP, server behind the gateway OvS.
 func e5LiveSec(fo *obs.FlowObs) float64 {
-	n := newNet(testbed.Options{Seed: 19, Obs: fo})
-	ap := n.AddWiFi("ap1")
-	gw := n.AddOvS("gateway")
-	u := n.AddWirelessUser(ap, "u1", netpkt.IP(10, 0, 0, 1))
-	// The WAN delay sits on the server's access link, as in baseline.
-	server := n.AddHost(gw, "internet", netpkt.IP(166, 111, 1, 1), wanParams())
-	if err := n.Discover(); err != nil {
+	n, err := build(testbed.Spec{
+		Options:  testbed.Options{Seed: 19, Config: core.Config{Obs: fo}},
+		Switches: []testbed.SwitchSpec{{Kind: dataplane.KindWiFi, Name: "ap1"}, {Name: "gateway"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ap1", "u1", netpkt.IP(10, 0, 0, 1), testbed.Wireless),
+			// The WAN delay sits on the server's access link, as in baseline.
+			testbed.HostNode("gateway", "internet", netpkt.IP(166, 111, 1, 1),
+				link.Params{BitsPerSec: link.Rate10G, Delay: e5WANDelay}),
+		},
+	})
+	if err != nil {
 		return -1
 	}
 	defer n.Shutdown()
+	u, server := n.Hosts[0], n.Hosts[1]
 	return runPingTrain(n.Eng.Now, n.Run, func(seq uint16, cb func(time.Duration)) {
 		u.Ping(server.IP, 1, seq, cb)
 	})
-}
-
-func wanParams() link.Params {
-	return link.Params{BitsPerSec: link.Rate10G, Delay: e5WANDelay}
 }
 
 // runPingTrain issues 50 pings 20 ms apart and returns the mean RTT in

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"livesec/internal/host"
-	"livesec/internal/ids"
+	"livesec/internal/core"
+	"livesec/internal/dataplane"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 	"livesec/internal/workload"
 )
@@ -36,41 +35,29 @@ func E6CaptureEvents() []monitor.Event {
 }
 
 func e6Scenario() (Result, []monitor.Event) {
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "identify+inspect", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP},
-		Action: policy.Chain,
-		Services: []seproto.ServiceType{
-			seproto.ServiceL7, seproto.ServiceIDS,
+	pt := chainTable(policy.Rule{Name: "identify+inspect", Match: policy.Match{Proto: netpkt.ProtoTCP},
+		Services: []seproto.ServiceType{seproto.ServiceL7, seproto.ServiceIDS}})
+	spec := testbed.Spec{
+		Options: testbed.Options{Seed: 23, Policies: pt, Monitor: true,
+			Config: core.Config{HostTTL: 2 * time.Second}},
+		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}, {Name: "ovs3"},
+			{Kind: dataplane.KindWiFi, Name: "ap1"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ovs1", "internet", netpkt.IP(166, 111, 4, 1), testbed.Server),
+			testbed.ElementNode("ovs2", seproto.ServiceIDS), testbed.ElementNode("ovs2", seproto.ServiceIDS),
+			testbed.ElementNode("ovs3", seproto.ServiceL7), testbed.ElementNode("ovs3", seproto.ServiceL7),
 		},
-	})
-	n := newNet(testbed.Options{Seed: 23, Policies: pt, Monitor: true,
-		HostTTL: 2 * time.Second})
-	ovs1 := n.AddOvS("ovs1")
-	ovs2 := n.AddOvS("ovs2")
-	ovs3 := n.AddOvS("ovs3")
-	ap := n.AddWiFi("ap1")
-	server := n.AddServer(ovs1, "internet", netpkt.IP(166, 111, 4, 1))
-	rules, err := ids.Compile(ids.CommunityRules)
+		Settle: 600 * time.Millisecond,
+	}
+	for i := 0; i < 5; i++ {
+		spec.Nodes = append(spec.Nodes, testbed.HostNode("ap1", fmt.Sprintf("w%d", i+1), netpkt.IP(10, 2, 0, byte(i+1)), testbed.Wireless))
+	}
+	n, err := build(spec)
 	if err != nil {
 		return Result{ID: "E6", Notes: []string{err.Error()}}, nil
 	}
-	for i := 0; i < 2; i++ {
-		n.AddElement(ovs2, service.NewIDSOver(rules), 0)
-	}
-	for i := 0; i < 2; i++ {
-		n.AddElement(ovs3, service.NewL7(), 0)
-	}
-	users := make([]*host.Host, 5)
-	for i := range users {
-		users[i] = n.AddWirelessUser(ap, fmt.Sprintf("w%d", i+1), netpkt.IP(10, 2, 0, byte(i+1)))
-	}
-	if err := n.Discover(); err != nil {
-		return Result{ID: "E6"}, nil
-	}
 	defer n.Shutdown()
-	_ = n.Run(600 * time.Millisecond)
+	server, users := n.Hosts[0], n.Hosts[1:]
 
 	workload.HTTPServer(server, 80, 20_000)
 	server.HandleTCP(22, func(*netpkt.Packet) {})

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"livesec/internal/baseline"
-	"livesec/internal/dataplane"
+	"livesec/internal/core"
 	"livesec/internal/host"
 	"livesec/internal/ids"
 	"livesec/internal/link"
@@ -13,7 +13,6 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -97,46 +96,39 @@ func e7BaselineThroughput() float64 {
 // e7LiveSecThroughput measures inspected goodput with k element hosts
 // (each a GbE machine running 4 IDS VMs), fed by fat sources.
 func e7LiveSecThroughput(k int) float64 {
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-	})
-	n := newNet(testbed.Options{Seed: 29, Policies: pt, SteerForwardOnly: true})
-	rules, err := ids.Compile(e2Rules)
+	spec := testbed.Spec{
+		Options: testbed.Options{Seed: 29, Config: core.Config{SteerForwardOnly: true},
+			Policies: chainTable(policy.Rule{Name: "inspect", Match: tcp80, Services: []seproto.ServiceType{seproto.ServiceIDS}})},
+		Rules:  e2Rules,
+		Settle: 600 * time.Millisecond,
+	}
+	for i := 0; i < k; i++ {
+		sw := fmt.Sprintf("sehost%d", i)
+		spec.Switches = append(spec.Switches, testbed.SwitchSpec{Name: sw, Uplink: link.Rate1G})
+		for v := 0; v < 4; v++ {
+			spec.Nodes = append(spec.Nodes, testbed.ElementNode(sw, seproto.ServiceIDS))
+		}
+	}
+	// Pair i's sink is Hosts[2i], its source Hosts[2i+1].
+	srcCount := k + 2
+	for i := 0; i < srcCount; i++ {
+		src, dst := fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i)
+		spec.Switches = append(spec.Switches,
+			testbed.SwitchSpec{Name: src, Uplink: link.Rate10G},
+			testbed.SwitchSpec{Name: dst, Uplink: link.Rate10G})
+		spec.Nodes = append(spec.Nodes,
+			testbed.HostNode(dst, fmt.Sprintf("k%d", i), netpkt.IP(20, 0, byte(i), 1), testbed.Server),
+			testbed.HostNode(src, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1), testbed.Server))
+	}
+	n, err := build(spec)
 	if err != nil {
 		return -1
 	}
-	for i := 0; i < k; i++ {
-		sw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("sehost%d", i), link.Rate1G)
-		for v := 0; v < 4; v++ {
-			n.AddElement(sw, service.NewIDSOver(rules), 0)
-		}
-	}
-	srcCount := k + 2
-	sinkIPs := make([]netpkt.IPv4Addr, srcCount)
-	sinks := make([]*host.Host, srcCount)
-	srcHosts := make([]*host.Host, srcCount)
-	for i := 0; i < srcCount; i++ {
-		srcSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("src%d", i), link.Rate10G)
-		dstSw := n.AddSwitchUplink(dataplane.KindOvS, fmt.Sprintf("dst%d", i), link.Rate10G)
-		sinkIPs[i] = netpkt.IP(20, 0, byte(i), 1)
-		sinks[i] = n.AddServer(dstSw, fmt.Sprintf("k%d", i), sinkIPs[i])
-		srcHosts[i] = n.AddServer(srcSw, fmt.Sprintf("s%d", i), netpkt.IP(10, 0, byte(i), 1))
-	}
-	if err := n.Discover(); err != nil {
-		return -1
-	}
 	defer n.Shutdown()
-	if err := n.Run(600 * time.Millisecond); err != nil {
-		return -1
-	}
 	// 24 flows × 50 Mbps per source pair = 1.2 Gbps each, started after
 	// discovery so the controller can resolve every destination.
-	for i, src := range srcHosts {
-		src := src
-		dstIP := sinkIPs[i]
+	for i := 0; i < srcCount; i++ {
+		src, dstIP := n.Hosts[2*i+1], n.Hosts[2*i].IP
 		for f := 0; f < 24; f++ {
 			sp := uint16(30000 + f)
 			interval := time.Duration(int64(1500*8) * int64(time.Second) / 50_000_000)
@@ -147,22 +139,21 @@ func e7LiveSecThroughput(k int) float64 {
 			})
 		}
 	}
+	delivered := func() (bytes uint64) {
+		for i := 0; i < len(n.Hosts); i += 2 {
+			bytes += n.Hosts[i].Stats().AppBytes
+		}
+		return bytes
+	}
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		return -1
 	}
-	var start uint64
-	for _, s := range sinks {
-		start += s.Stats().AppBytes
-	}
+	start := delivered()
 	window := 200 * time.Millisecond
 	if err := n.Run(window); err != nil {
 		return -1
 	}
-	var total uint64
-	for _, s := range sinks {
-		total += s.Stats().AppBytes
-	}
-	return float64(total-start) * 8 / window.Seconds() / 1e9
+	return float64(delivered()-start) * 8 / window.Seconds() / 1e9
 }
 
 // e7Coverage sends one east-west attack in each architecture and
@@ -184,27 +175,22 @@ func e7Coverage() (baselinePct, livesecPct float64) {
 	}
 
 	// LiveSec: the same attack is steered through an IDS element.
-	pt := policy.NewTable(policy.Allow)
-	_ = pt.Add(&policy.Rule{
-		Name: "inspect", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
+	n, err := build(testbed.Spec{
+		Options: testbed.Options{Seed: 31, Monitor: true, Policies: chainTable(policy.Rule{
+			Name: "inspect", Match: policy.Match{Proto: netpkt.ProtoTCP}, Services: []seproto.ServiceType{seproto.ServiceIDS}})},
+		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ovs1", "a", netpkt.IP(10, 0, 0, 1), testbed.Wired),
+			testbed.HostNode("ovs2", "b", netpkt.IP(10, 0, 0, 2), testbed.Wired),
+			testbed.ElementNode("ovs2", seproto.ServiceIDS),
+		},
+		Settle: 600 * time.Millisecond,
 	})
-	n := newNet(testbed.Options{Seed: 31, Policies: pt, Monitor: true})
-	s1 := n.AddOvS("ovs1")
-	s2 := n.AddOvS("ovs2")
-	a := n.AddWiredUser(s1, "a", netpkt.IP(10, 0, 0, 1))
-	b := n.AddWiredUser(s2, "b", netpkt.IP(10, 0, 0, 2))
-	insp, err := service.NewIDS(ids.CommunityRules)
 	if err != nil {
 		return baselinePct, -1
 	}
-	n.AddElement(s2, insp, 0)
-	if err := n.Discover(); err != nil {
-		return baselinePct, -1
-	}
 	defer n.Shutdown()
-	_ = n.Run(600 * time.Millisecond)
+	a, b := n.Hosts[0], n.Hosts[1]
 	b.HandleTCP(80, func(*netpkt.Packet) {})
 	a.SendTCP(b.IP, 40000, 80, []byte("GET /?id=' OR 1=1 HTTP/1.1"), 0)
 	_ = n.Run(200 * time.Millisecond)

@@ -5,13 +5,11 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
-	"livesec/internal/host"
-	"livesec/internal/ids"
+	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
-	"livesec/internal/service"
 	"livesec/internal/testbed"
 )
 
@@ -48,10 +46,10 @@ func E8ChaosRecovery(scale Scale) Result {
 
 	// Zero-overhead check: identical workload, chaos layer absent vs
 	// attached with an empty plan.
-	plain := e8Fingerprint(false, nProbes)
-	wrapped := e8Fingerprint(true, nProbes)
+	plain, errPlain := e8Fingerprint(false, nProbes)
+	wrapped, errWrapped := e8Fingerprint(true, nProbes)
 	identical := 0.0
-	if plain == wrapped {
+	if errPlain == nil && errWrapped == nil && plain == wrapped {
 		identical = 1.0
 	}
 	res.Rows = append(res.Rows, Row{
@@ -63,12 +61,13 @@ func E8ChaosRecovery(scale Scale) Result {
 	}
 
 	// The fault storm.
-	n, user, server, seIDs := e8Net(true, nProbes)
-	if n == nil {
+	n, err := build(e8Spec(true))
+	if err != nil {
 		res.Notes = append(res.Notes, "deployment failed to build")
 		return res
 	}
 	defer n.Shutdown()
+	user, server := n.Hosts[0], n.Hosts[1]
 
 	const (
 		probePeriod  = 100 * time.Millisecond
@@ -83,8 +82,8 @@ func E8ChaosRecovery(scale Scale) Result {
 	plan := chaos.NewPlan().
 		SwitchDisconnect(base+disconnectAt, 1).
 		SwitchReconnect(base+reconnectAt, 1)
-	for _, id := range seIDs {
-		plan.SECrash(base+crashAt, id).SERestart(base+restartAt, id)
+	for _, el := range n.Elements {
+		plan.SECrash(base+crashAt, el.ID()).SERestart(base+restartAt, el.ID())
 	}
 	n.Chaos.Schedule(plan)
 
@@ -162,88 +161,56 @@ func E8ChaosRecovery(scale Scale) Result {
 	)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("fault storm: %d probe flows, switch outage %v–%v, %d IDS crashed %v–%v",
-			total, disconnectAt, reconnectAt, len(seIDs), crashAt, restartAt))
+			total, disconnectAt, reconnectAt, len(n.Elements), crashAt, restartAt))
 	return res
 }
 
 // serverV is the E8 server address.
 var serverV = netpkt.IP(166, 111, 8, 1)
 
-// e8Net builds the E8 deployment: user switch, server switch, element
+// e8Spec is the E8 deployment: user switch, server switch, element
 // switch with two IDS, chain policies for TCP:80 (fail-closed) and
-// TCP:81 (fail-open). Returns nil on failure.
-func e8Net(withChaos bool, nProbes int) (*testbed.Net, *host.Host, *host.Host, []uint64) {
-	pt := policy.NewTable(policy.Allow)
-	if err := pt.Add(&policy.Rule{
-		Name: "inspect-closed", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-	}); err != nil {
-		return nil, nil, nil, nil
+// TCP:81 (fail-open), settled one heartbeat interval so the elements
+// register.
+func e8Spec(withChaos bool) testbed.Spec {
+	ids := []seproto.ServiceType{seproto.ServiceIDS}
+	pt := chainTable(policy.Rule{Name: "inspect-closed", Match: tcp80, Services: ids},
+		policy.Rule{Name: "inspect-open", Match: policy.Match{Proto: netpkt.ProtoTCP, DstPort: 81}, Services: ids, FailOpen: true})
+	return testbed.Spec{
+		Options: testbed.Options{Seed: 42, Policies: pt, Monitor: true, Chaos: withChaos,
+			Config: core.Config{Keepalive: true, FlowIdle: time.Minute}},
+		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}, {Name: "ovs3"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("ovs1", "user", netpkt.IP(10, 8, 0, 1), testbed.Wired),
+			testbed.HostNode("ovs2", "server", serverV, testbed.Server),
+			testbed.ElementNode("ovs3", seproto.ServiceIDS), testbed.ElementNode("ovs3", seproto.ServiceIDS),
+		},
+		Settle: 600 * time.Millisecond,
 	}
-	if err := pt.Add(&policy.Rule{
-		Name: "inspect-open", Priority: 10,
-		Match:  policy.Match{Proto: netpkt.ProtoTCP, DstPort: 81},
-		Action: policy.Chain, Services: []seproto.ServiceType{seproto.ServiceIDS},
-		FailOpen: true,
-	}); err != nil {
-		return nil, nil, nil, nil
-	}
-	n := newNet(testbed.Options{
-		Seed: 42, Policies: pt, Monitor: true,
-		Keepalive: true, Chaos: withChaos,
-		FlowIdle: time.Minute,
-	})
-	s1 := n.AddOvS("ovs1")
-	s2 := n.AddOvS("ovs2")
-	s3 := n.AddOvS("ovs3")
-	user := n.AddWiredUser(s1, "user", netpkt.IP(10, 8, 0, 1))
-	server := n.AddServer(s2, "server", serverV)
-	rules, err := ids.Compile(ids.CommunityRules)
-	if err != nil {
-		return nil, nil, nil, nil
-	}
-	var seIDs []uint64
-	for i := 0; i < 2; i++ {
-		el := n.AddElement(s3, service.NewIDSOver(rules), 0)
-		seIDs = append(seIDs, el.ID())
-	}
-	if err := n.Discover(); err != nil {
-		return nil, nil, nil, nil
-	}
-	// One heartbeat interval so the elements register.
-	if err := n.Run(600 * time.Millisecond); err != nil {
-		return nil, nil, nil, nil
-	}
-	_ = nProbes
-	return n, user, server, seIDs
 }
 
 // e8Fingerprint runs a fixed fault-free workload on the E8 deployment
-// and summarizes its observable behavior: controller statistics, event
-// totals, and host counters. Used to prove the chaos layer is invisible
-// when idle.
-func e8Fingerprint(withChaos bool, nProbes int) string {
-	n, user, server, _ := e8Net(withChaos, nProbes)
-	if n == nil {
-		return fmt.Sprintf("build-failed withChaos=%v", withChaos)
+// and returns its Fingerprint. Used to prove the chaos layer is
+// invisible when idle.
+func e8Fingerprint(withChaos bool, nProbes int) (uint64, error) {
+	n, err := build(e8Spec(withChaos))
+	if err != nil {
+		return 0, err
 	}
 	defer n.Shutdown()
-	got := 0
+	user, server := n.Hosts[0], n.Hosts[1]
 	for i := 0; i < nProbes; i++ {
-		server.HandleUDP(uint16(9000+i), func(*netpkt.Packet) { got++ })
+		server.HandleUDP(uint16(9000+i), func(*netpkt.Packet) {})
 	}
-	server.HandleTCP(80, func(*netpkt.Packet) { got++ })
+	server.HandleTCP(80, func(*netpkt.Packet) {})
 	for round := 0; round < 3; round++ {
 		for i := 0; i < nProbes; i++ {
 			user.SendUDP(serverV, uint16(6000+i), uint16(9000+i), []byte("probe"), 0)
 		}
 		user.SendTCP(serverV, 50080, 80, []byte("GET / HTTP/1.1"), 0)
 		if err := n.Run(300 * time.Millisecond); err != nil {
-			return "run-failed"
+			return 0, err
 		}
 	}
-	return fmt.Sprintf("stats=%+v events=%d delivered=%d user=%+v server=%+v now=%v",
-		n.Controller.Stats(), n.Store.TotalRecorded(), got,
-		user.Stats(), server.Stats(), n.Eng.Now())
+	return n.Fingerprint(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
@@ -121,22 +122,26 @@ var e9Server = netpkt.IP(166, 111, 9, 1)
 // returns the measurements (nil if the deployment failed to build).
 // Everything except the protection knob is identical between runs.
 func e9Run(p e9Params, protection bool, fo *obs.FlowObs) *e9Metrics {
-	n := newNet(testbed.Options{
-		Seed: 7, Monitor: true, Keepalive: true, Chaos: true,
-		FlowIdle:           time.Minute,
-		PacketInCost:       500 * time.Microsecond,
-		OverloadProtection: protection,
-		Obs:                fo,
+	n, err := build(testbed.Spec{
+		Options: testbed.Options{Seed: 7, Monitor: true, Chaos: true, Config: core.Config{
+			Keepalive:          true,
+			FlowIdle:           time.Minute,
+			PacketInCost:       500 * time.Microsecond,
+			OverloadProtection: protection,
+			Obs:                fo,
+		}},
+		Switches: []testbed.SwitchSpec{{Name: "edge"}, {Name: "server-sw"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("edge", "attacker", netpkt.IP(10, 8, 0, 66), testbed.Wired),
+			testbed.HostNode("edge", "legit", netpkt.IP(10, 8, 0, 1), testbed.Wired),
+			testbed.HostNode("server-sw", "server", e9Server, testbed.Server),
+		},
 	})
-	s1 := n.AddOvS("edge")
-	s2 := n.AddOvS("server-sw")
-	attacker := n.AddWiredUser(s1, "attacker", netpkt.IP(10, 8, 0, 66))
-	legit := n.AddWiredUser(s1, "legit", netpkt.IP(10, 8, 0, 1))
-	server := n.AddServer(s2, "server", e9Server)
-	if err := n.Discover(); err != nil {
+	if err != nil {
 		return nil
 	}
 	defer n.Shutdown()
+	attacker, legit, server := n.Hosts[0], n.Hosts[1], n.Hosts[2]
 
 	// Warmup: one exchange per host resolves ARP and teaches the
 	// controller every attachment point before the storm. The attacker
@@ -182,13 +187,28 @@ func e9Run(p e9Params, protection bool, fo *obs.FlowObs) *e9Metrics {
 		return nil
 	}
 
-	// Setup latencies; flows never delivered are censored at the horizon
-	// (a lower bound, which only understates the unprotected damage).
+	// Flows never delivered are censored at the horizon (a lower bound,
+	// which only understates the unprotected damage).
+	delivered, p99 := setupLatencies(n, sentAt, deliveredAt)
+	st := n.Controller.Stats()
+	return &e9Metrics{
+		p99ms:         p99,
+		delivered:     delivered,
+		falseDown:     float64(n.Store.Count(monitor.EventSwitchDown)),
+		shed:          float64(st.PacketInsShed),
+		suppress:      float64(st.SuppressRules),
+		violationSecs: n.Controller.PolicyViolationTime().Seconds(),
+	}
+}
+
+// setupLatencies turns sent/delivered stamps into the delivered count
+// and the p99 setup latency in ms, censoring never-delivered flows at
+// the current time.
+func setupLatencies[K comparable](n *testbed.Net, sentAt, deliveredAt map[K]time.Duration) (delivered, p99 float64) {
 	var lat []float64
-	delivered := 0
 	end := n.Eng.Now()
-	for sp, at := range sentAt {
-		if done, ok := deliveredAt[sp]; ok {
+	for key, at := range sentAt {
+		if done, ok := deliveredAt[key]; ok {
 			lat = append(lat, float64(done-at)/float64(time.Millisecond))
 			delivered++
 		} else {
@@ -196,18 +216,8 @@ func e9Run(p e9Params, protection bool, fo *obs.FlowObs) *e9Metrics {
 		}
 	}
 	sort.Float64s(lat)
-	p99 := 0.0
 	if len(lat) > 0 {
 		p99 = lat[len(lat)*99/100]
 	}
-
-	st := n.Controller.Stats()
-	return &e9Metrics{
-		p99ms:         p99,
-		delivered:     float64(delivered),
-		falseDown:     float64(n.Store.Count(monitor.EventSwitchDown)),
-		shed:          float64(st.PacketInsShed),
-		suppress:      float64(st.SuppressRules),
-		violationSecs: n.Controller.PolicyViolationTime().Seconds(),
-	}
+	return delivered, p99
 }

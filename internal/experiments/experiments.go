@@ -11,7 +11,10 @@ import (
 	"fmt"
 	"strings"
 
+	"livesec/internal/netpkt"
 	"livesec/internal/obs"
+	"livesec/internal/policy"
+	"livesec/internal/testbed"
 )
 
 // Row is one measured data point with its paper reference.
@@ -129,3 +132,40 @@ const (
 	// ScaleFull uses the paper's deployment sizes.
 	ScaleFull
 )
+
+// tweakOptions, when set, edits every deployment's options before it is
+// built. Only TestKnobsNeutral sets it, to arm a results-neutral
+// controller feature in experiments that left it off.
+var tweakOptions func(*testbed.Options)
+
+// built, when set, receives every deployment in build order. Only
+// TestSuiteGolden sets it, to fingerprint what each experiment ran.
+var built func(*testbed.Net)
+
+// build assembles an experiment deployment. Every experiment builds its
+// testbed through it.
+func build(spec testbed.Spec) (*testbed.Net, error) {
+	if tweakOptions != nil {
+		tweakOptions(&spec.Options)
+	}
+	n, err := testbed.Build(spec)
+	if err == nil && built != nil {
+		built(n)
+	}
+	return n, err
+}
+
+// tcp80 matches web traffic, the flows most experiments steer.
+var tcp80 = policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80}
+
+// chainTable is an allow-all policy table holding rules, each made a
+// priority-10 Chain rule. The rules are named experiment literals with
+// non-empty chains and valid prefixes, so Add cannot fail.
+func chainTable(rules ...policy.Rule) *policy.Table {
+	pt := policy.NewTable(policy.Allow)
+	for _, r := range rules {
+		r.Priority, r.Action = 10, policy.Chain
+		_ = pt.Add(&r)
+	}
+	return pt
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"livesec/internal/chaos"
+	"livesec/internal/core"
 	"livesec/internal/firewall"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
@@ -20,32 +21,34 @@ func TestCrossShardHandoffSingleTrace(t *testing.T) {
 	serverIP := netpkt.IP(166, 111, 99, 1)
 	clientIP := netpkt.IP(10, 99, 0, 1)
 	fo := obs.NewFlowObs(0)
-	n := testbed.New(testbed.Options{
-		Seed: 99, Policies: e12Policies(serverIP), Monitor: true,
-		Keepalive: true, Chaos: true, Shards: 2, FlowIdle: time.Minute,
-		// A real coordination delay so peer-shard batches travel as
-		// coordination messages (and record shard_coord child spans).
-		ShardCoordLatency: 200 * time.Microsecond,
-		StatefulFW:        true, Obs: fo,
+	n, err := testbed.Build(testbed.Spec{
+		Options: testbed.Options{Seed: 99, Policies: e12Policies(serverIP), Monitor: true, Chaos: true,
+			Config: core.Config{
+				Keepalive: true, Shards: 2, FlowIdle: time.Minute,
+				// A real coordination delay so peer-shard batches travel as
+				// coordination messages (and record shard_coord child spans).
+				ShardCoordLatency: 200 * time.Microsecond,
+				StatefulFW:        true, Obs: fo,
+			}},
+		Switches: []testbed.SwitchSpec{{Name: "tr-cli"}, {Name: "tr-srv"}, {Name: "tr-fw1"}, {Name: "tr-fw2"}},
+		Nodes: []testbed.Node{
+			testbed.HostNode("tr-cli", "client", clientIP, testbed.Wired),
+			testbed.HostNode("tr-srv", "server", serverIP, testbed.Server),
+			{Element: &testbed.ElementSpec{Switch: "tr-fw1", Inspector: firewall.New(firewall.Options{})}}, // SE 1
+		},
+		Settle: 600 * time.Millisecond,
 	})
-	s1 := n.AddOvS("tr-cli")
-	s2 := n.AddOvS("tr-srv")
-	s3 := n.AddOvS("tr-fw1")
-	s4 := n.AddOvS("tr-fw2")
-	client := n.AddWiredUser(s1, "client", clientIP)
-	server := n.AddServer(s2, "server", serverIP)
-	n.AddElement(s3, firewall.New(firewall.Options{}), 0) // SE 1
-	if err := n.Discover(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
+	client, server := n.Hosts[0], n.Hosts[1]
 	run := func(d time.Duration) {
 		t.Helper()
 		if err := n.Run(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run(600 * time.Millisecond)
 	client.SendUDP(serverIP, 9, 9, []byte("w"), 0)
 	server.SendUDP(clientIP, 9, 9, []byte("w"), 0)
 	run(200 * time.Millisecond)
@@ -60,7 +63,7 @@ func TestCrossShardHandoffSingleTrace(t *testing.T) {
 
 	// Bring up the successor, crash SE 1, let it expire; the next
 	// mid-stream segment re-steers through SE 2 and migrates state.
-	n.AddElement(s4, firewall.New(firewall.Options{}), 0) // SE 2
+	n.AddElement(n.Switches[3], firewall.New(firewall.Options{}), 0) // SE 2
 	run(600 * time.Millisecond)
 	n.Chaos.Schedule(chaos.NewPlan().SECrash(n.Eng.Now(), 1))
 	run(2600 * time.Millisecond)

@@ -5,8 +5,8 @@ import (
 
 	"livesec/internal/dataplane"
 	"livesec/internal/host"
-	"livesec/internal/ids"
 	"livesec/internal/netpkt"
+	"livesec/internal/seproto"
 	"livesec/internal/service"
 )
 
@@ -71,58 +71,55 @@ type FIT struct {
 // GatewayIP is the Internet-side address users talk to.
 var GatewayIP = netpkt.IP(166, 111, 4, 100)
 
-// BuildFIT assembles a FIT deployment on top of the base options.
-// Call Discover (plus a ~600 ms settle for element heartbeats) before
-// generating traffic.
+// BuildFIT builds and discovers a FIT deployment on top of the base
+// options: Build of a Spec whose attach order is the gateway, the IDS
+// elements, the L7 elements, the wired users, then the wireless users.
+// Run a ~600 ms settle for element heartbeats before generating traffic.
 func BuildFIT(fo FITOptions, opts Options) (*FIT, error) {
-	if fo.IDSHosts+fo.L7Hosts > fo.OvS {
-		return nil, fmt.Errorf("testbed: %d+%d element hosts exceed %d OvS",
-			fo.IDSHosts, fo.L7Hosts, fo.OvS)
+	if fo.OvS < 1 || fo.IDSHosts+fo.L7Hosts > fo.OvS || fo.APs < 1 && fo.WirelessUsers > 0 {
+		return nil, fmt.Errorf("testbed: FIT sizes %+v: every element host and user needs a switch", fo)
 	}
-	n := New(opts)
-	f := &FIT{Net: n}
-
 	// Every AS switch uplinks into the building's one core switch.
+	spec := Spec{Options: opts}
+	ovs := func(i int) string { return fmt.Sprintf("ovs%d", i%fo.OvS+1) }
 	for i := 0; i < fo.OvS; i++ {
-		f.OvSes = append(f.OvSes, n.AddOvS(fmt.Sprintf("ovs%d", i+1)))
+		spec.Switches = append(spec.Switches, SwitchSpec{Name: ovs(i)})
 	}
 	for i := 0; i < fo.APs; i++ {
-		f.APs = append(f.APs, n.AddWiFi(fmt.Sprintf("ap%d", i+1)))
+		spec.Switches = append(spec.Switches, SwitchSpec{Kind: dataplane.KindWiFi, Name: fmt.Sprintf("ap%d", i+1)})
 	}
-
 	// Gateway: the Internet server hangs off the first OvS.
-	f.Gateway = n.AddServer(f.OvSes[0], "gateway", GatewayIP)
-
-	// Service elements: IDS hosts first, then L7 hosts. Every IDS element
-	// inspects over the one compiled rule set.
-	rules, err := ids.Compile(ids.CommunityRules)
+	spec.Nodes = append(spec.Nodes, HostNode(ovs(0), "gateway", GatewayIP, Server))
+	// Service elements: IDS hosts first, then L7 hosts.
+	for h := 0; h < fo.IDSHosts+fo.L7Hosts; h++ {
+		svc := seproto.ServiceIDS
+		if h >= fo.IDSHosts {
+			svc = seproto.ServiceL7
+		}
+		for v := 0; v < fo.VMsPerHost; v++ {
+			spec.Nodes = append(spec.Nodes, ElementNode(ovs(h), svc))
+		}
+	}
+	for i := 0; i < fo.WiredUsers; i++ {
+		spec.Nodes = append(spec.Nodes, HostNode(ovs(i), fmt.Sprintf("wired%d", i+1), netpkt.IP(10, 1, byte(i>>8), byte(i+1)), Wired))
+	}
+	for i := 0; i < fo.WirelessUsers; i++ {
+		spec.Nodes = append(spec.Nodes, HostNode(fmt.Sprintf("ap%d", i%fo.APs+1), fmt.Sprintf("wifi%d", i+1), netpkt.IP(10, 2, byte(i>>8), byte(i+1)), Wireless))
+	}
+	n, err := Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	hostIdx := 0
-	for ; hostIdx < fo.IDSHosts; hostIdx++ {
-		sw := f.OvSes[hostIdx%len(f.OvSes)]
-		for v := 0; v < fo.VMsPerHost; v++ {
-			f.IDSElements = append(f.IDSElements, n.AddElement(sw, service.NewIDSOver(rules), 0))
-		}
-	}
-	for ; hostIdx < fo.IDSHosts+fo.L7Hosts; hostIdx++ {
-		sw := f.OvSes[hostIdx%len(f.OvSes)]
-		for v := 0; v < fo.VMsPerHost; v++ {
-			f.L7Elements = append(f.L7Elements, n.AddElement(sw, service.NewL7(), 0))
-		}
-	}
-
-	// Users.
-	for i := 0; i < fo.WiredUsers; i++ {
-		sw := f.OvSes[i%len(f.OvSes)]
-		u := n.AddWiredUser(sw, fmt.Sprintf("wired%d", i+1), netpkt.IP(10, 1, byte(i>>8), byte(i+1)))
-		f.WiredUsers = append(f.WiredUsers, u)
-	}
-	for i := 0; i < fo.WirelessUsers; i++ {
-		ap := f.APs[i%len(f.APs)]
-		u := n.AddWirelessUser(ap, fmt.Sprintf("wifi%d", i+1), netpkt.IP(10, 2, byte(i>>8), byte(i+1)))
-		f.WirelessUsers = append(f.WirelessUsers, u)
-	}
-	return f, nil
+	ids := fo.IDSHosts * fo.VMsPerHost
+	users := 1 + fo.WiredUsers
+	return &FIT{
+		Net:           n,
+		Gateway:       n.Hosts[0],
+		OvSes:         n.Switches[:fo.OvS:fo.OvS],
+		APs:           n.Switches[fo.OvS:],
+		WiredUsers:    n.Hosts[1:users:users],
+		WirelessUsers: n.Hosts[users:],
+		IDSElements:   n.Elements[:ids:ids],
+		L7Elements:    n.Elements[ids:],
+	}, nil
 }

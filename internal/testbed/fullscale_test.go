@@ -37,9 +37,6 @@ func TestFullFITAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Discover(); err != nil {
-		t.Fatal(err)
-	}
 	defer f.Shutdown()
 	if err := f.Run(700 * time.Millisecond); err != nil {
 		t.Fatal(err)

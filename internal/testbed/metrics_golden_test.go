@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/obs"
 )
 
@@ -31,8 +32,10 @@ func typeLines(text string) []string {
 func TestMetricsInventoryAllKnobs(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n := obsNet(t, Options{
-		Obs: fo, Monitor: true, Shards: 2, StatefulFW: true,
-		SLO: true, SLOInterval: 10 * time.Millisecond,
+		Monitor:     true,
+		SLO:         true,
+		SLOInterval: 10 * time.Millisecond,
+		Config:      core.Config{Obs: fo, Shards: 2, StatefulFW: true},
 	})
 	if n.Alerts == nil {
 		t.Fatal("SLO option did not build an alert engine")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"livesec/internal/core"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
 )
@@ -36,7 +37,7 @@ func obsNet(t *testing.T, opts Options) *Net {
 
 func TestObsSpansAndMetrics(t *testing.T) {
 	fo := obs.NewFlowObs(0)
-	n := obsNet(t, Options{Obs: fo})
+	n := obsNet(t, Options{Config: core.Config{Obs: fo}})
 
 	if fo.Recorded() == 0 {
 		t.Fatal("no spans recorded")
@@ -98,7 +99,7 @@ func TestObsSpansAndMetrics(t *testing.T) {
 // with and without obs produces identical controller stats.
 func TestObsDoesNotPerturbRun(t *testing.T) {
 	off := obsNet(t, Options{}).Controller.Stats()
-	on := obsNet(t, Options{Obs: obs.NewFlowObs(0)}).Controller.Stats()
+	on := obsNet(t, Options{Config: core.Config{Obs: obs.NewFlowObs(0)}}).Controller.Stats()
 	if off != on {
 		t.Fatalf("stats diverge with obs on:\noff: %+v\non:  %+v", off, on)
 	}
@@ -106,7 +107,7 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 
 func TestObsBarrierStage(t *testing.T) {
 	fo := obs.NewFlowObs(0)
-	obsNet(t, Options{Obs: fo, UseBarriers: true})
+	obsNet(t, Options{Config: core.Config{Obs: fo, UseBarriers: true}})
 	var sawBarrier bool
 	for _, sp := range fo.Spans(0, false) {
 		if sp.Outcome.Completed() && sp.Stage(obs.StageBarrier) > 0 {
@@ -123,7 +124,7 @@ func TestObsQueueWaitStage(t *testing.T) {
 	// With a modeled packet-in cost every dispatch waits at least that
 	// long behind the serialized controller.
 	cost := 200 * time.Microsecond
-	obsNet(t, Options{Obs: fo, PacketInCost: cost})
+	obsNet(t, Options{Config: core.Config{Obs: fo, PacketInCost: cost}})
 	var sawWait bool
 	for _, sp := range fo.Spans(0, false) {
 		if sp.Outcome.Completed() && sp.Stage(obs.StageQueueWait) >= cost {

@@ -8,7 +8,9 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"livesec/internal/chaos"
@@ -31,73 +33,31 @@ import (
 const uplinkPort uint32 = 1000
 
 // defaultCtrlLatency is the secure-channel one-way latency of a switch
-// that does not choose its own (AddSwitchFull).
+// that does not choose its own (SwitchSpec.CtrlLatency).
 const defaultCtrlLatency = 200 * time.Microsecond
 
-// Options configures a testbed network.
+// Options configures a testbed network: the controller's configuration
+// plus what the harness adds around it.
 type Options struct {
-	// Seed drives all randomness (default 1).
+	// Config is the controller's configuration, passed to core.New.
+	// New owns four of its fields: it sets Engine and Store (the event
+	// store under Monitor) itself and copies Seed and Policies from the
+	// fields below. Setting any of the four in Config is an error (Build)
+	// or a panic (New).
+	core.Config
+	// Seed drives all randomness (default 1). It shadows Config.Seed so
+	// that a composite literal can set it.
 	Seed int64
 	// Policies preloads the controller policy table (nil = allow all).
+	// It shadows Config.Policies for the same reason.
 	Policies *policy.Table
-	// RequireCerts enables service-element certification checks.
-	RequireCerts bool
 	// Monitor enables the event store.
 	Monitor bool
-	// SteerForwardOnly disables reverse-path steering.
-	SteerForwardOnly bool
-	// FlowIdle overrides the controller's flow idle timeout.
-	FlowIdle time.Duration
-	// HostTTL overrides the controller's silent-host expiry.
-	HostTTL time.Duration
-	// DHCP enables the controller's address-leasing directory.
-	DHCP core.DHCPPool
-	// UseBarriers enables barrier-synchronized first-packet release.
-	UseBarriers bool
-	// Keepalive enables the controller's echo keepalive, reconnect
-	// resync, and failure-drain machinery (core/resilience.go).
-	Keepalive bool
 	// Chaos installs a fault injector: every secure channel is wrapped
 	// in a chaos.Channel and links/elements are registered for fault
 	// events. With an empty plan the wrapped run is byte-identical to
 	// an unwrapped one.
 	Chaos bool
-	// PacketInCost is the controller's virtual per-packet-in processing
-	// time (core.Config.PacketInCost); 0 keeps the controller infinitely
-	// fast.
-	PacketInCost time.Duration
-	// OverloadProtection enables the controller's ingress priority lanes,
-	// admission control, and suppression rules (core/overload.go).
-	OverloadProtection bool
-	// Breakers enables per-service-element circuit breakers
-	// (core/breaker.go).
-	Breakers bool
-	// SessionTTL bounds session-record lifetime (core/sessions.go).
-	SessionTTL time.Duration
-	// Obs wires the observability subsystem through the controller and
-	// every switch added later (core.Config.Obs + dataplane RegisterObs).
-	// Nil keeps all hooks off.
-	Obs *obs.FlowObs
-	// Shards > 1 splits the controller into that many logical shards
-	// with consistent-hash switch ownership (core/shard.go). On its own
-	// the shard layer only attributes work — message streams and results
-	// are byte-identical to an unsharded run.
-	Shards int
-	// ShardLanes serializes each shard's packet-ins on its own busy
-	// clock of PacketInCost (scale-out model, changes timing).
-	ShardLanes bool
-	// ShardCoordLatency delays cross-shard install batches as
-	// coordination messages (0 = inline flush).
-	ShardCoordLatency time.Duration
-	// ShardFailoverDelay is the hot-standby takeover delay after
-	// KillShard (0 = the core default, 200ms).
-	ShardFailoverDelay time.Duration
-	// StatefulFW enables connection-state migration for stateful
-	// firewall elements (core/fwstate.go). Off by default.
-	StatefulFW bool
-	// FWHandoffTimeout bounds a state handoff's wait for its ack
-	// (0 = the core default).
-	FWHandoffTimeout time.Duration
 	// SLO builds the deterministic alert engine (obs/alerts.go) over Obs
 	// with the default rule pack, ticking on the controller engine.
 	// Requires Obs; ignored when Obs is nil. Transitions are recorded as
@@ -137,10 +97,15 @@ type Net struct {
 	uplinkIDs   map[uint64]int    // dpid → chaos link id of the uplink
 	nextLinkID  int
 	nextFlooder int
+	discovered  bool
 }
 
-// New creates an empty deployment.
+// New creates an empty deployment. It panics if opts.Config sets a field
+// New owns.
 func New(opts Options) *Net {
+	if err := opts.check(); err != nil {
+		panic(err)
+	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -151,33 +116,9 @@ func New(opts Options) *Net {
 	}
 	fabric := legacy.NewFabric(eng)
 	fabric.AddSwitch("core")
-	ctrl := core.New(core.Config{
-		Engine:           eng,
-		Store:            store,
-		Policies:         opts.Policies,
-		RequireCerts:     opts.RequireCerts,
-		SteerForwardOnly: opts.SteerForwardOnly,
-		FlowIdle:         opts.FlowIdle,
-		HostTTL:          opts.HostTTL,
-		DHCP:             opts.DHCP,
-		UseBarriers:      opts.UseBarriers,
-		Keepalive:        opts.Keepalive,
-		Seed:             opts.Seed,
-
-		PacketInCost:       opts.PacketInCost,
-		OverloadProtection: opts.OverloadProtection,
-		Breakers:           opts.Breakers,
-		SessionTTL:         opts.SessionTTL,
-		Obs:                opts.Obs,
-
-		Shards:             opts.Shards,
-		ShardLanes:         opts.ShardLanes,
-		ShardCoordLatency:  opts.ShardCoordLatency,
-		ShardFailoverDelay: opts.ShardFailoverDelay,
-
-		StatefulFW:       opts.StatefulFW,
-		FWHandoffTimeout: opts.FWHandoffTimeout,
-	})
+	cfg := opts.Config
+	cfg.Engine, cfg.Store, cfg.Seed, cfg.Policies = eng, store, opts.Seed, opts.Policies
+	ctrl := core.New(cfg)
 	n := &Net{
 		Eng:         eng,
 		Fabric:      fabric,
@@ -234,39 +175,49 @@ func New(opts Options) *Net {
 	return n
 }
 
+// check rejects a value in one of the Config fields New owns, which New
+// would otherwise overwrite without a word.
+func (opts Options) check() error {
+	if c := opts.Config; c.Engine != nil || c.Store != nil || c.Seed != 0 || c.Policies != nil {
+		return errors.New("testbed: Options.Config sets Engine, Store, Seed or Policies, which New owns (set Options.Seed and Options.Policies)")
+	}
+	return nil
+}
+
 // AddSwitch creates an AS switch (OvS or OF Wi-Fi), uplinks it into
 // the fabric's core switch at 1 GbE, and connects its secure channel.
 func (n *Net) AddSwitch(kind dataplane.Kind, name string) *dataplane.Switch {
-	return n.AddSwitchUplink(kind, name, link.Rate1G)
+	return n.addSwitch(SwitchSpec{Kind: kind, Name: name})
 }
 
-// AddSwitchUplink is AddSwitch with an explicit uplink line rate; the
-// E2 experiment uses it to model the service-element host's shared GbE
-// NIC while client and server switches get faster uplinks.
-func (n *Net) AddSwitchUplink(kind dataplane.Kind, name string, uplinkBps int64) *dataplane.Switch {
-	return n.AddSwitchFull(kind, name, uplinkBps, defaultCtrlLatency)
-}
-
-// AddSwitchFull additionally sets the switch's secure-channel one-way
-// latency — distant wiring closets see the controller later than nearby
-// ones, which is what makes barrier synchronization matter.
-func (n *Net) AddSwitchFull(kind dataplane.Kind, name string, uplinkBps int64, ctrlLatency time.Duration) *dataplane.Switch {
+// addSwitch creates the switch s describes; an empty name becomes
+// "ovs<dpid>" or "wifi<dpid>".
+func (n *Net) addSwitch(s SwitchSpec) *dataplane.Switch {
+	if s.Kind == 0 {
+		s.Kind = dataplane.KindOvS
+	}
+	if s.Uplink == 0 {
+		s.Uplink = link.Rate1G
+	}
+	if s.CtrlLatency == 0 {
+		s.CtrlLatency = defaultCtrlLatency
+	}
 	n.nextDPID++
 	dpid := n.nextDPID
-	if name == "" {
+	if s.Name == "" {
 		prefix := "ovs"
-		if kind == dataplane.KindWiFi {
+		if s.Kind == dataplane.KindWiFi {
 			prefix = "wifi"
 		}
-		name = fmt.Sprintf("%s%d", prefix, dpid)
+		s.Name = fmt.Sprintf("%s%d", prefix, dpid)
 	}
-	sw := dataplane.New(n.Eng, dataplane.Config{DPID: dpid, Name: name, Kind: kind})
+	sw := dataplane.New(n.Eng, dataplane.Config{DPID: dpid, Name: s.Name, Kind: s.Kind})
 	if n.opts.Obs != nil {
 		sw.RegisterObs(n.opts.Obs.Registry)
 	}
-	up := n.Fabric.Attach(0, sw, uplinkPort, link.Params{BitsPerSec: uplinkBps})
+	up := n.Fabric.Attach(0, sw, uplinkPort, link.Params{BitsPerSec: s.Uplink})
 	sw.AttachPort(uplinkPort, up)
-	ctrlSide, swSide := openflow.SimPipe(n.Eng, ctrlLatency)
+	ctrlSide, swSide := openflow.SimPipe(n.Eng, s.CtrlLatency)
 	sw.ConnectController(swSide)
 	if n.Chaos != nil {
 		n.uplinkIDs[dpid] = n.registerLink(up)
@@ -368,20 +319,29 @@ func (n *Net) MoveHost(h *host.Host, to *dataplane.Switch, p link.Params) {
 	n.trackAccessLink(h, l)
 }
 
-// AddWiredUser attaches a host over a 100 Mbps access link (§V.B.1).
+// Access links by host role (§V.B.1): a wired user's 100 Mbps link, a
+// wireless user's 43 Mbps air interface, and a server's uncapped 10 Gbps
+// link (gateway, data-center server), whose bottleneck is then elsewhere
+// by construction.
+var (
+	Wired    = link.Params{BitsPerSec: link.Rate100M}
+	Wireless = link.Params{BitsPerSec: link.Rate43M}
+	Server   = link.Params{BitsPerSec: link.Rate10G}
+)
+
+// AddWiredUser attaches a host over the Wired access link.
 func (n *Net) AddWiredUser(sw *dataplane.Switch, name string, ip netpkt.IPv4Addr) *host.Host {
-	return n.AddHost(sw, name, ip, link.Params{BitsPerSec: link.Rate100M})
+	return n.AddHost(sw, name, ip, Wired)
 }
 
-// AddWirelessUser attaches a host over a 43 Mbps air interface (§V.B.1).
+// AddWirelessUser attaches a host over the Wireless air interface.
 func (n *Net) AddWirelessUser(sw *dataplane.Switch, name string, ip netpkt.IPv4Addr) *host.Host {
-	return n.AddHost(sw, name, ip, link.Params{BitsPerSec: link.Rate43M})
+	return n.AddHost(sw, name, ip, Wireless)
 }
 
-// AddServer attaches a host over an uncapped link (gateway, data-center
-// server); the bottleneck is then elsewhere by construction.
+// AddServer attaches a host over the uncapped Server link.
 func (n *Net) AddServer(sw *dataplane.Switch, name string, ip netpkt.IPv4Addr) *host.Host {
-	return n.AddHost(sw, name, ip, link.Params{BitsPerSec: link.Rate10G})
+	return n.AddHost(sw, name, ip, Server)
 }
 
 // AddElement attaches a VM-based service element to sw. Each element
@@ -391,10 +351,6 @@ func (n *Net) AddElement(sw *dataplane.Switch, insp service.Inspector, nicRate i
 	n.nextSEID++
 	id := n.nextSEID
 	mac := netpkt.MACFromUint64(0x5E0000 + id)
-	return n.addElementWithMAC(sw, insp, nicRate, id, mac)
-}
-
-func (n *Net) addElementWithMAC(sw *dataplane.Switch, insp service.Inspector, nicRate int64, id uint64, mac netpkt.MAC) *service.Element {
 	if nicRate == 0 {
 		nicRate = link.Rate1G
 	}
@@ -443,9 +399,16 @@ func (n *Net) Run(d time.Duration) error {
 
 // Discover starts the controller, completes the OpenFlow handshake and
 // LLDP topology discovery, waits for the first service-element
-// heartbeats, and floods location announcements. Deployments call it
-// once after construction; afterwards Eng.Now() is the experiment epoch.
+// heartbeats, and floods location announcements. Afterwards Eng.Now()
+// is the experiment epoch. Call it once after building a Net by hand;
+// Build and BuildFIT run it themselves. Later calls return nil at once,
+// because the benchmark harness (bench/) calls it again after BuildFIT
+// and must still run discovery exactly once.
 func (n *Net) Discover() error {
+	if n.discovered {
+		return nil
+	}
+	n.discovered = true
 	n.Controller.Start()
 	// Handshake (hello/features) round trips.
 	if err := n.Run(5 * time.Millisecond); err != nil {
@@ -470,6 +433,32 @@ func (n *Net) Discover() error {
 
 // Processed returns the number of simulated events executed so far.
 func (n *Net) Processed() uint64 { return n.Eng.Processed }
+
+// Fingerprint summarizes the deployment's observable behaviour so far:
+// FNV-64a over the controller's Stats, the events executed, the event
+// log (when Monitor is on), every host's and element's Stats, and the
+// virtual time. Two runs of one scenario print the same fingerprint.
+func (n *Net) Fingerprint() uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v;%d;", n.Controller.Stats(), n.Processed())
+	if n.Store != nil {
+		for _, ev := range n.Store.Events(monitor.Filter{}) {
+			if k := ev.FlowKey; k != nil {
+				fmt.Fprintf(h, "%+v;", *k)
+			}
+			ev.FlowKey = nil // a pointer prints as its address
+			fmt.Fprintf(h, "%+v;", ev)
+		}
+	}
+	for _, hst := range n.Hosts {
+		fmt.Fprintf(h, "%+v;", hst.Stats())
+	}
+	for _, el := range n.Elements {
+		fmt.Fprintf(h, "%+v;", el.Stats())
+	}
+	fmt.Fprintf(h, "%d", n.Eng.Now())
+	return h.Sum64()
+}
 
 // Shutdown stops background tickers on every component.
 func (n *Net) Shutdown() {

@@ -51,8 +51,14 @@ import (
 // Access-Switching layer, controller, hosts and service elements.
 type Network = testbed.Net
 
-// Options configures a Network.
+// Options configures a Network: its Seed and Policies, the harness
+// switches, and the embedded ControllerConfig.
 type Options = testbed.Options
+
+// ControllerConfig is the controller's configuration, embedded in
+// Options as Options.Config. NewNetwork sets its Engine, Store, Seed
+// and Policies itself and panics if the caller set them.
+type ControllerConfig = core.Config
 
 // NewNetwork creates an empty deployment; add switches, hosts and
 // elements, then call Discover.

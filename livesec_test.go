@@ -65,9 +65,6 @@ func TestFacadeFITBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Discover(); err != nil {
-		t.Fatal(err)
-	}
 	defer f.Shutdown()
 	if !f.Controller.FullMesh() {
 		t.Fatal("FIT not full mesh")

@@ -13,8 +13,10 @@
 #   determinism -> the byte-identity gates, as Go tests over the whole
 #                  ci-scale suite (not -short): serial vs parallel with
 #                  observability off and on, two E12 and two E13 runs
-#                  compared whole, and shards / firewall state mirror /
-#                  SLO engine armed vs untouched (TestKnobsNeutral)
+#                  compared whole, shards / firewall state mirror /
+#                  SLO engine armed vs untouched (TestKnobsNeutral), and
+#                  every experiment's Result and deployment fingerprints
+#                  against their recorded hashes (TestSuiteGolden)
 #
 # Usage: scripts/verify.sh   (or: make verify)
 set -eu
@@ -45,6 +47,6 @@ echo "==> bench smoke (-bench=. -benchtime=1x ./...)"
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "==> experiment determinism (ci scale, whole suite)"
-go test -count=1 -run 'ByteIdentical|Deterministic|Neutral' ./cmd/livesec-bench ./internal/experiments
+go test -count=1 -run 'ByteIdentical|Deterministic|Neutral|Golden' ./cmd/livesec-bench ./internal/experiments
 
 echo "verify: OK"
