@@ -110,3 +110,34 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFlowTableExact times exact-index lookups, hits and misses, at
+// the size of sim_churn's fullest flow table: 112,574 exact entries.
+func BenchmarkFlowTableExact(b *testing.B) {
+	const n = 112_574
+	tbl := NewFlowTable()
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = exactKey(uint16(i))
+		keys[i].IPSrc = netpkt.IP(10, 1, byte(i>>16), byte(i>>8))
+		tbl.Add(&Entry{Match: flow.ExactMatch(keys[i]), Priority: 10, Actions: openflow.Output(2)}, 0)
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tbl.Lookup(keys[i%n]) == nil {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%n]
+			k.DstPort++
+			if tbl.Lookup(k) != nil {
+				b.Fatal("hit")
+			}
+		}
+	})
+}

@@ -44,7 +44,7 @@ func TestPropertyMicroflowCacheMatchesTable(t *testing.T) {
 					Match:       m,
 					Priority:    uint16(rng.Intn(4)),
 					Actions:     openflow.Output(uint32(rng.Intn(4))),
-					IdleTimeout: time.Duration(rng.Intn(3)) * time.Second,
+					IdleTimeout: uint16(rng.Intn(3)),
 				}
 				tbl.Add(e, now)
 			case op == 3: // delete
@@ -102,7 +102,7 @@ func TestMicroflowStaleHitImpossible(t *testing.T) {
 	}
 
 	// Expire: an idle-timed-out entry must vanish from the cache view.
-	e3 := &Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2), IdleTimeout: time.Second}
+	e3 := &Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2), IdleTimeout: 1}
 	tbl.Add(e3, 0)
 	if got := cache.lookup(tbl, k); got != e3 {
 		t.Fatalf("lookup after re-add = %v, want e3", got)

@@ -2,7 +2,7 @@ package dataplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"livesec/internal/flow"
@@ -156,22 +156,18 @@ func (s *Switch) AttachPort(no uint32, l *link.Link) {
 	}
 }
 
-// Ports lists attached port numbers in unspecified order.
-func (s *Switch) Ports() []uint32 {
-	out := make([]uint32, 0, len(s.ports))
-	for no := range s.ports {
-		out = append(out, no)
-	}
-	return out
-}
+// Ports lists attached port numbers in ascending order.
+func (s *Switch) Ports() []uint32 { return slices.Clone(s.sortedPorts()) }
 
-// sortedPorts lists port numbers ascending (deterministic flooding).
-// The slice is cached across packets and rebuilt only after a port
-// change; callers must not modify or retain it.
+// sortedPorts lists port numbers ascending (deterministic flooding and
+// port stats). The slice is cached across packets and rebuilt only after
+// a port change; callers must not modify or retain it.
 func (s *Switch) sortedPorts() []uint32 {
 	if s.portOrder == nil && len(s.ports) > 0 {
-		s.portOrder = s.Ports()
-		sort.Slice(s.portOrder, func(i, j int) bool { return s.portOrder[i] < s.portOrder[j] })
+		for no := range s.ports {
+			s.portOrder = append(s.portOrder, no)
+		}
+		slices.Sort(s.portOrder)
 	}
 	return s.portOrder
 }
@@ -371,8 +367,8 @@ func (s *Switch) handleFlowMod(fm *openflow.FlowMod) {
 			Priority:    fm.Priority,
 			Actions:     fm.Actions,
 			Cookie:      fm.Cookie,
-			IdleTimeout: time.Duration(fm.IdleTimeout) * time.Second,
-			HardTimeout: time.Duration(fm.HardTimeout) * time.Second,
+			IdleTimeout: fm.IdleTimeout,
+			HardTimeout: fm.HardTimeout,
 			NotifyDel:   fm.NotifyDel,
 		}, s.eng.Now())
 	case openflow.FlowDelete, openflow.FlowDeleteStrict:
@@ -429,7 +425,8 @@ func (s *Switch) handleStatsRequest(req *openflow.StatsRequest) {
 			MicroInvalidations: ms.Invalidations,
 		})
 	case openflow.StatsPort:
-		for no, p := range s.ports {
+		for _, no := range s.sortedPorts() {
+			p := s.ports[no]
 			reply.Ports = append(reply.Ports, openflow.PortStat{
 				PortNo:    no,
 				RxPackets: p.stats.RxPackets, TxPackets: p.stats.TxPackets,

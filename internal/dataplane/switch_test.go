@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -369,5 +370,45 @@ func TestFlowTableCapacityRejects(t *testing.T) {
 	}
 	if sw.Table().Len() != 2 || len(errs) != 1 {
 		t.Fatalf("after churn: len=%d errs=%d", sw.Table().Len(), len(errs))
+	}
+}
+
+// OFPST_PORT replies and Ports() list ports in ascending order, the same
+// on every request, whatever order the ports were attached in.
+func TestPortOrderAscending(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := New(eng, Config{DPID: 3, Name: "ovs3", Kind: KindOvS})
+	for _, no := range []uint32{6, 2, 5, 1, 4, 3} {
+		sw.AttachPort(no, link.Connect(eng, sw, no, &endpoint{}, 0, link.Params{}))
+	}
+	ctrlSide, swSide := openflow.SimPipe(eng, 0)
+	var replies [][]uint32
+	ctrlSide.SetHandler(func(m openflow.Message) {
+		if sr, ok := m.(*openflow.StatsReply); ok {
+			var ports []uint32
+			for _, p := range sr.Ports {
+				ports = append(ports, p.PortNo)
+			}
+			replies = append(replies, ports)
+		}
+	})
+	sw.ConnectController(swSide)
+	defer sw.Shutdown()
+	ctrlSide.Send(&openflow.StatsRequest{XID: 1, Kind: openflow.StatsPort})
+	ctrlSide.Send(&openflow.StatsRequest{XID: 2, Kind: openflow.StatsPort})
+	if err := eng.Run(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint32{1, 2, 3, 4, 5, 6}
+	if len(replies) != 2 || !slices.Equal(replies[0], want) || !slices.Equal(replies[1], want) {
+		t.Fatalf("port-stats replies list ports %v, want %v twice", replies, want)
+	}
+	ports := sw.Ports()
+	if !slices.Equal(ports, want) {
+		t.Fatalf("Ports() = %v, want %v", ports, want)
+	}
+	ports[0] = 99 // a copy: the switch's own order is untouched
+	if got := sw.Ports(); !slices.Equal(got, want) {
+		t.Fatalf("Ports() after the caller wrote its copy = %v", got)
 	}
 }

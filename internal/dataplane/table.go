@@ -7,6 +7,8 @@
 package dataplane
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"sort"
 	"time"
 
@@ -14,16 +16,20 @@ import (
 	"livesec/internal/openflow"
 )
 
-// Entry is one flow-table entry with its counters.
+// Entry is one flow-table entry with its counters. It is 128 bytes: the
+// fields narrower than a word pack behind Match, and an exact entry's
+// key is stored here only (the exact index holds a hash of it).
 type Entry struct {
-	Match    flow.Match
-	Priority uint16
-	Actions  []openflow.Action
-	Cookie   uint64
-
-	IdleTimeout time.Duration // 0 = never
-	HardTimeout time.Duration // 0 = never
+	Match       flow.Match
+	Priority    uint16
+	IdleTimeout uint16 // seconds, as in OpenFlow; 0 = never
+	HardTimeout uint16 // seconds, as in OpenFlow; 0 = never
 	NotifyDel   bool
+
+	// Actions is never mutated once installed: Add may replace it with
+	// an equal list the table already shares with other entries.
+	Actions []openflow.Action
+	Cookie  uint64
 
 	installed time.Duration
 	lastUsed  time.Duration
@@ -36,12 +42,17 @@ type Entry struct {
 	// order the linear reference scan uses for equal-priority ties, and
 	// gives Delete/Expire a deterministic removal order.
 	seq uint64
+
+	// next chains exact entries whose keys hash alike.
+	next *Entry
 }
 
 // FlowTable is a priority-ordered OpenFlow table with an exact-match fast
 // path and a tuple-space index for wildcard entries.
 //
-// Fully-specified entries live in a hash map keyed by the 12-tuple.
+// Fully-specified entries are indexed by a per-table seeded hash of the
+// 12-tuple; entries whose keys collide are chained through Entry.next,
+// and a probe compares the full key held in each entry's Match.
 // Wildcard entries are grouped into buckets by wildcard mask; within a
 // bucket, matching is one map probe on the masked key (see
 // flow.MaskedKey), so Lookup costs O(#distinct masks) map probes instead
@@ -52,13 +63,20 @@ type Entry struct {
 // The priority-sorted wildcard slice of the original implementation is
 // retained as `wildcards`: Delete, Expire, and Entries iterate it, and
 // the linear reference scan in table_index_test.go checks the index
-// against it.
+// against it. Every walk whose result leaves the table is sorted by seq,
+// so nothing outside observes hash or map order.
 type FlowTable struct {
-	exact     map[flow.Key]*Entry
+	exact     map[uint64]*Entry // keyHash → chain of exact entries
+	nExact    int
+	seed      maphash.Seed
 	wildcards []*Entry // sorted by Priority descending, stable (seq ascending)
 
 	buckets map[flow.Wildcard]*maskBucket
 	order   []*maskBucket // sorted by maxPrio descending
+
+	// actions holds one canonical copy of each distinct short action
+	// list installed, so entries built from equal lists share one.
+	actions map[[maxSharedActions]openflow.Action][]openflow.Action
 
 	nextSeq uint64
 
@@ -70,6 +88,31 @@ type FlowTable struct {
 	// calls (a shadowed exact add, a delete or expiry sweep that
 	// removes nothing) leave gen — and therefore the cache — intact.
 	gen uint64
+}
+
+// Action lists of up to maxSharedActions actions are shared; a table
+// remembers at most sharedActionsLimit distinct ones and, past that,
+// forgets them all (entries keep the lists they hold).
+const (
+	maxSharedActions   = 4
+	sharedActionsLimit = 1 << 10
+)
+
+// keyHash is the exact index's hash: maphash over a fixed 34-byte
+// encoding of the 12-tuple. Tests replace it to force collisions.
+var keyHash = func(seed maphash.Seed, k flow.Key) uint64 {
+	var b [34]byte
+	binary.LittleEndian.PutUint32(b[0:], k.InPort)
+	copy(b[4:10], k.EthSrc[:])
+	copy(b[10:16], k.EthDst[:])
+	binary.LittleEndian.PutUint16(b[16:], k.VLAN)
+	binary.LittleEndian.PutUint16(b[18:], uint16(k.EthType))
+	copy(b[20:24], k.IPSrc[:])
+	copy(b[24:28], k.IPDst[:])
+	b[28], b[29] = uint8(k.IPProto), k.IPTOS
+	binary.LittleEndian.PutUint16(b[30:], k.SrcPort)
+	binary.LittleEndian.PutUint16(b[32:], k.DstPort)
+	return maphash.Bytes(seed, b[:])
 }
 
 // Gen returns the table's mutation generation. It changes whenever a
@@ -88,13 +131,33 @@ type maskBucket struct {
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
 	return &FlowTable{
-		exact:   make(map[flow.Key]*Entry),
+		exact:   make(map[uint64]*Entry),
+		seed:    maphash.MakeSeed(),
 		buckets: make(map[flow.Wildcard]*maskBucket),
+		actions: make(map[[maxSharedActions]openflow.Action][]openflow.Action),
 	}
 }
 
 // Len returns the number of installed entries.
-func (t *FlowTable) Len() int { return len(t.exact) + len(t.wildcards) }
+func (t *FlowTable) Len() int { return t.nExact + len(t.wildcards) }
+
+// shareActions returns the table's copy of a list equal to a, adopting a
+// as that copy if there is none.
+func (t *FlowTable) shareActions(a []openflow.Action) []openflow.Action {
+	if len(a) == 0 || len(a) > maxSharedActions {
+		return a
+	}
+	var k [maxSharedActions]openflow.Action
+	copy(k[:], a)
+	if c, ok := t.actions[k]; ok && len(c) == len(a) { // nil pads short keys
+		return c
+	}
+	if len(t.actions) >= sharedActionsLimit {
+		clear(t.actions)
+	}
+	t.actions[k] = a
+	return a
+}
 
 // Add installs an entry, replacing any entry with an identical match and
 // priority (OpenFlow add-or-overwrite semantics).
@@ -108,17 +171,29 @@ func (t *FlowTable) Len() int { return len(t.exact) + len(t.wildcards) }
 func (t *FlowTable) Add(e *Entry, now time.Duration) {
 	e.installed = now
 	e.lastUsed = now
+	e.Actions = t.shareActions(e.Actions)
 	if e.Match.IsExact() {
-		if old, ok := t.exact[e.Match.Key]; ok {
-			if old.Priority > e.Priority {
-				return // keep-highest: the old entry shadows the new one
-			}
-			e.seq = old.seq
-		} else {
-			e.seq = t.nextSeq
-			t.nextSeq++
+		h := keyHash(t.seed, e.Match.Key)
+		var prev *Entry
+		old := t.exact[h]
+		for old != nil && old.Match.Key != e.Match.Key {
+			prev, old = old, old.next
 		}
-		t.exact[e.Match.Key] = e
+		switch {
+		case old == nil: // append to the chain
+			e.seq, e.next = t.nextSeq, nil
+			t.nextSeq++
+			t.nExact++
+		case old.Priority > e.Priority:
+			return // keep-highest: the old entry shadows the new one
+		default: // take old's place in the chain
+			e.seq, e.next, old.next = old.seq, old.next, nil
+		}
+		if prev == nil {
+			t.exact[h] = e
+		} else {
+			prev.next = e
+		}
 		t.gen++
 		return
 	}
@@ -225,7 +300,10 @@ func (t *FlowTable) sortBuckets() {
 // wins, and an exact-match entry beats wildcard entries of the same
 // priority.
 func (t *FlowTable) Lookup(k flow.Key) *Entry {
-	best := t.exact[k]
+	best := t.exact[keyHash(t.seed, k)]
+	for best != nil && best.Match.Key != k {
+		best = best.next
+	}
 	var bw *Entry
 	for _, b := range t.order {
 		if bw != nil && b.maxPrio < bw.Priority {
@@ -253,40 +331,66 @@ func (t *FlowTable) Lookup(k flow.Key) *Entry {
 	return best
 }
 
+// sweep removes every entry dead reports, exact and wildcard, and bumps
+// the generation if it removed any.
+func (t *FlowTable) sweep(dead func(*Entry) bool) {
+	n := t.Len()
+	for h, first := range t.exact {
+		head, prev := first, (*Entry)(nil)
+		for e := first; e != nil; {
+			next := e.next
+			if !dead(e) {
+				prev = e
+			} else {
+				if prev == nil {
+					head = next
+				} else {
+					prev.next = next
+				}
+				e.next = nil
+				t.nExact--
+			}
+			e = next
+		}
+		if head == nil {
+			delete(t.exact, h)
+		} else if head != first {
+			t.exact[h] = head
+		}
+	}
+	kept := t.wildcards[:0]
+	for _, e := range t.wildcards {
+		if dead(e) {
+			t.indexRemove(e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	clear(t.wildcards[len(kept):])
+	t.wildcards = kept
+	if t.Len() != n {
+		t.gen++
+	}
+}
+
 // Delete removes entries per OpenFlow semantics and returns them in
 // deterministic installation (seq) order. Strict deletion removes only
 // the entry with the identical match and priority; non-strict removes
 // every entry subsumed by the match.
 func (t *FlowTable) Delete(m flow.Match, priority uint16, strict bool) []*Entry {
 	var removed []*Entry
-	keep := func(e *Entry) bool {
+	t.sweep(func(e *Entry) bool {
+		var dead bool
 		if strict {
-			return e.Match != m || e.Priority != priority
-		}
-		return !m.Subsumes(e.Match)
-	}
-	for k, e := range t.exact {
-		if !keep(e) {
-			removed = append(removed, e)
-			delete(t.exact, k)
-		}
-	}
-	kept := t.wildcards[:0]
-	for _, e := range t.wildcards {
-		if keep(e) {
-			kept = append(kept, e)
+			dead = e.Match == m && e.Priority == priority
 		} else {
-			removed = append(removed, e)
-			t.indexRemove(e)
+			dead = m.Subsumes(e.Match)
 		}
-	}
-	for i := len(kept); i < len(t.wildcards); i++ {
-		t.wildcards[i] = nil
-	}
-	t.wildcards = kept
-	if len(removed) > 0 {
-		t.gen++
-	}
+		if dead {
+			removed = append(removed, e)
+		}
+		return dead
+	})
 	sortBySeq(removed)
 	return removed
 }
@@ -296,37 +400,18 @@ func (t *FlowTable) Delete(m flow.Match, priority uint16, strict bool) []*Entry 
 // OpenFlow removal reason.
 func (t *FlowTable) Expire(now time.Duration) []ExpiredEntry {
 	var expired []ExpiredEntry
-	check := func(e *Entry) (uint8, bool) {
-		if e.HardTimeout > 0 && now-e.installed >= e.HardTimeout {
-			return openflow.RemovedHardTimeout, true
+	t.sweep(func(e *Entry) bool {
+		reason := openflow.RemovedHardTimeout
+		switch {
+		case e.HardTimeout > 0 && now-e.installed >= time.Duration(e.HardTimeout)*time.Second:
+		case e.IdleTimeout > 0 && now-e.lastUsed >= time.Duration(e.IdleTimeout)*time.Second:
+			reason = openflow.RemovedIdleTimeout
+		default:
+			return false
 		}
-		if e.IdleTimeout > 0 && now-e.lastUsed >= e.IdleTimeout {
-			return openflow.RemovedIdleTimeout, true
-		}
-		return 0, false
-	}
-	for k, e := range t.exact {
-		if reason, dead := check(e); dead {
-			expired = append(expired, ExpiredEntry{e, reason})
-			delete(t.exact, k)
-		}
-	}
-	kept := t.wildcards[:0]
-	for _, e := range t.wildcards {
-		if reason, dead := check(e); dead {
-			expired = append(expired, ExpiredEntry{e, reason})
-			t.indexRemove(e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(t.wildcards); i++ {
-		t.wildcards[i] = nil
-	}
-	t.wildcards = kept
-	if len(expired) > 0 {
-		t.gen++
-	}
+		expired = append(expired, ExpiredEntry{e, reason})
+		return true
+	})
 	sort.Slice(expired, func(i, j int) bool { return expired[i].Entry.seq < expired[j].Entry.seq })
 	return expired
 }
@@ -346,7 +431,9 @@ type ExpiredEntry struct {
 func (t *FlowTable) Entries() []*Entry {
 	out := make([]*Entry, 0, t.Len())
 	for _, e := range t.exact {
-		out = append(out, e)
+		for ; e != nil; e = e.next {
+			out = append(out, e)
+		}
 	}
 	sortBySeq(out)
 	return append(out, t.wildcards...)

@@ -30,10 +30,18 @@ func randKey(r *rand.Rand) flow.Key {
 }
 
 // lookupLinear is the pre-index reference implementation: a linear scan
-// of the priority-sorted wildcard list, the specification Lookup must
-// agree with.
+// of every exact entry and of the priority-sorted wildcard list, the
+// specification Lookup must agree with. It never probes the exact index
+// by hash, so an entry filed under the wrong hash still counts here.
 func (t *FlowTable) lookupLinear(k flow.Key) *Entry {
-	best := t.exact[k]
+	var best *Entry
+	for _, chain := range t.exact {
+		for e := chain; e != nil; e = e.next {
+			if e.Match.Key == k {
+				best = e
+			}
+		}
+	}
 	for _, e := range t.wildcards {
 		if best != nil && e.Priority <= best.Priority {
 			break // sorted: nothing below can beat the exact hit
@@ -192,7 +200,7 @@ func TestExpireDeterministicOrder(t *testing.T) {
 			Match:       flow.ExactMatch(exactKey(uint16(i))),
 			Priority:    10,
 			Cookie:      uint64(i),
-			HardTimeout: time.Second,
+			HardTimeout: 1,
 		}, 0)
 	}
 	expired := tbl.Expire(2 * time.Second)

@@ -24,8 +24,8 @@ func TestPropertyExpireExact(t *testing.T) {
 			e := &Entry{
 				Match:       flow.ExactMatch(exactKey(uint16(i))),
 				Priority:    10,
-				IdleTimeout: time.Duration(r.Intn(5)) * time.Second,
-				HardTimeout: time.Duration(r.Intn(5)) * time.Second,
+				IdleTimeout: uint16(r.Intn(5)),
+				HardTimeout: uint16(r.Intn(5)),
 			}
 			at := time.Duration(r.Intn(3)) * time.Second
 			tbl.Add(e, at)
@@ -41,8 +41,8 @@ func TestPropertyExpireExact(t *testing.T) {
 			if w.install > now {
 				continue // installed in the future relative to now: ignore
 			}
-			hardDead := w.e.HardTimeout > 0 && now-w.install >= w.e.HardTimeout
-			idleDead := w.e.IdleTimeout > 0 && now-w.install >= w.e.IdleTimeout
+			hardDead := w.e.HardTimeout > 0 && now-w.install >= time.Duration(w.e.HardTimeout)*time.Second
+			idleDead := w.e.IdleTimeout > 0 && now-w.install >= time.Duration(w.e.IdleTimeout)*time.Second
 			shouldDie := hardDead || idleDead
 			if shouldDie != gone[w.e] {
 				t.Fatalf("trial %d: entry install=%v idle=%v hard=%v now=%v: expired=%v want %v",

@@ -123,7 +123,7 @@ func TestDeleteNonStrictSubsumption(t *testing.T) {
 func TestIdleTimeoutExpiry(t *testing.T) {
 	tbl := NewFlowTable()
 	k := exactKey(1)
-	tbl.Add(&Entry{Match: flow.ExactMatch(k), IdleTimeout: time.Second}, 0)
+	tbl.Add(&Entry{Match: flow.ExactMatch(k), IdleTimeout: 1}, 0)
 	if got := tbl.Expire(900 * time.Millisecond); len(got) != 0 {
 		t.Fatal("expired too early")
 	}
@@ -144,7 +144,7 @@ func TestIdleTimeoutExpiry(t *testing.T) {
 
 func TestHardTimeoutExpiry(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.Add(&Entry{Match: flow.MatchAll(), HardTimeout: time.Second, IdleTimeout: time.Hour}, 0)
+	tbl.Add(&Entry{Match: flow.MatchAll(), HardTimeout: 1, IdleTimeout: 3600}, 0)
 	got := tbl.Expire(time.Second)
 	if len(got) != 1 || got[0].Reason != openflow.RemovedHardTimeout {
 		t.Fatalf("Expire = %+v", got)
