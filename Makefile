@@ -21,7 +21,7 @@ bench:
 # shares a prefix with a listed one out of the gate.
 bench-hot:
 	$(GO) test -run=NONE \
-		-bench='^(BenchmarkEngineScheduleRun|BenchmarkEngineRunTimerWheel|BenchmarkMicroflowLookup|BenchmarkFlowTableExact|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordCold)$$' \
+		-bench='^(BenchmarkEngineScheduleRun|BenchmarkEngineRunTimerWheel|BenchmarkMicroflowLookup|BenchmarkFlowTableExact|BenchmarkFlowTableExpire|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordFlowEvent|BenchmarkStoreRecordCold)$$' \
 		-benchmem -count=8 ./internal/sim ./internal/dataplane ./internal/policy ./internal/core ./internal/firewall ./internal/monitor
 
 # Tier-1 gate: build + vet + race tests + benchmark smoke run.

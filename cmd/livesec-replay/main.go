@@ -71,9 +71,9 @@ func doRecord(path string) error {
 	fmt.Print(res.String())
 
 	// Re-run the store capture: E6 drives a Store internally; to keep the
-	// tool self-contained we reconstruct the log by rerunning with a
-	// subscriber. The experiment function is deterministic, so recording
-	// a second pass yields the identical log.
+	// tool self-contained we rerun the scenario and read its whole log
+	// through Store.Events, which describes each flow. The experiment
+	// function is deterministic, so a second pass yields the identical log.
 	events := experiments.E6CaptureEvents()
 	log := recordedLog{
 		RecordedAt: time.Now().Format(time.RFC3339),

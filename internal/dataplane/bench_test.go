@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"livesec/internal/flow"
 	"livesec/internal/link"
@@ -111,16 +112,24 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 	})
 }
 
+// fullestTableKeys are n distinct exact keys.
+func fullestTableKeys(n int) []flow.Key {
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = exactKey(uint16(i))
+		keys[i].IPSrc = netpkt.IP(10, 1, byte(i>>16), byte(i>>8))
+	}
+	return keys
+}
+
 // BenchmarkFlowTableExact times exact-index lookups, hits and misses, at
 // the size of sim_churn's fullest flow table: 112,574 exact entries.
 func BenchmarkFlowTableExact(b *testing.B) {
 	const n = 112_574
 	tbl := NewFlowTable()
-	keys := make([]flow.Key, n)
-	for i := range keys {
-		keys[i] = exactKey(uint16(i))
-		keys[i].IPSrc = netpkt.IP(10, 1, byte(i>>16), byte(i>>8))
-		tbl.Add(&Entry{Match: flow.ExactMatch(keys[i]), Priority: 10, Actions: openflow.Output(2)}, 0)
+	keys := fullestTableKeys(n)
+	for _, k := range keys {
+		tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 10, Actions: openflow.Output(2)}, 0)
 	}
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -140,4 +149,46 @@ func BenchmarkFlowTableExact(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFlowTableExpire times one expiry sweep of a table the size of
+// sim_churn's fullest: 112,574 exact entries with the controller's 30 s
+// idle timeout. With none due the sweep is the bound check; with 1 %
+// due (a 1 s hard timeout, re-installed between sweeps off the clock) it
+// is the walk.
+func BenchmarkFlowTableExpire(b *testing.B) {
+	const n = 112_574
+	keys := fullestTableKeys(n)
+	for _, c := range []struct {
+		name string
+		due  int
+	}{{"none-due", 0}, {"1pct-due", n / 100}} {
+		b.Run(c.name, func(b *testing.B) {
+			tbl := NewFlowTable()
+			add := func(k flow.Key, hard uint16) {
+				tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 10, IdleTimeout: 30, HardTimeout: hard,
+					Actions: openflow.Output(2)}, 0)
+			}
+			for _, k := range keys[:c.due] {
+				add(k, 1)
+			}
+			for _, k := range keys[c.due:] {
+				add(k, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := tbl.Expire(2 * time.Second); len(got) != c.due {
+					b.Fatalf("expired %d, want %d", len(got), c.due)
+				}
+				if c.due > 0 {
+					b.StopTimer()
+					for _, k := range keys[:c.due] {
+						add(k, 1)
+					}
+					b.StartTimer()
+				}
+			}
+		})
+	}
 }

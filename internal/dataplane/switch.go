@@ -39,7 +39,7 @@ type Config struct {
 	Name string
 	Kind Kind
 	// MaxEntries bounds the flow table (0 = unlimited). Hardware tables
-	// are finite; a full table rejects FLOW_MOD adds with an error.
+	// are finite; a full table rejects a FLOW_MOD add that would grow it.
 	MaxEntries int
 }
 
@@ -356,7 +356,7 @@ func (s *Switch) featuresReply(xid uint32) *openflow.FeaturesReply {
 func (s *Switch) handleFlowMod(fm *openflow.FlowMod) {
 	switch fm.Command {
 	case openflow.FlowAdd, openflow.FlowModify:
-		if s.cfg.MaxEntries > 0 && s.table.Len() >= s.cfg.MaxEntries && s.table.Lookup(fm.Match.Key) == nil {
+		if s.cfg.MaxEntries > 0 && s.table.Len() >= s.cfg.MaxEntries && s.table.grows(fm.Match, fm.Priority) {
 			s.TableFullRejects++
 			s.ctrl.Send(&openflow.ErrorMsg{XID: fm.XID, Code: openflow.ErrTableFull,
 				Data: []byte("flow table full")})

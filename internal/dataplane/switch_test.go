@@ -373,6 +373,45 @@ func TestFlowTableCapacityRejects(t *testing.T) {
 	}
 }
 
+// A catch-all entry does not open a full table to every add: only an add
+// that cannot grow the table is admitted once MaxEntries is reached.
+func TestFlowTableCapacityUnderCatchAll(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := New(eng, Config{DPID: 9, Name: "tiny", Kind: KindOvS, MaxEntries: 2})
+	ctrlSide, swSide := openflow.SimPipe(eng, 0)
+	full := 0
+	ctrlSide.SetHandler(func(m openflow.Message) {
+		if e, ok := m.(*openflow.ErrorMsg); ok && e.Code == openflow.ErrTableFull {
+			full++
+		}
+	})
+	sw.ConnectController(swSide)
+	defer sw.Shutdown()
+	add := func(m flow.Match, priority uint16) {
+		ctrlSide.Send(&openflow.FlowMod{Match: m, Command: openflow.FlowAdd, Priority: priority, Actions: openflow.Output(1)})
+	}
+	add(flow.MatchAll(), 1)
+	for port := uint16(1); port <= 5; port++ {
+		add(flow.ExactMatch(exactKey(port)), 10)
+	}
+	if err := eng.Run(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Table().Len() != 2 || full != 4 || sw.TableFullRejects != 4 {
+		t.Fatalf("table len %d, %d table-full replies, %d rejects; want 2, 4, 4", sw.Table().Len(), full, sw.TableFullRejects)
+	}
+	// Replacing the catch-all is admitted; the same match at another
+	// priority would be a third entry and is not.
+	add(flow.MatchAll(), 1)
+	add(flow.MatchAll(), 2)
+	if err := eng.Run(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Table().Len() != 2 || full != 5 {
+		t.Fatalf("after the wildcard adds: table len %d, %d table-full replies; want 2, 5", sw.Table().Len(), full)
+	}
+}
+
 // OFPST_PORT replies and Ports() list ports in ascending order, the same
 // on every request, whatever order the ports were attached in.
 func TestPortOrderAscending(t *testing.T) {

@@ -9,6 +9,7 @@ package dataplane
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"math"
 	"sort"
 	"time"
 
@@ -80,6 +81,12 @@ type FlowTable struct {
 
 	nextSeq uint64
 
+	// nextDue bounds from below the instant any entry can first time out:
+	// Add lowers it and Expire's walk recomputes it from the survivors. No
+	// deadline moves earlier (installed is fixed, lastUsed only advances),
+	// and Delete can only leave the bound lower than it need be.
+	nextDue time.Duration
+
 	// gen counts mutations that can change a Lookup result: every
 	// install, replacement, deletion, and expiry bumps it. The
 	// microflow cache stamps its contents with the generation they
@@ -97,6 +104,21 @@ const (
 	maxSharedActions   = 4
 	sharedActionsLimit = 1 << 10
 )
+
+// never is the deadline of an entry without timeouts.
+const never = time.Duration(math.MaxInt64)
+
+// deadline is the earliest instant e can time out, as of its last hit.
+func (e *Entry) deadline() time.Duration {
+	d := never
+	if e.HardTimeout > 0 {
+		d = e.installed + time.Duration(e.HardTimeout)*time.Second
+	}
+	if e.IdleTimeout > 0 {
+		d = min(d, e.lastUsed+time.Duration(e.IdleTimeout)*time.Second)
+	}
+	return d
+}
 
 // keyHash is the exact index's hash: maphash over a fixed 34-byte
 // encoding of the 12-tuple. Tests replace it to force collisions.
@@ -133,6 +155,7 @@ func NewFlowTable() *FlowTable {
 	return &FlowTable{
 		exact:   make(map[uint64]*Entry),
 		seed:    maphash.MakeSeed(),
+		nextDue: never,
 		buckets: make(map[flow.Wildcard]*maskBucket),
 		actions: make(map[[maxSharedActions]openflow.Action][]openflow.Action),
 	}
@@ -171,6 +194,7 @@ func (t *FlowTable) shareActions(a []openflow.Action) []openflow.Action {
 func (t *FlowTable) Add(e *Entry, now time.Duration) {
 	e.installed = now
 	e.lastUsed = now
+	t.nextDue = min(t.nextDue, e.deadline())
 	e.Actions = t.shareActions(e.Actions)
 	if e.Match.IsExact() {
 		h := keyHash(t.seed, e.Match.Key)
@@ -293,6 +317,30 @@ func (t *FlowTable) sortBuckets() {
 	})
 }
 
+// exactEntry returns the exact entry installed for k, or nil.
+func (t *FlowTable) exactEntry(k flow.Key) *Entry {
+	for e := t.exact[keyHash(t.seed, k)]; e != nil; e = e.next {
+		if e.Match.Key == k {
+			return e
+		}
+	}
+	return nil
+}
+
+// grows reports whether adding m at priority would grow the table: not if
+// the exact key, or the wildcard match at that priority, is installed.
+func (t *FlowTable) grows(m flow.Match, priority uint16) bool {
+	if m.IsExact() {
+		return t.exactEntry(m.Key) == nil
+	}
+	for _, e := range t.wildcards {
+		if e.Priority == priority && e.Match == m {
+			return false
+		}
+	}
+	return true
+}
+
 // Lookup returns the highest-priority entry matching k, or nil on a miss.
 // Priority semantics match OpenFlow and the tests' linear reference
 // scan: the winner is the matching entry with the highest
@@ -300,10 +348,7 @@ func (t *FlowTable) sortBuckets() {
 // wins, and an exact-match entry beats wildcard entries of the same
 // priority.
 func (t *FlowTable) Lookup(k flow.Key) *Entry {
-	best := t.exact[keyHash(t.seed, k)]
-	for best != nil && best.Match.Key != k {
-		best = best.next
-	}
+	best := t.exactEntry(k)
 	var bw *Entry
 	for _, b := range t.order {
 		if bw != nil && b.maxPrio < bw.Priority {
@@ -397,8 +442,13 @@ func (t *FlowTable) Delete(m flow.Match, priority uint16, strict bool) []*Entry 
 
 // Expire removes entries whose idle or hard timeout has elapsed at now and
 // returns them, in deterministic installation (seq) order, paired with the
-// OpenFlow removal reason.
+// OpenFlow removal reason. Before nextDue nothing can be due, and it
+// returns nil without walking the table.
 func (t *FlowTable) Expire(now time.Duration) []ExpiredEntry {
+	if now < t.nextDue {
+		return nil
+	}
+	t.nextDue = never
 	var expired []ExpiredEntry
 	t.sweep(func(e *Entry) bool {
 		reason := openflow.RemovedHardTimeout
@@ -407,6 +457,7 @@ func (t *FlowTable) Expire(now time.Duration) []ExpiredEntry {
 		case e.IdleTimeout > 0 && now-e.lastUsed >= time.Duration(e.IdleTimeout)*time.Second:
 			reason = openflow.RemovedIdleTimeout
 		default:
+			t.nextDue = min(t.nextDue, e.deadline())
 			return false
 		}
 		expired = append(expired, ExpiredEntry{e, reason})

@@ -30,6 +30,7 @@ func TestPropertiesUnderCollidingHash(t *testing.T) {
 	}
 	t.Run("IndexedLookupMatchesLinear", TestPropertyIndexedLookupMatchesLinear)
 	t.Run("ExpireExact", TestPropertyExpireExact)
+	t.Run("ExpireMatchesWalk", TestPropertyExpireMatchesWalk)
 	t.Run("DeleteMatchesSubsumption", TestPropertyDeleteMatchesSubsumption)
 	t.Run("MicroflowCacheMatchesTable", TestPropertyMicroflowCacheMatchesTable)
 	t.Run("ExactEntriesMatchModel", TestPropertyExactEntriesMatchModel)

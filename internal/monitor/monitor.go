@@ -75,7 +75,9 @@ type Event struct {
 	Severity uint8         `json:"severity,omitempty"`
 	Detail   string        `json:"detail,omitempty"`
 	FlowKey  *flow.Key     `json:"-"`
-	FlowDesc string        `json:"flow,omitempty"`
+	// FlowDesc describes FlowKey on the copies Events and Replay return;
+	// Record's return value and subscribers get the event without it.
+	FlowDesc string `json:"flow,omitempty"`
 }
 
 // Store is the backstage database: an in-memory, bounded event log with
@@ -109,7 +111,8 @@ func NewStore(capacity int) *Store {
 }
 
 // Subscribe registers fn to observe every future event. Subscribers run
-// synchronously inside Record; keep them fast.
+// synchronously inside Record; keep them fast. They get the event as
+// recorded: FlowDesc is not filled from FlowKey.
 func (s *Store) Subscribe(fn func(Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -117,13 +120,11 @@ func (s *Store) Subscribe(fn func(Event)) {
 }
 
 // Record appends an event, assigning its sequence number, and returns it.
+// It does not describe the flow: FlowDesc is filled on read, by Events.
 func (s *Store) Record(ev Event) Event {
 	s.mu.Lock()
 	s.seq++
 	ev.Seq = s.seq
-	if ev.FlowKey != nil && ev.FlowDesc == "" {
-		ev.FlowDesc = ev.FlowKey.String()
-	}
 	if len(s.ring) < s.capacity {
 		s.ring = append(s.ring, ev)
 	} else {
@@ -209,7 +210,16 @@ func (f Filter) admit(ev *Event) bool {
 	return true
 }
 
-// Events returns retained events matching the filter, oldest first.
+// described fills FlowDesc on a copy: Events holds only the read lock.
+func described(ev Event) Event {
+	if ev.FlowKey != nil && ev.FlowDesc == "" {
+		ev.FlowDesc = ev.FlowKey.String()
+	}
+	return ev
+}
+
+// Events returns retained events matching the filter, oldest first, each
+// with its flow described.
 func (s *Store) Events(f Filter) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -218,7 +228,7 @@ func (s *Store) Events(f Filter) []Event {
 	var out []Event
 	for q := max(f.Since, s.seq-n); q < s.seq; q++ {
 		if ev := &s.ring[q%n]; f.admit(ev) { // slot of the event with Seq q+1
-			out = append(out, *ev)
+			out = append(out, described(*ev))
 			if len(out) == f.Limit {
 				break
 			}

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"livesec/internal/flow"
+	"livesec/internal/netpkt"
 )
 
 func TestRecordAssignsSequence(t *testing.T) {
@@ -156,6 +159,8 @@ type sliceStore struct {
 	counts   map[EventType]uint64
 }
 
+// Record describes the flow as it records, as the store once did; the
+// ring describes it when Events reads it, with the same result.
 func (s *sliceStore) Record(ev Event) Event {
 	s.seq++
 	ev.Seq = s.seq
@@ -187,11 +192,16 @@ func (s *sliceStore) Events(f Filter) []Event {
 
 // TestRingMatchesSliceOracle drives the ring and the oracle with the same
 // random records, several wraps past every capacity from 1 to 64, and
-// requires identical answers from every query and identical subscriber
-// deliveries.
+// requires identical answers from every query. About half the events
+// carry a flow key: queries return it described, while Record's return
+// value and subscriber deliveries are the oracle's without FlowDesc.
 func TestRingMatchesSliceOracle(t *testing.T) {
 	types := []EventType{EventFlowStart, EventAttack, EventProtocol}
 	users := []string{"", "u1", "u2"}
+	asRecorded := func(ev Event) Event {
+		ev.FlowDesc = ""
+		return ev
+	}
 	for capacity := 1; capacity <= 64; capacity++ {
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		ring := NewStore(capacity)
@@ -206,11 +216,15 @@ func TestRingMatchesSliceOracle(t *testing.T) {
 				at += time.Duration(rng.Intn(3)) * time.Millisecond
 				ev := Event{At: at, Type: types[rng.Intn(len(types))], User: users[rng.Intn(len(users))],
 					Detail: fmt.Sprint("d", rng.Intn(4))}
-				got, exp := ring.Record(ev), oracle.Record(ev)
-				if got != exp {
-					t.Fatalf("capacity %d: Record returned %+v, oracle %+v", capacity, got, exp)
+				if rng.Intn(2) == 0 {
+					ev.FlowKey = &flow.Key{InPort: uint32(rng.Intn(4)), EthSrc: netpkt.MACFromUint64(rng.Uint64()),
+						EthType: netpkt.EtherTypeIPv4, IPProto: netpkt.ProtoTCP, SrcPort: uint16(rng.Intn(65536)), DstPort: 80}
 				}
-				want = append(want, exp)
+				got, exp := ring.Record(ev), oracle.Record(ev)
+				if got != asRecorded(exp) {
+					t.Fatalf("capacity %d: Record returned %+v, want the oracle's without FlowDesc %+v", capacity, got, asRecorded(exp))
+				}
+				want = append(want, asRecorded(exp))
 			}
 			compareStores(t, rng, ring, oracle)
 			if !reflect.DeepEqual(delivered, want) {
@@ -286,6 +300,27 @@ func TestRecordAtCapacityAllocs(t *testing.T) {
 	}
 }
 
+// flowStartEvent is a flow-start event as core records it: with the flow
+// key, which the store describes only when the event is read.
+func flowStartEvent() Event {
+	return Event{Type: EventFlowStart, Switch: 1, User: "02:00:00:00:00:01", FlowKey: &flow.Key{InPort: 1,
+		EthSrc: netpkt.MACFromUint64(1), EthDst: netpkt.MACFromUint64(2), EthType: netpkt.EtherTypeIPv4,
+		IPSrc: netpkt.IP(10, 1, 0, 1), IPDst: netpkt.IP(10, 2, 0, 1), IPProto: netpkt.ProtoTCP, SrcPort: 32768, DstPort: 80}}
+}
+
+// Recording a flow event at capacity allocates nothing: its description
+// is made on read (TestRingMatchesSliceOracle checks what reads return).
+func TestRecordFlowEventAllocs(t *testing.T) {
+	ev := flowStartEvent()
+	s := NewStore(64)
+	for i := 0; i < 64; i++ {
+		s.Record(ev)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Record(ev) }); allocs != 0 {
+		t.Fatalf("Record of a flow event at capacity allocates %v per call, want 0", allocs)
+	}
+}
+
 // benchEvents are distinct so that the recorded values are not one
 // constant the compiler or the cache could make free.
 var benchEvents = func() []Event {
@@ -309,6 +344,21 @@ func BenchmarkStoreRecordAtCapacity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Record(benchEvents[i%len(benchEvents)])
+	}
+}
+
+// BenchmarkStoreRecordFlowEvent is Record of a flow-start event carrying
+// its flow key, on a full store: what core pays per flow setup.
+func BenchmarkStoreRecordFlowEvent(b *testing.B) {
+	ev := flowStartEvent()
+	s := NewStore(0)
+	for i := 0; i < 65536; i++ {
+		s.Record(ev)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Record(ev)
 	}
 }
 

@@ -1,6 +1,10 @@
 package netpkt
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // Clone and Marshal run on the simulated data path (every header
 // rewrite clones; every packet-in and packet-out marshals), so their
@@ -74,4 +78,27 @@ func TestMarshalAllocBudget(t *testing.T) {
 			_ = sink
 		})
 	}
+}
+
+// TestMACStringMatchesSprintf: MAC.String renders exactly what the
+// Sprintf form it replaced rendered, on 10^5 random addresses, and
+// allocates only the string.
+func TestMACStringMatchesSprintf(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	var m MAC
+	for i := 0; i < 100_000; i++ {
+		r.Read(m[:])
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+		if got := m.String(); got != want {
+			t.Fatalf("MAC%v.String() = %q, want %q", [6]byte(m), got, want)
+		}
+	}
+	if raceEnabled {
+		return // allocation counts unreliable under -race
+	}
+	var sink string
+	if got := testing.AllocsPerRun(200, func() { sink = m.String() }); got != 1 {
+		t.Fatalf("MAC.String allocs/op = %v, want 1", got)
+	}
+	_ = sink
 }

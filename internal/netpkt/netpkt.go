@@ -20,9 +20,16 @@ type MAC [6]byte
 // Broadcast is the all-ones Ethernet broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// String renders the address in colon-separated hex.
+const hexDigits = "0123456789abcdef"
+
+// String renders the address in colon-separated hex. Every flow event
+// calls it, so it fills a fixed buffer rather than calling fmt.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	b := [17]byte{2: ':', 5: ':', 8: ':', 11: ':', 14: ':'}
+	for i, x := range m {
+		b[3*i], b[3*i+1] = hexDigits[x>>4], hexDigits[x&0xf]
+	}
+	return string(b[:])
 }
 
 // IsBroadcast reports whether the address is the broadcast address.
