@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +34,7 @@ type testDaemon struct {
 
 // startDaemon serves on wrap(listener); a nil wrap serves on the listener
 // itself. withObs is livesecd's -obs.
-func startDaemon(t *testing.T, withObs bool, wrap func(net.Listener) net.Listener) *testDaemon {
+func startDaemon(t testing.TB, withObs bool, wrap func(net.Listener) net.Listener) *testDaemon {
 	t.Helper()
 	d := &testDaemon{daemon: newDaemon(io.Discard, withObs, false)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -54,7 +57,7 @@ func (d *testDaemon) stats() (st core.Stats) {
 
 // waitFor polls cond until it holds; the daemon signals nothing a test
 // could block on instead.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -66,7 +69,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // demoPair connects two demo switches and waits until the controller has
 // discovered the link between them and learned both hosts, so that a TCP
 // packet-in either way is routable.
-func demoPair(t *testing.T, d *testDaemon) (a, b *demoSwitch) {
+func demoPair(t testing.TB, d *testDaemon) (a, b *demoSwitch) {
 	t.Helper()
 	a, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
 	if err != nil {
@@ -121,11 +124,15 @@ func TestDemoOverTCP(t *testing.T) {
 type writeLog struct {
 	mu     sync.Mutex
 	writes [][][]byte
+	pings  uint32 // echo requests drain has sent; only the test goroutine touches it
 }
 
+// loggingListener logs the writes on every connection it accepts, each of
+// which then takes delay.
 type loggingListener struct {
 	net.Listener
-	log *writeLog
+	log   *writeLog
+	delay time.Duration
 }
 
 func (l loggingListener) Accept() (net.Conn, error) {
@@ -136,48 +143,91 @@ func (l loggingListener) Accept() (net.Conn, error) {
 	l.log.mu.Lock()
 	defer l.log.mu.Unlock()
 	l.log.writes = append(l.log.writes, nil)
-	return &loggingConn{Conn: c, log: l.log, id: len(l.log.writes) - 1}, nil
+	return &loggingConn{Conn: c, log: l.log, id: len(l.log.writes) - 1, delay: l.delay}, nil
 }
 
 type loggingConn struct {
 	net.Conn
-	log *writeLog
-	id  int
+	log   *writeLog
+	id    int
+	delay time.Duration
 }
 
 func (c *loggingConn) Write(p []byte) (int, error) {
 	c.log.mu.Lock()
 	c.log.writes[c.id] = append(c.log.writes[c.id], bytes.Clone(p))
 	c.log.mu.Unlock()
+	time.Sleep(c.delay)
 	return c.Conn.Write(p)
 }
 
-// setupWrites returns, per connection, how many writes so far carried
-// part of a flow setup (a flow-mod, or a packet-out that is not an LLDP
-// probe), and the total number of flow-mods.
-func (l *writeLog) setupWrites(t *testing.T) (perConn []int, flowMods int) {
+// decoded returns the messages of every write so far, per connection and
+// write.
+func (l *writeLog) decoded(t testing.TB) [][][]openflow.Message {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, writes := range l.writes {
-		n := 0
+	out := make([][][]openflow.Message, len(l.writes))
+	for i, writes := range l.writes {
 		for _, w := range writes {
-			part := false
+			var ms []openflow.Message
 			for len(w) > 0 {
 				size := int(binary.BigEndian.Uint16(w[2:4]))
 				m, err := openflow.Decode(w[:size])
 				if err != nil {
 					t.Fatalf("controller wrote an undecodable message: %v", err)
 				}
+				ms = append(ms, m)
+				w = w[size:]
+			}
+			out[i] = append(out[i], ms)
+		}
+	}
+	return out
+}
+
+// drain waits until the daemon has made every write it had queued to the
+// switches' connections: each switch pings, and the echo reply queued
+// behind those writes shows up in the log.
+func (l *writeLog) drain(t testing.TB, sws ...*demoSwitch) {
+	l.pings++
+	xid := l.pings
+	for _, s := range sws {
+		s.conn.Send(&openflow.EchoRequest{XID: xid})
+	}
+	waitFor(t, "the writers to drain", func() bool {
+		n := 0
+		for _, writes := range l.decoded(t) {
+			for _, w := range writes {
+				for _, m := range w {
+					if r, ok := m.(*openflow.EchoReply); ok && r.XID == xid {
+						n++
+					}
+				}
+			}
+		}
+		return n == len(sws)
+	})
+}
+
+// setupWrites returns, per connection, how many writes so far carried
+// part of a flow setup, and the total numbers of flow-mods and released
+// packets (packet-outs that are not LLDP probes).
+func (l *writeLog) setupWrites(t testing.TB) (perConn []int, flowMods, released int) {
+	for _, writes := range l.decoded(t) {
+		n := 0
+		for _, w := range writes {
+			part := false
+			for _, m := range w {
 				switch m := m.(type) {
 				case *openflow.FlowMod:
 					flowMods++
 					part = true
 				case *openflow.PacketOut:
 					if pkt, err := netpkt.Unmarshal(m.Data); err == nil && pkt.LLDP == nil {
+						released++
 						part = true
 					}
 				}
-				w = w[size:]
 			}
 			if part {
 				n++
@@ -185,25 +235,241 @@ func (l *writeLog) setupWrites(t *testing.T) (perConn []int, flowMods int) {
 		}
 		perConn = append(perConn, n)
 	}
-	return perConn, flowMods
+	return perConn, flowMods, released
 }
 
-// A flow setup costs one transport write per switch it touches: the
-// flow-mods and the released packet leave in one batch each.
+// A flow setup costs at most one transport write per switch it touches:
+// the flow-mods and the released packet leave in one batch each, and the
+// writer may carry other batches in the same write.
 func TestOneWritePerSwitchPerSetup(t *testing.T) {
 	log := &writeLog{}
-	d := startDaemon(t, false, func(ln net.Listener) net.Listener { return loggingListener{ln, log} })
+	d := startDaemon(t, false, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
 	a, b := demoPair(t, d)
-	outsBefore := d.stats().PacketOuts // taken under the lock: earlier dispatches have finished writing
-	before, modsBefore := log.setupWrites(t)
+	log.drain(t, a, b)
+	before, modsBefore, releasedBefore := log.setupWrites(t)
 	a.raiseTCP(b, 40000)
 	waitFor(t, "flow-mods on both switches", func() bool { return a.mods() == 2 && b.mods() == 2 })
-	waitFor(t, "the released packet", func() bool { return d.stats().PacketOuts > outsBefore })
-	after, modsAfter := log.setupWrites(t)
-	if len(after) != 2 || after[0]-before[0] != 1 || after[1]-before[1] != 1 || modsAfter-modsBefore != 4 {
-		t.Fatalf("one setup: setup writes per switch %v → %v carrying %d flow-mods, want one more each and 4",
-			before, after, modsAfter-modsBefore)
+	log.drain(t, a, b)
+	after, modsAfter, releasedAfter := log.setupWrites(t)
+	if len(after) != 2 || after[0]-before[0] > 1 || after[1]-before[1] > 1 ||
+		modsAfter-modsBefore != 4 || releasedAfter-releasedBefore != 1 {
+		t.Fatalf("one setup: setup writes per switch %v → %v carrying %d flow-mods and %d released packets, want at most one more each, 4 and 1",
+			before, after, modsAfter-modsBefore, releasedAfter-releasedBefore)
 	}
+}
+
+// clientPort is the port of a demo flow's client end: the server listens
+// on 80.
+func clientPort(fm *openflow.FlowMod) uint16 {
+	k := fm.Match.Key
+	if k.DstPort != 80 {
+		return k.DstPort
+	}
+	return k.SrcPort
+}
+
+// While a switch's socket is busy writing, the setups behind it queue and
+// leave together: 100 back-to-back setups reach a switch whose every write
+// takes 1 ms in fewer than 100 writes, undamaged and in setup order.
+func TestSlowWritesCarrySeveralSetups(t *testing.T) {
+	log := &writeLog{}
+	d := startDaemon(t, false, func(ln net.Listener) net.Listener {
+		return loggingListener{Listener: ln, log: log, delay: time.Millisecond}
+	})
+	a, b := demoPair(t, d) // b is the second connection accepted
+	log.drain(t, a, b)
+	skip := len(log.decoded(t)[1])
+	const setups = 100
+	for i := range setups {
+		a.raiseTCP(b, uint16(41000+i))
+	}
+	waitFor(t, "every setup's flow-mods on switch B", func() bool { return b.mods() == 2*setups })
+	log.drain(t, b)
+	var ports []uint16
+	writes := 0
+	for _, w := range log.decoded(t)[1][skip:] {
+		n := len(ports)
+		for _, m := range w {
+			if fm, ok := m.(*openflow.FlowMod); ok {
+				ports = append(ports, clientPort(fm))
+			}
+		}
+		if len(ports) > n {
+			writes++
+		}
+	}
+	t.Logf("%d setups reached switch B in %d writes", setups, writes)
+	if writes >= setups {
+		t.Fatalf("%d setups took %d writes to switch B, want fewer", setups, writes)
+	}
+	if len(ports) != 2*setups {
+		t.Fatalf("switch B got %d flow-mods, want %d", len(ports), 2*setups)
+	}
+	for i, p := range ports {
+		if want := uint16(41000 + i/2); p != want {
+			t.Fatalf("flow-mod %d on switch B is for client port %d, want %d (setup order)", i, p, want)
+		}
+	}
+}
+
+// A switch that stops reading stalls nobody else: while the daemon's
+// writes to it wait, the other switches' setups complete and the lock is
+// free; once more than maxPending bytes are queued for it, its connection
+// is closed and it leaves the topology.
+func TestStalledSwitchCutOff(t *testing.T) {
+	d := startDaemon(t, false, nil)
+	a, b := demoPair(t, d)
+	c, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const dpid = 103
+	for _, m := range []openflow.Message{&openflow.Hello{XID: 1}, &openflow.FeaturesReply{XID: 2, DPID: dpid, NTables: 1}} {
+		if _, err := c.Write(openflow.MarshalAppend(nil, m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the third switch to join", func() bool { return d.store.Count(monitor.EventSwitchJoin) == 3 })
+
+	// Each echo request comes back as a reply of the same size, which c
+	// never reads.
+	echo := openflow.MarshalAppend(nil, &openflow.EchoRequest{XID: 3, Data: make([]byte, 60000)})
+	flood := func(bytes int) error {
+		for sent := 0; sent < bytes; sent += len(echo) {
+			if _, err := c.Write(echo); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// 8 MB of replies is more than the socket buffers between the daemon
+	// and c take while c never reads, so from here on the daemon's writes
+	// to c wait. A daemon that waits on them under the lock stops
+	// reading c, and this flood or the setup below times out.
+	_ = c.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	if err := flood(8 << 20); err != nil {
+		t.Fatalf("the daemon stopped reading the stalled switch: %v", err)
+	}
+	a.raiseTCP(b, 40000)
+	waitFor(t, "a setup between the other switches", func() bool { return a.mods() == 2 && b.mods() == 2 })
+	took := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		d.lk.do(func() {})
+		took <- time.Since(start)
+	}()
+	select {
+	case dt := <-took:
+		if dt > 100*time.Millisecond {
+			t.Fatalf("the controller lock took %v to take, want at most 100ms", dt)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the controller lock is held behind the stalled switch")
+	}
+
+	_ = flood(maxPending + 8<<20) // fails once the daemon has cut c off
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, c); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the stalled switch's connection is still open past the bound")
+	}
+	waitFor(t, "the stalled switch to leave", func() bool { return d.store.Count(monitor.EventSwitchLeave) == 1 })
+	var topo core.TopologySnapshot
+	d.lk.do(func() { topo = d.ctrl.Topology() })
+	for _, sw := range topo.Switches {
+		if sw.DPID == dpid {
+			t.Fatalf("the stalled switch is still in the topology: %+v", topo.Switches)
+		}
+	}
+}
+
+// A switch whose connection closes leaves the topology, with one
+// switch-leave event. A switch that has registered again on a second
+// connection stays when its first one closes.
+func TestClosedSwitchRemoved(t *testing.T) {
+	d := startDaemon(t, false, nil)
+	a, b := demoPair(t, d)
+	again, err := newDemoSwitch(d.addr, b.name, b.dpid, b.hostIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.conn.Close()
+	again.start()
+	waitFor(t, "switch 2's second connection", func() bool { return d.store.Count(monitor.EventSwitchJoin) == 3 })
+	_ = a.conn.Close()
+	_ = b.conn.Close()
+	var topo core.TopologySnapshot
+	waitFor(t, "switch 1 to leave the topology", func() bool {
+		d.lk.do(func() { topo = d.ctrl.Topology() })
+		return len(topo.Switches) == 1
+	})
+	time.Sleep(3 * tick)
+	d.lk.do(func() { topo = d.ctrl.Topology() })
+	if len(topo.Switches) != 1 || topo.Switches[0].DPID != b.dpid {
+		t.Fatalf("switches left: %+v, want %d only", topo.Switches, b.dpid)
+	}
+	if n := d.store.Count(monitor.EventSwitchLeave); n != 1 {
+		t.Fatalf("%d switch-leave events, want 1", n)
+	}
+}
+
+// A connection's goroutines (reader, writer, close watch) end with it:
+// after switches connect and close 50 times, no goroutine is left over.
+func TestConnectionGoroutinesExit(t *testing.T) {
+	d := startDaemon(t, false, nil)
+	base := runtime.NumGoroutine()
+	for i := range uint64(50) {
+		s, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.start()
+		waitFor(t, "the handshake", func() bool { return d.store.Count(monitor.EventSwitchJoin) == i+1 })
+		_ = s.conn.Close()
+		waitFor(t, "the switch to leave", func() bool { return d.store.Count(monitor.EventSwitchLeave) == i+1 })
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// BenchmarkDaemonColdSetup times one cold setup (a selector the controller
+// has not decided before) through a daemon over loopback: from the
+// packet-in out of switch A until both switches have their flow-mods.
+// writes/setup counts the daemon's socket writes.
+func BenchmarkDaemonColdSetup(b *testing.B) {
+	log := &writeLog{}
+	d := startDaemon(b, false, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
+	sa, sb := demoPair(b, d)
+	flowMods := make(chan struct{}, 4) // one setup's flow-mods, two per switch
+	for _, s := range []*demoSwitch{sa, sb} {
+		s.conn.SetHandler(func(m openflow.Message) { // the demo's handler without its FLOW_MOD lines
+			if _, ok := m.(*openflow.FlowMod); ok {
+				flowMods <- struct{}{}
+				return
+			}
+			s.handle(m)
+		})
+	}
+	writes := func() (n int) {
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		for _, w := range log.writes {
+			n += len(w)
+		}
+		return n
+	}
+	w0 := writes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The destination port is in the selector, so the first 65,535
+		// setups are cold; the source port keeps later ones new flows.
+		sa.raisePacketIn(netpkt.NewTCP(sa.hostMAC, sb.hostMAC, sa.hostIP, sb.hostIP,
+			uint16(10000+i/65535), uint16(1+i%65535), []byte("GET /")))
+		for range 4 {
+			<-flowMods
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/setup")
 }
 
 // Events are stamped with the wall clock at dispatch, not with the last
@@ -316,37 +582,6 @@ func TestConcurrentSwitchesAndPolling(t *testing.T) {
 	pollers.Wait()
 	if st := d.stats(); st.FlowsRouted != 2*flows {
 		t.Fatalf("flows routed = %d, want %d", st.FlowsRouted, 2*flows)
-	}
-}
-
-// Cold setups beyond the slack leave a switch's reader no faster than one
-// per coldGap and none is dropped; setups whose decision is cached are not
-// charged at all.
-func TestColdSetupsPaced(t *testing.T) {
-	d := startDaemon(t, false, nil)
-	a, b := demoPair(t, d)
-	slack := int(coldSlack / coldGap)
-	cold := slack + int(500*time.Millisecond/coldGap) // half a second past the slack
-	raise := func(dstPort int) {
-		a.raisePacketIn(netpkt.NewTCP(a.hostMAC, b.hostMAC, a.hostIP, b.hostIP, 40000, uint16(dstPort), []byte("GET /")))
-	}
-	start := time.Now()
-	for i := 0; i < cold; i++ {
-		raise(1000 + i) // the selector includes the destination port
-	}
-	waitFor(t, "every cold setup", func() bool { return d.stats().FlowsRouted == uint64(cold) })
-	if took, least := time.Since(start), 500*time.Millisecond-tick-time.Millisecond; took < least {
-		t.Fatalf("%d cold setups took %v, want at least %v", cold, took, least)
-	}
-	if st := d.stats(); st.DecisionCacheMisses != uint64(cold) {
-		t.Fatalf("decision-cache misses = %d, want one per cold setup (%d)", st.DecisionCacheMisses, cold)
-	}
-	for i := 0; i < 100; i++ {
-		raise(1000)
-	}
-	waitFor(t, "every cached setup", func() bool { return d.stats().FlowsRouted == uint64(cold+100) })
-	if st := d.stats(); st.DecisionCacheMisses != uint64(cold) {
-		t.Fatalf("cached setups were counted cold: misses %d, want %d", st.DecisionCacheMisses, cold)
 	}
 }
 

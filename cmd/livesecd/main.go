@@ -100,7 +100,7 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	signal.Stop(sig) // a second ^C kills outright, should a stalled switch hold the lock
+	signal.Stop(sig) // a second ^C kills outright, should stdout block the last flush
 	d.lk.flush()
 	fmt.Println("livesecd: shutting down")
 	return nil
@@ -165,23 +165,29 @@ func acceptLoop(ln net.Listener, lk *ctrlLock, ctrl *core.Controller) {
 		if err != nil {
 			return
 		}
-		conn := &pumpedConn{Conn: openflow.NewNetConn(c), lk: lk, ctrl: ctrl}
+		q := &queuedConn{Conn: c, wake: make(chan struct{}, 1)}
+		go q.writeLoop()
+		conn := &pumpedConn{Conn: openflow.NewNetConn(q), lk: lk, ctrl: ctrl}
 		lk.do(func() { ctrl.AddSwitch(conn) })
+		go conn.removeOnClose()
 	}
 }
 
 // ctrlLock is the daemon's one concurrency rule: the controller, its
 // engine (virtual time) and the buffered event log are touched only with
-// mu held — by connection readers, accept, HTTP Sync and the idle timer.
+// mu held — by connection readers and close watchers, accept, HTTP Sync
+// and the idle timer. Connection writers never take it.
 type ctrlLock struct {
-	mu    sync.Mutex
-	eng   *sim.Engine
-	start time.Time
-	log   *bufio.Writer // one line per monitoring event, flushed every tick
+	mu     sync.Mutex
+	eng    *sim.Engine
+	start  time.Time
+	log    *bufio.Writer          // one line per monitoring event, flushed every tick
+	owners map[uint64]*pumpedConn // the connection each DPID last registered on
 }
 
 func newCtrlLock(log io.Writer) *ctrlLock {
-	l := &ctrlLock{eng: sim.NewEngine(time.Now().UnixNano()), start: time.Now(), log: bufio.NewWriterSize(log, 1<<16)}
+	l := &ctrlLock{eng: sim.NewEngine(time.Now().UnixNano()), start: time.Now(), log: bufio.NewWriterSize(log, 1<<16),
+		owners: make(map[uint64]*pumpedConn)}
 	go l.pump()
 	return l
 }
@@ -216,33 +222,102 @@ type pumpedConn struct {
 	openflow.Conn
 	lk   *ctrlLock
 	ctrl *core.Controller
+	dpid uint64 // from the features reply relayed last; guarded by lk
 }
 
 func (c *pumpedConn) SendBatch(ms []openflow.Message) { openflow.SendAll(c.Conn, ms...) }
 
-// Cold setups (first packets whose selector has no cached policy decision:
-// what a scan or a flood of novel flows is made of) are paced per switch.
-// Past one every coldGap the switch's reader pauses and TCP pushes back;
-// nothing is dropped, flows with a cached decision are never paced, and
-// the setup rate under a flood is set by the clock, not by the host's load.
-const (
-	coldGap   = time.Second / 9000     // 9,000 cold setups a second per switch
-	coldSlack = 200 * time.Millisecond // unused budget a reader may catch up on
-)
-
 func (c *pumpedConn) SetHandler(fn func(openflow.Message)) {
-	var due time.Duration // when this switch's cold budget is back to zero
 	c.Conn.SetHandler(func(m openflow.Message) {
-		var pause time.Duration
 		c.lk.do(func() {
-			cold := c.ctrl.Stats().DecisionCacheMisses
+			if fr, ok := m.(*openflow.FeaturesReply); ok {
+				c.dpid, c.lk.owners[fr.DPID] = fr.DPID, c
+			}
 			fn(m)
-			now := c.lk.eng.Now()
-			due = max(due, now-coldSlack) + time.Duration(c.ctrl.Stats().DecisionCacheMisses-cold)*coldGap
-			pause = due - now
 		})
-		if pause >= tick { // sleeping off less costs more in wake-ups than it evens out
-			time.Sleep(pause)
+	})
+}
+
+// removeOnClose takes the switch down once its connection closes, for
+// whatever cause, unless it has registered again on a newer connection.
+func (c *pumpedConn) removeOnClose() {
+	<-c.Conn.(interface{ Done() <-chan struct{} }).Done()
+	c.lk.do(func() {
+		if c.lk.owners[c.dpid] == c {
+			delete(c.lk.owners, c.dpid)
+			c.ctrl.RemoveSwitch(c.dpid)
 		}
 	})
+}
+
+// A switch is cut off, its connection closed, once more than maxPending
+// bytes are queued for it or one write to it outlasts writeTimeout. The
+// largest burst the controller sends one switch is ReapplyPolicies
+// denying every session: two 64-byte deletes per session to every switch
+// and a 64-byte drop at its ingress, 19.2 MB for 10⁵ sessions. A write
+// carries at most maxPending bytes, so only a switch reading under 1.2 MB
+// a second can outlast writeTimeout.
+const (
+	maxPending   = 32 << 20
+	writeTimeout = 30 * time.Second
+)
+
+// queuedConn is a switch socket whose writes are queued: Write appends to
+// pending and returns without a system call, and the connection's writer
+// goroutine sends whatever has accumulated, in order and in one Write,
+// outside the controller lock.
+type queuedConn struct {
+	net.Conn
+	wake    chan struct{} // holds a token once pending has grown since the writer last took it
+	mu      sync.Mutex
+	pending []byte
+	closed  bool
+}
+
+func (q *queuedConn) Write(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.pending)+len(p) > maxPending {
+		_ = q.closeLocked()
+		return 0, net.ErrClosed
+	}
+	q.pending = append(q.pending, p...)
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+	return len(p), nil
+}
+
+// writeLoop exits once the connection is closed.
+func (q *queuedConn) writeLoop() {
+	var out []byte
+	for range q.wake {
+		q.mu.Lock()
+		out, q.pending = q.pending, out[:0]
+		q.mu.Unlock()
+		if len(out) == 0 { // a token left by a Write whose bytes the last write carried
+			continue
+		}
+		_ = q.Conn.SetWriteDeadline(time.Now().Add(writeTimeout)) // fails only once closed, as Write then does
+		if _, err := q.Conn.Write(out); err != nil {
+			_ = q.Close()
+			return
+		}
+	}
+}
+
+func (q *queuedConn) Close() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closeLocked()
+}
+
+func (q *queuedConn) closeLocked() error {
+	if q.closed {
+		return net.ErrClosed
+	}
+	q.closed, q.pending = true, nil
+	close(q.wake)
+	return q.Conn.Close()
 }
