@@ -142,11 +142,11 @@ func BenchmarkE9PacketInStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkE10ShardScaling — sharded control plane: setup throughput
-// scale-out at 1/2/4(/8) shards plus shard-kill failover.
-func BenchmarkE10ShardScaling(b *testing.B) {
+// BenchmarkE10ControllerFailover — a whole-controller outage
+// mid-workload: parked messages, switch resyncs, no flow lost.
+func BenchmarkE10ControllerFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.E10ShardScaling(scale(b))
+		r := experiments.E10ControllerFailover(scale(b))
 		if i == b.N-1 {
 			reportRows(b, r)
 		}

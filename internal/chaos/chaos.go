@@ -1,9 +1,10 @@
 // Package chaos is a deterministic fault-injection layer for the
 // simulated deployment. A FaultPlan is a scripted sequence of events —
 // switch secure-channel disconnects and reconnects, link flaps and
-// degradations, service-element crashes, slow-downs and wedges, and
-// control-channel message drop/duplication — executed on the simulation
-// clock by an Injector.
+// degradations, service-element crashes, slow-downs and wedges,
+// control-channel message drop/duplication, packet-in floods and
+// whole-controller outages — executed on the simulation clock by an
+// Injector.
 //
 // Design constraints:
 //
@@ -70,6 +71,11 @@ const (
 	// switch); FloodStop ends it.
 	FloodStart
 	FloodStop
+	// ControllerDown takes the whole controller down: every control
+	// message parks until ControllerUp brings it back, which resyncs the
+	// switches and drains what parked (core/outage.go).
+	ControllerDown
+	ControllerUp
 )
 
 // String names the kind.
@@ -107,6 +113,10 @@ func (k Kind) String() string {
 		return "flood-start"
 	case FloodStop:
 		return "flood-stop"
+	case ControllerDown:
+		return "controller-down"
+	case ControllerUp:
+		return "controller-up"
 	default:
 		return "unknown"
 	}
@@ -254,6 +264,16 @@ func (p *Plan) FloodStop(at time.Duration, hostID int) *Plan {
 	return p.Add(Event{At: at, Kind: FloodStop, HostID: hostID})
 }
 
+// ControllerDown schedules a whole-controller outage.
+func (p *Plan) ControllerDown(at time.Duration) *Plan {
+	return p.Add(Event{At: at, Kind: ControllerDown})
+}
+
+// ControllerUp schedules the controller's recovery.
+func (p *Plan) ControllerUp(at time.Duration) *Plan {
+	return p.Add(Event{At: at, Kind: ControllerUp})
+}
+
 // LinkController is the administrative surface the injector drives on a
 // link (satisfied by *link.Link).
 type LinkController interface {
@@ -277,6 +297,13 @@ type Flooder interface {
 	StopFlood()
 }
 
+// ControlPlane is the administrative surface the injector drives on the
+// controller (satisfied by *core.Controller).
+type ControlPlane interface {
+	Fail()
+	Recover()
+}
+
 // Applied is one executed fault, stamped with its execution time.
 type Applied struct {
 	At time.Duration
@@ -290,6 +317,7 @@ type Injector struct {
 	links    map[int]LinkController
 	elements map[uint64]ElementController
 	flooders map[int]Flooder
+	ctrl     ControlPlane
 
 	applied []Applied // execution order
 }
@@ -316,6 +344,10 @@ func (in *Injector) RegisterElement(id uint64, el ElementController) { in.elemen
 // RegisterFlooder registers a storm-capable host under an id of the
 // caller's choosing.
 func (in *Injector) RegisterFlooder(id int, f Flooder) { in.flooders[id] = f }
+
+// RegisterController registers the controller as the target of
+// ControllerDown/ControllerUp.
+func (in *Injector) RegisterController(c ControlPlane) { in.ctrl = c }
 
 // Channel returns the fault channel registered for dpid (nil if none).
 func (in *Injector) Channel(dpid uint64) *Channel { return in.channels[dpid] }
@@ -407,6 +439,15 @@ func (in *Injector) Apply(ev Event) {
 			f.StartFlood(ev.N)
 		} else {
 			f.StopFlood()
+		}
+	case ControllerDown, ControllerUp:
+		if in.ctrl == nil {
+			return
+		}
+		if ev.Kind == ControllerDown {
+			in.ctrl.Fail()
+		} else {
+			in.ctrl.Recover()
 		}
 	}
 }

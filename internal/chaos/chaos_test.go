@@ -331,3 +331,31 @@ func TestPlanTypeScopedBuilders(t *testing.T) {
 		t.Fatalf("CtrlDupType event: %+v", evs[1])
 	}
 }
+
+// fakeControlPlane records outage calls.
+type fakeControlPlane struct{ log []string }
+
+func (f *fakeControlPlane) Fail()    { f.log = append(f.log, "fail") }
+func (f *fakeControlPlane) Recover() { f.log = append(f.log, "recover") }
+
+func TestInjectorControllerOutage(t *testing.T) {
+	eng := sim.NewEngine(1)
+	in := NewInjector(eng)
+	// Before registration the fault is logged and ignored.
+	in.Apply(Event{Kind: ControllerDown})
+	cp := &fakeControlPlane{}
+	in.RegisterController(cp)
+	in.Schedule(NewPlan().
+		ControllerDown(10 * time.Millisecond).
+		ControllerUp(20 * time.Millisecond))
+	if err := eng.Run(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.log) != 2 || cp.log[0] != "fail" || cp.log[1] != "recover" {
+		t.Fatalf("controller calls: %v", cp.log)
+	}
+	applied := in.Applied()
+	if len(applied) != 3 || applied[1].At != 10*time.Millisecond || applied[2].Kind.String() != "controller-up" {
+		t.Fatalf("applied: %+v", applied)
+	}
+}

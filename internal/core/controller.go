@@ -121,10 +121,10 @@ type Config struct {
 	// StatefulFW enables connection-state migration for stateful
 	// firewall elements (fwstate.go): the controller mirrors every
 	// STATE_SYNC transition reported by ServiceFW elements and, when a
-	// re-steer (drain, breaker trip, load re-pick, shard takeover, host
-	// move) lands a mirrored session on a different element, installs the
-	// state on the successor ahead of the first re-steered packet. Off by
-	// default; without it STATE_SYNC reports are accepted but never
+	// re-steer (drain, breaker trip, load re-pick, host move) lands a
+	// mirrored session on a different element, installs the state on the
+	// successor ahead of the first re-steered packet. Off by default;
+	// without it STATE_SYNC reports are accepted but never
 	// re-installed, so a re-steer falls back to drop-and-relearn. No
 	// experiment traffic exercises the machinery unless firewall elements
 	// are deployed, keeping default runs bit-for-bit identical.
@@ -133,31 +133,6 @@ type Config struct {
 	// successor's STATE_ACK before it is counted as failed (the session
 	// then relearns from scratch). Default 10ms.
 	FWHandoffTimeout time.Duration
-
-	// Shards splits the control plane into N logical controller shards
-	// (shard.go): switches are owned by shards via consistent hashing
-	// (ring.go), flow setups are attributed to the ingress switch's
-	// shard, installs on peer-owned switches are cross-shard, and
-	// learned state is charged to lock-step replication. 0 or 1 (the
-	// default) disables the layer. On its own the setting is pure
-	// bookkeeping — message streams are byte-identical at any value,
-	// which experiments.TestKnobsNeutral enforces.
-	Shards int
-	// ShardLanes gives each shard its own serialized packet-in lane of
-	// PacketInCost per packet-in — the scale-out model the E10
-	// experiment measures. It changes timing (N lanes drain N× faster
-	// than the single FIFO); it is ignored under OverloadProtection,
-	// whose defended pipeline owns ingress.
-	ShardLanes bool
-	// ShardCoordLatency is the one-way delay of cross-shard
-	// coordination messages carrying a peer shard's install batch. Zero
-	// (the default) installs inline; positive values model the
-	// owner-decides / peers-install-behind-a-barrier protocol.
-	ShardCoordLatency time.Duration
-	// ShardFailoverDelay is the hot-standby takeover delay after
-	// KillShard (default 200ms — well under the keepalive's
-	// switch-down budget).
-	ShardFailoverDelay time.Duration
 }
 
 // switchState is one registered AS switch.
@@ -285,15 +260,11 @@ type Stats struct {
 	BreakerCloses uint64
 	BreakerSkips  uint64
 
-	// Shard counters (see shard.go and shard_failover.go).
-	ShardCrossSetups    uint64
-	ShardCrossInstalls  uint64
-	ShardCoordMsgs      uint64
-	ShardReplEntries    uint64
-	ShardQueuedMsgs     uint64
-	ShardKills          uint64
-	ShardTakeovers      uint64
-	ShardShadowReplayed uint64
+	// Controller-outage counters (see outage.go): outages, messages
+	// parked, and messages dropped past the parked queue's bound.
+	Outages     uint64
+	ParkedMsgs  uint64
+	ParkedDrops uint64
 
 	// Stateful-firewall state-migration counters (see fwstate.go).
 	// FWStateSyncs counts STATE_SYNC datagrams mirrored; FWHandoffsSent
@@ -379,9 +350,12 @@ type Controller struct {
 	// PacketInCost or OverloadProtection is configured.
 	ov *overloadState
 
-	// sh is the shard layer (shard.go), non-nil only when Shards > 1 or
-	// ShardLanes is configured.
-	sh *shardLayer
+	// Whole-controller outage (outage.go): down from Fail to Recover;
+	// holding from Fail until parked, the messages held meanwhile, has
+	// drained.
+	down, holding bool
+	downSince     time.Duration
+	parked        []parkedMsg
 
 	// Stateful-firewall state mirror (fwstate.go): fwMirror is non-nil
 	// only under Config.StatefulFW, so the per-setup handoff hook costs a
@@ -395,14 +369,10 @@ type Controller struct {
 	// when the packet-in being dispatched entered the ingress pipeline;
 	// curSpan is the flow-setup span open between routeFlow and
 	// finishSetup (the controller is single-threaded, so at most one
-	// setup is in flight outside barrier waits). obsParentTrace/Span,
-	// when nonzero, link spans opened by the next dispatches into an
-	// enclosing trace (a shard takeover draining parked messages).
-	obs            *obs.FlowObs
-	obsAcceptedAt  time.Duration
-	curSpan        *obs.Span
-	obsParentTrace uint64
-	obsParentSpan  uint64
+	// setup is in flight outside barrier waits).
+	obs           *obs.FlowObs
+	obsAcceptedAt time.Duration
+	curSpan       *obs.Span
 
 	stats Stats
 }
@@ -437,13 +407,6 @@ func New(cfg Config) *Controller {
 	if cfg.OverloadProtection || cfg.PacketInCost > 0 {
 		ov = newOverloadState()
 	}
-	var sh *shardLayer
-	if cfg.Shards > 1 || cfg.ShardLanes {
-		if cfg.ShardFailoverDelay == 0 {
-			cfg.ShardFailoverDelay = defaultShardFailoverDelay
-		}
-		sh = newShardLayer(cfg)
-	}
 	c := &Controller{
 		cfg:          cfg,
 		eng:          cfg.Engine,
@@ -460,7 +423,6 @@ func New(cfg Config) *Controller {
 		leases:       make(map[netpkt.MAC]netpkt.IPv4Addr),
 		cache:        newDecisionCache(),
 		ov:           ov,
-		sh:           sh,
 		obs:          cfg.Obs,
 	}
 	if cfg.StatefulFW {
@@ -577,21 +539,26 @@ func (c *Controller) Shutdown() {
 	c.stops = nil
 }
 
-// handleMessage receives every control-channel message. The shard
-// layer (shard.go) sees it first — attribution always, consumption
-// only for dead-shard parking and shard-lane packet-ins. Then, with
-// the ingress pipeline active (overload.go), messages queue through
-// its lanes; otherwise they dispatch inline, exactly as before.
+// handleMessage receives every control-channel message. During an
+// outage (outage.go) it parks; otherwise it accepts the message now.
 func (c *Controller) handleMessage(st *switchState, m openflow.Message) {
-	if c.sh != nil && c.shardIntercept(st, m) {
+	now := c.eng.Now()
+	if c.holding && c.park(st, m, now) {
 		return
 	}
+	c.accept(st, m, now)
+}
+
+// accept admits a message that arrived at virtual time at: with the
+// ingress pipeline active (overload.go) it queues through its lanes;
+// otherwise it dispatches inline.
+func (c *Controller) accept(st *switchState, m openflow.Message, at time.Duration) {
 	if c.ov != nil {
-		c.ingressAccept(st, m)
+		c.ingressAccept(st, m, at)
 		return
 	}
 	if c.obs != nil {
-		c.obsAcceptedAt = c.eng.Now()
+		c.obsAcceptedAt = at
 	}
 	c.dispatch(st, m)
 }
@@ -652,7 +619,6 @@ func (c *Controller) registerSwitch(st *switchState, fr *openflow.FeaturesReply)
 	}
 	c.switches[fr.DPID] = st
 	if !rejoin {
-		c.shardReplicate(fr.DPID)
 		c.record(monitor.Event{Type: monitor.EventSwitchJoin, Switch: fr.DPID, Detail: st.name})
 	}
 	// Kick a full discovery round: the newcomer probes its links, and
@@ -708,6 +674,9 @@ func (c *Controller) sendPacketOut(st *switchState, po *openflow.PacketOut) {
 // housekeep expires silent hosts and service elements (in deterministic
 // order so event logs reproduce bit-for-bit).
 func (c *Controller) housekeep() {
+	if c.holding {
+		return // an outage's evidence is parked, not absent
+	}
 	now := c.eng.Now()
 	for _, h := range c.sortedHosts() {
 		if h.SEID != 0 {

@@ -16,6 +16,9 @@ var lldpSrc = netpkt.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0xd1}
 // The legacy fabric floods them between AS-switch uplink ports, so each
 // received probe reveals one logical link of the full mesh.
 func (c *Controller) DiscoverNow() {
+	if c.holding {
+		return // an outage (outage.go) sends nothing
+	}
 	for _, st := range c.sortedSwitches() {
 		c.emitLLDP(st)
 	}
@@ -168,9 +171,6 @@ func (c *Controller) learnHost(st *switchState, port uint32, mac netpkt.MAC, ip 
 		c.byIP[ip] = mac
 	}
 	if !known || moved {
-		// New or moved attachment is a learned fact the owning shard
-		// replicates to its peers (shard.go).
-		c.shardReplicate(st.dpid)
 		c.record(monitor.Event{Type: monitor.EventUserJoin, Switch: st.dpid,
 			User: mac.String(), IP: ip.String()})
 		if moved {

@@ -18,7 +18,7 @@ import (
 // STATE_SYNC, and the controller mirrors the latest per-session record
 // together with which element holds it live. Whenever steering picks a
 // firewall element that is not the holder — drain, breaker trip, crash
-// failover, shard takeover, host mobility, or a plain load re-weight —
+// failover, host mobility, or a plain load re-weight —
 // the mirror is pushed to the successor with STATE_INSTALL *before* the
 // re-steered packet is released, so mid-stream packets of established
 // sessions keep passing a strict firewall that never saw the handshake.

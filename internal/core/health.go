@@ -10,8 +10,9 @@ import "livesec/internal/monitor"
 // knows its own components.
 
 // HealthComponents reports per-subsystem health in fixed order:
-// switches, shards (when sharding is on), service elements, and
-// firewall state migration (when the stateful firewall is on).
+// switches, the controller itself (down from an outage until its parked
+// messages drain, outage.go), service elements, and firewall state
+// migration (when the stateful firewall is on).
 func (c *Controller) HealthComponents() []monitor.HealthComponent {
 	out := make([]monitor.HealthComponent, 0, 4)
 
@@ -34,28 +35,15 @@ func (c *Controller) HealthComponents() []monitor.HealthComponent {
 		Detail: uitoa(uint64(swTotal-swDown)) + "/" + uitoa(uint64(swTotal)) + " reachable",
 	})
 
-	if c.sh != nil {
-		alive, parked := 0, 0
-		for _, s := range c.sh.shards {
-			if s.alive {
-				alive++
-			}
-			parked += len(s.pending)
-		}
-		shStatus := "ok"
-		switch {
-		case alive == 0:
-			shStatus = "down"
-		case alive < len(c.sh.shards):
-			shStatus = "degraded"
-		}
-		out = append(out, monitor.HealthComponent{
-			Name:   "shards",
-			Status: shStatus,
-			Detail: uitoa(uint64(alive)) + "/" + uitoa(uint64(len(c.sh.shards))) + " alive, " +
-				uitoa(uint64(parked)) + " msgs parked",
-		})
+	ctlStatus := "ok"
+	if c.holding {
+		ctlStatus = "down"
 	}
+	out = append(out, monitor.HealthComponent{
+		Name:   "controller",
+		Status: ctlStatus,
+		Detail: uitoa(uint64(len(c.parked))) + " msgs parked",
+	})
 
 	seTotal, brOpen := len(c.elements), 0
 	for _, se := range c.elements {

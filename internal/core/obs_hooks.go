@@ -110,17 +110,9 @@ func (c *Controller) obsRegister() {
 		}
 	}
 
-	if c.sh != nil {
-		r.GaugeFunc("livesec_shard_parked_msgs",
-			"Messages parked on dead shards awaiting standby takeover.",
-			func() float64 {
-				n := 0
-				for _, s := range c.sh.shards {
-					n += len(s.pending)
-				}
-				return float64(n)
-			})
-	}
+	r.GaugeFunc("livesec_controller_parked_msgs",
+		"Messages parked by a controller outage, awaiting recovery.",
+		func() float64 { return float64(len(c.parked)) })
 
 	r.GaugeFunc("livesec_policy_rules",
 		"Rules installed in the policy table.",
@@ -150,18 +142,13 @@ func (c *Controller) obsRegister() {
 }
 
 // obsSpanStart opens the flow-setup span at the routing entry point. The
-// span starts at obsAcceptedAt (stamped when the packet-in entered the
-// ingress pipeline), so the queue-wait stage is the pipeline backlog it
-// sat behind.
+// span starts at obsAcceptedAt (when the packet-in arrived), so the
+// queue-wait stage is the pipeline backlog it sat behind, and for a
+// packet-in parked by an outage the time it spent parked.
 func (c *Controller) obsSpanStart(st *switchState, key flow.Key) {
 	sp := c.obs.StartSpan(c.obsAcceptedAt)
 	sp.Switch = st.dpid
 	sp.Key = key
-	if c.obsParentTrace != 0 {
-		// The setup is being driven by an enclosing operation (a shard
-		// takeover draining parked messages): link it into that trace.
-		sp.SetParent(c.obsParentTrace, c.obsParentSpan)
-	}
 	sp.SetStage(obs.StageQueueWait, c.eng.Now()-c.obsAcceptedAt)
 	c.curSpan = sp
 }

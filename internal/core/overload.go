@@ -144,26 +144,26 @@ func (c *Controller) IngressDepths() (ctrl, packetIns int) {
 }
 
 // ingressAccept is the pipeline entry: classify, admit, enqueue, and
-// kick the server if idle.
-func (c *Controller) ingressAccept(st *switchState, m openflow.Message) {
+// kick the server if idle. at is the message's arrival time (earlier
+// than now for a message parked during an outage).
+func (c *Controller) ingressAccept(st *switchState, m openflow.Message, at time.Duration) {
 	ov := c.ov
-	now := c.eng.Now()
 	pi, isPacketIn := m.(*openflow.PacketIn)
 	switch {
 	case !c.cfg.OverloadProtection:
 		// Naive single-FIFO controller: everything shares one queue in
 		// arrival order; only the PacketInCost model below applies.
-		ov.data = append(ov.data, ingressItem{st, m, now})
+		ov.data = append(ov.data, ingressItem{st, m, at})
 	case !isPacketIn:
 		// Priority lane: liveness and correctness traffic never waits
 		// behind a storm.
-		ov.ctrl = append(ov.ctrl, ingressItem{st, m, now})
+		ov.ctrl = append(ov.ctrl, ingressItem{st, m, at})
 	default:
 		if !c.admitPacketIn(st, pi) {
 			return
 		}
 		ov.perSwitch[st.dpid]++
-		ov.data = append(ov.data, ingressItem{st, m, now})
+		ov.data = append(ov.data, ingressItem{st, m, at})
 	}
 	if !ov.busy {
 		c.ingressServe()
@@ -286,22 +286,29 @@ func (c *Controller) ingressServe() {
 			return
 		}
 		if !isPacketIn || c.cfg.PacketInCost <= 0 {
-			if c.obs != nil {
-				c.obsAcceptedAt = it.at
-			}
-			c.dispatch(it.st, it.m)
+			c.serveItem(it)
 			continue
 		}
 		ov.busy = true
 		c.eng.Schedule(c.cfg.PacketInCost, func() {
-			if c.obs != nil {
-				c.obsAcceptedAt = it.at
-			}
-			c.dispatch(it.st, it.m)
+			c.serveItem(it)
 			c.ingressServe()
 		})
 		return
 	}
+}
+
+// serveItem dispatches one served item, unless an outage (outage.go)
+// parks it: what the pipeline held when the controller went down waits
+// for recovery with the messages that arrived after it.
+func (c *Controller) serveItem(it ingressItem) {
+	if c.holding && c.park(it.st, it.m, it.at) {
+		return
+	}
+	if c.obs != nil {
+		c.obsAcceptedAt = it.at
+	}
+	c.dispatch(it.st, it.m)
 }
 
 // overloadHousekeep reclaims expired suppression records and idle

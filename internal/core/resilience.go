@@ -28,6 +28,7 @@ package core
 
 import (
 	"slices"
+	"sort"
 	"time"
 
 	"livesec/internal/flow"
@@ -94,6 +95,9 @@ func (c *Controller) SwitchDown(dpid uint64) bool {
 // keepaliveSweep is the liveness ticker body: probe healthy switches,
 // count misses, and probe down switches on their backoff schedule.
 func (c *Controller) keepaliveSweep() {
+	if c.holding {
+		return // no echo is answered while the controller is out
+	}
 	now := c.eng.Now()
 	for _, st := range c.sortedSwitches() {
 		switch {
@@ -241,7 +245,11 @@ func (c *Controller) beginResync(st *switchState) {
 // down/probe loop.
 func (c *Controller) sendResync(st *switchState) {
 	st.resyncAttempt++
-	entries := shadowOrdered(st)
+	entries := make([]*shadowEntry, 0, len(st.shadow))
+	for _, e := range st.shadow {
+		entries = append(entries, e)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 
 	msgs := make([]openflow.Message, 0, len(entries)+3)
 	msgs = append(msgs, &openflow.FeaturesRequest{XID: c.xid()})
@@ -266,14 +274,17 @@ func (c *Controller) sendResync(st *switchState) {
 	delay := backoffDelay(st.resyncAttempt, retryBase, retryCap)
 	c.eng.Schedule(delay, func() {
 		cur, outstanding := c.pendingResyncs[xid]
-		if !outstanding || cur != st || !st.resyncing {
-			return // confirmed, superseded, or the switch went down again
+		if !outstanding || cur != st || !st.resyncing || c.down {
+			// Confirmed, superseded, the switch went down again, or the
+			// controller did (Recover restarts the resync).
+			return
 		}
 		delete(c.pendingResyncs, xid)
 		if st.resyncAttempt >= resyncMaxAttempts {
 			c.stats.ResyncFailures++
 			st.resyncing = false
 			c.markSwitchDown(st, "resync barrier lost")
+			c.drainParked()
 			return
 		}
 		c.stats.ResyncRetries++
@@ -289,6 +300,7 @@ func (c *Controller) finishResync(st *switchState) {
 	c.stats.Resyncs++
 	c.record(monitor.Event{Type: monitor.EventSwitchResync, Switch: st.dpid,
 		Detail: uitoa(uint64(len(st.shadow))) + " entries reinstalled, barrier confirmed"})
+	c.drainParked()
 }
 
 // drainElement tears down every live session chained through the failed

@@ -621,7 +621,7 @@ func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.Pack
 	sp := c.obsTakeSetupSpan()
 	if c.cfg.UseBarriers {
 		c.barrierRelease(em, st, po, plan.switches, sp)
-		c.shardFlush(em, st, sp)
+		em.flush()
 		return
 	}
 	// The packet-out rides in the ingress switch's batch, after its flow
@@ -631,7 +631,7 @@ func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.Pack
 	b := em.batchFor(st)
 	b.msgs = append(b.msgs, po)
 	c.stats.PacketOuts++
-	c.shardFlush(em, st, sp)
+	em.flush()
 	c.obs.FinishSpan(sp, c.eng.Now())
 }
 

@@ -3,7 +3,9 @@ package core
 // White-box golden tests of the flow-setup message stream: what the
 // controller sends — bytes, order, XIDs, write boundaries — for every
 // shape of session install, pinned by hashes taken before the install
-// path was rewritten as plan-then-execute (rig_test.go has the rig).
+// path was rewritten as plan-then-execute (rig_test.go has the rig). The
+// hash folds in the final Stats, so it was re-pinned once more when
+// eight shard counters left Stats; no message stream moved then.
 
 import (
 	"bytes"
@@ -65,53 +67,53 @@ var (
 )
 
 var goldenRows = []goldenRow{
-	{name: "direct-same-switch", golden: [3]uint64{0xca56024375c7835d, 0xa5ec2bdc6b4ccc9c, 0xb8edcf924ddbd285},
+	{name: "direct-same-switch", golden: [3]uint64{0x4185ac368458437d, 0x9d5bcb95bb41d012, 0xd2ae685d9aec7985},
 		dst: hostB},
-	{name: "direct-two-switch", golden: [3]uint64{0x40c010ba7af5f8be, 0x30e13096645d6f34, 0x3061775095df4810},
+	{name: "direct-two-switch", golden: [3]uint64{0xbbb6adfc1f505f30, 0x9b05d76454bac16a, 0xbc72ac41a8c1741e},
 		dst: hostC},
-	{name: "chain1-on-ingress", golden: [3]uint64{0xe414cdef5878f1be, 0xa528cf17a0862ce4, 0xb3e4e932b56e1d46},
+	{name: "chain1-on-ingress", golden: [3]uint64{0xfb8c55ed67917230, 0x61c965038d0b6fda, 0x277be7a082111a18},
 		dst: hostC, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw1}},
-	{name: "chain2-three-switches", golden: [3]uint64{0xa5b32efead98ef89, 0x225439127227e36e, 0xa52aaf4652e3ec58},
+	{name: "chain2-three-switches", golden: [3]uint64{0xea46f0b73cb03931, 0xdc6c767d20384820, 0xf0f3c178070e9e06},
 		dst: hostC, rule: chainRule(false, seproto.ServiceIDS, seproto.ServiceL7),
 		elems: []rigElem{ids1onSw2, {id: 2, svc: seproto.ServiceL7, dpid: 3, port: 10}}},
-	{name: "chain2-colocated", golden: [3]uint64{0x47ef1994089bdabe, 0xea7d26341cd38ce9, 0xb00d6e931b2ebef0},
+	{name: "chain2-colocated", golden: [3]uint64{0x4579e76652fbd530, 0xde5a93e450e67cd1, 0xf5b1fa7737d76cbe},
 		dst: hostD, rule: chainRule(false, seproto.ServiceIDS, seproto.ServiceL7),
 		elems: []rigElem{ids1onSw2, {id: 2, svc: seproto.ServiceL7, dpid: 2, port: 11}}},
-	{name: "steer-forward-only", golden: [3]uint64{0xc7d772f755e02d12, 0xd7068dd18f85a9a5, 0xee9266437bce953c},
+	{name: "steer-forward-only", golden: [3]uint64{0xa68fe0a9cccce0fc, 0x424a0aa0c7da89e5, 0x6e832f7020c5bdf2},
 		dst: hostD, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw2}, forwardOnly: true},
-	{name: "chain5-uncacheable", golden: [3]uint64{0x533932dd814aac8f, 0xc71248623aa57122, 0xe40ed427f67bae8a},
+	{name: "chain5-uncacheable", golden: [3]uint64{0x725c4e42d47c2c0b, 0xc764077f09e8ba4c, 0x37fa22dbe0f6aa14},
 		dst:  hostD,
 		rule: chainRule(false, seproto.ServiceIDS, seproto.ServiceL7, seproto.ServiceFW, seproto.ServiceIDS, seproto.ServiceL7),
 		elems: []rigElem{ids1onSw1, {id: 2, svc: seproto.ServiceL7, dpid: 2, port: 10},
 			{id: 3, svc: seproto.ServiceFW, dpid: 3, port: 10}, {id: 4, svc: seproto.ServiceIDS, dpid: 2, port: 11},
 			{id: 5, svc: seproto.ServiceL7, dpid: 3, port: 11}}},
-	{name: "fail-open", golden: [3]uint64{0x554c0a73f4d14fbc, 0x5a7bbf4e4a7ce486, 0x44bf7ac206e6be32},
+	{name: "fail-open", golden: [3]uint64{0x4d0e0926b7353172, 0x1eadf6b47f74b9d8, 0xd17af200d05d2d5c},
 		dst: hostC, rule: chainRule(true, seproto.ServiceIDS)},
-	{name: "fail-closed", golden: [3]uint64{0x1fa101445fbd7014, 0x1fa101445fbd7014, 0x248a81d82dcd3e35},
+	{name: "fail-closed", golden: [3]uint64{0xe610d2d4f25b988a, 0xe610d2d4f25b988a, 0x7f752186335a00b5},
 		dst: hostC, rule: chainRule(false, seproto.ServiceIDS)},
-	{name: "deny", golden: [3]uint64{0xc25e5072dc74992c, 0xc25e5072dc74992c, 0x846d271823437a11},
+	{name: "deny", golden: [3]uint64{0x943e61d081369062, 0x943e61d081369062, 0x93fe86f2d9d0aab9},
 		dst: hostC, rule: &policy.Rule{Name: "block", Priority: 10,
 			Match: policy.Match{DstPort: 80}, Action: policy.Deny}},
-	{name: "unknown-dst-direct", golden: [3]uint64{0x9478fb3529491d70, 0x9478fb3529491d70, 0xf13bfd78628c048d},
+	{name: "unknown-dst-direct", golden: [3]uint64{0xcd5120f216746c3e, 0xcd5120f216746c3e, 0x6166d30daaf9fa6d},
 		dst: ghost},
-	{name: "unknown-dst-chain", golden: [3]uint64{0xce41699d4f44ef23, 0xce41699d4f44ef23, 0xdfd09c224b335d85},
+	{name: "unknown-dst-chain", golden: [3]uint64{0xaa221feafaeba7c7, 0xaa221feafaeba7c7, 0x02a7c46e88ec9285},
 		dst: ghost, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw1}},
 	// A direct path whose first leg has no link sends nothing; a chain
 	// that breaks at the last arrival has already planned three entries.
-	{name: "forward-cut-first-leg", golden: [3]uint64{0x9478fb3529491d70, 0x9478fb3529491d70, 0xf13bfd78628c048d},
+	{name: "forward-cut-first-leg", golden: [3]uint64{0xcd5120f216746c3e, 0xcd5120f216746c3e, 0x6166d30daaf9fa6d},
 		dst: hostC, cut: [2]uint64{1, 2}},
-	{name: "forward-cut-last-leg", golden: [3]uint64{0x52c995b4bc3e6cfc, 0x52c995b4bc3e6cfc, 0xa7e7dcb3b2c16a93},
+	{name: "forward-cut-last-leg", golden: [3]uint64{0x4f6f052b811aa932, 0x4f6f052b811aa932, 0x3557e8c59b1d89f7},
 		dst: hostD, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw2}, cut: [2]uint64{3, 2}},
 	// Forward and steered reverse paths cross the same links, so only an
 	// unsteered reverse leg can break on its own.
-	{name: "reverse-cut-first-leg", golden: [3]uint64{0xbc4cb0982fd2d655, 0x40f5a5dc5f76e12e, 0xfbae596bb1e666fb},
+	{name: "reverse-cut-first-leg", golden: [3]uint64{0xd26aac7ebc1f0d95, 0x4049d5a87bad0c60, 0x28600232cc5c65ff},
 		dst: hostD, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw2}, forwardOnly: true, cut: [2]uint64{3, 1}},
-	{name: "reverse-cut-last-leg", golden: [3]uint64{0x8d4e480067ae3057, 0x6d4fb0baf30c7962, 0x50364419dd071e45},
+	{name: "reverse-cut-last-leg", golden: [3]uint64{0x6367e1fe038aa8b3, 0x363fa8a02a67730c, 0xe39830417bf3abc5},
 		dst: hostD, rule: chainRule(false, seproto.ServiceIDS),
 		elems: []rigElem{ids1onSw2}, forwardOnly: true, cut: [2]uint64{1, 3}},
 }

@@ -55,6 +55,9 @@ func (c *Controller) StartStatsPolling(period time.Duration) {
 		c.tableStats = make(map[uint64]TableStats)
 	}
 	c.stops = append(c.stops, c.eng.Ticker(period, func() {
+		if c.holding {
+			return
+		}
 		for _, st := range c.sortedSwitches() {
 			if st.ready {
 				st.conn.Send(&openflow.StatsRequest{XID: c.xid(), Kind: openflow.StatsPort})

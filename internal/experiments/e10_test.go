@@ -2,45 +2,45 @@ package experiments
 
 import "testing"
 
-// TestE10ShardScaling pins the experiment's two claims at CI scale:
-// setup throughput grows strictly from 1 shard to the top of the sweep,
-// and the shard-kill failover loses nothing.
-func TestE10ShardScaling(t *testing.T) {
-	res := E10ShardScaling(ScaleCI)
-	for _, note := range res.Notes {
-		if note == "deployment failed to build" || note == "failover deployment failed to build" {
-			t.Fatal(note)
+// TestE10ControllerFailover pins the failover rows at both scales (full
+// scale only outside -short): the outage parks messages, loses no flow,
+// trips no keepalive, resyncs every client switch, and charges the
+// outage — not more than 50 ms beyond it — to policy-violation time.
+func TestE10ControllerFailover(t *testing.T) {
+	for _, scale := range []Scale{ScaleCI, ScaleFull} {
+		if scale == ScaleFull && testing.Short() {
+			continue
 		}
-	}
-	speedup, ok := res.Find("setup throughput scale-out")
-	if !ok || speedup <= 1 {
-		t.Fatalf("no scale-out: speedup=%v ok=%v", speedup, ok)
-	}
-	d1, _ := res.Find("flows delivered @1 shards")
-	d4, _ := res.Find("flows delivered @4 shards")
-	if d4 <= d1 {
-		t.Fatalf("4 shards delivered %v <= 1 shard's %v", d4, d1)
-	}
-	p1, _ := res.Find("p99 setup @1 shards")
-	p4, _ := res.Find("p99 setup @4 shards")
-	if p4 >= p1 {
-		t.Fatalf("p99 did not improve: @1=%vms @4=%vms", p1, p4)
-	}
-	if v, _ := res.Find("failover: takeovers"); v != 1 {
-		t.Fatalf("takeovers=%v, want 1", v)
-	}
-	if v, _ := res.Find("failover: flows lost"); v != 0 {
-		t.Fatalf("flows lost=%v, want 0", v)
-	}
-	if v, _ := res.Find("failover: false switch-down"); v != 0 {
-		t.Fatalf("false switch-downs=%v, want 0", v)
-	}
-	if v, ok := res.Find("failover: shadow entries replayed"); !ok || v == 0 {
-		t.Fatal("takeover replayed no shadow entries")
-	}
-	// The outage is charged, and bounded: the takeover delay plus one
-	// keepalive sweep is a generous ceiling.
-	if v, _ := res.Find("failover: policy-violation time"); v <= 0 || v > 1 {
-		t.Fatalf("policy-violation time %vs out of bounds", v)
+		p := e10ParamsFor(scale)
+		res := E10ControllerFailover(scale)
+		for _, note := range res.Notes {
+			if note == "deployment failed to build" {
+				t.Fatal(note)
+			}
+		}
+		row := func(name string) float64 {
+			t.Helper()
+			v, ok := res.Find(name)
+			if !ok {
+				t.Fatalf("scale %v: no row %q", scale, name)
+			}
+			return v
+		}
+		if v := row("failover: flows lost"); v != 0 {
+			t.Errorf("scale %v: flows lost=%v, want 0", scale, v)
+		}
+		if v := row("failover: false switch-down"); v != 0 {
+			t.Errorf("scale %v: false switch-downs=%v, want 0", scale, v)
+		}
+		if v := row("failover: messages parked"); v <= 0 {
+			t.Errorf("scale %v: nothing parked during the outage", scale)
+		}
+		if v := row("failover: switches resynced"); v < float64(p.nSwitches) {
+			t.Errorf("scale %v: %v switches resynced, want every one of %d client switches", scale, v, p.nSwitches)
+		}
+		outage := p.outage.Seconds()
+		if v := row("failover: policy-violation time"); v < outage || v > outage+0.05 {
+			t.Errorf("scale %v: policy-violation time %vs, want within [%v, %v]", scale, v, outage, outage+0.05)
+		}
 	}
 }

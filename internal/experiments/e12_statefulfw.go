@@ -17,11 +17,11 @@ import (
 
 // E12StatefulFirewall is the connection-state migration experiment
 // (PR 9): LiveSec re-steers live sessions whenever elements register,
-// fail, trip breakers, or shards fail over — and a *stateful* service
-// element is exactly the kind whose correctness depends on having seen
-// the whole session. The experiment runs one scripted workload — TCP
+// fail, or trip breakers, and must carry them through a controller
+// outage — and a *stateful* service element is exactly the kind whose
+// correctness depends on having seen the whole session. The experiment runs one scripted workload — TCP
 // sessions established through a firewall element, spoofed-ACK attacks,
-// then an SE crash, a breaker trip, and a shard takeover — under four
+// then an SE crash, a breaker trip, and a controller outage — under four
 // element configurations:
 //
 //   - strict, no migration: conntrack enforces state but never syncs
@@ -48,7 +48,7 @@ func E12StatefulFirewall(scale Scale) Result {
 	res := Result{
 		ID:    "E12",
 		Title: "Stateful firewall: connection-state migration across re-steers",
-		Claim: "state migration keeps strict inspection AND session continuity across SE crash, breaker trip, and shard takeover; either alone fails one side",
+		Claim: "state migration keeps strict inspection AND session continuity across SE crash, breaker trip, and controller outage; either alone fails one side",
 	}
 
 	arms := []e12Arm{
@@ -89,7 +89,7 @@ func E12StatefulFirewall(scale Scale) Result {
 		}
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
-		"%d TCP sessions via 2 firewall elements on 2 shards; spoofed-ACK attacks, then SE crash -> breaker wedge trip -> shard kill; %d fresh flows drive the wedge signature",
+		"%d TCP sessions via 2 firewall elements; spoofed-ACK attacks, then SE crash -> breaker wedge trip -> controller outage; %d fresh flows drive the wedge signature",
 		p.sessions, p.fresh))
 	return res
 }
@@ -140,14 +140,13 @@ func e12Policies(server netpkt.IPv4Addr) *policy.Table {
 // fwSpec is the E12 and E13 deployment (id 12 or 13): a client and an
 // attacker on e<id>-cli, the server on e<id>-srv, firewall SE 1 on
 // e<id>-fw1, and e<id>-fw2 left empty for SE 2; opts gains the event
-// store, chaos, keepalive, breakers, two shards and the firewall state
-// mirror.
+// store, chaos, keepalive, breakers and the firewall state mirror.
 func fwSpec(id byte, opts testbed.Options, fw firewall.Options) testbed.Spec {
 	server := netpkt.IP(166, 111, id, 1)
 	opts.Seed, opts.Policies = int64(id), e12Policies(server)
 	opts.Monitor, opts.Chaos = true, true
 	opts.Keepalive, opts.Breakers, opts.StatefulFW = true, true, true
-	opts.Shards, opts.FlowIdle = 2, time.Minute
+	opts.FlowIdle = time.Minute
 	sw := func(role string) string { return fmt.Sprintf("e%d-%s", id, role) }
 	return testbed.Spec{
 		Options:  opts,
@@ -300,11 +299,13 @@ func e12Run(p e12Params, arm e12Arm) *e12Metrics {
 		return nil
 	}
 
-	// Phase 6: kill the shard owning the client's ingress switch; the
-	// hot standby replays its shadow table. Established sessions ride
-	// their installed dataplane entries through the takeover.
-	victim := n.Controller.ShardOf(n.Switches[0].DPID())
-	n.Eng.Schedule(50*time.Millisecond, func() { n.Controller.KillShard(victim) })
+	// Phase 6: take the controller down for 200 ms; recovery resyncs
+	// every switch from its shadow table. Established sessions ride their
+	// installed dataplane entries through the outage.
+	base = n.Eng.Now()
+	n.Chaos.Schedule(chaos.NewPlan().
+		ControllerDown(base + 50*time.Millisecond).
+		ControllerUp(base + 250*time.Millisecond))
 	if !run(800 * time.Millisecond) {
 		return nil
 	}

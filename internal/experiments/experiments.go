@@ -100,7 +100,7 @@ var Suite = []Experiment{
 	{"E7", E7BaselineComparison, true},
 	{"E8", E8ChaosRecovery, true},
 	{"E9", E9PacketInStorm, true},
-	{"E10", E10ShardScaling, true},
+	{"E10", E10ControllerFailover, true},
 	// E11 benches the policy engine: its sweep rows are wall-clock
 	// latencies, which vary across machines and would break -stable
 	// reports.

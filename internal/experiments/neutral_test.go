@@ -8,27 +8,21 @@ import (
 	"livesec/internal/testbed"
 )
 
-// TestKnobsNeutral proves the three controller features that claim to
+// TestKnobsNeutral proves the two controller features that claim to
 // change nothing until something uses them really change nothing: the
-// shard layer without lanes only attributes work (core/shard.go), the
 // firewall state mirror stays idle until a firewall element syncs
 // (core/fwstate.go), and SLO evaluation only reads the registry
 // (obs/alerts.go). Arming each in every deployment that left it off must
 // leave every experiment's whole Result deeply equal to an untouched
 // run. Short mode arms each feature alone on a subset that covers the
-// monitor log (E6), overload and keepalive (E9) and the two experiments
-// that pin shards and the firewall themselves (E10, E12); otherwise all
-// three are also armed together over the whole standard suite.
+// monitor log (E6), overload and keepalive (E9), a controller outage
+// (E10) and the experiment that pins the firewall itself (E12);
+// otherwise both are also armed together over the whole standard suite.
 func TestKnobsNeutral(t *testing.T) {
 	knobs := []struct {
 		name string
 		arm  func(*testbed.Options)
 	}{
-		{"shards", func(o *testbed.Options) {
-			if o.Shards == 0 {
-				o.Shards = 4
-			}
-		}},
 		{"statefulfw", func(o *testbed.Options) { o.StatefulFW = true }},
 		{"slo", func(o *testbed.Options) {
 			o.SLO = true
@@ -80,5 +74,5 @@ func TestKnobsNeutral(t *testing.T) {
 			k.arm(o)
 		}
 	}
-	check("shards+statefulfw+slo", standard, run(standard, nil), run(standard, together))
+	check("statefulfw+slo", standard, run(standard, nil), run(standard, together))
 }

@@ -12,24 +12,17 @@ import (
 	"livesec/internal/testbed"
 )
 
-// The tentpole tracing property: a cross-shard flow setup that triggers
-// a firewall state handoff yields ONE causally-linked trace tree — the
-// owner shard's setup span as root, the peer shard's coordination batch
-// and the STATE_INSTALL handoff as children — all under a single
+// The tracing property: a re-steered flow setup that triggers a firewall
+// state handoff yields ONE causally-linked trace tree — the setup span as
+// root and the STATE_INSTALL handoff as its child — under a single
 // TraceID, reachable via FlowObs.Trace.
-func TestCrossShardHandoffSingleTrace(t *testing.T) {
+func TestHandoffSingleTrace(t *testing.T) {
 	serverIP := netpkt.IP(166, 111, 99, 1)
 	clientIP := netpkt.IP(10, 99, 0, 1)
 	fo := obs.NewFlowObs(0)
 	n, err := testbed.Build(testbed.Spec{
 		Options: testbed.Options{Seed: 99, Policies: e12Policies(serverIP), Monitor: true, Chaos: true,
-			Config: core.Config{
-				Keepalive: true, Shards: 2, FlowIdle: time.Minute,
-				// A real coordination delay so peer-shard batches travel as
-				// coordination messages (and record shard_coord child spans).
-				ShardCoordLatency: 200 * time.Microsecond,
-				StatefulFW:        true, Obs: fo,
-			}},
+			Config: core.Config{Keepalive: true, FlowIdle: time.Minute, StatefulFW: true, Obs: fo}},
 		Switches: []testbed.SwitchSpec{{Name: "tr-cli"}, {Name: "tr-srv"}, {Name: "tr-fw1"}, {Name: "tr-fw2"}},
 		Nodes: []testbed.Node{
 			testbed.HostNode("tr-cli", "client", clientIP, testbed.Wired),
@@ -106,8 +99,8 @@ func TestCrossShardHandoffSingleTrace(t *testing.T) {
 	if root.ID != fwChild.TraceID || root.ParentID != 0 {
 		t.Fatalf("setup span is not the trace root: %+v", root)
 	}
-	if kinds[obs.KindShardCoord] == 0 {
-		t.Fatalf("trace %d has no shard_coord child; peer-shard install not linked (kinds %v)", fwChild.TraceID, kinds)
+	if kinds[obs.KindSetup] != 1 || kinds[obs.KindFWInstall] == 0 {
+		t.Fatalf("trace %d: want one setup root and a fw_install child, got kinds %v", fwChild.TraceID, kinds)
 	}
 	// Every non-root span must hang off the setup root.
 	for _, sp := range tree {
@@ -115,7 +108,5 @@ func TestCrossShardHandoffSingleTrace(t *testing.T) {
 			t.Fatalf("span %d (kind %s) parent %d, want root %d", sp.ID, sp.Kind, sp.ParentID, root.ID)
 		}
 	}
-	// The re-steered setup both coordinated across shards and migrated
-	// firewall state inside one causally-linked tree.
 	t.Logf("trace %d: %d spans, kinds %v", fwChild.TraceID, len(tree), kinds)
 }

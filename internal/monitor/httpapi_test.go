@@ -265,7 +265,7 @@ func TestTracesByTraceID(t *testing.T) {
 	root := fo.StartSpan(0)
 	// Capture before FinishSpan: the pool recycles the span object.
 	tid := strconv.FormatUint(root.TraceID, 10)
-	c1 := fo.StartChild(root, obs.KindShardCoord, time.Millisecond)
+	c1 := fo.StartChild(root, obs.KindFWInstall, time.Millisecond)
 	c2 := fo.StartChild(root, obs.KindFWInstall, 2*time.Millisecond)
 	fo.FinishSpan(c1, 3*time.Millisecond)
 	fo.FinishSpan(c2, 3*time.Millisecond)
@@ -294,7 +294,7 @@ func TestTracesByTraceID(t *testing.T) {
 			t.Fatalf("child not linked to root: %+v", sp)
 		}
 	}
-	if tr.Spans[1].Kind != "shard_coord" || tr.Spans[2].Kind != "fw_install" {
+	if tr.Spans[1].Kind != "fw_install" || tr.Spans[2].Kind != "fw_install" {
 		t.Fatalf("child kinds = %s, %s", tr.Spans[1].Kind, tr.Spans[2].Kind)
 	}
 }

@@ -48,8 +48,9 @@ const (
 	EventSuppress      EventType = "suppress"
 	EventBreakerOpen   EventType = "breaker-open"
 	EventBreakerClose  EventType = "breaker-close"
-	EventShardKill     EventType = "shard-kill"
-	EventShardTakeover EventType = "shard-takeover"
+	// A whole-controller outage (core/outage.go) and its recovery.
+	EventControllerDown EventType = "controller-down"
+	EventControllerUp   EventType = "controller-up"
 	// Stateful-firewall state migration (core/fwstate.go): a completed
 	// handoff, a handoff whose ack missed the bounded timeout (fallback
 	// to drop-and-relearn), and a malformed or version-skewed

@@ -109,21 +109,15 @@ func (o Outcome) Completed() bool {
 const MaxSpanElements = 4
 
 // SpanKind classifies a span's role within a trace tree. Setup spans are
-// the roots recorded by the routing path since PR 5; the other kinds are
-// children attached to a setup (or takeover) trace so a cross-shard,
-// cross-element flow setup reads as one causal story.
+// the roots the routing path records; the other kind is a child attached
+// to a setup trace so a cross-element flow setup reads as one causal
+// story.
 type SpanKind uint8
 
 // Span kinds.
 const (
 	// KindSetup is a flow-setup span (the PR 5 tracer's only kind).
 	KindSetup SpanKind = iota
-	// KindShardCoord is a deferred cross-shard coordination batch: the
-	// owner shard's install messages in flight to a peer shard's switch.
-	KindShardCoord
-	// KindShardTakeover is a shard failover takeover: shadow-table
-	// replay plus the drain of messages parked while the shard was down.
-	KindShardTakeover
 	// KindFWInstall is a firewall STATE_INSTALL→STATE_ACK handoff to the
 	// successor service element.
 	KindFWInstall
@@ -131,7 +125,7 @@ const (
 	numSpanKinds = int(KindFWInstall) + 1
 )
 
-var kindNames = [numSpanKinds]string{"setup", "shard_coord", "shard_takeover", "fw_install"}
+var kindNames = [numSpanKinds]string{"setup", "fw_install"}
 
 // String returns the kind's snake_case label value.
 func (k SpanKind) String() string {
@@ -189,16 +183,6 @@ func (sp *Span) Stage(st Stage) time.Duration {
 		return 0
 	}
 	return sp.Stages[st]
-}
-
-// SetParent links the span into an existing trace (nil-safe). The
-// identifiers are plain values copied in, so the parent span may be
-// returned to the pool before the child finishes.
-func (sp *Span) SetParent(traceID, parentID uint64) {
-	if sp != nil {
-		sp.TraceID = traceID
-		sp.ParentID = parentID
-	}
 }
 
 // SetOutcome records the span's outcome (nil-safe).
@@ -319,7 +303,7 @@ func NewFlowObs(ringCap int) *FlowObs {
 			"Flow-setup trace spans recorded, by outcome.",
 			L("outcome", Outcome(o).String()))
 	}
-	for k := int(KindShardCoord); k < numSpanKinds; k++ {
+	for k := int(KindSetup) + 1; k < numSpanKinds; k++ {
 		fo.childSpans[k] = fo.Registry.Counter(
 			"livesec_trace_child_spans_total",
 			"Non-setup trace spans recorded, by kind (setup spans count in livesec_flow_setup_spans_total).",
@@ -362,8 +346,7 @@ func (fo *FlowObs) StartSpan(start time.Duration) *Span {
 // StartChild opens a child span of the given kind inside parent's trace.
 // The parent's identifiers and flow identity are copied immediately, so
 // the child may be finished long after the parent span returned to the
-// pool (deferred cross-shard batches, firewall handoff acks). Returns
-// nil when fo or parent is nil.
+// pool (a firewall handoff's ack). Returns nil when fo or parent is nil.
 func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) *Span {
 	if fo == nil || parent == nil {
 		return nil
@@ -374,17 +357,6 @@ func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) 
 	sp.ParentID = parent.ID
 	sp.Switch = parent.Switch
 	sp.Key = parent.Key
-	return sp
-}
-
-// StartRoot opens a root span of the given kind — the anchor of a trace
-// that is not a flow setup (a shard takeover). Returns nil when fo is
-// nil.
-func (fo *FlowObs) StartRoot(kind SpanKind, start time.Duration) *Span {
-	sp := fo.StartSpan(start)
-	if sp != nil {
-		sp.Kind = kind
-	}
 	return sp
 }
 

@@ -1,9 +1,9 @@
 // Connection-state handoff messages. A stateful service element (the
 // firewall, internal/firewall) tracks per-session connection state that
-// must survive re-steers: when a drain, breaker trip, shard takeover, or
-// re-balance moves a live session to another element, the successor has
-// never seen the handshake and a strict stateless decision is wrong in
-// both directions. Three message kinds make the state a first-class
+// must survive re-steers: when a drain, breaker trip, or re-balance
+// moves a live session to another element, the successor has never
+// seen the handshake and a strict stateless decision is wrong in both
+// directions. Three message kinds make the state a first-class
 // migratable object:
 //
 //	STATE_SYNC     element → controller: the element serializes every

@@ -23,9 +23,8 @@ func typeLines(text string) []string {
 	return out
 }
 
-// The full metrics inventory with every knob enabled: shards, stateful
-// firewall migration, SLO alerts, all on one
-// deployment. The golden list is the contract DESIGN.md § Observability
+// The full metrics inventory with every knob enabled: stateful
+// firewall migration and SLO alerts, on one deployment. The golden list is the contract DESIGN.md § Observability
 // points to — adding a family without updating it is a breaking
 // observability change. The exposition must also pass the
 // strict lint (counter _total suffixes, non-empty HELP).
@@ -35,7 +34,7 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		Monitor:     true,
 		SLO:         true,
 		SLOInterval: 10 * time.Millisecond,
-		Config:      core.Config{Obs: fo, Shards: 2, StatefulFW: true},
+		Config:      core.Config{Obs: fo, StatefulFW: true},
 	})
 	if n.Alerts == nil {
 		t.Fatal("SLO option did not build an alert engine")
@@ -49,6 +48,7 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_alerts_firing gauge",
 		"# TYPE livesec_arp_proxied_total counter",
 		"# TYPE livesec_breaker_total counter",
+		"# TYPE livesec_controller_parked_msgs gauge",
 		"# TYPE livesec_decision_cache_total counter",
 		"# TYPE livesec_drop_rules_total counter",
 		"# TYPE livesec_flow_mods_total counter",
@@ -73,10 +73,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_seproto_errors_total counter",
 		"# TYPE livesec_service_elements gauge",
 		"# TYPE livesec_sessions gauge",
-		"# TYPE livesec_shard_alive gauge",
-		"# TYPE livesec_shard_cross_installs_total gauge",
-		"# TYPE livesec_shard_msgs_total gauge",
-		"# TYPE livesec_shard_parked_msgs gauge",
 		"# TYPE livesec_sim_events_pending gauge",
 		"# TYPE livesec_sim_events_processed_total counter",
 		"# TYPE livesec_sim_heap_max_depth gauge",

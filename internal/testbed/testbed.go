@@ -54,8 +54,8 @@ type Options struct {
 	// Monitor enables the event store.
 	Monitor bool
 	// Chaos installs a fault injector: every secure channel is wrapped
-	// in a chaos.Channel and links/elements are registered for fault
-	// events. With an empty plan the wrapped run is byte-identical to
+	// in a chaos.Channel and the controller, links and elements are
+	// registered for fault events. With an empty plan the wrapped run is byte-identical to
 	// an unwrapped one.
 	Chaos bool
 	// SLO builds the deterministic alert engine (obs/alerts.go) over Obs
@@ -132,29 +132,7 @@ func New(opts Options) *Net {
 	}
 	if opts.Chaos {
 		n.Chaos = chaos.NewInjector(eng)
-	}
-	if opts.Shards > 1 && opts.Obs != nil {
-		// Per-shard activity gauges, registered only for sharded
-		// deployments so an unsharded exposition stays byte-identical.
-		r := opts.Obs.Registry
-		for id := 0; id < opts.Shards; id++ {
-			id := id
-			lbl := obs.L("shard", fmt.Sprint(id))
-			r.GaugeFunc("livesec_shard_msgs_total",
-				"Control-channel messages attributed to this controller shard.",
-				func() float64 { return float64(ctrl.ShardStats()[id].Msgs) }, lbl)
-			r.GaugeFunc("livesec_shard_cross_installs_total",
-				"Cross-shard install batches sent by this controller shard.",
-				func() float64 { return float64(ctrl.ShardStats()[id].CrossInstallsOut) }, lbl)
-			r.GaugeFunc("livesec_shard_alive",
-				"Whether this controller shard's event loop is up (1) or failed over (0).",
-				func() float64 {
-					if ctrl.ShardStats()[id].Alive {
-						return 1
-					}
-					return 0
-				}, lbl)
-		}
+		n.Chaos.RegisterController(ctrl)
 	}
 	if opts.SLO && opts.Obs != nil {
 		ae := obs.NewAlertEngine(opts.Obs, opts.SLOInterval, obs.DefaultRules(opts.Obs))

@@ -13,8 +13,8 @@
 #   determinism -> the byte-identity gates, as Go tests over the whole
 #                  ci-scale suite (not -short): serial vs parallel with
 #                  observability off and on, two E12 and two E13 runs
-#                  compared whole, shards / firewall state mirror /
-#                  SLO engine armed vs untouched (TestKnobsNeutral), and
+#                  compared whole, firewall state mirror / SLO engine
+#                  armed vs untouched (TestKnobsNeutral), and
 #                  every experiment's Result and deployment fingerprints
 #                  against their recorded hashes (TestSuiteGolden)
 #
