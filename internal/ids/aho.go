@@ -6,33 +6,38 @@
 // element daemon reports to the controller as EVENT messages.
 package ids
 
-// acNode is one state of the Aho–Corasick automaton.
-type acNode struct {
-	next [256]int32 // goto function (dense; -1 = undefined before build)
-	fail int32
-	out  []int32 // pattern indices ending at this state
-}
+import "math"
 
-// Matcher is an Aho–Corasick automaton over a fixed pattern set.
+// Matcher is an Aho–Corasick automaton over a fixed pattern set, compiled
+// by Build into a byte-class table: class maps each byte to a class of
+// bytes whose transitions agree in every state, and delta holds per state
+// and class the next state's row offset, its sign bit set when that state
+// emits — two loads per byte over a few KB, where 256-wide rows took 1 KB
+// a state. A nocase matcher folds its patterns and maps A–Z onto the
+// classes of a–z, so it scans text of any case as it is.
 type Matcher struct {
-	nodes    []acNode
-	patterns [][]byte
-	built    bool
+	class [256]uint8
+	delta []int32
+	ncls  int32
+	out   [][]int32 // per state: the indices of the patterns ending there
+	fold  bool
+	// trie is the goto function while patterns are added, 256 entries per
+	// state (0 = no edge: the root is no state's child); Build compiles it
+	// into delta and drops it.
+	trie  [][256]int32
+	n     int
+	built bool
 }
 
-// NewMatcher creates an empty matcher.
+// NewMatcher creates an empty, case-sensitive matcher.
 func NewMatcher() *Matcher {
-	m := &Matcher{}
-	m.nodes = append(m.nodes, newNode())
-	return m
+	return &Matcher{trie: make([][256]int32, 1), out: make([][]int32, 1)}
 }
 
-func newNode() acNode {
-	n := acNode{}
-	for i := range n.next {
-		n.next[i] = -1
-	}
-	return n
+// NewNoCaseMatcher creates an empty matcher that ignores ASCII case in
+// both its patterns and the text.
+func NewNoCaseMatcher() *Matcher {
+	return &Matcher{trie: make([][256]int32, 1), out: make([][]int32, 1), fold: true}
 }
 
 // Add inserts a pattern and returns its index. Patterns must be added
@@ -41,52 +46,98 @@ func (m *Matcher) Add(pattern []byte) int {
 	if m.built || len(pattern) == 0 {
 		return -1
 	}
-	idx := int32(len(m.patterns))
-	m.patterns = append(m.patterns, append([]byte(nil), pattern...))
 	cur := int32(0)
 	for _, b := range pattern {
-		if m.nodes[cur].next[b] < 0 {
-			m.nodes = append(m.nodes, newNode())
-			m.nodes[cur].next[b] = int32(len(m.nodes) - 1)
+		if m.fold && 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
 		}
-		cur = m.nodes[cur].next[b]
+		if m.trie[cur][b] == 0 {
+			m.trie = append(m.trie, [256]int32{})
+			m.out = append(m.out, nil)
+			m.trie[cur][b] = int32(len(m.trie) - 1)
+		}
+		cur = m.trie[cur][b]
 	}
-	m.nodes[cur].out = append(m.nodes[cur].out, idx)
-	return int(idx)
+	m.out[cur] = append(m.out[cur], int32(m.n))
+	m.n++
+	return m.n - 1
 }
 
-// Build computes failure links; after Build the automaton is immutable
-// and safe for concurrent Find calls.
+// Build computes failure links and compiles the transition table; after
+// Build the automaton is immutable and safe for concurrent Find calls.
 func (m *Matcher) Build() {
 	if m.built {
 		return
 	}
-	queue := make([]int32, 0, len(m.nodes))
-	root := &m.nodes[0]
-	for c := 0; c < 256; c++ {
-		if root.next[c] < 0 {
-			root.next[c] = 0
-			continue
+	trie := m.trie
+	fail := make([]int32, len(trie))
+	queue := make([]int32, 0, len(trie))
+	for _, child := range trie[0] {
+		if child != 0 {
+			queue = append(queue, child)
 		}
-		m.nodes[root.next[c]].fail = 0
-		queue = append(queue, root.next[c])
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for c := 0; c < 256; c++ {
-			nxt := m.nodes[cur].next[c]
-			if nxt < 0 {
-				m.nodes[cur].next[c] = m.nodes[m.nodes[cur].fail].next[c]
+			nxt := trie[cur][c]
+			if nxt == 0 {
+				trie[cur][c] = trie[fail[cur]][c]
 				continue
 			}
-			f := m.nodes[m.nodes[cur].fail].next[c]
-			m.nodes[nxt].fail = f
-			m.nodes[nxt].out = append(m.nodes[nxt].out, m.nodes[f].out...)
+			f := trie[fail[cur]][c]
+			fail[nxt] = f
+			m.out[nxt] = append(m.out[nxt], m.out[f]...)
 			queue = append(queue, nxt)
 		}
 	}
+	if m.fold {
+		for s := range trie {
+			copy(trie[s]['A':'Z'+1], trie[s]['a':'z'+1])
+		}
+	}
+	m.compile(trie)
+	m.trie = nil
 	m.built = true
+}
+
+// compile groups the bytes whose columns of the goto function agree in
+// every state into classes and lays the transitions out class by class.
+func (m *Matcher) compile(trie [][256]int32) {
+	var reps []int // each class's first byte
+	for c := 0; c < 256; c++ {
+		k := 0
+		for ; k < len(reps) && !sameColumn(trie, reps[k], c); k++ {
+		}
+		if k == len(reps) {
+			reps = append(reps, c)
+		}
+		m.class[c] = uint8(k)
+	}
+	m.ncls = int32(len(reps))
+	m.delta = make([]int32, len(trie)*len(reps))
+	for s := range trie {
+		row := m.delta[s*len(reps) : (s+1)*len(reps)]
+		for k, c := range reps {
+			nxt := trie[s][c]
+			row[k] = nxt * m.ncls
+			if len(m.out[nxt]) > 0 {
+				row[k] |= math.MinInt32
+			}
+		}
+	}
+}
+
+// sameColumn reports whether bytes a and b lead every state to the same
+// state; differing columns usually differ within the first few states.
+func sameColumn(trie [][256]int32, a, b int) bool {
+	for s := range trie {
+		if trie[s][a] != trie[s][b] {
+			return false
+		}
+	}
+	return true
 }
 
 // Find invokes visit once per pattern occurrence with the pattern index
@@ -95,27 +146,19 @@ func (m *Matcher) Find(text []byte, visit func(pattern, end int) bool) {
 	if !m.built {
 		m.Build()
 	}
-	state := int32(0)
+	delta, class := m.delta, &m.class
+	row := int32(0)
 	for i, b := range text {
-		state = m.nodes[state].next[b]
-		for _, p := range m.nodes[state].out {
-			if !visit(int(p), i+1) {
-				return
+		if row = delta[row+int32(class[b])]; row < 0 {
+			row &= math.MaxInt32
+			for _, p := range m.out[row/m.ncls] {
+				if !visit(int(p), i+1) {
+					return
+				}
 			}
 		}
 	}
 }
 
-// Contains reports which of the patterns occur in text, as a set of
-// pattern indices.
-func (m *Matcher) Contains(text []byte) map[int]bool {
-	found := make(map[int]bool)
-	m.Find(text, func(p, _ int) bool {
-		found[p] = true
-		return true
-	})
-	return found
-}
-
 // NumPatterns returns the number of patterns added.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
+func (m *Matcher) NumPatterns() int { return m.n }

@@ -8,16 +8,16 @@ import (
 
 // The clean path — benign traffic, no pattern hits — is the IDS
 // element's per-packet hot path and must not allocate: scratch state is
-// the engine's own and generation-stamped, and the nocase lower-casing
-// buffer is reused.
+// the engine's own and generation-stamped, and the nocase automaton scans
+// the payload as it is.
 func TestInspectCleanPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
 	}
 	e := communityEngine(t)
-	// Mixed case exercises the lower-casing buffer.
+	// Mixed case exercises the nocase automaton's folded classes.
 	pkt := web("GET /Index.HTML HTTP/1.1\r\nHost: Example.COM\r\nAccept: */*")
-	e.Inspect(pkt) // warm up: scratch + lower buffer allocate once
+	e.Inspect(pkt) // warm up
 	allocs := testing.AllocsPerRun(200, func() {
 		if alerts := e.Inspect(pkt); len(alerts) != 0 {
 			t.Fatal("unexpected alert")

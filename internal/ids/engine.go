@@ -17,7 +17,7 @@ type Alert struct {
 type Ruleset struct {
 	rules []*Rule
 	// caseSensitive/caseFolded are the two multi-pattern automatons;
-	// nocase patterns are matched against the lower-cased payload.
+	// caseFolded is a nocase matcher, so both scan the payload as it is.
 	caseSensitive *Matcher
 	caseFolded    *Matcher
 	// csOwner[i] is the rule index owning caseSensitive pattern i, and a
@@ -46,14 +46,12 @@ type Engine struct {
 }
 
 // inspectScratch is the reusable working state of Inspect:
-// generation-stamped hit tracking (no clearing between packets) and the
-// lower-cased payload buffer for nocase matching.
+// generation-stamped hit tracking (no clearing between packets).
 type inspectScratch struct {
 	gen     uint32
 	ruleGen []uint32 // per rule: gen when it last gained a pattern hit
 	count   []int32  // per rule: distinct patterns matched this gen
 	patGen  []uint32 // per pattern (cs ids, then cf ids): dedupe stamp
-	lower   []byte   // reusable lower-casing buffer
 	cand    []int    // candidate rule indices, in first-hit order
 }
 
@@ -69,42 +67,29 @@ func (s *inspectScratch) next() {
 	s.cand = s.cand[:0]
 }
 
-// lowered lower-cases b into the scratch buffer (grown once, reused).
-func (s *inspectScratch) lowered(b []byte) []byte {
-	if cap(s.lower) < len(b) {
-		s.lower = make([]byte, len(b))
-	}
-	out := s.lower[:len(b)]
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// NewRuleset compiles rules, building both automata.
+// NewRuleset compiles rules, building both automata. A content the
+// matcher refuses (empty; ParseRule rejects it) owns no pattern index.
 func NewRuleset(rules []*Rule) *Ruleset {
 	rs := &Ruleset{
 		rules:         rules,
 		caseSensitive: NewMatcher(),
-		caseFolded:    NewMatcher(),
+		caseFolded:    NewNoCaseMatcher(),
 		needed:        make([]int, len(rules)),
 	}
 	for ri, r := range rules {
-		rs.needed[ri] = len(r.Contents)
 		for ci := range r.Contents {
 			c := &r.Contents[ci]
-			if c.NoCase {
-				rs.caseFolded.Add(c.Pattern)
+			switch {
+			case c.NoCase && rs.caseFolded.Add(c.Pattern) >= 0:
 				rs.cfOwner = append(rs.cfOwner, ri)
 				rs.cfContent = append(rs.cfContent, c)
-			} else {
-				rs.caseSensitive.Add(c.Pattern)
+			case !c.NoCase && rs.caseSensitive.Add(c.Pattern) >= 0:
 				rs.csOwner = append(rs.csOwner, ri)
 				rs.csContent = append(rs.csContent, c)
+			default:
+				continue
 			}
+			rs.needed[ri]++
 		}
 	}
 	rs.caseSensitive.Build()
@@ -177,7 +162,7 @@ func (e *Engine) Inspect(pkt *netpkt.Packet) []Alert {
 		})
 	}
 	if e.caseFolded.NumPatterns() > 0 {
-		e.caseFolded.Find(s.lowered(pkt.Payload), func(p, end int) bool {
+		e.caseFolded.Find(pkt.Payload, func(p, end int) bool {
 			if positionOK(e.cfContent[p], end) {
 				// Disjoint id namespace from case-sensitive patterns.
 				record(e.cfOwner[p], len(e.csOwner)+p)

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -245,7 +246,11 @@ func parseOptions(r *Rule, opts string) error {
 		case "msg":
 			r.Msg = unquote(val)
 		case "content":
-			r.Contents = append(r.Contents, Content{Pattern: []byte(unquote(val))})
+			p, err := decodeContent(unquote(val))
+			if err != nil {
+				return err
+			}
+			r.Contents = append(r.Contents, Content{Pattern: p})
 		case "nocase":
 			if len(r.Contents) == 0 {
 				return fmt.Errorf("ids: nocase before any content")
@@ -333,29 +338,35 @@ func unquote(s string) string {
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		s = s[1 : len(s)-1]
 	}
-	// Snort-style hex escapes |41 42| are supported for binary patterns.
+	return s
+}
+
+// decodeContent decodes a content pattern: Snort-style hex escapes |41 42|
+// give binary bytes, a '|' without a closing one is literal, and an empty,
+// odd-length or non-hex escape or an empty pattern is an error.
+func decodeContent(s string) ([]byte, error) {
 	var out []byte
 	for i := 0; i < len(s); i++ {
-		if s[i] != '|' {
-			out = append(out, s[i])
-			continue
+		end := -1
+		if s[i] == '|' {
+			end = strings.IndexByte(s[i+1:], '|')
 		}
-		end := strings.IndexByte(s[i+1:], '|')
 		if end < 0 {
 			out = append(out, s[i])
 			continue
 		}
-		hexPart := strings.ReplaceAll(s[i+1:i+1+end], " ", "")
-		for j := 0; j+1 < len(hexPart); j += 2 {
-			var b byte
-			_, err := fmt.Sscanf(hexPart[j:j+2], "%02x", &b)
-			if err == nil {
-				out = append(out, b)
-			}
+		esc := s[i+1 : i+1+end]
+		b, err := hex.DecodeString(strings.ReplaceAll(esc, " ", ""))
+		if err != nil || len(b) == 0 {
+			return nil, fmt.Errorf("ids: bad hex escape |%s| in content", esc)
 		}
+		out = append(out, b...)
 		i += end + 1
 	}
-	return string(out)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("ids: empty content %q", s)
+	}
+	return out, nil
 }
 
 // parseDSize handles Snort dsize syntax: "N", ">N", "<N", "min<>max".

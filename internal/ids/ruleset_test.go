@@ -94,3 +94,33 @@ func TestEnginesOverOneRulesetMatchIndependentEngines(t *testing.T) {
 		t.Fatalf("alerts per pass = %d, want %d", alertsPerPass, want)
 	}
 }
+
+// TestContentThatDecodesToNothing: a content that decodes to nothing
+// once shifted the owner of every later pattern — NewRuleset appended an
+// owner for the index Add refused — so a broken rule alerted with the
+// next rule's pattern. ParseRule now rejects it, and NewRuleset keeps
+// owners aligned for a hand-built rule that carries one.
+func TestContentThatDecodesToNothing(t *testing.T) {
+	for _, c := range []string{`""`, `"|zz|"`, `"|4|"`, `"|41 4|"`, `"||"`} {
+		line := `alert tcp any any -> any any (msg:"broken"; content:` + c + `; sid:1;)`
+		if _, err := ParseRule(line); err == nil {
+			t.Errorf("accepted content:%s", c)
+		}
+	}
+	if r, err := ParseRule(`alert tcp any any -> any any (msg:"pipe|s"; content:"a|b"; sid:1;)`); err != nil ||
+		string(r.Contents[0].Pattern) != "a|b" || r.Msg != "pipe|s" {
+		t.Fatalf("an unclosed '|' must stay literal: %+v, %v", r, err)
+	}
+
+	genuine, err := ParseRule(`alert tcp any any -> any any (msg:"real"; content:"attack"; sid:2;)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := &Rule{SID: 1, Msg: "broken", Contents: []Content{{}}, SrcIP: genuine.SrcIP, DstIP: genuine.DstIP,
+		SrcPort: genuine.SrcPort, DstPort: genuine.DstPort}
+	e := NewRuleset([]*Rule{broken, genuine}).NewEngine()
+	alerts := e.Inspect(netpkt.NewTCP(macA, macB, ipA, ipB, 1, 2, []byte("an attack here")))
+	if len(alerts) != 1 || alerts[0].SID != 2 || alerts[0].Msg != "real" {
+		t.Fatalf("alerts = %+v, want only SID 2 \"real\"", alerts)
+	}
+}

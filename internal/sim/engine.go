@@ -26,63 +26,55 @@ const MinTickerPeriod = time.Millisecond
 
 // event is a scheduled callback. The callback runs at the event's virtual
 // time; it may schedule further events. Events are stored by value inside
-// the engine's bucket slices, so scheduling one does not allocate.
+// the engine's slot and bucket slices, so scheduling one does not allocate.
 type event struct {
 	at time.Duration
 	fn func()
 }
 
-// numBuckets is one bucket per possible position of the highest bit in
-// which an event's time differs from the queue's reference time, plus
-// bucket 0 for "no difference". Virtual time is a non-negative int64, so
-// the difference has at most 63 significant bits.
-const numBuckets = 64
+// The near tier is a calendar ring of ringSlots slots of 2^slotShift ns
+// (4.096 µs), 4.2 ms in all: constants, not knobs, since 99.9 % of a
+// campus run's schedules are packet and protocol delays under 4.2 ms.
+// NewEngine carves each slot's first slotPrealloc entries from one array.
+const (
+	slotShift    = 12
+	ringSlots    = 1024
+	ringMask     = ringSlots - 1
+	slotPrealloc = 4
+)
 
 // Engine is a discrete-event scheduler with a virtual clock.
 // It is not safe for concurrent use; all components of one simulation must
 // interact with it from event callbacks (or before Run is called).
 //
-// The pending-event queue is a monotone radix queue (Ahuja, Mehlhorn,
-// Orlin, Tarjan). Virtual time never runs backwards — At clamps to now —
-// so the queue only has to order events that lie at or after the time it
-// last delivered, and a general-purpose heap's compares are wasted work.
-// An event at time t lives in bucket bits.Len64(t XOR last), where last
-// is the time bucket 0 currently holds: bucket 0 is every event at
-// exactly last, and every event of bucket i fires before every event of
-// bucket j > i. Bucket 0 is consumed front to back; when it drains, the
-// lowest occupied bucket is redistributed around its own minimum, which
-// moves each of its events to a strictly lower bucket, so an event is
-// moved at most once per bit of its delay (≈3 times in practice).
-//
-// Pushes append and redistribution walks a bucket front to back, and
-// same-time events always share a bucket, so ties fire in scheduling
-// order: the total order is (time, scheduling sequence) without storing
-// a sequence number.
-//
-// Finding the earliest event never modifies the queue: each occupied
-// bucket remembers its minimum (one compare per push) and a bit mask
-// names the lowest occupied bucket, so Run's horizon check is O(1) and
-// leaves last untouched when the earliest event lies beyond the horizon
-// — a later Schedule between the horizon and that event is still
-// accepted and fires in order. Popped and moved slots are zeroed and
-// every bucket keeps its capacity, so steady-state Schedule/pop cycles
-// allocate nothing.
+// Its queue pops in exactly (time, scheduling sequence) order without
+// storing a sequence number, in two tiers. Virtual time never runs
+// backwards — At clamps to now — so an event whose slot number
+// at>>slotShift lies within ringSlots of cur goes to the near tier, a
+// calendar ring of slots kept sorted by time, ties in push order; the
+// rest, timers seconds to hours out, go to the far tier, a monotone radix
+// queue. Every near event precedes every far one. Peeking never modifies
+// the queue, so an event scheduled after Run's horizon check, before the
+// waiting one, still fires first. Popped entries are zeroed and every
+// slice keeps its capacity, so steady-state Schedule/pop cycles allocate
+// nothing.
 type Engine struct {
 	now     time.Duration
 	rng     *rand.Rand
 	stopped bool
 
-	// last is the radix reference time: every queued event is at or after
-	// it, and bucket 0 holds exactly the events at it. last ≤ now.
-	last    time.Duration
-	buckets [numBuckets][]event
-	// head indexes the next event to pop from bucket 0.
+	// cur is the slot number of the ring's first slot; cur ≤ now>>slotShift.
+	cur   int64
+	slots [ringSlots][]event
+	// head indexes the next event to pop in the first slot, the only
+	// one popped from.
 	head int
-	// mins[i] is the earliest time in bucket i, valid while bit i of
-	// occupied is set (bucket i holds an unpopped event).
-	mins     [numBuckets]time.Duration
-	occupied uint64
-	pending  int
+	// occ has bit i set while slot i holds an unpopped event; bit w of
+	// summary is set while occ[w] is non-zero.
+	occ     [ringSlots / 64]uint64
+	summary uint16
+	far     radix
+	pending int
 	// maxDepth is the queue-occupancy high-watermark, an observability
 	// signal for backlog growth (exported via MaxDepth).
 	maxDepth int
@@ -94,7 +86,12 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	backing := make([]event, ringSlots*slotPrealloc)
+	for i := range e.slots {
+		e.slots[i] = backing[i*slotPrealloc : i*slotPrealloc : (i+1)*slotPrealloc]
+	}
+	return e
 }
 
 // Now returns the current virtual time (duration since simulation start).
@@ -119,7 +116,11 @@ func (e *Engine) At(at time.Duration, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
-	e.push(event{at: at, fn: fn})
+	if s := int64(at >> slotShift); s-e.cur < ringSlots {
+		e.insert(int(s&ringMask), event{at: at, fn: fn})
+	} else {
+		e.far.push(event{at: at, fn: fn})
+	}
 	e.pending++
 	if e.pending > e.maxDepth {
 		e.maxDepth = e.pending
@@ -229,74 +230,181 @@ func (e *Engine) Ticker(period time.Duration, fn func()) (cancel func()) {
 	return func() { stopped = true }
 }
 
-// Radix-queue primitives. Callers keep pending and maxDepth; these keep
-// buckets, head, mins, occupied and last consistent with each other.
-
-// push files ev under the current reference time. ev.at ≥ e.last holds
-// because At clamps to now and last never passes now.
-func (e *Engine) push(ev event) {
-	i := bits.Len64(uint64(ev.at ^ e.last))
-	if e.occupied&(1<<i) == 0 {
-		e.occupied |= 1 << i
-		e.mins[i] = ev.at
-	} else if ev.at < e.mins[i] {
-		e.mins[i] = ev.at
+// insert files ev in ring slot i, after every event of the slot that is
+// not later than it.
+func (e *Engine) insert(i int, ev event) {
+	b := e.slots[i]
+	n := len(b)
+	if n == 0 {
+		e.occ[i>>6] |= 1 << (i & 63)
+		e.summary |= 1 << (i >> 6)
 	}
-	e.buckets[i] = append(e.buckets[i], ev)
+	b = append(b, ev)
+	e.slots[i] = b
+	if n == 0 || b[n-1].at <= ev.at {
+		return
+	}
+	lo := 0
+	if i == int(e.cur&ringMask) {
+		lo = e.head
+	}
+	j := n
+	for ; j > lo && b[j-1].at > ev.at; j-- {
+		b[j] = b[j-1]
+	}
+	b[j] = ev
+}
+
+// firstSlot returns the index of the earliest occupied slot, searching
+// circularly from cur. The ring must not be empty.
+func (e *Engine) firstSlot() int {
+	c := int(e.cur & ringMask)
+	w := c >> 6
+	if m := e.occ[w] >> (c & 63); m != 0 {
+		return c + bits.TrailingZeros64(m)
+	}
+	// The next occupied word after w, wrapping round to w itself (whose
+	// bits from c up are clear).
+	w = (w + 1 + bits.TrailingZeros16(bits.RotateLeft16(e.summary, -(w+1)))) & (ringSlots/64 - 1)
+	return w<<6 + bits.TrailingZeros64(e.occ[w])
 }
 
 // nextAt returns the time of the earliest queued event without touching
 // the queue. The queue must not be empty.
 func (e *Engine) nextAt() time.Duration {
-	return e.mins[bits.TrailingZeros64(e.occupied)]
+	if e.summary == 0 {
+		return e.far.nextAt()
+	}
+	i := e.firstSlot()
+	if i == int(e.cur&ringMask) {
+		return e.slots[i][e.head].at
+	}
+	return e.slots[i][0].at
 }
 
-// slideAfter is how many popped slots bucket 0 tolerates at its front
-// before it considers sliding its live events down over them.
+// slideAfter is how many popped events the first slot tolerates at its
+// front before it considers sliding its live events down over them.
 const slideAfter = 64
 
-// pop removes and returns the earliest event, first pulling the lowest
-// occupied bucket down into bucket 0 when that has drained. The vacated
-// slot is zeroed so the callback closure it held becomes collectable.
-// The queue must not be empty.
+// pop removes and returns the earliest event, first moving the ring to
+// the earliest occupied slot (or, with the ring empty, to the far tier's
+// minimum). The vacated entry is zeroed so the callback closure it held
+// becomes collectable. The queue must not be empty.
 func (e *Engine) pop() event {
-	if i := bits.TrailingZeros64(e.occupied); i != 0 {
-		e.redistribute(i)
+	c := int(e.cur & ringMask)
+	if e.summary == 0 {
+		e.advance(int64(e.far.nextAt() >> slotShift))
+		c = int(e.cur & ringMask)
+	} else if i := e.firstSlot(); i != c {
+		e.advance(e.cur + int64((i-c)&ringMask))
+		c = i
 	}
-	b := e.buckets[0]
+	b := e.slots[c]
 	ev := b[e.head]
 	b[e.head] = event{}
 	e.head++
 	switch {
 	case e.head == len(b):
-		e.buckets[0], e.head = b[:0], 0
-		e.occupied &^= 1
+		e.slots[c], e.head = b[:0], 0
+		if e.occ[c>>6] &^= 1 << (c & 63); e.occ[c>>6] == 0 {
+			e.summary &^= 1 << (c >> 6)
+		}
 	case e.head >= slideAfter && 2*e.head >= len(b):
 		// Events that keep scheduling at the current instant never let
-		// bucket 0 drain. Once half of it is popped slots, slide the live
-		// tail down (amortised O(1)), so its storage follows the live
-		// events and not every event the instant has seen.
+		// the first slot drain. Once half of it is popped entries, slide
+		// the live tail down (amortised O(1)), so its storage follows the
+		// live events and not every event the instant has seen.
 		n := copy(b, b[e.head:])
 		clear(b[n:])
-		e.buckets[0], e.head = b[:n], 0
+		e.slots[c], e.head = b[:n], 0
 	}
 	e.pending--
 	return ev
 }
 
+// advance moves the ring's first slot forward to slot number s. Every
+// slot it passes is drained (head is 0), and the same storage now serves
+// the slots entering the window at the far end: the far tier's events
+// that fall there migrate, in (time, sequence) order, before any push
+// can reach them.
+func (e *Engine) advance(s int64) {
+	e.cur = s
+	for e.far.occupied != 0 {
+		at := e.far.nextAt()
+		if int64(at>>slotShift)-s >= ringSlots {
+			return
+		}
+		e.insert(int(at>>slotShift)&ringMask, e.far.pop())
+	}
+}
+
+// numBuckets is one bucket per position of the highest bit in which a
+// non-negative int64 time differs from the reference time, plus bucket 0.
+const numBuckets = 64
+
+// radix is the far tier, a monotone radix queue (Ahuja, Mehlhorn, Orlin,
+// Tarjan): an event at t lives in bucket bits.Len64(t XOR last), so bucket
+// 0 holds the events at last and every event of a lower bucket precedes
+// every event of a higher one. Pushes append and redistribution keeps
+// their order, so ties pop in push order; kept minima make a peek O(1).
+type radix struct {
+	// last is the reference time: every queued event is at or after it,
+	// and bucket 0 holds exactly the events at it.
+	last    time.Duration
+	buckets [numBuckets][]event
+	// head indexes the next event to pop from bucket 0.
+	head int
+	// mins[i] is the earliest time in bucket i, valid while bit i of
+	// occupied is set (bucket i holds an unpopped event).
+	mins     [numBuckets]time.Duration
+	occupied uint64
+}
+
+// push files ev under the current reference time. ev.at ≥ q.last holds:
+// a far event lies past the ring's end, and last is the time of an event
+// that already migrated into the ring.
+func (q *radix) push(ev event) {
+	i := bits.Len64(uint64(ev.at ^ q.last))
+	if q.occupied&(1<<i) == 0 {
+		q.occupied |= 1 << i
+		q.mins[i] = ev.at
+	} else if ev.at < q.mins[i] {
+		q.mins[i] = ev.at
+	}
+	q.buckets[i] = append(q.buckets[i], ev)
+}
+
+// nextAt returns the earliest queued time; the queue must not be empty.
+func (q *radix) nextAt() time.Duration {
+	return q.mins[bits.TrailingZeros64(q.occupied)]
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *radix) pop() event {
+	if i := bits.TrailingZeros64(q.occupied); i != 0 {
+		q.redistribute(i)
+	}
+	b := q.buckets[0]
+	ev := b[q.head]
+	b[q.head] = event{}
+	q.head++
+	if q.head == len(b) {
+		q.buckets[0], q.head = b[:0], 0
+		q.occupied &^= 1
+	}
+	return ev
+}
+
 // redistribute empties bucket i, the lowest occupied one, around its
-// minimum: that minimum becomes the reference time and every event of
-// the bucket, in order, lands in a strictly lower bucket (the minimum
-// itself and its ties in bucket 0). Events in higher buckets differ from
-// the old and the new reference time in the same highest bit, so they
-// stay where they are.
-func (e *Engine) redistribute(i int) {
-	src := e.buckets[i]
-	e.buckets[i] = src[:0]
-	e.occupied &^= 1 << i
-	e.last = e.mins[i]
+// minimum, the new reference time: each of its events, in order, lands in
+// a strictly lower bucket, and higher buckets stay where they are.
+func (q *radix) redistribute(i int) {
+	src := q.buckets[i]
+	q.buckets[i] = src[:0]
+	q.occupied &^= 1 << i
+	q.last = q.mins[i]
 	for _, ev := range src {
-		e.push(ev)
+		q.push(ev)
 	}
 	clear(src)
 }

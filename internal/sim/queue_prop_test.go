@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -41,11 +42,31 @@ func (q *refQueue) Pop() any {
 	return ev
 }
 
+// atRingEnd marks a drawn delay as an offset from the ring's far end —
+// atRingEnd-1, atRingEnd or atRingEnd+1 — resolved by ringEdge when the
+// event is scheduled, since the end moves with the clock.
+const atRingEnd = -time.Hour
+
+// ringSpan is how far the ring reaches past its first slot.
+const ringSpan = ringSlots << slotShift
+
+// ringEdge resolves a delay drawn relative to the ring's end into one
+// relative to now; other delays pass through.
+func ringEdge(d, now time.Duration) time.Duration {
+	if d >= 0 {
+		return d
+	}
+	end := (now>>slotShift + ringSlots) << slotShift
+	return end - now + (d - atRingEnd)
+}
+
 // propDelay draws a delay from the mix the simulator sees: ties, packet
 // hops, protocol timers and idle timeouts hours out, so events sit in
-// low, middle and high buckets at once.
+// the ring and in low, middle and high radix buckets at once — plus
+// delays at the ring's edge (one slot short of, at and past its end) and
+// in the 1–5 ms band that migrates from the far tier into the ring.
 func propDelay(rng *rand.Rand) time.Duration {
-	switch rng.Intn(5) {
+	switch rng.Intn(8) {
 	case 0:
 		return 0
 	case 1:
@@ -54,9 +75,40 @@ func propDelay(rng *rand.Rand) time.Duration {
 		return time.Duration(rng.Intn(1000)) * time.Microsecond
 	case 3:
 		return time.Duration(rng.Intn(50)) * time.Millisecond
+	case 4:
+		return atRingEnd + time.Duration(rng.Intn(3)-1)
+	case 5:
+		return ringSpan + time.Duration(rng.Intn(3)-1)
+	case 6:
+		return time.Millisecond + time.Duration(rng.Int63n(int64(4*time.Millisecond)))
 	default:
 		return time.Duration(1+rng.Intn(3)) * time.Hour
 	}
+}
+
+// propBurst draws delays that land in one slot out of time order: a
+// descending run with ties, so insertion from the back and FIFO ties are
+// both exercised.
+func propBurst(rng *rand.Rand) []time.Duration {
+	base := time.Duration(rng.Intn(6)) * time.Millisecond
+	if rng.Intn(2) == 0 {
+		base = ringSpan
+	}
+	out := make([]time.Duration, 3+rng.Intn(6))
+	for i := range out {
+		out[i] = base + time.Duration(rng.Intn(4)*100)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	return out
+}
+
+// propHorizon draws how far a Run goes: a propDelay, or a point inside
+// the current or the next slot.
+func propHorizon(rng *rand.Rand) time.Duration {
+	if rng.Intn(3) == 0 {
+		return time.Duration(rng.Intn(2 << slotShift))
+	}
+	return ringEdge(propDelay(rng), 0)
 }
 
 // refSim is the oracle's whole simulation: the reference queue plus the
@@ -72,15 +124,15 @@ type refSim struct {
 
 func (r *refSim) schedule(delay time.Duration, id int) {
 	r.seq++
-	heap.Push(&r.q, &refEvent{at: r.now + delay, seq: r.seq, id: id})
+	heap.Push(&r.q, &refEvent{at: r.now + ringEdge(delay, r.now), seq: r.seq, id: id})
 }
 
 // TestPropertyQueueMatchesContainerHeap drives the engine through its
 // public API only — Schedule from outside and from callbacks, Run to
-// near and far horizons with more scheduling in between, then RunAll —
-// and requires the firing order, the clock after every Run and the
-// pending count to equal those of the container/heap (time, sequence)
-// oracle.
+// near and far horizons (some inside a slot) with more scheduling in
+// between, then RunAll — and requires the firing order, the clock after
+// every Run and the pending count to equal those of the container/heap
+// (time, sequence) oracle.
 func TestPropertyQueueMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -89,7 +141,11 @@ func TestPropertyQueueMatchesContainerHeap(t *testing.T) {
 		const maxEvents = 400
 		children := make([][]time.Duration, maxEvents)
 		for i := range children {
-			if rng.Intn(3) != 0 {
+			switch rng.Intn(8) {
+			case 0, 1:
+			case 2:
+				children[i] = propBurst(rng)
+			default:
 				for n := rng.Intn(3); n >= 0; n-- {
 					children[i] = append(children[i], propDelay(rng))
 				}
@@ -108,7 +164,7 @@ func TestPropertyQueueMatchesContainerHeap(t *testing.T) {
 			}
 			id := nextID
 			nextID++
-			e.Schedule(delay, func() {
+			e.Schedule(ringEdge(delay, e.Now()), func() {
 				got = append(got, id)
 				for _, d := range children[id] {
 					schedule(d)
@@ -137,7 +193,13 @@ func TestPropertyQueueMatchesContainerHeap(t *testing.T) {
 				schedule(d)
 				refSchedule(d)
 			}
-			horizon := e.Now() + propDelay(rng)
+			if rng.Intn(4) == 0 {
+				for _, d := range propBurst(rng) {
+					schedule(d)
+					refSchedule(d)
+				}
+			}
+			horizon := e.Now() + propHorizon(rng)
 			if err := e.Run(horizon); err != nil {
 				t.Fatalf("seed %d: Run: %v", seed, err)
 			}
