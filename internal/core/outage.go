@@ -53,7 +53,6 @@ func (c *Controller) Fail() {
 	}
 	c.down, c.holding = true, true
 	c.downSince = c.eng.Now()
-	c.stats.Outages++
 	c.record(monitor.Event{Type: monitor.EventControllerDown, Detail: "controller down"})
 }
 

@@ -185,7 +185,6 @@ func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool 
 		}
 		if !b.take(now, sourceRate, sourceBurst) {
 			c.stats.PacketInsShed++
-			c.stats.ShedSourceBudget++
 			c.obsShed(st, src, haveSrc)
 			c.suppressSource(st, src)
 			return false
@@ -200,13 +199,11 @@ func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool 
 		// The switch as a whole is over budget; no single source to pin
 		// a suppression on.
 		c.stats.PacketInsShed++
-		c.stats.ShedSwitchBudget++
 		c.obsShed(st, src, haveSrc)
 		return false
 	}
 	if ov.perSwitch[st.dpid] >= ingressQueueCap {
 		c.stats.PacketInsShed++
-		c.stats.ShedQueueOverflow++
 		c.obsShed(st, src, haveSrc)
 		if haveSrc {
 			c.suppressSource(st, src)

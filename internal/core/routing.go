@@ -66,7 +66,6 @@ func (c *Controller) handlePacketIn(st *switchState, pi *openflow.PacketIn) {
 	if st.uplinks[inPort] {
 		// Transient flood from the legacy fabric or a stale path; this
 		// switch is not the flow's ingress, so it takes no decision.
-		c.stats.IgnoredUplink++
 		return
 	}
 	c.learnHost(st, inPort, pkt.EthSrc, srcIPOf(pkt), true)
@@ -81,7 +80,6 @@ func (c *Controller) handleARP(st *switchState, inPort uint32, pkt *netpkt.Packe
 	if st.uplinks[inPort] {
 		// Gratuitous announcements and flood leftovers from the fabric;
 		// location learning only happens at access ports.
-		c.stats.IgnoredUplink++
 		return
 	}
 	c.learnHost(st, inPort, a.SenderMAC, a.SenderIP, true)
@@ -297,7 +295,7 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 			// than the one holding it, transfer the state ahead of the
 			// packet's release. Sits before the plan-cache read so cached and
 			// fresh installs both migrate.
-			if c.fwMirror != nil {
+			if len(c.fwMirror) > 0 {
 				c.fwMaybeHandoff(key, seIDs)
 			}
 			// The balancer pick is live for every flow; the plan cache is

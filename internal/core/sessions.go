@@ -86,7 +86,6 @@ func (c *Controller) expireSessions(now time.Duration) {
 	}
 	for _, rec := range c.sessionsWhere(func(rec sessionRecord) bool { return now-rec.installedAt > ttl }) {
 		c.forgetSession(rec.key)
-		c.stats.SessionsExpired++
 	}
 }
 

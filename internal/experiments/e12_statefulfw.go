@@ -36,8 +36,8 @@ import (
 //     bounded timeout, exercising the deterministic drop-and-relearn
 //     fallback accounting.
 //
-// Every arm sets Options.StatefulFW; the arms differ in what the
-// firewall element syncs.
+// The controller mirrors whatever an element syncs; the arms differ in
+// what the firewall element syncs.
 func E12StatefulFirewall(scale Scale) Result {
 	p := e12Params{sessions: 3, fresh: 3}
 	if scale == ScaleFull {
@@ -140,12 +140,12 @@ func e12Policies(server netpkt.IPv4Addr) *policy.Table {
 // fwSpec is the E12 and E13 deployment (id 12 or 13): a client and an
 // attacker on e<id>-cli, the server on e<id>-srv, firewall SE 1 on
 // e<id>-fw1, and e<id>-fw2 left empty for SE 2; opts gains the event
-// store, chaos, keepalive, breakers and the firewall state mirror.
+// store, chaos, keepalive and breakers.
 func fwSpec(id byte, opts testbed.Options, fw firewall.Options) testbed.Spec {
 	server := netpkt.IP(166, 111, id, 1)
 	opts.Seed, opts.Policies = int64(id), e12Policies(server)
 	opts.Monitor, opts.Chaos = true, true
-	opts.Keepalive, opts.Breakers, opts.StatefulFW = true, true, true
+	opts.Keepalive, opts.Breakers = true, true
 	opts.FlowIdle = time.Minute
 	sw := func(role string) string { return fmt.Sprintf("e%d-%s", id, role) }
 	return testbed.Spec{

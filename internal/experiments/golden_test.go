@@ -9,32 +9,33 @@ import (
 )
 
 // suiteGolden pins, per experiment at ScaleCI, the FNV-64a of the whole
-// Result (%#v) followed by the Fingerprint of every deployment the
-// experiment built, in build order. The hashes were taken before
-// deployments became testbed.Specs and re-pinned when eight shard
-// counters left core.Stats (a fingerprint prints Stats whole); a changed
-// hash means some experiment's report or simulated behaviour moved.
+// Result (%#v) followed by the Digest of every deployment the experiment
+// built, in build order. A digest hashes what a run delivered, not how
+// (testbed.Net.Digest), so deleting a Stats counter or an unobservable
+// simulation event keeps every hash; a changed hash means some
+// experiment's report or delivered outcome moved.
 var suiteGolden = map[string]string{
-	"E1":  "47a6c433ccc2c1e6/2",
-	"E2":  "395c6534fdb33b23/3",
-	"E3":  "9c4e5807eca49386/2",
-	"E4":  "853db96665aa3e86/4",
-	"E5":  "c627301b391af533/1",
-	"E6":  "80c2e9875793a45f/1",
-	"E7":  "0dada6f8629b1b65/4",
-	"E8":  "004296594c12df24/3",
-	"E9":  "8bcad6e87f918065/2",
-	"E10": "7428beb1e4bcacda/1",
-	"E12": "6fee0f5d6d730a7e/4",
-	"E13": "2b045a6e3eaab994/1",
-	"A1":  "132a9223ee0d49fa/2",
-	"A2":  "a5f8ee26f5d0ca15/1",
-	"A3":  "2ec81124455a041c/1",
-	"A4":  "f93e6e6ed5b9c106/2",
+	"E1":  "5a0f8e6bfa122266/2",
+	"E2":  "f96fb2add5ca2750/3",
+	"E3":  "93dcdec68c3c9bdc/2",
+	"E4":  "dacc83ec2bf6d447/4",
+	"E5":  "28e5e53a4131b598/1",
+	"E6":  "1c4c20f1d3709c52/1",
+	"E7":  "1e854694e7ca457e/4",
+	"E8":  "43d48d1faba233ca/3",
+	"E9":  "3ce78c53745cb260/2",
+	"E10": "1fdb98713e82da64/1",
+	"E12": "f18fd0e84c60c0de/4",
+	"E13": "cd7d03ffccddaf0e/1",
+	"A1":  "bd9acfaef95bec4e/2",
+	"A2":  "ec2fc7df69f74670/1",
+	"A3":  "8054bc53727b4830/1",
+	"A4":  "b4f26215de494c20/2",
 }
 
 // TestSuiteGolden runs every Suite experiment except E11, whose sweep
-// rows are wall-clock, and compares it with suiteGolden.
+// rows are wall-clock, and compares it with suiteGolden. On a mismatch it
+// logs each deployment's mechanism counters, which no golden pins.
 func TestSuiteGolden(t *testing.T) {
 	var nets []*testbed.Net
 	built = func(n *testbed.Net) { nets = append(nets, n) }
@@ -48,11 +49,14 @@ func TestSuiteGolden(t *testing.T) {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%#v", r)
 		for _, n := range nets {
-			fmt.Fprintf(h, ";%016x", n.Fingerprint())
+			fmt.Fprintf(h, ";%016x", n.Digest())
 		}
 		got := fmt.Sprintf("%016x/%d", h.Sum64(), len(nets))
 		if want := suiteGolden[e.ID]; got != want {
 			t.Errorf("%s: golden %s, want %s", e.ID, got, want)
+			for i, n := range nets {
+				t.Logf("%s deployment %d: %+v events=%d", e.ID, i, n.Controller.Stats(), n.Processed())
+			}
 		}
 	}
 }

@@ -8,45 +8,61 @@ import (
 	"livesec/internal/testbed"
 )
 
-// TestKnobsNeutral proves the two controller features that claim to
-// change nothing until something uses them really change nothing: the
-// firewall state mirror stays idle until a firewall element syncs
-// (core/fwstate.go), and SLO evaluation only reads the registry
+// TestKnobsNeutral proves the options that claim to change nothing a
+// network delivers really change nothing: observability only stamps spans
+// and samples counters, and SLO evaluation only reads the registry
 // (obs/alerts.go). Arming each in every deployment that left it off must
-// leave every experiment's whole Result deeply equal to an untouched
-// run. Short mode arms each feature alone on a subset that covers the
-// monitor log (E6), overload and keepalive (E9), a controller outage
-// (E10) and the experiment that pins the firewall itself (E12);
+// leave every experiment's whole Result deeply equal to an untouched run,
+// and the Digest of every deployment it built equal too. Short mode arms
+// each alone on a subset that covers the monitor log (E6), overload and
+// keepalive (E9), a controller outage (E10) and the firewall (E12);
 // otherwise both are also armed together over the whole standard suite.
 func TestKnobsNeutral(t *testing.T) {
+	armObs := func(o *testbed.Options) {
+		if o.Obs == nil {
+			// A private registry that no Result exports.
+			o.Obs = obs.NewFlowObs(0)
+		}
+	}
 	knobs := []struct {
 		name string
 		arm  func(*testbed.Options)
 	}{
-		{"statefulfw", func(o *testbed.Options) { o.StatefulFW = true }},
+		{"obs", armObs},
 		{"slo", func(o *testbed.Options) {
 			o.SLO = true
-			if o.Obs == nil {
-				// The alert engine needs a registry to sample; the run gets
-				// a private one that no Result exports.
-				o.Obs = obs.NewFlowObs(0)
-			}
+			armObs(o) // the alert engine samples a registry
 		}},
 	}
-	run := func(suite []Experiment, arm func(*testbed.Options)) []Result {
+	type run struct {
+		results []Result
+		digests [][]uint64 // per experiment, per deployment in build order
+	}
+	runAll := func(suite []Experiment, arm func(*testbed.Options)) run {
+		var nets []*testbed.Net
 		tweakOptions = arm
-		defer func() { tweakOptions = nil }()
-		out := make([]Result, len(suite))
-		for i, e := range suite {
-			out[i] = e.Run(ScaleCI)
+		built = func(n *testbed.Net) { nets = append(nets, n) }
+		defer func() { tweakOptions, built = nil, nil }()
+		var out run
+		for _, e := range suite {
+			nets = nets[:0]
+			out.results = append(out.results, e.Run(ScaleCI))
+			ds := make([]uint64, len(nets))
+			for i, n := range nets {
+				ds[i] = n.Digest()
+			}
+			out.digests = append(out.digests, ds)
 		}
 		return out
 	}
-	check := func(name string, suite []Experiment, want, got []Result) {
+	check := func(name string, suite []Experiment, want, got run) {
 		t.Helper()
 		for i, e := range suite {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%s changed %s:\n--- untouched ---\n%s--- armed ---\n%s", name, e.ID, want[i], got[i])
+			if !reflect.DeepEqual(got.results[i], want.results[i]) {
+				t.Errorf("%s changed %s:\n--- untouched ---\n%s--- armed ---\n%s", name, e.ID, want.results[i], got.results[i])
+			}
+			if !reflect.DeepEqual(got.digests[i], want.digests[i]) {
+				t.Errorf("%s changed %s's digests: %x, untouched %x", name, e.ID, got.digests[i], want.digests[i])
 			}
 		}
 	}
@@ -62,9 +78,9 @@ func TestKnobsNeutral(t *testing.T) {
 			subset = append(subset, e)
 		}
 	}
-	want := run(subset, nil)
+	want := runAll(subset, nil)
 	for _, k := range knobs {
-		check(k.name, subset, want, run(subset, k.arm))
+		check(k.name, subset, want, runAll(subset, k.arm))
 	}
 	if testing.Short() {
 		return
@@ -74,5 +90,5 @@ func TestKnobsNeutral(t *testing.T) {
 			k.arm(o)
 		}
 	}
-	check("statefulfw+slo", standard, run(standard, nil), run(standard, together))
+	check("obs+slo", standard, runAll(standard, nil), runAll(standard, together))
 }

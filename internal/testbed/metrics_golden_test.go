@@ -23,9 +23,9 @@ func typeLines(text string) []string {
 	return out
 }
 
-// The full metrics inventory with every knob enabled: stateful
-// firewall migration and SLO alerts, on one deployment. The golden list is the contract DESIGN.md § Observability
-// points to — adding a family without updating it is a breaking
+// The full metrics inventory with every knob enabled — SLO alerts on
+// an observed deployment. The golden list is the contract DESIGN.md §
+// Observability points to — adding a family without updating it is a breaking
 // observability change. The exposition must also pass the
 // strict lint (counter _total suffixes, non-empty HELP).
 func TestMetricsInventoryAllKnobs(t *testing.T) {
@@ -34,7 +34,7 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		Monitor:     true,
 		SLO:         true,
 		SLOInterval: 10 * time.Millisecond,
-		Config:      core.Config{Obs: fo, StatefulFW: true},
+		Config:      core.Config{Obs: fo},
 	})
 	if n.Alerts == nil {
 		t.Fatal("SLO option did not build an alert engine")

@@ -412,27 +412,20 @@ func (n *Net) Discover() error {
 // Processed returns the number of simulated events executed so far.
 func (n *Net) Processed() uint64 { return n.Eng.Processed }
 
-// Fingerprint summarizes the deployment's observable behaviour so far:
-// FNV-64a over the controller's Stats, the events executed, the event
-// log (when Monitor is on), every host's and element's Stats, and the
-// virtual time. Two runs of one scenario print the same fingerprint.
-func (n *Net) Fingerprint() uint64 {
+// Digest hashes (FNV-64a) what the deployment has delivered so far: the
+// controller's outcome and event log (core.Controller.WriteOutcome), what
+// every host received and every element inspected, and the virtual time.
+// How it got there — message and cache counters, the events executed — is
+// left out, so a change that delivers the same keeps the digest. Two runs
+// of one scenario have the same digest.
+func (n *Net) Digest() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v;%d;", n.Controller.Stats(), n.Processed())
-	if n.Store != nil {
-		for _, ev := range n.Store.Events(monitor.Filter{}) {
-			if k := ev.FlowKey; k != nil {
-				fmt.Fprintf(h, "%+v;", *k)
-			}
-			ev.FlowKey = nil // a pointer prints as its address
-			fmt.Fprintf(h, "%+v;", ev)
-		}
-	}
+	n.Controller.WriteOutcome(h)
 	for _, hst := range n.Hosts {
-		fmt.Fprintf(h, "%+v;", hst.Stats())
+		fmt.Fprintf(h, "%v;", hst.Stats())
 	}
 	for _, el := range n.Elements {
-		fmt.Fprintf(h, "%+v;", el.Stats())
+		fmt.Fprintf(h, "%v;", el.Stats())
 	}
 	fmt.Fprintf(h, "%d", n.Eng.Now())
 	return h.Sum64()

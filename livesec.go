@@ -237,9 +237,9 @@ func NewCI(keywords ...string) Inspector { return service.NewCI(keywords...) }
 type FirewallOptions = firewall.Options
 
 // NewFirewall builds a stateful-firewall inspector tracking TCP
-// connection state. With Options.StatefulFW set on the network, its
-// connection table migrates to the successor element across re-steers,
-// drains and failovers (core/fwstate.go).
+// connection state. Unless opts.NoSync is set, its connection table
+// migrates to the successor element across re-steers, drains and
+// failovers (core/fwstate.go).
 func NewFirewall(opts FirewallOptions) Inspector { return firewall.New(opts) }
 
 // NewStrictFirewall builds a firewall that drops out-of-state and
@@ -296,7 +296,7 @@ const (
 	EventSEOffline = monitor.EventSEOffline
 	EventBlocked   = monitor.EventFlowBlocked
 
-	// Firewall state-migration outcomes (Options.StatefulFW).
+	// Firewall state-migration outcomes.
 	EventFWHandoff        = monitor.EventFWHandoff
 	EventFWHandoffTimeout = monitor.EventFWHandoffTimeout
 )

@@ -13,10 +13,10 @@
 #   determinism -> the byte-identity gates, as Go tests over the whole
 #                  ci-scale suite (not -short): serial vs parallel with
 #                  observability off and on, two E12 and two E13 runs
-#                  compared whole, firewall state mirror / SLO engine
-#                  armed vs untouched (TestKnobsNeutral), and
-#                  every experiment's Result and deployment fingerprints
-#                  against their recorded hashes (TestSuiteGolden)
+#                  compared whole, observability / SLO engine armed vs
+#                  untouched (TestKnobsNeutral), and every experiment's
+#                  Result and deployment digests against their recorded
+#                  hashes (TestSuiteGolden)
 #
 # Usage: scripts/verify.sh   (or: make verify)
 set -eu
