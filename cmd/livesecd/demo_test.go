@@ -122,9 +122,11 @@ func TestDemoOverTCP(t *testing.T) {
 // writeLog records every transport write the controller makes, per
 // connection in accept order.
 type writeLog struct {
-	mu     sync.Mutex
-	writes [][][]byte
-	pings  uint32 // echo requests drain has sent; only the test goroutine touches it
+	mu        sync.Mutex
+	writes    [][][]byte
+	n         int    // writes so far
+	countOnly bool   // count the writes without keeping them
+	pings     uint32 // echo requests drain has sent; only the test goroutine touches it
 }
 
 // loggingListener logs the writes on every connection it accepts, each of
@@ -155,7 +157,10 @@ type loggingConn struct {
 
 func (c *loggingConn) Write(p []byte) (int, error) {
 	c.log.mu.Lock()
-	c.log.writes[c.id] = append(c.log.writes[c.id], bytes.Clone(p))
+	c.log.n++
+	if !c.log.countOnly {
+		c.log.writes[c.id] = append(c.log.writes[c.id], bytes.Clone(p))
+	}
 	c.log.mu.Unlock()
 	time.Sleep(c.delay)
 	return c.Conn.Write(p)
@@ -434,9 +439,10 @@ func TestConnectionGoroutinesExit(t *testing.T) {
 // BenchmarkDaemonColdSetup times one cold setup (a selector the controller
 // has not decided before) through a daemon over loopback: from the
 // packet-in out of switch A until both switches have their flow-mods.
-// writes/setup counts the daemon's socket writes.
+// writes/setup counts the daemon's socket writes; retained-B/op is the
+// live heap each setup leaves behind.
 func BenchmarkDaemonColdSetup(b *testing.B) {
-	log := &writeLog{}
+	log := &writeLog{countOnly: true}
 	d := startDaemon(b, false, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
 	sa, sb := demoPair(b, d)
 	flowMods := make(chan struct{}, 4) // one setup's flow-mods, two per switch
@@ -449,15 +455,21 @@ func BenchmarkDaemonColdSetup(b *testing.B) {
 			s.handle(m)
 		})
 	}
-	writes := func() (n int) {
+	writes := func() int {
 		log.mu.Lock()
 		defer log.mu.Unlock()
-		for _, w := range log.writes {
-			n += len(w)
-		}
-		return n
+		return log.n
 	}
-	w0 := writes()
+	// The heap live after a collection, before and after the timed loop:
+	// the state the daemon keeps per cold setup, not only what it
+	// allocates.
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	w0, h0 := writes(), heap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The destination port is in the selector, so the first 65,535
@@ -470,6 +482,7 @@ func BenchmarkDaemonColdSetup(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/setup")
+	b.ReportMetric(float64(heap()-h0)/float64(b.N), "retained-B/op")
 }
 
 // Events are stamped with the wall clock at dispatch, not with the last

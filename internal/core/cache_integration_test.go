@@ -29,22 +29,31 @@ func TestCacheRepeatFlowsHitAndDeliver(t *testing.T) {
 		b.SendUDP(p.IP.Src, 9000, p.UDP.SrcPort, []byte("pong"), 0)
 	})
 	replies := 0
-	for p := uint16(7000); p < 7004; p++ {
+	for p := uint16(7000); p < 7005; p++ {
 		a.HandleUDP(p, func(*netpkt.Packet) { replies++ })
 	}
+	// A selector is cached on its second sighting: the first flow only
+	// records it, the second builds and caches both levels.
 	a.SendUDP(serverIP, 7000, 9000, []byte("first"), 0)
+	if err := n.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if d, plans := n.Controller.CacheStats(); d != 0 || plans != 0 {
+		t.Fatalf("first sighting cached %d decisions and %d plans, want none", d, plans)
+	}
+	a.SendUDP(serverIP, 7001, 9000, []byte("second"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	st := n.Controller.Stats()
 	if st.PlanCacheMisses == 0 {
-		t.Fatal("first flow did not populate the plan cache")
+		t.Fatal("second flow did not populate the plan cache")
 	}
 	if _, plans := n.Controller.CacheStats(); plans == 0 {
-		t.Fatal("no plan cached after first flow")
+		t.Fatal("no plan cached after the second flow")
 	}
 	// Three repeat flows: same selector, different ephemeral ports.
-	for p := uint16(7001); p < 7004; p++ {
+	for p := uint16(7002); p < 7005; p++ {
 		a.SendUDP(serverIP, p, 9000, []byte("again"), 0)
 	}
 	if err := n.Run(200 * time.Millisecond); err != nil {
@@ -57,7 +66,7 @@ func TestCacheRepeatFlowsHitAndDeliver(t *testing.T) {
 	if st.PlanCacheHits < 3 {
 		t.Fatalf("PlanCacheHits = %d, want >= 3", st.PlanCacheHits)
 	}
-	if got != 4 || replies != 4 {
+	if got != 5 || replies != 5 {
 		t.Fatalf("delivery wrong under cache replay: got=%d replies=%d", got, replies)
 	}
 }
@@ -70,12 +79,15 @@ func TestCacheInvalidationPolicyChange(t *testing.T) {
 	defer n.Shutdown()
 	got := 0
 	b.HandleUDP(9000, func(*netpkt.Packet) { got++ })
-	a.SendUDP(serverIP, 7000, 9000, []byte("1"), 0)
-	a.SendUDP(serverIP, 7001, 9000, []byte("2"), 0)
+	// Two flows warm the selector (cached on its second sighting), the
+	// third hits.
+	for p := uint16(7000); p < 7003; p++ {
+		a.SendUDP(serverIP, p, 9000, []byte("warm"), 0)
+	}
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
+	if got != 3 {
 		t.Fatalf("pre-change delivery failed (got=%d)", got)
 	}
 	if n.Controller.Stats().DecisionCacheHits == 0 {
@@ -89,11 +101,11 @@ func TestCacheInvalidationPolicyChange(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	a.SendUDP(serverIP, 7002, 9000, []byte("3"), 0)
+	a.SendUDP(serverIP, 7003, 9000, []byte("4"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
+	if got != 3 {
 		t.Fatal("flow allowed from a stale cached decision after policy change")
 	}
 	if n.Controller.Stats().FlowsBlocked == 0 {
@@ -110,11 +122,13 @@ func TestCacheInvalidationHostMobility(t *testing.T) {
 	defer n.Shutdown()
 	got := 0
 	b.HandleUDP(9, func(*netpkt.Packet) { got++ })
+	// Two flows: the selector's plan is cached on its second sighting.
 	a.SendUDP(serverIP, 7, 9, []byte("before"), 0)
+	a.SendUDP(serverIP, 8, 9, []byte("before"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
+	if got != 2 {
 		t.Fatalf("pre-move delivery failed (got=%d)", got)
 	}
 	if _, plans := n.Controller.CacheStats(); plans == 0 {
@@ -147,7 +161,7 @@ func TestCacheInvalidationHostMobility(t *testing.T) {
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
+	if got != 3 {
 		t.Fatal("post-move packet lost: stale plan replayed to old attachment")
 	}
 	if n.Controller.Stats().PlanCacheMisses <= misses {
@@ -165,12 +179,17 @@ func TestCacheInvalidationElementMigration(t *testing.T) {
 	defer n.Shutdown()
 	got := 0
 	b.HandleTCP(80, func(*netpkt.Packet) { got++ })
+	// Two flows: the steering plan is cached on the second sighting.
 	a.SendTCP(serverIP, 50000, 80, []byte("GET /1 HTTP/1.1"), 0)
+	a.SendTCP(serverIP, 50001, 80, []byte("GET /1 HTTP/1.1"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
+	if got != 2 {
 		t.Fatalf("pre-migration delivery failed (got=%d)", got)
+	}
+	if _, plans := n.Controller.CacheStats(); plans == 0 {
+		t.Fatal("no steering plan cached before the migration")
 	}
 	el := n.Elements[0]
 	p1 := el.Stats().Packets
@@ -182,11 +201,11 @@ func TestCacheInvalidationElementMigration(t *testing.T) {
 	}
 	// Repeat flow: same selector (only the ephemeral port differs) and
 	// the balancer can only pick the same single element.
-	a.SendTCP(serverIP, 50001, 80, []byte("GET /2 HTTP/1.1"), 0)
+	a.SendTCP(serverIP, 50002, 80, []byte("GET /2 HTTP/1.1"), 0)
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
+	if got != 3 {
 		t.Fatal("post-migration packet lost: stale steering plan replayed")
 	}
 	if el.Stats().Packets <= p1 {
@@ -241,12 +260,17 @@ func TestCacheInvalidationLoadRebalance(t *testing.T) {
 	defer n.Shutdown()
 	got := 0
 	b.HandleTCP(80, func(*netpkt.Packet) { got++ })
+	// Two flows: the chained plan is cached on the second sighting.
 	a.SendTCP(serverIP, 50000, 80, []byte("GET /1 HTTP/1.1"), 0)
+	a.SendTCP(serverIP, 50001, 80, []byte("GET /1 HTTP/1.1"), 0)
 	if err := n.Run(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
-		t.Fatalf("first chained flow not delivered (got=%d)", got)
+	if got != 2 {
+		t.Fatalf("first chained flows not delivered (got=%d)", got)
+	}
+	if _, plans := n.Controller.CacheStats(); plans == 0 {
+		t.Fatal("no chained plan cached before the load report")
 	}
 	// At least one heartbeat (load report) lands: 500ms interval.
 	if err := n.Run(time.Second); err != nil {
@@ -254,7 +278,7 @@ func TestCacheInvalidationLoadRebalance(t *testing.T) {
 	}
 	hits := n.Controller.Stats().PlanCacheHits
 	misses := n.Controller.Stats().PlanCacheMisses
-	a.SendTCP(serverIP, 50001, 80, []byte("GET /2 HTTP/1.1"), 0)
+	a.SendTCP(serverIP, 50002, 80, []byte("GET /2 HTTP/1.1"), 0)
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +289,7 @@ func TestCacheInvalidationLoadRebalance(t *testing.T) {
 	if st.PlanCacheMisses <= misses {
 		t.Fatal("repeat chained flow did not rebuild its plan")
 	}
-	if got != 2 {
+	if got != 3 {
 		t.Fatalf("repeat chained flow not delivered (got=%d)", got)
 	}
 }

@@ -194,3 +194,77 @@ func TestPlanKeyForChainLengthLimit(t *testing.T) {
 		t.Fatalf("chain of %d unexpectedly cacheable", maxPlanChain+1)
 	}
 }
+
+// TestOneShotScanKeepsHotPlan: a scan of selectors that never come back
+// — more of them than cacheLimit — caches nothing, so it neither grows
+// the caches nor trips the limit's flush, and the hot selector's next
+// flow still replays its plan.
+func TestOneShotScanKeepsHotPlan(t *testing.T) {
+	r := newSetupRig(t, Config{}, goldenDPIDs, goldenHosts, nil)
+	r.keep = false
+	r.flowIn(hostA, hostD, 40001)
+	r.flowIn(hostA, hostD, 40002)
+	decisions, plans := r.c.CacheStats()
+	if decisions != 1 || plans != 1 {
+		t.Fatalf("hot selector warmed %d decisions and %d plans, want 1 and 1", decisions, plans)
+	}
+	const oneShots = 70_000
+	for i := 0; i < oneShots; i++ {
+		dst := hostB
+		if i >= 1<<16-1 {
+			dst = hostC
+		}
+		r.packetIn(hostA.dpid, hostA.port, netpkt.NewTCP(hostA.mac, dst.mac, hostA.ip, dst.ip,
+			40000, uint16(1+i%(1<<16-1)), nil))
+	}
+	if d, p := r.c.CacheStats(); d != decisions || p != plans {
+		t.Fatalf("%d one-shot selectors grew the caches to %d decisions and %d plans", oneShots, d, p)
+	}
+	hits := r.c.stats.PlanCacheHits
+	r.flowIn(hostA, hostD, 40003)
+	if r.c.stats.PlanCacheHits != hits+1 {
+		t.Fatal("the hot selector's plan did not survive the one-shot scan")
+	}
+}
+
+// TestAdmitSecondSighting: the filter refuses a selector's first
+// sighting and admits every later one, tells selectors apart by every
+// field, and resets when it reaches cacheLimit. The pinned fingerprint
+// holds it to a fixed mix: a per-process seed would make the cache
+// counters differ from run to run.
+func TestAdmitSecondSighting(t *testing.T) {
+	if got := testSelector(1, 2).fingerprint(); got != 0x8cc31debf29bb4ac {
+		t.Fatalf("fingerprint %#016x, pinned 0x8cc31debf29bb4ac", got)
+	}
+	dc := newDecisionCache()
+	sel := testSelector(1, 2)
+	if dc.admit(sel) || !dc.admit(sel) || !dc.admit(sel) {
+		t.Fatal("admission is not on the second sighting")
+	}
+	variants := []func(*selectorKey){
+		func(s *selectorKey) { s.dpid++ },
+		func(s *selectorKey) { s.inPort++ },
+		func(s *selectorKey) { s.ethSrc[5]++ },
+		func(s *selectorKey) { s.ethDst[0]++ },
+		func(s *selectorKey) { s.vlan++ },
+		func(s *selectorKey) { s.ethType++ },
+		func(s *selectorKey) { s.ipSrc[3]++ },
+		func(s *selectorKey) { s.ipDst[0]++ },
+		func(s *selectorKey) { s.ipProto++ },
+		func(s *selectorKey) { s.dstPort++ },
+	}
+	for i, mutate := range variants {
+		v := sel
+		mutate(&v)
+		if dc.admit(v) {
+			t.Errorf("variant %d shares the selector's fingerprint", i)
+		}
+	}
+	for i := len(dc.seen); i < cacheLimit; i++ {
+		dc.seen[uint64(i)<<40|1] = struct{}{}
+	}
+	dc.admit(testSelector(7, 8))
+	if len(dc.seen) != 1 || dc.admit(sel) {
+		t.Fatalf("a full filter was not reset: %d fingerprints, selector still admitted", len(dc.seen))
+	}
+}

@@ -464,7 +464,8 @@ func bytesLessMAC(a, b netpkt.MAC) bool {
 func (c *Controller) Stats() Stats { return c.stats }
 
 // CacheStats reports the flow-setup fast-path cache occupancy: memoized
-// policy decisions and cached install plans (see cache.go).
+// policy decisions and cached install plans (see cache.go), exported as
+// the livesec_cache_entries gauge under Obs.
 func (c *Controller) CacheStats() (decisions, plans int) {
 	return len(c.cache.decisions), len(c.cache.plans)
 }

@@ -68,6 +68,12 @@ func (c *Controller) obsRegister() {
 	r.CounterFunc("livesec_plan_cache_total",
 		"Install-plan cache lookups by result.",
 		ctr(&c.stats.PlanCacheMisses), obs.L("result", "miss"))
+	r.GaugeFunc("livesec_cache_entries",
+		"Flow-setup cache entries by level.",
+		func() float64 { d, _ := c.CacheStats(); return float64(d) }, obs.L("level", "decision"))
+	r.GaugeFunc("livesec_cache_entries",
+		"Flow-setup cache entries by level.",
+		func() float64 { _, p := c.CacheStats(); return float64(p) }, obs.L("level", "plan"))
 	r.CounterFunc("livesec_policy_cache_invalidation_total",
 		"Stale decision-cache entries checked against rule-delta cones, by fate (precise invalidation only).",
 		ctr(&c.stats.PolicyCacheEvicted), obs.L("fate", "evicted"))

@@ -182,12 +182,17 @@ func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netp
 	sel := selectorOf(st.dpid, key)
 	dec, hit := c.cache.decisionPrecise(sel, c.policies,
 		&c.stats.PolicyCacheEvicted, &c.stats.PolicyCacheRetained)
+	// A selector may be cached once its decision is, or on its second
+	// sighting (admit, cache.go).
+	mayCache := hit
 	if hit {
 		c.stats.DecisionCacheHits++
 	} else {
 		c.stats.DecisionCacheMisses++
 		dec = c.policies.Lookup(key)
-		c.cache.putDecision(sel, c.policies.Version(), dec)
+		if mayCache = c.cache.admit(sel); mayCache {
+			c.cache.putDecision(sel, c.policies.Version(), dec)
+		}
 	}
 	c.curSpan.MarkDecision(hit)
 	if dec.Action == policy.Deny {
@@ -196,7 +201,7 @@ func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netp
 		c.obsCurSpanEnd(obs.OutcomeDenied)
 		return
 	}
-	c.installSession(st, pi, key, sel, dec)
+	c.installSession(st, pi, key, sel, dec, mayCache)
 	// Completed setups detach their span in finishSetup; one still open
 	// here was abandoned mid-install (unknown destination, unusable
 	// switch on the path).
@@ -251,7 +256,8 @@ func (c *Controller) destination(key flow.Key) (hop, bool) {
 // of the three completed span outcomes — routed (plain two-hop
 // forwarding), chained (steered through the picked elements) or
 // fail-open (a Chain flow forwarded uninspected, policy.Rule.FailOpen) —
-// and keys the accounting tail.
+// and keys the accounting tail. A plan it builds is cached only if
+// mayCache: the selector passed admission (cache.go).
 //
 // Four things differ between the three, on purpose or by history, and
 // the message streams pinned by TestSetupStreamGolden depend on each:
@@ -271,7 +277,7 @@ func (c *Controller) destination(key flow.Key) (hop, bool) {
 //     entries planned up to the break, without releasing the packet or
 //     recording a session; a broken reverse path completes the setup
 //     but leaves the plan uncached.
-func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key flow.Key, sel selectorKey, dec policy.Decision) {
+func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key flow.Key, sel selectorKey, dec policy.Decision, mayCache bool) {
 	outcome := obs.OutcomeRouted
 	var (
 		dst   hop
@@ -323,7 +329,7 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 		}
 		var complete bool
 		plan, forward, complete = c.buildPlan(st, key, chain, dst, seIDs, outcome)
-		if complete && cacheable {
+		if complete && cacheable && mayCache {
 			c.cache.putPlan(pk, plan)
 		}
 	}

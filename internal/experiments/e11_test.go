@@ -24,6 +24,7 @@ func TestE11PolicyEngine(t *testing.T) {
 		}
 	}
 
+	// Every warm flow's decision is cached, read from the cache itself.
 	warm, _ := res.Find("warm decisions")
 	if warm != e11Users*e11Flows {
 		t.Fatalf("warm decisions = %v, want %d", warm, e11Users*e11Flows)

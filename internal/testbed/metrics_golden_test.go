@@ -48,6 +48,7 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_alerts_firing gauge",
 		"# TYPE livesec_arp_proxied_total counter",
 		"# TYPE livesec_breaker_total counter",
+		"# TYPE livesec_cache_entries gauge",
 		"# TYPE livesec_controller_parked_msgs gauge",
 		"# TYPE livesec_decision_cache_total counter",
 		"# TYPE livesec_drop_rules_total counter",

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,19 @@ func TestObsSpansAndMetrics(t *testing.T) {
 		t.Fatalf("completed setups = %d, controller routed+chained = %d", completed, wantCompleted)
 	}
 
+	// Two flows of one selector cache it (on its second sighting); the
+	// cache gauges read the occupancy.
+	a, b := n.Hosts[0], n.Hosts[1]
+	for sp := uint16(7000); sp < 7002; sp++ {
+		a.SendUDP(b.IP, sp, 9000, []byte("x"), 0)
+	}
+	if err := n.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	decisions, plans := n.Controller.CacheStats()
+	if decisions == 0 || plans == 0 {
+		t.Fatalf("repeat flows cached %d decisions and %d plans", decisions, plans)
+	}
 	text := fo.Registry.Text()
 	if err := obs.LintText(text); err != nil {
 		t.Fatalf("registry exposition fails lint: %v", err)
@@ -76,6 +90,8 @@ func TestObsSpansAndMetrics(t *testing.T) {
 		"livesec_intents",
 		`livesec_policy_cache_invalidation_total{fate="evicted"}`,
 		`livesec_policy_cache_invalidation_total{fate="retained"}`,
+		fmt.Sprintf(`livesec_cache_entries{level="decision"} %d`, decisions),
+		fmt.Sprintf(`livesec_cache_entries{level="plan"} %d`, plans),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
