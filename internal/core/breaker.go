@@ -1,12 +1,11 @@
 package core
 
-// Per-service-element circuit breakers around SE dispatch (gated on
-// Config.Breakers). PR 2's keepalive machinery catches elements that
-// *stop talking* (heartbeat timeout → housekeep expiry); it is blind to
-// the nastier degradations chaos can inject: a wedged element that keeps
-// heartbeating while silently dropping traffic, or a slow element whose
-// queue grows without bound. Steering new flows into either is queuing
-// work behind a sink.
+// Per-service-element circuit breakers around SE dispatch. The
+// heartbeat timeout catches elements that *stop talking* (housekeep
+// expiry); it is blind to the nastier degradations chaos can inject: a
+// wedged element that keeps heartbeating while silently dropping
+// traffic, or a slow element whose queue grows without bound. Steering
+// new flows into either is queuing work behind a sink.
 //
 // Each element carries a closed → open → half-open state machine driven
 // by its own load reports (every service.HeartbeatInterval):
@@ -78,9 +77,6 @@ func (s breakerState) String() string {
 // pendingAssign, so the wedge check sees the work assigned since the
 // previous report.
 func (c *Controller) breakerObserve(se *seState, load seproto.Load) {
-	if !c.cfg.Breakers {
-		return
-	}
 	bad := load.QueueLen > breakerMaxQueue ||
 		(se.pendingAssign > 0 && load.Packets <= se.prevPackets)
 	se.prevPackets = load.Packets
@@ -138,9 +134,6 @@ func (c *Controller) tripBreaker(se *seState, why string) {
 // candidate. An expired open timeout transitions to half-open, which
 // admits exactly one probe flow at a time (markBreakerProbe).
 func (c *Controller) breakerAllows(se *seState) bool {
-	if !c.cfg.Breakers {
-		return true
-	}
 	switch se.brState {
 	case breakerOpen:
 		if c.eng.Now() >= se.brOpenUntil {
@@ -165,7 +158,7 @@ func (c *Controller) breakerAllows(se *seState) bool {
 // that flow is the probe, and no further flows are offered the element
 // until its verdict arrives with the next load report.
 func (c *Controller) markBreakerProbe(se *seState) {
-	if c.cfg.Breakers && se.brState == breakerHalfOpen {
+	if se.brState == breakerHalfOpen {
 		se.brProbing = true
 	}
 }
@@ -177,12 +170,8 @@ type BreakerInfo struct {
 	Trips int    `json:"trips"`
 }
 
-// BreakerStates returns every element's breaker, sorted by SE id. Nil
-// when breakers are disabled.
+// BreakerStates returns every element's breaker, sorted by SE id.
 func (c *Controller) BreakerStates() []BreakerInfo {
-	if !c.cfg.Breakers || len(c.elemOrder) == 0 {
-		return nil
-	}
 	out := make([]BreakerInfo, 0, len(c.elemOrder))
 	for _, se := range c.elemOrder {
 		out = append(out, BreakerInfo{SE: se.id, State: se.brState.String(), Trips: se.brTrips})

@@ -310,7 +310,7 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 		Chaos:    true,
 		Monitor:  true,
 		Policies: pt,
-		Config:   core.Config{Keepalive: true, Breakers: true, SessionTTL: 3 * time.Second, FlowIdle: time.Minute},
+		Config:   core.Config{Keepalive: true, SessionTTL: 3 * time.Second, FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")

@@ -54,9 +54,6 @@ type Config struct {
 	Policies *policy.Table
 	// Secret seeds service-element certification.
 	Secret []byte
-	// RequireCerts drops traffic from elements presenting bad
-	// certificates (§III.D.1).
-	RequireCerts bool
 	// SteerReverse also steers the reply direction of chained sessions
 	// through the same elements (bidirectional session handling,
 	// §III.C.3). Defaults to true; set SteerForwardOnly to disable.
@@ -96,13 +93,6 @@ type Config struct {
 	// bit-for-bit. Its budgets, queue bound and suppression hold are
 	// constants in overload.go.
 	OverloadProtection bool
-
-	// Breakers enables per-service-element circuit breakers around SE
-	// dispatch (breaker.go): a slow or wedged element trips open after
-	// consecutive bad load reports, is excluded from steering while
-	// open, and recovers through a half-open probe. Off by default. Its
-	// thresholds and open timeouts are constants in breaker.go.
-	Breakers bool
 
 	// Obs enables the observability subsystem (internal/obs): sampled
 	// controller/engine metrics and per-flow setup trace spans, exported
@@ -180,13 +170,16 @@ type seState struct {
 	capacity uint64
 	load     seproto.Load
 	lastSeen time.Duration
-	certOK   bool
+	// cert is the certificate the element's ONLINE was verified with;
+	// every later datagram naming the element must carry it
+	// (fromElement).
+	cert seproto.Cert
 	// pendingAssign counts flows assigned since the element's last load
 	// report; it keeps minimum-load dispatch balanced between heartbeats
 	// instead of herding every new flow onto the same element.
 	pendingAssign uint64
 
-	// Circuit-breaker state (breaker.go, gated on Config.Breakers).
+	// Circuit-breaker state (breaker.go).
 	// prevPackets is the processed-packet counter from the previous load
 	// report, so a stagnant counter with work assigned exposes a wedged
 	// element that still heartbeats.

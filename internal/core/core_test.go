@@ -382,7 +382,7 @@ func TestLoadBalancingSpreadsFlows(t *testing.T) {
 
 func TestUncertifiedElementRejected(t *testing.T) {
 	pt := policy.NewTable(policy.Allow)
-	n := testbed.New(testbed.Options{Monitor: true, Policies: pt, Config: core.Config{RequireCerts: true}})
+	n := testbed.New(testbed.Options{Monitor: true, Policies: pt})
 	s1 := n.AddOvS("ovs1")
 	// Hand-build an element with a wrong certificate.
 	rogue := service.New(n.Eng, service.Config{
@@ -413,7 +413,7 @@ func TestUncertifiedElementRejected(t *testing.T) {
 }
 
 func TestCertifiedElementAcceptedWithRequireCerts(t *testing.T) {
-	n, _, _ := idsNet(t, testbed.Options{Config: core.Config{RequireCerts: true}}, 1)
+	n, _, _ := idsNet(t, testbed.Options{}, 1)
 	defer n.Shutdown()
 	if len(n.Controller.Elements()) != 1 {
 		t.Fatal("certified element not registered")

@@ -41,12 +41,12 @@ func addSinkSwitch(c *Controller, dpid uint64) {
 	conn.deliver(&openflow.FeaturesReply{DPID: dpid})
 }
 
-// seOnline delivers one ONLINE report for element id from the given
-// attachment point.
+// seOnline delivers one certified ONLINE report for element id from the
+// given attachment point.
 func seOnline(c *Controller, dpid uint64, port uint32, id uint64, svc seproto.ServiceType, load seproto.Load) {
 	mac := netpkt.MACFromUint64(0x5E0000 + id)
 	pkt := netpkt.NewUDP(mac, netpkt.MAC{}, netpkt.IP(10, 9, byte(id>>8), byte(id)), netpkt.IP(10, 0, 0, 1), 1, 1, nil)
-	c.handleSEOnline(c.switches[dpid], port, pkt, &seproto.Online{SEID: id, Service: svc, Load: load})
+	c.handleSEOnline(c.switches[dpid], port, pkt, &seproto.Online{SEID: id, Service: svc, Cert: c.Certify(id, mac), Load: load})
 }
 
 // checkElemIndex asserts the index invariant: elemOrder is exactly the

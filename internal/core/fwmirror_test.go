@@ -39,7 +39,7 @@ func fwKey(i int) seproto.SessionKey {
 func fwSync(c *Controller, states ...seproto.SessionState) {
 	seOnline(c, 1, 1, 1, seproto.ServiceFW, seproto.Load{})
 	pkt := netpkt.NewUDP(netpkt.MACFromUint64(0x5E0000+1), netpkt.MAC{}, netpkt.IP(10, 9, 0, 1), netpkt.IP(10, 0, 0, 1), 1, 1, nil)
-	c.handleFWStateSync(pkt, &seproto.StateSync{SEID: 1, States: states})
+	c.handleFWStateSync(pkt, &seproto.StateSync{SEID: 1, Cert: c.Certify(1, pkt.EthSrc), States: states})
 }
 
 // fwSyncNew mirrors keys[lo:hi] as NEW sessions held by element 1.

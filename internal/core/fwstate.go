@@ -64,21 +64,6 @@ type fwHandoff struct {
 	span *obs.Span
 }
 
-// fromElement reports whether a state datagram naming seid comes from
-// that registered element: from the MAC it registered with and, under
-// RequireCerts, with a valid certificate. Certificate failures are
-// recorded; anything else is ignored silently, so a plain host cannot
-// plant state that a re-steer would later install into a firewall.
-func (c *Controller) fromElement(pkt *netpkt.Packet, seid uint64, cert seproto.Cert, what string) bool {
-	se, known := c.elements[seid]
-	if c.cfg.RequireCerts && (!known || !c.certifier.Verify(seid, pkt.EthSrc, cert) || se.mac != pkt.EthSrc) {
-		c.record(monitor.Event{Type: monitor.EventSECertFail, SE: seid,
-			Detail: what + " with invalid certificate"})
-		return false
-	}
-	return known && se.mac == pkt.EthSrc
-}
-
 // handleFWStateSync folds a STATE_SYNC report into the mirror. Closed
 // sessions are forgotten; anything else overwrites the mirrored record
 // and marks the reporting element as holder.

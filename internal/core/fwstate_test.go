@@ -56,6 +56,13 @@ func seg(from, to *host.Host, sp, dp uint16, sq uint32, syn, ack, fin bool) *net
 	return p
 }
 
+// toController wraps an SE-protocol payload the way an element's daemon
+// sends it, from the given source MAC.
+func toController(from *host.Host, src netpkt.MAC, payload []byte) *netpkt.Packet {
+	return netpkt.NewUDP(src, service.ControllerMAC, from.IP, service.ControllerIP,
+		seproto.Port, seproto.Port, payload)
+}
+
 // fwNet builds client/server/firewall on three switches, registers the
 // element, and returns the deployment.
 func fwNet(t *testing.T, opts testbed.Options) (*testbed.Net, *host.Host, *host.Host, *firewall.Firewall) {
@@ -242,8 +249,7 @@ func TestForgedStateSyncIgnored(t *testing.T) {
 	for _, seid := range []uint64{n.Elements[0].ID(), 999} {
 		forged := seproto.MarshalStateSync(&seproto.StateSync{SEID: seid, States: []seproto.SessionState{
 			{Key: sk, State: seproto.StateEstablished, OrigLo: srcIsLo, SeqLo: 2, SeqHi: 2}}})
-		a.Send(netpkt.NewUDP(a.MAC, service.ControllerMAC, a.IP, service.ControllerIP,
-			seproto.Port, seproto.Port, forged))
+		a.Send(toController(a, a.MAC, forged))
 	}
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -277,6 +283,121 @@ func TestForgedStateSyncIgnored(t *testing.T) {
 	}
 }
 
+// TestForgedAttackEventIgnored: a plain host reports an attack under an
+// element ID nobody registered, naming another user's web flow. The
+// report is refused, so no drop rule lands at the victim's ingress and
+// the flow's later segments still arrive.
+func TestForgedAttackEventIgnored(t *testing.T) {
+	n, a, b := idsNet(t, testbed.Options{}, 1)
+	defer n.Shutdown()
+	m := n.AddWiredUser(n.Switches[1], "mallory", ipB)
+	atServer := 0
+	b.HandleTCP(80, func(*netpkt.Packet) { atServer++ })
+	a.SendTCP(serverIP, 40000, 80, []byte("GET / HTTP/1.1"), 0)
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	forged := seproto.MarshalEvent(&seproto.Event{SEID: 999, Class: seproto.EventAttack, Severity: 3, SigID: 1,
+		Flow: flow.Key{EthSrc: a.MAC, EthType: netpkt.EtherTypeIPv4, IPProto: netpkt.ProtoTCP,
+			IPSrc: a.IP, SrcPort: 40000, IPDst: b.IP, DstPort: 80}, Detail: "forged"})
+	m.Send(toController(m, m.MAC, forged))
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		a.SendTCP(serverIP, 40000, 80, []byte("GET / HTTP/1.1"), 0)
+	}
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if atServer != 4 {
+		t.Fatalf("server got %d segments after a forged attack report, want 4", atServer)
+	}
+	if st := n.Controller.Stats(); st.DropRules != 0 || st.SEEvents != 0 {
+		t.Fatalf("forged report acted on: drop rules %d, SE events %d", st.DropRules, st.SEEvents)
+	}
+	if got := n.Store.Count(monitor.EventSECertFail); got != 1 {
+		t.Fatalf("cert-fail events = %d, want 1", got)
+	}
+}
+
+// TestForgedOnlineNotRegistered: a plain host reports ONLINE as an IDS
+// with a certificate the controller never issued. It is not registered
+// as an element, and it is blocked at its ingress.
+func TestForgedOnlineNotRegistered(t *testing.T) {
+	n, _, _ := idsNet(t, testbed.Options{}, 1)
+	defer n.Shutdown()
+	m := n.AddWiredUser(n.Switches[1], "mallory", ipB)
+	m.Send(toController(m, m.MAC, seproto.MarshalOnline(&seproto.Online{SEID: 50,
+		Service: seproto.ServiceIDS, Cert: seproto.Cert{1, 2, 3}, CapacityBps: service.DefaultCapacityBps})))
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Controller.Elements()); got != 1 {
+		t.Fatalf("elements = %d after a forged ONLINE, want the 1 certified", got)
+	}
+	if got := n.Store.Count(monitor.EventSECertFail); got != 1 {
+		t.Fatalf("cert-fail events = %d, want 1", got)
+	}
+	if !n.Controller.Blocked(m.MAC) {
+		t.Fatal("forging host not blocked")
+	}
+}
+
+// TestSpoofedOnlineBlocksNoOne: a host sends a bad-certificate ONLINE
+// with another user's MAC as its source. The victim is known at another
+// switch, so it is neither moved nor blocked and keeps receiving; only
+// its MAC on the forger's port is dropped, so a repeat never reaches the
+// controller.
+func TestSpoofedOnlineBlocksNoOne(t *testing.T) {
+	n, a, b := idsNet(t, testbed.Options{}, 1)
+	defer n.Shutdown()
+	m := n.AddWiredUser(n.Switches[1], "mallory", ipB)
+	atVictim := 0
+	a.HandleUDP(9, func(*netpkt.Packet) { atVictim++ })
+	a.SendUDP(serverIP, 9, 9, []byte("hello"), 0)
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	where := func() (uint64, uint32) {
+		for _, h := range n.Controller.Hosts() {
+			if h.MAC == a.MAC {
+				return h.DPID, h.Port
+			}
+		}
+		t.Fatal("victim not in the host table")
+		return 0, 0
+	}
+	dpid, port := where()
+	spoof := seproto.MarshalOnline(&seproto.Online{SEID: 50, Service: seproto.ServiceIDS,
+		Cert: seproto.Cert{1, 2, 3}, CapacityBps: service.DefaultCapacityBps})
+	for i := 0; i < 2; i++ {
+		m.Send(toController(m, a.MAC, spoof))
+		if err := n.Run(200 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.SendUDP(ipA, 9, 9, []byte("reply"), 0)
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if atVictim != 1 {
+		t.Fatalf("victim got %d datagrams after the spoof, want 1", atVictim)
+	}
+	if d, p := where(); d != dpid || p != port {
+		t.Fatalf("victim moved from %d/%d to %d/%d", dpid, port, d, p)
+	}
+	if n.Controller.Blocked(a.MAC) {
+		t.Fatal("victim blocked")
+	}
+	if got := len(n.Controller.Elements()); got != 1 {
+		t.Fatalf("elements = %d, want the 1 certified", got)
+	}
+	if got := n.Store.Count(monitor.EventSECertFail); got != 1 {
+		t.Fatalf("cert-fail events = %d, want 1: the repeat should die at the forger's port", got)
+	}
+}
+
 // TestSEProtoErrorSurfaces covers the decoder-drift satellite: a
 // version-skewed element datagram produces a typed parse error that the
 // controller records as a seproto-error event instead of silently
@@ -288,8 +409,7 @@ func TestSEProtoErrorSurfaces(t *testing.T) {
 	// A LSEC-magic datagram with a future version, aimed at the
 	// controller like any daemon report.
 	skewed := []byte{'L', 'S', 'E', 'C', 99, byte(seproto.KindOnline)}
-	a.Send(netpkt.NewUDP(a.MAC, service.ControllerMAC, a.IP, service.ControllerIP,
-		seproto.Port, seproto.Port, skewed))
+	a.Send(toController(a, a.MAC, skewed))
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

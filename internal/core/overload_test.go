@@ -196,7 +196,7 @@ func breakerNet(t *testing.T) (*testbed.Net, *host.Host, *host.Host) {
 		Chaos:    true,
 		Monitor:  true,
 		Policies: pt,
-		Config:   core.Config{Keepalive: true, Breakers: true, FlowIdle: time.Minute},
+		Config:   core.Config{Keepalive: true, FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")

@@ -456,9 +456,6 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 		if se.service != svc {
 			continue
 		}
-		if c.cfg.RequireCerts && !se.certOK {
-			continue
-		}
 		if sw, ok := c.switches[se.dpid]; !ok || !sw.usable() {
 			// The element may be alive, but its switch is unreachable, so
 			// steering entries could not be installed there.

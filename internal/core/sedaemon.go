@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"crypto/subtle"
 	"slices"
 
 	"livesec/internal/flow"
@@ -43,18 +44,8 @@ func (c *Controller) handleSEMessage(st *switchState, inPort uint32, pkt *netpkt
 }
 
 func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.Packet, m *seproto.Online) {
-	certOK := c.certifier.Verify(m.SEID, pkt.EthSrc, m.Cert)
-	if c.cfg.RequireCerts && !certOK {
-		// Uncertified element: its flows are dropped at the ingress AS
-		// switch (§III.D.1 certification mechanism).
-		if !c.blockedUsers[pkt.EthSrc] {
-			c.record(monitor.Event{Type: monitor.EventSECertFail, SE: m.SEID,
-				Switch: st.dpid, User: pkt.EthSrc.String()})
-			// Learn the attachment point (without announcing the rogue
-			// into the fabric) so the drop lands on its ingress switch.
-			c.learnHost(st, inPort, pkt.EthSrc, pkt.IP.Src, false)
-			c.BlockUser(pkt.EthSrc, "uncertified service element")
-		}
+	if !c.certifier.Verify(m.SEID, pkt.EthSrc, m.Cert) {
+		c.rejectElement(st, inPort, pkt, m.SEID)
 		return
 	}
 	se, known := c.elements[m.SEID]
@@ -76,7 +67,7 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 	se.load = m.Load
 	se.pendingAssign = 0
 	se.lastSeen = c.eng.Now()
-	se.certOK = certOK
+	se.cert = m.Cert
 	c.byMAC[se.mac] = se
 	// Invalidation triggers 3 and 4 (cache.go): registration or attachment
 	// change makes plans through this element stale, and even a pure load
@@ -98,6 +89,45 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 		// re-steered through it.
 		c.resteerFailOpen()
 	}
+}
+
+// rejectElement answers an ONLINE with a bad certificate (§III.D.1):
+// the uncertified element's flows are dropped at its ingress AS switch.
+// A source MAC the controller already knows at another attachment point
+// is spoofed, so its owner is neither moved nor blocked; only that MAC
+// on the arrival port is dropped.
+func (c *Controller) rejectElement(st *switchState, inPort uint32, pkt *netpkt.Packet, seid uint64) {
+	mac := pkt.EthSrc
+	if c.blockedUsers[mac] {
+		return
+	}
+	c.record(monitor.Event{Type: monitor.EventSECertFail, SE: seid,
+		Switch: st.dpid, User: mac.String()})
+	if h, ok := c.hosts[mac]; ok && (h.DPID != st.dpid || h.Port != inPort) {
+		m := flow.Match{Wildcards: flow.WildAll &^ (flow.WildInPort | flow.WildEthSrc),
+			Key: flow.Key{InPort: inPort, EthSrc: mac}}
+		c.installDrop(st, m, m.Key, "spoofed service element")
+		return
+	}
+	// Learn the attachment point (without announcing the rogue into the
+	// fabric) so the drop lands on its ingress switch.
+	c.learnHost(st, inPort, mac, pkt.IP.Src, false)
+	c.BlockUser(mac, "uncertified service element")
+}
+
+// fromElement reports whether a datagram naming seid comes from that
+// registered element: from the MAC it registered with, carrying the
+// certificate its ONLINE was verified with. Anything else is recorded
+// and ignored, so a plain host can neither forge a report nor plant
+// state that a re-steer would later install into a firewall.
+func (c *Controller) fromElement(pkt *netpkt.Packet, seid uint64, cert seproto.Cert, what string) bool {
+	if se, ok := c.elements[seid]; ok && se.mac == pkt.EthSrc &&
+		subtle.ConstantTimeCompare(se.cert[:], cert[:]) == 1 {
+		return true
+	}
+	c.record(monitor.Event{Type: monitor.EventSECertFail, SE: seid,
+		Detail: what + " with invalid certificate"})
+	return false
 }
 
 // elemIndex locates id in elemOrder: its position when registered,
@@ -125,13 +155,8 @@ func (c *Controller) removeElement(id uint64) {
 }
 
 func (c *Controller) handleSEEvent(pkt *netpkt.Packet, m *seproto.Event) {
-	se, known := c.elements[m.SEID]
-	if c.cfg.RequireCerts {
-		if !known || !c.certifier.Verify(m.SEID, pkt.EthSrc, m.Cert) || se.mac != pkt.EthSrc {
-			c.record(monitor.Event{Type: monitor.EventSECertFail, SE: m.SEID,
-				Detail: "event with invalid certificate"})
-			return
-		}
+	if !c.fromElement(pkt, m.SEID, m.Cert, "event") {
+		return
 	}
 	c.stats.SEEvents++
 	user := m.Flow.EthSrc

@@ -17,10 +17,8 @@ type TopologySnapshot struct {
 	// Tables carries per-switch flow-table and microflow-cache counters
 	// when stats polling is active.
 	Tables []TableStats `json:"tables,omitempty"`
-	// Overload carries ingress-pipeline and circuit-breaker state when
-	// overload protection or breakers are enabled (nil otherwise, so
-	// default snapshots are unchanged).
-	Overload *OverloadInfo `json:"overload,omitempty"`
+	// Overload carries ingress-pipeline and circuit-breaker state.
+	Overload OverloadInfo `json:"overload"`
 }
 
 // OverloadInfo is the overload-protection view of the snapshot: current
@@ -83,15 +81,13 @@ func (c *Controller) Topology() TopologySnapshot {
 			Packets: se.load.Packets,
 		})
 	}
-	if c.ov != nil || c.cfg.Breakers {
-		ctrl, pis := c.IngressDepths()
-		snap.Overload = &OverloadInfo{
-			CtrlBacklog:     ctrl,
-			PacketInBacklog: pis,
-			PacketInsShed:   c.stats.PacketInsShed,
-			SuppressRules:   c.stats.SuppressRules,
-			Breakers:        c.BreakerStates(),
-		}
+	ctrl, pis := c.IngressDepths()
+	snap.Overload = OverloadInfo{
+		CtrlBacklog:     ctrl,
+		PacketInBacklog: pis,
+		PacketInsShed:   c.stats.PacketInsShed,
+		SuppressRules:   c.stats.SuppressRules,
+		Breakers:        c.BreakerStates(),
 	}
 	snap.Tables = c.TableLoads()
 	snap.Loads = c.PortLoads()

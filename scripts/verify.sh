@@ -3,7 +3,8 @@
 #
 #   build       -> the module compiles, including all commands/examples
 #   gofmt       -> every Go file is gofmt-clean
-#   vet         -> static checks
+#   vet         -> static checks, in the root module and in the nested
+#                  bench module, which ./... does not reach
 #   staticcheck -> deeper lint, when the tool is installed (CI installs
 #                  it; locally the step is skipped with a notice)
 #   test -race  -> full test suite (short mode) under the race detector
@@ -30,8 +31,9 @@ echo "==> gofmt -l"
 unformatted=$(gofmt -l cmd internal examples bench ./*.go)
 [ -z "$unformatted" ] || { echo "not gofmt-clean:"; echo "$unformatted"; exit 1; }
 
-echo "==> go vet ./..."
+echo "==> go vet ./... (root and bench modules)"
 go vet ./...
+go -C bench vet ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck ./..."
