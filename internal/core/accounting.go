@@ -20,32 +20,24 @@ type UserTraffic struct {
 }
 
 // handleFlowRemoved folds expired-entry counters into the per-user
-// accounting. Only ingress entries are counted (the entry's in_port is
-// an access port and dl_src identifies the user), so steering legs do
-// not double-count.
+// accounting. Only a live session's ingress entry is counted — its exact
+// match is the session's key, on the switch its record names — so
+// steering legs do not double-count, and a host that has moved since
+// still has its old session forgotten.
 func (c *Controller) handleFlowRemoved(st *switchState, fr *openflow.FlowRemoved) {
-	if c.cfg.Keepalive {
-		if st.resyncing && fr.Reason == openflow.RemovedDelete {
-			// The resync wipe floods FlowRemoved for every entry it
-			// clears; those entries were just reinstalled from the
-			// shadow and their sessions are still live.
-			return
-		}
-		st.shadowRemove(fr)
+	if st.resyncing && fr.Reason == openflow.RemovedDelete {
+		// The resync wipe floods FlowRemoved for every entry it clears;
+		// those entries were just reinstalled and their sessions are
+		// still live.
+		return
 	}
-	if fr.Cookie == dropCookie {
-		return // controller-installed drop entries carry no user traffic
-	}
-	if fr.Match.Wildcards != 0 {
-		return // only exact data entries carry attribution
+	st.shadowRemove(fr)
+	if fr.Cookie == dropCookie || fr.Match.Wildcards != 0 {
+		return // drops carry no user traffic; only exact entries attribute
 	}
 	key := fr.Match.Key
-	if st.uplinks[key.InPort] {
-		return // arrival leg at a transit switch, not the user's ingress
-	}
-	h, ok := c.hosts[key.EthSrc]
-	if !ok || h.DPID != st.dpid || h.Port != key.InPort {
-		return // not this user's ingress entry
+	if rec, ok := c.sessions[key]; !ok || rec.dpid != st.dpid {
+		return // not a live session's ingress entry
 	}
 	// The ingress entry is gone: the session is over.
 	c.forgetSession(key)

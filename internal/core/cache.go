@@ -430,10 +430,10 @@ func (em *emitter) flush() {
 	em.n = 0
 }
 
-// emitFlowMod queues a flow mod on the emitter, counting and shadowing
-// it like sendFlowMod.
+// emitFlowMod queues a flow mod on the emitter and counts it. Unlike
+// sendFlowMod it does not shadow it: a session's entries are rebuilt from
+// its record when a switch resyncs (replaySessions).
 func (c *Controller) emitFlowMod(em *emitter, st *switchState, fm *openflow.FlowMod) {
-	c.trackFlowMod(st, fm)
 	fm.XID = c.xid()
 	b := em.batchFor(st)
 	b.msgs = append(b.msgs, fm)
@@ -442,12 +442,16 @@ func (c *Controller) emitFlowMod(em *emitter, st *switchState, fm *openflow.Flow
 
 // replayPlan derives every flow entry of a plan — fresh from buildPlan or
 // out of the cache — from the live key and queues the flow mods on the
-// emitter. It is the only place a session's flow mods come to exist.
-func (c *Controller) replayPlan(em *emitter, plan *sessionPlan, key flow.Key) {
+// emitter; a non-nil only restricts it to that switch's entries (a
+// resync). It is the only place a session's flow mods come to exist.
+func (c *Controller) replayPlan(em *emitter, plan *sessionPlan, key flow.Key, only *switchState) {
 	revKey := key.Reverse(plan.revPort)
 	idle := uint16(c.cfg.FlowIdle.Seconds())
 	for i := range plan.steps {
 		s := &plan.steps[i]
+		if only != nil && s.dpid != only.dpid {
+			continue
+		}
 		target, ok := c.switches[s.dpid]
 		if !ok {
 			continue // unreachable: RemoveSwitch invalidates all plans

@@ -71,13 +71,6 @@ type Config struct {
 	// barriers so the packet cannot overtake its own flow entries on
 	// multi-switch paths.
 	UseBarriers bool
-	// Keepalive enables control-channel hardening (resilience.go): echo
-	// liveness probing with bounded exponential backoff, switch-down
-	// detection, per-switch shadow flow tables, and a barrier-confirmed
-	// resync when a disconnected switch returns. Off by default so
-	// existing runs reproduce bit-for-bit. Its periods and retry bounds
-	// are constants in resilience.go.
-	Keepalive bool
 
 	// PacketInCost models the controller's serialized per-packet-in
 	// processing cost (overload.go): each packet-in occupies the
@@ -127,7 +120,7 @@ type switchState struct {
 	peers map[uint64]uint32
 	ready bool // features reply received
 
-	// Keepalive state (resilience.go). down: declared unreachable after
+	// Liveness state (resilience.go). down: declared unreachable after
 	// missed echoes; resyncing: reconnect handshake in flight.
 	down        bool
 	resyncing   bool
@@ -137,12 +130,14 @@ type switchState struct {
 	// probeAttempt/nextProbe drive the backoff schedule while down.
 	probeAttempt int
 	nextProbe    time.Duration
-	// resync bookkeeping.
+	// resync bookkeeping; resyncSent counts the entries the last attempt
+	// reinstalled.
 	resyncXID     uint32
 	resyncAttempt int
-	// shadow mirrors every FlowMod sent to this switch so the flow table
-	// can be reinstalled after a reconnect; shadowSeq preserves emission
-	// order for the replay.
+	resyncSent    int
+	// shadow mirrors the entries sent to this switch that no session owns
+	// (drops, suppressions) so a resync can reinstall them; shadowSeq
+	// preserves emission order for the replay.
 	shadow    map[shadowKey]*shadowEntry
 	shadowSeq uint64
 }
@@ -491,16 +486,14 @@ func (c *Controller) AddSwitch(conn openflow.Conn) {
 	conn.Send(&openflow.FeaturesRequest{XID: c.xid()})
 }
 
-// Start launches periodic topology discovery and housekeeping. It
-// returns immediately; activity happens on the simulation engine.
+// Start launches periodic topology discovery, housekeeping and liveness
+// probing. It returns immediately; activity happens on the simulation engine.
 func (c *Controller) Start() {
 	c.stops = append(c.stops,
 		c.eng.Ticker(lldpPeriod, c.DiscoverNow),
 		c.eng.Ticker(housekeepingPeriod, c.housekeep),
+		c.eng.Ticker(echoInterval, c.keepaliveSweep),
 	)
-	if c.cfg.Keepalive {
-		c.stops = append(c.stops, c.eng.Ticker(echoInterval, c.keepaliveSweep))
-	}
 }
 
 // Shutdown stops periodic activity.
@@ -627,7 +620,8 @@ func (c *Controller) record(ev monitor.Event) {
 	c.store.Record(ev)
 }
 
-// sendFlowMod sends a FlowMod and counts it.
+// sendFlowMod sends a FlowMod that is not part of a session's plan,
+// counts it and mirrors it into the switch's shadow (trackFlowMod).
 func (c *Controller) sendFlowMod(st *switchState, fm *openflow.FlowMod) {
 	c.trackFlowMod(st, fm)
 	fm.XID = c.xid()

@@ -68,7 +68,6 @@ func toController(from *host.Host, src netpkt.MAC, payload []byte) *netpkt.Packe
 func fwNet(t *testing.T, opts testbed.Options) (*testbed.Net, *host.Host, *host.Host, *firewall.Firewall) {
 	t.Helper()
 	opts.Monitor = true
-	opts.Keepalive = true
 	opts.Chaos = true
 	opts.Policies = fwChainPolicies(t)
 	opts.FlowIdle = time.Minute

@@ -60,6 +60,46 @@ func TestHostMobilityTrafficFollows(t *testing.T) {
 	}
 }
 
+// A moved host's old session is forgotten once purgeHostFlows deletes
+// its old ingress entry: the FLOW_REMOVED comes from the switch the
+// session's record names, although the host is elsewhere by then. The
+// record is not left for a recurring key or SessionTTL to retire.
+func TestHostMobilityForgetsOldSession(t *testing.T) {
+	n, a, b := twoSwitchNet(t, testbed.Options{})
+	defer n.Shutdown()
+	b.HandleUDP(9, func(p *netpkt.Packet) { b.SendUDP(p.IP.Src, 9, p.UDP.SrcPort, []byte("reply"), 0) })
+	a.SendUDP(serverIP, 7, 9, []byte("before"), 0)
+	if err := n.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Controller.Sessions(); got != 1 {
+		t.Fatalf("%d sessions before the move, want 1", got)
+	}
+	s3 := n.AddOvS("ovs3")
+	if err := n.Run(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	n.Controller.DiscoverNow()
+	if err := n.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	n.MoveHost(a, s3, link.Params{BitsPerSec: link.Rate100M})
+	// A new flow, so no record of the same key overwrites the old one.
+	a.SendUDP(serverIP, 8, 9, []byte("after"), 0)
+	if err := n.Run(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Controller.Sessions(); got != 1 {
+		t.Fatalf("%d sessions after the move, want 1: the one from the old location leaked", got)
+	}
+	if err := n.Run(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Controller.Sessions(); got != 0 {
+		t.Fatalf("%d sessions after 2 minutes idle, want 0", got)
+	}
+}
+
 func TestBlockFollowsMovedUser(t *testing.T) {
 	n, a, b := twoSwitchNet(t, testbed.Options{})
 	defer n.Shutdown()

@@ -11,8 +11,8 @@ package core
 //	(t0, t1)  outage: packet-ins wait, periodic work returns early, and
 //	          what the ingress pipeline held parks as it is served
 //	t1        Recover: the outage is charged to PolicyViolationTime;
-//	          with Keepalive every registered switch resyncs
-//	          (resilience.go: features, wipe, shadow replay, barrier)
+//	          every registered switch resyncs (resilience.go: features,
+//	          wipe, shadow and session replay, barrier)
 //	t1 + RTT  no switch is left resyncing: the parked queue re-enters
 //	          the ingress pipeline, so PacketInCost and
 //	          OverloadProtection still apply
@@ -21,8 +21,7 @@ package core
 // resync's barrier and features replies are among them — but packet-ins
 // keep parking behind the older ones, so no drained setup finds a
 // switch on its path unusable. A resync that fails hands its switch to
-// the down/probe loop and does not hold the drain up. Without Keepalive
-// there is no shadow to replay, and Recover drains at once.
+// the down/probe loop and does not hold the drain up.
 
 import (
 	"sort"
@@ -57,8 +56,8 @@ func (c *Controller) Fail() {
 }
 
 // Recover brings the controller back: it charges the outage, resyncs
-// every registered switch under Keepalive and drains the parked queue
-// once no switch is resyncing. Recover while up is ignored.
+// every registered switch and drains the parked queue once no switch is
+// resyncing. Recover while up is ignored.
 func (c *Controller) Recover() {
 	if !c.down {
 		return
@@ -66,16 +65,14 @@ func (c *Controller) Recover() {
 	c.down = false
 	c.violationAccum += c.eng.Now() - c.downSince
 	resyncs := 0
-	if c.cfg.Keepalive {
-		for _, st := range c.sortedSwitches() {
-			if !st.ready || st.down {
-				continue // a down switch stays with the probe loop
-			}
-			// A resync cut short by the outage restarts from scratch.
-			delete(c.pendingResyncs, st.resyncXID)
-			c.beginResync(st)
-			resyncs++
+	for _, st := range c.sortedSwitches() {
+		if !st.ready || st.down {
+			continue // a down switch stays with the probe loop
 		}
+		// A resync cut short by the outage restarts from scratch.
+		delete(c.pendingResyncs, st.resyncXID)
+		c.beginResync(st)
+		resyncs++
 	}
 	c.record(monitor.Event{Type: monitor.EventControllerUp,
 		Detail: uitoa(uint64(len(c.parked))) + " messages parked, " +

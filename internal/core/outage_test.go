@@ -66,7 +66,7 @@ func componentHealth(t *testing.T, n *testbed.Net, name string) monitor.HealthCo
 func TestControllerOutage(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n, clients, srv := outageNet(t, 6, testbed.Options{
-		Config: core.Config{Keepalive: true, FlowIdle: time.Minute, Obs: fo},
+		Config: core.Config{FlowIdle: time.Minute, Obs: fo},
 	})
 	defer n.Shutdown()
 

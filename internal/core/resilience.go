@@ -2,7 +2,7 @@ package core
 
 // Control-channel resilience (the hardening side of internal/chaos).
 //
-// With Config.Keepalive enabled the controller:
+// The controller:
 //
 //   - probes every registered switch with Echo requests on a fixed
 //     interval and declares it down after echoMaxMiss consecutive
@@ -10,21 +10,20 @@ package core
 //   - keeps probing a down switch with bounded exponential backoff
 //     (backoffDelay), so a flapping channel is neither hammered nor
 //     forgotten;
-//   - mirrors every FlowMod it emits into a per-switch shadow table
-//     (adds force OFPFF_SEND_FLOW_REM so FLOW_REMOVED notifications
-//     prune the shadow exactly when the switch expires an entry);
+//   - mirrors every FlowMod outside a session's plan — drops and
+//     suppressions — into a per-switch shadow table (adds carry
+//     OFPFF_SEND_FLOW_REM so FLOW_REMOVED notifications prune the shadow
+//     exactly when the switch expires an entry). Session entries are not
+//     mirrored: the session records are their state (sessions.go);
 //   - on reconnect runs a resync handshake: refresh features, wipe the
 //     switch's flow table, reinstall the shadow in original emission
-//     order, and confirm with a barrier. The barrier reply is retried
-//     with backoff up to resyncMaxAttempts times before the switch is
-//     declared down again;
+//     order and then each live session's entries on that switch, planned
+//     afresh from its record, and confirm with a barrier. The barrier
+//     reply is retried with backoff up to resyncMaxAttempts times before
+//     the switch is declared down again;
 //   - excludes down/resyncing switches from routing decisions so new
 //     flows are never steered into a blackhole the controller knows
 //     about.
-//
-// Everything here is gated on Config.Keepalive: with the flag off no
-// ticker runs, no shadow is kept, and no message stream changes, so
-// existing deterministic runs reproduce bit-for-bit.
 
 import (
 	"slices"
@@ -36,7 +35,7 @@ import (
 	"livesec/internal/openflow"
 )
 
-// Keepalive timing.
+// Liveness and resync timing.
 const (
 	// echoInterval is the liveness probe period; echoMaxMiss consecutive
 	// unanswered probes mark a switch down.
@@ -58,7 +57,7 @@ const (
 const failClosedHoldSecs uint16 = 1
 
 // dropCookie tags security drop entries so their FLOW_REMOVED
-// notifications (sent when keepalive forces NotifyDel on every add) are
+// notifications (every shadowed add carries NotifyDel, trackFlowMod) are
 // not mistaken for expired data sessions by the accounting.
 const dropCookie uint64 = 0xD0
 
@@ -133,8 +132,8 @@ func (c *Controller) sendEcho(st *switchState) {
 // handleEchoReply clears the liveness debt; a reply from a switch marked
 // down is the reconnect signal that starts the resync handshake.
 func (c *Controller) handleEchoReply(st *switchState, m *openflow.EchoReply) {
-	if !c.cfg.Keepalive || m.XID != st.echoXID {
-		return // stale, duplicated, or keepalive disabled: ignore
+	if m.XID != st.echoXID {
+		return // stale or duplicated: ignore
 	}
 	st.echoPending = false
 	st.echoMisses = 0
@@ -209,14 +208,10 @@ func (st *switchState) shadowRemove(fr *openflow.FlowRemoved) {
 	delete(st.shadow, shadowKey{match: fr.Match, prio: fr.Priority})
 }
 
-// trackFlowMod is called for every FlowMod leaving the controller. In
-// keepalive mode it forces the removal notification on adds (so the
-// shadow prunes in lockstep with the switch) and mirrors the message
-// into the shadow table.
+// trackFlowMod is called for every FlowMod sendFlowMod sends. It forces
+// the removal notification on adds (so the shadow prunes in lockstep with
+// the switch) and mirrors the message into the shadow table.
 func (c *Controller) trackFlowMod(st *switchState, fm *openflow.FlowMod) {
-	if !c.cfg.Keepalive {
-		return
-	}
 	if fm.Command == openflow.FlowAdd || fm.Command == openflow.FlowModify {
 		fm.NotifyDel = true
 	}
@@ -237,10 +232,10 @@ func (c *Controller) beginResync(st *switchState) {
 // refresh (ports may have changed during the outage), a full table wipe
 // (entries added before the outage may have been deleted while the
 // channel was dark, and a wipe is the only way to remove them), the
-// complete shadow table in original emission order, and a barrier whose
-// reply confirms the switch processed it all. A timer retries with
-// backoff until resyncMaxAttempts, then gives the switch back to the
-// down/probe loop.
+// shadow table in original emission order, every live session's entries
+// on this switch (replaySessions), and a barrier whose reply confirms the
+// switch processed it all. A timer retries with backoff until
+// resyncMaxAttempts, then gives the switch back to the down/probe loop.
 func (c *Controller) sendResync(st *switchState) {
 	st.resyncAttempt++
 	entries := make([]*shadowEntry, 0, len(st.shadow))
@@ -249,25 +244,25 @@ func (c *Controller) sendResync(st *switchState) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 
-	msgs := make([]openflow.Message, 0, len(entries)+3)
-	msgs = append(msgs, &openflow.FeaturesRequest{XID: c.xid()})
-	wipe := &openflow.FlowMod{XID: c.xid(), Match: flow.MatchAll(), Command: openflow.FlowDelete}
-	msgs = append(msgs, wipe)
-	c.stats.FlowModsSent++
+	var em emitter
+	b := em.batchFor(st)
+	b.msgs = append(b.msgs, &openflow.FeaturesRequest{XID: c.xid()})
+	c.emitFlowMod(&em, st, &openflow.FlowMod{Match: flow.MatchAll(), Command: openflow.FlowDelete})
 	for _, e := range entries {
 		fm := e.fm
-		fm.XID = c.xid()
-		msgs = append(msgs, &fm)
-		c.stats.FlowModsSent++
+		c.emitFlowMod(&em, st, &fm)
 	}
+	c.replaySessions(&em, st)
+	b = em.batchFor(st)
+	st.resyncSent = len(b.msgs) - 2 // all but the features request and the wipe
 	xid := c.xid()
 	st.resyncXID = xid
 	if c.pendingResyncs == nil {
 		c.pendingResyncs = make(map[uint32]*switchState)
 	}
 	c.pendingResyncs[xid] = st
-	msgs = append(msgs, &openflow.BarrierRequest{XID: xid})
-	openflow.SendAll(st.conn, msgs...)
+	b.msgs = append(b.msgs, &openflow.BarrierRequest{XID: xid})
+	em.flush()
 
 	delay := backoffDelay(st.resyncAttempt, retryBase, retryCap)
 	c.eng.Schedule(delay, func() {
@@ -295,8 +290,35 @@ func (c *Controller) finishResync(st *switchState) {
 	st.echoMisses = 0
 	c.stats.Resyncs++
 	c.record(monitor.Event{Type: monitor.EventSwitchResync, Switch: st.dpid,
-		Detail: uitoa(uint64(len(st.shadow))) + " entries reinstalled, barrier confirmed"})
+		Detail: uitoa(uint64(st.resyncSent)) + " entries reinstalled, barrier confirmed"})
 	c.drainParked()
+}
+
+// replaySessions queues on em, in install order, the entries on st of
+// every live session, each planned afresh (buildPlan) from its record
+// against the current host and element tables. A session whose ingress
+// switch, destination or element is gone has nothing to replay; its next
+// packet sets it up again.
+func (c *Controller) replaySessions(em *emitter, st *switchState) {
+sessions:
+	for _, rec := range c.sessionsWhere(func(sessionRecord) bool { return true }) {
+		ingress, ok := c.switches[rec.dpid]
+		dst, known := c.hosts[rec.key.EthDst]
+		if !ok || !known || c.switches[dst.DPID] == nil {
+			continue
+		}
+		chain := make([]hop, 0, len(rec.seIDs)+1) // buildPlan appends the destination
+		for _, id := range rec.seIDs {
+			se, ok := c.elements[id]
+			if !ok || c.switches[se.dpid] == nil {
+				continue sessions
+			}
+			chain = append(chain, hop{st: c.switches[se.dpid], port: se.port, mac: se.mac})
+		}
+		plan, _, _ := c.buildPlan(ingress, rec.key, chain,
+			hop{st: c.switches[dst.DPID], port: dst.Port, mac: dst.MAC}, rec.seIDs)
+		c.replayPlan(em, plan, rec.key, st)
+	}
 }
 
 // drainElement tears down every live session chained through the failed

@@ -163,3 +163,13 @@ func (r *setupRig) flowIn(src, dst rigHost, srcPort uint16) []sentMsg {
 	}
 	return r.sent[start:]
 }
+
+// resyncAll takes every switch down and through a resync, which sends
+// its shadow table and its sessions' entries in order. The barriers are
+// left unanswered.
+func (r *setupRig) resyncAll() {
+	for _, st := range r.c.sortedSwitches() {
+		r.c.markSwitchDown(st, "golden")
+		r.c.beginResync(st)
+	}
+}

@@ -34,7 +34,7 @@ func E10ControllerFailover(scale Scale) Result {
 		Claim: "a controller failure (§IV.B) loses no flows, trips no keepalive, and bounds policy-violation time by the outage",
 	}
 	spec := testbed.Spec{Options: testbed.Options{Seed: 11, Monitor: true, Chaos: true, Config: core.Config{
-		PacketInCost: p.cost, Keepalive: true, FlowIdle: time.Minute, Obs: newFlowObs(),
+		PacketInCost: p.cost, FlowIdle: time.Minute, Obs: newFlowObs(),
 	}}}
 	for i := 0; i < p.nSwitches; i++ {
 		sw := fmt.Sprintf("edge%d", i+1)

@@ -140,12 +140,11 @@ func e12Policies(server netpkt.IPv4Addr) *policy.Table {
 // fwSpec is the E12 and E13 deployment (id 12 or 13): a client and an
 // attacker on e<id>-cli, the server on e<id>-srv, firewall SE 1 on
 // e<id>-fw1, and e<id>-fw2 left empty for SE 2; opts gains the event
-// store, chaos and keepalive.
+// store and chaos.
 func fwSpec(id byte, opts testbed.Options, fw firewall.Options) testbed.Spec {
 	server := netpkt.IP(166, 111, id, 1)
 	opts.Seed, opts.Policies = int64(id), e12Policies(server)
 	opts.Monitor, opts.Chaos = true, true
-	opts.Keepalive = true
 	opts.FlowIdle = time.Minute
 	sw := func(role string) string { return fmt.Sprintf("e%d-%s", id, role) }
 	return testbed.Spec{

@@ -180,7 +180,7 @@ func e8Spec(withChaos bool) testbed.Spec {
 		policy.Rule{Name: "inspect-open", Match: policy.Match{Proto: netpkt.ProtoTCP, DstPort: 81}, Services: ids, FailOpen: true})
 	return testbed.Spec{
 		Options: testbed.Options{Seed: 42, Policies: pt, Monitor: true, Chaos: withChaos,
-			Config: core.Config{Keepalive: true, FlowIdle: time.Minute}},
+			Config: core.Config{FlowIdle: time.Minute}},
 		Switches: []testbed.SwitchSpec{{Name: "ovs1"}, {Name: "ovs2"}, {Name: "ovs3"}},
 		Nodes: []testbed.Node{
 			testbed.HostNode("ovs1", "user", netpkt.IP(10, 8, 0, 1), testbed.Wired),

@@ -124,7 +124,6 @@ var e9Server = netpkt.IP(166, 111, 9, 1)
 func e9Run(p e9Params, protection bool, fo *obs.FlowObs) *e9Metrics {
 	n, err := build(testbed.Spec{
 		Options: testbed.Options{Seed: 7, Monitor: true, Chaos: true, Config: core.Config{
-			Keepalive:          true,
 			FlowIdle:           time.Minute,
 			PacketInCost:       500 * time.Microsecond,
 			OverloadProtection: protection,

@@ -22,7 +22,7 @@ func TestHandoffSingleTrace(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n, err := testbed.Build(testbed.Spec{
 		Options: testbed.Options{Seed: 99, Policies: e12Policies(serverIP), Monitor: true, Chaos: true,
-			Config: core.Config{Keepalive: true, FlowIdle: time.Minute, Obs: fo}},
+			Config: core.Config{FlowIdle: time.Minute, Obs: fo}},
 		Switches: []testbed.SwitchSpec{{Name: "tr-cli"}, {Name: "tr-srv"}, {Name: "tr-fw1"}, {Name: "tr-fw2"}},
 		Nodes: []testbed.Node{
 			testbed.HostNode("tr-cli", "client", clientIP, testbed.Wired),
