@@ -25,7 +25,7 @@ var suiteGolden = map[string]string{
 	"E8":  "43d48d1faba233ca/3",
 	"E9":  "3ce78c53745cb260/2",
 	"E10": "1fdb98713e82da64/1",
-	"E12": "f18fd0e84c60c0de/4",
+	"E12": "e1c90598eb75c46b/4",
 	"E13": "cd7d03ffccddaf0e/1",
 	"A1":  "bd9acfaef95bec4e/2",
 	"A2":  "ec2fc7df69f74670/1",
