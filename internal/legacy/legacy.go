@@ -1,10 +1,9 @@
 // Package legacy implements the Legacy-Switching layer (§III.B): ordinary
-// Ethernet learning switches interconnected into star, tree, or
-// multi-path fabrics. The fabric is transparent to the Access-Switching
-// layer above it: it only provides layer-2 reachability between AS switch
-// ports, with loops removed by a spanning tree so that flooding
-// terminates, matching the paper's reliance on STP/ECMP in the legacy
-// network (§III.C.1).
+// Ethernet learning switches trunked into a loop-free fabric (NewStar
+// builds the one every scenario uses). The fabric is transparent to the
+// Access-Switching layer above it: it only provides layer-2 reachability
+// between AS switch ports. The paper's STP and ECMP (§III.C.1) are not
+// modelled: no scenario builds a loop or a bonded trunk.
 package legacy
 
 import (
@@ -41,12 +40,7 @@ type Switch struct {
 	id    int
 	name  string
 	ports map[uint32]link.Endpoint
-	// blocked ports neither learn nor forward (spanning-tree discard
-	// state).
-	blocked map[uint32]bool
-	macs    map[netpkt.MAC]learned
-	// groups holds ECMP port bundles (ecmp.go).
-	groups map[uint32]*ecmpGroup
+	macs  map[netpkt.MAC]learned
 
 	// frames holds the frames inside the processing delay: each leaves at
 	// now + procDelay, and now only moves forward, so they leave in
@@ -66,12 +60,11 @@ type Switch struct {
 // NewSwitch creates a learning switch.
 func NewSwitch(eng *sim.Engine, id int, name string) *Switch {
 	s := &Switch{
-		eng:     eng,
-		id:      id,
-		name:    name,
-		ports:   make(map[uint32]link.Endpoint),
-		blocked: make(map[uint32]bool),
-		macs:    make(map[netpkt.MAC]learned),
+		eng:   eng,
+		id:    id,
+		name:  name,
+		ports: make(map[uint32]link.Endpoint),
+		macs:  make(map[netpkt.MAC]learned),
 	}
 	s.frames = sim.NewPipe(eng, s.forward)
 	return s
@@ -99,22 +92,11 @@ func (s *Switch) sortedPorts() []uint32 {
 	return s.portOrder
 }
 
-// Block puts a port in spanning-tree discard state.
-func (s *Switch) Block(no uint32) { s.blocked[no] = true }
-
-// Blocked reports whether a port is in discard state.
-func (s *Switch) Blocked(no uint32) bool { return s.blocked[no] }
-
 // Receive implements link.Node.
 func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
-	if s.blocked[portNo] {
-		return
-	}
 	now := s.eng.Now()
 	if !pkt.EthSrc.IsZero() && !pkt.EthSrc.IsBroadcast() {
-		// ECMP bundles learn on the group leader so any member reaches
-		// the same next hop.
-		s.macs[pkt.EthSrc] = learned{port: s.groupLeader(portNo), at: now}
+		s.macs[pkt.EthSrc] = learned{port: portNo, at: now}
 	}
 	s.frames.At(now+procDelay, switching{pkt, portNo})
 }
@@ -122,47 +104,31 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 func (s *Switch) forward(f switching) {
 	inPort, pkt := f.inPort, f.pkt
 	if !pkt.EthDst.IsBroadcast() {
-		if l, ok := s.macs[pkt.EthDst]; ok && s.eng.Now()-l.at < macAge && !s.blocked[l.port] {
-			if l.port != inPort && !s.sameGroup(l.port, inPort) {
+		if l, ok := s.macs[pkt.EthDst]; ok && s.eng.Now()-l.at < macAge {
+			if l.port != inPort {
 				s.ForwardedFrames++
-				// ECMP: spread flows across the bundle's members.
-				s.ports[s.pickMember(l.port, pkt)].Send(pkt)
+				s.ports[l.port].Send(pkt)
 			}
 			return
 		}
 	}
-	// Unknown unicast or broadcast: flood all unblocked ports but the
-	// ingress, in port order so simulations are deterministic; ECMP
-	// bundles contribute only their leader so loops and duplicates
-	// cannot form.
+	// Unknown unicast or broadcast: flood all ports but the ingress, in
+	// port order so simulations are deterministic.
 	for _, no := range s.sortedPorts() {
-		if no == inPort || s.blocked[no] || s.sameGroup(no, inPort) {
+		if no == inPort {
 			continue
-		}
-		if g, ok := s.groups[no]; ok && g.leader != no {
-			continue // non-leader member of a bundle
 		}
 		s.FloodedFrames++
 		s.ports[no].Send(pkt)
 	}
 }
 
-// Fabric is a built legacy network: its switches, its inter-switch links,
-// and a port allocator for attaching Access-Switching layer devices.
+// Fabric is a built legacy network: its switches and a port allocator
+// for attaching Access-Switching layer devices.
 type Fabric struct {
 	eng      *sim.Engine
 	Switches []*Switch
-	links    []*link.Link
 	nextPort map[int]uint32
-	// adjacency for the spanning-tree computation: inter-switch edges as
-	// (switch index, port) pairs.
-	edges []edge
-}
-
-type edge struct {
-	a, b         int
-	portA, portB uint32
-	l            *link.Link
 }
 
 // NewFabric creates an empty fabric.
@@ -185,14 +151,13 @@ func (f *Fabric) allocPort(sw int) uint32 {
 	return f.nextPort[sw]
 }
 
-// Trunk connects two fabric switches with an inter-switch link.
+// Trunk connects two fabric switches with an inter-switch link. Nothing
+// breaks loops, so the trunks must form a tree.
 func (f *Fabric) Trunk(a, b int, p link.Params) {
 	pa, pb := f.allocPort(a), f.allocPort(b)
 	l := link.Connect(f.eng, f.Switches[a], pa, f.Switches[b], pb, p)
 	f.Switches[a].AttachPort(pa, l)
 	f.Switches[b].AttachPort(pb, l)
-	f.links = append(f.links, l)
-	f.edges = append(f.edges, edge{a: a, b: b, portA: pa, portB: pb, l: l})
 }
 
 // Attach connects an external node (an AS switch port or a host) to
@@ -201,59 +166,7 @@ func (f *Fabric) Attach(sw int, node link.Node, nodePort uint32, p link.Params) 
 	pn := f.allocPort(sw)
 	l := link.Connect(f.eng, f.Switches[sw], pn, node, nodePort, p)
 	f.Switches[sw].AttachPort(pn, l)
-	f.links = append(f.links, l)
 	return l
-}
-
-// ComputeSpanningTree blocks redundant inter-switch links so flooding is
-// loop-free, emulating STP converging on the legacy network. The tree is
-// rooted at switch 0 and built breadth-first, so results are
-// deterministic.
-func (f *Fabric) ComputeSpanningTree() {
-	if len(f.Switches) == 0 {
-		return
-	}
-	adj := make(map[int][]edge)
-	for _, e := range f.edges {
-		adj[e.a] = append(adj[e.a], e)
-		adj[e.b] = append(adj[e.b], e)
-	}
-	inTree := make(map[*link.Link]bool)
-	visited := map[int]bool{0: true}
-	queue := []int{0}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[cur] {
-			other := e.b
-			if cur == e.b {
-				other = e.a
-			}
-			if visited[other] {
-				continue
-			}
-			visited[other] = true
-			inTree[e.l] = true
-			queue = append(queue, other)
-		}
-	}
-	for _, e := range f.edges {
-		if !inTree[e.l] {
-			f.Switches[e.a].Block(e.portA)
-			f.Switches[e.b].Block(e.portB)
-		}
-	}
-}
-
-// BlockedTrunks counts inter-switch links disabled by the spanning tree.
-func (f *Fabric) BlockedTrunks() int {
-	n := 0
-	for _, e := range f.edges {
-		if f.Switches[e.a].Blocked(e.portA) {
-			n++
-		}
-	}
-	return n
 }
 
 // NewStar builds a star fabric: one core switch and n edge switches, each
@@ -265,38 +178,5 @@ func NewStar(eng *sim.Engine, n int, trunk link.Params) *Fabric {
 		sw := f.AddSwitch(fmt.Sprintf("edge%d", i))
 		f.Trunk(core, sw, trunk)
 	}
-	return f
-}
-
-// NewTree builds a two-tier tree: one core, spine aggregation switches,
-// and leaf edge switches per aggregation switch — the FIT building's
-// core + per-storey secondary switch layout (§V).
-func NewTree(eng *sim.Engine, aggs, leavesPerAgg int, coreTrunk, aggTrunk link.Params) *Fabric {
-	f := NewFabric(eng)
-	core := f.AddSwitch("core")
-	for a := 0; a < aggs; a++ {
-		agg := f.AddSwitch(fmt.Sprintf("agg%d", a))
-		f.Trunk(core, agg, coreTrunk)
-		for l := 0; l < leavesPerAgg; l++ {
-			leaf := f.AddSwitch(fmt.Sprintf("leaf%d-%d", a, l))
-			f.Trunk(agg, leaf, aggTrunk)
-		}
-	}
-	return f
-}
-
-// NewMesh builds a redundant fabric where every pair of n switches is
-// directly trunked. The spanning tree must disable (n-1)(n-2)/2 links.
-func NewMesh(eng *sim.Engine, n int, trunk link.Params) *Fabric {
-	f := NewFabric(eng)
-	for i := 0; i < n; i++ {
-		f.AddSwitch("")
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			f.Trunk(i, j, trunk)
-		}
-	}
-	f.ComputeSpanningTree()
 	return f
 }
