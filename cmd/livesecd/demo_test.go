@@ -469,6 +469,58 @@ func TestSilentSwitchDeclaredDown(t *testing.T) {
 	}
 }
 
+// A peer that never sends FEATURES_REPLY is cut off handshakeTimeout
+// after the accept, although it keeps sending HELLOs and echo requests;
+// a switch that completed its handshake stays connected past the same
+// deadline.
+func TestHandshakeDeadline(t *testing.T) {
+	const schedSlop = 500 * time.Millisecond // goroutine wake-ups under -race on a loaded box
+	d := startDaemon(t, false, nil)
+	sw, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.conn.Close()
+	sw.start()
+	c, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	accepted := time.Now()
+	peer := openflow.NewNetConn(c)
+	peer.SetHandler(func(openflow.Message) {}) // read everything, answer nothing
+	peer.Send(&openflow.Hello{XID: 1})
+	chatter := time.NewTicker(100 * time.Millisecond)
+	defer chatter.Stop()
+	cut := peer.(interface{ Done() <-chan struct{} }).Done()
+	timeout := time.After(handshakeTimeout + schedSlop)
+	for open, xid := true, uint32(2); open; xid++ {
+		select {
+		case <-chatter.C:
+			peer.Send(&openflow.EchoRequest{XID: xid})
+		case <-cut:
+			open = false
+		case <-timeout:
+			t.Fatalf("the daemon kept a peer without FEATURES_REPLY for %v", time.Since(accepted))
+		}
+	}
+	took := time.Since(accepted)
+	t.Logf("cut off %v after connecting", took)
+	if took < handshakeTimeout-schedSlop {
+		t.Fatalf("cut off %v after connecting, before the %v handshake deadline", took, handshakeTimeout)
+	}
+	time.Sleep(3 * tick)
+	if n := d.store.Count(monitor.EventSwitchLeave); n != 0 {
+		t.Fatalf("%d switch-leave events: the handshake deadline cut off a switch that completed its handshake", n)
+	}
+	select {
+	case <-sw.conn.(interface{ Done() <-chan struct{} }).Done():
+		t.Fatal("the daemon closed a switch that completed its handshake")
+	default:
+	}
+}
+
 // lineWatch is an event-log writer that stamps, in unix ns, the first
 // write containing match.
 type lineWatch struct {

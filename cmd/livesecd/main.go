@@ -165,9 +165,10 @@ func acceptLoop(ln net.Listener, lk *ctrlLock, ctrl *core.Controller) {
 		if err != nil {
 			return
 		}
+		_ = c.SetReadDeadline(time.Now().Add(handshakeTimeout)) // fails only once closed, as the reader then does
 		q := &queuedConn{Conn: c, wake: make(chan struct{}, 1)}
 		go q.writeLoop()
-		conn := &pumpedConn{Conn: openflow.NewNetConn(q), lk: lk, ctrl: ctrl}
+		conn := &pumpedConn{Conn: openflow.NewNetConn(q), sock: c, lk: lk, ctrl: ctrl}
 		lk.do(func() { ctrl.AddSwitch(conn) })
 		go conn.removeOnClose()
 	}
@@ -216,10 +217,16 @@ func (l *ctrlLock) flush() {
 	l.do(func() { _ = l.log.Flush() }) // stdout gone: nowhere left to report it
 }
 
+// A peer is cut off, its connection closed, unless its FEATURES_REPLY
+// arrives within handshakeTimeout of the accept; from then on, the echo
+// probes judge its liveness.
+const handshakeTimeout = 5 * time.Second
+
 // pumpedConn adapts a net-backed OpenFlow channel so received messages
 // are handled under the controller lock, on the connection's own reader.
 type pumpedConn struct {
 	openflow.Conn
+	sock net.Conn // carries the handshake's read deadline
 	lk   *ctrlLock
 	ctrl *core.Controller
 	dpid uint64 // from the features reply relayed last; guarded by lk
@@ -232,6 +239,7 @@ func (c *pumpedConn) SetHandler(fn func(openflow.Message)) {
 		c.lk.do(func() {
 			if fr, ok := m.(*openflow.FeaturesReply); ok {
 				c.dpid, c.lk.owners[fr.DPID] = fr.DPID, c
+				_ = c.sock.SetReadDeadline(time.Time{}) // fails only once closed
 			}
 			fn(m)
 		})

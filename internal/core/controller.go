@@ -289,8 +289,11 @@ type Controller struct {
 	tableStats map[uint64]TableStats
 	// usage accumulates per-user data-plane counters (§IV.C).
 	usage map[netpkt.MAC]*UserTraffic
-	// sessions tracks installed flows for live policy re-application.
-	sessions map[flow.Key]sessionRecord
+	// sessions tracks installed flows for live policy re-application;
+	// rules and chains intern what its entries name (sessions.go).
+	sessions map[flow.Key]sessionEntry
+	rules    interned[string]
+	chains   interned[[]uint64]
 	// discoverPending debounces join-triggered discovery rounds.
 	discoverPending bool
 	// pendingReleases holds packet-outs awaiting barrier replies.

@@ -356,7 +356,7 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 		ev.Type = monitor.EventFailOpen
 		ev.Detail = "fail-open " + dec.Rule
 	}
-	c.rememberSession(key, st.dpid, dec.Rule, plan.seIDs, outcome == obs.OutcomeFailOpen)
+	c.rememberSession(key, st.dpid, dec.Rule, plan, outcome == obs.OutcomeFailOpen)
 	c.record(ev)
 }
 

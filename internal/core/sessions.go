@@ -17,47 +17,114 @@ import (
 // enforced on existing traffic immediately, instead of waiting for idle
 // timeouts to trigger fresh packet-ins.
 
-// sessionRecord remembers an installed forward-direction flow.
-type sessionRecord struct {
-	key  flow.Key // as seen at the ingress switch
-	dpid uint64   // ingress switch
-	rule string   // policy rule that admitted it
-	seq  uint64   // install order, for deterministic iteration
-	// seIDs are the service elements this session is steered through
-	// (nil for direct paths); used to drain sessions when an element
-	// fails (resilience.go).
-	seIDs []uint64
+// sessionEntry is what c.sessions holds per installed forward-direction
+// flow, keyed by the flow as seen at the ingress switch. It holds no
+// pointer, so the collector never scans the map: the admitting rule and
+// the element chain are IDs into the controller's intern tables.
+type sessionEntry struct {
+	dpid uint64 // ingress switch
+	seq  uint64 // install order, for deterministic iteration
+	// installedAt stamps the entry for Config.SessionTTL expiry (the
+	// FLOW_REMOVED that normally retires it can be lost under storms or
+	// chaos faults) and opens a fail-open session's violation window.
+	installedAt time.Duration
+	rule        uint32 // c.rules ID of the policy rule that admitted it
+	chain       uint32 // c.chains ID of the elements it is steered through
 	// failOpen marks a chained session that is temporarily running
 	// uninspected because no element of its required service was
-	// reachable at setup time. failOpenSince starts the
-	// policy-violation window closed by forgetSession.
-	failOpen      bool
-	failOpenSince time.Duration
-	// installedAt stamps the record for Config.SessionTTL expiry: the
-	// FLOW_REMOVED that normally retires a record can be lost under
-	// storms or chaos faults, and records must not accumulate forever.
+	// reachable at setup time; forgetSession closes its window.
+	failOpen bool
+}
+
+// sessionRecord is the view of one session that sessionsWhere returns.
+type sessionRecord struct {
+	key  flow.Key // as seen at the ingress switch
+	dpid uint64
+	rule string
+	seq  uint64
+	// seIDs are the service elements this session is steered through
+	// (nil for direct paths); used to drain sessions when an element
+	// fails (resilience.go). Callers must not modify it.
+	seIDs       []uint64
+	failOpen    bool
 	installedAt time.Duration
 }
 
-// rememberSession records an installed flow for later re-evaluation.
-// seIDs lists the service elements a chained session traverses;
-// failOpen marks a session installed on the fail-open path.
-func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, seIDs []uint64, failOpen bool) {
-	if c.sessions == nil {
-		c.sessions = make(map[flow.Key]sessionRecord)
+// interned hands out uint32 IDs for the values session entries share,
+// each found by a canonical string key. An ID counts the entries holding
+// it and is freed for reuse when the last one lets go, so a table holds
+// only what live sessions reference. The empty key is ID 0, never stored.
+type interned[V any] struct {
+	ids   map[string]uint32
+	slots []internSlot[V] // by ID-1
+	free  []uint32
+}
+
+type internSlot[V any] struct {
+	key  string
+	val  V
+	refs int
+}
+
+// ref returns the ID of val, whose canonical key is key, and takes a
+// reference to it.
+func (t *interned[V]) ref(key string, val V) uint32 {
+	if key == "" {
+		return 0
 	}
-	if old, ok := c.sessions[key]; ok && old.failOpen {
-		// Overwriting a fail-open record (e.g. re-steered after an
-		// element returned): close its violation window.
-		c.violationAccum += c.eng.Now() - old.failOpenSince
+	id, ok := t.ids[key]
+	if !ok {
+		if n := len(t.free); n > 0 {
+			id, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			t.slots = append(t.slots, internSlot[V]{})
+			id = uint32(len(t.slots))
+		}
+		if t.ids == nil {
+			t.ids = make(map[string]uint32)
+		}
+		t.ids[key] = id
+		t.slots[id-1] = internSlot[V]{key: key, val: val}
+	}
+	t.slots[id-1].refs++
+	return id
+}
+
+// unref drops a reference ref took.
+func (t *interned[V]) unref(id uint32) {
+	if id == 0 {
+		return
+	}
+	s := &t.slots[id-1]
+	if s.refs--; s.refs == 0 {
+		delete(t.ids, s.key)
+		*s = internSlot[V]{}
+		t.free = append(t.free, id)
+	}
+}
+
+func (t *interned[V]) get(id uint32) (val V) {
+	if id != 0 {
+		val = t.slots[id-1].val
+	}
+	return val
+}
+
+// rememberSession records an installed flow for later re-evaluation:
+// rule admitted it, plan installed it, and failOpen marks a session
+// installed on the fail-open path.
+func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, plan *sessionPlan, failOpen bool) {
+	if c.sessions == nil {
+		c.sessions = make(map[flow.Key]sessionEntry)
 	}
 	c.sessionSeq++
-	rec := sessionRecord{key: key, dpid: dpid, rule: rule, seq: c.sessionSeq,
-		seIDs: seIDs, failOpen: failOpen, installedAt: c.eng.Now()}
-	if failOpen {
-		rec.failOpenSince = c.eng.Now()
-	}
-	c.sessions[key] = rec
+	// plan.via renders plan.seIDs one-to-one, so it keys the chain.
+	e := sessionEntry{dpid: dpid, seq: c.sessionSeq, installedAt: c.eng.Now(),
+		rule: c.rules.ref(rule, rule), chain: c.chains.ref(plan.via, plan.seIDs), failOpen: failOpen}
+	// Overwriting a record (e.g. a fail-open session re-steered after an
+	// element returned) closes its violation window.
+	c.forgetSession(key)
+	c.sessions[key] = e
 }
 
 // sessionsWhere returns the live sessions pred selects, in install
@@ -66,7 +133,9 @@ func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, seI
 // iteration order is randomized in Go).
 func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecord {
 	var picked []sessionRecord
-	for _, rec := range c.sessions {
+	for key, e := range c.sessions {
+		rec := sessionRecord{key: key, dpid: e.dpid, rule: c.rules.get(e.rule), seq: e.seq,
+			seIDs: c.chains.get(e.chain), failOpen: e.failOpen, installedAt: e.installedAt}
 		if pred(rec) {
 			picked = append(picked, rec)
 		}
@@ -90,11 +159,18 @@ func (c *Controller) expireSessions(now time.Duration) {
 }
 
 // forgetSession drops the record when the ingress entry expires,
-// closing any open policy-violation window.
+// closing any open policy-violation window and releasing its interned
+// rule and chain.
 func (c *Controller) forgetSession(key flow.Key) {
-	if rec, ok := c.sessions[key]; ok && rec.failOpen {
-		c.violationAccum += c.eng.Now() - rec.failOpenSince
+	e, ok := c.sessions[key]
+	if !ok {
+		return
 	}
+	if e.failOpen {
+		c.violationAccum += c.eng.Now() - e.installedAt
+	}
+	c.rules.unref(e.rule)
+	c.chains.unref(e.chain)
 	delete(c.sessions, key)
 }
 
@@ -104,9 +180,9 @@ func (c *Controller) forgetSession(key flow.Key) {
 func (c *Controller) PolicyViolationTime() time.Duration {
 	total := c.violationAccum
 	now := c.eng.Now()
-	for _, rec := range c.sessions {
-		if rec.failOpen {
-			total += now - rec.failOpenSince
+	for _, e := range c.sessions {
+		if e.failOpen {
+			total += now - e.installedAt
 		}
 	}
 	return total

@@ -86,10 +86,13 @@ type Event struct {
 // HTTP API reads while the simulation writes). The last capacity events
 // are kept in a ring, so Record costs the same at capacity as with room;
 // sequence numbers are dense, so Seq q lives in slot (q-1) mod capacity.
+// The ring is allocated a page at a time as its first pass reaches each
+// page, and a page is never copied, so filling it never holds two copies
+// of the ring at once, as growing one slice by append does.
 type Store struct {
 	mu       sync.RWMutex
 	capacity int
-	ring     []Event // grows to capacity, then overwritten in place
+	pages    [][]Event // slot i is pages[i/eventPage][i%eventPage]
 	seq      uint64
 	counts   map[EventType]uint64
 	subs     []func(Event)
@@ -97,6 +100,9 @@ type Store struct {
 	// userApps aggregates protocol-identified events per user.
 	userApps map[string]map[string]uint64
 }
+
+// eventPage is the most events one page of a Store's ring holds.
+const eventPage = 1024
 
 // NewStore creates a store retaining at most capacity events
 // (0 = 65536).
@@ -126,11 +132,11 @@ func (s *Store) Record(ev Event) Event {
 	s.mu.Lock()
 	s.seq++
 	ev.Seq = s.seq
-	if len(s.ring) < s.capacity {
-		s.ring = append(s.ring, ev)
-	} else {
-		s.ring[(s.seq-1)%uint64(s.capacity)] = ev
+	i := (s.seq - 1) % uint64(s.capacity)
+	if p := int(i / eventPage); p == len(s.pages) { // the ring's first pass reaches a new page
+		s.pages = append(s.pages, make([]Event, min(eventPage, s.capacity-p*eventPage)))
 	}
+	*s.slot(i) = ev
 	s.counts[ev.Type]++
 	if ev.Type == EventProtocol && ev.User != "" && ev.Detail != "" {
 		apps := s.userApps[ev.User]
@@ -169,8 +175,10 @@ func (s *Store) RecordAlert(tr obs.AlertTransition) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ring)
+	return int(min(s.seq, uint64(s.capacity)))
 }
+
+func (s *Store) slot(i uint64) *Event { return &s.pages[i/eventPage][i%eventPage] }
 
 // TotalRecorded returns the number of events ever recorded.
 func (s *Store) TotalRecorded() uint64 {
@@ -225,10 +233,10 @@ func (s *Store) Events(f Filter) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// Seek straight past Since, or to the oldest retained event.
-	n := uint64(len(s.ring))
+	n := uint64(s.capacity)
 	var out []Event
-	for q := max(f.Since, s.seq-n); q < s.seq; q++ {
-		if ev := &s.ring[q%n]; f.admit(ev) { // slot of the event with Seq q+1
+	for q := max(f.Since, s.seq-min(s.seq, n)); q < s.seq; q++ {
+		if ev := s.slot(q % n); f.admit(ev) { // slot of the event with Seq q+1
 			out = append(out, described(*ev))
 			if len(out) == f.Limit {
 				break

@@ -191,8 +191,9 @@ func (s *sliceStore) Events(f Filter) []Event {
 }
 
 // TestRingMatchesSliceOracle drives the ring and the oracle with the same
-// random records, several wraps past every capacity from 1 to 64, and
-// requires identical answers from every query. About half the events
+// random records, several wraps past every capacity from 1 to 64 and
+// past capacities either side of one and two pages, and requires
+// identical answers from every query. About half the events
 // carry a flow key: queries return it described, while Record's return
 // value and subscriber deliveries are the oracle's without FlowDesc.
 func TestRingMatchesSliceOracle(t *testing.T) {
@@ -202,7 +203,12 @@ func TestRingMatchesSliceOracle(t *testing.T) {
 		ev.FlowDesc = ""
 		return ev
 	}
+	var capacities []int
 	for capacity := 1; capacity <= 64; capacity++ {
+		capacities = append(capacities, capacity)
+	}
+	capacities = append(capacities, eventPage-1, eventPage, eventPage+1, 2*eventPage+7)
+	for _, capacity := range capacities {
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		ring := NewStore(capacity)
 		oracle := &sliceStore{capacity: capacity, counts: make(map[EventType]uint64)}
@@ -362,8 +368,9 @@ func BenchmarkStoreRecordFlowEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreRecordCold is Record on a store with room, growing by
-// append; a fresh store every 65,536 records keeps it below capacity.
+// BenchmarkStoreRecordCold is Record on a store with room, allocating a
+// page every 1,024 records; a fresh store every 65,536 records keeps it
+// below capacity.
 func BenchmarkStoreRecordCold(b *testing.B) {
 	b.ReportAllocs()
 	var s *Store
