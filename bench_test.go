@@ -208,14 +208,14 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		k := base
 		k.SrcPort = uint16(i)
-		tbl.Add(&dataplane.Entry{Match: flow.ExactMatch(k), Priority: 200}, 0)
+		tbl.Add(dataplane.Entry{Match: flow.ExactMatch(k), Priority: 200}, 0)
 	}
-	tbl.Add(&dataplane.Entry{Match: flow.MatchAll(), Priority: 1}, 0)
+	tbl.Add(dataplane.Entry{Match: flow.MatchAll(), Priority: 1}, 0)
 	probe := base
 	probe.SrcPort = 512
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tbl.Lookup(probe) == nil {
+		if _, ok := tbl.Lookup(probe); !ok {
 			b.Fatal("miss")
 		}
 	}

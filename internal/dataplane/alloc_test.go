@@ -26,7 +26,7 @@ func allocRig(actions []openflow.Action) (cycle func() error, sw *Switch, out *c
 	sw.AttachPort(1, link.Connect(eng, sw, 1, in, 0, link.Params{BitsPerSec: link.Rate1G}))
 	sw.AttachPort(2, link.Connect(eng, sw, 2, out, 0, link.Params{BitsPerSec: link.Rate1G}))
 	pkt := testPacket()
-	sw.table.Add(&Entry{Match: flow.ExactMatch(flow.KeyOf(1, pkt)), Priority: 10, Actions: actions}, 0)
+	sw.table.Add(Entry{Match: flow.ExactMatch(flow.KeyOf(1, pkt)), Priority: 10, Actions: actions}, 0)
 	return func() error {
 		sw.Receive(1, pkt)
 		return eng.Run(eng.Now() + time.Millisecond)
@@ -77,7 +77,7 @@ func TestRewriteCopiesFrameOnly(t *testing.T) {
 	pkt := testPacket()
 	origDst := pkt.EthDst
 	macA, macB := netpkt.MACFromUint64(0xaa), netpkt.MACFromUint64(0xbb)
-	r.sw.table.Add(&Entry{Match: flow.ExactMatch(flow.KeyOf(1, pkt)), Priority: 10, Actions: []openflow.Action{
+	r.sw.table.Add(Entry{Match: flow.ExactMatch(flow.KeyOf(1, pkt)), Priority: 10, Actions: []openflow.Action{
 		openflow.ActionSetDLDst{MAC: macA}, openflow.ActionOutput{Port: 2},
 		openflow.ActionSetDLDst{MAC: macB}, openflow.ActionOutput{Port: 2},
 	}}, 0)

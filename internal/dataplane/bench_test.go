@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func BenchmarkMicroflowLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("hit/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if cache.lookup(tbl, probe) == nil {
+				if cache.lookup(tbl, probe) == noRef {
 					b.Fatal("miss")
 				}
 			}
@@ -37,7 +38,7 @@ func BenchmarkMicroflowLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("nocache/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tbl.Lookup(probe) == nil {
+				if tbl.lookup(probe) == noRef {
 					b.Fatal("miss")
 				}
 			}
@@ -68,7 +69,7 @@ func benchSwitch() (*sim.Engine, *Switch, *netpkt.Packet) {
 			IPDst:   netpkt.IP(10, 5, byte(i>>8), byte(i)),
 			DstPort: uint16(3000 + i),
 		}
-		sw.table.Add(&Entry{
+		sw.table.Add(Entry{
 			Match:    flow.Match{Wildcards: masks[i%len(masks)], Key: k},
 			Priority: uint16(90 + i%15),
 		}, 0)
@@ -76,7 +77,7 @@ func benchSwitch() (*sim.Engine, *Switch, *netpkt.Packet) {
 	// The flow's own rule is wildcard-based, like LiveSec interaction
 	// rules, and sits amid competing-priority ACL buckets, so the
 	// uncached lookup must probe several buckets per packet.
-	sw.table.Add(&Entry{
+	sw.table.Add(Entry{
 		Match:    flow.Match{Wildcards: flow.WildVLAN | flow.WildIPTOS, Key: flow.KeyOf(1, pkt)},
 		Priority: 100,
 		Actions:  openflow.Output(2),
@@ -122,19 +123,25 @@ func fullestTableKeys(n int) []flow.Key {
 	return keys
 }
 
-// BenchmarkFlowTableExact times exact-index lookups, hits and misses, at
-// the size of sim_churn's fullest flow table: 112,574 exact entries.
+// BenchmarkFlowTableExact times exact-index lookups, hits and misses,
+// adds, and strict deletes at the size of sim_churn's fullest flow table:
+// 112,574 exact entries. "add" also reports the heap bytes a full table
+// retains per entry.
 func BenchmarkFlowTableExact(b *testing.B) {
 	const n = 112_574
-	tbl := NewFlowTable()
 	keys := fullestTableKeys(n)
-	for _, k := range keys {
-		tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 10, Actions: openflow.Output(2)}, 0)
+	fill := func() *FlowTable {
+		tbl := NewFlowTable()
+		for _, k := range keys {
+			tbl.Add(Entry{Match: flow.ExactMatch(k), Priority: 10, Actions: openflow.Output(2)}, 0)
+		}
+		return tbl
 	}
+	tbl := fill()
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if tbl.Lookup(keys[i%n]) == nil {
+			if tbl.lookup(keys[i%n]) == noRef {
 				b.Fatal("miss")
 			}
 		}
@@ -144,8 +151,42 @@ func BenchmarkFlowTableExact(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k := keys[i%n]
 			k.DstPort++
-			if tbl.Lookup(k) != nil {
+			if tbl.lookup(k) != noRef {
 				b.Fatal("hit")
+			}
+		}
+	})
+	b.Run("add", func(b *testing.B) {
+		b.ReportAllocs()
+		var t *FlowTable
+		for i := 0; i < b.N; i++ {
+			if i%n == 0 {
+				t = NewFlowTable()
+			}
+			t.Add(Entry{Match: flow.ExactMatch(keys[i%n]), Priority: 10, Actions: openflow.Output(2)}, 0)
+		}
+		b.StopTimer()
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		t = fill()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.HeapAlloc-before)/n, "retained-B/entry")
+		runtime.KeepAlive(t)
+	})
+	b.Run("delete-strict", func(b *testing.B) {
+		b.ReportAllocs()
+		t := fill()
+		for i := 0; i < b.N; i++ {
+			if i%n == 0 && i > 0 {
+				b.StopTimer()
+				t = fill()
+				b.StartTimer()
+			}
+			if len(t.Delete(flow.ExactMatch(keys[i%n]), 10, true)) != 1 {
+				b.Fatal("deleted nothing")
 			}
 		}
 	})
@@ -166,7 +207,7 @@ func BenchmarkFlowTableExpire(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			tbl := NewFlowTable()
 			add := func(k flow.Key, hard uint16) {
-				tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 10, IdleTimeout: 30, HardTimeout: hard,
+				tbl.Add(Entry{Match: flow.ExactMatch(k), Priority: 10, IdleTimeout: 30, HardTimeout: hard,
 					Actions: openflow.Output(2)}, 0)
 			}
 			for _, k := range keys[:c.due] {

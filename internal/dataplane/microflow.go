@@ -22,8 +22,9 @@ type MicroflowStats struct {
 }
 
 // microflowCache is the OVS-style exact-match fast path in front of
-// FlowTable.Lookup: the full 12-tuple key of a packet maps straight to
-// the winning entry (which may itself be a wildcard rule), skipping the
+// FlowTable.Lookup: the full 12-tuple key of a packet maps straight to a
+// reference to the winning entry (which may itself be a wildcard rule),
+// so the map holds no pointer for the collector to scan, skipping the
 // exact-map probe plus the mask-bucket scan on every subsequent packet
 // of the same microflow.
 //
@@ -35,20 +36,20 @@ type MicroflowStats struct {
 // which makes memoizing it sound.
 type microflowCache struct {
 	gen     uint64
-	entries map[flow.Key]*Entry
+	entries map[flow.Key]ref
 	stats   MicroflowStats
 }
 
 func newMicroflowCache() *microflowCache {
-	return &microflowCache{entries: make(map[flow.Key]*Entry)}
+	return &microflowCache{entries: make(map[flow.Key]ref)}
 }
 
-// lookup consults the cache, falling back to t.Lookup on a miss and
+// lookup consults the cache, falling back to the table on a miss and
 // remembering a positive result. Negative results are not cached: a
 // miss raises a packet-in whose flow-mod response bumps the table
 // generation anyway, so a negative entry would be flushed before it
 // could ever be useful.
-func (c *microflowCache) lookup(t *FlowTable, k flow.Key) *Entry {
+func (c *microflowCache) lookup(t *FlowTable, k flow.Key) ref {
 	if g := t.Gen(); g != c.gen {
 		if len(c.entries) > 0 {
 			clear(c.entries)
@@ -56,14 +57,14 @@ func (c *microflowCache) lookup(t *FlowTable, k flow.Key) *Entry {
 		}
 		c.gen = g
 	}
-	if e, ok := c.entries[k]; ok {
+	if r, ok := c.entries[k]; ok {
 		c.stats.Hits++
-		return e
+		return r
 	}
 	c.stats.Misses++
-	e := t.Lookup(k)
-	if e != nil && len(c.entries) < microflowCap {
-		c.entries[k] = e
+	r := t.lookup(k)
+	if r != noRef && len(c.entries) < microflowCap {
+		c.entries[k] = r
 	}
-	return e
+	return r
 }

@@ -28,7 +28,7 @@ func randMatch(rng *rand.Rand) flow.Match {
 // TestPropertyMicroflowCacheMatchesTable drives a flow table through a
 // random mutation stream — adds, deletes, expiries — interleaved with
 // lookups, and checks that a microflow cache in front of the table
-// returns the identical *Entry the table itself would, at every step.
+// names the identical entry the table itself would, at every step.
 // This is the cache's correctness contract: behaviorally invisible.
 func TestPropertyMicroflowCacheMatchesTable(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -40,13 +40,12 @@ func TestPropertyMicroflowCacheMatchesTable(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 3: // install
 				m := randMatch(rng)
-				e := &Entry{
+				tbl.Add(Entry{
 					Match:       m,
 					Priority:    uint16(rng.Intn(4)),
 					Actions:     openflow.Output(uint32(rng.Intn(4))),
 					IdleTimeout: uint16(rng.Intn(3)),
-				}
-				tbl.Add(e, now)
+				}, now)
 			case op == 3: // delete
 				tbl.Delete(randMatch(rng), uint16(rng.Intn(4)), rng.Intn(2) == 0)
 			case op == 4: // expiry sweep
@@ -54,7 +53,7 @@ func TestPropertyMicroflowCacheMatchesTable(t *testing.T) {
 				tbl.Expire(now)
 			default: // lookup: cached must equal uncached
 				k := randKey(rng)
-				want := tbl.Lookup(k)
+				want := tbl.lookup(k)
 				got := cache.lookup(tbl, k)
 				if got != want {
 					t.Fatalf("seed %d step %d: cached lookup = %v, table lookup = %v",
@@ -82,34 +81,35 @@ func TestMicroflowStaleHitImpossible(t *testing.T) {
 	cache := newMicroflowCache()
 	k := flow.Key{InPort: 1, EthType: netpkt.EtherTypeIPv4}
 
-	e1 := &Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2)}
+	cached := func() (Entry, bool) { return tbl.entry(cache.lookup(tbl, k)) }
+	e1 := Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2)}
 	tbl.Add(e1, 0)
-	if got := cache.lookup(tbl, k); got != e1 {
+	if got, ok := cached(); !sameEntry(got, ok, e1, true) {
 		t.Fatalf("initial lookup = %v, want e1", got)
 	}
 
 	// Replace: same match and priority, new entry.
-	e2 := &Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(3)}
+	e2 := Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(3)}
 	tbl.Add(e2, 0)
-	if got := cache.lookup(tbl, k); got != e2 {
+	if got, ok := cached(); !sameEntry(got, ok, e2, true) {
 		t.Fatalf("lookup after replace = %v, want e2", got)
 	}
 
 	// Delete: the cache must miss, not serve the removed entry.
 	tbl.Delete(flow.ExactMatch(k), 0, true)
-	if got := cache.lookup(tbl, k); got != nil {
-		t.Fatalf("lookup after delete = %v, want nil", got)
+	if got, ok := cached(); ok {
+		t.Fatalf("lookup after delete = %v, want a miss", got)
 	}
 
 	// Expire: an idle-timed-out entry must vanish from the cache view.
-	e3 := &Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2), IdleTimeout: 1}
+	e3 := Entry{Match: flow.ExactMatch(k), Actions: openflow.Output(2), IdleTimeout: 1}
 	tbl.Add(e3, 0)
-	if got := cache.lookup(tbl, k); got != e3 {
+	if got, ok := cached(); !sameEntry(got, ok, e3, true) {
 		t.Fatalf("lookup after re-add = %v, want e3", got)
 	}
 	tbl.Expire(2 * time.Second)
-	if got := cache.lookup(tbl, k); got != nil {
-		t.Fatalf("lookup after expiry = %v, want nil", got)
+	if got, ok := cached(); ok {
+		t.Fatalf("lookup after expiry = %v, want a miss", got)
 	}
 }
 
@@ -120,16 +120,16 @@ func TestMicroflowNoOpMutationsKeepCacheWarm(t *testing.T) {
 	tbl := NewFlowTable()
 	cache := newMicroflowCache()
 	k := flow.Key{InPort: 1, EthType: netpkt.EtherTypeIPv4}
-	tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 9, Actions: openflow.Output(2)}, 0)
+	tbl.Add(Entry{Match: flow.ExactMatch(k), Priority: 9, Actions: openflow.Output(2)}, 0)
 	cache.lookup(tbl, k) // fill
 
 	miss := flow.Key{InPort: 3}
-	tbl.Delete(flow.ExactMatch(miss), 0, true)                                           // removes nothing
-	tbl.Expire(time.Hour)                                                                // nothing has a timeout
-	tbl.Add(&Entry{Match: flow.ExactMatch(k), Priority: 1, Actions: openflow.Drop()}, 0) // shadowed add
+	tbl.Delete(flow.ExactMatch(miss), 0, true)                                          // removes nothing
+	tbl.Expire(time.Hour)                                                               // nothing has a timeout
+	tbl.Add(Entry{Match: flow.ExactMatch(k), Priority: 1, Actions: openflow.Drop()}, 0) // shadowed add
 
 	before := cache.stats.Hits
-	if got := cache.lookup(tbl, k); got == nil || got.Priority != 9 {
+	if got, ok := tbl.entry(cache.lookup(tbl, k)); !ok || got.Priority != 9 {
 		t.Fatalf("lookup = %v, want the priority-9 entry", got)
 	}
 	if cache.stats.Hits != before+1 {

@@ -133,7 +133,7 @@ func TestFlowModThenForward(t *testing.T) {
 		t.Fatal("unexpected packet-in after flow installed")
 	}
 	// Counters updated.
-	e := r.sw.Table().Lookup(key)
+	e, _ := r.sw.Table().Lookup(key)
 	if e.Packets != 1 || e.Bytes == 0 {
 		t.Fatalf("entry counters: %+v", e)
 	}
@@ -449,5 +449,51 @@ func TestPortOrderAscending(t *testing.T) {
 	ports[0] = 99 // a copy: the switch's own order is untouched
 	if got := sw.Ports(); !slices.Equal(got, want) {
 		t.Fatalf("Ports() after the caller wrote its copy = %v", got)
+	}
+}
+
+// Past bufferCap unreleased packet-ins the switch buffers no more until
+// the slot the next ID falls on is bufferAge old; then it overwrites
+// that slot, and a packet-out naming the overwritten ID gets an error,
+// never the packet now buffered there.
+func TestPacketBufferRingOverwrites(t *testing.T) {
+	r := newRig(t)
+	send := func(port uint16) *openflow.PacketIn {
+		pkt := netpkt.NewTCP(netpkt.MACFromUint64(1), netpkt.MACFromUint64(2),
+			netpkt.IP(10, 0, 0, 1), netpkt.IP(10, 0, 0, 2), port, 80, []byte("hello"))
+		r.eng.Schedule(0, func() { r.h1.ep.Send(pkt) })
+		r.run(t, r.eng.Now()+time.Millisecond)
+		return r.lastType(openflow.TypePacketIn).(*openflow.PacketIn)
+	}
+	for i := 0; i < bufferCap; i++ {
+		if pi := send(uint16(1000 + i)); pi.BufferID == openflow.NoBuffer {
+			t.Fatalf("packet-in %d not buffered", i)
+		}
+	}
+	if pi := send(999); pi.BufferID != openflow.NoBuffer {
+		t.Fatalf("packet-in past %d unreleased ones buffered as %d", bufferCap, pi.BufferID)
+	}
+	r.run(t, r.eng.Now()+bufferAge)
+	fresh := send(4242)
+	if fresh.BufferID == openflow.NoBuffer {
+		t.Fatalf("no packet-in buffered after %v", bufferAge)
+	}
+	stale := fresh.BufferID - bufferCap
+	errors := 0
+	r.ctrl.SetHandler(func(m openflow.Message) {
+		if e, ok := m.(*openflow.ErrorMsg); ok && e.Code == openflow.ErrBadRequest {
+			errors++
+		}
+	})
+	r.ctrl.Send(&openflow.PacketOut{BufferID: stale, Actions: openflow.Output(2)})
+	r.run(t, r.eng.Now()+time.Millisecond)
+	if errors != 1 || len(r.h2.got) != 0 {
+		t.Fatalf("packet-out of overwritten buffer %d: %d errors, %d packets sent; want 1, 0", stale, errors, len(r.h2.got))
+	}
+	r.ctrl.Send(&openflow.PacketOut{BufferID: fresh.BufferID, Actions: openflow.Output(2)})
+	r.ctrl.Send(&openflow.PacketOut{BufferID: fresh.BufferID, Actions: openflow.Output(2)})
+	r.run(t, r.eng.Now()+time.Millisecond)
+	if errors != 2 || len(r.h2.got) != 1 || r.h2.got[0].TCP.SrcPort != 4242 {
+		t.Fatalf("packet-out of buffer %d, twice: %d errors, %d packets sent; want its packet once, then an error", fresh.BufferID, errors, len(r.h2.got))
 	}
 }

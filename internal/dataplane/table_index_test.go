@@ -30,27 +30,31 @@ func randKey(r *rand.Rand) flow.Key {
 }
 
 // lookupLinear is the pre-index reference implementation: a linear scan
-// of every exact entry and of the priority-sorted wildcard list, the
+// of every exact slot and of the priority-sorted wildcard list, the
 // specification Lookup must agree with. It never probes the exact index
 // by hash, so an entry filed under the wrong hash still counts here.
-func (t *FlowTable) lookupLinear(k flow.Key) *Entry {
-	var best *Entry
-	for _, chain := range t.exact {
-		for e := chain; e != nil; e = e.next {
-			if e.Match.Key == k {
-				best = e
+func (t *FlowTable) lookupLinear(k flow.Key) (Entry, bool) {
+	var best *slot
+	for _, pg := range t.pages {
+		for i := range pg {
+			if s := &pg[i]; s.flags&slotLive != 0 && s.key == k {
+				best = s
 			}
 		}
 	}
-	for _, e := range t.wildcards {
-		if best != nil && e.Priority <= best.Priority {
+	for _, id := range t.wildcards {
+		w := &t.wild[id]
+		if best != nil && w.priority <= best.priority {
 			break // sorted: nothing below can beat the exact hit
 		}
-		if e.Match.Matches(k) {
-			return e
+		if (flow.Match{Wildcards: w.mask, Key: w.key}).Matches(k) {
+			return t.view(&w.slot, w.mask), true
 		}
 	}
-	return best
+	if best == nil {
+		return Entry{}, false
+	}
+	return t.view(best, 0), true
 }
 
 // Property: the tuple-space-indexed Lookup is behaviorally identical to
@@ -78,13 +82,14 @@ func TestPropertyIndexedLookupMatchesLinear(t *testing.T) {
 				if r.Intn(4) == 0 {
 					m.Wildcards = 0 // force exact
 				}
-				tbl.Add(&Entry{Match: m, Priority: uint16(r.Intn(5)), Cookie: uint64(i)}, 0)
+				tbl.Add(Entry{Match: m, Priority: uint16(r.Intn(5)), Cookie: uint64(i)}, 0)
 			}
 		}
 		for probe := 0; probe < 50; probe++ {
 			k := randKey(r)
-			got, want := tbl.Lookup(k), tbl.lookupLinear(k)
-			if got != want {
+			got, ok := tbl.Lookup(k)
+			want, wantOK := tbl.lookupLinear(k)
+			if !sameEntry(got, ok, want, wantOK) || got.seq != want.seq {
 				t.Fatalf("trial %d: Lookup(%v) = %+v, linear reference = %+v",
 					trial, k, got, want)
 			}
@@ -98,20 +103,21 @@ func TestPropertyIndexedLookupMatchesLinear(t *testing.T) {
 func TestIndexedLookupEqualPriorityInsertionOrder(t *testing.T) {
 	tbl := NewFlowTable()
 	k := exactKey(1000)
-	first := &Entry{Match: flow.Match{Wildcards: flow.WildSrcPort, Key: k}, Priority: 10, Cookie: 1}
-	second := &Entry{Match: flow.Match{Wildcards: flow.WildDstPort, Key: k}, Priority: 10, Cookie: 2}
+	first := Entry{Match: flow.Match{Wildcards: flow.WildSrcPort, Key: k}, Priority: 10, Cookie: 1}
+	second := Entry{Match: flow.Match{Wildcards: flow.WildDstPort, Key: k}, Priority: 10, Cookie: 2}
 	tbl.Add(first, 0)
 	tbl.Add(second, 0)
-	if e := tbl.Lookup(k); e != first {
+	if e, ok := tbl.Lookup(k); !sameEntry(e, ok, first, true) {
 		t.Fatalf("equal-priority lookup returned cookie %d, want first-installed", e.Cookie)
 	}
 	// Replacing the first entry (same match+priority) keeps its slot.
-	replacement := &Entry{Match: first.Match, Priority: 10, Cookie: 3}
+	replacement := Entry{Match: first.Match, Priority: 10, Cookie: 3}
 	tbl.Add(replacement, 0)
-	if e := tbl.Lookup(k); e != replacement {
+	if e, ok := tbl.Lookup(k); !sameEntry(e, ok, replacement, true) {
 		t.Fatalf("replacement lost its position: got cookie %d", e.Cookie)
 	}
-	if got, want := tbl.Lookup(k), tbl.lookupLinear(k); got != want {
+	got, ok := tbl.Lookup(k)
+	if want, wantOK := tbl.lookupLinear(k); !sameEntry(got, ok, want, wantOK) {
 		t.Fatalf("index and linear disagree after replacement")
 	}
 }
@@ -124,22 +130,22 @@ func TestExactAddKeepsHighestPriority(t *testing.T) {
 	m := flow.ExactMatch(k)
 
 	tbl := NewFlowTable()
-	tbl.Add(&Entry{Match: m, Priority: 50, Cookie: 1}, 0)
-	tbl.Add(&Entry{Match: m, Priority: 10, Cookie: 2}, 0) // lower: ignored
-	if e := tbl.Lookup(k); e.Priority != 50 || e.Cookie != 1 {
+	tbl.Add(Entry{Match: m, Priority: 50, Cookie: 1}, 0)
+	tbl.Add(Entry{Match: m, Priority: 10, Cookie: 2}, 0) // lower: ignored
+	if e, _ := tbl.Lookup(k); e.Priority != 50 || e.Cookie != 1 {
 		t.Fatalf("lower-priority add displaced entry: %+v", e)
 	}
 	if tbl.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (exact entries unique per key)", tbl.Len())
 	}
 
-	tbl.Add(&Entry{Match: m, Priority: 90, Cookie: 3}, 0) // higher: displaces
-	if e := tbl.Lookup(k); e.Priority != 90 || e.Cookie != 3 {
+	tbl.Add(Entry{Match: m, Priority: 90, Cookie: 3}, 0) // higher: displaces
+	if e, _ := tbl.Lookup(k); e.Priority != 90 || e.Cookie != 3 {
 		t.Fatalf("higher-priority add did not displace: %+v", e)
 	}
 
-	tbl.Add(&Entry{Match: m, Priority: 90, Cookie: 4}, 0) // equal: overwrites
-	if e := tbl.Lookup(k); e.Cookie != 4 {
+	tbl.Add(Entry{Match: m, Priority: 90, Cookie: 4}, 0) // equal: overwrites
+	if e, _ := tbl.Lookup(k); e.Cookie != 4 {
 		t.Fatalf("equal-priority add did not overwrite: %+v", e)
 	}
 	if tbl.Len() != 1 {
@@ -159,7 +165,7 @@ func TestDeleteDeterministicOrder(t *testing.T) {
 			} else {
 				m = flow.ExactMatch(exactKey(uint16(i)))
 			}
-			tbl.Add(&Entry{Match: m, Priority: uint16(10 + i%4), Cookie: uint64(i)}, 0)
+			tbl.Add(Entry{Match: m, Priority: uint16(10 + i%4), Cookie: uint64(i)}, 0)
 		}
 		return tbl
 	}
@@ -196,7 +202,7 @@ func TestDeleteDeterministicOrder(t *testing.T) {
 func TestExpireDeterministicOrder(t *testing.T) {
 	tbl := NewFlowTable()
 	for i := 0; i < 10; i++ {
-		tbl.Add(&Entry{
+		tbl.Add(Entry{
 			Match:       flow.ExactMatch(exactKey(uint16(i))),
 			Priority:    10,
 			Cookie:      uint64(i),
@@ -234,12 +240,12 @@ func aclTable(n int) (*FlowTable, flow.Key) {
 			IPDst:   netpkt.IP(10, 2, byte(i>>8), byte(i)),
 			DstPort: uint16(2000 + i),
 		}
-		tbl.Add(&Entry{
+		tbl.Add(Entry{
 			Match:    flow.Match{Wildcards: masks[i%len(masks)], Key: k},
 			Priority: uint16(100 + i%7),
 		}, 0)
 	}
-	tbl.Add(&Entry{Match: flow.MatchAll(), Priority: 1}, 0)
+	tbl.Add(Entry{Match: flow.MatchAll(), Priority: 1}, 0)
 	probe := exactKey(1)
 	probe.IPSrc = netpkt.IP(10, 9, 9, 9)
 	probe.IPDst = netpkt.IP(10, 8, 8, 8)
@@ -256,7 +262,7 @@ func BenchmarkLookupWildcardHeavy(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tbl.Lookup(probe) == nil {
+				if _, ok := tbl.Lookup(probe); !ok {
 					b.Fatal("miss")
 				}
 			}
@@ -264,7 +270,7 @@ func BenchmarkLookupWildcardHeavy(b *testing.B) {
 		b.Run(fmt.Sprintf("linear/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tbl.lookupLinear(probe) == nil {
+				if _, ok := tbl.lookupLinear(probe); !ok {
 					b.Fatal("miss")
 				}
 			}
@@ -277,18 +283,18 @@ func BenchmarkLookupWildcardHeavy(b *testing.B) {
 func TestLookupZeroAllocs(t *testing.T) {
 	tbl := NewFlowTable()
 	for i := 0; i < 200; i++ {
-		tbl.Add(&Entry{Match: flow.ExactMatch(exactKey(uint16(i))), Priority: 10}, 0)
+		tbl.Add(Entry{Match: flow.ExactMatch(exactKey(uint16(i))), Priority: 10}, 0)
 	}
-	tbl.Add(&Entry{Match: flow.MatchAll(), Priority: 1, Actions: openflow.Output(1)}, 0)
-	tbl.Add(&Entry{Match: flow.Match{Wildcards: flow.WildAll &^ flow.WildEthDst,
+	tbl.Add(Entry{Match: flow.MatchAll(), Priority: 1, Actions: openflow.Output(1)}, 0)
+	tbl.Add(Entry{Match: flow.Match{Wildcards: flow.WildAll &^ flow.WildEthDst,
 		Key: exactKey(0)}, Priority: 300}, 0)
 	hit := exactKey(100)
 	miss := exactKey(10000)
 	allocs := testing.AllocsPerRun(200, func() {
-		if tbl.Lookup(hit) == nil {
+		if _, ok := tbl.Lookup(hit); !ok {
 			t.Fatal("expected hit")
 		}
-		if tbl.Lookup(miss) == nil {
+		if _, ok := tbl.Lookup(miss); !ok {
 			t.Fatal("expected wildcard hit")
 		}
 	})

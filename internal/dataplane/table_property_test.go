@@ -29,16 +29,17 @@ func TestPropertyExpireExact(t *testing.T) {
 				Priority:    10,
 				IdleTimeout: uint16(r.Intn(5)),
 				HardTimeout: uint16(r.Intn(5)),
+				Cookie:      uint64(i),
 			}
 			at := time.Duration(r.Intn(3)) * time.Second
-			tbl.Add(e, at)
+			tbl.Add(*e, at)
 			all = append(all, want{e, at})
 		}
 		now := time.Duration(r.Intn(10)) * time.Second
 		expired := tbl.Expire(now)
-		gone := map[*Entry]bool{}
+		gone := map[uint64]bool{} // by cookie
 		for _, x := range expired {
-			gone[x.Entry] = true
+			gone[x.Entry.Cookie] = true
 		}
 		for _, w := range all {
 			if w.install > now {
@@ -47,17 +48,17 @@ func TestPropertyExpireExact(t *testing.T) {
 			hardDead := w.e.HardTimeout > 0 && now-w.install >= time.Duration(w.e.HardTimeout)*time.Second
 			idleDead := w.e.IdleTimeout > 0 && now-w.install >= time.Duration(w.e.IdleTimeout)*time.Second
 			shouldDie := hardDead || idleDead
-			if shouldDie != gone[w.e] {
+			if shouldDie != gone[w.e.Cookie] {
 				t.Fatalf("trial %d: entry install=%v idle=%v hard=%v now=%v: expired=%v want %v",
-					trial, w.install, w.e.IdleTimeout, w.e.HardTimeout, now, gone[w.e], shouldDie)
+					trial, w.install, w.e.IdleTimeout, w.e.HardTimeout, now, gone[w.e.Cookie], shouldDie)
 			}
 		}
 		// Surviving entries are still findable.
 		for _, w := range all {
-			if gone[w.e] || w.install > now {
+			if gone[w.e.Cookie] || w.install > now {
 				continue
 			}
-			if tbl.Lookup(w.e.Match.Key) == nil {
+			if got, ok := tbl.Lookup(w.e.Match.Key); !sameEntry(got, ok, *w.e, true) {
 				t.Fatalf("trial %d: surviving entry vanished", trial)
 			}
 		}
@@ -66,7 +67,7 @@ func TestPropertyExpireExact(t *testing.T) {
 
 // expiredAt is the reference expiry predicate, which knows nothing of the
 // table's bound: whether e has timed out at now, and why.
-func expiredAt(e *Entry, now time.Duration) (uint8, bool) {
+func expiredAt(e Entry, now time.Duration) (uint8, bool) {
 	switch {
 	case e.HardTimeout > 0 && now-e.installed >= time.Duration(e.HardTimeout)*time.Second:
 		return openflow.RemovedHardTimeout, true
@@ -80,7 +81,8 @@ func expiredAt(e *Entry, now time.Duration) (uint8, bool) {
 // expiredAt, whatever the bound says. Expire must agree with it.
 func (t *FlowTable) expireWalk(now time.Duration) []ExpiredEntry {
 	var expired []ExpiredEntry
-	t.sweep(func(e *Entry) bool {
+	t.sweep(nil, func(s *slot, mask flow.Wildcard) bool {
+		e := t.view(s, mask)
 		reason, dead := expiredAt(e, now)
 		if dead {
 			expired = append(expired, ExpiredEntry{e, reason})
@@ -121,7 +123,7 @@ func TestPropertyExpireMatchesWalk(t *testing.T) {
 				adds = append(adds, a)
 				idle, hard, cookie := uint16(r.Intn(6)), uint16(r.Intn(6)), uint64(step)
 				for _, x := range []*FlowTable{tbl, ref} {
-					x.Add(&Entry{Match: a.m, Priority: a.priority, IdleTimeout: idle, HardTimeout: hard, Cookie: cookie}, now)
+					x.Add(Entry{Match: a.m, Priority: a.priority, IdleTimeout: idle, HardTimeout: hard, Cookie: cookie}, now)
 				}
 			case op == 4 && len(adds) > 0: // strict delete
 				a := adds[r.Intn(len(adds))]
@@ -130,8 +132,8 @@ func TestPropertyExpireMatchesWalk(t *testing.T) {
 			case op < 8: // a hit, as the pipeline counts it
 				k := exactKey(uint16(r.Intn(12)))
 				for _, x := range []*FlowTable{tbl, ref} {
-					if e := x.Lookup(k); e != nil {
-						e.lastUsed = now
+					if r := x.lookup(k); r != noRef {
+						x.hit(r, 0, now)
 					}
 				}
 			default:
@@ -146,7 +148,7 @@ func TestPropertyExpireMatchesWalk(t *testing.T) {
 							trial, step, now, i, got[i].Entry.Cookie, got[i].Reason, want[i].Entry.Cookie, want[i].Reason)
 					}
 				}
-				if walks && tbl.nextDue != never && !slices.ContainsFunc(tbl.Entries(), func(e *Entry) bool {
+				if walks && tbl.nextDue != never && !slices.ContainsFunc(tbl.Entries(), func(e Entry) bool {
 					_, dead := expiredAt(e, tbl.nextDue)
 					return dead
 				}) {
@@ -174,36 +176,36 @@ func TestPropertyDeleteMatchesSubsumption(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 200; trial++ {
 		tbl := NewFlowTable()
-		var entries []*Entry
+		var entries []Entry
 		for i := 0; i < 20; i++ {
 			m := flow.Match{
 				Wildcards: flow.Wildcard(r.Uint32()) & flow.WildAll,
 				Key:       exactKey(uint16(r.Intn(4))),
 			}
-			e := &Entry{Match: m, Priority: uint16(r.Intn(50)), Cookie: uint64(i)}
+			e := Entry{Match: m, Priority: uint16(r.Intn(50)), Cookie: uint64(i)}
 			tbl.Add(e, 0)
 			entries = append(entries, e)
 		}
-		liveBefore := map[*Entry]bool{}
+		liveBefore := map[uint64]bool{} // by cookie
 		for _, e := range tbl.Entries() {
-			liveBefore[e] = true
+			liveBefore[e.Cookie] = true
 		}
 		del := flow.Match{
 			Wildcards: flow.Wildcard(r.Uint32()) & flow.WildAll,
 			Key:       exactKey(uint16(r.Intn(4))),
 		}
 		removed := tbl.Delete(del, 0, false)
-		removedSet := map[*Entry]bool{}
+		removedSet := map[uint64]bool{}
 		for _, e := range removed {
-			removedSet[e] = true
+			removedSet[e.Cookie] = true
 		}
 		for _, e := range entries {
-			if !liveBefore[e] {
+			if !liveBefore[e.Cookie] {
 				continue // replaced during Add (duplicate match+prio)
 			}
-			if del.Subsumes(e.Match) != removedSet[e] {
+			if del.Subsumes(e.Match) != removedSet[e.Cookie] {
 				t.Fatalf("trial %d: entry %v: removed=%v want %v (del=%v)",
-					trial, e.Match, removedSet[e], del.Subsumes(e.Match), del)
+					trial, e.Match, removedSet[e.Cookie], del.Subsumes(e.Match), del)
 			}
 		}
 	}
