@@ -5,7 +5,7 @@
 // Usage:
 //
 //	livesec-bench [-scale full|ci] [-experiment all|<id>] [-json file]
-//	              [-parallel N] [-stable] [-obs]
+//	              [-parallel N] [-stable]
 //
 // -h lists the experiment ids. With -json, the headline metrics are
 // additionally written to the given file as a machine-readable report.
@@ -17,11 +17,6 @@
 // -stable, wall-clock timings are omitted entirely, making both stdout
 // and the -json report byte-identical across runs and across -parallel
 // settings.
-//
-// With -obs, each experiment's representative run records flow-setup
-// trace spans; the printed table and the -json report gain a per-stage
-// latency histogram block ("flow_setup"). Off by default so -stable
-// output is unchanged.
 //
 // The E11 experiment (policy engine at scale, not part of "all" because
 // its sweep rows are wall-clock timings) measures the compiled policy
@@ -40,7 +35,6 @@ import (
 	"time"
 
 	"livesec/internal/experiments"
-	"livesec/internal/obs"
 )
 
 // jsonRow mirrors experiments.Row for the -json report.
@@ -52,13 +46,12 @@ type jsonRow struct {
 }
 
 type jsonExperiment struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Claim   string             `json:"claim"`
-	Seconds float64            `json:"seconds,omitempty"`
-	Rows    []jsonRow          `json:"rows"`
-	Notes   []string           `json:"notes,omitempty"`
-	Setup   *obs.SetupSnapshot `json:"flow_setup,omitempty"`
+	ID      string    `json:"id"`
+	Title   string    `json:"title"`
+	Claim   string    `json:"claim"`
+	Seconds float64   `json:"seconds,omitempty"`
+	Rows    []jsonRow `json:"rows"`
+	Notes   []string  `json:"notes,omitempty"`
 }
 
 type jsonReport struct {
@@ -92,11 +85,9 @@ func run(args []string) error {
 	jsonFlag := fs.String("json", "", "also write headline metrics to this file as JSON")
 	parallelFlag := fs.Int("parallel", runtime.GOMAXPROCS(0), "run experiments on up to N workers (1 = serial)")
 	stableFlag := fs.Bool("stable", false, "omit wall-clock timings for byte-identical output across runs")
-	obsFlag := fs.Bool("obs", false, "record flow-setup traces; adds per-stage latency histograms to output")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetObs(*obsFlag)
 	var scale experiments.Scale
 	switch strings.ToLower(*scaleFlag) {
 	case "full":
@@ -149,7 +140,7 @@ func run(args []string) error {
 		}
 		je := jsonExperiment{
 			ID: res.ID, Title: res.Title, Claim: res.Claim,
-			Notes: res.Notes, Setup: res.Setup,
+			Notes: res.Notes,
 		}
 		if !*stableFlag {
 			je.Seconds = elapsed[i]

@@ -46,49 +46,40 @@ func TestRunWritesJSONReport(t *testing.T) {
 
 // TestParallelOutputByteIdentical proves the -parallel flag cannot
 // change results: serial and maximally parallel runs with -stable must
-// write byte-identical JSON reports, with observability off and on.
-// Short mode covers a three-experiment subset; otherwise each row runs
-// the whole standard suite ("all").
+// write byte-identical JSON reports. Short mode covers a
+// three-experiment subset; otherwise it runs the whole standard suite
+// ("all").
 func TestParallelOutputByteIdentical(t *testing.T) {
 	exps := []string{"E1", "E5", "E6"}
 	if !testing.Short() {
 		exps = []string{"all"}
 	}
-	for _, extra := range [][]string{nil, {"-obs"}} {
-		sawSetup := false
-		for _, exp := range exps {
-			dir := t.TempDir()
-			serial := filepath.Join(dir, "serial.json")
-			parallel := filepath.Join(dir, "parallel.json")
-			base := append([]string{"-scale", "ci", "-experiment", exp, "-stable"}, extra...)
-			if err := run(append(base, "-parallel", "1", "-json", serial)); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(append(base, "-parallel", "8", "-json", parallel)); err != nil {
-				t.Fatal(err)
-			}
-			s, err := os.ReadFile(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := os.ReadFile(parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(s, p) {
-				t.Fatalf("%s %v: serial and parallel -stable reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s", exp, extra, s, p)
-			}
-			// The stable report must not leak wall-clock fields.
-			// (Quoted keys: -obs histograms carry a virtual-time "sum_seconds".)
-			if bytes.Contains(s, []byte("generated_at")) || bytes.Contains(s, []byte(`"seconds"`)) ||
-				bytes.Contains(s, []byte(`"total_seconds"`)) {
-				t.Fatalf("%s %v: -stable report contains wall-clock fields:\n%s", exp, extra, s)
-			}
-			sawSetup = sawSetup || bytes.Contains(s, []byte("flow_setup"))
+	for _, exp := range exps {
+		dir := t.TempDir()
+		serial := filepath.Join(dir, "serial.json")
+		parallel := filepath.Join(dir, "parallel.json")
+		base := []string{"-scale", "ci", "-experiment", exp, "-stable"}
+		if err := run(append(base, "-parallel", "1", "-json", serial)); err != nil {
+			t.Fatal(err)
 		}
-		// The -obs row compared instrumented reports, the other none.
-		if sawSetup != (extra != nil) {
-			t.Fatalf("%v: flow_setup block present = %v", extra, sawSetup)
+		if err := run(append(base, "-parallel", "8", "-json", parallel)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := os.ReadFile(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := os.ReadFile(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s, p) {
+			t.Fatalf("%s: serial and parallel -stable reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s", exp, s, p)
+		}
+		// The stable report must not leak wall-clock fields.
+		if bytes.Contains(s, []byte("generated_at")) || bytes.Contains(s, []byte(`"seconds"`)) ||
+			bytes.Contains(s, []byte(`"total_seconds"`)) {
+			t.Fatalf("%s: -stable report contains wall-clock fields:\n%s", exp, s)
 		}
 	}
 }

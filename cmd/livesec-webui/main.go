@@ -11,6 +11,8 @@
 //	GET /replay     — history window (?from_ms=&to_ms=)
 //	GET /apps       — which user runs which application
 //	GET /stats      — per-event-type counters
+//	GET /metrics, /traces, /alerts, /health — the controller's own
+//	                  metrics, setup traces, SLO alerts and health
 //
 // Usage: livesec-webui [-http :8080] [-duration 0]
 package main
@@ -110,14 +112,20 @@ func run() error {
 		}
 	}()
 
-	topo := func() any {
-		mu.Lock()
-		defer mu.Unlock()
-		return f.Controller.Topology()
-	}
-	handler := monitor.NewHandler(f.Store, monitor.TopologyFunc(topo))
+	handler := monitor.NewAPIHandler(monitor.HandlerConfig{
+		Store:    f.Store,
+		Topology: func() any { return f.Controller.Topology() },
+		Obs:      f.Controller.Obs(),
+		Alerts:   f.Alerts,
+		Health:   f.Controller.HealthComponents,
+		Sync: func(fn func()) {
+			mu.Lock()
+			defer mu.Unlock()
+			fn()
+		},
+	})
 	fmt.Printf("livesec-webui: scaled FIT building live on http://%s\n", *httpAddr)
-	fmt.Println("  dashboard: /   JSON: /topology /events /replay /apps /stats")
+	fmt.Println("  dashboard: /   JSON: /topology /events /replay /apps /stats /traces /alerts /health   text: /metrics")
 
 	srv := &http.Server{Addr: *httpAddr, Handler: handler}
 	if *duration > 0 {

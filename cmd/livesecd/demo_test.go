@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,10 +36,10 @@ type testDaemon struct {
 }
 
 // startDaemon serves on wrap(listener); a nil wrap serves on the listener
-// itself. withObs is livesecd's -obs.
-func startDaemon(t testing.TB, withObs bool, wrap func(net.Listener) net.Listener) *testDaemon {
+// itself.
+func startDaemon(t testing.TB, wrap func(net.Listener) net.Listener) *testDaemon {
 	t.Helper()
-	d := &testDaemon{daemon: newDaemon(io.Discard, withObs, false)}
+	d := &testDaemon{daemon: newDaemon(io.Discard)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +102,7 @@ func (s *demoSwitch) raiseTCP(to *demoSwitch, srcPort uint16) {
 // TestDemoOverTCP exercises the full control path on real TCP loopback:
 // handshake, LLDP relay, host learning, and end-to-end flow install.
 func TestDemoOverTCP(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	done := make(chan error, 1)
 	go func() { done <- runDemo(d.addr) }()
 	select {
@@ -249,7 +251,7 @@ func (l *writeLog) setupWrites(t testing.TB) (perConn []int, flowMods, released 
 // writer may carry other batches in the same write.
 func TestOneWritePerSwitchPerSetup(t *testing.T) {
 	log := &writeLog{}
-	d := startDaemon(t, false, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
+	d := startDaemon(t, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
 	a, b := demoPair(t, d)
 	log.drain(t, a, b)
 	before, modsBefore, releasedBefore := log.setupWrites(t)
@@ -279,7 +281,7 @@ func clientPort(fm *openflow.FlowMod) uint16 {
 // takes 1 ms in fewer than 100 writes, undamaged and in setup order.
 func TestSlowWritesCarrySeveralSetups(t *testing.T) {
 	log := &writeLog{}
-	d := startDaemon(t, false, func(ln net.Listener) net.Listener {
+	d := startDaemon(t, func(ln net.Listener) net.Listener {
 		return loggingListener{Listener: ln, log: log, delay: time.Millisecond}
 	})
 	a, b := demoPair(t, d) // b is the second connection accepted
@@ -323,7 +325,7 @@ func TestSlowWritesCarrySeveralSetups(t *testing.T) {
 // free; once more than maxPending bytes are queued for it, its connection
 // is closed and it leaves the topology.
 func TestStalledSwitchCutOff(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	a, b := demoPair(t, d)
 	c, err := net.Dial("tcp", d.addr)
 	if err != nil {
@@ -393,7 +395,7 @@ func TestStalledSwitchCutOff(t *testing.T) {
 // switch-leave event. A switch that has registered again on a second
 // connection stays when its first one closes.
 func TestClosedSwitchRemoved(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	a, b := demoPair(t, d)
 	again, err := newDemoSwitch(d.addr, b.name, b.dpid, b.hostIP)
 	if err != nil {
@@ -431,7 +433,7 @@ func TestSilentSwitchDeclaredDown(t *testing.T) {
 		schedSlop = 100 * time.Millisecond // goroutine wake-ups under -race on a loaded box
 	)
 	down := &lineWatch{match: fmt.Sprintf("%-20s switch=%d ", monitor.EventSwitchDown, dpid)}
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	d.lk.do(func() { d.lk.log.Reset(down) })
 	c, err := net.Dial("tcp", d.addr)
 	if err != nil {
@@ -475,7 +477,7 @@ func TestSilentSwitchDeclaredDown(t *testing.T) {
 // deadline.
 func TestHandshakeDeadline(t *testing.T) {
 	const schedSlop = 500 * time.Millisecond // goroutine wake-ups under -race on a loaded box
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	sw, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -538,7 +540,7 @@ func (w *lineWatch) Write(p []byte) (int, error) {
 // A connection's goroutines (reader, writer, close watch) end with it:
 // after switches connect and close 50 times, no goroutine is left over.
 func TestConnectionGoroutinesExit(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	base := runtime.NumGoroutine()
 	for i := range uint64(50) {
 		s, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
@@ -560,7 +562,7 @@ func TestConnectionGoroutinesExit(t *testing.T) {
 // live heap each setup leaves behind.
 func BenchmarkDaemonColdSetup(b *testing.B) {
 	log := &writeLog{countOnly: true}
-	d := startDaemon(b, false, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
+	d := startDaemon(b, func(ln net.Listener) net.Listener { return loggingListener{Listener: ln, log: log} })
 	sa, sb := demoPair(b, d)
 	flowMods := make(chan struct{}, 4) // one setup's flow-mods, two per switch
 	for _, s := range []*demoSwitch{sa, sb} {
@@ -605,7 +607,7 @@ func BenchmarkDaemonColdSetup(b *testing.B) {
 // Events are stamped with the wall clock at dispatch, not with the last
 // idle tick: two packet-ins 1 ms apart get distinct, increasing times.
 func TestEventTimeAdvancesPerDispatch(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	a, err := newDemoSwitch(d.addr, "sw1", 101, netpkt.IP(10, 50, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -639,11 +641,11 @@ func (d *testDaemon) get(t *testing.T, path string) string {
 	return rec.Body.String()
 }
 
-// TestLiveMetricsExposition: a daemon run with -obs that has set flows up
-// over real sockets serves a well-formed Prometheus exposition counting
-// them, and the spans it recorded.
+// TestLiveMetricsExposition: a daemon that has set flows up over real
+// sockets serves a well-formed Prometheus exposition counting them, and
+// the spans it recorded.
 func TestLiveMetricsExposition(t *testing.T) {
-	d := startDaemon(t, true, nil)
+	d := startDaemon(t, nil)
 	a, b := demoPair(t, d)
 	const flows = 3
 	for i := 0; i < flows; i++ {
@@ -662,10 +664,39 @@ func TestLiveMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestDefaultDaemonObservable: the daemon livesecd runs with no flags
+// shows its operator what one demo setup did — the completed setup on
+// /metrics, its span on /traces, and the default alert rules on /alerts.
+func TestDefaultDaemonObservable(t *testing.T) {
+	d := startDaemon(t, nil)
+	a, b := demoPair(t, d)
+	a.raiseTCP(b, 42000)
+	waitFor(t, "the setup", func() bool { return d.stats().FlowsRouted == 1 })
+	if m := d.get(t, "/metrics"); !strings.Contains(m, "livesec_flow_setups_completed_total 1\n") {
+		t.Fatalf("/metrics lacks one completed setup:\n%s", m)
+	}
+	var tr monitor.TracesResponse
+	if err := json.Unmarshal([]byte(d.get(t, "/traces")), &tr); err != nil || len(tr.Spans) == 0 {
+		t.Fatalf("/traces served no span (err %v): %+v", err, tr)
+	}
+	var ar monitor.AlertsResponse
+	if err := json.Unmarshal([]byte(d.get(t, "/alerts")), &ar); err != nil {
+		t.Fatal(err)
+	}
+	var rules []string
+	for _, a := range ar.Alerts {
+		rules = append(rules, a.Rule)
+	}
+	want := []string{"flow_setup_latency_slo", "packet_in_shed_rate", "breaker_open", "fw_handoff_timeout", "seproto_sync_error"}
+	if !slices.Equal(rules, want) {
+		t.Fatalf("/alerts rules = %v, want %v", rules, want)
+	}
+}
+
 // Two connection readers dispatch concurrently while HTTP snapshots go
 // through Sync; the controller lock orders them all (run with -race).
 func TestConcurrentSwitchesAndPolling(t *testing.T) {
-	d := startDaemon(t, false, nil)
+	d := startDaemon(t, nil)
 	api := httptest.NewServer(d.api)
 	defer api.Close()
 	a, b := demoPair(t, d)

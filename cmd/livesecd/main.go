@@ -6,14 +6,13 @@
 //
 // Usage:
 //
-//	livesecd [-listen :6633] [-http :8080] [-obs] [-slo] [-demo]
+//	livesecd [-listen :6633] [-http :8080] [-demo]
 //
-// With -obs, the controller records flow-setup trace spans and runtime
-// metrics; the monitoring API then serves them on GET /metrics
-// (Prometheus text exposition) and GET /traces (JSON spans). With -slo
-// (implies -obs), the deterministic SLO/alert engine evaluates the
-// default rule pack under the controller lock and the API additionally
-// serves GET /alerts. GET /health always serves the controller health rollup.
+// The controller records flow-setup trace spans and runtime metrics, and
+// the deterministic SLO/alert engine evaluates the default rule pack under
+// the controller lock. The monitoring API serves them on GET /metrics
+// (Prometheus text exposition), GET /traces (JSON spans) and GET /alerts,
+// and the controller health rollup on GET /health.
 //
 // With -demo, livesecd spawns two in-process OpenFlow switches that
 // connect over TCP loopback, complete the handshake, exchange LLDP via
@@ -52,13 +51,11 @@ func main() {
 func run() error {
 	listenAddr := flag.String("listen", "127.0.0.1:6633", "OpenFlow listen address")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "monitoring HTTP address ('' disables)")
-	obsFlag := flag.Bool("obs", false, "record flow-setup traces and metrics, served on /metrics and /traces")
-	sloFlag := flag.Bool("slo", false, "evaluate the SLO/alert rule pack, served on /alerts (implies -obs)")
 	demo := flag.Bool("demo", false, "spawn two loopback demo switches and exercise the control path")
 	demoTimeout := flag.Duration("demo-timeout", 3*time.Second, "how long the demo runs before exiting")
 	flag.Parse()
 
-	d := newDaemon(os.Stdout, *obsFlag || *sloFlag, *sloFlag)
+	d := newDaemon(os.Stdout)
 
 	ln, err := net.Listen("tcp", *listenAddr)
 	if err != nil {
@@ -116,39 +113,33 @@ type daemon struct {
 	api   http.Handler
 }
 
-// newDaemon wires the daemon. withObs records flow-setup traces and
-// metrics; withSLO (which needs withObs) also runs the alert engine on
-// the controller's clock. Event lines go to log.
-func newDaemon(log io.Writer, withObs, withSLO bool) *daemon {
+// newDaemon wires the daemon: the controller with its observability, and
+// the alert engine on the controller's clock, recording its transitions
+// as events. Event lines go to log.
+func newDaemon(log io.Writer) *daemon {
 	d := &daemon{lk: newCtrlLock(log), store: monitor.NewStore(0)}
 	lk := d.lk
-	var fo *obs.FlowObs
-	if withObs {
-		fo = obs.NewFlowObs(0)
-	}
 	var alerts *obs.AlertEngine
 	lk.do(func() {
 		d.ctrl = core.New(core.Config{
 			Engine:   lk.eng,
 			Store:    d.store,
 			Policies: policy.NewTable(policy.Allow),
-			Obs:      fo,
 		})
 		d.ctrl.Start()
-		if withSLO {
-			alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
-			alerts.OnTransition = d.store.RecordAlert
-			var tick func()
-			tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
-			lk.eng.Schedule(alerts.Interval(), tick)
-		}
+		fo := d.ctrl.Obs()
+		alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
+		alerts.OnTransition = d.store.RecordAlert
+		var tick func()
+		tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
+		lk.eng.Schedule(alerts.Interval(), tick)
 	})
 	// The handler serializes Topology and obs snapshots through Sync,
 	// so Topology must return directly rather than nest lk.do.
 	d.api = monitor.NewAPIHandler(monitor.HandlerConfig{
 		Store:    d.store,
 		Topology: func() any { return d.ctrl.Topology() },
-		Obs:      fo,
+		Obs:      d.ctrl.Obs(),
 		Alerts:   alerts,
 		Health:   func() []monitor.HealthComponent { return d.ctrl.HealthComponents() },
 		Sync:     lk.do,

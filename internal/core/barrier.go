@@ -21,8 +21,8 @@ type pendingRelease struct {
 	st      *switchState
 	po      *openflow.PacketOut
 	waiting map[uint32]bool // outstanding barrier xids
-	// span is the flow-setup trace parked across the barrier round trip
-	// (nil when observability is off); sentAt anchors its barrier stage.
+	// span is the flow-setup trace parked across the barrier round trip;
+	// sentAt anchors its barrier stage.
 	span   *obs.Span
 	sentAt time.Duration
 }

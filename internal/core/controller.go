@@ -87,11 +87,11 @@ type Config struct {
 	// constants in overload.go.
 	OverloadProtection bool
 
-	// Obs enables the observability subsystem (internal/obs): sampled
-	// controller/engine metrics and per-flow setup trace spans, exported
-	// through the monitor HTTP API and livesec-bench. Nil (the default)
-	// disables every hook, so instrumented paths cost a pointer test and
-	// `-stable` runs reproduce bit-for-bit.
+	// Obs receives the controller's observability (internal/obs):
+	// sampled controller/engine metrics and per-flow setup trace spans,
+	// exported through the monitor HTTP API. Nil (the default) gets the
+	// controller its own FlowObs (Controller.Obs); set it only to share
+	// one registry with the caller.
 	Obs *obs.FlowObs
 
 	// SessionTTL expires session records that outlive it (sessions.go):
@@ -336,7 +336,7 @@ type Controller struct {
 	fwPending     map[uint64]*fwHandoff
 	fwNextHandoff uint64
 
-	// Observability (obs_hooks.go, gated on Config.Obs). obsAcceptedAt is
+	// Observability (obs_hooks.go). obsAcceptedAt is
 	// when the packet-in being dispatched entered the ingress pipeline;
 	// curSpan is the flow-setup span open between routeFlow and
 	// finishSetup (the controller is single-threaded, so at most one
@@ -374,6 +374,9 @@ func New(cfg Config) *Controller {
 	if cfg.FWHandoffTimeout == 0 {
 		cfg.FWHandoffTimeout = defaultFWHandoffTimeout
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewFlowObs(0)
+	}
 	var ov *overloadState
 	if cfg.OverloadProtection || cfg.PacketInCost > 0 {
 		ov = newOverloadState()
@@ -399,19 +402,21 @@ func New(cfg Config) *Controller {
 		obs:          cfg.Obs,
 	}
 	c.intents = intent.New(c.policies)
-	if c.obs != nil {
-		c.obsRegister()
-		// Intent compile timing is real wall clock: recompilation is real
-		// compute, not simulated activity. Deterministic (-stable) runs
-		// never edit intents, so the histogram stays empty there.
-		c.intents.SetHooks(intent.Hooks{
-			Now:            time.Now,
-			CompileSeconds: c.obs.PolicyCompile.Observe,
-			IntentCount:    func(n int) { c.obs.Intents.Set(float64(n)) },
-		})
-	}
+	c.obsRegister()
+	// Intent compile timing is real wall clock: recompilation is real
+	// compute, not simulated activity. Deterministic (-stable) runs never
+	// edit intents, so the histogram stays empty there.
+	c.intents.SetHooks(intent.Hooks{
+		Now:            time.Now,
+		CompileSeconds: c.obs.PolicyCompile.Observe,
+		IntentCount:    func(n int) { c.obs.Intents.Set(float64(n)) },
+	})
 	return c
 }
+
+// Obs returns the controller's observability: its metric registry, span
+// ring and stage histograms.
+func (c *Controller) Obs() *obs.FlowObs { return c.obs }
 
 // Intents returns the controller's intent compiler. Edits apply to the
 // live policy table immediately; the decision cache evicts only inside
@@ -525,9 +530,7 @@ func (c *Controller) accept(st *switchState, m openflow.Message, at time.Duratio
 		c.ingressAccept(st, m, at)
 		return
 	}
-	if c.obs != nil {
-		c.obsAcceptedAt = at
-	}
+	c.obsAcceptedAt = at
 	c.dispatch(st, m)
 }
 

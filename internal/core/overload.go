@@ -302,9 +302,7 @@ func (c *Controller) serveItem(it ingressItem) {
 	if c.holding && c.park(it.st, it.m, it.at) {
 		return
 	}
-	if c.obs != nil {
-		c.obsAcceptedAt = it.at
-	}
+	c.obsAcceptedAt = it.at
 	c.dispatch(it.st, it.m)
 }
 

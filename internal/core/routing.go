@@ -170,9 +170,7 @@ type hop struct {
 // cached plan when one exists (see cache.go).
 func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netpkt.Packet) {
 	key := flow.KeyOf(pi.InPort, pkt)
-	if c.obs != nil {
-		c.obsSpanStart(st, key)
-	}
+	c.obsSpanStart(st, key)
 	if c.blockedUsers[key.EthSrc] {
 		// A blocked user's packets can race the drop-rule installation
 		// (e.g. right after roaming); never route them.

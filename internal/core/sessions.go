@@ -226,7 +226,7 @@ func (c *Controller) ReapplyPolicies() int {
 
 // teardownSession removes the exact entries of both directions of a
 // session from every switch (steering legs have rewritten fields, so
-// deletion matches on the invariant 5-tuple + dl_src).
+// deletion matches on the invariant 5-tuple alone).
 func (c *Controller) teardownSession(key flow.Key) {
 	fwd := sessionWideMatch(key)
 	rev := sessionWideMatch(key.Reverse(0))
@@ -237,10 +237,10 @@ func (c *Controller) teardownSession(key flow.Key) {
 }
 
 // sessionWideMatch matches every installed variant of one direction of
-// a session: in_port, dl_dst, VLAN and TOS are wildcarded because
-// steering rewrites or relocates them, while dl_src plus the 5-tuple
-// pin the session. Legs where dl_src was rewritten to an element MAC
-// are removed when that element's own flows are purged on expiry.
+// a session: in_port, dl_src, dl_dst, VLAN and TOS are wildcarded
+// because steering rewrites or relocates them, and the 5-tuple alone
+// pins the session. So a teardown also deletes the legs whose dl_src
+// was rewritten to an element MAC (TestReapplyDenyTearsDownChainedLegs).
 func sessionWideMatch(key flow.Key) flow.Match {
 	return flow.Match{
 		Wildcards: flow.WildInPort | flow.WildEthDst | flow.WildVLAN |

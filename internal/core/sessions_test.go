@@ -260,3 +260,54 @@ func TestRemoveSwitchMACOrder(t *testing.T) {
 		t.Fatalf("two controllers built alike counted differently:\n%+v\n%+v", stats, stats2)
 	}
 }
+
+// TestReapplyDenyTearsDownChainedLegs: denying a chained session removes
+// every forwarding entry of both directions from every switch, the legs
+// whose dl_src steering rewrote to an element MAC included, since the
+// teardown match wildcards dl_src. Only the new drop is left.
+func TestReapplyDenyTearsDownChainedLegs(t *testing.T) {
+	n, a, b := idsNet(t, testbed.Options{}, 1)
+	defer n.Shutdown()
+	b.HandleTCP(80, func(*netpkt.Packet) {})
+	a.SendTCP(serverIP, 50000, 80, []byte("GET / HTTP/1.1"), 0)
+	if err := n.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// legs lists the session's entries, either direction, on every switch.
+	legs := func() (forwarding, drops []string, rewritten int) {
+		for _, sw := range n.Switches {
+			for _, e := range sw.Table().Entries() {
+				k := e.Match.Key
+				fwd := k.IPSrc == ipA && k.IPDst == serverIP && k.SrcPort == 50000 && k.DstPort == 80
+				rev := k.IPSrc == serverIP && k.IPDst == ipA && k.SrcPort == 80 && k.DstPort == 50000
+				switch {
+				case !fwd && !rev:
+				case len(e.Actions) == 0:
+					drops = append(drops, sw.Name())
+				default:
+					forwarding = append(forwarding, sw.Name())
+					if k.EthSrc != a.MAC && k.EthSrc != b.MAC {
+						rewritten++
+					}
+				}
+			}
+		}
+		return forwarding, drops, rewritten
+	}
+	if fwd, _, rewritten := legs(); n.Controller.Stats().FlowsChained != 1 || len(fwd) < 4 || rewritten == 0 {
+		t.Fatalf("chained setup: %d forwarding legs on %v, %d with a rewritten dl_src", len(fwd), fwd, rewritten)
+	}
+	if err := n.Controller.Policies().Add(&policy.Rule{Name: "lockdown", Priority: 100,
+		Match: policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80}, Action: policy.Deny}); err != nil {
+		t.Fatal(err)
+	}
+	if affected := n.Controller.ReapplyPolicies(); affected != 1 {
+		t.Fatalf("affected = %d, want 1", affected)
+	}
+	if err := n.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if fwd, drops, _ := legs(); len(fwd) != 0 || !reflect.DeepEqual(drops, []string{"ovs1"}) {
+		t.Fatalf("after the deny: forwarding legs on %v, drops on %v; want none, and one drop on ovs1", fwd, drops)
+	}
+}

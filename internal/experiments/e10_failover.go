@@ -34,7 +34,7 @@ func E10ControllerFailover(scale Scale) Result {
 		Claim: "a controller failure (§IV.B) loses no flows, trips no keepalive, and bounds policy-violation time by the outage",
 	}
 	spec := testbed.Spec{Options: testbed.Options{Seed: 11, Monitor: true, Chaos: true, Config: core.Config{
-		PacketInCost: p.cost, FlowIdle: time.Minute, Obs: newFlowObs(),
+		PacketInCost: p.cost, FlowIdle: time.Minute,
 	}}}
 	for i := 0; i < p.nSwitches; i++ {
 		sw := fmt.Sprintf("edge%d", i+1)
@@ -98,7 +98,6 @@ func E10ControllerFailover(scale Scale) Result {
 	st := n.Controller.Stats()
 	lost := float64(len(sentAt)) - delivered
 	falseDown := float64(n.Store.Count(monitor.EventSwitchDown))
-	res.Setup = setupSnapshot(spec.Options.Obs)
 	res.Rows = append(res.Rows,
 		Row{Name: "failover: flows sent", Value: float64(len(sentAt)), Unit: "count",
 			Paper: "one fresh flow per client per period"},

@@ -28,8 +28,8 @@ import (
 //     the rule windows and the 10ms evaluation tick bound by
 //     construction.
 //
-// The experiment sets Options.SLO and its own observability. It runs
-// only as -experiment E13, not as part of "all" (see Suite).
+// It reads the alert engine every testbed deployment runs (Net.Alerts).
+// It runs only as -experiment E13, not as part of "all" (see Suite).
 func E13AlertTimeline(scale Scale) Result {
 	p := e13Params{sessions: 2, fresh: 3, pps: 6000}
 	if scale == ScaleFull {
@@ -93,10 +93,9 @@ type e13Metrics struct {
 
 // e13Run executes the scripted fault replay and collects the timeline.
 func e13Run(p e13Params) *e13Metrics {
-	fo := obs.NewFlowObs(0)
-	n, err := build(fwSpec(13, testbed.Options{SLO: true, Config: core.Config{
+	n, err := build(fwSpec(13, testbed.Options{Config: core.Config{
 		FWHandoffTimeout: 100 * time.Microsecond,
-		PacketInCost:     500 * time.Microsecond, OverloadProtection: true, Obs: fo,
+		PacketInCost:     500 * time.Microsecond, OverloadProtection: true,
 	}}, firewall.Options{}))
 	if err != nil {
 		return nil

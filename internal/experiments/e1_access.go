@@ -3,11 +3,9 @@ package experiments
 import (
 	"time"
 
-	"livesec/internal/core"
 	"livesec/internal/dataplane"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
-	"livesec/internal/obs"
 	"livesec/internal/testbed"
 	"livesec/internal/workload"
 )
@@ -18,9 +16,9 @@ import (
 // A user offers 200 Mbps of UDP through its access switch to a server
 // on another switch; the delivered rate is pinned by the access link.
 func E1AccessThroughput() Result {
-	measure := func(kind dataplane.Kind, access link.Params, fo *obs.FlowObs) float64 {
+	measure := func(kind dataplane.Kind, access link.Params) float64 {
 		n, err := build(testbed.Spec{
-			Options:  testbed.Options{Seed: 7, Config: core.Config{Obs: fo}},
+			Options:  testbed.Options{Seed: 7},
 			Switches: []testbed.SwitchSpec{{Kind: kind, Name: "access"}, {Name: "egress"}},
 			Nodes: []testbed.Node{
 				testbed.HostNode("access", "user", netpkt.IP(10, 0, 0, 1), access),
@@ -48,10 +46,8 @@ func E1AccessThroughput() Result {
 		return meter.Mbps()
 	}
 
-	// The wired run is the representative one instrumented under -obs.
-	fo := newFlowObs()
-	wiredMbps := measure(dataplane.KindOvS, testbed.Wired, fo)
-	wirelessMbps := measure(dataplane.KindWiFi, testbed.Wireless, nil)
+	wiredMbps := measure(dataplane.KindOvS, testbed.Wired)
+	wirelessMbps := measure(dataplane.KindWiFi, testbed.Wireless)
 	return Result{
 		ID:    "E1",
 		Title: "Access throughput (UDP flows)",
@@ -61,6 +57,5 @@ func E1AccessThroughput() Result {
 			{Name: "OF Wi-Fi (Pantou) access", Value: wirelessMbps, Unit: "Mbps", Paper: "43 Mbps"},
 		},
 		Notes: []string{"offered load 200 Mbps; delivery pinned by the access line rate"},
-		Setup: setupSnapshot(fo),
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"time"
 
 	"livesec/internal/baseline"
-	"livesec/internal/core"
 	"livesec/internal/dataplane"
 	"livesec/internal/link"
 	"livesec/internal/netpkt"
-	"livesec/internal/obs"
 	"livesec/internal/testbed"
 )
 
@@ -25,8 +23,7 @@ const e5WANDelay = time.Millisecond
 // trip and per-hop software forwarding are both represented.
 func E5LatencyOverhead() Result {
 	base := e5Baseline()
-	fo := newFlowObs()
-	lsec := e5LiveSec(fo)
+	lsec := e5LiveSec()
 	overhead := (lsec/base - 1) * 100
 	return Result{
 		ID:    "E5",
@@ -41,7 +38,6 @@ func E5LatencyOverhead() Result {
 			"50-ping train; the first LiveSec ping pays the controller flow-setup round trip",
 			"steady-state overhead comes from the OF Wi-Fi AP and OvS software forwarding on every hop",
 		},
-		Setup: setupSnapshot(fo),
 	}
 }
 
@@ -59,9 +55,9 @@ func e5Baseline() float64 {
 
 // e5LiveSec measures the same train through the Access-Switching layer:
 // user behind an OF Wi-Fi AP, server behind the gateway OvS.
-func e5LiveSec(fo *obs.FlowObs) float64 {
+func e5LiveSec() float64 {
 	n, err := build(testbed.Spec{
-		Options:  testbed.Options{Seed: 19, Config: core.Config{Obs: fo}},
+		Options:  testbed.Options{Seed: 19},
 		Switches: []testbed.SwitchSpec{{Kind: dataplane.KindWiFi, Name: "ap1"}, {Name: "gateway"}},
 		Nodes: []testbed.Node{
 			testbed.HostNode("ap1", "u1", netpkt.IP(10, 0, 0, 1), testbed.Wireless),

@@ -9,7 +9,6 @@ import (
 	"livesec/internal/core"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
-	"livesec/internal/obs"
 	"livesec/internal/testbed"
 )
 
@@ -51,11 +50,8 @@ func E9PacketInStorm(scale Scale) Result {
 		Claim: "per-flow setup (§III.C) must survive a compromised host flooding novel flows; protection bounds legit latency and keeps keepalive honest",
 	}
 
-	off := e9Run(p, false, nil)
-	// The protected run is the representative one instrumented under -obs.
-	fo := newFlowObs()
-	on := e9Run(p, true, fo)
-	res.Setup = setupSnapshot(fo)
+	off := e9Run(p, false)
+	on := e9Run(p, true)
 	if off == nil || on == nil {
 		res.Notes = append(res.Notes, "deployment failed to build")
 		return res
@@ -121,13 +117,12 @@ var e9Server = netpkt.IP(166, 111, 9, 1)
 // e9Run executes one storm with or without overload protection and
 // returns the measurements (nil if the deployment failed to build).
 // Everything except the protection knob is identical between runs.
-func e9Run(p e9Params, protection bool, fo *obs.FlowObs) *e9Metrics {
+func e9Run(p e9Params, protection bool) *e9Metrics {
 	n, err := build(testbed.Spec{
 		Options: testbed.Options{Seed: 7, Monitor: true, Chaos: true, Config: core.Config{
 			FlowIdle:           time.Minute,
 			PacketInCost:       500 * time.Microsecond,
 			OverloadProtection: protection,
-			Obs:                fo,
 		}},
 		Switches: []testbed.SwitchSpec{{Name: "edge"}, {Name: "server-sw"}},
 		Nodes: []testbed.Node{

@@ -1,42 +1,38 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
+
+	"livesec/internal/obs"
+	"livesec/internal/testbed"
 )
 
-// With observability off (the default) results must carry no Setup
-// block, keeping -stable JSON unchanged.
-func TestObsOffLeavesSetupNil(t *testing.T) {
-	res := E1AccessThroughput()
-	if res.Setup != nil {
-		t.Fatalf("Setup attached with obs disabled: %+v", res.Setup)
-	}
-}
-
-// With observability on, the representative run's stage histograms all
-// count exactly the completed setups.
+// Every deployment an experiment builds is observed: in each of E1's,
+// every stage histogram in the controller's registry holds exactly one
+// sample per completed setup, and it completed some.
 func TestObsSetupSnapshotInvariant(t *testing.T) {
-	SetObs(true)
-	defer SetObs(false)
-	res := E1AccessThroughput()
-	if res.Setup == nil {
-		t.Fatal("no Setup block with obs enabled")
+	var nets []*testbed.Net
+	built = func(n *testbed.Net) { nets = append(nets, n) }
+	defer func() { built = nil }()
+	E1AccessThroughput()
+	if len(nets) == 0 {
+		t.Fatal("E1 built no deployment")
 	}
-	s := res.Setup
-	if s.CompletedSetups == 0 {
-		t.Fatal("no completed setups recorded")
-	}
-	for _, st := range s.Stages {
-		if st.Count != s.CompletedSetups {
-			t.Fatalf("stage %s count = %d, want %d", st.Stage, st.Count, s.CompletedSetups)
+	for i, n := range nets {
+		fo := n.Controller.Obs()
+		completed := fo.CompletedSetups()
+		if completed == 0 {
+			t.Fatalf("deployment %d: no completed setups recorded", i)
 		}
-	}
-	if s.Total.Count != s.CompletedSetups {
-		t.Fatalf("total count = %d, want %d", s.Total.Count, s.CompletedSetups)
-	}
-	// The rendered table gains the stage block.
-	if got := res.String(); !strings.Contains(got, "flow setup (") {
-		t.Fatalf("String() missing setup block:\n%s", got)
+		for st := 0; st < obs.NumStages; st++ {
+			name := obs.Stage(st).String()
+			h := fo.Registry.Histogram("livesec_flow_setup_stage_seconds", "", nil, obs.L("stage", name))
+			if h.Count() != completed {
+				t.Fatalf("deployment %d: stage %s count = %d, want %d", i, name, h.Count(), completed)
+			}
+		}
+		if h := fo.Registry.Histogram("livesec_flow_setup_seconds", "", nil); h.Count() != completed {
+			t.Fatalf("deployment %d: total count = %d, want %d", i, h.Count(), completed)
+		}
 	}
 }

@@ -84,12 +84,6 @@ type TracesResponse struct {
 	Spans           []obs.SpanView `json:"spans"`
 }
 
-// NewHandler builds the monitoring API with default wiring (no obs, no
-// sync); existing callers keep working. See NewAPIHandler.
-func NewHandler(store *Store, topo TopologyFunc) http.Handler {
-	return NewAPIHandler(HandlerConfig{Store: store, Topology: topo})
-}
-
 // NewAPIHandler builds the WebUI's HTTP JSON API plus the embedded
 // dashboard page:
 //

@@ -406,3 +406,35 @@ func TestAlertsEndpoint(t *testing.T) {
 		t.Fatalf("bare alerts = %+v", ar)
 	}
 }
+
+// TestAlertsKeepLatestTransitions pushes the transition log past its
+// 4,096-edge bound: /alerts must serve the latest edges, oldest first, so
+// a long-running daemon keeps showing new firings.
+func TestAlertsKeepLatestTransitions(t *testing.T) {
+	var v float64
+	ae := obs.NewAlertEngine(obs.NewFlowObs(8), 10*time.Millisecond, []obs.AlertRule{{
+		Name: "flap", Severity: "warning", Gauge: true, Limit: 0,
+		Sample: func() (float64, float64) { return v, 0 },
+	}})
+	// A gauge rule with no For delay fires and resolves on alternate
+	// ticks: one transition per tick.
+	for i := 1; i <= 5000; i++ {
+		v = float64(i % 2)
+		ae.Tick(time.Duration(i) * ae.Interval())
+	}
+	srv := httptest.NewServer(NewAPIHandler(HandlerConfig{Store: NewStore(0), Alerts: ae}))
+	defer srv.Close()
+	_, body := get(t, srv, "/alerts")
+	var ar AlertsResponse
+	if err := json.Unmarshal([]byte(body), &ar); err != nil {
+		t.Fatal(err)
+	}
+	if len(ar.Transitions) != 4096 {
+		t.Fatalf("served %d transitions, want the latest 4096", len(ar.Transitions))
+	}
+	for i, tr := range ar.Transitions {
+		if want := uint64(905 + i); tr.Seq != want {
+			t.Fatalf("transitions[%d].Seq = %d, want %d", i, tr.Seq, want)
+		}
+	}
+}

@@ -84,25 +84,18 @@ type Event struct {
 // Store is the backstage database: an in-memory, bounded event log with
 // subscriptions and aggregation. It is safe for concurrent use (the
 // HTTP API reads while the simulation writes). The last capacity events
-// are kept in a ring, so Record costs the same at capacity as with room;
-// sequence numbers are dense, so Seq q lives in slot (q-1) mod capacity.
-// The ring is allocated a page at a time as its first pass reaches each
-// page, and a page is never copied, so filling it never holds two copies
-// of the ring at once, as growing one slice by append does.
+// are kept in a paged obs.Ring, so Record costs the same at capacity as
+// with room; sequence numbers are dense, so the event with Seq q is the
+// ring's value q-1.
 type Store struct {
-	mu       sync.RWMutex
-	capacity int
-	pages    [][]Event // slot i is pages[i/eventPage][i%eventPage]
-	seq      uint64
-	counts   map[EventType]uint64
-	subs     []func(Event)
+	mu     sync.RWMutex
+	ring   obs.Ring[Event]
+	counts map[EventType]uint64
+	subs   []func(Event)
 
 	// userApps aggregates protocol-identified events per user.
 	userApps map[string]map[string]uint64
 }
-
-// eventPage is the most events one page of a Store's ring holds.
-const eventPage = 1024
 
 // NewStore creates a store retaining at most capacity events
 // (0 = 65536).
@@ -111,7 +104,7 @@ func NewStore(capacity int) *Store {
 		capacity = 65536
 	}
 	return &Store{
-		capacity: capacity,
+		ring:     obs.NewRing[Event](capacity),
 		counts:   make(map[EventType]uint64),
 		userApps: make(map[string]map[string]uint64),
 	}
@@ -130,13 +123,8 @@ func (s *Store) Subscribe(fn func(Event)) {
 // It does not describe the flow: FlowDesc is filled on read, by Events.
 func (s *Store) Record(ev Event) Event {
 	s.mu.Lock()
-	s.seq++
-	ev.Seq = s.seq
-	i := (s.seq - 1) % uint64(s.capacity)
-	if p := int(i / eventPage); p == len(s.pages) { // the ring's first pass reaches a new page
-		s.pages = append(s.pages, make([]Event, min(eventPage, s.capacity-p*eventPage)))
-	}
-	*s.slot(i) = ev
+	ev.Seq = s.ring.Total() + 1
+	s.ring.Push(ev)
 	s.counts[ev.Type]++
 	if ev.Type == EventProtocol && ev.User != "" && ev.Detail != "" {
 		apps := s.userApps[ev.User]
@@ -175,16 +163,14 @@ func (s *Store) RecordAlert(tr obs.AlertTransition) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int(min(s.seq, uint64(s.capacity)))
+	return s.ring.Len()
 }
-
-func (s *Store) slot(i uint64) *Event { return &s.pages[i/eventPage][i%eventPage] }
 
 // TotalRecorded returns the number of events ever recorded.
 func (s *Store) TotalRecorded() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.seq
+	return s.ring.Total()
 }
 
 // Count returns the number of events of a type ever recorded.
@@ -233,10 +219,9 @@ func (s *Store) Events(f Filter) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// Seek straight past Since, or to the oldest retained event.
-	n := uint64(s.capacity)
 	var out []Event
-	for q := max(f.Since, s.seq-min(s.seq, n)); q < s.seq; q++ {
-		if ev := s.slot(q % n); f.admit(ev) { // slot of the event with Seq q+1
+	for q := max(f.Since, s.ring.Oldest()); q < s.ring.Total(); q++ {
+		if ev := s.ring.At(q); f.admit(ev) { // the event with Seq q+1
 			out = append(out, described(*ev))
 			if len(out) == f.Limit {
 				break

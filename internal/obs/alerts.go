@@ -11,8 +11,7 @@ import (
 // timeline. Everything derives from cumulative counters sampled at tick
 // boundaries: no wall clock, no goroutines, no randomness.
 //
-// The engine shares the obs design constraints: it lives behind a nil
-// test (a nil *AlertEngine no-ops everywhere), evaluation touches only
+// The engine shares the obs design constraints: evaluation touches only
 // the preallocated per-rule sample rings, and firing/resolving emits
 // transitions in canonical rule order within a tick. Each firing alert
 // carries the slowest setup TraceID in its violating window as an
@@ -139,19 +138,19 @@ type alertRuleState struct {
 }
 
 // maxTransitions bounds the retained timeline; runs long enough to
-// overflow it keep the earliest entries (the timeline's identity
-// matters more than its tail).
+// overflow it keep the latest entries, as a long-running daemon's
+// operator needs the firings of now, not of its first hour.
 const maxTransitions = 4096
 
 // AlertEngine evaluates a rule pack on sim-time ticks. Create with
-// NewAlertEngine; a nil engine no-ops everywhere.
+// NewAlertEngine.
 type AlertEngine struct {
 	fo       *FlowObs
 	rules    []AlertRule
 	states   []alertRuleState
 	interval time.Duration
 
-	transitions []AlertTransition
+	transitions Ring[AlertTransition]
 	seq         uint64
 
 	// OnTransition, when set, observes every firing/resolving edge as
@@ -164,19 +163,16 @@ type AlertEngine struct {
 
 // NewAlertEngine builds an engine over the FlowObs registry with the
 // given evaluation interval (0 = DefaultAlertInterval) and rule pack.
-// Returns nil when fo is nil, keeping the whole feature nil-gated.
 func NewAlertEngine(fo *FlowObs, interval time.Duration, rules []AlertRule) *AlertEngine {
-	if fo == nil {
-		return nil
-	}
 	if interval <= 0 {
 		interval = DefaultAlertInterval
 	}
 	ae := &AlertEngine{
-		fo:       fo,
-		rules:    rules,
-		states:   make([]alertRuleState, len(rules)),
-		interval: interval,
+		fo:          fo,
+		rules:       rules,
+		states:      make([]alertRuleState, len(rules)),
+		interval:    interval,
+		transitions: NewRing[AlertTransition](maxTransitions),
 	}
 	for i, r := range rules {
 		w := r.Window
@@ -201,20 +197,11 @@ func NewAlertEngine(fo *FlowObs, interval time.Duration, rules []AlertRule) *Ale
 	return ae
 }
 
-// Interval returns the evaluation cadence (0 on nil).
-func (ae *AlertEngine) Interval() time.Duration {
-	if ae == nil {
-		return 0
-	}
-	return ae.interval
-}
+// Interval returns the evaluation cadence.
+func (ae *AlertEngine) Interval() time.Duration { return ae.interval }
 
 // Tick evaluates every rule at sim time now, in canonical order.
-// Nil-safe.
 func (ae *AlertEngine) Tick(now time.Duration) {
-	if ae == nil {
-		return
-	}
 	for i := range ae.rules {
 		ae.evalRule(i, now)
 	}
@@ -342,19 +329,14 @@ func (ae *AlertEngine) emit(r *AlertRule, now time.Duration, state string, value
 	} else {
 		ae.transResolved.Inc()
 	}
-	if len(ae.transitions) < maxTransitions {
-		ae.transitions = append(ae.transitions, t)
-	}
+	ae.transitions.Push(t)
 	if ae.OnTransition != nil {
 		ae.OnTransition(t)
 	}
 }
 
-// Firing returns the number of rules currently firing (0 on nil).
+// Firing returns the number of rules currently firing.
 func (ae *AlertEngine) Firing() int {
-	if ae == nil {
-		return 0
-	}
 	n := 0
 	for i := range ae.states {
 		if ae.states[i].state == AlertFiring {
@@ -365,11 +347,8 @@ func (ae *AlertEngine) Firing() int {
 }
 
 // FiringBySeverity returns the number of firing rules per severity
-// label, in canonical rule order (nil on a nil engine).
+// label.
 func (ae *AlertEngine) FiringBySeverity() map[string]int {
-	if ae == nil {
-		return nil
-	}
 	out := make(map[string]int)
 	for i := range ae.states {
 		if ae.states[i].state == AlertFiring {
@@ -379,12 +358,8 @@ func (ae *AlertEngine) FiringBySeverity() map[string]int {
 	return out
 }
 
-// Snapshot returns every rule's current state in canonical order (nil
-// on a nil engine).
+// Snapshot returns every rule's current state in canonical order.
 func (ae *AlertEngine) Snapshot() []AlertView {
-	if ae == nil {
-		return nil
-	}
 	out := make([]AlertView, len(ae.rules))
 	for i := range ae.rules {
 		r, st := &ae.rules[i], &ae.states[i]
@@ -405,14 +380,9 @@ func (ae *AlertEngine) Snapshot() []AlertView {
 	return out
 }
 
-// Transitions returns the retained alert timeline in emission order
-// (nil on a nil engine).
-func (ae *AlertEngine) Transitions() []AlertTransition {
-	if ae == nil {
-		return nil
-	}
-	return ae.transitions
-}
+// Transitions returns a copy of the retained alert timeline, the latest
+// maxTransitions edges, oldest first.
+func (ae *AlertEngine) Transitions() []AlertTransition { return ae.transitions.Values() }
 
 // FlowSetupSLOBound is the default flow-setup latency SLO bound used by
 // the rule pack: setups should complete within 25ms (a
@@ -423,11 +393,8 @@ const FlowSetupSLOBound = 0.025
 // slice order is the canonical evaluation order. Rules referencing
 // conditionally-registered metrics (firewall migration, seproto errors)
 // sample 0 until the owning component registers them, so the pack works
-// against any controller configuration. Nil fo returns nil.
+// against any controller configuration.
 func DefaultRules(fo *FlowObs) []AlertRule {
-	if fo == nil {
-		return nil
-	}
 	reg := fo.Registry
 	val := func(name string, labels ...Label) func() (float64, float64) {
 		return func() (float64, float64) {

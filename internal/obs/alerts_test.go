@@ -16,20 +16,6 @@ func tickAll(ae *AlertEngine, base time.Duration, n int) time.Duration {
 	return now
 }
 
-func TestAlertEngineNilSafe(t *testing.T) {
-	if NewAlertEngine(nil, 0, nil) != nil {
-		t.Fatal("nil FlowObs must yield a nil engine")
-	}
-	var ae *AlertEngine
-	ae.Tick(time.Second)
-	if ae.Firing() != 0 || ae.Interval() != 0 {
-		t.Fatal("nil engine counted")
-	}
-	if ae.Snapshot() != nil || ae.Transitions() != nil || ae.FiringBySeverity() != nil {
-		t.Fatal("nil engine returned data")
-	}
-}
-
 func TestAlertThresholdFireResolve(t *testing.T) {
 	fo := NewFlowObs(8)
 	var errs float64
@@ -217,9 +203,6 @@ func TestAlertExemplarIsSlowestSetupInWindow(t *testing.T) {
 }
 
 func TestDefaultRulesPack(t *testing.T) {
-	if DefaultRules(nil) != nil {
-		t.Fatal("DefaultRules(nil) must be nil")
-	}
 	fo := NewFlowObs(8)
 	rules := DefaultRules(fo)
 	want := []string{"flow_setup_latency_slo", "packet_in_shed_rate",

@@ -73,12 +73,8 @@ func writeSample(w io.Writer, name, labels, extra string, value string) error {
 
 // WriteText renders the registry in Prometheus text exposition format
 // v0.0.4. Families appear in name order, series in label order; two
-// registries with the same contents produce identical bytes. A nil
-// registry writes nothing.
+// registries with the same contents produce identical bytes.
 func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	for _, f := range r.sortedFamilies() {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 			f.name, escapeHelp(f.help), f.name, f.kind.String()); err != nil {
@@ -118,7 +114,7 @@ func writeHistogram(w io.Writer, name string, s *series) error {
 	return writeSample(w, name+"_count", s.key, "", strconv.FormatUint(h.total, 10))
 }
 
-// Text renders the registry to a string (empty on nil).
+// Text renders the registry to a string.
 func (r *Registry) Text() string {
 	var b strings.Builder
 	_ = r.WriteText(&b)

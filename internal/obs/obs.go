@@ -9,10 +9,10 @@
 //     observing a histogram sample, and recording a finished span all
 //     touch preallocated memory only; handles are resolved once at
 //     registration time, never per event.
-//   - Nil means off. Every handle method and the FlowObs facade are
-//     nil-receiver safe no-ops, so instrumented code carries a single
-//     pointer test when observability is disabled (the default) and
-//     `-stable` experiment output stays byte-identical.
+//   - Always on. Every controller owns a FlowObs (core.New makes one),
+//     so instrumented code carries no "is it enabled" test, and the
+//     instrumentation only reads what the simulation does: a run
+//     delivers the same whether anyone reads its metrics or not.
 //   - Deterministic snapshots. All values derive from virtual time and
 //     event counts; the text exposition (expose.go) renders families and
 //     series in sorted order, so two identical runs produce identical
@@ -38,52 +38,26 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 // Counter is a monotonically increasing value.
 type Counter struct{ v uint64 }
 
-// Inc adds one. Safe on a nil receiver (no-op).
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
+// Inc adds one.
+func (c *Counter) Inc() { c.v++ }
 
-// Add adds n. Safe on a nil receiver (no-op).
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v += n }
 
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v float64 }
 
-// Set replaces the value. Safe on a nil receiver (no-op).
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
+// Set replaces the value.
+func (g *Gauge) Set(v float64) { g.v = v }
 
-// Add adjusts the value by d. Safe on a nil receiver (no-op).
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
+// Add adjusts the value by d.
+func (g *Gauge) Add(d float64) { g.v += d }
 
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return g.v }
 
 // kind is a metric family's type.
 type kind uint8
@@ -130,8 +104,7 @@ type family struct {
 }
 
 // Registry holds metric families. The zero value is not usable; create
-// with NewRegistry. A nil *Registry hands out nil (no-op) handles, so
-// instrumentation can register unconditionally.
+// with NewRegistry.
 type Registry struct {
 	byName map[string]*family
 }
@@ -174,11 +147,8 @@ func (f *family) getOrCreate(labels []Label) *series {
 }
 
 // Counter returns the counter for name+labels, registering it on first
-// use. A nil registry returns a nil (no-op) counter.
+// use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
 	s := r.family(name, help, kindCounter).getOrCreate(labels)
 	if s.c == nil {
 		s.c = &Counter{}
@@ -187,11 +157,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // Gauge returns the gauge for name+labels, registering it on first use.
-// A nil registry returns a nil (no-op) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
 	s := r.family(name, help, kindGauge).getOrCreate(labels)
 	if s.g == nil {
 		s.g = &Gauge{}
@@ -202,31 +168,21 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // CounterFunc registers a counter series whose value is sampled from fn
 // at exposition time — zero cost on the code path that owns the value.
 // Re-registering the same name+labels replaces fn (a rebuilt component
-// takes over its series). No-op on a nil registry.
+// takes over its series).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
 	r.family(name, help, kindCounterFunc).getOrCreate(labels).fn = fn
 }
 
 // GaugeFunc registers a sampled gauge series; semantics as CounterFunc.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
 	r.family(name, help, kindGaugeFunc).getOrCreate(labels).fn = fn
 }
 
 // Histogram returns the histogram for name+labels, registering it with
 // the given bucket upper bounds (seconds; an implicit +Inf bucket is
 // appended) on first use. Bounds are fixed at registration: later calls
-// for the same family ignore the argument. A nil registry returns a nil
-// (no-op) histogram.
+// for the same family ignore the argument.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	s := r.family(name, help, kindHistogram).getOrCreate(labels)
 	if s.h == nil {
 		s.h = newHistogram(bounds)
@@ -240,9 +196,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // without holding handles, so rules can reference metrics that
 // components register conditionally.
 func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
 	f, ok := r.byName[name]
 	if !ok || f.kind == kindHistogram {
 		return 0, false

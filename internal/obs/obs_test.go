@@ -34,26 +34,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestNilRegistryHandsOutNoOps(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
-	h := r.Histogram("x_seconds", "", nil)
-	r.CounterFunc("y_total", "", func() float64 { return 1 })
-	r.GaugeFunc("y", "", func() float64 { return 1 })
-	c.Inc()
-	c.Add(5)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("nil handles mutated state")
-	}
-	if r.Text() != "" {
-		t.Fatalf("nil registry rendered text")
-	}
-}
-
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("livesec_conflict", "c")
@@ -75,29 +55,32 @@ func TestLabelOrderCanonical(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{0.001, 0.01, 0.1})
+	r := NewRegistry()
+	h := r.Histogram("livesec_t_seconds", "T.", []float64{0.001, 0.01, 0.1})
 	for _, v := range []float64{0.0005, 0.001, 0.005, 0.05, 0.5} {
 		h.Observe(v)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	bks := h.Buckets()
-	want := []struct {
-		le  string
-		cum uint64
-	}{{"0.001", 2}, {"0.01", 3}, {"0.1", 4}, {"+Inf", 5}}
-	if len(bks) != len(want) {
-		t.Fatalf("got %d buckets, want %d", len(bks), len(want))
-	}
-	for i, w := range want {
-		if bks[i].LE != w.le || bks[i].Count != w.cum {
-			t.Fatalf("bucket %d = {%s %d}, want {%s %d}", i, bks[i].LE, bks[i].Count, w.le, w.cum)
+	for le, want := range map[float64]uint64{0.001: 2, 0.01: 3, 0.1: 4} {
+		if got := h.CountAtOrBelow(le); got != want {
+			t.Fatalf("CountAtOrBelow(%g) = %d, want %d", le, got, want)
 		}
 	}
-	// +Inf count must equal Count() — the exposition invariant.
-	if bks[len(bks)-1].Count != h.Count() {
-		t.Fatalf("+Inf bucket %d != count %d", bks[len(bks)-1].Count, h.Count())
+	// The exposed buckets are cumulative and the +Inf bucket equals
+	// Count() — the exposition invariant.
+	text := r.Text()
+	for _, want := range []string{
+		`livesec_t_seconds_bucket{le="0.001"} 2`,
+		`livesec_t_seconds_bucket{le="0.01"} 3`,
+		`livesec_t_seconds_bucket{le="0.1"} 4`,
+		`livesec_t_seconds_bucket{le="+Inf"} 5`,
+		"livesec_t_seconds_count 5",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -136,8 +137,7 @@ func (k SpanKind) String() string {
 }
 
 // Span is one flow setup's trace. All fields are plain values so the
-// span ring can store spans by copy. Every setter is nil-receiver safe,
-// letting instrumented code run unconditionally.
+// span ring can store spans by copy.
 type Span struct {
 	// ID is the span's sequence number (1-based, per FlowObs).
 	ID uint64
@@ -170,85 +170,50 @@ type Span struct {
 	NumElements uint8
 }
 
-// SetStage records a stage duration (nil-safe).
-func (sp *Span) SetStage(st Stage, d time.Duration) {
-	if sp != nil {
-		sp.Stages[st] = d
-	}
-}
+// SetStage records a stage duration.
+func (sp *Span) SetStage(st Stage, d time.Duration) { sp.Stages[st] = d }
 
-// Stage returns a recorded stage duration (0 on nil).
-func (sp *Span) Stage(st Stage) time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return sp.Stages[st]
-}
+// Stage returns a recorded stage duration.
+func (sp *Span) Stage(st Stage) time.Duration { return sp.Stages[st] }
 
-// SetOutcome records the span's outcome (nil-safe).
-func (sp *Span) SetOutcome(o Outcome) {
-	if sp != nil {
-		sp.Outcome = o
-	}
-}
+// SetOutcome records the span's outcome.
+func (sp *Span) SetOutcome(o Outcome) { sp.Outcome = o }
 
-// MarkDecision records the decision-cache result (nil-safe).
-func (sp *Span) MarkDecision(hit bool) {
-	if sp != nil {
-		sp.DecisionHit = hit
-	}
-}
+// MarkDecision records the decision-cache result.
+func (sp *Span) MarkDecision(hit bool) { sp.DecisionHit = hit }
 
-// MarkPlan records the plan-cache result (nil-safe).
-func (sp *Span) MarkPlan(hit bool) {
-	if sp != nil {
-		sp.PlanHit = hit
-	}
-}
+// MarkPlan records the plan-cache result.
+func (sp *Span) MarkPlan(hit bool) { sp.PlanHit = hit }
 
-// AddElement appends a picked service element (nil-safe; truncates at
+// AddElement appends a picked service element (truncating at
 // MaxSpanElements).
 func (sp *Span) AddElement(id uint64) {
-	if sp != nil && int(sp.NumElements) < MaxSpanElements {
+	if int(sp.NumElements) < MaxSpanElements {
 		sp.Elements[sp.NumElements] = id
 		sp.NumElements++
 	}
 }
 
-// AddBreakerSkips accumulates breaker exclusions (nil-safe).
-func (sp *Span) AddBreakerSkips(n uint32) {
-	if sp != nil {
-		sp.BreakerSkips += n
-	}
-}
+// AddBreakerSkips accumulates breaker exclusions.
+func (sp *Span) AddBreakerSkips(n uint32) { sp.BreakerSkips += n }
 
-// Total returns the span's end-to-end duration (0 on nil).
-func (sp *Span) Total() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return sp.End - sp.Start
-}
+// Total returns the span's end-to-end duration.
+func (sp *Span) Total() time.Duration { return sp.End - sp.Start }
 
 // DefaultRingCap is the span-ring capacity when NewFlowObs gets 0.
 const DefaultRingCap = 4096
 
-// FlowObs is the flow-setup observability facade handed to the
-// controller: a registry plus the span machinery. A nil *FlowObs
-// disables everything — StartSpan returns nil and every downstream
-// call no-ops — so the single `!= nil` test at span start is the whole
-// disabled-path cost.
+// FlowObs is the flow-setup observability facade every controller owns:
+// a registry plus the span machinery.
 type FlowObs struct {
 	// Registry holds all metric families, including the span-derived
 	// ones below; components share it to register their own.
 	Registry *Registry
 
-	ring     []Span
-	next     int
-	filled   int
-	free     []*Span
-	nextID   uint64
-	recorded uint64
+	ring Ring[Span]
+	free []*Span
+
+	nextID uint64
 
 	stageHist  [NumStages]*Histogram
 	totalHist  *Histogram
@@ -281,7 +246,7 @@ func NewFlowObs(ringCap int) *FlowObs {
 	}
 	fo := &FlowObs{
 		Registry: NewRegistry(),
-		ring:     make([]Span, ringCap),
+		ring:     NewRing[Span](ringCap),
 		free:     make([]*Span, 0, 8),
 	}
 	for st := 0; st < NumStages; st++ {
@@ -319,15 +284,9 @@ func NewFlowObs(ringCap int) *FlowObs {
 	return fo
 }
 
-// Enabled reports whether observability is on.
-func (fo *FlowObs) Enabled() bool { return fo != nil }
-
 // StartSpan opens a span starting at the given virtual time, reusing a
-// pooled span when available. Returns nil when fo is nil.
+// pooled span when available.
 func (fo *FlowObs) StartSpan(start time.Duration) *Span {
-	if fo == nil {
-		return nil
-	}
 	var sp *Span
 	if n := len(fo.free); n > 0 {
 		sp = fo.free[n-1]
@@ -346,9 +305,10 @@ func (fo *FlowObs) StartSpan(start time.Duration) *Span {
 // StartChild opens a child span of the given kind inside parent's trace.
 // The parent's identifiers and flow identity are copied immediately, so
 // the child may be finished long after the parent span returned to the
-// pool (a firewall handoff's ack). Returns nil when fo or parent is nil.
+// pool (a firewall handoff's ack). Returns nil when parent is nil, as
+// no setup is open.
 func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) *Span {
-	if fo == nil || parent == nil {
+	if parent == nil {
 		return nil
 	}
 	sp := fo.StartSpan(start)
@@ -364,11 +324,8 @@ func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) 
 // outcomes feed the stage histograms, every setup outcome counts (child
 // kinds count in their own family so the setup metrics keep their exact
 // per-setup semantics), and the span is copied into the ring and
-// returned to the pool. Nil-safe in both arguments.
+// returned to the pool.
 func (fo *FlowObs) FinishSpan(sp *Span, now time.Duration) {
-	if fo == nil || sp == nil {
-		return
-	}
 	sp.End = now
 	if sp.Kind == KindSetup {
 		if sp.Outcome.Completed() {
@@ -382,51 +339,22 @@ func (fo *FlowObs) FinishSpan(sp *Span, now time.Duration) {
 	} else {
 		fo.childSpans[sp.Kind].Inc()
 	}
-	fo.ring[fo.next] = *sp
-	fo.next++
-	if fo.next == len(fo.ring) {
-		fo.next = 0
-	}
-	if fo.filled < len(fo.ring) {
-		fo.filled++
-	}
-	fo.recorded++
+	fo.ring.Push(*sp)
 	fo.free = append(fo.free, sp)
 }
 
 // Recorded returns the number of spans ever finished.
-func (fo *FlowObs) Recorded() uint64 {
-	if fo == nil {
-		return 0
-	}
-	return fo.recorded
-}
+func (fo *FlowObs) Recorded() uint64 { return fo.ring.Total() }
 
 // CompletedSetups returns the completed-setup count — the invariant
 // denominator: every stage histogram holds exactly this many samples.
-func (fo *FlowObs) CompletedSetups() uint64 {
-	if fo == nil {
-		return 0
-	}
-	return fo.completed.Value()
-}
+func (fo *FlowObs) CompletedSetups() uint64 { return fo.completed.Value() }
 
 // Spans returns up to limit spans from the ring: newest first, or
 // slowest first (by total duration, ties broken by ID) when slowest is
 // set. limit <= 0 returns everything retained.
 func (fo *FlowObs) Spans(limit int, slowest bool) []Span {
-	if fo == nil || fo.filled == 0 {
-		return nil
-	}
-	out := make([]Span, fo.filled)
-	// Oldest retained span sits at next-filled (mod ring size).
-	start := fo.next - fo.filled
-	if start < 0 {
-		start += len(fo.ring)
-	}
-	for i := 0; i < fo.filled; i++ {
-		out[i] = fo.ring[(start+i)%len(fo.ring)]
-	}
+	out := fo.ring.Values()
 	if slowest {
 		sort.Slice(out, func(i, j int) bool {
 			if d1, d2 := out[i].Total(), out[j].Total(); d1 != d2 {
@@ -435,9 +363,7 @@ func (fo *FlowObs) Spans(limit int, slowest bool) []Span {
 			return out[i].ID < out[j].ID
 		})
 	} else {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
+		slices.Reverse(out)
 	}
 	if limit > 0 && limit < len(out) {
 		out = out[:limit]
@@ -449,18 +375,10 @@ func (fo *FlowObs) Spans(limit int, slowest bool) []Span {
 // ID (creation order, so parents precede children). Nil when the trace
 // has no retained spans.
 func (fo *FlowObs) Trace(traceID uint64) []Span {
-	if fo == nil || fo.filled == 0 || traceID == 0 {
-		return nil
-	}
 	var out []Span
-	start := fo.next - fo.filled
-	if start < 0 {
-		start += len(fo.ring)
-	}
-	for i := 0; i < fo.filled; i++ {
-		sp := fo.ring[(start+i)%len(fo.ring)]
-		if sp.TraceID == traceID {
-			out = append(out, sp)
+	for q := fo.ring.Oldest(); q < fo.ring.Total(); q++ {
+		if sp := fo.ring.At(q); sp.TraceID == traceID { // never 0
+			out = append(out, *sp)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -472,20 +390,13 @@ func (fo *FlowObs) Trace(traceID uint64) []Span {
 // span ID; 0 when none). The alert engine uses it to attach an exemplar
 // trace to each firing alert.
 func (fo *FlowObs) SlowestTraceSince(since time.Duration) uint64 {
-	if fo == nil || fo.filled == 0 {
-		return 0
-	}
 	var (
 		best    uint64
 		bestDur time.Duration = -1
 		bestID  uint64
 	)
-	start := fo.next - fo.filled
-	if start < 0 {
-		start += len(fo.ring)
-	}
-	for i := 0; i < fo.filled; i++ {
-		sp := &fo.ring[(start+i)%len(fo.ring)]
+	for q := fo.ring.Oldest(); q < fo.ring.Total(); q++ {
+		sp := fo.ring.At(q)
 		if sp.Kind != KindSetup || sp.End < since {
 			continue
 		}
@@ -494,49 +405,6 @@ func (fo *FlowObs) SlowestTraceSince(since time.Duration) uint64 {
 		}
 	}
 	return best
-}
-
-// StageSnapshot is one stage's distribution in a SetupSnapshot.
-type StageSnapshot struct {
-	Stage      string        `json:"stage"`
-	Count      uint64        `json:"count"`
-	SumSeconds float64       `json:"sum_seconds"`
-	Buckets    []BucketCount `json:"buckets"`
-}
-
-// SetupSnapshot is the per-stage flow-setup latency report exported in
-// livesec-bench -json. Within every stage the cumulative bucket counts
-// end at CompletedSetups: each stage observes exactly once per
-// completed setup.
-type SetupSnapshot struct {
-	CompletedSetups uint64          `json:"completed_setups"`
-	Stages          []StageSnapshot `json:"stages"`
-	Total           StageSnapshot   `json:"total"`
-}
-
-// SetupSnapshot captures the current stage histograms.
-func (fo *FlowObs) SetupSnapshot() SetupSnapshot {
-	if fo == nil {
-		return SetupSnapshot{}
-	}
-	snap := SetupSnapshot{
-		CompletedSetups: fo.CompletedSetups(),
-		Stages:          make([]StageSnapshot, NumStages),
-	}
-	for i := 0; i < NumStages; i++ {
-		snap.Stages[i] = stageSnapshot(Stage(i).String(), fo.stageHist[i])
-	}
-	snap.Total = stageSnapshot("total", fo.totalHist)
-	return snap
-}
-
-func stageSnapshot(name string, h *Histogram) StageSnapshot {
-	return StageSnapshot{
-		Stage:      name,
-		Count:      h.Count(),
-		SumSeconds: h.Sum(),
-		Buckets:    h.Buckets(),
-	}
 }
 
 // StageMS is one stage duration in a SpanView, in milliseconds.
@@ -565,9 +433,6 @@ type SpanView struct {
 
 // View renders the span for JSON export.
 func (sp *Span) View() SpanView {
-	if sp == nil {
-		return SpanView{}
-	}
 	v := SpanView{
 		ID:                sp.ID,
 		TraceID:           sp.TraceID,

@@ -4,9 +4,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"livesec/internal/core"
 	"livesec/internal/obs"
 )
 
@@ -23,23 +21,14 @@ func typeLines(text string) []string {
 	return out
 }
 
-// The full metrics inventory with every knob enabled — SLO alerts on
-// an observed deployment. The golden list is the contract DESIGN.md §
+// The full metrics inventory of a deployment with its monitor on. The
+// golden list is the contract DESIGN.md §
 // Observability points to — adding a family without updating it is a breaking
 // observability change. The exposition must also pass the
 // strict lint (counter _total suffixes, non-empty HELP).
 func TestMetricsInventoryAllKnobs(t *testing.T) {
-	fo := obs.NewFlowObs(0)
-	n := obsNet(t, Options{
-		Monitor:     true,
-		SLO:         true,
-		SLOInterval: 10 * time.Millisecond,
-		Config:      core.Config{Obs: fo},
-	})
-	if n.Alerts == nil {
-		t.Fatal("SLO option did not build an alert engine")
-	}
-	text := fo.Registry.Text()
+	n := obsNet(t, Options{Monitor: true})
+	text := n.Controller.Obs().Registry.Text()
 	if err := obs.LintText(text); err != nil {
 		t.Fatalf("all-knobs exposition fails lint: %v\n%s", err, text)
 	}

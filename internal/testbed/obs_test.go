@@ -37,8 +37,8 @@ func obsNet(t *testing.T, opts Options) *Net {
 }
 
 func TestObsSpansAndMetrics(t *testing.T) {
-	fo := obs.NewFlowObs(0)
-	n := obsNet(t, Options{Config: core.Config{Obs: fo}})
+	n := obsNet(t, Options{})
+	fo := n.Controller.Obs()
 
 	if fo.Recorded() == 0 {
 		t.Fatal("no spans recorded")
@@ -49,10 +49,10 @@ func TestObsSpansAndMetrics(t *testing.T) {
 	}
 	// The core invariant: every stage histogram observed exactly once per
 	// completed setup.
-	snap := fo.SetupSnapshot()
-	for _, st := range snap.Stages {
-		if st.Count != completed {
-			t.Fatalf("stage %s count = %d, want %d", st.Stage, st.Count, completed)
+	for st := 0; st < obs.NumStages; st++ {
+		name := obs.Stage(st).String()
+		if h := fo.Registry.Histogram("livesec_flow_setup_stage_seconds", "", nil, obs.L("stage", name)); h.Count() != completed {
+			t.Fatalf("stage %s count = %d, want %d", name, h.Count(), completed)
 		}
 	}
 	// Completed setups match the controller's own accounting.
@@ -111,21 +111,10 @@ func TestObsSpansAndMetrics(t *testing.T) {
 	}
 }
 
-// Observability must not perturb the simulation: the same deployment
-// with and without obs produces identical controller stats.
-func TestObsDoesNotPerturbRun(t *testing.T) {
-	off := obsNet(t, Options{}).Controller.Stats()
-	on := obsNet(t, Options{Config: core.Config{Obs: obs.NewFlowObs(0)}}).Controller.Stats()
-	if off != on {
-		t.Fatalf("stats diverge with obs on:\noff: %+v\non:  %+v", off, on)
-	}
-}
-
 func TestObsBarrierStage(t *testing.T) {
-	fo := obs.NewFlowObs(0)
-	obsNet(t, Options{Config: core.Config{Obs: fo, UseBarriers: true}})
+	n := obsNet(t, Options{Config: core.Config{UseBarriers: true}})
 	var sawBarrier bool
-	for _, sp := range fo.Spans(0, false) {
+	for _, sp := range n.Controller.Obs().Spans(0, false) {
 		if sp.Outcome.Completed() && sp.Stage(obs.StageBarrier) > 0 {
 			sawBarrier = true
 		}
@@ -136,13 +125,12 @@ func TestObsBarrierStage(t *testing.T) {
 }
 
 func TestObsQueueWaitStage(t *testing.T) {
-	fo := obs.NewFlowObs(0)
 	// With a modeled packet-in cost every dispatch waits at least that
 	// long behind the serialized controller.
 	cost := 200 * time.Microsecond
-	obsNet(t, Options{Config: core.Config{Obs: fo, PacketInCost: cost}})
+	n := obsNet(t, Options{Config: core.Config{PacketInCost: cost}})
 	var sawWait bool
-	for _, sp := range fo.Spans(0, false) {
+	for _, sp := range n.Controller.Obs().Spans(0, false) {
 		if sp.Outcome.Completed() && sp.Stage(obs.StageQueueWait) >= cost {
 			sawWait = true
 		}

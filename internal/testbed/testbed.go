@@ -58,15 +58,6 @@ type Options struct {
 	// registered for fault events. With an empty plan the wrapped run is byte-identical to
 	// an unwrapped one.
 	Chaos bool
-	// SLO builds the deterministic alert engine (obs/alerts.go) over Obs
-	// with the default rule pack, ticking on the controller engine.
-	// Requires Obs; ignored when Obs is nil. Transitions are recorded as
-	// monitor events when Monitor is on. Evaluation is read-only, so
-	// simulated network behaviour is unchanged.
-	SLO bool
-	// SLOInterval overrides the alert evaluation tick
-	// (0 = obs.DefaultAlertInterval).
-	SLOInterval time.Duration
 }
 
 // Net is an assembled deployment.
@@ -76,8 +67,11 @@ type Net struct {
 	Fabric     *legacy.Fabric
 	Controller *core.Controller
 	Store      *monitor.Store
-	// Alerts is the SLO alert engine, non-nil when Options.SLO is set
-	// together with Options.Obs.
+	// Alerts is the SLO alert engine (obs/alerts.go): the default rule
+	// pack over the controller's registry, ticking on the engine every
+	// obs.DefaultAlertInterval. Its transitions are recorded as monitor
+	// events when Monitor is on. Evaluation only reads the registry, so
+	// the simulated network behaves the same with or without it.
 	Alerts *obs.AlertEngine
 
 	Switches []*dataplane.Switch
@@ -134,22 +128,20 @@ func New(opts Options) *Net {
 		n.Chaos = chaos.NewInjector(eng)
 		n.Chaos.RegisterController(ctrl)
 	}
-	if opts.SLO && opts.Obs != nil {
-		ae := obs.NewAlertEngine(opts.Obs, opts.SLOInterval, obs.DefaultRules(opts.Obs))
-		n.Alerts = ae
-		if store != nil {
-			ae.OnTransition = store.RecordAlert
-		}
-		// The evaluation tick self-reschedules for the lifetime of the run.
-		// Evaluation only reads the registry, so the simulated network is
-		// untouched; no experiment row reports raw engine event counts.
-		var tick func()
-		tick = func() {
-			ae.Tick(eng.Now())
-			eng.Schedule(ae.Interval(), tick)
-		}
+	fo := ctrl.Obs()
+	ae := obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
+	n.Alerts = ae
+	if store != nil {
+		ae.OnTransition = store.RecordAlert
+	}
+	// The evaluation tick self-reschedules for the lifetime of the run;
+	// no experiment row reports raw engine event counts.
+	var tick func()
+	tick = func() {
+		ae.Tick(eng.Now())
 		eng.Schedule(ae.Interval(), tick)
 	}
+	eng.Schedule(ae.Interval(), tick)
 	return n
 }
 
@@ -190,9 +182,7 @@ func (n *Net) addSwitch(s SwitchSpec) *dataplane.Switch {
 		s.Name = fmt.Sprintf("%s%d", prefix, dpid)
 	}
 	sw := dataplane.New(n.Eng, dataplane.Config{DPID: dpid, Name: s.Name, Kind: s.Kind})
-	if n.opts.Obs != nil {
-		sw.RegisterObs(n.opts.Obs.Registry)
-	}
+	sw.RegisterObs(n.Controller.Obs().Registry)
 	up := n.Fabric.Attach(0, sw, uplinkPort, link.Params{BitsPerSec: s.Uplink})
 	sw.AttachPort(uplinkPort, up)
 	ctrlSide, swSide := openflow.SimPipe(n.Eng, s.CtrlLatency)
