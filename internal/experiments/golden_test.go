@@ -15,22 +15,22 @@ import (
 // simulation event keeps every hash; a changed hash means some
 // experiment's report or delivered outcome moved.
 var suiteGolden = map[string]string{
-	"E1":  "5a0f8e6bfa122266/2",
-	"E2":  "f96fb2add5ca2750/3",
-	"E3":  "93dcdec68c3c9bdc/2",
-	"E4":  "dacc83ec2bf6d447/4",
-	"E5":  "28e5e53a4131b598/1",
-	"E6":  "1c4c20f1d3709c52/1",
-	"E7":  "1e854694e7ca457e/4",
-	"E8":  "43d48d1faba233ca/3",
-	"E9":  "3ce78c53745cb260/2",
-	"E10": "1fdb98713e82da64/1",
-	"E12": "e1c90598eb75c46b/4",
-	"E13": "cd7d03ffccddaf0e/1",
-	"A1":  "bd9acfaef95bec4e/2",
-	"A2":  "ec2fc7df69f74670/1",
-	"A3":  "8054bc53727b4830/1",
-	"A4":  "b4f26215de494c20/2",
+	"E1":  "0f38b96397da514d/2",
+	"E2":  "66ef6dd722547557/3",
+	"E3":  "133211999fcd8305/2",
+	"E4":  "3379d496ae554ab8/4",
+	"E5":  "9b2cd0fda9fe2767/1",
+	"E6":  "105e42b445a92e63/1",
+	"E7":  "664d967adb9418b5/4",
+	"E8":  "65ab3be56685782f/3",
+	"E9":  "04f2a800278d5caf/2",
+	"E10": "d217cbb942227bbd/1",
+	"E12": "8469636799613e12/4",
+	"E13": "b952f1fe90578111/1",
+	"A1":  "b8634ced341684d7/2",
+	"A2":  "3bf77cdba1360519/1",
+	"A3":  "f3b4a5e713fbf12d/1",
+	"A4":  "a59c62138efb777b/2",
 }
 
 // TestSuiteGolden runs every Suite experiment except E11, whose sweep
