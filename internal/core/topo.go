@@ -60,7 +60,7 @@ type ElementJSON struct {
 }
 
 // Topology builds a consistent snapshot. Safe to expose through
-// monitor.NewHandler as the TopologyFunc when the simulation is paused
+// monitor.NewAPIHandler as the TopologyFunc when the simulation is paused
 // or single-threaded.
 func (c *Controller) Topology() TopologySnapshot {
 	var snap TopologySnapshot
