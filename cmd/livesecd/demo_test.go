@@ -672,7 +672,7 @@ func TestDefaultDaemonObservable(t *testing.T) {
 	a, b := demoPair(t, d)
 	a.raiseTCP(b, 42000)
 	waitFor(t, "the setup", func() bool { return d.stats().FlowsRouted == 1 })
-	if m := d.get(t, "/metrics"); !strings.Contains(m, "livesec_flow_setups_completed_total 1\n") {
+	if m := d.get(t, "/metrics"); !strings.Contains(m, "livesec_flow_setup_seconds_count 1\n") {
 		t.Fatalf("/metrics lacks one completed setup:\n%s", m)
 	}
 	var tr monitor.TracesResponse

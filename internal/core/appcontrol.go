@@ -1,9 +1,7 @@
 package core
 
 import (
-	"livesec/internal/flow"
 	"livesec/internal/monitor"
-	"livesec/internal/openflow"
 	"livesec/internal/seproto"
 )
 
@@ -44,30 +42,11 @@ func (c *Controller) applyAppPolicy(m *seproto.Event) {
 	if !ok || action != AppBlock {
 		return
 	}
-	h, ok := c.hosts[m.Flow.EthSrc]
-	if !ok {
+	// Block the classified direction at the entrance.
+	st := c.dropUserFlow(m.Flow, "application policy: "+m.Detail)
+	if st == nil {
 		return
 	}
-	st, ok := c.switches[h.DPID]
-	if !ok {
-		return
-	}
-	dropMatch := flow.Match{
-		Wildcards: flow.WildInPort | flow.WildEthDst | flow.WildVLAN | flow.WildIPTOS,
-		Key: flow.Key{
-			EthSrc:  m.Flow.EthSrc,
-			EthType: m.Flow.EthType,
-			IPSrc:   m.Flow.IPSrc,
-			IPDst:   m.Flow.IPDst,
-			IPProto: m.Flow.IPProto,
-			SrcPort: m.Flow.SrcPort,
-			DstPort: m.Flow.DstPort,
-		},
-	}
-	// Tear down the installed session both ways and block the forward
-	// direction at the entrance.
-	c.sendFlowMod(st, &openflow.FlowMod{Match: dropMatch, Command: openflow.FlowDelete})
-	c.installDrop(st, dropMatch, m.Flow, "application policy: "+m.Detail)
 	c.record(monitor.Event{Type: monitor.EventAppBlocked, Switch: st.dpid,
 		User: m.Flow.EthSrc.String(), Detail: m.Detail})
 }

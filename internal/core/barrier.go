@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"livesec/internal/obs"
 	"livesec/internal/openflow"
 )
@@ -21,10 +19,8 @@ type pendingRelease struct {
 	st      *switchState
 	po      *openflow.PacketOut
 	waiting map[uint32]bool // outstanding barrier xids
-	// span is the flow-setup trace parked across the barrier round trip;
-	// sentAt anchors its barrier stage.
-	span   *obs.Span
-	sentAt time.Duration
+	// span is the flow-setup trace parked across the barrier round trip.
+	span *obs.Span
 }
 
 // barrierRelease wires one release: barriers are queued on the emitter
@@ -34,8 +30,7 @@ func (c *Controller) barrierRelease(em *emitter, st *switchState, po *openflow.P
 	if c.pendingReleases == nil {
 		c.pendingReleases = make(map[uint32]*pendingRelease)
 	}
-	rel := &pendingRelease{st: st, po: po, waiting: make(map[uint32]bool, len(dpids)),
-		span: span, sentAt: c.eng.Now()}
+	rel := &pendingRelease{st: st, po: po, waiting: make(map[uint32]bool, len(dpids)), span: span}
 	for _, dpid := range dpids {
 		target, ok := c.switches[dpid]
 		if !ok {
@@ -49,7 +44,7 @@ func (c *Controller) barrierRelease(em *emitter, st *switchState, po *openflow.P
 	}
 	if len(rel.waiting) == 0 {
 		c.sendPacketOut(st, po)
-		c.obsBarrierDone(rel)
+		c.obs.FinishSpan(span, c.eng.Now())
 	}
 }
 
@@ -70,6 +65,6 @@ func (c *Controller) handleBarrierReply(xid uint32) {
 	delete(rel.waiting, xid)
 	if len(rel.waiting) == 0 {
 		c.sendPacketOut(rel.st, rel.po)
-		c.obsBarrierDone(rel)
+		c.obs.FinishSpan(rel.span, c.eng.Now())
 	}
 }

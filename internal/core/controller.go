@@ -287,8 +287,6 @@ type Controller struct {
 	// tableStats holds the latest per-switch flow-table and
 	// microflow-cache counters from OFPST_TABLE polling.
 	tableStats map[uint64]TableStats
-	// usage accumulates per-user data-plane counters (§IV.C).
-	usage map[netpkt.MAC]*UserTraffic
 	// sessions tracks installed flows for live policy re-application;
 	// rules and chains intern what its entries name (sessions.go).
 	sessions map[flow.Key]sessionEntry
@@ -415,7 +413,7 @@ func New(cfg Config) *Controller {
 }
 
 // Obs returns the controller's observability: its metric registry, span
-// ring and stage histograms.
+// ring and setup-latency histogram.
 func (c *Controller) Obs() *obs.FlowObs { return c.obs }
 
 // Intents returns the controller's intent compiler. Edits apply to the

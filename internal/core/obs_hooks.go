@@ -17,7 +17,7 @@ import (
 //     pays nothing; exposition is serialized with the event loop by the
 //     monitor handler, so sampling is race-free.
 //   - Flow-setup spans: routeFlow opens a span per first packet, the
-//     install path stamps stages and structural facts, and finishSetup
+//     install path stamps structural facts, and finishSetup
 //     (or the barrier reply) closes it. The open span rides in
 //     c.curSpan — the controller is single-threaded and a setup never
 //     yields between routeFlow and finishSetup, except across a barrier
@@ -142,21 +142,21 @@ func (c *Controller) obsRegister() {
 }
 
 // obsSpanStart opens the flow-setup span at the routing entry point. The
-// span starts at obsAcceptedAt (when the packet-in arrived), so the
-// queue-wait stage is the pipeline backlog it sat behind, and for a
+// span starts at obsAcceptedAt (when the packet-in arrived), so its
+// duration includes the pipeline backlog it sat behind, and for a
 // packet-in parked by an outage the time it spent parked.
 func (c *Controller) obsSpanStart(st *switchState, key flow.Key) {
 	sp := c.obs.StartSpan(c.obsAcceptedAt)
 	sp.Switch = st.dpid
 	sp.Key = key
-	sp.SetStage(obs.StageQueueWait, c.eng.Now()-c.obsAcceptedAt)
 	c.curSpan = sp
 }
 
 // obsCurSpanEnd finishes the open span (if any) with the given outcome.
 // Terminal paths that abandon a setup — blocked user, policy deny,
 // unknown destination — route through here; completed setups are closed
-// by finishSetup/obsBarrierDone instead, which clear curSpan first.
+// by finishSetup or the last barrier reply instead, which detach
+// curSpan first.
 func (c *Controller) obsCurSpanEnd(o obs.Outcome) {
 	sp := c.curSpan
 	if sp == nil {
@@ -165,23 +165,6 @@ func (c *Controller) obsCurSpanEnd(o obs.Outcome) {
 	c.curSpan = nil
 	sp.SetOutcome(o)
 	c.obs.FinishSpan(sp, c.eng.Now())
-}
-
-// obsTakeSetupSpan detaches the open span at the point the install batch
-// is complete, stamping the install stage (time since dispatch not
-// attributed to earlier stages).
-func (c *Controller) obsTakeSetupSpan() *obs.Span {
-	sp := c.curSpan
-	c.curSpan = nil
-	sp.SetStage(obs.StageInstall, c.eng.Now()-sp.Start-sp.Stage(obs.StageQueueWait))
-	return sp
-}
-
-// obsBarrierDone closes a span parked on a pendingRelease once the last
-// barrier reply lands (or immediately when no barriers were needed).
-func (c *Controller) obsBarrierDone(rel *pendingRelease) {
-	rel.span.SetStage(obs.StageBarrier, c.eng.Now()-rel.sentAt)
-	c.obs.FinishSpan(rel.span, c.eng.Now())
 }
 
 // obsShed records a span for a packet-in rejected by admission control.

@@ -37,7 +37,7 @@ import (
 const maxParked = 16384
 
 // parkedMsg is one message held during an outage; at is its arrival
-// time, which a drained setup's queue_wait stage starts from.
+// time, which a drained setup's span starts from.
 type parkedMsg struct {
 	st *switchState
 	m  openflow.Message

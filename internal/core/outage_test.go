@@ -61,8 +61,8 @@ func componentHealth(t *testing.T, n *testbed.Net, name string) monitor.HealthCo
 // park while it is down, recovery resyncs every switch from its shadow
 // table and drains the queue, no flow is lost, the outage is charged to
 // policy-violation time, the keepalive never mistakes the outage for
-// dead switches, and each drained setup's queue_wait covers the time it
-// spent parked.
+// dead switches, and each drained setup's span covers the time it spent
+// parked.
 func TestControllerOutage(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n, clients, srv := outageNet(t, 6, testbed.Options{
@@ -134,8 +134,8 @@ func TestControllerOutage(t *testing.T) {
 			continue
 		}
 		drained++
-		if qw := sp.Stage(obs.StageQueueWait); qw < up-sp.Start {
-			t.Fatalf("span %d arrived at %v, queue_wait %v does not cover parking until %v", sp.ID, sp.Start, qw, up)
+		if d := sp.Total(); d < up-sp.Start {
+			t.Fatalf("span %d arrived at %v, total %v does not cover parking until %v", sp.ID, sp.Start, d, up)
 		}
 	}
 	if drained < sent {

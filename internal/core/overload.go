@@ -92,7 +92,7 @@ func (b *tokenBucket) take(now time.Duration, rate, burst float64) bool {
 }
 
 // ingressItem is one queued control-channel message. at is the arrival
-// time, anchoring the queue-wait stage of flow-setup traces.
+// time, where the message's flow-setup span starts.
 type ingressItem struct {
 	st *switchState
 	m  openflow.Message

@@ -528,8 +528,8 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 		dpid: ingress.dpid, rev: rev,
 		ethSrc: key.EthSrc, ethDst: key.EthDst, inPort: key.InPort,
 		priority: prioForward,
-		// Ingress entries report their counters on expiry so the
-		// controller can account per-user traffic (§IV.C).
+		// Ingress entries report their removal so the controller
+		// retires the session (handleFlowRemoved).
 		notifyDel: true,
 		actions:   firstActions,
 	})
@@ -615,7 +615,8 @@ func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.Pack
 	if pi.BufferID == openflow.NoBuffer {
 		po.Data = pi.Data
 	}
-	sp := c.obsTakeSetupSpan()
+	sp := c.curSpan
+	c.curSpan = nil
 	if c.cfg.UseBarriers {
 		c.barrierRelease(em, st, po, plan.switches, sp)
 		em.flush()

@@ -172,7 +172,9 @@ func (c *Controller) handleSEEvent(pkt *netpkt.Packet, m *seproto.Event) {
 		key := m.Flow
 		c.record(monitor.Event{Type: typ, SE: m.SEID, User: user.String(),
 			Severity: m.Severity, Detail: m.Detail, FlowKey: &key})
-		c.blockReportedFlow(m)
+		// Block the offending flow at its ingress AS switch, the
+		// entrance (§IV.A).
+		c.dropUserFlow(m.Flow, "security event sid="+uitoa(uint64(m.SigID)))
 	case seproto.EventProtocol:
 		c.record(monitor.Event{Type: monitor.EventProtocol, SE: m.SEID,
 			User: user.String(), Detail: m.Detail})
@@ -180,35 +182,22 @@ func (c *Controller) handleSEEvent(pkt *netpkt.Packet, m *seproto.Event) {
 	}
 }
 
-// blockReportedFlow installs a drop rule at the offender's ingress AS
-// switch so the flow is blocked at the entrance (§IV.A). The match
-// covers the offending 5-tuple from that user regardless of the steering
-// rewrites the element observed.
-func (c *Controller) blockReportedFlow(m *seproto.Event) {
-	h, ok := c.hosts[m.Flow.EthSrc]
+// dropUserFlow removes a reported flow's forwarding entries at its
+// user's ingress switch, so in-flight packets stop, and installs a drop
+// there. The match (userFlowMatch) covers the 5-tuple from that user
+// regardless of the steering rewrites the reporting element observed.
+// It returns the switch, or nil when the user's location is unknown.
+func (c *Controller) dropUserFlow(key flow.Key, why string) *switchState {
+	h, ok := c.hosts[key.EthSrc]
 	if !ok {
-		return
+		return nil
 	}
 	st, ok := c.switches[h.DPID]
 	if !ok {
-		return
+		return nil
 	}
-	// Wildcard dl_dst (the element saw the steered form), VLAN/TOS and
-	// in_port; pin the user and the 5-tuple.
-	dropMatch := flow.Match{
-		Wildcards: flow.WildInPort | flow.WildEthDst | flow.WildVLAN | flow.WildIPTOS,
-		Key: flow.Key{
-			EthSrc:  m.Flow.EthSrc,
-			EthType: m.Flow.EthType,
-			IPSrc:   m.Flow.IPSrc,
-			IPDst:   m.Flow.IPDst,
-			IPProto: m.Flow.IPProto,
-			SrcPort: m.Flow.SrcPort,
-			DstPort: m.Flow.DstPort,
-		},
-	}
-	// Remove the exact forwarding entries so in-flight packets stop, then
-	// install the drop.
-	c.sendFlowMod(st, &openflow.FlowMod{Match: dropMatch, Command: openflow.FlowDelete})
-	c.installDrop(st, dropMatch, m.Flow, "security event sid="+uitoa(uint64(m.SigID)))
+	m := userFlowMatch(key)
+	c.sendFlowMod(st, &openflow.FlowMod{Match: m, Command: openflow.FlowDelete})
+	c.installDrop(st, m, key, why)
+	return st
 }

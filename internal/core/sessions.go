@@ -6,6 +6,7 @@ import (
 
 	"livesec/internal/flow"
 	"livesec/internal/monitor"
+	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/policy"
 )
@@ -158,6 +159,27 @@ func (c *Controller) expireSessions(now time.Duration) {
 	}
 }
 
+// handleFlowRemoved retires a session when its ingress entry leaves the
+// switch. Only a live session's ingress entry counts — its exact match
+// is the session's key, on the switch its record names — so steering
+// legs do not retire it early, and a host that has moved since still
+// has its old session forgotten.
+func (c *Controller) handleFlowRemoved(st *switchState, fr *openflow.FlowRemoved) {
+	if st.resyncing && fr.Reason == openflow.RemovedDelete {
+		// The resync wipe floods FlowRemoved for every entry it clears;
+		// those entries were just reinstalled and their sessions are
+		// still live.
+		return
+	}
+	st.shadowRemove(fr)
+	if fr.Cookie == dropCookie || fr.Match.Wildcards != 0 {
+		return // drops and wildcard entries are no session's ingress entry
+	}
+	if rec, ok := c.sessions[fr.Match.Key]; ok && rec.dpid == st.dpid {
+		c.forgetSession(fr.Match.Key)
+	}
+}
+
 // forgetSession drops the record when the ingress entry expires,
 // closing any open policy-violation window and releasing its interned
 // rule and chain.
@@ -236,16 +258,14 @@ func (c *Controller) teardownSession(key flow.Key) {
 	}
 }
 
-// sessionWideMatch matches every installed variant of one direction of
-// a session: in_port, dl_src, dl_dst, VLAN and TOS are wildcarded
-// because steering rewrites or relocates them, and the 5-tuple alone
-// pins the session. So a teardown also deletes the legs whose dl_src
-// was rewritten to an element MAC (TestReapplyDenyTearsDownChainedLegs).
-func sessionWideMatch(key flow.Key) flow.Match {
+// userFlowMatch pins key's user (dl_src) and 5-tuple. in_port, dl_dst,
+// VLAN and TOS are wildcarded because steering rewrites or relocates
+// them, so the match covers every variant of that user's flow.
+func userFlowMatch(key flow.Key) flow.Match {
 	return flow.Match{
-		Wildcards: flow.WildInPort | flow.WildEthDst | flow.WildVLAN |
-			flow.WildIPTOS | flow.WildEthSrc,
+		Wildcards: flow.WildInPort | flow.WildEthDst | flow.WildVLAN | flow.WildIPTOS,
 		Key: flow.Key{
+			EthSrc:  key.EthSrc,
 			EthType: key.EthType,
 			IPSrc:   key.IPSrc,
 			IPDst:   key.IPDst,
@@ -254,6 +274,18 @@ func sessionWideMatch(key flow.Key) flow.Match {
 			DstPort: key.DstPort,
 		},
 	}
+}
+
+// sessionWideMatch matches every installed variant of one direction of
+// a session: userFlowMatch with dl_src wildcarded too, so the 5-tuple
+// alone pins the session and a teardown also deletes the legs whose
+// dl_src was rewritten to an element MAC
+// (TestReapplyDenyTearsDownChainedLegs).
+func sessionWideMatch(key flow.Key) flow.Match {
+	key.EthSrc = netpkt.MAC{}
+	m := userFlowMatch(key)
+	m.Wildcards |= flow.WildEthSrc
+	return m
 }
 
 // Sessions returns the number of tracked live sessions.

@@ -8,8 +8,9 @@ import (
 )
 
 // Every deployment an experiment builds is observed: in each of E1's,
-// every stage histogram in the controller's registry holds exactly one
-// sample per completed setup, and it completed some.
+// the setup-latency histogram in the controller's registry holds exactly
+// one sample per span that ended in a completed outcome, and it
+// completed some.
 func TestObsSetupSnapshotInvariant(t *testing.T) {
 	var nets []*testbed.Net
 	built = func(n *testbed.Net) { nets = append(nets, n) }
@@ -24,15 +25,13 @@ func TestObsSetupSnapshotInvariant(t *testing.T) {
 		if completed == 0 {
 			t.Fatalf("deployment %d: no completed setups recorded", i)
 		}
-		for st := 0; st < obs.NumStages; st++ {
-			name := obs.Stage(st).String()
-			h := fo.Registry.Histogram("livesec_flow_setup_stage_seconds", "", nil, obs.L("stage", name))
-			if h.Count() != completed {
-				t.Fatalf("deployment %d: stage %s count = %d, want %d", i, name, h.Count(), completed)
-			}
+		var spans float64
+		for _, o := range []obs.Outcome{obs.OutcomeRouted, obs.OutcomeChained, obs.OutcomeFailOpen} {
+			v, _ := fo.Registry.Value("livesec_flow_setup_spans_total", obs.L("outcome", o.String()))
+			spans += v
 		}
-		if h := fo.Registry.Histogram("livesec_flow_setup_seconds", "", nil); h.Count() != completed {
-			t.Fatalf("deployment %d: total count = %d, want %d", i, h.Count(), completed)
+		if uint64(spans) != completed {
+			t.Fatalf("deployment %d: %d completed setup spans, setup-latency histogram count %d", i, uint64(spans), completed)
 		}
 	}
 }

@@ -41,7 +41,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	fo := obs.NewFlowObs(8)
 	sp := fo.StartSpan(2 * time.Millisecond)
 	sp.Switch = 1
-	sp.SetStage(obs.StageQueueWait, time.Millisecond)
 	sp.MarkDecision(true)
 	fo.FinishSpan(sp, 4*time.Millisecond)
 	sp = fo.StartSpan(5 * time.Millisecond)
@@ -206,7 +205,7 @@ func TestMetricsWithObsLints(t *testing.T) {
 	for _, want := range []string{
 		"livesec_custom_total 3",
 		"livesec_events_total",
-		`livesec_flow_setup_stage_seconds_bucket{stage="queue_wait",le="+Inf"} 1`,
+		`livesec_flow_setup_seconds_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

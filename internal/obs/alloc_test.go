@@ -59,8 +59,6 @@ func TestSpanRecordZeroAllocs(t *testing.T) {
 	var now time.Duration
 	if allocs := testing.AllocsPerRun(200, func() {
 		sp := fo.StartSpan(now)
-		sp.SetStage(StageQueueWait, time.Millisecond)
-		sp.SetStage(StageInstall, time.Millisecond)
 		sp.MarkDecision(true)
 		sp.AddElement(1)
 		sp.SetOutcome(OutcomeRouted)

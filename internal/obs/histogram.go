@@ -2,7 +2,7 @@ package obs
 
 import "time"
 
-// DefaultLatencyBuckets is the fixed bucket layout for flow-setup stage
+// DefaultLatencyBuckets is the fixed bucket layout for flow-setup
 // latencies: 100µs to 5s in a coarse log scale, in seconds. The layout
 // spans both simulated setups (sub-millisecond virtual latencies) and
 // livesecd wall-clock setups (milliseconds once the event loop's 5ms

@@ -9,58 +9,23 @@ import (
 )
 
 // Flow-setup tracing: every packet-in that reaches the routing path
-// opens a Span; the controller stamps per-stage virtual durations and
-// structural facts (cache hits, breaker exclusions, picked elements) as
-// the setup progresses, and FinishSpan folds the result into the stage
-// histograms and a bounded ring of recent spans. Spans are pooled and
-// the ring stores them by value, so the record path is allocation-free.
+// opens a Span; the controller stamps structural facts (cache hits,
+// breaker exclusions, picked elements) as the setup progresses, and
+// FinishSpan folds the span's duration into the setup-latency histogram
+// and a bounded ring of recent spans. Spans are pooled and the ring
+// stores them by value, so the record path is allocation-free.
 //
-// Stage semantics under the sim clock: CPU-bound stages (admission,
-// decision, plan, SE pick, install) are instantaneous in virtual time —
-// their histograms collapse to the first bucket — while queue wait
-// (with Config.PacketInCost) and barrier confirm measure genuinely
-// simulated delays. The structure still carries the signal: hit/miss
-// flags and exclusion counts expose the shape Azzouni-style timing
-// fingerprints are made of, and under livesecd virtual time tracks the
-// wall clock, so the same stages report real latencies.
-
-// Stage indexes one phase of a flow setup.
-type Stage uint8
-
-// Flow-setup stages, in pipeline order.
-const (
-	// StageQueueWait is the time from ingress-pipeline acceptance to
-	// dispatch (overload.go priority lanes + PacketInCost backlog).
-	StageQueueWait Stage = iota
-	// StageAdmission is the token-bucket admission check.
-	StageAdmission
-	// StageDecision is the policy decision (cache hit or table lookup).
-	StageDecision
-	// StagePlan is install-plan compute (cache hit or path build).
-	StagePlan
-	// StageSEPick is service-element selection, including breaker
-	// exclusion scans.
-	StageSEPick
-	// StageInstall is flow-mod marshal + batched install emission.
-	StageInstall
-	// StageBarrier is the barrier-confirm round trip (UseBarriers).
-	StageBarrier
-
-	// NumStages is the number of stages.
-	NumStages = int(StageBarrier) + 1
-)
-
-var stageNames = [NumStages]string{
-	"queue_wait", "admission", "decision", "plan", "se_pick", "install", "barrier",
-}
-
-// String returns the stage's snake_case label value.
-func (s Stage) String() string {
-	if int(s) < NumStages {
-		return stageNames[s]
-	}
-	return "unknown"
-}
+// A span is one duration, from ingress-pipeline acceptance to packet
+// release. Under the sim clock the controller's CPU work is
+// instantaneous, so the duration is the simulated delay the setup sat
+// through: the pipeline backlog (Config.PacketInCost), a controller
+// outage's parked time and, under Config.UseBarriers, the barrier round
+// trip. Under livesecd it is currently always zero: the event loop
+// advances virtual time once, before a message is handled, and a
+// packet-in is stamped on acceptance at that same instant. The
+// structural facts still carry the signal — hit/miss flags and
+// exclusion counts are the shape Azzouni-style timing fingerprints are
+// made of.
 
 // Outcome classifies how a span ended.
 type Outcome uint8
@@ -156,8 +121,6 @@ type Span struct {
 	// Start is when the packet-in entered the ingress pipeline; End is
 	// when the setup finished (packet released, or the failure point).
 	Start, End time.Duration
-	// Stages holds per-stage virtual durations.
-	Stages [NumStages]time.Duration
 	// Outcome classifies the result.
 	Outcome Outcome
 	// DecisionHit/PlanHit record fast-path cache behaviour.
@@ -169,12 +132,6 @@ type Span struct {
 	Elements    [MaxSpanElements]uint64
 	NumElements uint8
 }
-
-// SetStage records a stage duration.
-func (sp *Span) SetStage(st Stage, d time.Duration) { sp.Stages[st] = d }
-
-// Stage returns a recorded stage duration.
-func (sp *Span) Stage(st Stage) time.Duration { return sp.Stages[st] }
 
 // SetOutcome records the span's outcome.
 func (sp *Span) SetOutcome(o Outcome) { sp.Outcome = o }
@@ -215,9 +172,7 @@ type FlowObs struct {
 
 	nextID uint64
 
-	stageHist  [NumStages]*Histogram
 	totalHist  *Histogram
-	completed  *Counter
 	outcomes   [numOutcomes]*Counter
 	childSpans [numSpanKinds]*Counter
 
@@ -249,19 +204,10 @@ func NewFlowObs(ringCap int) *FlowObs {
 		ring:     NewRing[Span](ringCap),
 		free:     make([]*Span, 0, 8),
 	}
-	for st := 0; st < NumStages; st++ {
-		fo.stageHist[st] = fo.Registry.Histogram(
-			"livesec_flow_setup_stage_seconds",
-			"Per-stage flow-setup latency; each stage observes once per completed setup.",
-			DefaultLatencyBuckets, L("stage", Stage(st).String()))
-	}
 	fo.totalHist = fo.Registry.Histogram(
 		"livesec_flow_setup_seconds",
 		"End-to-end flow-setup latency, pipeline acceptance to packet release.",
 		DefaultLatencyBuckets)
-	fo.completed = fo.Registry.Counter(
-		"livesec_flow_setups_completed_total",
-		"Flow setups that installed entries and released the first packet.")
 	for o := 0; o < numOutcomes; o++ {
 		fo.outcomes[o] = fo.Registry.Counter(
 			"livesec_flow_setup_spans_total",
@@ -321,7 +267,7 @@ func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) 
 }
 
 // FinishSpan closes a span at virtual time now: completed setup
-// outcomes feed the stage histograms, every setup outcome counts (child
+// outcomes feed the setup-latency histogram, every setup outcome counts (child
 // kinds count in their own family so the setup metrics keep their exact
 // per-setup semantics), and the span is copied into the ring and
 // returned to the pool.
@@ -329,11 +275,7 @@ func (fo *FlowObs) FinishSpan(sp *Span, now time.Duration) {
 	sp.End = now
 	if sp.Kind == KindSetup {
 		if sp.Outcome.Completed() {
-			for i := 0; i < NumStages; i++ {
-				fo.stageHist[i].ObserveDuration(sp.Stages[i])
-			}
-			fo.totalHist.ObserveDuration(sp.End - sp.Start)
-			fo.completed.Inc()
+			fo.totalHist.ObserveDuration(sp.Total())
 		}
 		fo.outcomes[sp.Outcome].Inc()
 	} else {
@@ -346,9 +288,9 @@ func (fo *FlowObs) FinishSpan(sp *Span, now time.Duration) {
 // Recorded returns the number of spans ever finished.
 func (fo *FlowObs) Recorded() uint64 { return fo.ring.Total() }
 
-// CompletedSetups returns the completed-setup count — the invariant
-// denominator: every stage histogram holds exactly this many samples.
-func (fo *FlowObs) CompletedSetups() uint64 { return fo.completed.Value() }
+// CompletedSetups returns the number of setups that installed entries
+// and released the first packet: the setup-latency histogram's count.
+func (fo *FlowObs) CompletedSetups() uint64 { return fo.totalHist.Count() }
 
 // Spans returns up to limit spans from the ring: newest first, or
 // slowest first (by total duration, ties broken by ID) when slowest is
@@ -407,28 +349,21 @@ func (fo *FlowObs) SlowestTraceSince(since time.Duration) uint64 {
 	return best
 }
 
-// StageMS is one stage duration in a SpanView, in milliseconds.
-type StageMS struct {
-	Stage string  `json:"stage"`
-	MS    float64 `json:"ms"`
-}
-
 // SpanView is the JSON shape of one span for the /traces endpoint.
 type SpanView struct {
-	ID                uint64    `json:"id"`
-	TraceID           uint64    `json:"trace_id"`
-	ParentID          uint64    `json:"parent_id,omitempty"`
-	Kind              string    `json:"kind"`
-	Switch            uint64    `json:"switch"`
-	Flow              string    `json:"flow"`
-	Outcome           string    `json:"outcome"`
-	StartMS           float64   `json:"start_ms"`
-	TotalMS           float64   `json:"total_ms"`
-	DecisionCacheHit  bool      `json:"decision_cache_hit"`
-	PlanCacheHit      bool      `json:"plan_cache_hit"`
-	BreakerExclusions uint32    `json:"breaker_exclusions,omitempty"`
-	Elements          []uint64  `json:"service_elements,omitempty"`
-	Stages            []StageMS `json:"stages"`
+	ID                uint64   `json:"id"`
+	TraceID           uint64   `json:"trace_id"`
+	ParentID          uint64   `json:"parent_id,omitempty"`
+	Kind              string   `json:"kind"`
+	Switch            uint64   `json:"switch"`
+	Flow              string   `json:"flow"`
+	Outcome           string   `json:"outcome"`
+	StartMS           float64  `json:"start_ms"`
+	TotalMS           float64  `json:"total_ms"`
+	DecisionCacheHit  bool     `json:"decision_cache_hit"`
+	PlanCacheHit      bool     `json:"plan_cache_hit"`
+	BreakerExclusions uint32   `json:"breaker_exclusions,omitempty"`
+	Elements          []uint64 `json:"service_elements,omitempty"`
 }
 
 // View renders the span for JSON export.
@@ -442,14 +377,10 @@ func (sp *Span) View() SpanView {
 		Flow:              sp.Key.String(),
 		Outcome:           sp.Outcome.String(),
 		StartMS:           durMS(sp.Start),
-		TotalMS:           durMS(sp.End - sp.Start),
+		TotalMS:           durMS(sp.Total()),
 		DecisionCacheHit:  sp.DecisionHit,
 		PlanCacheHit:      sp.PlanHit,
 		BreakerExclusions: sp.BreakerSkips,
-		Stages:            make([]StageMS, NumStages),
-	}
-	for i := 0; i < NumStages; i++ {
-		v.Stages[i] = StageMS{Stage: Stage(i).String(), MS: durMS(sp.Stages[i])}
 	}
 	for i := uint8(0); i < sp.NumElements; i++ {
 		v.Elements = append(v.Elements, sp.Elements[i])

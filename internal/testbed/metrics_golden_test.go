@@ -44,8 +44,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_flow_mods_total counter",
 		"# TYPE livesec_flow_setup_seconds histogram",
 		"# TYPE livesec_flow_setup_spans_total counter",
-		"# TYPE livesec_flow_setup_stage_seconds histogram",
-		"# TYPE livesec_flow_setups_completed_total counter",
 		"# TYPE livesec_flows_total counter",
 		"# TYPE livesec_fw_pending_handoffs gauge",
 		"# TYPE livesec_fw_sessions gauge",

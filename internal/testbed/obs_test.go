@@ -47,15 +47,9 @@ func TestObsSpansAndMetrics(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no completed setups")
 	}
-	// The core invariant: every stage histogram observed exactly once per
-	// completed setup.
-	for st := 0; st < obs.NumStages; st++ {
-		name := obs.Stage(st).String()
-		if h := fo.Registry.Histogram("livesec_flow_setup_stage_seconds", "", nil, obs.L("stage", name)); h.Count() != completed {
-			t.Fatalf("stage %s count = %d, want %d", name, h.Count(), completed)
-		}
-	}
-	// Completed setups match the controller's own accounting.
+	// The core invariant: the setup-latency histogram observed exactly
+	// once per completed setup, as the controller's own accounting counts
+	// them.
 	stats := n.Controller.Stats()
 	wantCompleted := stats.FlowsRouted + stats.FlowsChained
 	if completed != wantCompleted {
@@ -81,7 +75,7 @@ func TestObsSpansAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"livesec_packet_ins_total",
-		"livesec_flow_setup_stage_seconds_bucket",
+		"livesec_flow_setup_seconds_bucket",
 		`livesec_switch_lookups_total{switch="s1"}`,
 		`livesec_switch_lookups_total{switch="s2"}`,
 		"livesec_sim_events_processed_total",
@@ -112,15 +106,17 @@ func TestObsSpansAndMetrics(t *testing.T) {
 }
 
 func TestObsBarrierStage(t *testing.T) {
+	// A span parked on barriers closes when the last reply lands: at
+	// least one control-channel round trip after the setup started.
 	n := obsNet(t, Options{Config: core.Config{UseBarriers: true}})
 	var sawBarrier bool
 	for _, sp := range n.Controller.Obs().Spans(0, false) {
-		if sp.Outcome.Completed() && sp.Stage(obs.StageBarrier) > 0 {
+		if sp.Outcome.Completed() && sp.Total() >= 2*defaultCtrlLatency {
 			sawBarrier = true
 		}
 	}
 	if !sawBarrier {
-		t.Fatal("no completed span with a nonzero barrier stage under UseBarriers")
+		t.Fatal("no completed span covered a barrier round trip under UseBarriers")
 	}
 }
 
@@ -131,7 +127,7 @@ func TestObsQueueWaitStage(t *testing.T) {
 	n := obsNet(t, Options{Config: core.Config{PacketInCost: cost}})
 	var sawWait bool
 	for _, sp := range n.Controller.Obs().Spans(0, false) {
-		if sp.Outcome.Completed() && sp.Stage(obs.StageQueueWait) >= cost {
+		if sp.Outcome.Completed() && sp.Total() >= cost {
 			sawWait = true
 		}
 	}

@@ -5,6 +5,9 @@
 #   gofmt       -> every Go file is gofmt-clean
 #   vet         -> static checks, in the root module and in the nested
 #                  bench module, which ./... does not reach
+#   bench tests -> the bench module's own tests, which ./... does not
+#                  reach either; TestWireWorkloadsSmoke builds livesecd
+#                  from this checkout and drives it over loopback
 #   staticcheck -> deeper lint, when the tool is installed (CI installs
 #                  it; locally the step is skipped with a notice)
 #   test -race  -> full test suite (short mode) under the race detector
@@ -34,6 +37,9 @@ unformatted=$(gofmt -l cmd internal examples bench ./*.go)
 echo "==> go vet ./... (root and bench modules)"
 go vet ./...
 go -C bench vet ./...
+
+echo "==> go test ./... (bench module)"
+go -C bench test -count=1 ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck ./..."
