@@ -27,7 +27,6 @@ import (
 
 	"livesec/internal/core"
 	"livesec/internal/host"
-	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
 	"livesec/internal/seproto"
@@ -112,17 +111,10 @@ func run() error {
 		}
 	}()
 
-	handler := monitor.NewAPIHandler(monitor.HandlerConfig{
-		Store:    f.Store,
-		Topology: func() any { return f.Controller.Topology() },
-		Obs:      f.Controller.Obs(),
-		Alerts:   f.Alerts,
-		Health:   f.Controller.HealthComponents,
-		Sync: func(fn func()) {
-			mu.Lock()
-			defer mu.Unlock()
-			fn()
-		},
+	handler := f.Controller.APIHandler(func(fn func()) {
+		mu.Lock()
+		defer mu.Unlock()
+		fn()
 	})
 	fmt.Printf("livesec-webui: scaled FIT building live on http://%s\n", *httpAddr)
 	fmt.Println("  dashboard: /   JSON: /topology /events /replay /apps /stats /traces /alerts /health   text: /metrics")

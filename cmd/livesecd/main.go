@@ -9,7 +9,7 @@
 //	livesecd [-listen :6633] [-http :8080] [-demo]
 //
 // The controller records flow-setup trace spans and runtime metrics, and
-// the deterministic SLO/alert engine evaluates the default rule pack under
+// its deterministic SLO/alert engine evaluates the default rule pack under
 // the controller lock. The monitoring API serves them on GET /metrics
 // (Prometheus text exposition), GET /traces (JSON spans) and GET /alerts,
 // and the controller health rollup on GET /health.
@@ -35,7 +35,6 @@ import (
 
 	"livesec/internal/core"
 	"livesec/internal/monitor"
-	"livesec/internal/obs"
 	"livesec/internal/openflow"
 	"livesec/internal/policy"
 	"livesec/internal/sim"
@@ -113,13 +112,12 @@ type daemon struct {
 	api   http.Handler
 }
 
-// newDaemon wires the daemon: the controller with its observability, and
-// the alert engine on the controller's clock, recording its transitions
-// as events. Event lines go to log.
+// newDaemon wires the daemon: the controller, whose alert engine records
+// its transitions as events, and the monitoring API, whose snapshots run
+// under the controller lock. Event lines go to log.
 func newDaemon(log io.Writer) *daemon {
 	d := &daemon{lk: newCtrlLock(log), store: monitor.NewStore(0)}
 	lk := d.lk
-	var alerts *obs.AlertEngine
 	lk.do(func() {
 		d.ctrl = core.New(core.Config{
 			Engine:   lk.eng,
@@ -127,23 +125,8 @@ func newDaemon(log io.Writer) *daemon {
 			Policies: policy.NewTable(policy.Allow),
 		})
 		d.ctrl.Start()
-		fo := d.ctrl.Obs()
-		alerts = obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
-		alerts.OnTransition = d.store.RecordAlert
-		var tick func()
-		tick = func() { alerts.Tick(lk.eng.Now()); lk.eng.Schedule(alerts.Interval(), tick) }
-		lk.eng.Schedule(alerts.Interval(), tick)
 	})
-	// The handler serializes Topology and obs snapshots through Sync,
-	// so Topology must return directly rather than nest lk.do.
-	d.api = monitor.NewAPIHandler(monitor.HandlerConfig{
-		Store:    d.store,
-		Topology: func() any { return d.ctrl.Topology() },
-		Obs:      d.ctrl.Obs(),
-		Alerts:   alerts,
-		Health:   func() []monitor.HealthComponent { return d.ctrl.HealthComponents() },
-		Sync:     lk.do,
-	})
+	d.api = d.ctrl.APIHandler(lk.do)
 	d.store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
 		fmt.Fprintf(lk.log, "event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
 	})

@@ -91,8 +91,8 @@ func TestSwitchDisconnectResyncRestoresTable(t *testing.T) {
 		t.Fatalf("event log: down=%d resync=%d",
 			n.Store.Count(monitor.EventSwitchDown), n.Store.Count(monitor.EventSwitchResync))
 	}
-	if n.Controller.SwitchDown(dpid) {
-		t.Fatal("switch still marked down after resync")
+	if hc := componentHealth(t, n, "switches"); hc.Status != "ok" {
+		t.Fatalf("switch still marked down after resync: %+v", hc)
 	}
 
 	after := tableFingerprint(n.Switches[0])
@@ -393,8 +393,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if st.BreakerCloses != 1 {
 		t.Fatalf("BreakerCloses = %d, want 1", st.BreakerCloses)
 	}
-	if n.Controller.Sessions() != 1 {
-		t.Fatalf("live sessions after probe = %d, want 1", n.Controller.Sessions())
+	if liveSessions(n) != 1 {
+		t.Fatalf("live sessions after probe = %d, want 1", liveSessions(n))
 	}
 
 	// The probe session's TTL elapses while the breaker sits closed; the
@@ -406,8 +406,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if st.SessionsDrained != 3 {
 		t.Fatalf("SessionsDrained grew to %d after the trip", st.SessionsDrained)
 	}
-	if n.Controller.Sessions() != 0 {
-		t.Fatalf("expired session still tracked: %d", n.Controller.Sessions())
+	if liveSessions(n) != 0 {
+		t.Fatalf("expired session still tracked: %d", liveSessions(n))
 	}
 
 	// Not resurrected: the probe flow's dataplane entries outlive the
@@ -420,8 +420,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if delivered != 3 {
 		t.Fatalf("in-dataplane packet lost: delivered = %d", delivered)
 	}
-	if n.Controller.Sessions() != 0 {
-		t.Fatalf("expired session resurrected: %d", n.Controller.Sessions())
+	if liveSessions(n) != 0 {
+		t.Fatalf("expired session resurrected: %d", liveSessions(n))
 	}
 
 	// A genuinely new flow still sets up through the closed breaker.
@@ -429,9 +429,9 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 4 || n.Controller.Sessions() != 1 {
+	if delivered != 4 || liveSessions(n) != 1 {
 		t.Fatalf("post-expiry setup: delivered=%d sessions=%d, want 4/1",
-			delivered, n.Controller.Sessions())
+			delivered, liveSessions(n))
 	}
 	if st := n.Controller.Stats(); st.BreakerTrips != 1 || st.BreakerCloses != 1 {
 		t.Fatalf("breaker churned again: %+v", st)

@@ -324,7 +324,7 @@ type Controller struct {
 	// drained.
 	down, holding bool
 	downSince     time.Duration
-	parked        []parkedMsg
+	parked        []ingressItem
 
 	// Stateful-firewall state mirror (fwstate.go): fwMirror holds what
 	// firewall elements synced, so while it is empty the per-setup handoff
@@ -342,6 +342,7 @@ type Controller struct {
 	obs           *obs.FlowObs
 	obsAcceptedAt time.Duration
 	curSpan       *obs.Span
+	alerts        *obs.AlertEngine // ticks from New until Shutdown
 
 	stats Stats
 }
@@ -351,8 +352,9 @@ type balancerKey struct {
 	grain loadbalance.Grain
 }
 
-// New creates a controller. Call AddSwitch for each AS switch's secure
-// channel, then Start to begin discovery and housekeeping.
+// New creates a controller and starts its SLO alert engine. Call
+// AddSwitch for each AS switch's secure channel, then Start to begin
+// discovery and housekeeping.
 func New(cfg Config) *Controller {
 	if cfg.Engine == nil {
 		panic("core: Config.Engine is required")
@@ -409,6 +411,12 @@ func New(cfg Config) *Controller {
 		CompileSeconds: c.obs.PolicyCompile.Observe,
 		IntentCount:    func(n int) { c.obs.Intents.Set(float64(n)) },
 	})
+	c.alerts = obs.NewAlertEngine(c.obs, 0, obs.DefaultRules(c.obs))
+	if c.store != nil {
+		c.alerts.OnTransition = c.store.RecordAlert
+	}
+	// Last: no event New schedules may precede the first tick.
+	c.stops = append(c.stops, c.eng.Ticker(c.alerts.Interval(), func() { c.alerts.Tick(c.eng.Now()) }))
 	return c
 }
 
@@ -502,7 +510,7 @@ func (c *Controller) Start() {
 	)
 }
 
-// Shutdown stops periodic activity.
+// Shutdown stops periodic activity, the alert tick included.
 func (c *Controller) Shutdown() {
 	for _, stop := range c.stops {
 		stop()
@@ -514,7 +522,7 @@ func (c *Controller) Shutdown() {
 // outage (outage.go) it parks; otherwise it accepts the message now.
 func (c *Controller) handleMessage(st *switchState, m openflow.Message) {
 	now := c.eng.Now()
-	if c.holding && c.park(st, m, now) {
+	if c.holding && c.park(ingressItem{st: st, m: m, at: now}) {
 		return
 	}
 	c.accept(st, m, now)

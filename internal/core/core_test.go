@@ -8,6 +8,7 @@ import (
 
 	"livesec/internal/core"
 	"livesec/internal/dataplane"
+	"livesec/internal/flow"
 	"livesec/internal/host"
 	"livesec/internal/ids"
 	"livesec/internal/link"
@@ -24,6 +25,17 @@ var (
 	ipB      = netpkt.IP(10, 0, 0, 2)
 	serverIP = netpkt.IP(166, 111, 1, 1)
 )
+
+// blocked reports whether the event log shows a user-wide drop for mac:
+// the flow-blocked event BlockUser records, keyed by the source MAC alone.
+func blocked(n *testbed.Net, mac netpkt.MAC) bool {
+	for _, ev := range n.Store.Events(monitor.Filter{Type: monitor.EventFlowBlocked, User: mac.String()}) {
+		if ev.FlowKey != nil && *ev.FlowKey == (flow.Key{EthSrc: mac}) {
+			return true
+		}
+	}
+	return false
+}
 
 // twoSwitchNet builds: user A on ovs1, user/server B on ovs2.
 func twoSwitchNet(t *testing.T, opts testbed.Options) (*testbed.Net, *host.Host, *host.Host) {
@@ -407,7 +419,7 @@ func TestUncertifiedElementRejected(t *testing.T) {
 	if n.Store.Count(monitor.EventSECertFail) == 0 {
 		t.Fatal("no cert-fail event")
 	}
-	if !n.Controller.Blocked(rogue.MAC()) {
+	if !blocked(n, rogue.MAC()) {
 		t.Fatal("rogue element not blocked")
 	}
 }

@@ -62,12 +62,3 @@ func (c *Controller) leaseFor(mac netpkt.MAC) (netpkt.IPv4Addr, bool) {
 	c.leases[mac] = ip
 	return ip, true
 }
-
-// Leases returns a copy of the current MAC → IP lease table.
-func (c *Controller) Leases() map[netpkt.MAC]netpkt.IPv4Addr {
-	out := make(map[netpkt.MAC]netpkt.IPv4Addr, len(c.leases))
-	for k, v := range c.leases {
-		out[k] = v
-	}
-	return out
-}

@@ -70,8 +70,15 @@ func TestDHCPDistinctAddressesAndStability(t *testing.T) {
 	if h1.IP != first {
 		t.Fatalf("re-request changed the lease: %v -> %v", first, h1.IP)
 	}
-	if len(n.Controller.Leases()) != 2 {
-		t.Fatalf("leases = %d", len(n.Controller.Leases()))
+	leases := map[string]string{}
+	for _, ev := range n.Store.Events(monitor.Filter{Type: monitor.EventDHCPLease}) {
+		if ip, ok := leases[ev.User]; ok && ip != ev.IP {
+			t.Fatalf("%s leased %s, then %s", ev.User, ip, ev.IP)
+		}
+		leases[ev.User] = ev.IP
+	}
+	if len(leases) != 2 {
+		t.Fatalf("leases = %v", leases)
 	}
 }
 

@@ -338,7 +338,7 @@ func TestForgedOnlineNotRegistered(t *testing.T) {
 	if got := n.Store.Count(monitor.EventSECertFail); got != 1 {
 		t.Fatalf("cert-fail events = %d, want 1", got)
 	}
-	if !n.Controller.Blocked(m.MAC) {
+	if !blocked(n, m.MAC) {
 		t.Fatal("forging host not blocked")
 	}
 }
@@ -386,7 +386,7 @@ func TestSpoofedOnlineBlocksNoOne(t *testing.T) {
 	if d, p := where(); d != dpid || p != port {
 		t.Fatalf("victim moved from %d/%d to %d/%d", dpid, port, d, p)
 	}
-	if n.Controller.Blocked(a.MAC) {
+	if blocked(n, a.MAC) {
 		t.Fatal("victim blocked")
 	}
 	if got := len(n.Controller.Elements()); got != 1 {

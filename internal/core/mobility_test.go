@@ -72,7 +72,7 @@ func TestHostMobilityForgetsOldSession(t *testing.T) {
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Controller.Sessions(); got != 1 {
+	if got := liveSessions(n); got != 1 {
 		t.Fatalf("%d sessions before the move, want 1", got)
 	}
 	s3 := n.AddOvS("ovs3")
@@ -89,13 +89,13 @@ func TestHostMobilityForgetsOldSession(t *testing.T) {
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Controller.Sessions(); got != 1 {
+	if got := liveSessions(n); got != 1 {
 		t.Fatalf("%d sessions after the move, want 1: the one from the old location leaked", got)
 	}
 	if err := n.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Controller.Sessions(); got != 0 {
+	if got := liveSessions(n); got != 0 {
 		t.Fatalf("%d sessions after 2 minutes idle, want 0", got)
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"net/http"
+
 	"livesec/internal/flow"
+	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
 	"livesec/internal/seproto"
@@ -22,6 +25,27 @@ import (
 //     c.curSpan — the controller is single-threaded and a setup never
 //     yields between routeFlow and finishSetup, except across a barrier
 //     round trip, where the span moves into the pendingRelease.
+
+// Alerts returns the controller's SLO alert engine: obs.DefaultRules
+// over its registry, evaluated every obs.DefaultAlertInterval, its
+// transitions recorded as monitor events when Config.Store is set.
+func (c *Controller) Alerts() *obs.AlertEngine { return c.alerts }
+
+// APIHandler serves the monitoring API (monitor.NewAPIHandler) over the
+// controller's event store, which Config.Store must supply, topology,
+// observability, alerts and health. sync must run its argument while
+// nothing else touches the controller (the daemon's lock, the paused
+// simulation loop).
+func (c *Controller) APIHandler(sync func(func())) http.Handler {
+	return monitor.NewAPIHandler(monitor.HandlerConfig{
+		Store:    c.store,
+		Topology: func() any { return c.Topology() },
+		Obs:      c.obs,
+		Alerts:   c.alerts,
+		Health:   c.HealthComponents,
+		Sync:     sync,
+	})
+}
 
 // obsRegister exports the controller's and engine's counters as sampled
 // series. Called once from New.

@@ -25,7 +25,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"livesec/internal/monitor"
 	"livesec/internal/openflow"
@@ -35,14 +34,6 @@ import (
 // packet-ins/s it holds a 1.3 s outage (2.7 s at the ci flood's 6,000/s);
 // what arrives past it is dropped and counted in Stats.ParkedDrops.
 const maxParked = 16384
-
-// parkedMsg is one message held during an outage; at is its arrival
-// time, which a drained setup's span starts from.
-type parkedMsg struct {
-	st *switchState
-	m  openflow.Message
-	at time.Duration
-}
 
 // Fail takes the whole controller down. A second Fail while down is
 // ignored.
@@ -80,18 +71,18 @@ func (c *Controller) Recover() {
 	c.drainParked()
 }
 
-// park holds a message, stamped with its arrival time at, while the
-// controller is down, and a packet-in while recovery's resyncs are in
-// flight. It reports whether it took the message.
-func (c *Controller) park(st *switchState, m openflow.Message, at time.Duration) bool {
-	if _, pi := m.(*openflow.PacketIn); !c.down && !pi {
+// park holds a message, with its arrival time, while the controller is
+// down, and a packet-in while recovery's resyncs are in flight. It
+// reports whether it took the message.
+func (c *Controller) park(it ingressItem) bool {
+	if _, pi := it.m.(*openflow.PacketIn); !c.down && !pi {
 		return false
 	}
 	if len(c.parked) >= maxParked {
 		c.stats.ParkedDrops++
 		return true
 	}
-	c.parked = append(c.parked, parkedMsg{st: st, m: m, at: at})
+	c.parked = append(c.parked, it)
 	c.stats.ParkedMsgs++
 	return true
 }
@@ -112,7 +103,7 @@ func (c *Controller) drainParked() {
 	q := c.parked
 	c.parked, c.holding = nil, false
 	sort.SliceStable(q, func(i, j int) bool { return q[i].at < q[j].at })
-	for _, pm := range q {
-		c.accept(pm.st, pm.m, pm.at)
+	for _, it := range q {
+		c.accept(it.st, it.m, it.at)
 	}
 }

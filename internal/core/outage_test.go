@@ -199,3 +199,101 @@ func TestParkedQueueBounded(t *testing.T) {
 		t.Fatal("no fresh flow set up after recovery")
 	}
 }
+
+// TestOutageFindsPipelineBusy takes the controller down while the ingress
+// pipeline (PacketInCost) holds a backlog of first packets and is serving
+// one of them; more first packets arrive during the outage. The held
+// packet-ins park as they are served, after younger arrivals, so:
+// nothing is set up and nothing is sent while the controller is down, no
+// setup runs before the drain, every flow is set up, the setups run in
+// arrival order, and each span starts at its packet-in's arrival.
+func TestOutageFindsPipelineBusy(t *testing.T) {
+	fo := obs.NewFlowObs(0)
+	n, clients, srv := outageNet(t, 4, testbed.Options{
+		Config: core.Config{FlowIdle: time.Minute, PacketInCost: time.Millisecond, Obs: fo},
+	})
+	defer n.Shutdown()
+	delivered := 0
+	srv.HandleUDP(9000, func(*netpkt.Packet) { delivered++ })
+
+	// Six first packets 100 µs apart, then the failure 2.5 ms into the
+	// burst, with the pipeline serving its third packet-in and holding
+	// three more; four more first packets during the outage, the first
+	// parked before the pipeline has served the rest.
+	t0 := n.Eng.Now() + time.Millisecond
+	sentAt := map[uint16]time.Duration{}
+	send := func(i int, at time.Duration) {
+		port := uint16(31000 + i)
+		sentAt[port] = at
+		c := clients[i%len(clients)]
+		n.Eng.At(at, func() { c.SendUDP(serverIP, port, 9000, []byte("x"), 0) })
+	}
+	for i := 0; i < 6; i++ {
+		send(i, t0+time.Duration(i)*100*time.Microsecond)
+	}
+	down, up := t0+2500*time.Microsecond, t0+30*time.Millisecond
+	for i := 6; i < 10; i++ {
+		send(i, down+300*time.Microsecond+time.Duration(i-6)*time.Millisecond)
+	}
+	n.Chaos.Schedule(chaos.NewPlan().ControllerDown(down).ControllerUp(up))
+	start := n.Controller.Stats()
+	var atDown, beforeUp core.Stats
+	n.Eng.At(down, func() { atDown = n.Controller.Stats() })
+	n.Eng.At(up-time.Microsecond, func() { beforeUp = n.Controller.Stats() })
+	if err := n.Run(up - n.Eng.Now() + 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	if routed := atDown.FlowsRouted - start.FlowsRouted; routed != 2 {
+		t.Fatalf("%d of 6 burst flows routed before the failure, want 2: the pipeline was not mid-burst", routed)
+	}
+	if beforeUp.FlowsRouted != atDown.FlowsRouted || beforeUp.FlowModsSent != atDown.FlowModsSent ||
+		beforeUp.PacketOuts != atDown.PacketOuts {
+		t.Fatalf("the controller worked while down: at Down %+v, before Up %+v", atDown, beforeUp)
+	}
+	if parked := n.Controller.Stats().ParkedMsgs; parked != 8 {
+		t.Fatalf("%d packet-ins parked, want the 4 the pipeline held and the 4 that arrived during the outage", parked)
+	}
+	if delivered != len(sentAt) {
+		t.Fatalf("flows lost across the outage: %d/%d", delivered, len(sentAt))
+	}
+
+	var drained time.Duration // when the last switch resync confirmed
+	for _, ev := range n.Store.Events(monitor.Filter{Type: monitor.EventSwitchResync}) {
+		drained = max(drained, ev.At)
+	}
+	var order []uint16
+	for _, ev := range n.Store.Events(monitor.Filter{Type: monitor.EventFlowStart}) {
+		if ev.FlowKey == nil || sentAt[ev.FlowKey.SrcPort] == 0 {
+			continue
+		}
+		if ev.At > down && ev.At < drained {
+			t.Fatalf("flow %d set up at %v, between the failure at %v and the drain at %v",
+				ev.FlowKey.SrcPort, ev.At, down, drained)
+		}
+		order = append(order, ev.FlowKey.SrcPort)
+	}
+	if len(order) != len(sentAt) {
+		t.Fatalf("%d flow-start events, want %d", len(order), len(sentAt))
+	}
+	for i := 1; i < len(order); i++ {
+		if sentAt[order[i]] < sentAt[order[i-1]] {
+			t.Fatalf("setups out of arrival order: %v", order)
+		}
+	}
+
+	var lag time.Duration // the path from a client to the controller
+	for _, sp := range fo.Spans(0, false) {
+		sent, ok := sentAt[sp.Key.SrcPort]
+		if sp.Kind != obs.KindSetup || !ok {
+			continue
+		}
+		if lag == 0 {
+			lag = sp.Start - sent
+		}
+		if sp.Start-sent != lag || lag <= 0 || lag >= time.Millisecond {
+			t.Fatalf("flow %d: span starts %v after its send, want its arrival (%v after)",
+				sp.Key.SrcPort, sp.Start-sent, lag)
+		}
+	}
+}

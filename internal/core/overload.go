@@ -91,8 +91,9 @@ func (b *tokenBucket) take(now time.Duration, rate, burst float64) bool {
 	return true
 }
 
-// ingressItem is one queued control-channel message. at is the arrival
-// time, where the message's flow-setup span starts.
+// ingressItem is one queued or parked (outage.go) control-channel
+// message. at is the arrival time, where the message's flow-setup span
+// starts.
 type ingressItem struct {
 	st *switchState
 	m  openflow.Message
@@ -299,7 +300,7 @@ func (c *Controller) ingressServe() {
 // parks it: what the pipeline held when the controller went down waits
 // for recovery with the messages that arrived after it.
 func (c *Controller) serveItem(it ingressItem) {
-	if c.holding && c.park(it.st, it.m, it.at) {
+	if c.holding && c.park(it) {
 		return
 	}
 	c.obsAcceptedAt = it.at

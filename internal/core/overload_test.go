@@ -167,14 +167,14 @@ func TestSessionTTLExpiresRecords(t *testing.T) {
 	if err := n.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Controller.Sessions(); got != 5 {
+	if got := liveSessions(n); got != 5 {
 		t.Fatalf("setup: sessions=%d, want 5", got)
 	}
 	// Past the TTL plus a housekeeping sweep: the map must shrink.
 	if err := n.Run(4 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Controller.Sessions(); got != 0 {
+	if got := liveSessions(n); got != 0 {
 		t.Fatalf("sessions survived the TTL: %d", got)
 	}
 }

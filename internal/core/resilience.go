@@ -84,13 +84,6 @@ func backoffDelay(attempt int, base, max time.Duration) time.Duration {
 // neither down nor mid-resync.
 func (st *switchState) usable() bool { return st.ready && !st.down && !st.resyncing }
 
-// SwitchDown reports whether keepalive currently considers the switch
-// unreachable.
-func (c *Controller) SwitchDown(dpid uint64) bool {
-	st, ok := c.switches[dpid]
-	return ok && st.down
-}
-
 // keepaliveSweep is the liveness ticker body: probe healthy switches,
 // count misses, and probe down switches on their backoff schedule.
 func (c *Controller) keepaliveSweep() {

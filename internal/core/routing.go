@@ -661,9 +661,6 @@ func (c *Controller) BlockUser(user netpkt.MAC, why string) bool {
 	return true
 }
 
-// Blocked reports whether a user is currently blocked.
-func (c *Controller) Blocked(user netpkt.MAC) bool { return c.blockedUsers[user] }
-
 // UnblockUser removes a user's drop rule.
 func (c *Controller) UnblockUser(user netpkt.MAC) {
 	if !c.blockedUsers[user] {

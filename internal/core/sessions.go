@@ -287,6 +287,3 @@ func sessionWideMatch(key flow.Key) flow.Match {
 	m.Wildcards |= flow.WildEthSrc
 	return m
 }
-
-// Sessions returns the number of tracked live sessions.
-func (c *Controller) Sessions() int { return len(c.sessions) }

@@ -59,9 +59,8 @@ type ElementJSON struct {
 	Packets  uint64 `json:"packets"`
 }
 
-// Topology builds a consistent snapshot. Safe to expose through
-// monitor.NewAPIHandler as the TopologyFunc when the simulation is paused
-// or single-threaded.
+// Topology builds a consistent snapshot. APIHandler serves it on
+// /topology under its sync, while the simulation is paused.
 func (c *Controller) Topology() TopologySnapshot {
 	var snap TopologySnapshot
 	for dpid, st := range c.switches {

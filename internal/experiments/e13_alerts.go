@@ -28,7 +28,7 @@ import (
 //     the rule windows and the 10ms evaluation tick bound by
 //     construction.
 //
-// It reads the alert engine every testbed deployment runs (Net.Alerts).
+// It reads the alert engine every controller runs (Controller.Alerts).
 // It runs only as -experiment E13, not as part of "all" (see Suite).
 func E13AlertTimeline(scale Scale) Result {
 	p := e13Params{sessions: 2, fresh: 3, pps: 6000}
@@ -174,7 +174,7 @@ func e13Run(p e13Params) *e13Metrics {
 	}
 
 	m := &e13Metrics{mttd: map[string]float64{}}
-	m.transitions = n.Alerts.Transitions()
+	m.transitions = n.Controller.Alerts().Transitions()
 	for _, tr := range m.transitions {
 		if tr.State == "firing" {
 			if at, ok := faultAt[tr.Rule]; ok {

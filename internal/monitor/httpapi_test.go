@@ -412,13 +412,14 @@ func TestAlertsEndpoint(t *testing.T) {
 func TestAlertsKeepLatestTransitions(t *testing.T) {
 	var v float64
 	ae := obs.NewAlertEngine(obs.NewFlowObs(8), 10*time.Millisecond, []obs.AlertRule{{
-		Name: "flap", Severity: "warning", Gauge: true, Limit: 0,
+		Name: "flap", Severity: "warning", Window: 10 * time.Millisecond, Limit: 0,
 		Sample: func() (float64, float64) { return v, 0 },
 	}})
-	// A gauge rule with no For delay fires and resolves on alternate
-	// ticks: one transition per tick.
+	// An error on every other tick, over a one-tick window, fires and
+	// resolves on alternate ticks: one transition per tick.
+	ae.Tick(0) // baseline sample
 	for i := 1; i <= 5000; i++ {
-		v = float64(i % 2)
+		v += float64(i % 2)
 		ae.Tick(time.Duration(i) * ae.Interval())
 	}
 	srv := httptest.NewServer(NewAPIHandler(HandlerConfig{Store: NewStore(0), Alerts: ae}))

@@ -5,11 +5,13 @@ import (
 )
 
 // Deterministic SLO/alert engine. Rules are declarative windowed
-// conditions over the registry — threshold rules over a single window,
+// conditions over the registry — rate thresholds over a single window,
 // multi-window burn-rate rules over an error ratio — evaluated on
 // sim-time ticks, so two identical runs produce an identical alert
 // timeline. Everything derives from cumulative counters sampled at tick
-// boundaries: no wall clock, no goroutines, no randomness.
+// boundaries: no wall clock, no goroutines, no randomness. Every
+// core.Controller builds one over its own registry with DefaultRules and
+// ticks it on its engine until Shutdown.
 //
 // The engine shares the obs design constraints: evaluation touches only
 // the preallocated per-rule sample rings, and firing/resolving emits
@@ -30,14 +32,11 @@ type AlertState uint8
 const (
 	// AlertInactive: the condition does not hold.
 	AlertInactive AlertState = iota
-	// AlertPending: the condition holds but has not yet held for the
-	// rule's For duration.
-	AlertPending
 	// AlertFiring: the alert is active.
 	AlertFiring
 )
 
-var alertStateNames = [...]string{"inactive", "pending", "firing"}
+var alertStateNames = [...]string{"inactive", "firing"}
 
 // String returns the state's snake_case label value.
 func (s AlertState) String() string {
@@ -60,18 +59,15 @@ type AlertRule struct {
 	Summary string
 
 	// Sample returns the rule's inputs at the current tick: bad is the
-	// cumulative count of bad events (or the instantaneous value for
-	// Gauge rules), total the cumulative denominator for Ratio rules
-	// (ignored otherwise).
+	// cumulative count of bad events, total the cumulative denominator
+	// for Ratio rules (ignored otherwise).
 	Sample func() (bad, total float64)
 
-	// Gauge evaluates bad as an instantaneous value (no windowing).
-	Gauge bool
 	// Ratio evaluates delta(bad)/delta(total) over the window instead
 	// of a per-second rate of bad.
 	Ratio bool
 
-	// Window is the (long) evaluation window for rate/ratio rules.
+	// Window is the (long) evaluation window.
 	Window time.Duration
 	// ShortWindow, when set, makes this a multi-window burn-rate rule:
 	// the condition must hold over both Window and ShortWindow, so
@@ -81,8 +77,6 @@ type AlertRule struct {
 
 	// Limit is the threshold; the condition is value > Limit.
 	Limit float64
-	// For delays firing until the condition has held this long.
-	For time.Duration
 }
 
 // AlertTransition is one firing or resolving edge in the timeline.
@@ -128,13 +122,12 @@ type alertSample struct {
 // alertRuleState is a rule's runtime state: the lifecycle position plus
 // a bounded ring of cumulative samples covering the longest window.
 type alertRuleState struct {
-	state        AlertState
-	pendingSince time.Duration
-	firedAt      time.Duration
-	value        float64
-	exemplar     uint64
-	ring         []alertSample
-	head, n      int
+	state    AlertState
+	firedAt  time.Duration
+	value    float64
+	exemplar uint64
+	ring     []alertSample
+	head, n  int
 }
 
 // maxTransitions bounds the retained timeline; runs long enough to
@@ -154,7 +147,7 @@ type AlertEngine struct {
 	seq         uint64
 
 	// OnTransition, when set, observes every firing/resolving edge as
-	// it is appended (the testbed bridges it to monitor events).
+	// it is appended (the controller records it as a monitor event).
 	OnTransition func(AlertTransition)
 
 	transFiring   *Counter
@@ -179,11 +172,7 @@ func NewAlertEngine(fo *FlowObs, interval time.Duration, rules []AlertRule) *Ale
 		if r.ShortWindow > w {
 			w = r.ShortWindow
 		}
-		n := int(w/interval) + 2
-		if r.Gauge {
-			n = 1
-		}
-		ae.states[i].ring = make([]alertSample, n)
+		ae.states[i].ring = make([]alertSample, int(w/interval)+2)
 	}
 	ae.fo.Registry.GaugeFunc("livesec_alerts_firing",
 		"Alert rules currently firing.",
@@ -259,55 +248,28 @@ func (ae *AlertEngine) evalRule(i int, now time.Duration) {
 	bad, total := r.Sample()
 	cur := alertSample{at: now, bad: bad, total: total}
 
-	var value float64
-	cond := false
-	if r.Gauge {
-		value = bad
-		cond = value > r.Limit
-	} else {
-		st.push(cur)
-		value = ae.windowed(r, st, now, r.Window, cur)
-		cond = value > r.Limit
-		if cond && r.ShortWindow > 0 {
-			cond = ae.windowed(r, st, now, r.ShortWindow, cur) > r.Limit
-		}
+	st.push(cur)
+	value := ae.windowed(r, st, now, r.Window, cur)
+	cond := value > r.Limit
+	if cond && r.ShortWindow > 0 {
+		cond = ae.windowed(r, st, now, r.ShortWindow, cur) > r.Limit
 	}
 	st.value = value
 
-	switch st.state {
-	case AlertInactive:
-		if cond {
-			if r.For > 0 {
-				st.state = AlertPending
-				st.pendingSince = now
-			} else {
-				ae.fire(r, st, now, value)
-			}
-		}
-	case AlertPending:
-		switch {
-		case !cond:
-			st.state = AlertInactive
-		case now-st.pendingSince >= r.For:
-			ae.fire(r, st, now, value)
-		}
-	case AlertFiring:
-		if !cond {
-			st.state = AlertInactive
-			st.exemplar = 0
-			ae.emit(r, now, "resolved", value, 0)
-		}
+	switch {
+	case cond && st.state == AlertInactive:
+		ae.fire(r, st, now, value)
+	case !cond && st.state == AlertFiring:
+		st.state = AlertInactive
+		st.exemplar = 0
+		ae.emit(r, now, "resolved", value, 0)
 	}
 }
 
 func (ae *AlertEngine) fire(r *AlertRule, st *alertRuleState, now time.Duration, value float64) {
 	st.state = AlertFiring
 	st.firedAt = now
-	w := r.Window
-	if w <= 0 {
-		w = ae.interval
-	}
-	st.exemplar = ae.fo.SlowestTraceSince(now - w)
+	st.exemplar = ae.fo.SlowestTraceSince(now - r.Window)
 	ae.emit(r, now, "firing", value, st.exemplar)
 }
 

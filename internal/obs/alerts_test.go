@@ -108,48 +108,17 @@ func TestAlertBurnRateNeedsBothWindows(t *testing.T) {
 	}
 }
 
-func TestAlertForDelaysFiring(t *testing.T) {
-	fo := NewFlowObs(8)
-	var v float64
-	ae := NewAlertEngine(fo, 10*time.Millisecond, []AlertRule{{
-		Name: "sticky", Gauge: true, Limit: 1,
-		For:    25 * time.Millisecond,
-		Sample: func() (float64, float64) { return v, 0 },
-	}})
-	v = 5
-	now := ae.Interval()
-	ae.Tick(now) // condition starts holding: pending
-	if ae.Firing() != 0 || ae.Snapshot()[0].State != "pending" {
-		t.Fatalf("state = %v, want pending", ae.Snapshot()[0].State)
-	}
-	// Condition drops before For elapses: back to inactive, no edge.
-	v = 0
-	now += ae.Interval()
-	ae.Tick(now)
-	if len(ae.Transitions()) != 0 {
-		t.Fatal("pending flap emitted a transition")
-	}
-	// Holds for the full For duration: fires.
-	v = 5
-	for i := 0; i < 4; i++ {
-		now += ae.Interval()
-		ae.Tick(now)
-	}
-	if ae.Firing() != 1 {
-		t.Fatal("condition held past For but did not fire")
-	}
-}
-
 func TestAlertCanonicalOrderAndMetrics(t *testing.T) {
 	fo := NewFlowObs(8)
 	var v float64
 	mk := func(name string) AlertRule {
-		return AlertRule{Name: name, Severity: "critical", Gauge: true, Limit: 0,
+		return AlertRule{Name: name, Severity: "critical", Window: 10 * time.Millisecond, Limit: 0,
 			Sample: func() (float64, float64) { return v, 0 }}
 	}
 	// Both rules cross in the same tick: transitions must appear in rule
 	// pack order, not map order.
 	ae := NewAlertEngine(fo, 10*time.Millisecond, []AlertRule{mk("zz_first"), mk("aa_second")})
+	ae.Tick(0) // baseline sample
 	v = 1
 	ae.Tick(10 * time.Millisecond)
 	tr := ae.Transitions()
@@ -165,8 +134,7 @@ func TestAlertCanonicalOrderAndMetrics(t *testing.T) {
 	if sev := ae.FiringBySeverity(); sev["critical"] != 2 {
 		t.Fatalf("severity rollup = %v", sev)
 	}
-	v = 0
-	ae.Tick(20 * time.Millisecond)
+	ae.Tick(20 * time.Millisecond) // no new error within the window
 	if got, _ := fo.Registry.Value("livesec_alert_transitions_total", L("state", "resolved")); got != 2 {
 		t.Fatalf("resolved transitions counter = %v", got)
 	}

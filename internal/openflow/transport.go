@@ -173,11 +173,11 @@ func readMessageBuf(r io.Reader, scratch *[]byte) (Message, error) {
 
 // netConn adapts a real stream (e.g. *net.TCPConn) to Conn. A reader
 // goroutine decodes messages and invokes the handler; writes are
-// serialized with a mutex. Used by cmd/livesecd for TCP deployments.
+// serialized with a mutex, and each Send or SendBatch is one Write of the
+// stream. Used by cmd/livesecd for TCP deployments.
 type netConn struct {
 	rwc  io.ReadWriteCloser
 	wmu  sync.Mutex
-	bw   *bufio.Writer
 	wbuf []byte // encode scratch, guarded by wmu
 
 	hmu     sync.Mutex
@@ -191,21 +191,18 @@ type netConn struct {
 // NewNetConn wraps a byte stream as an OpenFlow channel. The reader loop
 // starts when SetHandler is called.
 func NewNetConn(rwc io.ReadWriteCloser) Conn {
-	return &netConn{rwc: rwc, bw: bufio.NewWriter(rwc), done: make(chan struct{})}
+	return &netConn{rwc: rwc, done: make(chan struct{})}
 }
 
 func (c *netConn) Send(m Message) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = MarshalAppend(c.wbuf[:0], m)
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return
-	}
-	_ = c.bw.Flush()
+	_, _ = c.rwc.Write(c.wbuf)
 }
 
 // SendBatch encodes the messages into the connection's scratch buffer
-// and emits them as one write + flush, holding the write lock once.
+// and emits them as one write, holding the write lock once.
 func (c *netConn) SendBatch(ms []Message) {
 	if len(ms) == 0 {
 		return
@@ -216,10 +213,7 @@ func (c *netConn) SendBatch(ms []Message) {
 	for _, m := range ms {
 		c.wbuf = MarshalAppend(c.wbuf, m)
 	}
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return
-	}
-	_ = c.bw.Flush()
+	_, _ = c.rwc.Write(c.wbuf)
 }
 
 func (c *netConn) SetHandler(fn func(Message)) {
@@ -260,5 +254,6 @@ func (c *netConn) Close() error {
 	return err
 }
 
-// Done exposes channel closure for tests.
+// Done is closed once the connection closes; livesecd's close watcher
+// waits on it to deregister the switch.
 func (c *netConn) Done() <-chan struct{} { return c.done }

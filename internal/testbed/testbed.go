@@ -21,7 +21,6 @@ import (
 	"livesec/internal/link"
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
-	"livesec/internal/obs"
 	"livesec/internal/openflow"
 	"livesec/internal/policy"
 	"livesec/internal/service"
@@ -67,12 +66,6 @@ type Net struct {
 	Fabric     *legacy.Fabric
 	Controller *core.Controller
 	Store      *monitor.Store
-	// Alerts is the SLO alert engine (obs/alerts.go): the default rule
-	// pack over the controller's registry, ticking on the engine every
-	// obs.DefaultAlertInterval. Its transitions are recorded as monitor
-	// events when Monitor is on. Evaluation only reads the registry, so
-	// the simulated network behaves the same with or without it.
-	Alerts *obs.AlertEngine
 
 	Switches []*dataplane.Switch
 	Hosts    []*host.Host
@@ -128,20 +121,6 @@ func New(opts Options) *Net {
 		n.Chaos = chaos.NewInjector(eng)
 		n.Chaos.RegisterController(ctrl)
 	}
-	fo := ctrl.Obs()
-	ae := obs.NewAlertEngine(fo, 0, obs.DefaultRules(fo))
-	n.Alerts = ae
-	if store != nil {
-		ae.OnTransition = store.RecordAlert
-	}
-	// The evaluation tick self-reschedules for the lifetime of the run;
-	// no experiment row reports raw engine event counts.
-	var tick func()
-	tick = func() {
-		ae.Tick(eng.Now())
-		eng.Schedule(ae.Interval(), tick)
-	}
-	eng.Schedule(ae.Interval(), tick)
 	return n
 }
 

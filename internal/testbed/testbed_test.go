@@ -132,3 +132,23 @@ func TestBuildFITCompilesRulesOnce(t *testing.T) {
 		t.Fatalf("BuildFIT(FullFIT()) allocated %.1f MB; more than one compiled rule set?", mb)
 	}
 }
+
+// TestShutdownQuiesces runs an idle deployment, shuts it down and runs
+// the engine to quiescence: no periodic activity may outlive Shutdown,
+// the controller's alert tick included.
+func TestShutdownQuiesces(t *testing.T) {
+	f, err := BuildFIT(ScaledFIT(), Options{Monitor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(600 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	f.Shutdown()
+	if err := f.Eng.RunAll(1_000_000); err != nil {
+		t.Fatalf("the engine did not quiesce after Shutdown: %v (%d events pending)", err, f.Eng.Pending())
+	}
+	if p := f.Eng.Pending(); p != 0 {
+		t.Fatalf("%d events pending after Shutdown", p)
+	}
+}
