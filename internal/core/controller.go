@@ -74,16 +74,14 @@ type Config struct {
 
 	// PacketInCost models the controller's serialized per-packet-in
 	// processing cost (overload.go): each packet-in occupies the
-	// single-threaded controller for this much virtual time, so storms
-	// build real backlogs. Zero (the default) dispatches inline as
-	// before.
+	// single-threaded controller for this much virtual time, once, so
+	// storms build real backlogs. Zero (the default) serves inline.
 	PacketInCost time.Duration
-	// OverloadProtection enables the defended ingress pipeline
-	// (overload.go): a priority lane for non-packet-in messages,
-	// per-switch and per-source-MAC admission token buckets, a bounded
-	// per-switch packet-in queue, and dataplane suppression entries for
-	// shedding sources. Off by default so existing runs reproduce
-	// bit-for-bit. Its budgets, queue bound and suppression hold are
+	// OverloadProtection defends the ingress pipeline (overload.go): a
+	// priority lane for non-packet-in messages, per-switch and
+	// per-source-MAC admission token buckets, a bounded per-switch
+	// packet-in queue, and dataplane suppression entries for shedding
+	// sources. Its budgets, queue bound and suppression hold are
 	// constants in overload.go.
 	OverloadProtection bool
 
@@ -315,9 +313,8 @@ type Controller struct {
 	// the first Upsert, so its existence changes nothing by default.
 	intents *intent.Compiler
 
-	// ov is the ingress pipeline (overload.go), non-nil only when
-	// PacketInCost or OverloadProtection is configured.
-	ov *overloadState
+	// ov is the ingress pipeline (overload.go).
+	ov overloadState
 
 	// Whole-controller outage (outage.go): down from Fail to Recover;
 	// holding from Fail until parked, the messages held meanwhile, has
@@ -377,10 +374,6 @@ func New(cfg Config) *Controller {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewFlowObs(0)
 	}
-	var ov *overloadState
-	if cfg.OverloadProtection || cfg.PacketInCost > 0 {
-		ov = newOverloadState()
-	}
 	c := &Controller{
 		cfg:          cfg,
 		eng:          cfg.Engine,
@@ -396,10 +389,15 @@ func New(cfg Config) *Controller {
 		blockedUsers: make(map[netpkt.MAC]bool),
 		leases:       make(map[netpkt.MAC]netpkt.IPv4Addr),
 		cache:        newDecisionCache(),
-		ov:           ov,
 		fwMirror:     make(map[seproto.SessionKey]*fwMirrorEntry),
 		fwPending:    make(map[uint64]*fwHandoff),
 		obs:          cfg.Obs,
+		ov: overloadState{
+			perSwitch:  make(map[uint64]int),
+			swBuckets:  make(map[uint64]*tokenBucket),
+			srcBuckets: make(map[netpkt.MAC]*tokenBucket),
+			suppressed: make(map[suppressKey]time.Duration),
+		},
 	}
 	c.intents = intent.New(c.policies)
 	c.obsRegister()
@@ -521,55 +519,42 @@ func (c *Controller) Shutdown() {
 // handleMessage receives every control-channel message. During an
 // outage (outage.go) it parks; otherwise it accepts the message now.
 func (c *Controller) handleMessage(st *switchState, m openflow.Message) {
-	now := c.eng.Now()
-	if c.holding && c.park(ingressItem{st: st, m: m, at: now}) {
-		return
+	if it := (ingressItem{st, m, c.eng.Now()}); !c.holding || !c.park(it) {
+		c.accept(it)
 	}
-	c.accept(st, m, now)
 }
 
-// accept admits a message that arrived at virtual time at: with the
-// ingress pipeline active (overload.go) it queues through its lanes;
-// otherwise it dispatches inline.
-func (c *Controller) accept(st *switchState, m openflow.Message, at time.Duration) {
-	if c.ov != nil {
-		c.ingressAccept(st, m, at)
-		return
-	}
-	c.obsAcceptedAt = at
-	c.dispatch(st, m)
-}
-
-// dispatch routes one message to its handler.
-func (c *Controller) dispatch(st *switchState, m openflow.Message) {
-	switch msg := m.(type) {
+// dispatch routes one message the ingress pipeline serves.
+func (c *Controller) dispatch(it ingressItem) {
+	c.obsAcceptedAt = it.at
+	switch msg := it.m.(type) {
 	case *openflow.Hello:
 		// Handshake: nothing further here; features request already sent.
 	case *openflow.EchoRequest:
-		st.conn.Send(&openflow.EchoReply{XID: msg.XID, Data: msg.Data})
+		it.st.conn.Send(&openflow.EchoReply{XID: msg.XID, Data: msg.Data})
 	case *openflow.FeaturesReply:
-		c.registerSwitch(st, msg)
+		c.registerSwitch(it.st, msg)
 	case *openflow.PacketIn:
-		c.handlePacketIn(st, msg)
+		c.handlePacketIn(it.st, msg)
 	case *openflow.FlowRemoved:
-		c.handleFlowRemoved(st, msg)
+		c.handleFlowRemoved(it.st, msg)
 	case *openflow.PortStatus:
-		c.handlePortStatus(st, msg)
+		c.handlePortStatus(it.st, msg)
 	case *openflow.StatsReply:
 		switch msg.Kind {
 		case openflow.StatsPort:
 			if c.portSamples != nil {
-				c.handlePortStats(st, msg)
+				c.handlePortStats(it.st, msg)
 			}
 		case openflow.StatsTable:
-			c.handleTableStats(st, msg)
+			c.handleTableStats(it.st, msg)
 		}
 	case *openflow.BarrierReply:
 		c.handleBarrierReply(msg.XID)
 	case *openflow.EchoReply:
-		c.handleEchoReply(st, msg)
+		c.handleEchoReply(it.st, msg)
 	case *openflow.ErrorMsg:
-		c.record(monitor.Event{Type: monitor.EventSwitchError, Switch: st.dpid,
+		c.record(monitor.Event{Type: monitor.EventSwitchError, Switch: it.st.dpid,
 			Detail: fmt.Sprintf("error code %d: %s", msg.Code, msg.Data)})
 	}
 }

@@ -44,7 +44,7 @@ func (c *Controller) HealthComponents() []monitor.HealthComponent {
 	out = append(out, monitor.HealthComponent{
 		Name:   "controller",
 		Status: ctlStatus,
-		Detail: uitoa(uint64(len(c.parked))) + " msgs parked, " + uitoa(c.stats.ParkedDrops) + " dropped",
+		Detail: uitoa(uint64(c.held())) + " msgs parked, " + uitoa(c.stats.ParkedDrops) + " dropped",
 	})
 
 	seTotal, brOpen := len(c.elements), 0

@@ -136,7 +136,7 @@ func (c *Controller) obsRegister() {
 
 	r.GaugeFunc("livesec_controller_parked_msgs",
 		"Messages parked by a controller outage, awaiting recovery.",
-		func() float64 { return float64(len(c.parked)) })
+		func() float64 { return float64(c.held()) })
 
 	r.GaugeFunc("livesec_policy_rules",
 		"Rules installed in the policy table.",

@@ -6,26 +6,25 @@ package core
 // that such a failure is survivable (§IV.B "single point failure …
 // avoided"); this file is what makes it so.
 //
-//	t0        Fail: every control message parks, in arrival order; the
-//	          controller sends nothing and expires nothing
-//	(t0, t1)  outage: packet-ins wait, periodic work returns early, and
-//	          what the ingress pipeline held parks as it is served
+//	t0        Fail: the ingress pipeline holds in place, and a packet-in
+//	          in timed service goes back to its lane's head (the crash
+//	          lost that work); every arriving control message parks, in
+//	          arrival order; the controller sends nothing, serves nothing
+//	          and expires nothing
 //	t1        Recover: the outage is charged to PolicyViolationTime;
 //	          every registered switch resyncs (resilience.go: features,
-//	          wipe, shadow and session replay, barrier)
-//	t1 + RTT  no switch is left resyncing: the parked queue re-enters
-//	          the ingress pipeline, so PacketInCost and
-//	          OverloadProtection still apply
+//	          wipe, shadow and session replay, barrier); the pipeline
+//	          serves again, but no packet-in
+//	t1 + RTT  no switch is left resyncing: the parked messages are
+//	          accepted, and so admitted, behind what the pipeline held
 //
-// Between Recover and the drain other messages dispatch at once — the
-// resync's barrier and features replies are among them — but packet-ins
-// keep parking behind the older ones, so no drained setup finds a
-// switch on its path unusable. A resync that fails hands its switch to
-// the down/probe loop and does not hold the drain up.
+// Between Recover and the drain other messages are served at once, in the
+// control lane — the resync's barrier and features replies are among them
+// — but packet-ins keep parking, so no drained setup finds a switch on
+// its path unusable. A resync that fails hands its switch to the
+// down/probe loop and does not hold the drain up.
 
 import (
-	"sort"
-
 	"livesec/internal/monitor"
 	"livesec/internal/openflow"
 )
@@ -41,14 +40,29 @@ func (c *Controller) Fail() {
 	if c.down {
 		return
 	}
+	if ov := &c.ov; !c.holding { // a failure before the drain holds nothing new
+		if it := ov.serving; it.m != nil {
+			// The crash lost its work: back to the slot it left, to serve again.
+			ov.charge++
+			ov.busy, ov.serving = false, ingressItem{}
+			ov.dataHead--
+			ov.data[ov.dataHead] = it
+			if c.cfg.OverloadProtection {
+				ov.perSwitch[it.st.dpid]++
+			}
+		}
+		ctrl, pis := c.IngressDepths()
+		c.stats.ParkedMsgs += uint64(ctrl + pis)
+	}
 	c.down, c.holding = true, true
 	c.downSince = c.eng.Now()
 	c.record(monitor.Event{Type: monitor.EventControllerDown, Detail: "controller down"})
 }
 
 // Recover brings the controller back: it charges the outage, resyncs
-// every registered switch and drains the parked queue once no switch is
-// resyncing. Recover while up is ignored.
+// every registered switch, serves what the pipeline held up to its first
+// packet-in, and drains the parked queue once no switch is resyncing.
+// Recover while up is ignored.
 func (c *Controller) Recover() {
 	if !c.down {
 		return
@@ -66,14 +80,14 @@ func (c *Controller) Recover() {
 		resyncs++
 	}
 	c.record(monitor.Event{Type: monitor.EventControllerUp,
-		Detail: uitoa(uint64(len(c.parked))) + " messages parked, " +
+		Detail: uitoa(uint64(c.held())) + " messages parked, " +
 			uitoa(uint64(resyncs)) + " switches resyncing"})
 	c.drainParked()
 }
 
-// park holds a message, with its arrival time, while the controller is
-// down, and a packet-in while recovery's resyncs are in flight. It
-// reports whether it took the message.
+// park holds an arriving message, with its arrival time, while the
+// controller is down, and a packet-in while recovery's resyncs are in
+// flight. It reports whether it took the message.
 func (c *Controller) park(it ingressItem) bool {
 	if _, pi := it.m.(*openflow.PacketIn); !c.down && !pi {
 		return false
@@ -87,11 +101,21 @@ func (c *Controller) park(it ingressItem) bool {
 	return true
 }
 
-// drainParked re-enters the parked queue in arrival order once the
-// controller is up and no switch is left resyncing. Messages the ingress
-// pipeline held at the failure park when it serves them, after younger
-// arrivals, so the queue is sorted back into arrival order first.
+// held counts the messages an outage holds: the pipeline's backlog and
+// the parked arrivals.
+func (c *Controller) held() int {
+	if !c.holding {
+		return 0
+	}
+	ctrl, pis := c.IngressDepths()
+	return ctrl + pis + len(c.parked)
+}
+
+// drainParked accepts the parked queue, in arrival order and behind what
+// the pipeline held, once the controller is up and no switch is left
+// resyncing. Either way, the pipeline then serves what it may.
 func (c *Controller) drainParked() {
+	defer c.ingressServe()
 	if c.down || !c.holding {
 		return
 	}
@@ -102,8 +126,7 @@ func (c *Controller) drainParked() {
 	}
 	q := c.parked
 	c.parked, c.holding = nil, false
-	sort.SliceStable(q, func(i, j int) bool { return q[i].at < q[j].at })
 	for _, it := range q {
-		c.accept(it.st, it.m, it.at)
+		c.accept(it)
 	}
 }

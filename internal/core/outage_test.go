@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,11 +203,13 @@ func TestParkedQueueBounded(t *testing.T) {
 
 // TestOutageFindsPipelineBusy takes the controller down while the ingress
 // pipeline (PacketInCost) holds a backlog of first packets and is serving
-// one of them; more first packets arrive during the outage. The held
-// packet-ins park as they are served, after younger arrivals, so:
-// nothing is set up and nothing is sent while the controller is down, no
-// setup runs before the drain, every flow is set up, the setups run in
-// arrival order, and each span starts at its packet-in's arrival.
+// one of them; more first packets arrive during the outage. The pipeline
+// holds its backlog in place, the interrupted packet-in back at its head,
+// and the arrivals park behind it, so: nothing is set up and nothing is
+// sent while the controller is down, no setup runs before the drain,
+// every flow is set up, the setups run in arrival order, each span
+// starts at its packet-in's arrival, and one service chain completes the
+// drained setups one PacketInCost apart.
 func TestOutageFindsPipelineBusy(t *testing.T) {
 	fo := obs.NewFlowObs(0)
 	n, clients, srv := outageNet(t, 4, testbed.Options{
@@ -283,10 +286,14 @@ func TestOutageFindsPipelineBusy(t *testing.T) {
 	}
 
 	var lag time.Duration // the path from a client to the controller
+	var ends []time.Duration
 	for _, sp := range fo.Spans(0, false) {
 		sent, ok := sentAt[sp.Key.SrcPort]
 		if sp.Kind != obs.KindSetup || !ok {
 			continue
+		}
+		if sp.End > drained {
+			ends = append(ends, sp.End)
 		}
 		if lag == 0 {
 			lag = sp.Start - sent
@@ -295,5 +302,48 @@ func TestOutageFindsPipelineBusy(t *testing.T) {
 			t.Fatalf("flow %d: span starts %v after its send, want its arrival (%v after)",
 				sp.Key.SrcPort, sp.Start-sent, lag)
 		}
+	}
+	slices.Sort(ends)
+	for i := 1; i < len(ends); i++ {
+		if ends[i]-ends[i-1] != time.Millisecond {
+			t.Fatalf("drained setups end at %v, want one PacketInCost apart", ends)
+		}
+	}
+}
+
+// TestOutageAdmitsOnce takes the controller down while overload
+// protection has admitted a burst of first packets from one legitimate
+// client, within its source budget, and the pipeline is still serving
+// it. What the pipeline held at the failure is not admitted again at
+// the drain, so the client is neither shed nor suppressed.
+func TestOutageAdmitsOnce(t *testing.T) {
+	n, clients, srv := outageNet(t, 1, testbed.Options{Config: core.Config{
+		FlowIdle: time.Minute, PacketInCost: time.Millisecond, OverloadProtection: true,
+	}})
+	defer n.Shutdown()
+	delivered := 0
+	srv.HandleUDP(9000, func(*netpkt.Packet) { delivered++ })
+
+	const burst = 40 // first packets, within the 50-token source burst
+	t0 := n.Eng.Now() + time.Millisecond
+	for i := 0; i < burst; i++ {
+		port := uint16(32000 + i)
+		n.Eng.At(t0+time.Duration(i)*10*time.Microsecond, func() {
+			clients[0].SendUDP(serverIP, port, 9000, []byte("x"), 0)
+		})
+	}
+	down := t0 + 2500*time.Microsecond
+	up := down + 30*time.Millisecond
+	n.Chaos.Schedule(chaos.NewPlan().ControllerDown(down).ControllerUp(up))
+	start := n.Controller.Stats()
+	if err := n.Run(up - n.Eng.Now() + 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	if shed := n.Controller.Stats().PacketInsShed - start.PacketInsShed; delivered != burst || shed != 0 {
+		t.Fatalf("delivered %d/%d, shed %d: the drain admitted the held burst again", delivered, burst, shed)
+	}
+	if sup := n.Store.Count(monitor.EventSuppress); sup != 0 {
+		t.Fatalf("%d suppression entries against a legitimate sender", sup)
 	}
 }

@@ -1,19 +1,21 @@
 package core
 
-// Control-plane overload protection: a reactive controller sets up every
+// The ingress pipeline: every control message reaches dispatch through
+// it (accept → lanes → ingressServe). A reactive controller sets up every
 // flow from a packet-in (§III.C), which makes packet-in volume its
 // scaling bottleneck and classic DoS vector — one host generating novel
 // flows can starve echo replies (falsely killing healthy switches,
 // resilience.go) and stall every legitimate flow setup.
 //
-// Two orthogonal knobs model and defend this path:
+// Two orthogonal knobs model and defend this path; with neither, each
+// message is served inline as it arrives:
 //
 //   - Config.PacketInCost gives each packet-in a serialized processing
 //     cost on the controller (other message types ride free — their only
 //     delay is the backlog ahead of them). With the cost alone, the
-//     controller is the naive single-FIFO design: a storm builds a
-//     backlog that delays echo replies past the keepalive budget.
-//   - Config.OverloadProtection turns on the defended pipeline:
+//     pipeline is the naive single FIFO: a storm builds a backlog that
+//     delays echo replies past the keepalive budget.
+//   - Config.OverloadProtection defends it:
 //
 //       switch msgs ──► classify ──► control lane (echo/barrier/stats/…)
 //                          │             │ always served first
@@ -31,10 +33,11 @@ package core
 //     offending switch so the storm is absorbed in the dataplane instead
 //     of the control channel.
 //
-// Both knobs default to off, so existing runs reproduce bit-for-bit.
-// Everything is driven by the sim clock and deterministic: bucket refill
-// is pure arithmetic on virtual elapsed time, and the lanes are plain
-// FIFOs.
+// A controller outage (outage.go) holds the pipeline in place: a message
+// is admitted once and charged PacketInCost once, except the packet-in
+// whose timed service the failure interrupts. Everything is driven by the
+// sim clock and deterministic: bucket refill is pure arithmetic on
+// virtual elapsed time, and the lanes are plain FIFOs.
 
 import (
 	"time"
@@ -106,12 +109,17 @@ type suppressKey struct {
 	src  netpkt.MAC
 }
 
-// overloadState is the ingress pipeline, allocated only when
-// PacketInCost or OverloadProtection is set.
+// overloadState is the ingress pipeline's state, a value in Controller.
 type overloadState struct {
-	busy bool
+	// busy is set while the server dispatches or charges PacketInCost
+	// for serving, so a message accepted meanwhile only queues. Fail
+	// bumps charge to void the completion of the service it interrupts.
+	busy    bool
+	serving ingressItem
+	charge  uint64
 	// ctrl is the priority lane (everything but packet-ins); data holds
-	// admitted packet-ins. Head-indexed slices so serving is O(1).
+	// admitted packet-ins, and in the naive FIFO everything else too.
+	// Head-indexed slices so serving is O(1).
 	ctrl     []ingressItem
 	ctrlHead int
 	data     []ingressItem
@@ -125,57 +133,40 @@ type overloadState struct {
 	suppressed map[suppressKey]time.Duration
 }
 
-func newOverloadState() *overloadState {
-	return &overloadState{
-		perSwitch:  make(map[uint64]int),
-		swBuckets:  make(map[uint64]*tokenBucket),
-		srcBuckets: make(map[netpkt.MAC]*tokenBucket),
-		suppressed: make(map[suppressKey]time.Duration),
-	}
-}
-
 // IngressDepths reports the current ingress backlog: the control-lane
-// length and the total queued packet-ins (0, 0 when the pipeline is
-// disabled).
+// length and the total queued packet-ins.
 func (c *Controller) IngressDepths() (ctrl, packetIns int) {
-	if c.ov == nil {
-		return 0, 0
-	}
 	return len(c.ov.ctrl) - c.ov.ctrlHead, len(c.ov.data) - c.ov.dataHead
 }
 
-// ingressAccept is the pipeline entry: classify, admit, enqueue, and
-// kick the server if idle. at is the message's arrival time (earlier
-// than now for a message parked during an outage).
-func (c *Controller) ingressAccept(st *switchState, m openflow.Message, at time.Duration) {
-	ov := c.ov
-	pi, isPacketIn := m.(*openflow.PacketIn)
+// accept is the pipeline entry: classify, admit, enqueue, and serve.
+func (c *Controller) accept(it ingressItem) {
+	ov := &c.ov
+	pi, isPacketIn := it.m.(*openflow.PacketIn)
 	switch {
+	case !isPacketIn && (c.cfg.OverloadProtection || c.holding):
+		// Priority lane: liveness and correctness traffic never waits
+		// behind a storm, nor behind the packet-ins an outage holds.
+		ov.ctrl = append(ov.ctrl, it)
 	case !c.cfg.OverloadProtection:
 		// Naive single-FIFO controller: everything shares one queue in
 		// arrival order; only the PacketInCost model below applies.
-		ov.data = append(ov.data, ingressItem{st, m, at})
-	case !isPacketIn:
-		// Priority lane: liveness and correctness traffic never waits
-		// behind a storm.
-		ov.ctrl = append(ov.ctrl, ingressItem{st, m, at})
+		ov.data = append(ov.data, it)
 	default:
-		if !c.admitPacketIn(st, pi) {
+		if !c.admitPacketIn(it.st, pi) {
 			return
 		}
-		ov.perSwitch[st.dpid]++
-		ov.data = append(ov.data, ingressItem{st, m, at})
+		ov.perSwitch[it.st.dpid]++
+		ov.data = append(ov.data, it)
 	}
-	if !ov.busy {
-		c.ingressServe()
-	}
+	c.ingressServe()
 }
 
 // admitPacketIn runs the token buckets and the queue bound. A shed
 // verdict counts, attributes (source budget, switch budget, overflow),
 // and may install a suppression entry for the offending source.
 func (c *Controller) admitPacketIn(st *switchState, pi *openflow.PacketIn) bool {
-	ov := c.ov
+	ov := &c.ov
 	now := c.eng.Now()
 	src, haveSrc := packetInSource(pi)
 	if haveSrc {
@@ -232,7 +223,7 @@ func (c *Controller) suppressSource(st *switchState, src netpkt.MAC) {
 	if !st.usable() {
 		return
 	}
-	ov := c.ov
+	ov := &c.ov
 	now := c.eng.Now()
 	k := suppressKey{st.dpid, src}
 	if until, ok := ov.suppressed[k]; ok && now < until {
@@ -255,13 +246,14 @@ func (c *Controller) suppressSource(st *switchState, src netpkt.MAC) {
 		User: src.String(), Detail: "drop " + suppressHold.String()})
 }
 
-// ingressServe drains the lanes: control lane strictly first, then
-// packet-ins. Zero-cost items dispatch inline; a packet-in with a
-// modeled cost occupies the (single-threaded) controller for
-// PacketInCost of virtual time before the next item is served.
+// ingressServe drains the lanes unless a server already runs: control
+// lane strictly first, then packet-ins. Zero-cost items dispatch inline;
+// a packet-in with a modeled cost occupies the (single-threaded)
+// controller for PacketInCost of virtual time before the next item is
+// served. While an outage holds the pipeline it serves no packet-in.
 func (c *Controller) ingressServe() {
-	ov := c.ov
-	for {
+	ov := &c.ov
+	for !ov.busy {
 		var it ingressItem
 		isPacketIn := false
 		switch {
@@ -271,50 +263,43 @@ func (c *Controller) ingressServe() {
 			ov.ctrlHead++
 		case ov.dataHead < len(ov.data):
 			it = ov.data[ov.dataHead]
+			if _, isPacketIn = it.m.(*openflow.PacketIn); isPacketIn && c.holding {
+				return
+			}
 			ov.data[ov.dataHead] = ingressItem{}
 			ov.dataHead++
-			_, isPacketIn = it.m.(*openflow.PacketIn)
 			if isPacketIn && c.cfg.OverloadProtection {
 				ov.perSwitch[it.st.dpid]--
 			}
 		default:
 			ov.ctrl, ov.ctrlHead = ov.ctrl[:0], 0
 			ov.data, ov.dataHead = ov.data[:0], 0
-			ov.busy = false
 			return
 		}
+		ov.busy = true
 		if !isPacketIn || c.cfg.PacketInCost <= 0 {
-			c.serveItem(it)
+			c.dispatch(it)
+			ov.busy = false
 			continue
 		}
-		ov.busy = true
+		ov.serving = it
+		charge := ov.charge
 		c.eng.Schedule(c.cfg.PacketInCost, func() {
-			c.serveItem(it)
-			c.ingressServe()
+			if ov.charge == charge {
+				ov.serving = ingressItem{}
+				c.dispatch(it)
+				ov.busy = false
+				c.ingressServe()
+			}
 		})
-		return
 	}
-}
-
-// serveItem dispatches one served item, unless an outage (outage.go)
-// parks it: what the pipeline held when the controller went down waits
-// for recovery with the messages that arrived after it.
-func (c *Controller) serveItem(it ingressItem) {
-	if c.holding && c.park(it) {
-		return
-	}
-	c.obsAcceptedAt = it.at
-	c.dispatch(it.st, it.m)
 }
 
 // overloadHousekeep reclaims expired suppression records and idle
 // per-source buckets (bounding state under storms of spoofed sources).
 // Pure map cleanup: no emissions, so deletion order is irrelevant.
 func (c *Controller) overloadHousekeep(now time.Duration) {
-	ov := c.ov
-	if ov == nil {
-		return
-	}
+	ov := &c.ov
 	for k, until := range ov.suppressed {
 		if now >= until {
 			delete(ov.suppressed, k)

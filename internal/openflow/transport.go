@@ -74,27 +74,8 @@ func SimPipe(eng *sim.Engine, latency time.Duration) (Conn, Conn) {
 	return a, b
 }
 
-func (c *simConn) Send(m Message) {
-	if c.closed {
-		return
-	}
-	bp := bufPool.Get().(*[]byte)
-	data := MarshalAppend((*bp)[:0], m)
-	peer := c.peer
-	c.eng.Schedule(c.latency, func() {
-		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
-		if peer.closed || peer.handler == nil {
-			return
-		}
-		msg, err := Decode(data)
-		if err != nil {
-			// A decode failure here is a codec bug; surface it loudly in
-			// simulation rather than silently dropping.
-			panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
-		}
-		peer.handler(msg)
-	})
-}
+// Send is a batch of one.
+func (c *simConn) Send(m Message) { c.SendBatch([]Message{m}) }
 
 // SendBatch encodes the messages into one buffer and delivers them with
 // a single scheduled event, so a multi-switch flow setup costs one
@@ -124,6 +105,8 @@ func (c *simConn) SendBatch(ms []Message) {
 			}
 			msg, err := Decode(rest[:length])
 			if err != nil {
+				// A decode failure here is a codec bug; surface it loudly
+				// in simulation rather than silently dropping.
 				panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
 			}
 			peer.handler(msg)
@@ -194,12 +177,8 @@ func NewNetConn(rwc io.ReadWriteCloser) Conn {
 	return &netConn{rwc: rwc, done: make(chan struct{})}
 }
 
-func (c *netConn) Send(m Message) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = MarshalAppend(c.wbuf[:0], m)
-	_, _ = c.rwc.Write(c.wbuf)
-}
+// Send is a batch of one.
+func (c *netConn) Send(m Message) { c.SendBatch([]Message{m}) }
 
 // SendBatch encodes the messages into the connection's scratch buffer
 // and emits them as one write, holding the write lock once.
