@@ -24,7 +24,7 @@ var suiteGolden = map[string]string{
 	"E7":  "664d967adb9418b5/4",
 	"E8":  "65ab3be56685782f/3",
 	"E9":  "04f2a800278d5caf/2",
-	"E10": "d217cbb942227bbd/1",
+	"E10": "a492477025ab35a2/1",
 	"E12": "8469636799613e12/4",
 	"E13": "b952f1fe90578111/1",
 	"A1":  "b8634ced341684d7/2",
