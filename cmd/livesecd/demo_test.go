@@ -39,7 +39,14 @@ type testDaemon struct {
 // itself.
 func startDaemon(t testing.TB, wrap func(net.Listener) net.Listener) *testDaemon {
 	t.Helper()
-	d := &testDaemon{daemon: newDaemon(io.Discard)}
+	return startDaemonLogging(t, io.Discard, wrap)
+}
+
+// startDaemonLogging is startDaemon with the daemon's event lines going
+// to log.
+func startDaemonLogging(t testing.TB, log io.Writer, wrap func(net.Listener) net.Listener) *testDaemon {
+	t.Helper()
+	d := &testDaemon{daemon: newDaemon(log)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -690,6 +697,44 @@ func TestDefaultDaemonObservable(t *testing.T) {
 	want := []string{"flow_setup_latency_slo", "packet_in_shed_rate", "breaker_open", "fw_handoff_timeout", "seproto_sync_error"}
 	if !slices.Equal(rules, want) {
 		t.Fatalf("/alerts rules = %v, want %v", rules, want)
+	}
+}
+
+// A flow event is recorded without its user, whom its flow key names:
+// after one demo setup the daemon's flow-start line still reads
+// user=<source MAC>, and /events?user=<source MAC> returns the event.
+func TestFlowEventUserNamed(t *testing.T) {
+	var out syncBuffer
+	d := startDaemonLogging(t, &out, nil)
+	a, b := demoPair(t, d)
+	a.raiseTCP(b, 42000)
+	waitFor(t, "the setup", func() bool { return d.stats().FlowsRouted == 1 })
+	d.lk.flush()
+	mac := a.hostMAC.String()
+	var line string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "event "+string(monitor.EventFlowStart)+" ") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, " user="+mac+" ") {
+		t.Fatalf("flow-start line %q does not name user %s; event log:\n%s", line, mac, out.String())
+	}
+	var evs []monitor.Event
+	if err := json.Unmarshal([]byte(d.get(t, "/events?user="+mac)), &evs); err != nil {
+		t.Fatal(err)
+	}
+	var starts []monitor.Event
+	for _, ev := range evs {
+		if ev.User != mac {
+			t.Fatalf("/events?user=%s returned an event of user %q: %+v", mac, ev.User, ev)
+		}
+		if ev.Type == monitor.EventFlowStart {
+			starts = append(starts, ev)
+		}
+	}
+	if len(starts) != 1 || starts[0].FlowDesc == "" {
+		t.Fatalf("/events?user=%s returned flow-start events %+v, want the one setup's, its flow described", mac, starts)
 	}
 }
 

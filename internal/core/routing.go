@@ -225,8 +225,7 @@ func (c *Controller) installDropTimed(st *switchState, m flow.Match, key flow.Ke
 		Actions:     openflow.Drop(),
 	})
 	c.stats.DropRules++
-	c.record(monitor.Event{Type: monitor.EventFlowBlocked, Switch: st.dpid,
-		User: key.EthSrc.String(), FlowKey: &key, Detail: why})
+	c.record(monitor.Event{Type: monitor.EventFlowBlocked, Switch: st.dpid, FlowKey: &key, Detail: why})
 }
 
 // destination resolves the final host of a flow. A destination behind a
@@ -339,8 +338,7 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 	c.curSpan.SetOutcome(outcome)
 	c.finishSetup(em, st, pi, plan)
 
-	ev := monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid,
-		User: key.EthSrc.String(), FlowKey: &key}
+	ev := monitor.Event{Type: monitor.EventFlowStart, Switch: st.dpid, FlowKey: &key}
 	switch outcome {
 	case obs.OutcomeRouted:
 		c.stats.FlowsRouted++

@@ -159,7 +159,6 @@ func (c *Controller) handleSEEvent(pkt *netpkt.Packet, m *seproto.Event) {
 		return
 	}
 	c.stats.SEEvents++
-	user := m.Flow.EthSrc
 	switch m.Class {
 	case seproto.EventAttack, seproto.EventVirus, seproto.EventContent:
 		typ := monitor.EventAttack
@@ -170,14 +169,13 @@ func (c *Controller) handleSEEvent(pkt *netpkt.Packet, m *seproto.Event) {
 			typ = monitor.EventContent
 		}
 		key := m.Flow
-		c.record(monitor.Event{Type: typ, SE: m.SEID, User: user.String(),
-			Severity: m.Severity, Detail: m.Detail, FlowKey: &key})
+		c.record(monitor.Event{Type: typ, SE: m.SEID, Severity: m.Severity, Detail: m.Detail, FlowKey: &key})
 		// Block the offending flow at its ingress AS switch, the
 		// entrance (§IV.A).
 		c.dropUserFlow(m.Flow, "security event sid="+uitoa(uint64(m.SigID)))
 	case seproto.EventProtocol:
 		c.record(monitor.Event{Type: monitor.EventProtocol, SE: m.SEID,
-			User: user.String(), Detail: m.Detail})
+			User: m.Flow.EthSrc.String(), Detail: m.Detail})
 		c.applyAppPolicy(m)
 	}
 }

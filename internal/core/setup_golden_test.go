@@ -252,9 +252,9 @@ func TestSetupAllocs(t *testing.T) {
 		miss bool // drop the flow's plan before every setup
 		max  float64
 	}{
-		{"plan-hit direct", "direct-two-switch", false, 11},
-		{"plan-hit 2-element chain", "chain2-three-switches", false, 22},
-		{"plan-miss direct", "direct-two-switch", true, 28},
+		{"plan-hit direct", "direct-two-switch", false, 10},
+		{"plan-hit 2-element chain", "chain2-three-switches", false, 21},
+		{"plan-miss direct", "direct-two-switch", true, 27},
 	} {
 		var row goldenRow
 		for _, g := range goldenRows {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # PR-level performance regression gate: compare a hot-loop benchmark run
 # (make bench-hot) against a baseline from the main branch with
-# benchstat, and fail on any statistically significant sec/op regression
-# over the budget.
+# benchstat, and fail on any statistically significant sec/op or
+# retained-heap regression over the budget.
 #
 # Usage: scripts/bench_gate.sh baseline.txt [new.txt]
 #
@@ -11,13 +11,21 @@
 #   new.txt       bench-hot output for the change under review; when the
 #                 file does not exist, the benchmarks are run here
 #
-# The gate reads benchstat's sec/op section only: B/op and allocs/op
-# changes are reported but never fail the gate (allocation shifts show
-# up in sec/op when they matter). A row fails when benchstat calls the
-# delta significant (a "(p=...)" verdict, not "~") and the regression
-# exceeds BENCH_GATE_BUDGET_PCT (default 10%). Noise-prone runners are
-# the reason for the significance requirement; raise the budget rather
-# than deleting the gate if a runner is chronically noisy.
+# benchstat prints one table per unit, and each table's unit row (the
+# header row that ends "vs base") decides whether the gate reads it:
+#
+#   sec/op        gated: a row fails as "slowed"
+#   retained-B/*  gated: a row fails as "grew" (retained-B/op,
+#                 retained-B/entry, retained-B/session: the live heap a
+#                 benchmark leaves behind per operation or entry)
+#   anything else reported only (B/op, allocs/op, writes/setup:
+#                 allocation shifts show up in sec/op when they matter)
+#
+# A row fails when benchstat calls the delta significant (a "(p=...)"
+# verdict, not "~") and the increase exceeds BENCH_GATE_BUDGET_PCT
+# (default 10%). Noise-prone runners are the reason for the significance
+# requirement; raise the budget rather than deleting the gate if a runner
+# is chronically noisy.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,23 +47,38 @@ if ! command -v benchstat >/dev/null 2>&1; then
 	exit 2
 fi
 
-echo "==> benchstat $baseline $new (budget: +${budget}% sec/op)"
+echo "==> benchstat $baseline $new (budget: +${budget}% sec/op and retained-B/*)"
 out=$(benchstat "$baseline" "$new")
 printf '%s\n' "$out"
 
-# benchstat's table has one section per metric; rows carry the delta in
-# a "+N.NN%"/"-N.NN%" field followed by the "(p=...)" verdict, with "~"
-# for not-significant. The delta's field position varies with name
-# width, so scan fields for the percentage rather than indexing.
+# A table's unit row reads "│ <unit> │ <unit> vs base │": its first field
+# that is not a column rule names the unit, and with it whether the rows
+# below are gated and how a failure reads. Rows carry the delta in a
+# "+N.NN%"/"-N.NN%" field followed by the "(p=...)" verdict, with "~" for
+# not-significant. The delta's field position varies with name width, so
+# scan fields for the percentage rather than indexing.
 printf '%s\n' "$out" | awk -v budget="$budget" '
-	/sec\/op/ { insec = 1; next }
-	(/B\/op/ || /allocs\/op/) { insec = 0; next }
-	insec && /\(p=/ && $1 != "geomean" {
+	/vs base/ {
+		unit = ""
+		for (i = 1; i <= NF && unit == ""; i++) {
+			if ($i != "│" && $i != "|") {
+				unit = $i
+			}
+		}
+		verb = ""
+		if (unit == "sec/op") {
+			verb = "slowed"
+		} else if (unit ~ /^retained-B\//) {
+			verb = "grew"
+		}
+		next
+	}
+	verb != "" && /\(p=/ && $1 != "geomean" {
 		for (i = 1; i <= NF; i++) {
 			if ($i ~ /^\+[0-9.]+%$/) {
 				pct = substr($i, 2, length($i) - 2) + 0
 				if (pct > budget) {
-					printf "REGRESSION: %s slowed by %s (budget +%s%%)\n", $1, $i, budget
+					printf "REGRESSION: %s %s %s by %s (budget +%s%%)\n", $1, unit, verb, $i, budget
 					bad = 1
 				}
 			}
@@ -63,7 +86,7 @@ printf '%s\n' "$out" | awk -v budget="$budget" '
 	}
 	END { exit bad }
 ' || {
-	echo "bench_gate: FAILED — significant sec/op regression over ${budget}%" >&2
+	echo "bench_gate: FAILED — significant sec/op or retained-B regression over ${budget}%" >&2
 	exit 1
 }
 
