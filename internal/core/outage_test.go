@@ -131,7 +131,7 @@ func TestControllerOutage(t *testing.T) {
 	}
 	drained := 0
 	for _, sp := range fo.Spans(0, false) {
-		if sp.Kind != obs.KindSetup || sp.Start < down || sp.Start >= up {
+		if sp.Start < down || sp.Start >= up {
 			continue
 		}
 		drained++
@@ -289,7 +289,7 @@ func TestOutageFindsPipelineBusy(t *testing.T) {
 	var ends []time.Duration
 	for _, sp := range fo.Spans(0, false) {
 		sent, ok := sentAt[sp.Key.SrcPort]
-		if sp.Kind != obs.KindSetup || !ok {
+		if !ok {
 			continue
 		}
 		if sp.End > drained {

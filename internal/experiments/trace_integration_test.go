@@ -1,22 +1,27 @@
 package experiments
 
 import (
+	"encoding/json"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"livesec/internal/chaos"
 	"livesec/internal/core"
 	"livesec/internal/firewall"
+	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
 	"livesec/internal/testbed"
 )
 
-// The tracing property: a re-steered flow setup that triggers a firewall
-// state handoff yields ONE causally-linked trace tree — the setup span as
-// root and the STATE_INSTALL handoff as its child — under a single
-// TraceID, reachable via FlowObs.Trace.
-func TestHandoffSingleTrace(t *testing.T) {
+// A re-steered flow setup that triggers a firewall state handoff logs
+// one fw-handoff event naming that flow: its FlowKey is the setup span's
+// Key, so /events?user= finds it by the client's MAC, and the setup span
+// itself is one /traces?trace= lookup away.
+func TestHandoffEventNamesItsFlow(t *testing.T) {
 	serverIP := netpkt.IP(166, 111, 99, 1)
 	clientIP := netpkt.IP(10, 99, 0, 1)
 	fo := obs.NewFlowObs(0)
@@ -67,46 +72,41 @@ func TestHandoffSingleTrace(t *testing.T) {
 		t.Fatal("no successful firewall handoff; the scenario did not re-steer")
 	}
 
-	// Find the handoff child and walk its whole trace.
-	var fwChild obs.Span
+	// The re-steered setup: the client's flow chained through SE 2.
+	var setup obs.Span
 	for _, sp := range fo.Spans(0, false) {
-		if sp.Kind == obs.KindFWInstall {
-			fwChild = sp
+		if sp.Key.SrcPort == 41000 && sp.NumElements > 0 && sp.Elements[0] == 2 {
+			setup = sp
 			break
 		}
 	}
-	if fwChild.ID == 0 {
-		t.Fatal("no fw_install span recorded")
+	if setup.ID == 0 {
+		t.Fatal("no setup span steered the client's flow through SE 2")
 	}
-	if fwChild.TraceID == 0 || fwChild.ParentID == 0 {
-		t.Fatalf("fw_install span not parented: %+v", fwChild)
+	evs := n.Store.Events(monitor.Filter{Type: monitor.EventFWHandoff})
+	if len(evs) != 1 {
+		t.Fatalf("%d fw-handoff events, want 1", len(evs))
 	}
-	tree := fo.Trace(fwChild.TraceID)
-	kinds := map[obs.SpanKind]int{}
-	var root obs.Span
-	for _, sp := range tree {
-		if sp.TraceID != fwChild.TraceID {
-			t.Fatalf("span %d in tree has TraceID %d, want %d", sp.ID, sp.TraceID, fwChild.TraceID)
-		}
-		kinds[sp.Kind]++
-		if sp.Kind == obs.KindSetup {
-			root = sp
-		}
+	ev := evs[0]
+	if ev.FlowKey == nil || *ev.FlowKey != setup.Key {
+		t.Fatalf("fw-handoff event %+v does not carry the setup's flow %v", ev, setup.Key)
 	}
-	if root.ID == 0 {
-		t.Fatalf("trace %d has no setup root (kinds %v)", fwChild.TraceID, kinds)
+	found := false
+	for _, e := range n.Store.Events(monitor.Filter{User: client.MAC.String()}) {
+		found = found || e.Seq == ev.Seq
 	}
-	if root.ID != fwChild.TraceID || root.ParentID != 0 {
-		t.Fatalf("setup span is not the trace root: %+v", root)
+	if !found {
+		t.Fatalf("events of user %s do not include the fw-handoff event %+v", client.MAC, ev)
 	}
-	if kinds[obs.KindSetup] != 1 || kinds[obs.KindFWInstall] == 0 {
-		t.Fatalf("trace %d: want one setup root and a fw_install child, got kinds %v", fwChild.TraceID, kinds)
+
+	rec := httptest.NewRecorder()
+	n.Controller.APIHandler(func(f func()) { f() }).ServeHTTP(rec,
+		httptest.NewRequest("GET", "/traces?trace="+strconv.FormatUint(setup.ID, 10), nil))
+	var tr monitor.TracesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+		t.Fatalf("/traces: %v (%s)", err, rec.Body)
 	}
-	// Every non-root span must hang off the setup root.
-	for _, sp := range tree {
-		if sp.Kind != obs.KindSetup && sp.ParentID != root.ID {
-			t.Fatalf("span %d (kind %s) parent %d, want root %d", sp.ID, sp.Kind, sp.ParentID, root.ID)
-		}
+	if len(tr.Spans) != 1 || !reflect.DeepEqual(tr.Spans[0], setup.View()) {
+		t.Fatalf("/traces?trace=%d returned %+v, want exactly %+v", setup.ID, tr.Spans, setup.View())
 	}
-	t.Logf("trace %d: %d spans, kinds %v", fwChild.TraceID, len(tree), kinds)
 }

@@ -94,7 +94,7 @@ type TracesResponse struct {
 //	GET /apps                               — per-user application usage
 //	GET /topology                           — logical topology snapshot
 //	GET /metrics                            — Prometheus text exposition v0.0.4
-//	GET /traces?limit=&slowest=&trace=      — recent trace spans, or one trace tree
+//	GET /traces?limit=&slowest=&trace=      — recent setup spans, or the one with ID trace
 //	GET /health                             — component rollup (503 when down)
 //	GET /alerts                             — SLO alert states and transition log
 //
@@ -201,7 +201,7 @@ func NewAPIHandler(cfg HandlerConfig) http.Handler {
 			http.Error(w, "bad slowest", http.StatusBadRequest)
 			return
 		}
-		traceID, ok := queryUint(w, q.Get("trace"), "trace", math.MaxUint64)
+		id, ok := queryUint(w, q.Get("trace"), "trace", math.MaxUint64)
 		if !ok {
 			return
 		}
@@ -210,9 +210,8 @@ func NewAPIHandler(cfg HandlerConfig) http.Handler {
 			sync(func() {
 				resp.Recorded = cfg.Obs.Recorded()
 				resp.CompletedSetups = cfg.Obs.CompletedSetups()
-				if traceID != 0 {
-					// One causally-linked tree, parents before children.
-					for _, sp := range cfg.Obs.Trace(traceID) {
+				if id != 0 {
+					if sp, ok := cfg.Obs.Span(id); ok {
 						resp.Spans = append(resp.Spans, sp.View())
 					}
 				} else {

@@ -258,43 +258,32 @@ func TestTracesSlowestTieBreak(t *testing.T) {
 	}
 }
 
-func TestTracesByTraceID(t *testing.T) {
-	fo := obs.NewFlowObs(16)
-	// Trace 1: a setup with two children; trace 4: an unrelated setup.
-	root := fo.StartSpan(0)
-	// Capture before FinishSpan: the pool recycles the span object.
-	tid := strconv.FormatUint(root.TraceID, 10)
-	c1 := fo.StartChild(root, obs.KindFWInstall, time.Millisecond)
-	c2 := fo.StartChild(root, obs.KindFWInstall, 2*time.Millisecond)
-	fo.FinishSpan(c1, 3*time.Millisecond)
-	fo.FinishSpan(c2, 3*time.Millisecond)
-	fo.FinishSpan(root, 4*time.Millisecond)
-	other := fo.StartSpan(5 * time.Millisecond)
-	fo.FinishSpan(other, 6*time.Millisecond)
-
+// /traces?trace=<id> returns exactly the span with that ID, and none
+// once the ring has dropped it or when no span has it.
+func TestTracesByID(t *testing.T) {
+	fo := obs.NewFlowObs(2)
+	for i := range 3 { // IDs 1-3; the ring keeps 2 and 3
+		sp := fo.StartSpan(time.Duration(i) * time.Millisecond)
+		sp.Switch = uint64(10 + i)
+		fo.FinishSpan(sp, time.Duration(i+1)*time.Millisecond)
+	}
 	srv := httptest.NewServer(NewAPIHandler(HandlerConfig{Store: NewStore(0), Obs: fo}))
 	defer srv.Close()
-	status, body := get(t, srv, "/traces?trace="+tid)
-	if status != 200 {
-		t.Fatalf("status %d", status)
-	}
-	var tr TracesResponse
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Spans) != 3 {
-		t.Fatalf("trace returned %d spans, want 3:\n%s", len(tr.Spans), body)
-	}
-	if tr.Spans[0].Kind != "setup" || tr.Spans[0].ParentID != 0 {
-		t.Fatalf("root = %+v", tr.Spans[0])
-	}
-	for _, sp := range tr.Spans[1:] {
-		if sp.TraceID != tr.Spans[0].TraceID || sp.ParentID != tr.Spans[0].ID {
-			t.Fatalf("child not linked to root: %+v", sp)
+	for id, want := range map[string]int{"2": 1, "3": 1, "1": 0, "9": 0} {
+		status, body := get(t, srv, "/traces?trace="+id)
+		if status != 200 {
+			t.Fatalf("trace=%s: status %d", id, status)
 		}
-	}
-	if tr.Spans[1].Kind != "fw_install" || tr.Spans[2].Kind != "fw_install" {
-		t.Fatalf("child kinds = %s, %s", tr.Spans[1].Kind, tr.Spans[2].Kind)
+		var tr TracesResponse
+		if err := json.Unmarshal([]byte(body), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Spans) != want {
+			t.Fatalf("trace=%s returned %d spans, want %d:\n%s", id, len(tr.Spans), want, body)
+		}
+		if want == 1 && (strconv.FormatUint(tr.Spans[0].ID, 10) != id || tr.Spans[0].Switch != 9+tr.Spans[0].ID) {
+			t.Fatalf("trace=%s returned %+v", id, tr.Spans[0])
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // The engine shares the obs design constraints: evaluation touches only
 // the preallocated per-rule sample rings, and firing/resolving emits
 // transitions in canonical rule order within a tick. Each firing alert
-// carries the slowest setup TraceID in its violating window as an
-// exemplar, linking the alert back to a concrete causal trace.
+// carries the ID of the slowest setup span in its violating window as an
+// exemplar, linking the alert back to a concrete setup.
 
 // DefaultAlertInterval is the evaluation cadence when NewAlertEngine is
 // given 0: fine enough to bound detection latency at tens of
@@ -94,7 +94,7 @@ type AlertTransition struct {
 	// Value is the windowed value that crossed (or cleared) the limit.
 	Value float64 `json:"value"`
 	Limit float64 `json:"limit"`
-	// ExemplarTraceID is the slowest setup trace finishing inside the
+	// ExemplarTraceID is the slowest setup span finishing inside the
 	// violating window (firing transitions only; 0 when no setup span
 	// is retained for the window).
 	ExemplarTraceID uint64 `json:"exemplar_trace_id,omitempty"`

@@ -68,24 +68,3 @@ func TestSpanRecordZeroAllocs(t *testing.T) {
 		t.Fatalf("span record allocs/op = %v, want 0", allocs)
 	}
 }
-
-func TestChildSpanRecordZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
-	}
-	fo := NewFlowObs(64)
-	fo.FinishSpan(fo.StartSpan(0), time.Millisecond)
-	var now time.Duration
-	if allocs := testing.AllocsPerRun(200, func() {
-		sp := fo.StartSpan(now)
-		ch := fo.StartChild(sp, KindFWInstall, now)
-		fw := fo.StartChild(sp, KindFWInstall, now)
-		now += 2 * time.Millisecond
-		fo.FinishSpan(ch, now)
-		fw.SetOutcome(OutcomeIncomplete)
-		fo.FinishSpan(fw, now)
-		fo.FinishSpan(sp, now)
-	}); allocs != 0 {
-		t.Fatalf("child span allocs/op = %v, want 0", allocs)
-	}
-}

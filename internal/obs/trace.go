@@ -74,45 +74,11 @@ func (o Outcome) Completed() bool {
 // longer than this are truncated in the trace, not in the network).
 const MaxSpanElements = 4
 
-// SpanKind classifies a span's role within a trace tree. Setup spans are
-// the roots the routing path records; the other kind is a child attached
-// to a setup trace so a cross-element flow setup reads as one causal
-// story.
-type SpanKind uint8
-
-// Span kinds.
-const (
-	// KindSetup is a flow-setup span (the PR 5 tracer's only kind).
-	KindSetup SpanKind = iota
-	// KindFWInstall is a firewall STATE_INSTALL→STATE_ACK handoff to the
-	// successor service element.
-	KindFWInstall
-
-	numSpanKinds = int(KindFWInstall) + 1
-)
-
-var kindNames = [numSpanKinds]string{"setup", "fw_install"}
-
-// String returns the kind's snake_case label value.
-func (k SpanKind) String() string {
-	if int(k) < numSpanKinds {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
 // Span is one flow setup's trace. All fields are plain values so the
 // span ring can store spans by copy.
 type Span struct {
 	// ID is the span's sequence number (1-based, per FlowObs).
 	ID uint64
-	// TraceID links every span of one causal tree. Root spans carry
-	// their own ID; children inherit the parent's TraceID.
-	TraceID uint64
-	// ParentID is the parent span within the trace (0 for roots).
-	ParentID uint64
-	// Kind classifies the span's role in the tree.
-	Kind SpanKind
 	// Switch is the ingress switch's datapath ID.
 	Switch uint64
 	// Key identifies the flow (zero except EthSrc for shed spans, which
@@ -172,9 +138,8 @@ type FlowObs struct {
 
 	nextID uint64
 
-	totalHist  *Histogram
-	outcomes   [numOutcomes]*Counter
-	childSpans [numSpanKinds]*Counter
+	totalHist *Histogram
+	outcomes  [numOutcomes]*Counter
 
 	// PolicyCompile observes intent recompile latency (one sample per
 	// intent Upsert/Delete). Wall-clock, not virtual: recompilation is
@@ -214,12 +179,6 @@ func NewFlowObs(ringCap int) *FlowObs {
 			"Flow-setup trace spans recorded, by outcome.",
 			L("outcome", Outcome(o).String()))
 	}
-	for k := int(KindSetup) + 1; k < numSpanKinds; k++ {
-		fo.childSpans[k] = fo.Registry.Counter(
-			"livesec_trace_child_spans_total",
-			"Non-setup trace spans recorded, by kind (setup spans count in livesec_flow_setup_spans_total).",
-			L("kind", SpanKind(k).String()))
-	}
 	fo.PolicyCompile = fo.Registry.Histogram(
 		"livesec_policy_compile_seconds",
 		"Intent-to-rule recompile latency per intent edit (wall clock).",
@@ -243,44 +202,19 @@ func (fo *FlowObs) StartSpan(start time.Duration) *Span {
 	}
 	fo.nextID++
 	sp.ID = fo.nextID
-	sp.TraceID = sp.ID
 	sp.Start = start
 	return sp
 }
 
-// StartChild opens a child span of the given kind inside parent's trace.
-// The parent's identifiers and flow identity are copied immediately, so
-// the child may be finished long after the parent span returned to the
-// pool (a firewall handoff's ack). Returns nil when parent is nil, as
-// no setup is open.
-func (fo *FlowObs) StartChild(parent *Span, kind SpanKind, start time.Duration) *Span {
-	if parent == nil {
-		return nil
-	}
-	sp := fo.StartSpan(start)
-	sp.Kind = kind
-	sp.TraceID = parent.TraceID
-	sp.ParentID = parent.ID
-	sp.Switch = parent.Switch
-	sp.Key = parent.Key
-	return sp
-}
-
-// FinishSpan closes a span at virtual time now: completed setup
-// outcomes feed the setup-latency histogram, every setup outcome counts (child
-// kinds count in their own family so the setup metrics keep their exact
-// per-setup semantics), and the span is copied into the ring and
-// returned to the pool.
+// FinishSpan closes a span at virtual time now: a completed setup feeds
+// the setup-latency histogram, every outcome counts, and the span is
+// copied into the ring and returned to the pool.
 func (fo *FlowObs) FinishSpan(sp *Span, now time.Duration) {
 	sp.End = now
-	if sp.Kind == KindSetup {
-		if sp.Outcome.Completed() {
-			fo.totalHist.ObserveDuration(sp.Total())
-		}
-		fo.outcomes[sp.Outcome].Inc()
-	} else {
-		fo.childSpans[sp.Kind].Inc()
+	if sp.Outcome.Completed() {
+		fo.totalHist.ObserveDuration(sp.Total())
 	}
+	fo.outcomes[sp.Outcome].Inc()
 	fo.ring.Push(*sp)
 	fo.free = append(fo.free, sp)
 }
@@ -313,37 +247,33 @@ func (fo *FlowObs) Spans(limit int, slowest bool) []Span {
 	return out
 }
 
-// Trace returns every retained span of one trace tree, ordered by span
-// ID (creation order, so parents precede children). Nil when the trace
-// has no retained spans.
-func (fo *FlowObs) Trace(traceID uint64) []Span {
-	var out []Span
+// Span returns the retained span with the given ID, if the ring still
+// holds it.
+func (fo *FlowObs) Span(id uint64) (Span, bool) {
 	for q := fo.ring.Oldest(); q < fo.ring.Total(); q++ {
-		if sp := fo.ring.At(q); sp.TraceID == traceID { // never 0
-			out = append(out, *sp)
+		if sp := fo.ring.At(q); sp.ID == id { // never 0
+			return *sp, true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return Span{}, false
 }
 
-// SlowestTraceSince returns the TraceID of the slowest retained setup
-// span that finished at or after since (ties broken toward the lower
-// span ID; 0 when none). The alert engine uses it to attach an exemplar
-// trace to each firing alert.
+// SlowestTraceSince returns the ID of the slowest retained span that
+// finished at or after since (ties broken toward the lower ID; 0 when
+// none). The alert engine uses it to attach an exemplar span to each
+// firing alert.
 func (fo *FlowObs) SlowestTraceSince(since time.Duration) uint64 {
 	var (
 		best    uint64
 		bestDur time.Duration = -1
-		bestID  uint64
 	)
 	for q := fo.ring.Oldest(); q < fo.ring.Total(); q++ {
 		sp := fo.ring.At(q)
-		if sp.Kind != KindSetup || sp.End < since {
+		if sp.End < since {
 			continue
 		}
-		if d := sp.End - sp.Start; d > bestDur || (d == bestDur && sp.ID < bestID) {
-			best, bestDur, bestID = sp.TraceID, d, sp.ID
+		if d := sp.Total(); d > bestDur || (d == bestDur && sp.ID < best) {
+			best, bestDur = sp.ID, d
 		}
 	}
 	return best
@@ -352,9 +282,6 @@ func (fo *FlowObs) SlowestTraceSince(since time.Duration) uint64 {
 // SpanView is the JSON shape of one span for the /traces endpoint.
 type SpanView struct {
 	ID                uint64   `json:"id"`
-	TraceID           uint64   `json:"trace_id"`
-	ParentID          uint64   `json:"parent_id,omitempty"`
-	Kind              string   `json:"kind"`
 	Switch            uint64   `json:"switch"`
 	Flow              string   `json:"flow"`
 	Outcome           string   `json:"outcome"`
@@ -370,9 +297,6 @@ type SpanView struct {
 func (sp *Span) View() SpanView {
 	v := SpanView{
 		ID:                sp.ID,
-		TraceID:           sp.TraceID,
-		ParentID:          sp.ParentID,
-		Kind:              sp.Kind.String(),
 		Switch:            sp.Switch,
 		Flow:              sp.Key.String(),
 		Outcome:           sp.Outcome.String(),

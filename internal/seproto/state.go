@@ -169,9 +169,9 @@ type StateSync struct {
 
 // StateInstall is the controller → element handoff transfer. FromSE
 // names the departing holder (0 when unknown); HandoffID correlates the
-// ack. TraceID carries the controller's trace context for the handoff
-// (0 when tracing is off); the element echoes it in its STATE_ACK so
-// both legs of the transfer join the flow setup's causal tree.
+// ack. TraceID is the ID of the controller's setup span that triggered
+// the handoff (0 outside a setup); the element echoes it in its
+// STATE_ACK.
 type StateInstall struct {
 	HandoffID uint64
 	FromSE    uint64
@@ -180,7 +180,7 @@ type StateInstall struct {
 }
 
 // StateAck is the element → controller handoff confirmation. TraceID
-// echoes the install's trace context verbatim.
+// echoes the install's verbatim.
 type StateAck struct {
 	SEID      uint64
 	Cert      Cert

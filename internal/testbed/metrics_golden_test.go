@@ -73,7 +73,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_switch_table_full_rejects_total counter",
 		"# TYPE livesec_switch_table_misses_total counter",
 		"# TYPE livesec_switches gauge",
-		"# TYPE livesec_trace_child_spans_total counter",
 	}
 	got := typeLines(text)
 	if len(got) != len(want) {
