@@ -25,9 +25,6 @@ import (
 	"livesec/internal/openflow"
 )
 
-// Without SendBatch, SendAll silently degrades to one write per message.
-var _ openflow.Batcher = (*pumpedConn)(nil)
-
 // testDaemon is the daemon run() wires, accepting switches on an
 // ephemeral loopback port.
 type testDaemon struct {

@@ -206,8 +206,6 @@ type pumpedConn struct {
 	dpid uint64 // from the features reply relayed last; guarded by lk
 }
 
-func (c *pumpedConn) SendBatch(ms []openflow.Message) { openflow.SendAll(c.Conn, ms...) }
-
 func (c *pumpedConn) SetHandler(fn func(openflow.Message)) {
 	c.Conn.SetHandler(func(m openflow.Message) {
 		c.lk.do(func() {

@@ -18,12 +18,11 @@ type ChannelStats struct {
 // no allocation — so an idle Channel is invisible to the run.
 //
 // The drop/duplication filters are counter-based per direction, never
-// randomized, keeping chaos runs deterministic. Each filter can be
-// scoped to one OpenFlow message type (SetDropType/SetDupType): a
-// scoped filter counts only matching messages, so "drop every 3rd
-// packet-in" leaves echo traffic untouched. With both scopes at the
-// zero value ("any type") the original shared-counter behavior is
-// preserved exactly.
+// randomized, keeping chaos runs deterministic. Each filter has its own
+// counter and can be scoped to one OpenFlow message type
+// (SetDropType/SetDupType): a scoped filter counts only matching
+// messages, so "drop every 3rd packet-in" leaves echo traffic
+// untouched.
 type Channel struct {
 	inner   openflow.Conn
 	handler func(openflow.Message)
@@ -39,19 +38,14 @@ type Channel struct {
 	stats ChannelStats
 }
 
-// dirCounters hold one direction's filter positions: count backs the
-// unscoped shared filter, dropCount/dupCount count only messages
-// matching the respective type scope.
+// dirCounters hold one direction's filter positions: dropCount and
+// dupCount count the messages their filter's type scope matches.
 type dirCounters struct {
-	count     uint64
 	dropCount uint64
 	dupCount  uint64
 }
 
-var (
-	_ openflow.Conn    = (*Channel)(nil)
-	_ openflow.Batcher = (*Channel)(nil)
-)
+var _ openflow.Conn = (*Channel)(nil)
 
 // WrapConn interposes a Channel on conn and registers it with the
 // injector under the switch's dpid. Hand the returned Channel to the
@@ -78,8 +72,9 @@ func (ch *Channel) SetDropEvery(n int) { ch.dropEvery = n }
 func (ch *Channel) SetDupEvery(n int) { ch.dupEvery = n }
 
 // SetDropType scopes the drop filter to one message type; 0 (the
-// default) applies it to every message. Hello shares wire type 0 and
-// cannot be targeted alone.
+// default) applies it to, and counts, every message that reaches it
+// (a message the drop filter removes never reaches the duplication
+// filter). Hello shares wire type 0 and cannot be targeted alone.
 func (ch *Channel) SetDropType(t openflow.MsgType) { ch.dropType = t }
 
 // SetDupType scopes the duplication filter the same way.
@@ -98,23 +93,9 @@ func (ch *Channel) admit(m openflow.Message, d *dirCounters, dropped, duped *uin
 		*dropped++
 		return out
 	}
-	if ch.dropType == 0 && ch.dupType == 0 {
-		// Unscoped: one shared counter per direction (the original
-		// behavior, preserved exactly).
-		d.count++
-		if ch.dropEvery > 0 && d.count%uint64(ch.dropEvery) == 0 {
-			*dropped++
-			return out
-		}
-		out = append(out, m)
-		if ch.dupEvery > 0 && d.count%uint64(ch.dupEvery) == 0 {
-			*duped++
-			out = append(out, m)
-		}
-		return out
-	}
-	// Type-scoped: each filter advances only on messages it applies to,
-	// so "every Nth" means every Nth message of that type.
+	// Each filter advances only on messages it applies to, so "every
+	// Nth" means every Nth message of its type (of any type when
+	// unscoped).
 	t := m.Type()
 	if ch.dropEvery > 0 && (ch.dropType == 0 || t == ch.dropType) {
 		d.dropCount++
@@ -146,18 +127,18 @@ func (ch *Channel) Send(m openflow.Message) {
 	}
 }
 
-// SendBatch implements openflow.Batcher, preserving the one-write-per-
-// switch batching of the wrapped transport on the clean path.
+// SendBatch implements openflow.Conn, preserving the one-write-per-
+// switch batching of the wrapped transport.
 func (ch *Channel) SendBatch(ms []openflow.Message) {
 	if !ch.faulty() {
-		openflow.SendAll(ch.inner, ms...)
+		ch.inner.SendBatch(ms)
 		return
 	}
 	out := make([]openflow.Message, 0, len(ms)+1)
 	for _, m := range ms {
 		out = ch.admit(m, &ch.tx, &ch.stats.TxDropped, &ch.stats.TxDuplicated, out)
 	}
-	openflow.SendAll(ch.inner, out...)
+	ch.inner.SendBatch(out)
 }
 
 // SetHandler implements openflow.Conn.

@@ -15,6 +15,7 @@ type fakeConn struct {
 }
 
 func (f *fakeConn) Send(m openflow.Message)              { f.sent = append(f.sent, m) }
+func (f *fakeConn) SendBatch(ms []openflow.Message)      { f.sent = append(f.sent, ms...) }
 func (f *fakeConn) SetHandler(fn func(openflow.Message)) { f.handler = fn }
 func (f *fakeConn) Close() error                         { return nil }
 

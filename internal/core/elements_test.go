@@ -22,6 +22,7 @@ import (
 type sinkConn struct{ deliver func(openflow.Message) }
 
 func (c *sinkConn) Send(openflow.Message)                { /* discard */ }
+func (c *sinkConn) SendBatch([]openflow.Message)         { /* discard */ }
 func (c *sinkConn) SetHandler(fn func(openflow.Message)) { c.deliver = fn }
 func (c *sinkConn) Close() error                         { return nil }
 

@@ -102,16 +102,15 @@ func TestSimSendBatchSteadyStateAllocs(t *testing.T) {
 	n := 0
 	b.SetHandler(func(Message) { n++ })
 	batch := []Message{hotFlowMod(), hotFlowMod(), &BarrierRequest{XID: 1}}
-	send := a.(Batcher)
 	// Warm the pool.
 	for i := 0; i < 3; i++ {
-		send.SendBatch(batch)
+		a.SendBatch(batch)
 		if err := eng.Run(eng.Now() + 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		send.SendBatch(batch)
+		a.SendBatch(batch)
 		if err := eng.Run(eng.Now() + 1); err != nil {
 			t.Fatal(err)
 		}

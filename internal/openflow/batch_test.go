@@ -58,7 +58,7 @@ func TestSimSendBatchEquivalentToSends(t *testing.T) {
 		ms := []Message{&Hello{XID: 1}, &FlowMod{XID: 2}, &BarrierRequest{XID: 3}}
 		eng.Schedule(0, func() {
 			if batched {
-				a.(Batcher).SendBatch(ms)
+				a.SendBatch(ms)
 			} else {
 				for _, m := range ms {
 					a.Send(m)
@@ -89,32 +89,12 @@ func TestSimSendBatchClosedPeerDrops(t *testing.T) {
 	got := 0
 	b.SetHandler(func(Message) { got++ })
 	_ = b.Close()
-	eng.Schedule(0, func() { a.(Batcher).SendBatch([]Message{&Hello{}, &Hello{}}) })
+	eng.Schedule(0, func() { a.SendBatch([]Message{&Hello{}, &Hello{}}) })
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got != 0 {
 		t.Fatal("batch delivered to closed conn")
-	}
-}
-
-// SendAll falls back to per-message Send for conns without SendBatch.
-type sendOnlyConn struct {
-	Conn
-	sent []Message
-}
-
-func (c *sendOnlyConn) Send(m Message) { c.sent = append(c.sent, m) }
-
-func TestSendAllFallback(t *testing.T) {
-	c := &sendOnlyConn{}
-	SendAll(c, &Hello{XID: 1}, &BarrierRequest{XID: 2})
-	if len(c.sent) != 2 {
-		t.Fatalf("fallback sent %d messages, want 2", len(c.sent))
-	}
-	SendAll(c) // empty batch is a no-op
-	if len(c.sent) != 2 {
-		t.Fatal("empty SendAll sent something")
 	}
 }
 

@@ -16,6 +16,10 @@ import (
 type Conn interface {
 	// Send transmits a message to the peer.
 	Send(m Message)
+	// SendBatch transmits the messages back to back. They arrive in
+	// order, framed as a single stream write on the underlying
+	// transport. An empty batch is a no-op.
+	SendBatch(ms []Message)
 	// SetHandler registers the receive callback. It must be called before
 	// the first message arrives; messages delivered with no handler are
 	// dropped.
@@ -24,31 +28,8 @@ type Conn interface {
 	Close() error
 }
 
-// Batcher is an optional Conn capability: transmit several messages in
-// one transport write. Both built-in Conn implementations provide it;
-// use SendAll to fall back gracefully on ones that don't.
-type Batcher interface {
-	// SendBatch transmits the messages back to back. They arrive in
-	// order, framed as a single stream write on the underlying
-	// transport. An empty batch is a no-op.
-	SendBatch(ms []Message)
-}
-
-// SendAll transmits the messages through c, using one batched transport
-// write when c implements Batcher and falling back to per-message Send
-// otherwise.
-func SendAll(c Conn, ms ...Message) {
-	if len(ms) == 0 {
-		return
-	}
-	if b, ok := c.(Batcher); ok {
-		b.SendBatch(ms)
-		return
-	}
-	for _, m := range ms {
-		c.Send(m)
-	}
-}
+// SendAll transmits the messages through c in one batched write.
+func SendAll(c Conn, ms ...Message) { c.SendBatch(ms) }
 
 // bufPool recycles encode buffers across Send calls on both transports.
 // Safe because Decode copies every byte slice it retains.
