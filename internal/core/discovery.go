@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"livesec/internal/monitor"
 	"livesec/internal/netpkt"
@@ -93,19 +94,7 @@ func linkString(aDPID uint64, aPort uint32, bDPID uint64, bPort uint32) string {
 		uitoa(bDPID) + ":" + uitoa(uint64(bPort))
 }
 
-func uitoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
+func uitoa(v uint64) string { return strconv.FormatUint(v, 10) }
 
 // Links returns the discovered logical topology as (dpid, port, peer)
 // triples, one per direction.
