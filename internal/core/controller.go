@@ -12,10 +12,10 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"time"
 
-	"livesec/internal/flow"
 	"livesec/internal/intent"
 	"livesec/internal/loadbalance"
 	"livesec/internal/monitor"
@@ -286,8 +286,8 @@ type Controller struct {
 	// microflow-cache counters from OFPST_TABLE polling.
 	tableStats map[uint64]TableStats
 	// sessions tracks installed flows for live policy re-application;
-	// rules and chains intern what its entries name (sessions.go).
-	sessions map[flow.Key]sessionEntry
+	// rules and chains intern what its slots name (sessions.go).
+	sessions sessionStore
 	rules    interned[string]
 	chains   interned[[]uint64]
 	// discoverPending debounces join-triggered discovery rounds.
@@ -391,6 +391,7 @@ func New(cfg Config) *Controller {
 		cache:        newDecisionCache(),
 		fwMirror:     make(map[seproto.SessionKey]*fwMirrorEntry),
 		fwPending:    make(map[uint64]*fwHandoff),
+		sessions:     sessionStore{seed: maphash.MakeSeed()},
 		obs:          cfg.Obs,
 		ov: overloadState{
 			perSwitch:  make(map[uint64]int),

@@ -142,7 +142,7 @@ func (c *Controller) obsRegister() {
 		"Rules installed in the policy table.",
 		func() float64 { return float64(c.policies.Len()) })
 	r.GaugeFunc("livesec_sessions",
-		"Tracked flow sessions.", func() float64 { return float64(len(c.sessions)) })
+		"Tracked flow sessions.", func() float64 { return float64(c.sessions.pages.Len()) })
 	r.GaugeFunc("livesec_switches",
 		"Registered AS switches.", func() float64 { return float64(len(c.switches)) })
 	r.GaugeFunc("livesec_service_elements",

@@ -9,23 +9,95 @@ import (
 
 	"livesec/internal/flow"
 	"livesec/internal/netpkt"
+	"livesec/internal/openflow"
+	"livesec/internal/slots"
 )
 
-// A session entry is at most 40 bytes and holds no pointer: livesecd
-// keeps one per live session, and the collector never scans a map whose
-// keys and values are pointer-free.
+// A session slot, key included, is at most 72 bytes and holds no
+// pointer: livesecd keeps one per live session, and the collector never
+// scans pages of pointer-free slots.
 func TestSessionEntryCompact(t *testing.T) {
-	if got := unsafe.Sizeof(sessionEntry{}); got > 40 {
-		t.Errorf("sessionEntry is %d bytes, want at most 40", got)
+	if got := unsafe.Sizeof(sessionSlot{}); got > 72 {
+		t.Errorf("sessionSlot is %d bytes, want at most 72", got)
 	}
-	typ := reflect.TypeOf(sessionEntry{})
-	for i := range typ.NumField() {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Bool, reflect.Int64, reflect.Uint32, reflect.Uint64:
+	var check func(typ reflect.Type, name string)
+	check = func(typ reflect.Type, name string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				check(typ.Field(i).Type, name+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			check(typ.Elem(), name+"[]")
+		case reflect.Bool, reflect.Int64, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		default:
-			t.Errorf("sessionEntry.%s is a %s, want a number or a bool", f.Name, f.Type)
+			t.Errorf("%s is a %s, want a number or a bool", name, typ)
 		}
 	}
+	check(reflect.TypeOf(sessionSlot{}), "sessionSlot")
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// rememberDirect remembers n direct sessions, the i'th at switch dpid(i).
+func rememberDirect(c *Controller, n int, dpid func(i int) uint64) {
+	direct := &sessionPlan{}
+	for i := range n {
+		c.rememberSession(sessionKey(i), dpid(i), "allow-web", direct, false)
+	}
+}
+
+// 65,536 direct sessions, wire_miss's live set after its warm-up, retain
+// at most 96 heap bytes each: a 72-byte slot and its share of the index.
+// A Go map of the same records retained 176.
+func TestSessionRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes heap accounting")
+	}
+	const n = 1 << 16
+	c := newSetupRig(t, Config{}, []uint64{1}, nil, nil).c
+	h0 := heapAlloc()
+	rememberDirect(c, n, func(int) uint64 { return 1 })
+	perSession := float64(heapAlloc()-h0) / n
+	runtime.KeepAlive(c)
+	if perSession > 96 {
+		t.Fatalf("%.1f heap bytes retained per session, want at most 96", perSession)
+	}
+	t.Logf("%.1f heap bytes retained per session", perSession)
+}
+
+// A store that held 65,536 sessions, all retired by FLOW_REMOVED, keeps
+// at most its first page, and the live heap returns to within 64 KiB of
+// what it was before the fill: a Go map never frees its buckets.
+func TestDrainedSessionStoreGivesPagesBack(t *testing.T) {
+	const n = 1 << 16
+	r := newSetupRig(t, Config{}, []uint64{1}, nil, nil)
+	r.keep = false
+	c, st := r.c, r.c.switches[1]
+	h0 := heapAlloc()
+	rememberDirect(c, n, func(int) uint64 { return 1 })
+	if got := c.sessions.pages.Len(); got != n {
+		t.Fatalf("%d sessions live after the fill, want %d", got, n)
+	}
+	for i := range n {
+		c.handleFlowRemoved(st, &openflow.FlowRemoved{Match: flow.ExactMatch(sessionKey(i)),
+			Reason: openflow.RemovedIdleTimeout})
+	}
+	if got, size := c.sessions.pages.Len(), c.sessions.pages.Size(); got != 0 || size > slots.FirstPageSlots {
+		t.Fatalf("after the drain %d sessions live in %d slots, want 0 in at most %d", got, size, slots.FirstPageSlots)
+	}
+	retained := heapAlloc() - h0
+	runtime.KeepAlive(c)
+	if !raceEnabled && retained > 64<<10 {
+		t.Fatalf("the drained store retains %d heap bytes, want at most 64 KiB", retained)
+	}
+	t.Logf("the drained store retains %d heap bytes", retained)
 }
 
 // sessionKey is the i'th of 2²⁴ distinct forward-direction flows.
@@ -114,17 +186,9 @@ func BenchmarkSessionStore(b *testing.B) {
 	const n = 1 << 16
 	c := newSetupRig(b, Config{}, []uint64{1}, nil, nil).c
 	direct := &sessionPlan{}
-	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	h0 := heap()
-	for i := range n {
-		c.rememberSession(sessionKey(i), 1, "allow-web", direct, false)
-	}
-	retained := float64(heap()-h0) / n
+	h0 := heapAlloc()
+	rememberDirect(c, n, func(int) uint64 { return 1 })
+	retained := float64(heapAlloc()-h0) / n
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,4 +197,20 @@ func BenchmarkSessionStore(b *testing.B) {
 		c.forgetSession(key)
 	}
 	b.ReportMetric(retained, "retained-B/session")
+}
+
+// BenchmarkSessionsWhere times the walk a drain and ReapplyPolicies make:
+// sessionsWhere over 65,536 sessions on 32 switches, picking one
+// switch's.
+func BenchmarkSessionsWhere(b *testing.B) {
+	const n, dpids = 1 << 16, 32
+	c := newSetupRig(b, Config{}, []uint64{1}, nil, nil).c
+	rememberDirect(c, n, func(i int) uint64 { return uint64(1 + i%dpids) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := c.sessionsWhere(func(rec sessionRecord) bool { return rec.dpid == 7 }); len(got) != n/dpids {
+			b.Fatalf("picked %d sessions, want %d", len(got), n/dpids)
+		}
+	}
 }

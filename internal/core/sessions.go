@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"hash/maphash"
+	"slices"
 	"time"
 
 	"livesec/internal/flow"
@@ -9,6 +11,7 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/policy"
+	"livesec/internal/slots"
 )
 
 // Live policy re-application. The policy table is "pre-configured and
@@ -18,23 +21,61 @@ import (
 // enforced on existing traffic immediately, instead of waiting for idle
 // timeouts to trigger fresh packet-ins.
 
-// sessionEntry is what c.sessions holds per installed forward-direction
-// flow, keyed by the flow as seen at the ingress switch. It holds no
-// pointer, so the collector never scans the map: the admitting rule and
-// the element chain are IDs into the controller's intern tables.
-type sessionEntry struct {
-	dpid uint64 // ingress switch
-	seq  uint64 // install order, for deterministic iteration
-	// installedAt stamps the entry for Config.SessionTTL expiry (the
-	// FLOW_REMOVED that normally retires it can be lost under storms or
-	// chaos faults) and opens a fail-open session's violation window.
-	installedAt time.Duration
-	rule        uint32 // c.rules ID of the policy rule that admitted it
-	chain       uint32 // c.chains ID of the elements it is steered through
+// sessionSlot is one installed forward-direction flow in 72 bytes with
+// no pointer for the collector to scan: the admitting rule and the
+// element chain are IDs into the controller's intern tables.
+type sessionSlot struct {
+	key   flow.Key // as seen at the ingress switch
+	rule  uint32   // c.rules ID of the policy rule that admitted it
+	chain uint32   // c.chains ID of the elements it is steered through
 	// failOpen marks a chained session that is temporarily running
 	// uninspected because no element of its required service was
 	// reachable at setup time; forgetSession closes its window.
 	failOpen bool
+	dpid     uint64 // ingress switch
+	seq      uint64 // install order, for deterministic iteration; never 0
+	// installedAt stamps the slot for Config.SessionTTL expiry (the
+	// FLOW_REMOVED that normally retires it can be lost under storms or
+	// chaos faults) and opens a fail-open session's violation window.
+	installedAt time.Duration
+}
+
+// sessionStore holds the session slots in the store the flow table keeps
+// its exact entries in: slots.Pages, found through a slots.Index of a
+// seeded hash of the key. A free slot is zero. Under a quarter full it
+// refiles its slots in seq order, so a drained store gives its pages back.
+type sessionStore struct {
+	pages slots.Pages[sessionSlot]
+	index slots.Index
+	seed  maphash.Seed
+}
+
+// find returns key's slot, or nil.
+func (s *sessionStore) find(key flow.Key) (uint32, *sessionSlot) {
+	id, ok := s.index.Find(slots.KeyTag(s.seed, key), func(id uint32) bool { return s.pages.At(id).key == key })
+	if !ok {
+		return 0, nil
+	}
+	return id, s.pages.At(id)
+}
+
+// add files e, whose key the store does not hold.
+func (s *sessionStore) add(e sessionSlot) {
+	id, p := s.pages.New()
+	*p = e
+	s.index.Insert(slots.KeyTag(s.seed, e.key), id)
+}
+
+// remove frees slot id, refiling the store if that leaves it sparse.
+func (s *sessionStore) remove(id uint32) {
+	s.index.Remove(slots.KeyTag(s.seed, s.pages.At(id).key), id)
+	s.pages.Free(id)
+	if live, ok := s.pages.Drain(func(a, b sessionSlot) int { return cmp.Compare(a.seq, b.seq) }); ok {
+		s.index = slots.Index{}
+		for _, e := range live {
+			s.add(e)
+		}
+	}
 }
 
 // sessionRecord is the view of one session that sessionsWhere returns.
@@ -115,33 +156,36 @@ func (t *interned[V]) get(id uint32) (val V) {
 // rule admitted it, plan installed it, and failOpen marks a session
 // installed on the fail-open path.
 func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, plan *sessionPlan, failOpen bool) {
-	if c.sessions == nil {
-		c.sessions = make(map[flow.Key]sessionEntry)
-	}
 	c.sessionSeq++
 	// plan.via renders plan.seIDs one-to-one, so it keys the chain.
-	e := sessionEntry{dpid: dpid, seq: c.sessionSeq, installedAt: c.eng.Now(),
+	e := sessionSlot{key: key, dpid: dpid, seq: c.sessionSeq, installedAt: c.eng.Now(),
 		rule: c.rules.ref(rule, rule), chain: c.chains.ref(plan.via, plan.seIDs), failOpen: failOpen}
 	// Overwriting a record (e.g. a fail-open session re-steered after an
 	// element returned) closes its violation window.
 	c.forgetSession(key)
-	c.sessions[key] = e
+	c.sessions.add(e)
 }
 
 // sessionsWhere returns the live sessions pred selects, in install
-// order: everything that walks the session map to send messages or
-// record events goes through here, so runs reproduce bit-for-bit (map
-// iteration order is randomized in Go).
+// order: everything that walks the session store to send messages or
+// record events goes through here, so runs reproduce bit-for-bit (slot
+// order is reuse order, and a compaction changes it).
 func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecord {
 	var picked []sessionRecord
-	for key, e := range c.sessions {
-		rec := sessionRecord{key: key, dpid: e.dpid, rule: c.rules.get(e.rule), seq: e.seq,
-			seIDs: c.chains.get(e.chain), failOpen: e.failOpen, installedAt: e.installedAt}
-		if pred(rec) {
-			picked = append(picked, rec)
+	for _, pg := range c.sessions.pages.Pages() {
+		for i := range pg {
+			e := &pg[i]
+			if e.seq == 0 {
+				continue
+			}
+			rec := sessionRecord{key: e.key, dpid: e.dpid, rule: c.rules.get(e.rule), seq: e.seq,
+				seIDs: c.chains.get(e.chain), failOpen: e.failOpen, installedAt: e.installedAt}
+			if pred(rec) {
+				picked = append(picked, rec)
+			}
 		}
 	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i].seq < picked[j].seq })
+	slices.SortFunc(picked, func(a, b sessionRecord) int { return cmp.Compare(a.seq, b.seq) })
 	return picked
 }
 
@@ -151,7 +195,7 @@ func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecor
 // violation windows close through forgetSession as usual.
 func (c *Controller) expireSessions(now time.Duration) {
 	ttl := c.cfg.SessionTTL
-	if ttl <= 0 || len(c.sessions) == 0 {
+	if ttl <= 0 || c.sessions.pages.Len() == 0 {
 		return
 	}
 	for _, rec := range c.sessionsWhere(func(rec sessionRecord) bool { return now-rec.installedAt > ttl }) {
@@ -175,7 +219,7 @@ func (c *Controller) handleFlowRemoved(st *switchState, fr *openflow.FlowRemoved
 	if fr.Cookie == dropCookie || fr.Match.Wildcards != 0 {
 		return // drops and wildcard entries are no session's ingress entry
 	}
-	if rec, ok := c.sessions[fr.Match.Key]; ok && rec.dpid == st.dpid {
+	if _, e := c.sessions.find(fr.Match.Key); e != nil && e.dpid == st.dpid {
 		c.forgetSession(fr.Match.Key)
 	}
 }
@@ -184,8 +228,8 @@ func (c *Controller) handleFlowRemoved(st *switchState, fr *openflow.FlowRemoved
 // closing any open policy-violation window and releasing its interned
 // rule and chain.
 func (c *Controller) forgetSession(key flow.Key) {
-	e, ok := c.sessions[key]
-	if !ok {
+	id, e := c.sessions.find(key)
+	if e == nil {
 		return
 	}
 	if e.failOpen {
@@ -193,7 +237,7 @@ func (c *Controller) forgetSession(key flow.Key) {
 	}
 	c.rules.unref(e.rule)
 	c.chains.unref(e.chain)
-	delete(c.sessions, key)
+	c.sessions.remove(id)
 }
 
 // PolicyViolationTime returns the cumulative time flows have spent
@@ -202,9 +246,11 @@ func (c *Controller) forgetSession(key flow.Key) {
 func (c *Controller) PolicyViolationTime() time.Duration {
 	total := c.violationAccum
 	now := c.eng.Now()
-	for _, e := range c.sessions {
-		if e.failOpen {
-			total += now - e.installedAt
+	for _, pg := range c.sessions.pages.Pages() {
+		for i := range pg {
+			if e := &pg[i]; e.failOpen {
+				total += now - e.installedAt
+			}
 		}
 	}
 	return total

@@ -17,6 +17,7 @@ import (
 
 	"livesec/internal/flow"
 	"livesec/internal/openflow"
+	"livesec/internal/slots"
 )
 
 // Entry is one flow-table entry with its counters: what Add takes, and
@@ -42,7 +43,7 @@ type Entry struct {
 // slot holds an entry in 96 bytes with no pointer for the collector to
 // scan; acts names its action list. seq, assigned by Add and kept by an
 // in-place replacement, orders equal-priority ties as the linear reference
-// scan does, and what Delete and Expire remove.
+// scan does, and what Delete and Expire remove. A free slot is zero.
 type slot struct {
 	key        flow.Key
 	priority   uint16
@@ -54,7 +55,7 @@ type slot struct {
 	lastUsed   time.Duration
 	packets    uint64
 	bytes      uint64
-	seq        uint64 // in a free slot: the next free slot's ref
+	seq        uint64
 }
 
 // wildSlot is a wildcard entry: a slot and its wildcard mask.
@@ -63,7 +64,7 @@ type wildSlot struct {
 	mask flow.Wildcard
 }
 
-// ref names an installed entry: an exact slot's number, or wildRef with a
+// ref names an installed entry: an exact slot's ID, or wildRef with a
 // wildcard entry's ID. It is valid while the table's generation holds.
 type ref uint32
 
@@ -73,26 +74,19 @@ const (
 
 	wildRef ref = 1 << 31
 	noRef   ref = math.MaxUint32
-
-	// Exact slots live in pages that never move once full; the first page
-	// doubles from firstPageSlots, so a small table holds few slots.
-	pageSlots      = 1024
-	firstPageSlots = 8
 )
 
 // FlowTable is a priority-ordered OpenFlow table. Exact entries are slots
-// in pages, found through an open-addressed index of a per-table seeded
+// in a slots.Pages, found through a slots.Index of a per-table seeded
 // hash of the 12-tuple. Wildcard entries are wildSlots by ID, grouped in
 // buckets by mask and found by one map probe per bucket on the masked key
 // (flow.MaskedKey); buckets sort by their highest priority, so the scan
 // stops once no bucket can beat the candidate. What Delete, Expire and
 // Entries return is sorted by seq: nothing outside sees hash or slot order.
 type FlowTable struct {
-	pages  [][]slot
-	free   ref // first free exact slot, chained through seq; noRef if none
-	nExact int
-	exact  index // keyHash tag → exact slot
-	seed   maphash.Seed
+	pages slots.Pages[slot]
+	exact slots.Index // key tag → exact slot
+	seed  maphash.Seed
 
 	wild      []wildSlot // by ID; a free ID's slot is not live
 	wildcards []uint32   // live wildcard IDs by Priority descending, seq ascending
@@ -135,24 +129,7 @@ func (s *slot) deadline() time.Duration {
 	return d
 }
 
-// keyHash is the exact index's hash: maphash over a fixed 34-byte
-// encoding of the 12-tuple. Tests replace it to force collisions.
-var keyHash = func(seed maphash.Seed, k flow.Key) uint64 {
-	var b [34]byte
-	binary.LittleEndian.PutUint32(b[0:], k.InPort)
-	copy(b[4:10], k.EthSrc[:])
-	copy(b[10:16], k.EthDst[:])
-	binary.LittleEndian.PutUint16(b[16:], k.VLAN)
-	binary.LittleEndian.PutUint16(b[18:], uint16(k.EthType))
-	copy(b[20:24], k.IPSrc[:])
-	copy(b[24:28], k.IPDst[:])
-	b[28], b[29] = uint8(k.IPProto), k.IPTOS
-	binary.LittleEndian.PutUint16(b[30:], k.SrcPort)
-	binary.LittleEndian.PutUint16(b[32:], k.DstPort)
-	return maphash.Bytes(seed, b[:])
-}
-
-func (t *FlowTable) keyTag(k flow.Key) uint32 { return uint32(keyHash(t.seed, k) >> 32) }
+func (t *FlowTable) keyTag(k flow.Key) uint32 { return slots.KeyTag(t.seed, k) }
 
 // Gen returns the table's mutation generation. It changes whenever a
 // Lookup result may have changed.
@@ -170,7 +147,6 @@ type maskBucket struct {
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
 	return &FlowTable{
-		free:    noRef,
 		seed:    maphash.MakeSeed(),
 		nextDue: never,
 		buckets: make(map[flow.Wildcard]*maskBucket),
@@ -179,9 +155,9 @@ func NewFlowTable() *FlowTable {
 }
 
 // Len returns the number of installed entries.
-func (t *FlowTable) Len() int { return t.nExact + len(t.wildcards) }
+func (t *FlowTable) Len() int { return t.pages.Len() + len(t.wildcards) }
 
-func (t *FlowTable) slotAt(r ref) *slot { return &t.pages[r/pageSlots][r%pageSlots] }
+func (t *FlowTable) slotAt(r ref) *slot { return t.pages.At(uint32(r)) }
 
 // slotOf returns the slot r names and its wildcard mask.
 func (t *FlowTable) slotOf(r ref) (*slot, flow.Wildcard) {
@@ -203,36 +179,16 @@ func (t *FlowTable) view(s *slot, mask flow.Wildcard) Entry {
 	}
 }
 
-// newSlot takes a free exact slot, or a new one at the end of the store.
-func (t *FlowTable) newSlot() ref {
-	if r := t.free; r != noRef {
-		t.free = ref(t.slotAt(r).seq)
-		return r
-	}
-	n := len(t.pages)
-	if n == 0 || len(t.pages[n-1]) == pageSlots {
-		t.pages = append(t.pages, make([]slot, 0, min(pageSlots, firstPageSlots+n*pageSlots))) // page 0 starts small
-		n++
-	}
-	pg := t.pages[n-1]
-	if len(pg) == cap(pg) { // only the first page grows
-		pg = append(make([]slot, 0, 2*cap(pg)), pg...)
-	}
-	t.pages[n-1] = pg[:len(pg)+1]
-	return ref((n-1)*pageSlots + len(pg))
-}
-
 // addExact files s in a new exact slot.
 func (t *FlowTable) addExact(s slot) {
-	r := t.newSlot()
-	*t.slotAt(r) = s
-	t.exact.insert(t.keyTag(s.key), uint32(r))
-	t.nExact++
+	id, p := t.pages.New()
+	*p = s
+	t.exact.Insert(t.keyTag(s.key), id)
 }
 
 // exactRef returns the exact slot holding k, or noRef.
 func (t *FlowTable) exactRef(k flow.Key) ref {
-	if id, ok := t.exact.find(t.keyTag(k), func(id uint32) bool { return t.slotAt(ref(id)).key == k }); ok {
+	if id, ok := t.exact.Find(t.keyTag(k), func(id uint32) bool { return t.pages.At(id).key == k }); ok {
 		return ref(id)
 	}
 	return noRef
@@ -241,10 +197,9 @@ func (t *FlowTable) exactRef(k flow.Key) ref {
 // removeExact frees exact slot r.
 func (t *FlowTable) removeExact(r ref) {
 	s := t.slotAt(r)
-	t.exact.remove(t.keyTag(s.key), uint32(r))
+	t.exact.Remove(t.keyTag(s.key), uint32(r))
 	t.acts.release(s.acts)
-	*s, t.free = slot{seq: uint64(t.free)}, r
-	t.nExact--
+	t.pages.Free(uint32(r))
 }
 
 // wildIndex returns the position in wildcards of the entry m at priority.
@@ -437,10 +392,10 @@ func (t *FlowTable) sweep(key *flow.Key, dead func(s *slot, mask flow.Wildcard) 
 			t.removeExact(r)
 		}
 	} else {
-		for p, pg := range t.pages {
+		for p, pg := range t.pages.Pages() {
 			for i := range pg {
 				if s := &pg[i]; s.flags&slotLive != 0 && dead(s, 0) {
-					t.removeExact(ref(p*pageSlots + i))
+					t.removeExact(ref(p*slots.PageSlots + i))
 				}
 			}
 		}
@@ -466,23 +421,11 @@ func (t *FlowTable) sweep(key *flow.Key, dead func(s *slot, mask flow.Wildcard) 
 // compact refiles a store under a quarter full in seq order, so a drained
 // table gives its pages back. Refs change, but only a removal gets here.
 func (t *FlowTable) compact() {
-	size := 0 // slots handed out: every page but the last is full
-	if n := len(t.pages); n > 0 {
-		size = (n-1)*pageSlots + len(t.pages[n-1])
-	}
-	if size <= firstPageSlots || t.nExact*4 >= size {
+	live, ok := t.pages.Drain(func(a, b slot) int { return cmp.Compare(a.seq, b.seq) })
+	if !ok {
 		return
 	}
-	live := make([]slot, 0, t.nExact)
-	for _, pg := range t.pages {
-		for i := range pg {
-			if pg[i].flags&slotLive != 0 {
-				live = append(live, pg[i])
-			}
-		}
-	}
-	slices.SortFunc(live, func(a, b slot) int { return cmp.Compare(a.seq, b.seq) })
-	t.pages, t.free, t.exact, t.nExact = nil, noRef, index{}, 0
+	t.exact = slots.Index{}
 	for _, s := range live {
 		t.addExact(s)
 	}
@@ -550,7 +493,7 @@ func (t *FlowTable) Entries() []Entry {
 		out = append(out, t.view(s, mask))
 		return false
 	})
-	slices.SortFunc(out[:t.nExact], func(a, b Entry) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(out[:t.pages.Len()], func(a, b Entry) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -561,7 +504,7 @@ type actionLists struct {
 	lists [][]openflow.Action // by ID; nil while the ID is free
 	refs  []uint32            // entries naming each ID
 	free  []uint32
-	index index
+	index slots.Index
 }
 
 // intern returns the ID of a list equal to l, adopting l as that list if
@@ -571,7 +514,7 @@ func (a *actionLists) intern(l []openflow.Action) uint32 {
 		return 0
 	}
 	tag := hashActions(l)
-	if id, ok := a.index.find(tag, func(id uint32) bool { return slices.Equal(a.lists[id], l) }); ok {
+	if id, ok := a.index.Find(tag, func(id uint32) bool { return slices.Equal(a.lists[id], l) }); ok {
 		a.refs[id]++
 		return id
 	}
@@ -582,7 +525,7 @@ func (a *actionLists) intern(l []openflow.Action) uint32 {
 		a.lists, a.refs = append(a.lists, nil), append(a.refs, 0)
 	}
 	a.lists[id], a.refs[id] = l, 1
-	a.index.insert(tag, id)
+	a.index.Insert(tag, id)
 	return id
 }
 
@@ -594,7 +537,7 @@ func (a *actionLists) release(id uint32) {
 	if a.refs[id]--; a.refs[id] > 0 {
 		return
 	}
-	a.index.remove(hashActions(a.lists[id]), id)
+	a.index.Remove(hashActions(a.lists[id]), id)
 	a.lists[id] = nil
 	a.free = append(a.free, id)
 }
@@ -617,61 +560,4 @@ func hashActions(l []openflow.Action) uint32 {
 		h = (h ^ v) * 0x9e3779b97f4a7c15
 	}
 	return uint32(h >> 32)
-}
-
-// index is an open-addressed hash index of words tag<<32 | ID+1 (0 is
-// empty), probed forward from word tag mod len(words). A removal shifts the
-// rest of its run back, so there are no tombstones; it doubles past 7/8.
-type index struct {
-	words []uint64
-	n     int
-}
-
-// find returns the ID filed under tag that eq accepts, or false.
-func (x *index) find(tag uint32, eq func(id uint32) bool) (uint32, bool) {
-	mask := len(x.words) - 1
-	for i := int(tag) & mask; mask > 0 && x.words[i] != 0; i = (i + 1) & mask {
-		if w := x.words[i]; uint32(w>>32) == tag && eq(uint32(w)-1) {
-			return uint32(w) - 1, true
-		}
-	}
-	return 0, false
-}
-
-func (x *index) insert(tag, id uint32) {
-	if (x.n+1)*8 > len(x.words)*7 {
-		old := x.words
-		x.words, x.n = make([]uint64, max(16, 2*len(old))), 0
-		for _, w := range old {
-			if w != 0 {
-				x.insert(uint32(w>>32), uint32(w)-1)
-			}
-		}
-	}
-	mask := len(x.words) - 1
-	i := int(tag) & mask
-	for x.words[i] != 0 {
-		i = (i + 1) & mask
-	}
-	x.words[i] = uint64(tag)<<32 | uint64(id+1)
-	x.n++
-}
-
-// remove takes id, filed under tag, out of the index and moves back each
-// later word of the run whose home is not between the hole and it
-// (Knuth's algorithm R).
-func (x *index) remove(tag, id uint32) {
-	mask, w := len(x.words)-1, uint64(tag)<<32|uint64(id+1)
-	i := int(tag) & mask
-	for x.words[i] != w {
-		i = (i + 1) & mask
-	}
-	x.words[i] = 0
-	for j := (i + 1) & mask; x.words[j] != 0; j = (j + 1) & mask {
-		if home := int(x.words[j]>>32) & mask; (j-home)&mask >= (j-i)&mask {
-			x.words[i], x.words[j] = x.words[j], 0
-			i = j
-		}
-	}
-	x.n--
 }

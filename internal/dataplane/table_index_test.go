@@ -35,7 +35,7 @@ func randKey(r *rand.Rand) flow.Key {
 // by hash, so an entry filed under the wrong hash still counts here.
 func (t *FlowTable) lookupLinear(k flow.Key) (Entry, bool) {
 	var best *slot
-	for _, pg := range t.pages {
+	for _, pg := range t.pages.Pages() {
 		for i := range pg {
 			if s := &pg[i]; s.flags&slotLive != 0 && s.key == k {
 				best = s

@@ -13,37 +13,26 @@ import (
 	"livesec/internal/flow"
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
+	"livesec/internal/slots"
 )
-
-// longestRun is the longest run of occupied words in x, wrapping around.
-func longestRun(x *index) int {
-	run, longest := 0, 0
-	for i := 0; i < 2*len(x.words); i++ {
-		if x.words[i%len(x.words)] == 0 {
-			run = 0
-		} else if run++; run > longest {
-			longest = run
-		}
-	}
-	return min(longest, x.n)
-}
 
 // The table's properties hold when every exact key hashes alike, so that
 // all exact entries of a table share one home word and file in one probe
-// run: lookups, adds, replacements, backward-shift deletions and expiry
-// then all pass through the collision path.
+// run (slots' TestIndexCollidingTagsOneRun): lookups, adds, replacements,
+// backward-shift deletions and expiry then all pass through the collision
+// path.
 func TestPropertiesUnderCollidingHash(t *testing.T) {
-	saved := keyHash
-	keyHash = func(maphash.Seed, flow.Key) uint64 { return 7 }
-	t.Cleanup(func() { keyHash = saved })
+	saved := slots.KeyHash
+	slots.KeyHash = func(maphash.Seed, flow.Key) uint64 { return 7 }
+	t.Cleanup(func() { slots.KeyHash = saved })
 
 	tbl := NewFlowTable()
 	for i := 0; i < 20; i++ {
 		tbl.Add(Entry{Match: flow.ExactMatch(exactKey(uint16(i)))}, 0)
 	}
 	tbl.Delete(flow.ExactMatch(exactKey(3)), 0, true)
-	if got := longestRun(&tbl.exact); got != 19 || tbl.Len() != 19 {
-		t.Fatalf("constant hash: longest probe run %d for %d entries, want one run of 19", got, tbl.Len())
+	if tbl.keyTag(exactKey(1)) != tbl.keyTag(exactKey(2)) || tbl.Len() != 19 {
+		t.Fatalf("constant hash: %d entries, distinct keys under distinct tags; want 19 under one", tbl.Len())
 	}
 	t.Run("IndexedLookupMatchesLinear", TestPropertyIndexedLookupMatchesLinear)
 	t.Run("ExpireExact", TestPropertyExpireExact)
@@ -125,8 +114,8 @@ func hasPointers(typ reflect.Type) bool {
 
 // footprint is the bytes t holds in exact slots and the exact index.
 func footprint(t *FlowTable) int {
-	n := len(t.exact.words) * 8
-	for _, pg := range t.pages {
+	n := t.exact.Bytes()
+	for _, pg := range t.pages.Pages() {
 		n += cap(pg) * int(unsafe.Sizeof(slot{}))
 	}
 	return n
@@ -213,10 +202,10 @@ func TestDrainedTableCompacts(t *testing.T) {
 	}
 	t.Logf("the drained table retains %d bytes", retained)
 	var last uint64
-	for p, pg := range tbl.pages {
+	for p, pg := range tbl.pages.Pages() {
 		for i := range pg {
 			if s := &pg[i]; s.flags&slotLive == 0 || (p|i != 0 && s.seq <= last) {
-				t.Fatalf("slot %d: live %v, seq %d after %d: the store is not compacted in seq order", p*pageSlots+i, s.flags&slotLive != 0, s.seq, last)
+				t.Fatalf("slot %d: live %v, seq %d after %d: the store is not compacted in seq order", p*slots.PageSlots+i, s.flags&slotLive != 0, s.seq, last)
 			}
 			last = pg[i].seq
 		}
@@ -255,8 +244,8 @@ func TestSharedActionsBounded(t *testing.T) {
 				}
 			}
 		}
-		if live != len(named) || tbl.acts.index.n != live {
-			t.Fatalf("step %d: %d lists held, %d indexed, live entries name %d", step, live, tbl.acts.index.n, len(named))
+		if live != len(named) || tbl.acts.index.Len() != live {
+			t.Fatalf("step %d: %d lists held, %d indexed, live entries name %d", step, live, tbl.acts.index.Len(), len(named))
 		}
 	}
 	for step := 0; step < 40_000; step++ {
