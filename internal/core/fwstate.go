@@ -174,17 +174,9 @@ func (c *Controller) fwSendInstall(key flow.Key, sk seproto.SessionKey, ent *fwM
 	}
 	c.fwNextHandoff++
 	hid := c.fwNextHandoff
-	// fwMaybeHandoff runs while the triggering setup's span is open, so
-	// the STATE_INSTALL carries that span's ID for the element to echo
-	// back in its STATE_ACK.
-	var traceID uint64
-	if c.curSpan != nil {
-		traceID = c.curSpan.ID
-	}
 	payload := seproto.MarshalStateInstall(&seproto.StateInstall{
 		HandoffID: hid,
 		FromSE:    ent.holder,
-		TraceID:   traceID,
 		States:    []seproto.SessionState{ent.state},
 	})
 	pkt := netpkt.NewUDP(service.ControllerMAC, target.mac,

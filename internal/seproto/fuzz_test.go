@@ -31,6 +31,8 @@ func FuzzParseStateHandoff(f *testing.F) {
 	f.Add(MarshalStateInstall(&StateInstall{HandoffID: 8, FromSE: 3, States: states}))
 	f.Add(MarshalStateInstall(&StateInstall{HandoffID: 1}))
 	f.Add(MarshalStateAck(&StateAck{SEID: 4, HandoffID: 8, Installed: 2}))
+	f.Add(MarshalStateInstall(&StateInstall{HandoffID: 8, FromSE: 3})[:6+15])
+	f.Add(append(MarshalStateAck(&StateAck{SEID: 4, HandoffID: 8, Installed: 2}), make([]byte, 8)...))
 	f.Add([]byte{})
 	f.Add([]byte{'L', 'S', 'E', 'C', Version, byte(KindStateSync)})
 	f.Add([]byte{'L', 'S', 'E', 'C', 99, byte(KindStateAck)})

@@ -169,24 +169,19 @@ type StateSync struct {
 
 // StateInstall is the controller → element handoff transfer. FromSE
 // names the departing holder (0 when unknown); HandoffID correlates the
-// ack. TraceID is the ID of the controller's setup span that triggered
-// the handoff (0 outside a setup); the element echoes it in its
-// STATE_ACK.
+// ack.
 type StateInstall struct {
 	HandoffID uint64
 	FromSE    uint64
-	TraceID   uint64
 	States    []SessionState
 }
 
-// StateAck is the element → controller handoff confirmation. TraceID
-// echoes the install's verbatim.
+// StateAck is the element → controller handoff confirmation.
 type StateAck struct {
 	SEID      uint64
 	Cert      Cert
 	HandoffID uint64
 	Installed uint16
-	TraceID   uint64
 }
 
 // Errors specific to the state-handoff codec.
@@ -289,26 +284,23 @@ func MarshalStateSync(m *StateSync) []byte {
 
 // MarshalStateInstall encodes a STATE_INSTALL message into a UDP payload.
 func MarshalStateInstall(m *StateInstall) []byte {
-	b := make([]byte, 0, 6+8+8+8+2+len(m.States)*sessionStateLen)
+	b := make([]byte, 0, 6+8+8+2+len(m.States)*sessionStateLen)
 	b = append(b, Magic[:]...)
 	b = append(b, Version, byte(KindStateInstall))
 	b = binary.BigEndian.AppendUint64(b, m.HandoffID)
 	b = binary.BigEndian.AppendUint64(b, m.FromSE)
-	b = binary.BigEndian.AppendUint64(b, m.TraceID)
 	return appendStateList(b, m.States)
 }
 
 // MarshalStateAck encodes a STATE_ACK message into a UDP payload.
 func MarshalStateAck(m *StateAck) []byte {
-	b := make([]byte, 0, 6+8+CertLen+8+2+8)
+	b := make([]byte, 0, 6+8+CertLen+8+2)
 	b = append(b, Magic[:]...)
 	b = append(b, Version, byte(KindStateAck))
 	b = binary.BigEndian.AppendUint64(b, m.SEID)
 	b = append(b, m.Cert[:]...)
 	b = binary.BigEndian.AppendUint64(b, m.HandoffID)
-	b = binary.BigEndian.AppendUint16(b, m.Installed)
-	b = binary.BigEndian.AppendUint64(b, m.TraceID)
-	return b
+	return binary.BigEndian.AppendUint16(b, m.Installed)
 }
 
 func parseStateSync(body []byte) (*StateSync, error) {
@@ -326,15 +318,14 @@ func parseStateSync(body []byte) (*StateSync, error) {
 }
 
 func parseStateInstall(body []byte) (*StateInstall, error) {
-	if len(body) < 24 {
+	if len(body) < 16 {
 		return nil, ErrTruncated
 	}
 	m := &StateInstall{
 		HandoffID: binary.BigEndian.Uint64(body[0:8]),
 		FromSE:    binary.BigEndian.Uint64(body[8:16]),
-		TraceID:   binary.BigEndian.Uint64(body[16:24]),
 	}
-	states, err := decodeStateList(body[24:])
+	states, err := decodeStateList(body[16:])
 	if err != nil {
 		return nil, err
 	}
@@ -343,13 +334,12 @@ func parseStateInstall(body []byte) (*StateInstall, error) {
 }
 
 func parseStateAck(body []byte) (*StateAck, error) {
-	if len(body) != 8+CertLen+8+2+8 {
+	if len(body) != 8+CertLen+8+2 {
 		return nil, ErrTruncated
 	}
 	m := &StateAck{SEID: binary.BigEndian.Uint64(body[0:8])}
 	copy(m.Cert[:], body[8:8+CertLen])
 	m.HandoffID = binary.BigEndian.Uint64(body[8+CertLen : 8+CertLen+8])
 	m.Installed = binary.BigEndian.Uint16(body[8+CertLen+8:])
-	m.TraceID = binary.BigEndian.Uint64(body[8+CertLen+8+2:])
 	return m, nil
 }

@@ -73,6 +73,19 @@ func TestStateAckRoundTrip(t *testing.T) {
 	}
 }
 
+// The handoff messages carry only what their peer reads: an install is
+// the header, handoff and source IDs and the state list; an ack is the
+// header, the element's ID and certificate, the handoff ID and a count.
+func TestStateHandoffWireSizes(t *testing.T) {
+	if got, want := len(MarshalStateInstall(&StateInstall{HandoffID: 1, FromSE: 2, States: sampleStates()})),
+		6+8+8+2+len(sampleStates())*sessionStateLen; got != want {
+		t.Errorf("STATE_INSTALL is %d bytes, want %d", got, want)
+	}
+	if got, want := len(MarshalStateAck(&StateAck{SEID: 1, HandoffID: 2, Installed: 3})), 6+8+CertLen+8+2; got != want {
+		t.Errorf("STATE_ACK is %d bytes, want %d", got, want)
+	}
+}
+
 func TestStateDecodeRejectsBadEncodings(t *testing.T) {
 	m := &StateSync{SEID: 7, States: sampleStates()}
 	good := MarshalStateSync(m)
@@ -96,10 +109,13 @@ func TestStateDecodeRejectsBadEncodings(t *testing.T) {
 		t.Fatalf("invalid flags: %v, want ErrBadState", err)
 	}
 
-	// An ack must be exactly sized.
+	// An ack must be exactly sized, and an install must hold its two IDs.
 	ack := MarshalStateAck(&StateAck{SEID: 1})
 	if _, err := Parse(append(ack, 0)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("oversized ack: %v, want ErrTruncated", err)
+	}
+	if _, err := Parse(MarshalStateInstall(&StateInstall{HandoffID: 1})[:6+15]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("install cut inside its IDs: %v, want ErrTruncated", err)
 	}
 }
 

@@ -356,7 +356,6 @@ func (e *Element) handleControl(pkt *netpkt.Packet) {
 	e.sendToController(seproto.MarshalStateAck(&seproto.StateAck{
 		SEID: e.cfg.ID, Cert: e.cfg.Cert,
 		HandoffID: m.HandoffID, Installed: uint16(installed),
-		TraceID: m.TraceID,
 	}))
 }
 
