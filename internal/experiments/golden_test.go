@@ -25,7 +25,7 @@ var suiteGolden = map[string]string{
 	"E8":  "65ab3be56685782f/3",
 	"E9":  "04f2a800278d5caf/2",
 	"E10": "a492477025ab35a2/1",
-	"E12": "bc8fba97d1976e4d/4",
+	"E12": "5e136471291450ec/4",
 	"E13": "b262d02db191a1e2/1",
 	"A1":  "b8634ced341684d7/2",
 	"A2":  "3bf77cdba1360519/1",
