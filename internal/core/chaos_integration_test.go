@@ -291,13 +291,13 @@ func TestSECrashFailOpenDeliversAndAccounts(t *testing.T) {
 	}
 }
 
-// TestSessionTTLExpiryRacesBreakerHalfOpen covers the interaction of
-// the two session-retirement paths with the breaker lifecycle: sessions
-// live at a wedge-induced trip are drained (exactly once, counted as
-// drained — not expired), the half-open probe re-creates a session
-// whose TTL then expires it, and the expired record is not resurrected
-// by the breaker closing or by in-dataplane packets of the same flow.
-func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
+// TestBreakerDrainFailClosedHalfOpen covers the sessions of a breaker's
+// lifecycle: sessions live at a wedge-induced trip are drained exactly
+// once, a matched flow is blocked while the breaker is open, and the
+// half-open probe re-creates a session that the closed breaker leaves
+// alone — neither drained again nor duplicated by in-dataplane packets
+// of the same flow.
+func TestBreakerDrainFailClosedHalfOpen(t *testing.T) {
 	pt := policy.NewTable(policy.Allow)
 	if err := pt.Add(&policy.Rule{
 		Name: "inspect-web", Priority: 10,
@@ -310,7 +310,7 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 		Chaos:    true,
 		Monitor:  true,
 		Policies: pt,
-		Config:   core.Config{SessionTTL: 3 * time.Second, FlowIdle: time.Minute},
+		Config:   core.Config{FlowIdle: time.Minute},
 	})
 	s1 := n.AddOvS("ovs1")
 	s2 := n.AddOvS("ovs2")
@@ -397,8 +397,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 		t.Fatalf("live sessions after probe = %d, want 1", liveSessions(n))
 	}
 
-	// The probe session's TTL elapses while the breaker sits closed; the
-	// record expires exactly once and only via the TTL path.
+	// The breaker sits closed for several report windows; the probe
+	// session is not drained.
 	if err := n.Run(4 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -406,13 +406,13 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if st.SessionsDrained != 3 {
 		t.Fatalf("SessionsDrained grew to %d after the trip", st.SessionsDrained)
 	}
-	if liveSessions(n) != 0 {
-		t.Fatalf("expired session still tracked: %d", liveSessions(n))
+	if liveSessions(n) != 1 {
+		t.Fatalf("probe session not tracked while its entries live: %d", liveSessions(n))
 	}
 
-	// Not resurrected: the probe flow's dataplane entries outlive the
-	// record (FlowIdle is a minute), so another packet of the same flow
-	// delivers without a packet-in and without re-creating the record.
+	// The probe flow's dataplane entries live (FlowIdle is a minute), so
+	// another packet of the same flow delivers without a packet-in and
+	// without a second record.
 	a.SendTCP(serverIP, 50003, 80, []byte("in-dataplane"), 0)
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -420,8 +420,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if delivered != 3 {
 		t.Fatalf("in-dataplane packet lost: delivered = %d", delivered)
 	}
-	if liveSessions(n) != 0 {
-		t.Fatalf("expired session resurrected: %d", liveSessions(n))
+	if liveSessions(n) != 1 {
+		t.Fatalf("in-dataplane packet changed the session count: %d", liveSessions(n))
 	}
 
 	// A genuinely new flow still sets up through the closed breaker.
@@ -429,8 +429,8 @@ func TestSessionTTLExpiryRacesBreakerHalfOpen(t *testing.T) {
 	if err := n.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 4 || liveSessions(n) != 1 {
-		t.Fatalf("post-expiry setup: delivered=%d sessions=%d, want 4/1",
+	if delivered != 4 || liveSessions(n) != 2 {
+		t.Fatalf("post-close setup: delivered=%d sessions=%d, want 4/2",
 			delivered, liveSessions(n))
 	}
 	if st := n.Controller.Stats(); st.BreakerTrips != 1 || st.BreakerCloses != 1 {

@@ -165,7 +165,7 @@ func (c *Controller) learnHost(st *switchState, port uint32, mac netpkt.MAC, ip 
 		if moved {
 			// Mobility: stale entries across the network reference the
 			// old attachment; purge them so sessions re-establish here.
-			// Invalidation trigger 2 (cache.go): cached plans route to the
+			// Invalidation trigger 1 (cache.go): cached plans route to the
 			// old attachment point.
 			c.purgeHostFlows(mac)
 			c.cache.invalidateHost(mac)

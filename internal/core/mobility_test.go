@@ -63,7 +63,7 @@ func TestHostMobilityTrafficFollows(t *testing.T) {
 // A moved host's old session is forgotten once purgeHostFlows deletes
 // its old ingress entry: the FLOW_REMOVED comes from the switch the
 // session's record names, although the host is elsewhere by then. The
-// record is not left for a recurring key or SessionTTL to retire.
+// record is not left for a recurring key to retire.
 func TestHostMobilityForgetsOldSession(t *testing.T) {
 	n, a, b := twoSwitchNet(t, testbed.Options{})
 	defer n.Shutdown()

@@ -77,12 +77,6 @@ func (c *Controller) obsRegister() {
 	r.CounterFunc("livesec_suppress_rules_total",
 		"Dataplane suppression entries installed against shedding sources.",
 		ctr(&c.stats.SuppressRules))
-	r.CounterFunc("livesec_decision_cache_total",
-		"Policy decision cache lookups by result.",
-		ctr(&c.stats.DecisionCacheHits), obs.L("result", "hit"))
-	r.CounterFunc("livesec_decision_cache_total",
-		"Policy decision cache lookups by result.",
-		ctr(&c.stats.DecisionCacheMisses), obs.L("result", "miss"))
 	r.CounterFunc("livesec_plan_cache_total",
 		"Install-plan cache lookups by result.",
 		ctr(&c.stats.PlanCacheHits), obs.L("result", "hit"))
@@ -91,16 +85,7 @@ func (c *Controller) obsRegister() {
 		ctr(&c.stats.PlanCacheMisses), obs.L("result", "miss"))
 	r.GaugeFunc("livesec_cache_entries",
 		"Flow-setup cache entries by level.",
-		func() float64 { d, _ := c.CacheStats(); return float64(d) }, obs.L("level", "decision"))
-	r.GaugeFunc("livesec_cache_entries",
-		"Flow-setup cache entries by level.",
-		func() float64 { _, p := c.CacheStats(); return float64(p) }, obs.L("level", "plan"))
-	r.CounterFunc("livesec_policy_cache_invalidation_total",
-		"Stale decision-cache entries checked against rule-delta cones, by fate (precise invalidation only).",
-		ctr(&c.stats.PolicyCacheEvicted), obs.L("fate", "evicted"))
-	r.CounterFunc("livesec_policy_cache_invalidation_total",
-		"Stale decision-cache entries checked against rule-delta cones, by fate (precise invalidation only).",
-		ctr(&c.stats.PolicyCacheRetained), obs.L("fate", "retained"))
+		func() float64 { return float64(len(c.cache.plans)) }, obs.L("level", "plan"))
 	r.CounterFunc("livesec_breaker_total",
 		"Service-element circuit-breaker events.",
 		ctr(&c.stats.BreakerTrips), obs.L("event", "trip"))

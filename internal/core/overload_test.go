@@ -151,34 +151,6 @@ func TestShedCountsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSessionTTLExpiresRecords covers the session-state bound: records
-// whose FLOW_REMOVED never arrives (storms, chaos drops) are reclaimed
-// on the sim clock, shrinking the map.
-func TestSessionTTLExpiresRecords(t *testing.T) {
-	n, a, b := twoSwitchNet(t, testbed.Options{Config: core.Config{
-		FlowIdle:   time.Minute, // flow entries outlive the whole test
-		SessionTTL: 2 * time.Second,
-	}})
-	defer n.Shutdown()
-	b.HandleUDP(9000, func(*netpkt.Packet) {})
-	for i := 0; i < 5; i++ {
-		a.SendUDP(serverIP, uint16(6000+i), 9000, []byte("x"), 0)
-	}
-	if err := n.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := liveSessions(n); got != 5 {
-		t.Fatalf("setup: sessions=%d, want 5", got)
-	}
-	// Past the TTL plus a housekeeping sweep: the map must shrink.
-	if err := n.Run(4 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := liveSessions(n); got != 0 {
-		t.Fatalf("sessions survived the TTL: %d", got)
-	}
-}
-
 // breakerNet builds a chaos deployment with two IDS elements
 // behind a TCP:80 chain policy and breakers enabled.
 func breakerNet(t *testing.T) (*testbed.Net, *host.Host, *host.Host) {

@@ -69,7 +69,7 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 	se.lastSeen = c.eng.Now()
 	se.cert = m.Cert
 	c.byMAC[se.mac] = se
-	// Invalidation triggers 3 and 4 (cache.go): registration or attachment
+	// Invalidation triggers 2 and 3 (cache.go): registration or attachment
 	// change makes plans through this element stale, and even a pure load
 	// report re-weights the balancer, so cached steering never outlives
 	// the load information it was balanced on.

@@ -34,9 +34,7 @@ type sessionSlot struct {
 	failOpen bool
 	dpid     uint64 // ingress switch
 	seq      uint64 // install order, for deterministic iteration; never 0
-	// installedAt stamps the slot for Config.SessionTTL expiry (the
-	// FLOW_REMOVED that normally retires it can be lost under storms or
-	// chaos faults) and opens a fail-open session's violation window.
+	// installedAt opens a fail-open session's violation window.
 	installedAt time.Duration
 }
 
@@ -87,9 +85,8 @@ type sessionRecord struct {
 	// seIDs are the service elements this session is steered through
 	// (nil for direct paths); used to drain sessions when an element
 	// fails (resilience.go). Callers must not modify it.
-	seIDs       []uint64
-	failOpen    bool
-	installedAt time.Duration
+	seIDs    []uint64
+	failOpen bool
 }
 
 // interned hands out uint32 IDs for the values session entries share,
@@ -179,7 +176,7 @@ func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecor
 				continue
 			}
 			rec := sessionRecord{key: e.key, dpid: e.dpid, rule: c.rules.get(e.rule), seq: e.seq,
-				seIDs: c.chains.get(e.chain), failOpen: e.failOpen, installedAt: e.installedAt}
+				seIDs: c.chains.get(e.chain), failOpen: e.failOpen}
 			if pred(rec) {
 				picked = append(picked, rec)
 			}
@@ -187,20 +184,6 @@ func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecor
 	}
 	slices.SortFunc(picked, func(a, b sessionRecord) int { return cmp.Compare(a.seq, b.seq) })
 	return picked
-}
-
-// expireSessions retires records older than Config.SessionTTL (no-op at
-// the zero default). Only the controller's bookkeeping is dropped — the
-// dataplane entries have their own idle timeouts — but fail-open
-// violation windows close through forgetSession as usual.
-func (c *Controller) expireSessions(now time.Duration) {
-	ttl := c.cfg.SessionTTL
-	if ttl <= 0 || c.sessions.pages.Len() == 0 {
-		return
-	}
-	for _, rec := range c.sessionsWhere(func(rec sessionRecord) bool { return now-rec.installedAt > ttl }) {
-		c.forgetSession(rec.key)
-	}
 }
 
 // handleFlowRemoved retires a session when its ingress entry leaves the

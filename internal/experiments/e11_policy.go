@@ -7,12 +7,10 @@ import (
 	"sort"
 	"time"
 
-	"livesec/internal/core"
 	"livesec/internal/flow"
 	"livesec/internal/intent"
 	"livesec/internal/netpkt"
 	"livesec/internal/policy"
-	"livesec/internal/testbed"
 )
 
 // E11PolicyEngine is the million-rule policy-engine experiment (PR 8).
@@ -21,7 +19,7 @@ import (
 // building scale that is thousands of rules, but the architecture is
 // pitched at large-scale production networks, where per-user
 // microsegmentation policies reach millions of rules. The experiment
-// measures the three mechanisms that keep that regime interactive:
+// measures the two mechanisms that keep that regime interactive:
 //
 //   - Compiled classifier (internal/policy): tuple-space partitions +
 //     per-partition prefix tries. The sweep installs rule sets across
@@ -30,14 +28,9 @@ import (
 //   - Incremental intent compiler (internal/intent): a single intent
 //     edit against a fully-loaded table recompiles only its own rule
 //     block; the paper's interactive budget is ~10 ms.
-//   - Delta-scoped cache invalidation (core): a policy edit evicts only
-//     the cached decisions inside the edit's match cones. The run warms
-//     a cache, edits intents, re-drives the same flows and reports
-//     evicted/retained counts from the controller's own counters.
 //
-// Rule-scale and edit rows are wall-clock, so E11 is not part of "all":
-// bench it explicitly with `livesec-bench -experiment E11`. The
-// invalidation rows are deterministic counts.
+// Every row is wall-clock, so E11 is not part of "all": bench it
+// explicitly with `livesec-bench -experiment E11`.
 func E11PolicyEngine(scale Scale) Result {
 	p := e11Params{
 		sizes:   []int{1_000, 100_000, 1_000_000},
@@ -56,7 +49,7 @@ func E11PolicyEngine(scale Scale) Result {
 
 	res := Result{
 		ID:    "E11",
-		Title: "Million-rule policy engine: compiled lookup, incremental intents, precise invalidation",
+		Title: "Million-rule policy engine: compiled lookup, incremental intents",
 		Claim: "per-flow policy lookup (§III.C) stays in microseconds and policy edits interactive (§IV.A) at production rule counts",
 	}
 
@@ -84,30 +77,9 @@ func E11PolicyEngine(scale Scale) Result {
 			Paper: "<= 10 ms — interactive policy update (§IV.A)"},
 	)
 
-	// Part 3: delta-scoped invalidation (deterministic counts).
-	inv := e11Precision()
-	if inv == nil {
-		res.Notes = append(res.Notes, "invalidation deployment failed to build")
-		return res
-	}
-	res.Rows = append(res.Rows,
-		Row{Name: "warm decisions", Value: inv.warm, Unit: "count",
-			Paper: "cached policy decisions before the edits"},
-		Row{Name: "unrelated churn: evicted", Value: inv.unrelEvicted, Unit: "count",
-			Paper: "0 — no cone touches the cached flows"},
-		Row{Name: "targeted edit: evicted", Value: inv.targEvicted, Unit: "count",
-			Paper: "only the quarantined user's flows"},
-		Row{Name: "targeted edit: retained", Value: inv.targRetained, Unit: "count",
-			Paper: "every other user's flows"},
-		Row{Name: "targeted edit: evicted fraction", Value: inv.targFraction, Unit: "%",
-			Paper: "< 5% of the warm cache"},
-	)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("user-keyed microsegmentation rules (10 per user); %d lookup samples per size cycling a %d-key working set over %d active users; GC forced before timed sections",
-			p.samples, e11PoolKeys, e11ActiveUsers),
-		fmt.Sprintf("invalidation: %d users x %d flows each, warmed by two passes, 5 unrelated intent edits then 1 targeted quarantine; counters are livesec_policy_cache_invalidation_total",
-			e11Users, e11Flows),
-	)
+			p.samples, e11PoolKeys, e11ActiveUsers))
 	return res
 }
 
@@ -300,101 +272,4 @@ func e11Intents(p e11Params) e11IntentMetrics {
 		bulkMS:    bulkMS,
 		editP99MS: lat[len(lat)*99/100],
 	}
-}
-
-// Invalidation deployment sizing: e11Users hosts each warm e11Flows
-// decisions, so a targeted single-user edit touches 1/e11Users of the
-// cache (~4.2% — inside the <5% budget the issue sets).
-const (
-	e11Users = 24
-	e11Flows = 6
-)
-
-// e11InvMetrics is the invalidation measurement.
-type e11InvMetrics struct {
-	warm         float64
-	unrelEvicted float64
-	targEvicted  float64
-	targRetained float64
-	targFraction float64
-}
-
-// e11Precision warms e11Users x e11Flows UDP decisions, churns five
-// intents no deployed flow matches, re-drives the same flows,
-// quarantines user 0 and re-drives again, reading the controller's
-// evicted/retained counters after each phase. The warm-up drives every
-// flow twice: the controller caches a selector on its second sighting.
-func e11Precision() *e11InvMetrics {
-	spec := testbed.Spec{
-		Options:  testbed.Options{Seed: 17, Config: core.Config{FlowIdle: time.Minute}},
-		Switches: []testbed.SwitchSpec{{Name: "s1"}, {Name: "s2"}},
-	}
-	for i := 0; i < e11Users; i++ {
-		spec.Nodes = append(spec.Nodes, testbed.HostNode("s1", fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)), testbed.Wired))
-	}
-	spec.Nodes = append(spec.Nodes, testbed.HostNode("s2", "srv", netpkt.IP(166, 111, 1, 1), testbed.Server))
-	n, err := build(spec)
-	if err != nil {
-		return nil
-	}
-	defer n.Shutdown()
-	users, srv := n.Hosts[:e11Users], n.Hosts[e11Users]
-	for f := 0; f < e11Flows; f++ {
-		srv.HandleUDP(uint16(7001+f), func(*netpkt.Packet) {})
-	}
-	drive := func(srcBase uint16) bool {
-		for i, u := range users {
-			for f := 0; f < e11Flows; f++ {
-				u.SendUDP(netpkt.IP(166, 111, 1, 1), srcBase+uint16(i), uint16(7001+f), []byte("x"), 0)
-			}
-		}
-		return n.Run(150*time.Millisecond) == nil
-	}
-
-	if !drive(19000) || !drive(20000) {
-		return nil
-	}
-	s1 := n.Controller.Stats()
-	warm, _ := n.Controller.CacheStats()
-
-	// Unrelated churn: intents over users that do not exist in the
-	// deployment — their cones overlap no cached decision.
-	for i := 0; i < 5; i++ {
-		if _, _, err := n.Controller.Intents().Upsert(intent.Intent{
-			Name:     fmt.Sprintf("ghost-%d", i),
-			Priority: 90,
-			Users:    []netpkt.MAC{netpkt.MACFromUint64(0xdd00 + uint64(i))},
-			Action:   policy.Deny,
-		}); err != nil {
-			return nil
-		}
-	}
-	if !drive(21000) {
-		return nil
-	}
-	s2 := n.Controller.Stats()
-
-	// Targeted edit: quarantine user 0 — the cone covers exactly that
-	// user's cached flows.
-	if _, _, err := n.Controller.Intents().Upsert(intent.Intent{
-		Name:     "quarantine",
-		Priority: 99,
-		Users:    []netpkt.MAC{users[0].MAC},
-		Action:   policy.Deny,
-	}); err != nil {
-		return nil
-	}
-	if !drive(22000) {
-		return nil
-	}
-	s3 := n.Controller.Stats()
-
-	m := &e11InvMetrics{
-		warm:         float64(warm),
-		unrelEvicted: float64(s2.PolicyCacheEvicted - s1.PolicyCacheEvicted),
-		targEvicted:  float64(s3.PolicyCacheEvicted - s2.PolicyCacheEvicted),
-		targRetained: float64(s3.PolicyCacheRetained - s2.PolicyCacheRetained),
-	}
-	m.targFraction = m.targEvicted / m.warm * 100
-	return m
 }

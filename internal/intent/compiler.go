@@ -14,8 +14,7 @@ import (
 // recompilation left byte-identical appear in neither list — the
 // incremental half of the compiler: an unrelated-intent edit emits
 // nothing, and editing one destination of a ten-destination intent emits
-// two cones, not twenty. The decision cache scopes invalidation to these
-// cones via the policy table's own mutation log.
+// two cones, not twenty.
 type Delta struct {
 	Added, Removed []policy.Match
 }

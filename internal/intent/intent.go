@@ -4,9 +4,7 @@
 // lowers each intent to a block of concrete policy.Rules at runtime,
 // detects pairwise conflicts and shadowing between intents, and
 // recompiles incrementally: an intent edit touches only its own rule
-// block and emits the delta of added/removed match cones, which is what
-// lets the controller's decision cache invalidate precisely instead of
-// wholesale (core/cache.go).
+// block and emits the delta of added/removed match cones.
 package intent
 
 import (

@@ -59,7 +59,7 @@ func TestSpanRecordZeroAllocs(t *testing.T) {
 	var now time.Duration
 	if allocs := testing.AllocsPerRun(200, func() {
 		sp := fo.StartSpan(now)
-		sp.MarkDecision(true)
+		sp.MarkPlan(true)
 		sp.AddElement(1)
 		sp.SetOutcome(OutcomeRouted)
 		now += 2 * time.Millisecond

@@ -24,8 +24,7 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	sp.Switch = 7
 	sp.Key = flow.Key{EthType: 0x0800}
-	sp.MarkDecision(true)
-	sp.MarkPlan(false)
+	sp.MarkPlan(true)
 	sp.AddElement(3)
 	sp.AddBreakerSkips(2)
 	sp.SetOutcome(OutcomeChained)
@@ -39,7 +38,7 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("got %d spans", len(spans))
 	}
 	got := spans[0]
-	if got.Switch != 7 || !got.DecisionHit || got.PlanHit || got.BreakerSkips != 2 ||
+	if got.Switch != 7 || !got.PlanHit || got.BreakerSkips != 2 ||
 		got.NumElements != 1 || got.Elements[0] != 3 || got.Outcome != OutcomeChained {
 		t.Fatalf("ring copy lost fields: %+v", got)
 	}
@@ -133,7 +132,7 @@ func TestSpanView(t *testing.T) {
 	fo := NewFlowObs(8)
 	sp := fo.StartSpan(10 * time.Millisecond)
 	sp.Switch = 3
-	sp.MarkDecision(true)
+	sp.MarkPlan(true)
 	sp.AddElement(5)
 	sp.AddBreakerSkips(1)
 	sp.SetOutcome(OutcomeChained)
@@ -141,7 +140,7 @@ func TestSpanView(t *testing.T) {
 
 	v := fo.Spans(1, false)[0].View()
 	if v.ID != 1 || v.Switch != 3 || v.Outcome != "chained" ||
-		v.StartMS != 10 || v.TotalMS != 2 || !v.DecisionCacheHit ||
+		v.StartMS != 10 || v.TotalMS != 2 || !v.PlanCacheHit ||
 		v.BreakerExclusions != 1 || len(v.Elements) != 1 || v.Elements[0] != 5 {
 		t.Fatalf("view = %+v", v)
 	}
@@ -205,7 +204,6 @@ func BenchmarkFinishSpan(b *testing.B) {
 	setup := func() {
 		sp := fo.StartSpan(now)
 		sp.Switch, sp.Key = 1, key
-		sp.MarkDecision(true)
 		sp.MarkPlan(true)
 		sp.AddElement(2)
 		sp.SetOutcome(OutcomeChained)

@@ -8,8 +8,8 @@ import (
 	"livesec/internal/seproto"
 )
 
-// The lookup and iteration paths run on every decision-cache miss and
-// every table walk; at million-rule scale an allocation per call turns
+// The lookup and iteration paths run on every flow setup and every
+// table walk; at million-rule scale an allocation per call turns
 // into GC pressure that dwarfs the classification itself.
 
 func allocTable(n int) *Table {

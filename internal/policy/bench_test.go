@@ -71,7 +71,7 @@ func benchTable(b *testing.B, n int) (*Table, []flow.Key) {
 }
 
 // BenchmarkPolicyLookupCompiled is in the bench-hot set: the classifier
-// probe at 100k rules, the controller's decision-cache-miss cost.
+// probe at 100k rules, which the controller pays on every flow setup.
 func BenchmarkPolicyLookupCompiled(b *testing.B) {
 	tbl, keys := benchTable(b, 100_000)
 	b.ReportAllocs()

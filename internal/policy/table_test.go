@@ -60,54 +60,6 @@ func TestValidateRejectsBadPrefixes(t *testing.T) {
 	}
 }
 
-// TestDeltasSince pins the mutation-log contract DeltasSince offers the
-// decision cache: exact suffixes while the log reaches back, ok=false
-// beyond it, nil for a current version.
-func TestDeltasSince(t *testing.T) {
-	tbl := NewTable(Allow)
-	for i := 0; i < 5; i++ {
-		_ = tbl.Add(&Rule{Name: fmt.Sprintf("r%d", i), Action: Deny,
-			Match: Match{DstPort: uint16(1000 + i)}})
-	}
-	if ds, ok := tbl.DeltasSince(tbl.Version()); !ok || ds != nil {
-		t.Fatalf("current version: ds=%v ok=%v", ds, ok)
-	}
-	ds, ok := tbl.DeltasSince(2)
-	if !ok || len(ds) != 3 {
-		t.Fatalf("since 2: ds=%v ok=%v", ds, ok)
-	}
-	for i, d := range ds {
-		if d.Version != uint64(3+i) || d.Cone.DstPort != uint16(1002+i) {
-			t.Fatalf("since 2: delta %d = %+v", i, d)
-		}
-	}
-	if _, ok := tbl.DeltasSince(tbl.Version() + 1); ok {
-		t.Fatal("future version reported ok")
-	}
-	// Remove logs the removed rule's cone too.
-	tbl.Remove("r0")
-	ds, ok = tbl.DeltasSince(5)
-	if !ok || len(ds) != 1 || ds[0].Cone.DstPort != 1000 {
-		t.Fatalf("after remove: ds=%v ok=%v", ds, ok)
-	}
-}
-
-// TestDeltaLogTrim: once churn outruns the bounded log, old versions get
-// ok=false (wholesale invalidation) while recent ones stay precise.
-func TestDeltaLogTrim(t *testing.T) {
-	tbl := NewTable(Allow)
-	for i := 0; i < deltaLogCap+100; i++ {
-		_ = tbl.Add(&Rule{Name: fmt.Sprintf("r%d", i), Action: Deny})
-	}
-	if _, ok := tbl.DeltasSince(1); ok {
-		t.Fatal("ancient version still resolvable after trim")
-	}
-	ds, ok := tbl.DeltasSince(tbl.Version() - 3)
-	if !ok || len(ds) != 3 {
-		t.Fatalf("recent suffix: ds has %d entries, ok=%v", len(ds), ok)
-	}
-}
-
 // TestEachOrderAndStop: Each walks evaluation order and honours an early
 // stop.
 func TestEachOrderAndStop(t *testing.T) {

@@ -39,7 +39,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_breaker_total counter",
 		"# TYPE livesec_cache_entries gauge",
 		"# TYPE livesec_controller_parked_msgs gauge",
-		"# TYPE livesec_decision_cache_total counter",
 		"# TYPE livesec_drop_rules_total counter",
 		"# TYPE livesec_flow_mods_total counter",
 		"# TYPE livesec_flow_setup_seconds histogram",
@@ -55,7 +54,6 @@ func TestMetricsInventoryAllKnobs(t *testing.T) {
 		"# TYPE livesec_packet_ins_total counter",
 		"# TYPE livesec_packet_outs_total counter",
 		"# TYPE livesec_plan_cache_total counter",
-		"# TYPE livesec_policy_cache_invalidation_total counter",
 		"# TYPE livesec_policy_compile_seconds histogram",
 		"# TYPE livesec_policy_rules gauge",
 		"# TYPE livesec_seproto_errors_total counter",

@@ -56,8 +56,8 @@ func TestObsSpansAndMetrics(t *testing.T) {
 		t.Fatalf("completed setups = %d, controller routed+chained = %d", completed, wantCompleted)
 	}
 
-	// Two flows of one selector cache it (on its second sighting); the
-	// cache gauges read the occupancy.
+	// Two flows of one selector cache its plan (on its second sighting);
+	// the cache gauge reads the occupancy.
 	a, b := n.Hosts[0], n.Hosts[1]
 	for sp := uint16(7000); sp < 7002; sp++ {
 		a.SendUDP(b.IP, sp, 9000, []byte("x"), 0)
@@ -65,9 +65,9 @@ func TestObsSpansAndMetrics(t *testing.T) {
 	if err := n.Run(20 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	decisions, plans := n.Controller.CacheStats()
-	if decisions == 0 || plans == 0 {
-		t.Fatalf("repeat flows cached %d decisions and %d plans", decisions, plans)
+	plans, ok := fo.Registry.Value("livesec_cache_entries", obs.L("level", "plan"))
+	if !ok || plans == 0 {
+		t.Fatalf("repeat flows cached %v plans (registered %v)", plans, ok)
 	}
 	text := fo.Registry.Text()
 	if err := obs.LintText(text); err != nil {
@@ -82,10 +82,7 @@ func TestObsSpansAndMetrics(t *testing.T) {
 		"livesec_policy_rules",
 		"livesec_policy_compile_seconds_bucket",
 		"livesec_intents",
-		`livesec_policy_cache_invalidation_total{fate="evicted"}`,
-		`livesec_policy_cache_invalidation_total{fate="retained"}`,
-		fmt.Sprintf(`livesec_cache_entries{level="decision"} %d`, decisions),
-		fmt.Sprintf(`livesec_cache_entries{level="plan"} %d`, plans),
+		fmt.Sprintf(`livesec_cache_entries{level="plan"} %d`, int(plans)),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
