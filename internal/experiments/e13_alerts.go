@@ -21,7 +21,7 @@ import (
 // the engine itself:
 //
 //   - the alert timeline — every firing/resolved transition with its
-//     windowed value and exemplar trace — must be byte-identical across
+//     windowed value and exemplar span — must be byte-identical across
 //     runs (TestE13Deterministic compares two);
 //   - mean time to detect (MTTD) per fault class: the sim-time gap
 //     between injecting a fault and its rule's first firing edge, which
@@ -182,7 +182,7 @@ func e13Run(p e13Params) *e13Metrics {
 					m.mttd[tr.Rule] = float64(tr.At-at) / float64(time.Millisecond)
 				}
 			}
-			if tr.ExemplarTraceID != 0 {
+			if tr.ExemplarSpanID != 0 {
 				m.exemplars++
 			}
 		} else {
@@ -190,7 +190,7 @@ func e13Run(p e13Params) *e13Metrics {
 		}
 		m.timeline = append(m.timeline, fmt.Sprintf(
 			"%9.1fms %-8s %-21s value=%.4g limit=%.4g exemplar=%d",
-			tr.AtMS, tr.State, tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID))
+			tr.AtMS, tr.State, tr.Rule, tr.Value, tr.Limit, tr.ExemplarSpanID))
 	}
 	return m
 }

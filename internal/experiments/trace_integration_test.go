@@ -20,7 +20,7 @@ import (
 // A re-steered flow setup that triggers a firewall state handoff logs
 // one fw-handoff event naming that flow: its FlowKey is the setup span's
 // Key, so /events?user= finds it by the client's MAC, and the setup span
-// itself is one /traces?trace= lookup away.
+// itself is one /traces?span= lookup away.
 func TestHandoffEventNamesItsFlow(t *testing.T) {
 	serverIP := netpkt.IP(166, 111, 99, 1)
 	clientIP := netpkt.IP(10, 99, 0, 1)
@@ -101,12 +101,12 @@ func TestHandoffEventNamesItsFlow(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	n.Controller.APIHandler(func(f func()) { f() }).ServeHTTP(rec,
-		httptest.NewRequest("GET", "/traces?trace="+strconv.FormatUint(setup.ID, 10), nil))
+		httptest.NewRequest("GET", "/traces?span="+strconv.FormatUint(setup.ID, 10), nil))
 	var tr monitor.TracesResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
 		t.Fatalf("/traces: %v (%s)", err, rec.Body)
 	}
 	if len(tr.Spans) != 1 || !reflect.DeepEqual(tr.Spans[0], setup.View()) {
-		t.Fatalf("/traces?trace=%d returned %+v, want exactly %+v", setup.ID, tr.Spans, setup.View())
+		t.Fatalf("/traces?span=%d returned %+v, want exactly %+v", setup.ID, tr.Spans, setup.View())
 	}
 }

@@ -94,7 +94,7 @@ type TracesResponse struct {
 //	GET /apps                               — per-user application usage
 //	GET /topology                           — logical topology snapshot
 //	GET /metrics                            — Prometheus text exposition v0.0.4
-//	GET /traces?limit=&slowest=&trace=      — recent setup spans, or the one with ID trace
+//	GET /traces?limit=&slowest=&span=       — recent setup spans, or the one with ID span
 //	GET /health                             — component rollup (503 when down)
 //	GET /alerts                             — SLO alert states and transition log
 //
@@ -201,7 +201,7 @@ func NewAPIHandler(cfg HandlerConfig) http.Handler {
 			http.Error(w, "bad slowest", http.StatusBadRequest)
 			return
 		}
-		id, ok := queryUint(w, q.Get("trace"), "trace", math.MaxUint64)
+		id, ok := queryUint(w, q.Get("span"), "span", math.MaxUint64)
 		if !ok {
 			return
 		}

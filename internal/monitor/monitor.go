@@ -208,8 +208,8 @@ func (s *Store) RecordAlert(tr obs.AlertTransition) {
 		sev = 2
 	}
 	s.Record(Event{At: tr.At, Type: typ, Severity: sev,
-		Detail: fmt.Sprintf("%s value=%.6g limit=%.6g trace=%d",
-			tr.Rule, tr.Value, tr.Limit, tr.ExemplarTraceID)})
+		Detail: fmt.Sprintf("%s value=%.6g limit=%.6g span=%d",
+			tr.Rule, tr.Value, tr.Limit, tr.ExemplarSpanID)})
 }
 
 // Len returns the number of retained events.

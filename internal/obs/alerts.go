@@ -94,23 +94,23 @@ type AlertTransition struct {
 	// Value is the windowed value that crossed (or cleared) the limit.
 	Value float64 `json:"value"`
 	Limit float64 `json:"limit"`
-	// ExemplarTraceID is the slowest setup span finishing inside the
+	// ExemplarSpanID is the slowest setup span finishing inside the
 	// violating window (firing transitions only; 0 when no setup span
 	// is retained for the window).
-	ExemplarTraceID uint64 `json:"exemplar_trace_id,omitempty"`
+	ExemplarSpanID uint64 `json:"exemplar_span_id,omitempty"`
 }
 
 // AlertView is the JSON shape of one rule's current state for /alerts
 // and /health.
 type AlertView struct {
-	Rule            string  `json:"rule"`
-	Severity        string  `json:"severity"`
-	State           string  `json:"state"`
-	Value           float64 `json:"value"`
-	Limit           float64 `json:"limit"`
-	FiringSinceMS   float64 `json:"firing_since_ms,omitempty"`
-	ExemplarTraceID uint64  `json:"exemplar_trace_id,omitempty"`
-	Summary         string  `json:"summary,omitempty"`
+	Rule           string  `json:"rule"`
+	Severity       string  `json:"severity"`
+	State          string  `json:"state"`
+	Value          float64 `json:"value"`
+	Limit          float64 `json:"limit"`
+	FiringSinceMS  float64 `json:"firing_since_ms,omitempty"`
+	ExemplarSpanID uint64  `json:"exemplar_span_id,omitempty"`
+	Summary        string  `json:"summary,omitempty"`
 }
 
 // alertSample is one tick's cumulative inputs.
@@ -269,22 +269,22 @@ func (ae *AlertEngine) evalRule(i int, now time.Duration) {
 func (ae *AlertEngine) fire(r *AlertRule, st *alertRuleState, now time.Duration, value float64) {
 	st.state = AlertFiring
 	st.firedAt = now
-	st.exemplar = ae.fo.SlowestTraceSince(now - r.Window)
+	st.exemplar = ae.fo.SlowestSpanSince(now - r.Window)
 	ae.emit(r, now, "firing", value, st.exemplar)
 }
 
 func (ae *AlertEngine) emit(r *AlertRule, now time.Duration, state string, value float64, exemplar uint64) {
 	ae.seq++
 	t := AlertTransition{
-		Seq:             ae.seq,
-		At:              now,
-		AtMS:            durMS(now),
-		Rule:            r.Name,
-		Severity:        r.Severity,
-		State:           state,
-		Value:           value,
-		Limit:           r.Limit,
-		ExemplarTraceID: exemplar,
+		Seq:            ae.seq,
+		At:             now,
+		AtMS:           durMS(now),
+		Rule:           r.Name,
+		Severity:       r.Severity,
+		State:          state,
+		Value:          value,
+		Limit:          r.Limit,
+		ExemplarSpanID: exemplar,
 	}
 	if state == "firing" {
 		ae.transFiring.Inc()
@@ -335,7 +335,7 @@ func (ae *AlertEngine) Snapshot() []AlertView {
 		}
 		if st.state == AlertFiring {
 			v.FiringSinceMS = durMS(st.firedAt)
-			v.ExemplarTraceID = st.exemplar
+			v.ExemplarSpanID = st.exemplar
 		}
 		out[i] = v
 	}

@@ -162,10 +162,10 @@ func TestAlertExemplarIsSlowestSetupInWindow(t *testing.T) {
 	if len(tr) != 1 || tr[0].State != "firing" {
 		t.Fatalf("timeline = %+v", tr)
 	}
-	if tr[0].ExemplarTraceID != 2 {
-		t.Fatalf("exemplar = %d, want trace 2 (slowest in window)", tr[0].ExemplarTraceID)
+	if tr[0].ExemplarSpanID != 2 {
+		t.Fatalf("exemplar = %d, want span 2 (slowest in window)", tr[0].ExemplarSpanID)
 	}
-	if ae.Snapshot()[0].ExemplarTraceID != 2 {
+	if ae.Snapshot()[0].ExemplarSpanID != 2 {
 		t.Fatalf("snapshot exemplar = %+v", ae.Snapshot()[0])
 	}
 }
