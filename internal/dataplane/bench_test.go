@@ -157,39 +157,60 @@ func BenchmarkFlowTableExact(b *testing.B) {
 		}
 	})
 	b.Run("add", func(b *testing.B) {
-		b.ReportAllocs()
-		var t *FlowTable
-		for i := 0; i < b.N; i++ {
-			if i%n == 0 {
-				t = NewFlowTable()
-			}
-			t.Add(Entry{Match: flow.ExactMatch(keys[i%n]), Priority: 10, Actions: openflow.Output(2)}, 0)
-		}
-		b.StopTimer()
+		timeCycles(b, n, NewFlowTable, func(t *FlowTable, i int) {
+			t.Add(Entry{Match: flow.ExactMatch(keys[i]), Priority: 10, Actions: openflow.Output(2)}, 0)
+		})
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.HeapAlloc
-		t = fill()
+		t := fill()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		b.ReportMetric(float64(ms.HeapAlloc-before)/n, "retained-B/entry")
 		runtime.KeepAlive(t)
 	})
 	b.Run("delete-strict", func(b *testing.B) {
-		b.ReportAllocs()
-		t := fill()
-		for i := 0; i < b.N; i++ {
-			if i%n == 0 && i > 0 {
-				b.StopTimer()
-				t = fill()
-				b.StartTimer()
-			}
-			if len(t.Delete(flow.ExactMatch(keys[i%n]), 10, true)) != 1 {
+		timeCycles(b, n, fill, func(t *FlowTable, i int) {
+			if len(t.Delete(flow.ExactMatch(keys[i]), 10, true)) != 1 {
 				b.Fatal("deleted nothing")
 			}
-		}
+		})
 	})
+}
+
+// timeCycles runs whole cycles of n operations, op(t, 0) … op(t, n-1),
+// until at least b.N have run. Before each cycle, off the clock, refill
+// builds the cycle's table and runtime.GC collects the last cycle's, so
+// neither lands on the clock and every timed operation is one of a full
+// cycle. ns/op, B/op and allocs/op are reported per operation run, which
+// keeps them independent of b.N.
+func timeCycles(b *testing.B, n int, refill func() *FlowTable, op func(t *FlowTable, i int)) {
+	b.ReportAllocs()
+	b.StopTimer()
+	b.ResetTimer()
+	var (
+		ops            int
+		mallocs, bytes uint64
+		before, after  runtime.MemStats
+	)
+	for ops < b.N {
+		t := refill()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for i := 0; i < n; i++ {
+			op(t, i)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+		ops += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/op")
+	b.ReportMetric(float64(mallocs)/float64(ops), "allocs/op")
+	b.ReportMetric(float64(bytes)/float64(ops), "B/op")
 }
 
 // BenchmarkFlowTableExpire times one expiry sweep of a table the size of
