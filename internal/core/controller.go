@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"livesec/internal/flow"
 	"livesec/internal/intent"
 	"livesec/internal/loadbalance"
 	"livesec/internal/monitor"
@@ -271,10 +272,12 @@ type Controller struct {
 	// microflow-cache counters from OFPST_TABLE polling.
 	tableStats map[uint64]TableStats
 	// sessions tracks installed flows for live policy re-application;
-	// rules and chains intern what its slots name (sessions.go).
+	// routes interns what its slots name, and failOpen holds each
+	// fail-open session's install time, which opens its
+	// policy-violation window (sessions.go).
 	sessions sessionStore
-	rules    interned[string]
-	chains   interned[[]uint64]
+	routes   interned[routeKey, sessionRoute]
+	failOpen map[flow.Key]time.Duration
 	// discoverPending debounces join-triggered discovery rounds.
 	discoverPending bool
 	// pendingReleases holds packet-outs awaiting barrier replies.
@@ -377,6 +380,7 @@ func New(cfg Config) *Controller {
 		fwMirror:     make(map[seproto.SessionKey]*fwMirrorEntry),
 		fwPending:    make(map[uint64]*fwHandoff),
 		sessions:     sessionStore{seed: maphash.MakeSeed()},
+		failOpen:     make(map[flow.Key]time.Duration),
 		obs:          cfg.Obs,
 		ov: overloadState{
 			perSwitch:  make(map[uint64]int),

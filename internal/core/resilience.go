@@ -337,7 +337,10 @@ func (c *Controller) drainElement(id uint64) int {
 // violation window closes as each session is forgotten. Called when an
 // element (re)registers.
 func (c *Controller) resteerFailOpen() int {
-	victims := c.sessionsWhere(func(rec sessionRecord) bool { return rec.failOpen })
+	victims := c.sessionsWhere(func(rec sessionRecord) bool {
+		_, ok := c.failOpen[rec.key]
+		return ok
+	})
 	for _, rec := range victims {
 		c.teardownSession(rec.key)
 		c.forgetSession(rec.key)

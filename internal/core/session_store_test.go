@@ -13,12 +13,12 @@ import (
 	"livesec/internal/slots"
 )
 
-// A session slot, key included, is at most 72 bytes and holds no
+// A session slot, key included, is at most 56 bytes and holds no
 // pointer: livesecd keeps one per live session, and the collector never
 // scans pages of pointer-free slots.
 func TestSessionEntryCompact(t *testing.T) {
-	if got := unsafe.Sizeof(sessionSlot{}); got > 72 {
-		t.Errorf("sessionSlot is %d bytes, want at most 72", got)
+	if got := unsafe.Sizeof(sessionSlot{}); got > 56 {
+		t.Errorf("sessionSlot is %d bytes, want at most 56", got)
 	}
 	var check func(typ reflect.Type, name string)
 	check = func(typ reflect.Type, name string) {
@@ -54,8 +54,8 @@ func rememberDirect(c *Controller, n int, dpid func(i int) uint64) {
 }
 
 // 65,536 direct sessions, wire_miss's live set after its warm-up, retain
-// at most 96 heap bytes each: a 72-byte slot and its share of the index.
-// A Go map of the same records retained 176.
+// at most 72 heap bytes each: a 48-byte slot and its share of the index.
+// A 72-byte slot retained 88, and a Go map of the same records 176.
 func TestSessionRetention(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes heap accounting")
@@ -66,8 +66,8 @@ func TestSessionRetention(t *testing.T) {
 	rememberDirect(c, n, func(int) uint64 { return 1 })
 	perSession := float64(heapAlloc()-h0) / n
 	runtime.KeepAlive(c)
-	if perSession > 96 {
-		t.Fatalf("%.1f heap bytes retained per session, want at most 96", perSession)
+	if perSession > 72 {
+		t.Fatalf("%.1f heap bytes retained per session, want at most 72", perSession)
 	}
 	t.Logf("%.1f heap bytes retained per session", perSession)
 }
@@ -110,8 +110,8 @@ func sessionKey(i int) flow.Key {
 // sessions, each with its own rule and chain and half of them overwritten
 // with another, pass through a window of 50 live sessions, and
 // ReapplyPolicies retires every one the default decision did not admit.
-// Each table then holds exactly the rules and chains of the sessions
-// still live, and never used more slots than were live at once.
+// The route table then holds exactly the routes of the sessions still
+// live, and never used more slots than were live at once.
 func TestSessionInternsBounded(t *testing.T) {
 	const n, window = 12000, 50
 	r := newSetupRig(t, Config{}, []uint64{1}, nil, nil)
@@ -149,33 +149,28 @@ func TestSessionInternsBounded(t *testing.T) {
 		}
 	}
 	got := make(map[flow.Key]named)
-	rules, chains := make(map[string]bool), make(map[string]bool)
+	routes := make(map[routeKey]bool)
 	for _, rec := range c.sessionsWhere(func(sessionRecord) bool { return true }) {
 		got[rec.key] = named{rec.rule, rec.seIDs}
-		rules[rec.rule], chains[uitoaList(rec.seIDs)] = true, true
+		routes[routeKey{rec.dpid, rec.rule, uitoaList(rec.seIDs)}] = true
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d live sessions name other rules or chains than the %d remembered last", len(got), len(want))
 	}
-	delete(rules, "")
-	delete(chains, "")
-	if len(c.rules.ids) != len(rules) || len(c.chains.ids) != len(chains) {
-		t.Errorf("intern tables hold %d rules and %d chains; live sessions reference %d and %d",
-			len(c.rules.ids), len(c.chains.ids), len(rules), len(chains))
+	if len(c.routes.ids) != len(routes) {
+		t.Errorf("the route table holds %d routes; live sessions reference %d", len(c.routes.ids), len(routes))
 	}
-	// A remember references its new values before it releases the ones
-	// it overwrites, so one more than the live sessions may be held.
-	if len(c.rules.slots) > window+2 || len(c.chains.slots) > window+2 {
-		t.Errorf("intern tables grew to %d and %d slots for at most %d live sessions",
-			len(c.rules.slots), len(c.chains.slots), window+1)
+	// A remember references its new route before it releases the one it
+	// overwrites, so one more than the live sessions may be held.
+	if len(c.routes.slots) > window+2 {
+		t.Errorf("the route table grew to %d slots for at most %d live sessions", len(c.routes.slots), window+1)
 	}
 	for key := range want {
 		c.forgetSession(key)
 	}
-	if len(c.rules.ids)+len(c.chains.ids) != 0 ||
-		len(c.rules.free) != len(c.rules.slots) || len(c.chains.free) != len(c.chains.slots) {
-		t.Errorf("with no session live, the tables hold %d rules and %d chains, %d and %d slots unfreed",
-			len(c.rules.ids), len(c.chains.ids), len(c.rules.slots)-len(c.rules.free), len(c.chains.slots)-len(c.chains.free))
+	if len(c.routes.ids)+len(c.failOpen) != 0 || len(c.routes.free) != len(c.routes.slots) {
+		t.Errorf("with no session live, the route table holds %d routes, %d slots unfreed, and %d fail-open windows are open",
+			len(c.routes.ids), len(c.routes.slots)-len(c.routes.free), len(c.failOpen))
 	}
 }
 

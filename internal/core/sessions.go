@@ -21,21 +21,30 @@ import (
 // enforced on existing traffic immediately, instead of waiting for idle
 // timeouts to trigger fresh packet-ins.
 
-// sessionSlot is one installed forward-direction flow in 72 bytes with
-// no pointer for the collector to scan: the admitting rule and the
-// element chain are IDs into the controller's intern tables.
+// sessionSlot is one installed forward-direction flow in 48 bytes with
+// no pointer for the collector to scan: its ingress switch, admitting
+// rule and element chain are one ID into the controller's route table.
+// A fail-open session also has an entry in c.failOpen.
 type sessionSlot struct {
 	key   flow.Key // as seen at the ingress switch
-	rule  uint32   // c.rules ID of the policy rule that admitted it
-	chain uint32   // c.chains ID of the elements it is steered through
-	// failOpen marks a chained session that is temporarily running
-	// uninspected because no element of its required service was
-	// reachable at setup time; forgetSession closes its window.
-	failOpen bool
-	dpid     uint64 // ingress switch
-	seq      uint64 // install order, for deterministic iteration; never 0
-	// installedAt opens a fail-open session's violation window.
-	installedAt time.Duration
+	route uint32   // c.routes ID
+	seq   uint64   // install order, for deterministic iteration; never 0
+}
+
+// sessionRoute is what the sessions of one switch, rule and chain share.
+type sessionRoute struct {
+	dpid uint64 // ingress switch
+	rule string // the policy rule that admitted them
+	// seIDs are the service elements they are steered through (nil for
+	// direct paths). Callers must not modify it.
+	seIDs []uint64
+}
+
+// routeKey keys a sessionRoute: a plan's via renders its seIDs
+// one-to-one.
+type routeKey struct {
+	dpid      uint64
+	rule, via string
 }
 
 // sessionStore holds the session slots in the store the flow table keeps
@@ -76,73 +85,75 @@ func (s *sessionStore) remove(id uint32) {
 	}
 }
 
-// sessionRecord is the view of one session that sessionsWhere returns.
+// sessionRecord is the view of one session that sessionsWhere returns;
+// seIDs drain sessions when an element fails (resilience.go).
 type sessionRecord struct {
-	key  flow.Key // as seen at the ingress switch
-	dpid uint64
-	rule string
-	seq  uint64
-	// seIDs are the service elements this session is steered through
-	// (nil for direct paths); used to drain sessions when an element
-	// fails (resilience.go). Callers must not modify it.
-	seIDs    []uint64
-	failOpen bool
+	key flow.Key // as seen at the ingress switch
+	seq uint64
+	sessionRoute
 }
 
-// interned hands out uint32 IDs for the values session entries share,
-// each found by a canonical string key. An ID counts the entries holding
-// it and is freed for reuse when the last one lets go, so a table holds
-// only what live sessions reference. The empty key is ID 0, never stored.
-type interned[V any] struct {
-	ids   map[string]uint32
-	slots []internSlot[V] // by ID-1
+// interned hands out uint32 IDs for the values session slots share,
+// each found by a canonical key. An ID counts the entries holding it and
+// is freed for reuse when the last one lets go, so a table holds only
+// what live sessions reference. The zero key is ID 0, never stored.
+type interned[K comparable, V any] struct {
+	ids   map[K]uint32
+	slots []internSlot[K, V] // by ID-1
 	free  []uint32
+	last  uint32 // the ID ref returned last, tried before the map
 }
 
-type internSlot[V any] struct {
-	key  string
+type internSlot[K comparable, V any] struct {
+	key  K
 	val  V
 	refs int
 }
 
 // ref returns the ID of val, whose canonical key is key, and takes a
 // reference to it.
-func (t *interned[V]) ref(key string, val V) uint32 {
-	if key == "" {
+func (t *interned[K, V]) ref(key K, val V) uint32 {
+	var zero K
+	if key == zero {
 		return 0
+	}
+	if id := t.last; id != 0 && t.slots[id-1].key == key { // a freed slot's key is zero
+		t.slots[id-1].refs++
+		return id
 	}
 	id, ok := t.ids[key]
 	if !ok {
 		if n := len(t.free); n > 0 {
 			id, t.free = t.free[n-1], t.free[:n-1]
 		} else {
-			t.slots = append(t.slots, internSlot[V]{})
+			t.slots = append(t.slots, internSlot[K, V]{})
 			id = uint32(len(t.slots))
 		}
 		if t.ids == nil {
-			t.ids = make(map[string]uint32)
+			t.ids = make(map[K]uint32)
 		}
 		t.ids[key] = id
-		t.slots[id-1] = internSlot[V]{key: key, val: val}
+		t.slots[id-1] = internSlot[K, V]{key: key, val: val}
 	}
 	t.slots[id-1].refs++
+	t.last = id
 	return id
 }
 
 // unref drops a reference ref took.
-func (t *interned[V]) unref(id uint32) {
+func (t *interned[K, V]) unref(id uint32) {
 	if id == 0 {
 		return
 	}
 	s := &t.slots[id-1]
 	if s.refs--; s.refs == 0 {
 		delete(t.ids, s.key)
-		*s = internSlot[V]{}
+		*s = internSlot[K, V]{}
 		t.free = append(t.free, id)
 	}
 }
 
-func (t *interned[V]) get(id uint32) (val V) {
+func (t *interned[K, V]) get(id uint32) (val V) {
 	if id != 0 {
 		val = t.slots[id-1].val
 	}
@@ -151,16 +162,19 @@ func (t *interned[V]) get(id uint32) (val V) {
 
 // rememberSession records an installed flow for later re-evaluation:
 // rule admitted it, plan installed it, and failOpen marks a session
-// installed on the fail-open path.
+// installed on the fail-open path, opening its violation window.
 func (c *Controller) rememberSession(key flow.Key, dpid uint64, rule string, plan *sessionPlan, failOpen bool) {
 	c.sessionSeq++
 	// plan.via renders plan.seIDs one-to-one, so it keys the chain.
-	e := sessionSlot{key: key, dpid: dpid, seq: c.sessionSeq, installedAt: c.eng.Now(),
-		rule: c.rules.ref(rule, rule), chain: c.chains.ref(plan.via, plan.seIDs), failOpen: failOpen}
+	e := sessionSlot{key: key, seq: c.sessionSeq, route: c.routes.ref(routeKey{dpid, rule, plan.via},
+		sessionRoute{dpid: dpid, rule: rule, seIDs: plan.seIDs})}
 	// Overwriting a record (e.g. a fail-open session re-steered after an
 	// element returned) closes its violation window.
 	c.forgetSession(key)
 	c.sessions.add(e)
+	if failOpen {
+		c.failOpen[key] = c.eng.Now()
+	}
 }
 
 // sessionsWhere returns the live sessions pred selects, in install
@@ -175,9 +189,7 @@ func (c *Controller) sessionsWhere(pred func(sessionRecord) bool) []sessionRecor
 			if e.seq == 0 {
 				continue
 			}
-			rec := sessionRecord{key: e.key, dpid: e.dpid, rule: c.rules.get(e.rule), seq: e.seq,
-				seIDs: c.chains.get(e.chain), failOpen: e.failOpen}
-			if pred(rec) {
+			if rec := (sessionRecord{e.key, e.seq, c.routes.get(e.route)}); pred(rec) {
 				picked = append(picked, rec)
 			}
 		}
@@ -202,24 +214,23 @@ func (c *Controller) handleFlowRemoved(st *switchState, fr *openflow.FlowRemoved
 	if fr.Cookie == dropCookie || fr.Match.Wildcards != 0 {
 		return // drops and wildcard entries are no session's ingress entry
 	}
-	if _, e := c.sessions.find(fr.Match.Key); e != nil && e.dpid == st.dpid {
+	if _, e := c.sessions.find(fr.Match.Key); e != nil && c.routes.get(e.route).dpid == st.dpid {
 		c.forgetSession(fr.Match.Key)
 	}
 }
 
 // forgetSession drops the record when the ingress entry expires,
-// closing any open policy-violation window and releasing its interned
-// rule and chain.
+// closing any open policy-violation window and releasing its route.
 func (c *Controller) forgetSession(key flow.Key) {
 	id, e := c.sessions.find(key)
 	if e == nil {
 		return
 	}
-	if e.failOpen {
-		c.violationAccum += c.eng.Now() - e.installedAt
+	if at, ok := c.failOpen[key]; ok {
+		c.violationAccum += c.eng.Now() - at
+		delete(c.failOpen, key)
 	}
-	c.rules.unref(e.rule)
-	c.chains.unref(e.chain)
+	c.routes.unref(e.route)
 	c.sessions.remove(id)
 }
 
@@ -229,12 +240,8 @@ func (c *Controller) forgetSession(key flow.Key) {
 func (c *Controller) PolicyViolationTime() time.Duration {
 	total := c.violationAccum
 	now := c.eng.Now()
-	for _, pg := range c.sessions.pages.Pages() {
-		for i := range pg {
-			if e := &pg[i]; e.failOpen {
-				total += now - e.installedAt
-			}
-		}
+	for _, at := range c.failOpen {
+		total += now - at
 	}
 	return total
 }

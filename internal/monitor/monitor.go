@@ -9,12 +9,14 @@ package monitor
 
 import (
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"sync"
 	"time"
 
 	"livesec/internal/flow"
 	"livesec/internal/obs"
+	"livesec/internal/slots"
 )
 
 // EventType classifies a network event.
@@ -92,18 +94,76 @@ func named(ev Event) Event {
 	return ev
 }
 
-// record is what the store retains of an Event, in 112 bytes: no Seq
-// (a record's ring position is Seq-1), no FlowDesc (rendered on read),
-// the flow key inline rather than behind a pointer, and the type as an
-// index into Store.types.
+// record is what the store retains of an Event, in 64 bytes: what
+// varies from event to event inline (the flow key too, not behind a
+// pointer), and the rest as the ID of a tuple in the store's attribute
+// table. There is no Seq (a record's ring position is Seq-1) and no
+// FlowDesc (rendered on read).
 type record struct {
-	at               time.Duration
-	sw, se           uint64
-	user, ip, detail string
-	key              flow.Key
-	hasKey           bool
-	severity         uint8
-	typ              uint16
+	at   time.Duration
+	user string
+	key  flow.Key
+	attr uint32 // attrTable ID; 0 in a slot the ring has not yet filled
+}
+
+// attrs is the part of an event that many events share: every flow
+// event one switch records has the same. typ indexes Store.types; refs
+// counts the retained records naming the tuple, and is 0 only in a free
+// slot.
+type attrs struct {
+	sw, se     uint64
+	ip, detail string
+	severity   uint8
+	hasKey     bool
+	typ        uint16
+	refs       uint32
+}
+
+// matches reports whether ev's shared fields are a's.
+func (a *attrs) matches(ev *Event, types []EventType) bool {
+	return a.sw == ev.Switch && a.detail == ev.Detail && a.hasKey == (ev.FlowKey != nil) &&
+		a.se == ev.SE && a.ip == ev.IP && a.severity == ev.Severity && types[a.typ] == ev.Type
+}
+
+// attrTable interns the store's attribute tuples in slots.Pages, found
+// through a slots.Index of a hash of their content. A tuple lives while
+// a retained record names it, so the table never holds more tuples than
+// the ring holds records, plus the one a Record at capacity takes before
+// it lets the overwritten record's go.
+type attrTable struct {
+	pages slots.Pages[attrs]
+	index slots.Index
+	seed  maphash.Seed
+	last  uint32 // the ID the last Record named, tried before any hash
+}
+
+// at returns the tuple ID id names (id > 0).
+func (t *attrTable) at(id uint32) *attrs { return t.pages.At(id - 1) }
+
+// tag hashes an event's shared fields but its type, which only the
+// lookup's comparison reads: no two types share a detail in practice, and
+// leaving the type out spares Record a type lookup on a table hit.
+func (t *attrTable) tag(sw, se uint64, ip, detail string, severity uint8, hasKey bool) uint32 {
+	const m = 0x9e3779b97f4a7c15
+	h := maphash.String(t.seed, detail)
+	if ip != "" {
+		h = (h ^ maphash.String(t.seed, ip)) * m
+	}
+	h = (h ^ sw) * m
+	h = (h ^ se) * m
+	if hasKey {
+		h ^= 1 << 8
+	}
+	return uint32((h ^ uint64(severity)) * m >> 32)
+}
+
+// unref drops a record's reference to tuple id, freeing it with the last.
+func (t *attrTable) unref(id uint32) {
+	a := t.at(id)
+	if a.refs--; a.refs == 0 {
+		t.index.Remove(t.tag(a.sw, a.se, a.ip, a.detail, a.severity, a.hasKey), id-1)
+		t.pages.Free(id - 1)
+	}
 }
 
 // Store is the backstage database: an in-memory, bounded event log with
@@ -113,8 +173,9 @@ type record struct {
 // capacity as with room; sequence numbers are dense, so the event with
 // Seq q is the ring's value q-1.
 type Store struct {
-	mu   sync.RWMutex
-	ring obs.Ring[record]
+	mu    sync.RWMutex
+	ring  obs.Ring[record]
+	attrs attrTable
 	// types numbers the event types in order of first record; counts[i]
 	// is how many events of types[i] were ever recorded.
 	types  []EventType
@@ -134,6 +195,7 @@ func NewStore(capacity int) *Store {
 	}
 	return &Store{
 		ring:     obs.NewRing[record](capacity),
+		attrs:    attrTable{seed: maphash.MakeSeed()},
 		typeID:   make(map[EventType]uint16),
 		userApps: make(map[string]map[string]uint64),
 	}
@@ -154,19 +216,25 @@ func (s *Store) Subscribe(fn func(Event)) {
 // subscribers. A FlowDesc the caller set is not retained.
 func (s *Store) Record(ev Event) Event {
 	s.mu.Lock()
-	id, ok := s.typeID[ev.Type]
-	if !ok {
-		id = s.addType(ev.Type)
+	id := s.attrs.last
+	if id == 0 || !s.attrs.at(id).matches(&ev, s.types) {
+		id = s.intern(&ev)
 	}
-	s.counts[id]++
+	a := s.attrs.at(id)
+	s.counts[a.typ]++
 	ev.Seq = s.ring.Total() + 1
 	r := s.ring.Next()
-	r.at, r.sw, r.se = ev.At, ev.Switch, ev.SE
-	r.user, r.ip, r.detail = ev.User, ev.IP, ev.Detail
-	if r.hasKey = ev.FlowKey != nil; r.hasKey { // a slot reused without a key keeps the stale one unread
+	if r.attr != id { // an overwritten record naming the same tuple hands its reference on
+		a.refs++
+		if r.attr != 0 {
+			s.attrs.unref(r.attr)
+		}
+		r.attr = id
+	}
+	r.at, r.user = ev.At, ev.User
+	if ev.FlowKey != nil { // a slot reused without a key keeps the stale one unread
 		r.key = *ev.FlowKey
 	}
-	r.severity, r.typ = ev.Severity, id
 	if ev.Type == EventProtocol && ev.User != "" && ev.Detail != "" {
 		apps := s.userApps[ev.User]
 		if apps == nil {
@@ -184,6 +252,28 @@ func (s *Store) Record(ev Event) Event {
 		}
 	}
 	return ev
+}
+
+// intern returns the ID of ev's attribute tuple, filing a new one with no
+// reference if the table has none, and remembers it as the last.
+func (s *Store) intern(ev *Event) uint32 {
+	t := &s.attrs
+	hasKey := ev.FlowKey != nil
+	tag := t.tag(ev.Switch, ev.SE, ev.IP, ev.Detail, ev.Severity, hasKey)
+	id, ok := t.index.Find(tag, func(id uint32) bool { return t.pages.At(id).matches(ev, s.types) })
+	if !ok {
+		typ, known := s.typeID[ev.Type]
+		if !known {
+			typ = s.addType(ev.Type)
+		}
+		var a *attrs
+		id, a = t.pages.New()
+		*a = attrs{sw: ev.Switch, se: ev.SE, ip: ev.IP, detail: ev.Detail, severity: ev.Severity,
+			hasKey: hasKey, typ: typ}
+		t.index.Insert(tag, id)
+	}
+	t.last = id + 1
+	return id + 1
 }
 
 // addType numbers a type on its first record.
@@ -251,10 +341,11 @@ type query struct {
 	typ uint16
 }
 
-// admit matches a record on every field but Since, which Events seeks past.
-func (f *query) admit(r *record) bool {
+// admit matches a record and its tuple on every field but Since, which
+// Events seeks past.
+func (f *query) admit(r *record, a *attrs) bool {
 	switch {
-	case f.Type != "" && r.typ != f.typ:
+	case f.Type != "" && a.typ != f.typ:
 		return false
 	case r.at < f.From:
 		return false
@@ -263,16 +354,17 @@ func (f *query) admit(r *record) bool {
 	case f.User == "" || r.user == f.User:
 		return true
 	}
-	return r.user == "" && r.hasKey && r.key.EthSrc.String() == f.User // compared on the stack
+	return r.user == "" && a.hasKey && r.key.EthSrc.String() == f.User // compared on the stack
 }
 
 // event rebuilds the event with Seq q+1, its user named and its flow
 // described.
 func (s *Store) event(q uint64) Event {
 	r := s.ring.At(q)
-	ev := Event{Seq: q + 1, At: r.at, Type: s.types[r.typ], Switch: r.sw, User: r.user, IP: r.ip,
-		SE: r.se, Severity: r.severity, Detail: r.detail}
-	if r.hasKey {
+	a := s.attrs.at(r.attr)
+	ev := Event{Seq: q + 1, At: r.at, Type: s.types[a.typ], Switch: a.sw, User: r.user, IP: a.ip,
+		SE: a.se, Severity: a.severity, Detail: a.detail}
+	if a.hasKey {
 		k := r.key
 		ev.FlowKey, ev.FlowDesc = &k, k.String()
 		ev = named(ev)
@@ -296,7 +388,7 @@ func (s *Store) Events(f Filter) []Event {
 	// Seek straight past Since, or to the oldest retained event.
 	var out []Event
 	for q := max(f.Since, s.ring.Oldest()); q < s.ring.Total(); q++ {
-		if qf.admit(s.ring.At(q)) {
+		if r := s.ring.At(q); qf.admit(r, s.attrs.at(r.attr)) {
 			out = append(out, s.event(q))
 			if len(out) == f.Limit {
 				break

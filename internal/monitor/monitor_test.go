@@ -345,16 +345,18 @@ func TestRecordFlowEventAllocs(t *testing.T) {
 }
 
 // TestFlowEventRetention is the tripwire on what a flow event leaves
-// behind in a full store: its record, at most 120 bytes. Events are
-// recorded as core records them, each with a fresh flow key and no user;
-// a store that kept the Event and the key it points to would retain
-// 176 bytes (a 128-byte slot and a 48-byte key).
+// behind in a full store: its 64-byte record, at most 72 bytes with its
+// share of the ring's pages. Events are recorded as core records them,
+// each with a fresh flow key and no user, all naming one attribute
+// tuple; a store that kept the Event and the key it points to would
+// retain 176 bytes (a 128-byte slot and a 48-byte key), and one that
+// kept the attributes in each record 120 (a 112-byte record).
 func TestFlowEventRetention(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation changes heap accounting")
 	}
-	if size := unsafe.Sizeof(record{}); size != 112 {
-		t.Fatalf("a record is %d bytes, want 112", size)
+	if size := unsafe.Sizeof(record{}); size != 64 {
+		t.Fatalf("a record is %d bytes, want 64", size)
 	}
 	const events = 16384
 	heap := func() uint64 {
@@ -373,9 +375,120 @@ func TestFlowEventRetention(t *testing.T) {
 	}
 	perEvent := float64(heap()-h0) / events
 	runtime.KeepAlive(s)
-	if perEvent > 120 {
-		t.Fatalf("a recorded flow event retains %.1f heap bytes, want at most 120", perEvent)
+	if perEvent > 72 {
+		t.Fatalf("a recorded flow event retains %.1f heap bytes, want at most 72", perEvent)
 	}
+}
+
+// tupleOf is the attribute tuple an event names, its reference count 0.
+func tupleOf(s *Store, ev Event) attrs {
+	return attrs{sw: ev.Switch, se: ev.SE, ip: ev.IP, detail: ev.Detail, severity: ev.Severity,
+		hasKey: ev.FlowKey != nil, typ: s.typeID[ev.Type]}
+}
+
+// liveTuples returns the store's live attribute tuples and their
+// reference counts.
+func liveTuples(s *Store) map[attrs]uint32 {
+	live := make(map[attrs]uint32)
+	for _, pg := range s.attrs.pages.Pages() {
+		for _, a := range pg {
+			if a.refs > 0 {
+				refs := a.refs
+				a.refs = 0
+				live[a] = refs
+			}
+		}
+	}
+	return live
+}
+
+// TestAttrTableBounded holds the attribute table to the records that
+// name its tuples. At capacities 1, 7, 64 and one past a ring page, a
+// store records three times its capacity of events, each with a detail
+// of its own, beside the slice oracle: then and after every batch, the
+// live tuples are exactly those of the oracle's retained events, each
+// counted once per event naming it. One event repeated until it fills
+// the ring leaves one tuple.
+func TestAttrTableBounded(t *testing.T) {
+	page := (32768 - 8) / int(unsafe.Sizeof(record{}))
+	for _, capacity := range []int{1, 7, 64, page + 1} {
+		s := NewStore(capacity)
+		oracle := &sliceStore{capacity: capacity, counts: make(map[EventType]uint64)}
+		types := []EventType{EventFlowStart, EventAttack}
+		for i := range 3 * capacity {
+			ev := Event{Type: types[i%2], Switch: uint64(i % 3), Detail: fmt.Sprint("d", i)}
+			if i%2 == 0 {
+				ev.FlowKey = flowStartEvent().FlowKey
+			}
+			s.Record(ev)
+			oracle.Record(ev)
+			if i%(capacity/3+1) != 0 && i != 3*capacity-1 {
+				continue
+			}
+			want := make(map[attrs]uint32)
+			for _, ev := range oracle.events {
+				want[tupleOf(s, ev)]++
+			}
+			live := liveTuples(s)
+			if len(live) > s.Len() || !reflect.DeepEqual(live, want) {
+				t.Fatalf("capacity %d after %d records: %d live tuples for %d retained records, want the oracle's %d",
+					capacity, i+1, len(live), s.Len(), len(want))
+			}
+			if n := s.attrs.pages.Len(); n != len(live) {
+				t.Fatalf("capacity %d: the table counts %d live tuples, holds %d", capacity, n, len(live))
+			}
+		}
+		ev := flowStartEvent()
+		for range capacity {
+			s.Record(ev)
+		}
+		if live := liveTuples(s); len(live) != 1 || live[tupleOf(s, ev)] != uint32(capacity) {
+			t.Fatalf("capacity %d: a ring of one repeated event leaves tuples %v", capacity, live)
+		}
+		if n := s.attrs.index.Len(); n != 1 {
+			t.Fatalf("capacity %d: the index files %d tuples, want 1", capacity, n)
+		}
+	}
+}
+
+// TestAttrTableRetention bounds a store whose every event names its own
+// tuple: 16,384 retained events, the last third of 49,152 recorded, keep
+// at most 144 heap bytes each beyond their detail strings — the 64-byte
+// record, the 56-byte tuple and the tuple's share of the index.
+func TestAttrTableRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes heap accounting")
+	}
+	if size := unsafe.Sizeof(attrs{}); size != 56 {
+		t.Fatalf("an attribute tuple is %d bytes, want 56", size)
+	}
+	const capacity = 16384
+	details := make([]string, 3*capacity)
+	for i := range details {
+		details[i] = fmt.Sprintf("detail-%09d", i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	key := *flowStartEvent().FlowKey
+	h0 := heap()
+	s := NewStore(capacity)
+	for _, d := range details {
+		s.Record(Event{Type: EventFlowStart, Switch: 1, FlowKey: &key, Detail: d})
+	}
+	perEvent := float64(heap()-h0) / capacity
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(details)
+	if n := s.attrs.pages.Len(); n != capacity {
+		t.Fatalf("%d live tuples for %d retained events of distinct details", n, capacity)
+	}
+	if perEvent > 144 {
+		t.Fatalf("an event with a tuple of its own retains %.1f heap bytes, want at most 144", perEvent)
+	}
+	t.Logf("%.1f heap bytes retained per event", perEvent)
 }
 
 // benchEvents are distinct so that the recorded values are not one
@@ -419,8 +532,31 @@ func BenchmarkStoreRecordFlowEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreRecordDistinct is Record on a full store of events that
+// each carry a detail of their own: every call misses the attribute
+// table, files a new tuple and frees the one the overwritten record
+// named.
+func BenchmarkStoreRecordDistinct(b *testing.B) {
+	details := make([]string, 1<<17)
+	for i := range details {
+		details[i] = fmt.Sprint("blocked by rule-", i)
+	}
+	s := NewStore(0)
+	ev := Event{Type: EventFlowBlocked, Switch: 1}
+	for i := 0; i < 65536; i++ {
+		ev.Detail = details[i%len(details)]
+		s.Record(ev)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Detail = details[(65536+i)%len(details)]
+		s.Record(ev)
+	}
+}
+
 // BenchmarkStoreRecordCold is Record on a store with room, allocating a
-// page every 292 records; a fresh store every 65,536 records keeps it
+// page every 511 records; a fresh store every 65,536 records keeps it
 // below capacity.
 func BenchmarkStoreRecordCold(b *testing.B) {
 	b.ReportAllocs()

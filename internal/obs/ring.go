@@ -20,8 +20,9 @@ type Ring[T any] struct {
 // ringPageBytes is the most bytes one page of a Ring takes: the largest
 // small size class of the Go allocator, less the 8-byte header it puts in
 // front of an object over 512 bytes that holds pointers. So sized, a page
-// of 112-byte values holds 292 of them; a page of 256 (28,672 bytes) would
-// take all of that class's 32,768 bytes once the header is added.
+// of the monitor's 64-byte records holds 511 of them (32,704 bytes); a
+// page of 512 (32,768 bytes) would spill into a 40,960-byte span once the
+// header is added.
 const ringPageBytes = 32768 - 8
 
 // NewRing returns an empty ring that keeps the last capacity values

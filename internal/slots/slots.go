@@ -1,8 +1,9 @@
-// Package slots is the store behind the data plane's exact flow entries
-// and the controller's session records: fixed-size, pointer-free slots
-// in pages that never move once full, found through an open-addressed
-// index of hash tags. Neither part knows what a slot holds; the owner
-// hashes its key to a tag and tells the index which ID it accepts.
+// Package slots is the store behind the data plane's exact flow entries,
+// the controller's session records and the event store's attribute
+// tuples: fixed-size slots in pages that never move once full, found
+// through an open-addressed index of hash tags. Neither part knows what
+// a slot holds; the owner hashes its key to a tag and tells the index
+// which ID it accepts.
 package slots
 
 import (
