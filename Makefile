@@ -21,7 +21,7 @@ bench:
 # shares a prefix with a listed one out of the gate.
 bench-hot:
 	$(GO) test -run=NONE \
-		-bench='^(BenchmarkEngineScheduleRun|BenchmarkEngineRunTimerWheel|BenchmarkEngineCampusMix|BenchmarkInspect|BenchmarkMicroflowLookup|BenchmarkFlowTableExact|BenchmarkFlowTableExpire|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordFlowEvent|BenchmarkStoreRecordCold|BenchmarkStoreRecordDistinct|BenchmarkFinishSpan|BenchmarkSetup|BenchmarkSessionStore|BenchmarkSessionsWhere|BenchmarkDaemonColdSetup)$$' \
+		-bench='^(BenchmarkEngineScheduleRun|BenchmarkEngineRunTimerWheel|BenchmarkEngineCampusMix|BenchmarkInspect|BenchmarkMicroflowLookup|BenchmarkFlowTableExact|BenchmarkFlowTableExpire|BenchmarkPipelineSteadyState|BenchmarkPolicyLookupCompiled|BenchmarkPolicyAddAll|BenchmarkPickElement|BenchmarkConntrackLookup|BenchmarkStateHandoff|BenchmarkStoreRecordAtCapacity|BenchmarkStoreRecordFlowEvent|BenchmarkStoreRecordInterleaved|BenchmarkStoreRecordCold|BenchmarkStoreRecordDistinct|BenchmarkFinishSpan|BenchmarkSetup|BenchmarkSessionStore|BenchmarkSessionsWhere|BenchmarkDaemonColdSetup)$$' \
 		-benchmem -count=8 ./internal/sim ./internal/ids ./internal/dataplane ./internal/policy ./internal/core ./internal/firewall ./internal/monitor ./internal/obs ./cmd/livesecd
 
 # Tier-1 gate: build + vet + race tests + benchmark smoke run.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/obs"
 	"livesec/internal/openflow"
+	"livesec/internal/slots/slotstest"
 )
 
 // testDaemon is the daemon run() wires, accepting switches on an
@@ -583,16 +585,10 @@ func BenchmarkDaemonColdSetup(b *testing.B) {
 		defer log.mu.Unlock()
 		return log.n
 	}
-	// The heap live after a collection, before and after the timed loop:
-	// the state the daemon keeps per cold setup, not only what it
-	// allocates.
-	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	w0, h0 := writes(), heap()
+	// The heap live after a collection and the mapped slabs, before and
+	// after the timed loop: the state the daemon keeps per cold setup, not
+	// only what it allocates.
+	w0, h0 := writes(), slotstest.Retained()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The destination port is in the selector, so the first 65,535
@@ -605,7 +601,7 @@ func BenchmarkDaemonColdSetup(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(writes()-w0)/float64(b.N), "writes/setup")
-	b.ReportMetric(float64(heap()-h0)/float64(b.N), "retained-B/op")
+	b.ReportMetric(float64(slotstest.Retained()-h0)/float64(b.N), "retained-B/op")
 }
 
 // Events are stamped with the wall clock at dispatch, not with the last
@@ -662,6 +658,11 @@ func TestLiveMetricsExposition(t *testing.T) {
 	}
 	if want := fmt.Sprintf("livesec_flows_total{kind=\"routed\"} %d\n", flows); !strings.Contains(metrics, want) {
 		t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+	}
+	// The event and span rings' pages are mapped outside the Go heap, and
+	// the gauge says how much is.
+	if !regexp.MustCompile(`(?m)^livesec_mapped_bytes [1-9][0-9]*$`).MatchString(metrics) {
+		t.Fatalf("/metrics lacks a positive livesec_mapped_bytes:\n%s", metrics)
 	}
 	if traces := d.get(t, "/traces?limit=5"); !strings.Contains(traces, `"recorded"`) {
 		t.Fatalf("/traces response malformed: %s", traces)

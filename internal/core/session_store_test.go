@@ -11,6 +11,7 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/slots"
+	"livesec/internal/slots/slotstest"
 )
 
 // A session slot, key included, is at most 56 bytes and holds no
@@ -37,14 +38,6 @@ func TestSessionEntryCompact(t *testing.T) {
 	check(reflect.TypeOf(sessionSlot{}), "sessionSlot")
 }
 
-// heapAlloc is the live heap after a collection.
-func heapAlloc() int64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
-
 // rememberDirect remembers n direct sessions, the i'th at switch dpid(i).
 func rememberDirect(c *Controller, n int, dpid func(i int) uint64) {
 	direct := &sessionPlan{}
@@ -54,33 +47,36 @@ func rememberDirect(c *Controller, n int, dpid func(i int) uint64) {
 }
 
 // 65,536 direct sessions, wire_miss's live set after its warm-up, retain
-// at most 72 heap bytes each: a 48-byte slot and its share of the index.
-// A 72-byte slot retained 88, and a Go map of the same records 176.
+// at most 72 bytes each, heap and mapped slabs together: a 48-byte slot
+// and its share of the index. A 72-byte slot retained 88, and a Go map of
+// the same records 176.
 func TestSessionRetention(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes heap accounting")
 	}
 	const n = 1 << 16
 	c := newSetupRig(t, Config{}, []uint64{1}, nil, nil).c
-	h0 := heapAlloc()
+	h0 := slotstest.Retained()
 	rememberDirect(c, n, func(int) uint64 { return 1 })
-	perSession := float64(heapAlloc()-h0) / n
+	perSession := float64(slotstest.Retained()-h0) / n
 	runtime.KeepAlive(c)
 	if perSession > 72 {
-		t.Fatalf("%.1f heap bytes retained per session, want at most 72", perSession)
+		t.Fatalf("%.1f bytes retained per session, want at most 72", perSession)
 	}
-	t.Logf("%.1f heap bytes retained per session", perSession)
+	t.Logf("%.1f bytes retained per session", perSession)
 }
 
 // A store that held 65,536 sessions, all retired by FLOW_REMOVED, keeps
-// at most its first page, and the live heap returns to within 64 KiB of
-// what it was before the fill: a Go map never frees its buckets.
+// at most its first page: the live heap returns to within 64 KiB of what
+// it was before the fill, and the mapped slabs to what they were: a Go
+// map never frees its buckets.
 func TestDrainedSessionStoreGivesPagesBack(t *testing.T) {
 	const n = 1 << 16
 	r := newSetupRig(t, Config{}, []uint64{1}, nil, nil)
 	r.keep = false
 	c, st := r.c, r.c.switches[1]
-	h0 := heapAlloc()
+	h0 := slotstest.Retained()
+	m0 := slots.MappedBytes()
 	rememberDirect(c, n, func(int) uint64 { return 1 })
 	if got := c.sessions.pages.Len(); got != n {
 		t.Fatalf("%d sessions live after the fill, want %d", got, n)
@@ -92,12 +88,15 @@ func TestDrainedSessionStoreGivesPagesBack(t *testing.T) {
 	if got, size := c.sessions.pages.Len(), c.sessions.pages.Size(); got != 0 || size > slots.FirstPageSlots {
 		t.Fatalf("after the drain %d sessions live in %d slots, want 0 in at most %d", got, size, slots.FirstPageSlots)
 	}
-	retained := heapAlloc() - h0
+	retained, mapped := slotstest.Retained()-h0, slots.MappedBytes()-m0
 	runtime.KeepAlive(c)
-	if !raceEnabled && retained > 64<<10 {
-		t.Fatalf("the drained store retains %d heap bytes, want at most 64 KiB", retained)
+	if mapped != 0 {
+		t.Fatalf("the drained store keeps %d more bytes mapped than before the fill, want 0", mapped)
 	}
-	t.Logf("the drained store retains %d heap bytes", retained)
+	if !raceEnabled && retained > 64<<10 {
+		t.Fatalf("the drained store retains %d bytes, want at most 64 KiB", retained)
+	}
+	t.Logf("the drained store retains %d bytes", retained)
 }
 
 // sessionKey is the i'th of 2²⁴ distinct forward-direction flows.
@@ -175,15 +174,16 @@ func TestSessionInternsBounded(t *testing.T) {
 }
 
 // BenchmarkSessionStore remembers 65,536 direct sessions, wire_miss's
-// live set after its warm-up, and reports the heap they retain per
-// session; each timed iteration remembers and forgets one more session.
+// live set after its warm-up, and reports the bytes they retain per
+// session, heap and mapped slabs together; each timed iteration
+// remembers and forgets one more session.
 func BenchmarkSessionStore(b *testing.B) {
 	const n = 1 << 16
 	c := newSetupRig(b, Config{}, []uint64{1}, nil, nil).c
 	direct := &sessionPlan{}
-	h0 := heapAlloc()
+	h0 := slotstest.Retained()
 	rememberDirect(c, n, func(int) uint64 { return 1 })
-	retained := float64(heapAlloc()-h0) / n
+	retained := float64(slotstest.Retained()-h0) / n
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,6 +11,7 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/sim"
+	"livesec/internal/slots/slotstest"
 )
 
 // benchSink is a Node that discards every delivered frame.
@@ -160,14 +161,9 @@ func BenchmarkFlowTableExact(b *testing.B) {
 		timeCycles(b, n, NewFlowTable, func(t *FlowTable, i int) {
 			t.Add(Entry{Match: flow.ExactMatch(keys[i]), Priority: 10, Actions: openflow.Output(2)}, 0)
 		})
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		before := ms.HeapAlloc
+		before := slotstest.Retained()
 		t := fill()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		b.ReportMetric(float64(ms.HeapAlloc-before)/n, "retained-B/entry")
+		b.ReportMetric(float64(slotstest.Retained()-before)/n, "retained-B/entry")
 		runtime.KeepAlive(t)
 	})
 	b.Run("delete-strict", func(b *testing.B) {

@@ -425,7 +425,7 @@ func (t *FlowTable) compact() {
 	if !ok {
 		return
 	}
-	t.exact = slots.Index{}
+	t.exact.Reset()
 	for _, s := range live {
 		t.addExact(s)
 	}

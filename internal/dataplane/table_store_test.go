@@ -14,6 +14,7 @@ import (
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/slots"
+	"livesec/internal/slots/slotstest"
 )
 
 // The table's properties hold when every exact key hashes alike, so that
@@ -121,14 +122,6 @@ func footprint(t *FlowTable) int {
 	return n
 }
 
-// heapAlloc is the live heap after a collection.
-func heapAlloc() int64 {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
-
 // controllerTable adds n controller-shaped exact entries to a new table.
 func controllerTable(n int, hard func(i int) uint16) *FlowTable {
 	tbl := NewFlowTable()
@@ -141,8 +134,8 @@ func controllerTable(n int, hard func(i int) uint16) *FlowTable {
 }
 
 // An exact entry is a slot of at most 96 bytes that holds no pointer, and
-// costs at most 112 heap bytes all told: the slot, its share of the index
-// and no action list of its own. A table of 16 entries holds at most 4 KB
+// costs at most 112 bytes all told, heap and mapped slabs together: the
+// slot, its share of the index and no action list of its own. A table of 16 entries holds at most 4 KB
 // of slots and index.
 func TestExactEntryFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got > 96 {
@@ -156,14 +149,14 @@ func TestExactEntryFootprint(t *testing.T) {
 		t.Errorf("16 entries hold %d bytes of slots and index, want at most 4 KB", got)
 	}
 	const n = 100_000
-	before := heapAlloc()
+	before := slotstest.Retained()
 	tbl := controllerTable(n, func(int) uint16 { return 0 })
-	perEntry := float64(heapAlloc()-before) / n
+	perEntry := float64(slotstest.Retained()-before) / n
 	runtime.KeepAlive(tbl)
 	if perEntry > 112 {
-		t.Fatalf("%.1f heap bytes per exact entry, want at most 112", perEntry)
+		t.Fatalf("%.1f bytes per exact entry, want at most 112", perEntry)
 	}
-	t.Logf("%.1f heap bytes per exact entry", perEntry)
+	t.Logf("%.1f bytes per exact entry", perEntry)
 }
 
 // A table grown to 100,000 entries and expired down to a few hundred
@@ -172,7 +165,7 @@ func TestExactEntryFootprint(t *testing.T) {
 // before the compaction.
 func TestDrainedTableCompacts(t *testing.T) {
 	const n, kept = 100_000, 100
-	before := heapAlloc()
+	before := slotstest.Retained()
 	tbl := controllerTable(n, func(i int) uint16 {
 		if i%(n/kept) == 0 {
 			return 0
@@ -196,7 +189,7 @@ func TestDrainedTableCompacts(t *testing.T) {
 	if got := len(tbl.Expire(2 * time.Second)); got != due || tbl.Len() != 2*kept-1 {
 		t.Fatalf("expired %d of %d due, %d left; want all due expired and %d left", got, due, tbl.Len(), 2*kept-1)
 	}
-	retained := heapAlloc() - before
+	retained := slotstest.Retained() - before
 	if retained > 256<<10 {
 		t.Errorf("the drained table retains %d bytes, want at most 256 KB", retained)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"livesec/internal/obs"
+	"livesec/internal/slots"
 )
 
 // TopologyFunc supplies the current logical topology for /topology; the
@@ -182,6 +183,7 @@ func NewAPIHandler(cfg HandlerConfig) http.Handler {
 		text := storeMetrics(store)
 		if cfg.Obs != nil {
 			sync(func() { text += cfg.Obs.Registry.Text() })
+			text += processMetrics()
 		}
 		w.Header().Set("Content-Type", obs.ContentType)
 		w.Write([]byte(text))
@@ -298,6 +300,16 @@ func storeMetrics(s *Store) string {
 		"Monitoring events ever recorded (ring may have evicted some).").Add(s.TotalRecorded())
 	r.Gauge("livesec_events_retained", "Events currently held in the ring.").
 		Set(float64(s.Len()))
+	return r.Text()
+}
+
+// processMetrics renders what the process holds outside any one
+// registry: the store slabs mapped outside the Go heap (slots.Slabs).
+func processMetrics() string {
+	r := obs.NewRegistry()
+	r.Gauge("livesec_mapped_bytes",
+		"Bytes of store slabs the process maps outside the Go heap, which Go's memory statistics do not count.").
+		Set(float64(slots.MappedBytes()))
 	return r.Text()
 }
 

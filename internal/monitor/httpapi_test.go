@@ -206,6 +206,7 @@ func TestMetricsWithObsLints(t *testing.T) {
 		"livesec_custom_total 3",
 		"livesec_events_total",
 		`livesec_flow_setup_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE livesec_mapped_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

@@ -1,6 +1,10 @@
 package obs
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"livesec/internal/slots"
+)
 
 // Ring keeps the last capacity values pushed to it. Values are numbered
 // densely from 0 in push order, so value q lives in slot q mod capacity.
@@ -10,19 +14,25 @@ import "unsafe"
 // of it at once, as growing a slice by append does. The monitor's event
 // log, the span ring and the alert transition log are all Rings. A Ring
 // is not safe for concurrent use.
+//
+// Pages come from slots.MakeSlab: a full page of a pointer-free T (the
+// event log's records, the spans) is mapped outside the Go heap and
+// unmapped when the ring is dropped, so a pointer from Next or At must
+// not outlive the ring; a page of any other T is on the heap.
 type Ring[T any] struct {
 	capacity int
 	page     int   // the most values one page holds
 	pages    [][]T // slot i is pages[i/page][i%page]
 	n        uint64
+	slabs    slots.Slabs
 }
 
 // ringPageBytes is the most bytes one page of a Ring takes: the largest
 // small size class of the Go allocator, less the 8-byte header it puts in
-// front of an object over 512 bytes that holds pointers. So sized, a page
-// of the monitor's 64-byte records holds 511 of them (32,704 bytes); a
-// page of 512 (32,768 bytes) would spill into a 40,960-byte span once the
-// header is added.
+// front of an object over 512 bytes that holds pointers, so that a heap
+// page does not spill into a 40,960-byte span. A mapped page is rounded
+// up to whole 4 KiB pages instead: one of the monitor's 48-byte records
+// holds 682 of them in 32,736 bytes and maps 32,768.
 const ringPageBytes = 32768 - 8
 
 // NewRing returns an empty ring that keeps the last capacity values
@@ -44,10 +54,16 @@ func (r *Ring[T]) Push(v T) { *r.Next() = v }
 func (r *Ring[T]) Next() *T {
 	i := int(r.n % uint64(r.capacity))
 	if p := i / r.page; p == len(r.pages) { // the first pass reaches a new page
-		r.pages = append(r.pages, make([]T, min(r.page, r.capacity-p*r.page)))
+		r.addPage(p)
 	}
 	r.n++
 	return &r.pages[i/r.page][i%r.page]
+}
+
+// addPage allocates page p, out of line so that Next stays small enough
+// to inline.
+func (r *Ring[T]) addPage(p int) {
+	r.pages = append(r.pages, slots.MakeSlab[T](&r.slabs, min(r.page, r.capacity-p*r.page)))
 }
 
 // Total returns the number of values ever pushed.

@@ -4,6 +4,20 @@
 // through an open-addressed index of hash tags. Neither part knows what
 // a slot holds; the owner hashes its key to a tag and tells the index
 // which ID it accepts.
+//
+// Pages, index words and obs.Ring pages come from one slab allocator
+// (slab.go). A slab of a type with no pointer in it — the flow table's
+// and the session store's slots, the index's words, the event and span
+// rings' records — that fills at least a 4 KiB page is mapped outside the
+// Go heap, so these long-lived stores are resident once instead of being
+// counted again in the collector's heap goal. A type that holds a string,
+// slice or pointer (the event store's attribute tuples, the alert
+// transition log) stays on the heap, where the collector sees it; the
+// allocator checks each type, not its caller. A mapped slab is unmapped
+// on the spot where the store drops it (index growth, first-page growth,
+// Drain, Index.Reset) and by a finalizer when the store itself is
+// dropped, so a pointer from At or a page from Pages dies at the next New
+// or Drain, or with the store.
 package slots
 
 import (
@@ -41,12 +55,13 @@ func KeyTag(seed maphash.Seed, k flow.Key) uint32 { return uint32(KeyHash(seed, 
 type Index struct {
 	words []uint64
 	n     int
+	slabs Slabs
 }
 
 // Len returns the number of IDs filed.
 func (x *Index) Len() int { return x.n }
 
-// Bytes returns the heap bytes the index's words hold.
+// Bytes returns the bytes the index's words hold.
 func (x *Index) Bytes() int { return 8 * len(x.words) }
 
 // Find returns the ID filed under tag that eq accepts, or false.
@@ -64,12 +79,13 @@ func (x *Index) Find(tag uint32, eq func(id uint32) bool) (uint32, bool) {
 func (x *Index) Insert(tag, id uint32) {
 	if (x.n+1)*8 > len(x.words)*7 {
 		old := x.words
-		x.words, x.n = make([]uint64, max(16, 2*len(old))), 0
+		x.words, x.n = MakeSlab[uint64](&x.slabs, max(16, 2*len(old))), 0
 		for _, w := range old {
 			if w != 0 {
 				x.Insert(uint32(w>>32), uint32(w)-1)
 			}
 		}
+		FreeSlab(&x.slabs, old)
 	}
 	mask := len(x.words) - 1
 	i := int(tag) & mask
@@ -78,6 +94,12 @@ func (x *Index) Insert(tag, id uint32) {
 	}
 	x.words[i] = uint64(tag)<<32 | uint64(id+1)
 	x.n++
+}
+
+// Reset empties the index, giving its words back.
+func (x *Index) Reset() {
+	FreeSlab(&x.slabs, x.words)
+	x.words, x.n = nil, 0
 }
 
 // Remove takes id, filed under tag, out of the index and moves back each
@@ -109,13 +131,14 @@ const (
 
 // Pages holds slots of type T under stable uint32 IDs: ID i is slot
 // i%PageSlots of page i/PageSlots, and a full page never moves, so a
-// pointer from At stays good until the next New. A freed slot is the
-// zero T, and a live one must never be. Freed IDs are reused last in,
-// first out. The zero Pages is empty.
+// pointer from At stays good until the next New, Drain or the store's
+// drop. A freed slot is the zero T, and a live one must never be. Freed
+// IDs are reused last in, first out. The zero Pages is empty.
 type Pages[T comparable] struct {
 	pages [][]T
 	free  []uint32
 	n     int // live slots
+	slabs Slabs
 }
 
 // Len returns the number of live slots.
@@ -135,7 +158,8 @@ func (p *Pages[T]) Size() int {
 func (p *Pages[T]) At(id uint32) *T { return &p.pages[id/PageSlots][id%PageSlots] }
 
 // Pages returns the store's pages in ID order, page i holding the IDs
-// from i*PageSlots, for walks. Callers must not append to them.
+// from i*PageSlots, for walks. Callers must not append to them, and must
+// not keep them past the next New or Drain.
 func (p *Pages[T]) Pages() [][]T { return p.pages }
 
 // New takes the last freed ID, or a new one at the end of the store, and
@@ -149,12 +173,15 @@ func (p *Pages[T]) New() (uint32, *T) {
 	}
 	n := len(p.pages)
 	if n == 0 || len(p.pages[n-1]) == PageSlots {
-		p.pages = append(p.pages, make([]T, 0, min(PageSlots, FirstPageSlots+n*PageSlots))) // page 0 starts small
+		p.pages = append(p.pages, MakeSlab[T](&p.slabs, min(PageSlots, FirstPageSlots+n*PageSlots))[:0]) // page 0 starts small
 		n++
 	}
 	pg := p.pages[n-1]
 	if len(pg) == cap(pg) { // only the first page grows
-		pg = append(make([]T, 0, 2*cap(pg)), pg...)
+		grown := MakeSlab[T](&p.slabs, 2*cap(pg))[:len(pg)]
+		copy(grown, pg)
+		FreeSlab(&p.slabs, pg)
+		pg = grown
 	}
 	p.pages[n-1] = pg[:len(pg)+1]
 	id := uint32((n-1)*PageSlots + len(pg))
@@ -188,6 +215,7 @@ func (p *Pages[T]) Drain(cmp func(a, b T) int) ([]T, bool) {
 		}
 	}
 	slices.SortFunc(live, cmp)
-	*p = Pages[T]{}
+	p.slabs.FreeAll()
+	*p = Pages[T]{slabs: p.slabs}
 	return live, true
 }

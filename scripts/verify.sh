@@ -2,6 +2,9 @@
 # Tier-1 verification: everything a change must pass before merging.
 #
 #   build       -> the module compiles, including all commands/examples
+#   cross-build -> it compiles for windows, where slots falls back to the
+#                  heap for want of mmap, and for darwin, a non-linux unix;
+#                  nothing else compiles those files
 #   gofmt       -> every Go file is gofmt-clean
 #   vet         -> static checks, in the root module and in the nested
 #                  bench module, which ./... does not reach
@@ -29,6 +32,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> GOOS=windows go build ./... and GOOS=darwin go build ./..."
+GOOS=windows go build ./...
+GOOS=darwin go build ./...
 
 echo "==> gofmt -l"
 unformatted=$(gofmt -l cmd internal examples bench ./*.go)
