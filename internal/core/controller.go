@@ -276,7 +276,7 @@ type Controller struct {
 	// fail-open session's install time, which opens its
 	// policy-violation window (sessions.go).
 	sessions sessionStore
-	routes   interned[routeKey, sessionRoute]
+	routes   routeTable
 	failOpen map[flow.Key]time.Duration
 	// discoverPending debounces join-triggered discovery rounds.
 	discoverPending bool
