@@ -821,3 +821,81 @@ func TestEventLogFlushed(t *testing.T) {
 		t.Fatalf("after flush the log holds %q", got)
 	}
 }
+
+// TestDaemonPollsLinkLoads: the daemon asks a switch for its port and
+// table statistics within two poll periods of the handshake, polls its
+// ports again a period later, and once the switch has answered both port
+// polls, /topology lists its table row and the port's load at the rate
+// its counters imply.
+func TestDaemonPollsLinkLoads(t *testing.T) {
+	const (
+		dpid  = 105
+		port  = 1
+		delta = 1_250_000 // bytes between the two port replies
+	)
+	d := startDaemon(t, nil)
+	c, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer := openflow.NewNetConn(c)
+	portPolls := make(chan *openflow.StatsRequest, 2) // the two the test answers; later polls are dropped
+	var tablePolled atomic.Int64                      // unix ns of the first table poll
+	peer.SetHandler(func(m openflow.Message) {
+		switch m := m.(type) {
+		case *openflow.EchoRequest:
+			peer.Send(&openflow.EchoReply{XID: m.XID, Data: m.Data})
+		case *openflow.StatsRequest:
+			if m.Kind == openflow.StatsPort {
+				select {
+				case portPolls <- m:
+				default:
+				}
+				return
+			}
+			tablePolled.CompareAndSwap(0, time.Now().UnixNano())
+			peer.Send(&openflow.StatsReply{XID: m.XID, Kind: openflow.StatsTable,
+				Tables: []openflow.TableStat{{ActiveCount: 7, LookupCount: 9, MatchedCount: 8}}})
+		}
+	})
+	peer.Send(&openflow.Hello{XID: 1})
+	peer.Send(&openflow.FeaturesReply{XID: 2, DPID: dpid, NTables: 1,
+		Ports: []openflow.PortDesc{{No: port, Name: "sw5-p1"}}})
+	handshake := time.Now()
+	// answer awaits a port poll until by and replies with counters at
+	// bytes, returning when the reply left.
+	answer := func(by time.Time, bytes uint64) time.Time {
+		select {
+		case req := <-portPolls:
+			peer.Send(&openflow.StatsReply{XID: req.XID, Kind: openflow.StatsPort,
+				Ports: []openflow.PortStat{{PortNo: port, RxBytes: bytes, TxBytes: bytes}}})
+			return time.Now()
+		case <-time.After(time.Until(by)):
+			t.Fatalf("no port poll %v after the handshake", by.Sub(handshake))
+			return time.Time{}
+		}
+	}
+	first := answer(handshake.Add(2*statsPeriod), 1_000_000)
+	second := answer(first.Add(statsPeriod*3/2), 1_000_000+delta)
+	if at := tablePolled.Load(); at == 0 || time.Unix(0, at).Sub(handshake) > 2*statsPeriod {
+		t.Fatalf("no table poll within %v of the handshake", 2*statsPeriod)
+	}
+	want := float64(delta) * 8 / second.Sub(first).Seconds() / 1e6
+	var topo core.TopologySnapshot
+	waitFor(t, "the port load on /topology", func() bool {
+		if err := json.Unmarshal([]byte(d.get(t, "/topology")), &topo); err != nil {
+			t.Fatal(err)
+		}
+		return len(topo.Loads) > 0
+	})
+	if len(topo.Tables) != 1 || topo.Tables[0] != (core.TableStats{DPID: dpid, Active: 7, Lookups: 9, Matched: 8}) {
+		t.Errorf("/topology tables = %+v, want one row for dpid %d with 7 active entries", topo.Tables, dpid)
+	}
+	if len(topo.Loads) != 1 {
+		t.Fatalf("/topology loads = %+v, want one", topo.Loads)
+	}
+	if l := topo.Loads[0]; l.DPID != dpid || l.Port != port || l.RxMbps < 0.9*want || l.RxMbps > 1.1*want || l.TxMbps != l.RxMbps {
+		t.Fatalf("/topology load = %+v, want dpid %d port %d at %.1f Mbit/s each way", l, dpid, port, want)
+	}
+}

@@ -12,7 +12,8 @@
 // its deterministic SLO/alert engine evaluates the default rule pack under
 // the controller lock. The monitoring API serves them on GET /metrics
 // (Prometheus text exposition), GET /traces (JSON spans) and GET /alerts,
-// and the controller health rollup on GET /health.
+// and the controller health rollup on GET /health. Switch stats are polled
+// every second, so GET /topology carries per-port link loads (§IV.D).
 //
 // With -demo, livesecd spawns two in-process OpenFlow switches that
 // connect over TCP loopback, complete the handshake, exchange LLDP via
@@ -112,9 +113,9 @@ type daemon struct {
 	api   http.Handler
 }
 
-// newDaemon wires the daemon: the controller, whose alert engine records
-// its transitions as events, and the monitoring API, whose snapshots run
-// under the controller lock. Event lines go to log.
+// newDaemon wires the daemon: the controller, polling switch stats, whose
+// alert engine records its transitions as events, and the monitoring API,
+// whose snapshots run under the controller lock. Event lines go to log.
 func newDaemon(log io.Writer) *daemon {
 	d := &daemon{lk: newCtrlLock(log), store: monitor.NewStore(0)}
 	lk := d.lk
@@ -125,6 +126,7 @@ func newDaemon(log io.Writer) *daemon {
 			Policies: policy.NewTable(policy.Allow),
 		})
 		d.ctrl.Start()
+		d.ctrl.StartStatsPolling(statsPeriod)
 	})
 	d.api = d.ctrl.APIHandler(lk.do)
 	d.store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
@@ -132,6 +134,8 @@ func newDaemon(log io.Writer) *daemon {
 	})
 	return d
 }
+
+const statsPeriod = time.Second // how often every switch's port and table stats are polled
 
 func acceptLoop(ln net.Listener, lk *ctrlLock, ctrl *core.Controller) {
 	for {

@@ -526,9 +526,7 @@ func (c *Controller) dispatch(it ingressItem) {
 	case *openflow.StatsReply:
 		switch msg.Kind {
 		case openflow.StatsPort:
-			if c.portSamples != nil {
-				c.handlePortStats(it.st, msg)
-			}
+			c.handlePortStats(it.st, msg)
 		case openflow.StatsTable:
 			c.handleTableStats(it.st, msg)
 		}
@@ -674,6 +672,7 @@ func (c *Controller) RemoveSwitch(dpid uint64) bool {
 	}
 	delete(c.switches, dpid)
 	_ = st.conn.Close()
+	c.forgetSwitchStats(dpid)
 	// Topology change: every cached plan may embed ports toward the
 	// departed switch; clear everything (cache.go).
 	c.cache.invalidateAll()

@@ -251,9 +251,9 @@ func (c *Controller) PolicyViolationTime() time.Duration {
 
 // ReapplyPolicies re-evaluates every live session against the current
 // policy table. Sessions whose decision changed to Deny are torn down
-// and blocked at their ingress switch; sessions whose service chain
-// changed are torn down so their next packet re-installs under the new
-// policy. It returns the number of sessions affected.
+// and blocked at their ingress switch; sessions now decided by another
+// rule or steered otherwise (a rule replaced under its own name) are torn
+// down to re-install under the new policy. It returns how many were.
 func (c *Controller) ReapplyPolicies() int {
 	affected := 0
 	for _, rec := range c.sessionsWhere(func(sessionRecord) bool { return true }) {
@@ -274,15 +274,33 @@ func (c *Controller) ReapplyPolicies() int {
 				User: key.EthSrc.String(), Detail: "existing session denied by " + dec.Rule})
 			c.forgetSession(key)
 			affected++
-		case dec.Rule != rec.rule:
-			// Admission changed (different rule or chain): tear down so
-			// the next packet re-installs under the new decision.
+		case dec.Rule != rec.rule || !c.steeredAs(rec, dec):
+			// Admission changed (different rule, action or chain): tear
+			// down so the next packet re-installs under the new decision.
 			c.teardownSession(key)
 			c.forgetSession(key)
 			affected++
 		}
 	}
 	return affected
+}
+
+// steeredAs reports whether a live session runs through one element of
+// each of dec's services, in order. A fail-open session runs through none
+// and only needs dec to be a Chain; resteerFailOpen moves it onto elements.
+func (c *Controller) steeredAs(rec sessionRecord, dec policy.Decision) bool {
+	if _, failOpen := c.failOpen[rec.key]; failOpen {
+		return dec.Action == policy.Chain
+	}
+	if len(rec.seIDs) != len(dec.Services) {
+		return false
+	}
+	for i, id := range rec.seIDs {
+		if se, ok := c.elements[id]; !ok || se.service != dec.Services[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // teardownSession removes the exact entries of both directions of a

@@ -318,3 +318,50 @@ func TestReapplyDenyTearsDownChainedLegs(t *testing.T) {
 		t.Fatalf("after the deny: forwarding legs on %v, drops on %v; want none, and one drop on ovs1", fwd, drops)
 	}
 }
+
+// TestReapplyPoliciesSameNameReplaced: an Allow rule replaced under its
+// own name by a Chain rule, as recompiling an edited intent does, tears
+// down the session it admitted, so the flow's later packets are
+// inspected.
+func TestReapplyPoliciesSameNameReplaced(t *testing.T) {
+	n, a, b := idsNet(t, testbed.Options{}, 1)
+	defer n.Shutdown()
+	web := func(action policy.Action, svcs ...seproto.ServiceType) *policy.Rule {
+		return &policy.Rule{Name: "web", Priority: 20,
+			Match: policy.Match{Proto: netpkt.ProtoTCP, DstPort: 80}, Action: action, Services: svcs}
+	}
+	if err := n.Controller.Policies().Add(web(policy.Allow)); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	b.HandleTCP(80, func(*netpkt.Packet) { got++ })
+	a.SendTCP(serverIP, 50000, 80, []byte("GET / HTTP/1.1"), 0)
+	if err := n.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.Controller.Stats(); got != 1 || st.FlowsRouted != 1 || st.FlowsChained != 0 {
+		t.Fatalf("setup: %d delivered, %d routed, %d chained; want 1, 1 and 0", got, st.FlowsRouted, st.FlowsChained)
+	}
+	if err := n.Controller.Policies().Add(web(policy.Chain, seproto.ServiceIDS)); err != nil {
+		t.Fatal(err)
+	}
+	if affected := n.Controller.ReapplyPolicies(); affected != 1 {
+		t.Fatalf("affected = %d, want 1", affected)
+	}
+	if err := n.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	inspected := n.Elements[0].Stats().Packets
+	for i := 0; i < 4; i++ {
+		a.SendTCP(serverIP, 50000, 80, []byte("GET / HTTP/1.1"), 0)
+		if err := n.Run(20 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != 5 {
+		t.Fatalf("%d packets delivered, want 5", got)
+	}
+	if n := n.Elements[0].Stats().Packets - inspected; n < 4 {
+		t.Fatalf("the IDS inspected %d of the flow's 4 packets after the reapply", n)
+	}
+}

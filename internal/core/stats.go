@@ -41,17 +41,12 @@ type TableStats struct {
 	MicroflowInvalidations uint64 `json:"microflowInvalidations"`
 }
 
-// StartStatsPolling begins periodic port- and table-stats collection.
-// Call after Start; stops with Shutdown.
+// StartStatsPolling begins port- and table-stats collection every
+// period. Call after Start; stops with Shutdown.
 func (c *Controller) StartStatsPolling(period time.Duration) {
-	if period <= 0 {
-		period = time.Second
-	}
 	if c.portSamples == nil {
 		c.portSamples = make(map[[2]uint64]portSample)
 		c.portLoads = make(map[[2]uint64]PortLoad)
-	}
-	if c.tableStats == nil {
 		c.tableStats = make(map[uint64]TableStats)
 	}
 	c.stops = append(c.stops, c.eng.Ticker(period, func() {
@@ -95,14 +90,18 @@ func (c *Controller) TableLoads() []TableStats {
 	return out
 }
 
-// handlePortStats folds a port-stats reply into the load table.
+// handlePortStats folds a port-stats reply into the load table. Counters
+// that went backwards (the switch reset them) are a new baseline.
 func (c *Controller) handlePortStats(st *switchState, reply *openflow.StatsReply) {
+	if c.portSamples == nil {
+		return
+	}
 	now := c.eng.Now()
 	for _, ps := range reply.Ports {
 		key := [2]uint64{st.dpid, uint64(ps.PortNo)}
 		prev, ok := c.portSamples[key]
 		c.portSamples[key] = portSample{rxBytes: ps.RxBytes, txBytes: ps.TxBytes, at: now}
-		if !ok || now <= prev.at {
+		if !ok || now <= prev.at || ps.RxBytes < prev.rxBytes || ps.TxBytes < prev.txBytes {
 			continue
 		}
 		dt := (now - prev.at).Seconds()
@@ -130,4 +129,16 @@ func (c *Controller) PortLoads() []PortLoad {
 		out = append(out, l)
 	}
 	return out
+}
+
+// forgetSwitchStats drops a departed switch's samples, loads and table
+// stats; a switch returning under its DPID starts from a fresh baseline.
+func (c *Controller) forgetSwitchStats(dpid uint64) {
+	for key := range c.portSamples {
+		if key[0] == dpid {
+			delete(c.portSamples, key)
+			delete(c.portLoads, key)
+		}
+	}
+	delete(c.tableStats, dpid)
 }
