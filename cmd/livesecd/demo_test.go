@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
 	"os"
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -660,9 +662,15 @@ func TestLiveMetricsExposition(t *testing.T) {
 		t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
 	}
 	// The event and span rings' pages are mapped outside the Go heap, and
-	// the gauge says how much is.
-	if !regexp.MustCompile(`(?m)^livesec_mapped_bytes [1-9][0-9]*$`).MatchString(metrics) {
-		t.Fatalf("/metrics lacks a positive livesec_mapped_bytes:\n%s", metrics)
+	// the gauge says how much is: a positive whole number of bytes, which
+	// the exposition's float format writes as 1.196032e+06 once it passes
+	// 10⁶.
+	sample := regexp.MustCompile(`(?m)^livesec_mapped_bytes (\S+)$`).FindStringSubmatch(metrics)
+	if sample == nil {
+		t.Fatalf("/metrics lacks livesec_mapped_bytes:\n%s", metrics)
+	}
+	if v, err := strconv.ParseFloat(sample[1], 64); err != nil || v <= 0 || v != math.Trunc(v) {
+		t.Fatalf("livesec_mapped_bytes = %s, want a positive whole number of bytes", sample[1])
 	}
 	if traces := d.get(t, "/traces?limit=5"); !strings.Contains(traces, `"recorded"`) {
 		t.Fatalf("/traces response malformed: %s", traces)
@@ -819,6 +827,22 @@ func TestEventLogFlushed(t *testing.T) {
 	lk.flush()
 	if got := out.String(); !strings.HasSuffix(got, "event two\n") {
 		t.Fatalf("after flush the log holds %q", got)
+	}
+}
+
+// TestEventLineMatchesSprintf: the event log line is byte for byte the
+// line fmt formats, for a type shorter than its 20-column field and for
+// one longer.
+func TestEventLineMatchesSprintf(t *testing.T) {
+	for _, ev := range []monitor.Event{
+		{Type: monitor.EventFlowStart, Switch: 7, User: "02:00:00:00:00:a1", Detail: "allow web"},
+		{Type: "an-event-type-past-twenty-bytes", Switch: 1 << 40, Detail: "chain inspect via se1,se2"},
+		{Type: "überwachung"},
+	} {
+		want := fmt.Sprintf("event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
+		if got := string(appendEventLine([]byte("kept "), ev)); got != "kept "+want {
+			t.Errorf("line %q, fmt %q", got, "kept "+want)
+		}
 	}
 }
 

@@ -31,8 +31,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"livesec/internal/core"
 	"livesec/internal/monitor"
@@ -130,9 +132,27 @@ func newDaemon(log io.Writer) *daemon {
 	})
 	d.api = d.ctrl.APIHandler(lk.do)
 	d.store.Subscribe(func(ev monitor.Event) { // Record runs under the lock, so the lock guards lk.log too
-		fmt.Fprintf(lk.log, "event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch, ev.User, ev.Detail)
+		_, _ = lk.log.Write(appendEventLine(lk.log.AvailableBuffer(), ev)) // a bufio.Writer's error waits for its flush
 	})
 	return d
+}
+
+// appendEventLine appends ev's log line to b: the bytes of
+// fmt.Sprintf("event %-20s switch=%d user=%s %s\n", ev.Type, ev.Switch,
+// ev.User, ev.Detail), which every flow setup writes, built without fmt.
+func appendEventLine(b []byte, ev monitor.Event) []byte {
+	b = append(b, "event "...)
+	b = append(b, ev.Type...)
+	for n := utf8.RuneCountInString(string(ev.Type)); n < 20; n++ {
+		b = append(b, ' ')
+	}
+	b = append(b, " switch="...)
+	b = strconv.AppendUint(b, ev.Switch, 10)
+	b = append(b, " user="...)
+	b = append(b, ev.User...)
+	b = append(b, ' ')
+	b = append(b, ev.Detail...)
+	return append(b, '\n')
 }
 
 const statsPeriod = time.Second // how often every switch's port and table stats are polled

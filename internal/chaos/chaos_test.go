@@ -8,14 +8,23 @@ import (
 	"livesec/internal/sim"
 )
 
-// fakeConn records what crosses the wrapped transport.
+// fakeConn records what crosses the wrapped transport: a decoded copy of
+// each message, since a Conn keeps no message past its send.
 type fakeConn struct {
 	sent    []openflow.Message
 	handler func(openflow.Message)
 }
 
-func (f *fakeConn) Send(m openflow.Message)              { f.sent = append(f.sent, m) }
-func (f *fakeConn) SendBatch(ms []openflow.Message)      { f.sent = append(f.sent, ms...) }
+func (f *fakeConn) Send(m openflow.Message) { f.SendBatch([]openflow.Message{m}) }
+func (f *fakeConn) SendBatch(ms []openflow.Message) {
+	for _, m := range ms {
+		kept, err := openflow.Decode(openflow.Encode(m))
+		if err != nil {
+			panic(err)
+		}
+		f.sent = append(f.sent, kept)
+	}
+}
 func (f *fakeConn) SetHandler(fn func(openflow.Message)) { f.handler = fn }
 func (f *fakeConn) Close() error                         { return nil }
 

@@ -17,8 +17,8 @@ package core
 //   - A *plan* level mapping (selectors, chosen service elements) to the
 //     fully-derived install plan (buildPlan, routing.go): one step per
 //     flow entry, holding the concrete MAC/port overrides and a shared
-//     action list, plus the ingress release actions and the switches
-//     programmed. Every setup executes a plan — fresh or cached — through
+//     action list (the ingress entry's also releases the packet), plus
+//     the switches programmed. Every setup executes a plan — fresh or cached — through
 //     replayPlan, which derives each exact match from the live key
 //     (ephemeral source port and TOS are patched in) and emits the flow
 //     mods as one batched transport write per switch.
@@ -63,6 +63,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"livesec/internal/flow"
 	"livesec/internal/netpkt"
@@ -161,14 +162,36 @@ type planStep struct {
 
 // sessionPlan is a fully-derived flow setup, replayable for any flow
 // with the same selector key (and, for chains, the same picked
-// elements).
+// elements). Its first step is the forward ingress entry, whose actions
+// also release the first packet.
 type sessionPlan struct {
-	steps        []planStep
-	firstActions []openflow.Action // ingress packet-out actions
-	switches     []uint64          // switches the plan programs, ascending
-	revPort      uint32            // destination port for Key.Reverse
-	seIDs        []uint64          // picked elements (chains only)
-	via          string            // pre-rendered element list for events
+	steps    []planStep
+	switches []uint64 // switches the plan programs, ascending
+	revPort  uint32   // destination port for Key.Reverse
+	seIDs    []uint64 // picked elements (chains only)
+	via      string   // pre-rendered element list for events
+	// acts backs the steps' action lists while the plan is the
+	// controller's scratch plan (buildPlan).
+	acts []openflow.Action
+}
+
+// keep copies a plan built into scratch memory into memory of its own,
+// each slice at its exact size and every action list in one array: the
+// form the plan cache holds.
+func (p *sessionPlan) keep() *sessionPlan {
+	n := 0
+	for i := range p.steps {
+		n += len(p.steps[i].actions)
+	}
+	q := &sessionPlan{steps: slices.Clone(p.steps), switches: slices.Clone(p.switches),
+		revPort: p.revPort, seIDs: slices.Clone(p.seIDs), via: p.via}
+	acts := make([]openflow.Action, 0, n)
+	for i := range q.steps {
+		start := len(acts)
+		acts = append(acts, q.steps[i].actions...)
+		q.steps[i].actions = acts[start:len(acts):len(acts)]
+	}
+	return q
 }
 
 // cacheLimit caps each cache map and the admission filter; exceeding it
@@ -204,16 +227,17 @@ func newDecisionCache() *decisionCache {
 // first sighting is recorded and refused. The filter is never used for
 // a lookup — both levels stay keyed by the full selector — so a
 // fingerprint collision can only admit an entry one sighting early. A
-// map, not a fixed array, so it costs what it holds; it is reset when
-// it reaches cacheLimit, and invalidation leaves it alone (it records
-// sightings, not routing state).
+// map, not a fixed array, so it costs what it holds; it is emptied in
+// place when it reaches cacheLimit, keeping the table it grew, and
+// invalidation leaves it alone (it records sightings, not routing
+// state).
 func (dc *decisionCache) admit(sel selectorKey) bool {
 	fp := sel.fingerprint()
 	if _, ok := dc.seen[fp]; ok {
 		return true
 	}
 	if len(dc.seen) >= cacheLimit {
-		dc.seen = make(map[uint64]struct{})
+		clear(dc.seen)
 	}
 	dc.seen[fp] = struct{}{}
 	return false
@@ -345,10 +369,16 @@ func (dc *decisionCache) invalidateAll() {
 // emitter batches control messages per switch during one flow setup so a
 // multi-entry install costs one transport write per switch. A single
 // emitter is embedded in the Controller and reused across setups (the
-// controller is single-threaded on the event loop).
+// controller is single-threaded on the event loop), and so are the flow
+// mods and the packet-out it queues: a Conn keeps no message past its
+// send, so flush zeroes them for the next setup, and a receiver that
+// wrongly kept one holds an empty message.
 type emitter struct {
 	batches []swBatch
 	n       int
+	fms     []*openflow.FlowMod // flowMod hands out fms[:nfm]
+	nfm     int
+	po      openflow.PacketOut
 }
 
 type swBatch struct {
@@ -374,6 +404,15 @@ func (em *emitter) batchFor(st *switchState) *swBatch {
 	return b
 }
 
+// flowMod returns the next of the emitter's flow mods, zero.
+func (em *emitter) flowMod() *openflow.FlowMod {
+	if em.nfm == len(em.fms) {
+		em.fms = append(em.fms, new(openflow.FlowMod))
+	}
+	em.nfm++
+	return em.fms[em.nfm-1]
+}
+
 // flush sends each switch's accumulated messages as one batched write,
 // in first-touch order (deterministic: emission order is deterministic).
 func (em *emitter) flush() {
@@ -383,15 +422,23 @@ func (em *emitter) flush() {
 		b.st = nil
 	}
 	em.n = 0
+	for _, fm := range em.fms[:em.nfm] {
+		*fm = openflow.FlowMod{}
+	}
+	em.nfm = 0
+	em.po = openflow.PacketOut{}
 }
 
-// emitFlowMod queues a flow mod on the emitter and counts it. Unlike
-// sendFlowMod it does not shadow it: a session's entries are rebuilt from
-// its record when a switch resyncs (replaySessions).
-func (c *Controller) emitFlowMod(em *emitter, st *switchState, fm *openflow.FlowMod) {
-	fm.XID = c.xid()
+// emitFlowMod queues fm on the emitter, in one of its own flow mods, and
+// counts it. Unlike sendFlowMod it does not shadow it: a session's
+// entries are rebuilt from its record when a switch resyncs
+// (replaySessions).
+func (c *Controller) emitFlowMod(em *emitter, st *switchState, fm openflow.FlowMod) {
+	m := em.flowMod()
+	*m = fm
+	m.XID = c.xid()
 	b := em.batchFor(st)
-	b.msgs = append(b.msgs, fm)
+	b.msgs = append(b.msgs, m)
 	c.stats.FlowModsSent++
 }
 
@@ -418,7 +465,7 @@ func (c *Controller) replayPlan(em *emitter, plan *sessionPlan, key flow.Key, on
 		m.EthSrc = s.ethSrc
 		m.EthDst = s.ethDst
 		m.InPort = s.inPort
-		c.emitFlowMod(em, target, &openflow.FlowMod{
+		c.emitFlowMod(em, target, openflow.FlowMod{
 			Match:       flow.ExactMatch(m),
 			Command:     openflow.FlowAdd,
 			Priority:    s.priority,

@@ -210,3 +210,37 @@ func TestAdmitSecondSighting(t *testing.T) {
 		t.Fatalf("a full filter was not reset: %d fingerprints, selector still admitted", len(dc.seen))
 	}
 }
+
+// TestAdmitResetKeepsTable: a full filter is emptied in place, so the
+// first sightings after the reset refill the table it grew and allocate
+// nothing (a fresh map would regrow through every doubling).
+func TestAdmitResetKeepsTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
+	}
+	dc := newDecisionCache()
+	n := uint32(0)
+	firstSighting := func() {
+		n++
+		sel := testSelector(1, 2)
+		sel.ipDst = netpkt.IPFromUint32(n)
+		if dc.admit(sel) {
+			t.Fatalf("selector %d admitted on its first sighting", n)
+		}
+	}
+	for len(dc.seen) < cacheLimit {
+		firstSighting()
+	}
+	firstSighting() // the reset
+	if len(dc.seen) != 1 {
+		t.Fatalf("the full filter kept %d fingerprints", len(dc.seen))
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4096; i++ {
+			firstSighting()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("4096 first sightings after the reset allocated %v times", allocs)
+	}
+}

@@ -252,6 +252,9 @@ type Controller struct {
 	// sorting map keys. pickCands is pickElement's reused candidate buffer.
 	elemOrder []*seState
 	pickCands []loadbalance.Candidate
+	// bySvc holds each service's elements in ascending ID order, kept in
+	// step with elemOrder: the elements pickElement chooses among.
+	bySvc map[seproto.ServiceType][]*seState
 
 	balancers map[balancerKey]*loadbalance.Balancer
 	nextXID   uint32
@@ -295,6 +298,15 @@ type Controller struct {
 	// single-threaded on the simulation event loop).
 	cache *decisionCache
 	emit  emitter
+	// frame is what every packet-in's frame decodes into; scratchPlan,
+	// chainBuf, seIDBuf and hops are what a setup is planned in
+	// (routing.go). All are reused across setups, which never nest: the
+	// ingress pipeline serves one message at a time.
+	frame       netpkt.Decoder
+	scratchPlan sessionPlan
+	chainBuf    []hop
+	seIDBuf     []uint64
+	hops        []hop
 
 	// intents is the runtime intent→rule compiler (internal/intent)
 	// managing the "intent:" namespace of the policy table. Inert until
@@ -373,6 +385,7 @@ func New(cfg Config) *Controller {
 		byIP:         make(map[netpkt.IPv4Addr]netpkt.MAC),
 		elements:     make(map[uint64]*seState),
 		byMAC:        make(map[netpkt.MAC]*seState),
+		bySvc:        make(map[seproto.ServiceType][]*seState),
 		balancers:    make(map[balancerKey]*loadbalance.Balancer),
 		blockedUsers: make(map[netpkt.MAC]bool),
 		leases:       make(map[netpkt.MAC]netpkt.IPv4Addr),

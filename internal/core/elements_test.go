@@ -5,6 +5,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,7 +52,8 @@ func seOnline(c *Controller, dpid uint64, port uint32, id uint64, svc seproto.Se
 }
 
 // checkElemIndex asserts the index invariant: elemOrder is exactly the
-// elements map's values in strictly ascending ID order.
+// elements map's values in strictly ascending ID order, and each
+// service's bySvc list is elemOrder's elements of that service.
 func checkElemIndex(t *testing.T, c *Controller, when string) {
 	t.Helper()
 	if len(c.elemOrder) != len(c.elements) {
@@ -69,6 +71,17 @@ func checkElemIndex(t *testing.T, c *Controller, when string) {
 		if info.ID != c.elemOrder[i].id {
 			t.Fatalf("%s: Elements()[%d] = se%d, want se%d", when, i, info.ID, c.elemOrder[i].id)
 		}
+	}
+	n := 0
+	for svc, list := range c.bySvc {
+		want := slices.DeleteFunc(slices.Clone(c.elemOrder), func(se *seState) bool { return se.service != svc })
+		if !slices.Equal(list, want) {
+			t.Fatalf("%s: bySvc[%v] holds %d elements, elemOrder %d of that service", when, svc, len(list), len(want))
+		}
+		n += len(list)
+	}
+	if n != len(c.elemOrder) {
+		t.Fatalf("%s: bySvc lists %d elements, elemOrder %d", when, n, len(c.elemOrder))
 	}
 }
 

@@ -240,10 +240,9 @@ func (c *Controller) sendResync(st *switchState) {
 	var em emitter
 	b := em.batchFor(st)
 	b.msgs = append(b.msgs, &openflow.FeaturesRequest{XID: c.xid()})
-	c.emitFlowMod(&em, st, &openflow.FlowMod{Match: flow.MatchAll(), Command: openflow.FlowDelete})
+	c.emitFlowMod(&em, st, openflow.FlowMod{Match: flow.MatchAll(), Command: openflow.FlowDelete})
 	for _, e := range entries {
-		fm := e.fm
-		c.emitFlowMod(&em, st, &fm)
+		c.emitFlowMod(&em, st, e.fm)
 	}
 	c.replaySessions(&em, st)
 	b = em.batchFor(st)
@@ -300,7 +299,7 @@ sessions:
 		if !ok || !known || c.switches[dst.DPID] == nil {
 			continue
 		}
-		chain := make([]hop, 0, len(rec.seIDs)+1) // buildPlan appends the destination
+		chain := make([]hop, 0, len(rec.seIDs))
 		for _, id := range rec.seIDs {
 			se, ok := c.elements[id]
 			if !ok || c.switches[se.dpid] == nil {
@@ -308,7 +307,9 @@ sessions:
 			}
 			chain = append(chain, hop{st: c.switches[se.dpid], port: se.port, mac: se.mac})
 		}
-		plan, _, _ := c.buildPlan(ingress, rec.key, chain,
+		// A plan of its own: em keeps its action lists until the flush.
+		plan := new(sessionPlan)
+		c.buildPlan(plan, ingress, rec.key, chain,
 			hop{st: c.switches[dst.DPID], port: dst.Port, mac: dst.MAC}, rec.seIDs)
 		c.replayPlan(em, plan, rec.key, st)
 	}

@@ -22,9 +22,9 @@ const rigUplink uint32 = 100
 // sentMsg is one captured control message.
 type sentMsg struct {
 	dpid  uint64
-	batch int // 0 for a lone Send, else the ordinal of the batched write it rode in
-	m     openflow.Message
-	wire  []byte // encoded at capture time
+	batch int              // 0 for a lone Send, else the ordinal of the batched write it rode in
+	m     openflow.Message // decoded from wire: a Conn keeps no message past its send
+	wire  []byte           // encoded at capture time
 }
 
 // capConn is a capture-only secure channel.
@@ -75,7 +75,12 @@ type setupRig struct {
 
 func (r *setupRig) capture(dpid uint64, batch int, m openflow.Message) {
 	if r.keep {
-		r.sent = append(r.sent, sentMsg{dpid: dpid, batch: batch, m: m, wire: openflow.Encode(m)})
+		wire := openflow.Encode(m)
+		kept, err := openflow.Decode(wire)
+		if err != nil {
+			panic(fmt.Sprintf("rig: captured %s does not decode: %v", m.Type(), err))
+		}
+		r.sent = append(r.sent, sentMsg{dpid: dpid, batch: batch, m: kept, wire: wire})
 	}
 }
 

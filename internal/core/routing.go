@@ -39,7 +39,10 @@ func (c *Controller) handlePacketIn(st *switchState, pi *openflow.PacketIn) {
 		// replay, and the sender retries anyway.
 		return
 	}
-	pkt, err := netpkt.Unmarshal(pi.Data)
+	// The frame decodes into the controller's reused packet: no handler
+	// keeps the packet or a header past this call, and its payload
+	// aliases pi.Data, which nothing writes.
+	pkt, err := c.frame.Decode(pi.Data)
 	if err != nil {
 		return
 	}
@@ -320,9 +323,13 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 				return
 			}
 		}
+		// Built into the scratch plan, which the next setup reuses; only
+		// a plan the cache keeps gets memory of its own.
 		var complete bool
-		plan, forward, complete = c.buildPlan(st, key, chain, dst, seIDs)
+		plan = &c.scratchPlan
+		forward, complete = c.buildPlan(plan, st, key, chain, dst, seIDs)
 		if complete && cacheable && mayCache {
+			plan = plan.keep()
 			c.cache.putPlan(pk, plan)
 		}
 	}
@@ -365,8 +372,9 @@ func (c *Controller) installSession(st *switchState, pi *openflow.PacketIn, key 
 func (c *Controller) pickChain(st *switchState, key flow.Key, dec policy.Decision) (chain []hop, seIDs []uint64, outcome obs.Outcome, ok bool) {
 	bal := c.balancer(dec.Algorithm, dec.Grain)
 	skipsBefore := c.stats.BreakerSkips
-	chain = make([]hop, 0, len(dec.Services)+1) // buildPlan appends the destination
-	seIDs = make([]uint64, 0, len(dec.Services))
+	// Both are the controller's reused buffers: a plan the cache keeps
+	// and a route the session table files copy the IDs.
+	chain, seIDs = c.chainBuf[:0], c.seIDBuf[:0]
 	for _, svc := range dec.Services {
 		se, id, found := c.pickElement(bal, svc, key)
 		c.curSpan.AddBreakerSkips(uint32(c.stats.BreakerSkips - skipsBefore))
@@ -385,38 +393,37 @@ func (c *Controller) pickChain(st *switchState, key flow.Key, dec policy.Decisio
 		seIDs = append(seIDs, id)
 		c.curSpan.AddElement(id)
 	}
+	c.chainBuf, c.seIDBuf = chain, seIDs
 	return chain, seIDs, obs.OutcomeChained, true
 }
 
-// buildPlan derives a session's flow entries: the forward path from the
-// ingress switch through the chain to dst, then the reverse path — the
-// reply traverses the same elements in reverse order unless
-// Config.SteerForwardOnly (§III.C.3 session policy). It emits nothing.
-// forward is false when the forward path breaks at a missing link (the
-// plan then holds the entries up to the break); complete is true when
-// the reverse path is planned end to end too, and only then may the plan
-// be cached.
-func (c *Controller) buildPlan(st *switchState, key flow.Key, chain []hop, dst hop, seIDs []uint64) (plan *sessionPlan, forward, complete bool) {
-	plan = &sessionPlan{revPort: dst.port, seIDs: seIDs, via: uitoaList(seIDs),
-		// Each direction is at most an ingress entry, an arrival and a
-		// departure per element, and the final arrival.
-		steps:    make([]planStep, 0, 4*(len(chain)+1)),
-		switches: make([]uint64, 0, len(chain)+2),
-	}
-	plan.steps, plan.firstActions, forward = c.planPath(plan.steps, st, key, append(chain, dst), false)
-	if !forward {
-		return plan, false, false
+// buildPlan derives a session's flow entries into plan, reusing its
+// memory: the forward path from the ingress switch through the chain to
+// dst, then the reverse path — the reply traverses the same elements in
+// reverse order unless Config.SteerForwardOnly (§III.C.3 session
+// policy). It emits nothing. forward is false when the forward path
+// breaks at a missing link (the plan then holds the entries up to the
+// break); complete is true when the reverse path is planned end to end
+// too, and only then may the plan be cached.
+func (c *Controller) buildPlan(plan *sessionPlan, st *switchState, key flow.Key, chain []hop, dst hop, seIDs []uint64) (forward, complete bool) {
+	*plan = sessionPlan{revPort: dst.port, seIDs: seIDs, via: uitoaList(seIDs),
+		steps: plan.steps[:0], switches: plan.switches[:0], acts: plan.acts[:0]}
+	hops := append(append(c.hops[:0], chain...), dst)
+	c.hops = hops
+	if forward = c.planPath(plan, st, key, hops, false); !forward {
+		return false, false
 	}
 	if src, ok := c.hosts[key.EthSrc]; ok {
 		if srcSt, up := c.switches[src.DPID]; up {
-			revHops := make([]hop, 0, len(chain)+1)
+			hops = hops[:0]
 			if !c.cfg.SteerForwardOnly {
 				for i := len(chain) - 1; i >= 0; i-- {
-					revHops = append(revHops, chain[i])
+					hops = append(hops, chain[i])
 				}
 			}
-			revHops = append(revHops, hop{st: srcSt, port: src.Port, mac: src.MAC})
-			plan.steps, _, complete = c.planPath(plan.steps, dst.st, key.Reverse(dst.port), revHops, true)
+			hops = append(hops, hop{st: srcSt, port: src.Port, mac: src.MAC})
+			c.hops = hops
+			complete = c.planPath(plan, dst.st, key.Reverse(dst.port), hops, true)
 		}
 	}
 	for i := range plan.steps {
@@ -424,7 +431,7 @@ func (c *Controller) buildPlan(st *switchState, key flow.Key, chain []hop, dst h
 			plan.switches = slices.Insert(plan.switches, j, plan.steps[i].dpid)
 		}
 	}
-	return plan, true, complete
+	return true, complete
 }
 
 func uitoaList(ids []uint64) string {
@@ -439,16 +446,24 @@ func uitoaList(ids []uint64) string {
 }
 
 // pickElement chooses a certified element of the given service type. It
-// runs once per service of every chained setup, so it walks the ordered
-// element index into a reused buffer: the candidates reach the balancer
-// already in ID order and nothing on the way allocates or sorts.
+// runs once per service of every chained setup, so it walks that
+// service's elements in ID order (bySvc) into a reused buffer: the
+// candidates reach the balancer already in ID order and nothing on the
+// way allocates or sorts.
 func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceType, key flow.Key) (hop, uint64, bool) {
 	cands := c.pickCands[:0]
-	for _, se := range c.elemOrder {
-		if se.service != svc {
-			continue
+	// Elements run as VMs on a few hosts, so neighbours in ID order
+	// mostly share a switch: look each run's switch up once.
+	var (
+		dpid           uint64
+		looked, usable bool
+	)
+	for _, se := range c.bySvc[svc] {
+		if !looked || se.dpid != dpid {
+			sw, ok := c.switches[se.dpid]
+			dpid, looked, usable = se.dpid, true, ok && sw.usable()
 		}
-		if sw, ok := c.switches[se.dpid]; !ok || !sw.usable() {
+		if !usable {
 			// The element may be alive, but its switch is unreachable, so
 			// steering entries could not be installed there.
 			continue
@@ -479,12 +494,13 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 	return hop{st: c.switches[se.dpid], port: se.port, mac: se.mac}, id, true
 }
 
-// planPath appends to steps the flow entries moving the flow identified
-// by key (as it appears at the ingress switch) through the hop sequence,
-// and returns them with the action list the ingress switch must apply to
-// the first packet. It emits nothing and counts nothing. All entries are
-// exact matches. ok is false when a leg has no logical link; steps then
-// holds the entries up to the break.
+// planPath appends to plan's steps the flow entries moving the flow
+// identified by key (as it appears at the ingress switch) through the
+// hop sequence, their action lists cut from plan.acts. The first entry
+// is the ingress switch's, whose actions also release the first packet.
+// It emits nothing and counts nothing. All entries are exact matches. ok
+// is false when a leg has no logical link; the steps then hold the
+// entries up to the break.
 //
 // Steering note: the legacy fabric is a transparent learning network, so
 // every fabric crossing must carry a source MAC that is genuinely
@@ -494,7 +510,7 @@ func (c *Controller) pickElement(bal *loadbalance.Balancer, svc seproto.ServiceT
 // and the next arrival entry restores the original source before the
 // element or destination sees the frame (§IV.A's entries ii–iv, hardened
 // for a learning fabric).
-func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.Key, hops []hop, rev bool) ([]planStep, []openflow.Action, bool) {
+func (c *Controller) planPath(plan *sessionPlan, ingress *switchState, key flow.Key, hops []hop, rev bool) bool {
 	origSrc := key.EthSrc
 	finalMAC := key.EthDst // the destination host's real address
 
@@ -508,26 +524,31 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 		return port, ok
 	}
 
+	// actions cuts the list appended to plan.acts since start.
+	actions := func(start int) []openflow.Action {
+		return plan.acts[start:len(plan.acts):len(plan.acts)]
+	}
+
 	// Ingress entry (§IV.A step i): match the flow as received; rewrite
 	// dl_dst when the first hop is a service element. The source host is
 	// attached here, so dl_src needs no rewrite on this leg.
-	var firstActions []openflow.Action
-	if hops[0].mac != finalMAC {
-		firstActions = append(firstActions, openflow.ActionSetDLDst{MAC: hops[0].mac})
-	}
 	out, ok := towards(ingress, hops[0])
 	if !ok {
-		return steps, nil, false
+		return false
 	}
-	firstActions = append(firstActions, openflow.ActionOutput{Port: out})
-	steps = append(steps, planStep{
+	start := len(plan.acts)
+	if hops[0].mac != finalMAC {
+		plan.acts = append(plan.acts, openflow.ActionSetDLDst{MAC: hops[0].mac})
+	}
+	plan.acts = append(plan.acts, openflow.OutputAction(out))
+	plan.steps = append(plan.steps, planStep{
 		dpid: ingress.dpid, rev: rev,
 		ethSrc: key.EthSrc, ethDst: key.EthDst, inPort: key.InPort,
 		priority: prioForward,
 		// Ingress entries report their removal so the controller
 		// retires the session (handleFlowRemoved).
 		notifyDel: true,
-		actions:   firstActions,
+		actions:   actions(start),
 	})
 
 	prev := ingress
@@ -540,21 +561,21 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 		if h.st != prev {
 			inPort, ok := h.st.peers[prev.dpid]
 			if !ok {
-				return steps, nil, false
+				return false
 			}
 			arriveDst := h.mac
 			if isFinal {
 				arriveDst = finalMAC
 			}
-			var actions []openflow.Action
+			start := len(plan.acts)
 			if wireSrc != origSrc {
-				actions = append(actions, openflow.ActionSetDLSrc{MAC: origSrc})
+				plan.acts = append(plan.acts, openflow.ActionSetDLSrc{MAC: origSrc})
 			}
-			actions = append(actions, openflow.ActionOutput{Port: h.port})
-			steps = append(steps, planStep{
+			plan.acts = append(plan.acts, openflow.OutputAction(h.port))
+			plan.steps = append(plan.steps, planStep{
 				dpid: h.st.dpid, rev: rev,
 				ethSrc: wireSrc, ethDst: arriveDst, inPort: inPort,
-				priority: prioSteer, actions: actions,
+				priority: prioSteer, actions: actions(start),
 			})
 		}
 		if isFinal {
@@ -566,26 +587,26 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 		next := hops[i+1]
 		outPort, ok := towards(h.st, next)
 		if !ok {
-			return steps, nil, false
+			return false
 		}
 		nextMAC := next.mac
 		if i+1 == len(hops)-1 {
 			nextMAC = finalMAC
 		}
 		crossing := h.st != next.st
-		var actions []openflow.Action
+		start := len(plan.acts)
 		if crossing {
 			// The element's MAC is what this switch legitimately hosts.
-			actions = append(actions, openflow.ActionSetDLSrc{MAC: h.mac})
+			plan.acts = append(plan.acts, openflow.ActionSetDLSrc{MAC: h.mac})
 		}
-		actions = append(actions,
+		plan.acts = append(plan.acts,
 			openflow.ActionSetDLDst{MAC: nextMAC},
-			openflow.ActionOutput{Port: outPort},
+			openflow.OutputAction(outPort),
 		)
-		steps = append(steps, planStep{
+		plan.steps = append(plan.steps, planStep{
 			dpid: h.st.dpid, rev: rev,
 			ethSrc: origSrc, ethDst: h.mac, inPort: h.port,
-			priority: prioSteer, actions: actions,
+			priority: prioSteer, actions: actions(start),
 		})
 		prev = h.st
 		if crossing {
@@ -594,7 +615,7 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 			wireSrc = origSrc
 		}
 	}
-	return steps, firstActions, true
+	return true
 }
 
 // finishSetup completes a flow setup: it queues the release of the
@@ -603,10 +624,14 @@ func (c *Controller) planPath(steps []planStep, ingress *switchState, key flow.K
 // overtake its own flow entries) and flushes the emitter — one batched
 // transport write per programmed switch.
 func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.PacketIn, plan *sessionPlan) {
-	po := &openflow.PacketOut{
+	po := &em.po
+	if c.cfg.UseBarriers {
+		po = new(openflow.PacketOut) // the release outlives the flush
+	}
+	*po = openflow.PacketOut{
 		BufferID: pi.BufferID,
 		InPort:   pi.InPort,
-		Actions:  plan.firstActions,
+		Actions:  plan.steps[0].actions,
 	}
 	if pi.BufferID == openflow.NoBuffer {
 		po.Data = pi.Data
@@ -614,6 +639,8 @@ func (c *Controller) finishSetup(em *emitter, st *switchState, pi *openflow.Pack
 	sp := c.curSpan
 	c.curSpan = nil
 	if c.cfg.UseBarriers {
+		// The plan may be the scratch plan the next setup rebuilds.
+		po.Actions = slices.Clone(po.Actions)
 		c.barrierRelease(em, st, po, plan.switches, sp)
 		em.flush()
 		return

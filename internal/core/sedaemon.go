@@ -50,19 +50,23 @@ func (c *Controller) handleSEOnline(st *switchState, inPort uint32, pkt *netpkt.
 	}
 	se, known := c.elements[m.SEID]
 	if !known {
-		se = &seState{id: m.SEID, prevPackets: m.Load.Packets}
+		se = &seState{id: m.SEID, service: m.Service, prevPackets: m.Load.Packets}
 		c.addElement(se)
 	} else {
 		// Fold the report into the circuit breaker before pendingAssign
 		// and load are overwritten below: the wedge check needs the work
 		// assigned since the previous report (breaker.go).
 		c.breakerObserve(se, m.Load)
+		if se.service != m.Service { // refile it under its new service
+			c.removeElement(se.id)
+			se.service = m.Service
+			c.addElement(se)
+		}
 	}
 	se.mac = pkt.EthSrc
 	se.ip = pkt.IP.Src
 	se.dpid = st.dpid
 	se.port = inPort
-	se.service = m.Service
 	se.capacity = m.CapacityBps
 	se.load = m.Load
 	se.pendingAssign = 0
@@ -135,22 +139,33 @@ func (c *Controller) fromElement(pkt *netpkt.Packet, seid uint64, cert seproto.C
 // because that is the one seState field a re-registration cannot change
 // (service, attachment and MAC all can).
 func (c *Controller) elemIndex(id uint64) (int, bool) {
-	return slices.BinarySearchFunc(c.elemOrder, id,
-		func(se *seState, id uint64) int { return cmp.Compare(se.id, id) })
+	return slices.BinarySearchFunc(c.elemOrder, id, bySEID)
 }
 
-// addElement registers a new element in the map and the ordered index.
+func bySEID(se *seState, id uint64) int { return cmp.Compare(se.id, id) }
+
+// addElement registers a new element in the map, the ordered index and
+// its service's ordered list.
 func (c *Controller) addElement(se *seState) {
 	c.elements[se.id] = se
 	i, _ := c.elemIndex(se.id)
 	c.elemOrder = slices.Insert(c.elemOrder, i, se)
+	svc := c.bySvc[se.service]
+	j, _ := slices.BinarySearchFunc(svc, se.id, bySEID)
+	c.bySvc[se.service] = slices.Insert(svc, j, se)
 }
 
-// removeElement drops an element from the map and the ordered index.
+// removeElement drops an element from the map, the ordered index and its
+// service's ordered list.
 func (c *Controller) removeElement(id uint64) {
 	delete(c.elements, id)
 	if i, ok := c.elemIndex(id); ok {
+		se := c.elemOrder[i]
 		c.elemOrder = slices.Delete(c.elemOrder, i, i+1)
+		svc := c.bySvc[se.service]
+		if j, ok := slices.BinarySearchFunc(svc, id, bySEID); ok {
+			c.bySvc[se.service] = slices.Delete(svc, j, j+1)
+		}
 	}
 }
 

@@ -136,6 +136,7 @@ func (t *routeTable) ref(key routeKey, val sessionRoute) uint32 {
 			t.ids = make(map[routeKey]uint32)
 		}
 		t.ids[key] = id
+		val.seIDs = slices.Clone(val.seIDs) // the caller's may be a reused buffer
 		t.slots[id-1] = routeSlot{key: key, val: val}
 	}
 	t.slots[id-1].refs++

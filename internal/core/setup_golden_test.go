@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"livesec/internal/flow"
 	"livesec/internal/netpkt"
 	"livesec/internal/openflow"
 	"livesec/internal/policy"
@@ -241,16 +242,21 @@ func TestPlanMissEqualsHit(t *testing.T) {
 // times: a golden row's flow, set up over and over once its selector is
 // warm, so no map grows between runs.
 type setupCase struct {
-	name      string
-	row       string
-	miss      bool // drop the flow's plan before every setup
+	name string
+	row  string
+	miss bool // drop the flow's plan before every setup
+	// cold sets up a selector the row never sent, its sighting forgotten
+	// before every setup: a first sighting, which admission refuses to
+	// cache (admit), as every flow of wire_miss is.
+	cold      bool
 	maxAllocs float64
 }
 
 var setupCases = []setupCase{
-	{"plan-hit direct", "direct-two-switch", false, 10},
-	{"plan-hit 2-element chain", "chain2-three-switches", false, 21},
-	{"plan-miss direct", "direct-two-switch", true, 27},
+	{"plan-hit direct", "direct-two-switch", false, false, 3},
+	{"plan-hit 2-element chain", "chain2-three-switches", false, false, 5},
+	{"plan-miss direct", "direct-two-switch", true, false, 15},
+	{"first-sighting direct", "direct-two-switch", false, true, 4},
 }
 
 // prepare builds the case's rig with its selector warmed and returns one
@@ -266,20 +272,33 @@ func (tc setupCase) prepare(tb testing.TB) (setup func(), check func()) {
 	}
 	r, _, _ := row.run(tb, Config{})
 	r.keep = false
+	dstIP := row.dst.ip
+	if tc.cold {
+		dstIP = netpkt.IP(10, 0, 0, 77) // routed by dst MAC; a selector nobody sent
+	}
+	pkt := netpkt.NewTCP(hostA.mac, row.dst.mac, hostA.ip, dstIP, 40002, 80, []byte("hello"))
 	pi := &openflow.PacketIn{BufferID: openflow.NoBuffer, InPort: hostA.port, Reason: openflow.ReasonNoMatch,
-		Data: netpkt.NewTCP(hostA.mac, row.dst.mac, hostA.ip, row.dst.ip, 40002, 80, []byte("hello")).Marshal()}
+		Data: pkt.Marshal()}
+	fp := selectorOf(hostA.dpid, flow.KeyOf(hostA.port, pkt)).fingerprint()
 	deliver := r.conns[hostA.dpid].handler
-	hits := r.c.stats.PlanCacheHits
+	hits, decisionHits := r.c.stats.PlanCacheHits, r.c.stats.DecisionCacheHits
 	setup = func() {
-		if tc.miss {
+		switch {
+		case tc.miss:
 			r.c.cache.invalidateHost(hostA.mac)
+		case tc.cold:
+			delete(r.c.cache.seen, fp)
 		}
 		deliver(pi)
 	}
 	check = func() {
 		tb.Helper()
-		if gotHit := r.c.stats.PlanCacheHits > hits; gotHit == tc.miss {
+		wantHit := !tc.miss && !tc.cold
+		if gotHit := r.c.stats.PlanCacheHits > hits; gotHit != wantHit {
 			tb.Fatalf("%s: plan-cache hit = %v", tc.name, gotHit)
+		}
+		if tc.cold && r.c.stats.DecisionCacheHits != decisionHits {
+			tb.Fatalf("%s: a first sighting hit the decision cache", tc.name)
 		}
 	}
 	return setup, check

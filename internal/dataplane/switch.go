@@ -87,6 +87,10 @@ type Switch struct {
 	nextXID  uint32
 	stopScan func()
 
+	// packetIn is every packet-in this switch sends, its frame encoded
+	// into the same buffer each time: the channel keeps neither past Send.
+	packetIn openflow.PacketIn
+
 	// PacketInsSent counts controller round trips; the flow-setup ablation
 	// bench reads it.
 	PacketInsSent uint64
@@ -305,13 +309,15 @@ func (s *Switch) sendPacketIn(inPort uint32, pkt *netpkt.Packet, reason uint8) {
 		return
 	}
 	s.PacketInsSent++
-	s.ctrl.Send(&openflow.PacketIn{
+	pi := &s.packetIn
+	*pi = openflow.PacketIn{
 		XID:      s.xid(),
 		BufferID: s.buffer(inPort, pkt),
 		InPort:   inPort,
 		Reason:   reason,
-		Data:     pkt.Marshal(),
-	})
+		Data:     pkt.MarshalAppend(pi.Data[:0]),
+	}
+	s.ctrl.Send(pi)
 }
 
 // buffer keeps pkt under the next buffer ID, in the ring slot that ID

@@ -507,8 +507,9 @@ type actionLists struct {
 	index slots.Index
 }
 
-// intern returns the ID of a list equal to l, adopting l as that list if
-// there is none, and counts one more entry naming it.
+// intern returns the ID of a list equal to l, filing a copy of l as that
+// list if there is none (l may be a decoder's reused list), and counts
+// one more entry naming it.
 func (a *actionLists) intern(l []openflow.Action) uint32 {
 	if len(l) == 0 {
 		return 0
@@ -524,7 +525,7 @@ func (a *actionLists) intern(l []openflow.Action) uint32 {
 	} else {
 		a.lists, a.refs = append(a.lists, nil), append(a.refs, 0)
 	}
-	a.lists[id], a.refs[id] = l, 1
+	a.lists[id], a.refs[id] = slices.Clone(l), 1
 	a.index.Insert(tag, id)
 	return id
 }

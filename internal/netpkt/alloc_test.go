@@ -3,6 +3,7 @@ package netpkt
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -101,4 +102,40 @@ func TestMACStringMatchesSprintf(t *testing.T) {
 		t.Fatalf("MAC.String allocs/op = %v, want 1", got)
 	}
 	_ = sink
+}
+
+// TestDecoderMatchesUnmarshal: one Decoder fed every frame kind in turn
+// returns what Unmarshal does for each, and allocates nothing once it
+// has seen each header kind.
+func TestDecoderMatchesUnmarshal(t *testing.T) {
+	vlan := NewUDP(macA, macB, ipA, ipB, 1, 2, []byte("x"))
+	vlan.VLAN = 100
+	frames := [][]byte{
+		NewTCP(macA, macB, ipA, ipB, 40000, 80, []byte("GET / HTTP/1.1\r\n")).Marshal(),
+		NewARPRequest(macA, ipA, ipB).Marshal(),
+		NewLLDP(macA, 0xdeadbeef12, 7).Marshal(),
+		vlan.Marshal(),
+		NewICMPEcho(macA, macB, ipA, ipB, 42, 7, false).Marshal(),
+		NewTCP(macA, macB, ipA, ipB, 40001, 80, nil).Marshal(),
+	}
+	var d Decoder
+	for round := 0; round < 2; round++ {
+		for i, f := range frames {
+			want, _ := Unmarshal(f)
+			got, err := d.Decode(f)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d frame %d: Decode = %+v, %v; Unmarshal = %+v", round, i, got, err, want)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, f := range frames {
+			_, _ = d.Decode(f)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Decoder allocates %v times per %d frames", allocs, len(frames))
+	}
 }

@@ -16,7 +16,12 @@ var (
 // carried payload is written; BulkLen is a simulation-side annotation and
 // does not appear on the wire.
 func (p *Packet) Marshal() []byte {
-	buf := make([]byte, 0, p.headerLen()+len(p.Payload))
+	return p.MarshalAppend(make([]byte, 0, p.headerLen()+len(p.Payload)))
+}
+
+// MarshalAppend appends the packet's wire format to buf and returns the
+// extended buffer; it allocates only to grow buf.
+func (p *Packet) MarshalAppend(buf []byte) []byte {
 	buf = append(buf, p.EthDst[:]...)
 	buf = append(buf, p.EthSrc[:]...)
 	if p.VLAN != 0 {
@@ -134,19 +139,77 @@ func (p *Packet) marshalIPv4(buf []byte) []byte {
 }
 
 // Unmarshal parses a binary frame produced by Marshal (or any real frame
-// using the supported layers).
+// using the supported layers) into a new packet with headers and payload
+// of its own.
 func Unmarshal(data []byte) (*Packet, error) {
 	if len(data) < ethHeaderLen {
 		return nil, ErrTruncated
 	}
 	p := &Packet{}
+	var h headers
+	return p, p.unmarshal(data, &h)
+}
+
+// Decoder parses frames into a packet and headers it owns and reuses, so
+// a decode allocates nothing once each header kind has been seen. What
+// Decode returns is valid until the next Decode, and its Payload aliases
+// the frame.
+type Decoder struct {
+	pkt Packet
+	hdr headers
+}
+
+// Decode parses data as Unmarshal does, into the decoder's packet.
+func (d *Decoder) Decode(data []byte) (*Packet, error) {
+	d.pkt = Packet{}
+	if len(data) < ethHeaderLen {
+		return nil, ErrTruncated
+	}
+	d.hdr.alias = true
+	return &d.pkt, d.pkt.unmarshal(data, &d.hdr)
+}
+
+// headers holds the protocol headers a decode fills, each made on first
+// use: a Decoder's persist, so later frames reuse them.
+type headers struct {
+	arp   *ARP
+	lldp  *LLDP
+	ip    *IPv4Header
+	tcp   *TCPHeader
+	udp   *UDPHeader
+	icmp  *ICMPHeader
+	alias bool // the payload aliases the frame instead of copying it
+}
+
+// use returns *h, made first if nil.
+func use[T any](h **T) *T {
+	if *h == nil {
+		*h = new(T)
+	}
+	return *h
+}
+
+// payload is b as a packet's payload: nil when empty.
+func (h *headers) payload(b []byte) []byte {
+	switch {
+	case len(b) == 0:
+		return nil
+	case h.alias:
+		return b
+	}
+	return append([]byte(nil), b...)
+}
+
+// unmarshal parses data, at least an Ethernet header long, into p, taking
+// its headers and payload from h.
+func (p *Packet) unmarshal(data []byte, h *headers) error {
 	copy(p.EthDst[:], data[0:6])
 	copy(p.EthSrc[:], data[6:12])
 	et := EtherType(binary.BigEndian.Uint16(data[12:14]))
 	rest := data[14:]
 	if et == EtherTypeVLAN {
 		if len(rest) < 4 {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		p.VLAN = binary.BigEndian.Uint16(rest[0:2]) & 0x0fff
 		et = EtherType(binary.BigEndian.Uint16(rest[2:4]))
@@ -155,22 +218,23 @@ func Unmarshal(data []byte) (*Packet, error) {
 	p.EthType = et
 	switch et {
 	case EtherTypeARP:
-		return p, p.unmarshalARP(rest)
+		return p.unmarshalARP(rest, h)
 	case EtherTypeLLDP:
-		return p, p.unmarshalLLDP(rest)
+		return p.unmarshalLLDP(rest, h)
 	case EtherTypeIPv4:
-		return p, p.unmarshalIPv4(rest)
+		return p.unmarshalIPv4(rest, h)
 	default:
-		p.Payload = append([]byte(nil), rest...)
-		return p, nil
+		p.Payload = h.payload(rest)
+		return nil
 	}
 }
 
-func (p *Packet) unmarshalARP(b []byte) error {
+func (p *Packet) unmarshalARP(b []byte, h *headers) error {
 	if len(b) < arpBodyLen {
 		return ErrTruncated
 	}
-	a := &ARP{Op: binary.BigEndian.Uint16(b[6:8])}
+	a := use(&h.arp)
+	*a = ARP{Op: binary.BigEndian.Uint16(b[6:8])}
 	copy(a.SenderMAC[:], b[8:14])
 	copy(a.SenderIP[:], b[14:18])
 	copy(a.TargetMAC[:], b[18:24])
@@ -179,18 +243,19 @@ func (p *Packet) unmarshalARP(b []byte) error {
 	return nil
 }
 
-func (p *Packet) unmarshalLLDP(b []byte) error {
+func (p *Packet) unmarshalLLDP(b []byte, h *headers) error {
 	if len(b) < lldpBodyLen-4 {
 		return ErrTruncated
 	}
-	p.LLDP = &LLDP{
+	p.LLDP = use(&h.lldp)
+	*p.LLDP = LLDP{
 		ChassisID: binary.BigEndian.Uint64(b[0:8]),
 		PortID:    binary.BigEndian.Uint32(b[8:12]),
 	}
 	return nil
 }
 
-func (p *Packet) unmarshalIPv4(b []byte) error {
+func (p *Packet) unmarshalIPv4(b []byte, h *headers) error {
 	if len(b) < ipv4HeaderLen {
 		return ErrTruncated
 	}
@@ -201,7 +266,8 @@ func (p *Packet) unmarshalIPv4(b []byte) error {
 	if ihl < ipv4HeaderLen || len(b) < ihl {
 		return ErrTruncated
 	}
-	ip := &IPv4Header{
+	ip := use(&h.ip)
+	*ip = IPv4Header{
 		TOS:   b[1],
 		TTL:   b[8],
 		Proto: IPProto(b[9]),
@@ -224,7 +290,8 @@ func (p *Packet) unmarshalIPv4(b []byte) error {
 		if dataOff < tcpHeaderLen || len(body) < dataOff {
 			return ErrTruncated
 		}
-		p.TCP = &TCPHeader{
+		p.TCP = use(&h.tcp)
+		*p.TCP = TCPHeader{
 			SrcPort: binary.BigEndian.Uint16(body[0:2]),
 			DstPort: binary.BigEndian.Uint16(body[2:4]),
 			Seq:     binary.BigEndian.Uint32(body[4:8]),
@@ -234,12 +301,13 @@ func (p *Packet) unmarshalIPv4(b []byte) error {
 			RST:     flags&0x04 != 0,
 			ACK:     flags&0x10 != 0,
 		}
-		p.Payload = append([]byte(nil), body[dataOff:]...)
+		p.Payload = h.payload(body[dataOff:])
 	case ProtoUDP:
 		if len(body) < udpHeaderLen {
 			return ErrTruncated
 		}
-		p.UDP = &UDPHeader{
+		p.UDP = use(&h.udp)
+		*p.UDP = UDPHeader{
 			SrcPort: binary.BigEndian.Uint16(body[0:2]),
 			DstPort: binary.BigEndian.Uint16(body[2:4]),
 		}
@@ -247,23 +315,21 @@ func (p *Packet) unmarshalIPv4(b []byte) error {
 		if udpLen > len(body) || udpLen < udpHeaderLen {
 			udpLen = len(body)
 		}
-		p.Payload = append([]byte(nil), body[udpHeaderLen:udpLen]...)
+		p.Payload = h.payload(body[udpHeaderLen:udpLen])
 	case ProtoICMP:
 		if len(body) < icmpHeaderLen {
 			return ErrTruncated
 		}
-		p.ICMP = &ICMPHeader{
+		p.ICMP = use(&h.icmp)
+		*p.ICMP = ICMPHeader{
 			Type: body[0],
 			Code: body[1],
 			ID:   binary.BigEndian.Uint16(body[4:6]),
 			Seq:  binary.BigEndian.Uint16(body[6:8]),
 		}
-		p.Payload = append([]byte(nil), body[icmpHeaderLen:]...)
+		p.Payload = h.payload(body[icmpHeaderLen:])
 	default:
-		p.Payload = append([]byte(nil), body...)
-	}
-	if len(p.Payload) == 0 {
-		p.Payload = nil
+		p.Payload = h.payload(body)
 	}
 	return nil
 }

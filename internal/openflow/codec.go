@@ -250,8 +250,23 @@ func appendActions(b []byte, actions []Action) []byte {
 }
 
 // Decode parses one complete message from data (which must contain exactly
-// one message, as produced by Encode or split by the stream framer).
-func Decode(data []byte) (Message, error) {
+// one message, as produced by Encode or split by the stream framer). The
+// message owns its memory: every byte slice it holds is a copy.
+func Decode(data []byte) (Message, error) { return decode(data, nil) }
+
+// reused is a receiver's storage for the two switch-bound messages a flow
+// setup sends many of. Decoding into it allocates nothing once its action
+// list has grown, so a message it returns is valid only until the next
+// decode into it: its Actions and Data are reused, and Data aliases the
+// frame.
+type reused struct {
+	fm FlowMod
+	po PacketOut
+}
+
+// decode is Decode, filling FlowMod and PacketOut into rx when it is not
+// nil.
+func decode(data []byte, rx *reused) (Message, error) {
 	if len(data) < headerLen {
 		return nil, ErrTruncated
 	}
@@ -265,6 +280,13 @@ func Decode(data []byte) (Message, error) {
 	}
 	xid := binary.BigEndian.Uint32(data[4:8])
 	body := data[headerLen:length]
+	var (
+		fm *FlowMod
+		po *PacketOut
+	)
+	if rx != nil {
+		fm, po = &rx.fm, &rx.po
+	}
 	switch typ {
 	case TypeHello:
 		return &Hello{XID: xid}, nil
@@ -283,9 +305,9 @@ func Decode(data []byte) (Message, error) {
 	case TypePacketIn:
 		return decodePacketIn(xid, body)
 	case TypePacketOut:
-		return decodePacketOut(xid, body)
+		return decodePacketOut(xid, body, po)
 	case TypeFlowMod:
-		return decodeFlowMod(xid, body)
+		return decodeFlowMod(xid, body, fm)
 	case TypeFlowRemoved:
 		return decodeFlowRemoved(xid, body)
 	case TypePortStatus:
@@ -359,7 +381,9 @@ func decodePacketIn(xid uint32, b []byte) (Message, error) {
 	}, nil
 }
 
-func decodePacketOut(xid uint32, b []byte) (Message, error) {
+// decodePacketOut decodes into a new PacketOut, or into po, reusing its
+// action list and aliasing Data to b.
+func decodePacketOut(xid uint32, b []byte, po *PacketOut) (Message, error) {
 	if len(b) < 12 {
 		return nil, ErrTruncated
 	}
@@ -367,17 +391,26 @@ func decodePacketOut(xid uint32, b []byte) (Message, error) {
 	if len(b) < 12+actLen {
 		return nil, ErrTruncated
 	}
-	actions, err := decodeActions(b[12 : 12+actLen])
+	var reuse []Action
+	if po != nil {
+		reuse = po.Actions[:0]
+	}
+	actions, err := decodeActions(b[12:12+actLen], reuse)
 	if err != nil {
 		return nil, err
 	}
-	return &PacketOut{
+	data := b[12+actLen:]
+	if po == nil {
+		po, data = new(PacketOut), cloneBytes(data)
+	}
+	*po = PacketOut{
 		XID:      xid,
 		BufferID: binary.BigEndian.Uint32(b[0:4]),
 		InPort:   binary.BigEndian.Uint32(b[4:8]),
 		Actions:  actions,
-		Data:     cloneBytes(b[12+actLen:]),
-	}, nil
+		Data:     data,
+	}
+	return po, nil
 }
 
 func decodeMatch(b []byte) (flow.Match, error) {
@@ -400,7 +433,9 @@ func decodeMatch(b []byte) (flow.Match, error) {
 	return m, nil
 }
 
-func decodeFlowMod(xid uint32, b []byte) (Message, error) {
+// decodeFlowMod decodes into a new FlowMod, or into fm, reusing its
+// action list.
+func decodeFlowMod(xid uint32, b []byte, fm *FlowMod) (Message, error) {
 	if len(b) < matchLen+16 {
 		return nil, ErrTruncated
 	}
@@ -409,11 +444,18 @@ func decodeFlowMod(xid uint32, b []byte) (Message, error) {
 		return nil, err
 	}
 	rest := b[matchLen:]
-	actions, err := decodeActions(rest[16:])
+	var reuse []Action
+	if fm != nil {
+		reuse = fm.Actions[:0]
+	}
+	actions, err := decodeActions(rest[16:], reuse)
 	if err != nil {
 		return nil, err
 	}
-	return &FlowMod{
+	if fm == nil {
+		fm = new(FlowMod)
+	}
+	*fm = FlowMod{
 		XID:         xid,
 		Match:       m,
 		Cookie:      binary.BigEndian.Uint64(rest[0:8]),
@@ -423,7 +465,8 @@ func decodeFlowMod(xid uint32, b []byte) (Message, error) {
 		HardTimeout: binary.BigEndian.Uint16(rest[12:14]),
 		Priority:    binary.BigEndian.Uint16(rest[14:16]),
 		Actions:     actions,
-	}, nil
+	}
+	return fm, nil
 }
 
 func decodeFlowRemoved(xid uint32, b []byte) (Message, error) {
@@ -526,20 +569,24 @@ func decodeStatsReply(xid uint32, b []byte) (Message, error) {
 	return m, nil
 }
 
-func decodeActions(b []byte) ([]Action, error) {
-	// Pre-size from the wire headers so the hot decode path allocates the
-	// action slice exactly once.
-	n := 0
-	for rest := b; len(rest) >= 4; n++ {
-		alen := int(binary.BigEndian.Uint16(rest[2:4]))
-		if alen < 4 || alen > len(rest) {
-			break
+// decodeActions appends the actions in b to actions, which is nil or a
+// reused list emptied by the caller. Output actions come from
+// OutputAction, so only a rewrite allocates once the list is big enough.
+func decodeActions(b []byte, actions []Action) ([]Action, error) {
+	if actions == nil {
+		// Pre-size from the wire headers so a fresh decode allocates the
+		// action slice exactly once.
+		n := 0
+		for rest := b; len(rest) >= 4; n++ {
+			alen := int(binary.BigEndian.Uint16(rest[2:4]))
+			if alen < 4 || alen > len(rest) {
+				break
+			}
+			rest = rest[alen:]
 		}
-		rest = rest[alen:]
-	}
-	var actions []Action
-	if n > 0 {
-		actions = make([]Action, 0, n)
+		if n > 0 {
+			actions = make([]Action, 0, n)
+		}
 	}
 	for len(b) > 0 {
 		if len(b) < 4 {
@@ -556,10 +603,12 @@ func decodeActions(b []byte) ([]Action, error) {
 			if len(body) < 6 {
 				return nil, ErrTruncated
 			}
-			actions = append(actions, ActionOutput{
-				Port:   binary.BigEndian.Uint32(body[0:4]),
-				MaxLen: binary.BigEndian.Uint16(body[4:6]),
-			})
+			port, maxLen := binary.BigEndian.Uint32(body[0:4]), binary.BigEndian.Uint16(body[4:6])
+			if maxLen == 0 {
+				actions = append(actions, OutputAction(port))
+			} else {
+				actions = append(actions, ActionOutput{Port: port, MaxLen: maxLen})
+			}
 		case actSetDLSrc:
 			if len(body) < 6 {
 				return nil, ErrTruncated

@@ -355,7 +355,27 @@ type ActionSetDLDst struct{ MAC netpkt.MAC }
 func (ActionSetDLDst) actionType() uint16 { return actSetDLDst }
 
 // Output is shorthand for a single-output action list.
-func Output(port uint32) []Action { return []Action{ActionOutput{Port: port}} }
+func Output(port uint32) []Action { return []Action{OutputAction(port)} }
+
+// OutputAction returns ActionOutput{Port: port} as an Action. Converting
+// a non-pointer value to an interface allocates, and each end of the
+// channel converts one output per flow entry of every setup; the ports
+// below len(outputs) are converted once, at start-up.
+func OutputAction(port uint32) Action {
+	if port < uint32(len(outputs)) {
+		return outputs[port]
+	}
+	return ActionOutput{Port: port}
+}
+
+// outputs holds the boxed output actions OutputAction hands out; it is
+// only read after init, so concurrent decoders share it.
+var outputs = func() (t [1024]Action) {
+	for i := range t {
+		t[i] = ActionOutput{Port: uint32(i)}
+	}
+	return t
+}()
 
 // Drop is the empty action list.
 func Drop() []Action { return nil }

@@ -13,6 +13,14 @@ import (
 
 // Conn is one side of an OpenFlow secure channel. Implementations deliver
 // whole messages; Send never blocks the caller on peer processing.
+//
+// Ownership: Send and SendBatch encode before they return and keep
+// neither the messages nor any slice they hold, so a caller may reuse
+// both at once (the controller's per-setup emitter does). A *FlowMod or
+// *PacketOut that the simulated transport (SimPipe) hands to a handler
+// is the receiving end's reused value: it is valid only during that
+// call, and a handler that keeps any of it keeps a copy. Every other
+// message a handler receives is its own.
 type Conn interface {
 	// Send transmits a message to the peer.
 	Send(m Message)
@@ -31,8 +39,10 @@ type Conn interface {
 // SendAll transmits the messages through c in one batched write.
 func SendAll(c Conn, ms ...Message) { c.SendBatch(ms) }
 
-// bufPool recycles encode buffers across Send calls on both transports.
-// Safe because Decode copies every byte slice it retains.
+// bufPool recycles the sim transport's encode buffers, each from its
+// batch's send to the end of its delivery. Decode copies every byte slice
+// it keeps; a FlowMod or PacketOut decoded into the receiver's reused
+// values aliases the buffer only until the handler returns (Conn).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // simConn is a secure channel endpoint inside the discrete-event
@@ -44,14 +54,20 @@ type simConn struct {
 	peer    *simConn
 	handler func(Message)
 	closed  bool
+	// inflight holds the batches sent and not yet delivered: each is due
+	// latency after its send, so they fall due in send order.
+	inflight *sim.Pipe[*[]byte]
+	rx       reused // what the peer's flow mods and packet-outs decode into
 }
 
 // SimPipe creates a connected pair of simulated secure-channel endpoints
 // with the given one-way control latency.
 func SimPipe(eng *sim.Engine, latency time.Duration) (Conn, Conn) {
+	latency = max(latency, 0) // as Engine.Schedule treats a negative delay
 	a := &simConn{eng: eng, latency: latency}
 	b := &simConn{eng: eng, latency: latency}
 	a.peer, b.peer = b, a
+	a.inflight, b.inflight = sim.NewPipe(eng, a.deliver), sim.NewPipe(eng, b.deliver)
 	return a, b
 }
 
@@ -73,30 +89,35 @@ func (c *simConn) SendBatch(ms []Message) {
 	for _, m := range ms {
 		data = MarshalAppend(data, m)
 	}
+	*bp = data
+	c.inflight.At(c.eng.Now()+c.latency, bp)
+}
+
+// deliver hands one batch c sent to the peer's handler, message by
+// message, and gives its buffer back to the pool.
+func (c *simConn) deliver(bp *[]byte) {
+	defer func() { *bp = (*bp)[:0]; bufPool.Put(bp) }()
 	peer := c.peer
-	c.eng.Schedule(c.latency, func() {
-		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
-		if peer.closed || peer.handler == nil {
+	if peer.closed || peer.handler == nil {
+		return
+	}
+	for rest := *bp; len(rest) >= headerLen; {
+		length := int(binary.BigEndian.Uint16(rest[2:4]))
+		if length < headerLen || length > len(rest) {
+			panic("openflow: sim transport batch framing")
+		}
+		msg, err := decode(rest[:length], &peer.rx)
+		if err != nil {
+			// A decode failure here is a codec bug; surface it loudly
+			// in simulation rather than silently dropping.
+			panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
+		}
+		peer.handler(msg)
+		if peer.closed {
 			return
 		}
-		for rest := data; len(rest) >= headerLen; {
-			length := int(binary.BigEndian.Uint16(rest[2:4]))
-			if length < headerLen || length > len(rest) {
-				panic("openflow: sim transport batch framing")
-			}
-			msg, err := Decode(rest[:length])
-			if err != nil {
-				// A decode failure here is a codec bug; surface it loudly
-				// in simulation rather than silently dropping.
-				panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
-			}
-			peer.handler(msg)
-			if peer.closed {
-				return
-			}
-			rest = rest[length:]
-		}
-	})
+		rest = rest[length:]
+	}
 }
 
 func (c *simConn) SetHandler(fn func(Message)) { c.handler = fn }
@@ -113,11 +134,14 @@ func ReadMessage(r io.Reader) (Message, error) {
 }
 
 // readMessageBuf reads one framed message, reusing *scratch as the frame
-// buffer (growing it as needed). Safe because Decode copies every byte
-// slice it retains.
+// buffer (growing it as needed, keeping the header read into it). Safe
+// because Decode copies every byte slice it retains.
 func readMessageBuf(r io.Reader, scratch *[]byte) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*scratch) < headerLen {
+		*scratch = make([]byte, headerLen)
+	}
+	hdr := (*scratch)[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	length := int(binary.BigEndian.Uint16(hdr[2:4]))
@@ -125,10 +149,11 @@ func readMessageBuf(r io.Reader, scratch *[]byte) (Message, error) {
 		return nil, ErrTruncated
 	}
 	if cap(*scratch) < length {
-		*scratch = make([]byte, length)
+		buf := make([]byte, length)
+		copy(buf, hdr)
+		*scratch = buf
 	}
 	buf := (*scratch)[:length]
-	copy(buf, hdr[:])
 	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		return nil, err
 	}

@@ -190,3 +190,25 @@ func TestReadMessageRejectsShortLength(t *testing.T) {
 		t.Fatal("short length accepted")
 	}
 }
+
+// TestReadPacketInStreamAllocs: reading a stream of packet-ins allocates
+// per message exactly what Decode allocates for it, the frame buffer and
+// the header included in the reused scratch.
+func TestReadPacketInStreamAllocs(t *testing.T) {
+	frame := Encode(&PacketIn{XID: 7, BufferID: NoBuffer, InPort: 3, Reason: ReasonNoMatch, Data: make([]byte, 64)})
+	decodeAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r := bytes.NewReader(bytes.Repeat(frame, 200))
+	var scratch []byte
+	readAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := readMessageBuf(r, &scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if readAllocs != decodeAllocs {
+		t.Fatalf("reading a packet-in allocates %v times, Decode alone %v", readAllocs, decodeAllocs)
+	}
+}
